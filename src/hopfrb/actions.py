@@ -16,6 +16,7 @@ but no checker here accepts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import (
     DimensionError,
@@ -68,6 +69,11 @@ class ActionStructure:
 
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
+
+    @cached_property
+    def basis_ops(self) -> tuple[Mat, ...]:
+        """matrix(e_b) for every algebra basis element b, built on first use."""
+        return tuple(self.matrix(self.algebra.basis(b)) for b in range(self.algebra.dim))
 
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""

@@ -581,6 +581,31 @@ def list_instances() -> tuple[str, ...]:
 # One JSON object per structure.  Structure constants are sparse triple
 # lists {i, j, k, c}; omitted entries are zero; scalars are strings or
 # integers.  Composite kinds reference previously declared entries by name.
+# A "dim" above MAX_DIM is refused before anything is allocated: the dense
+# tensors built from a file grow with the cube of its dims.
+
+MAX_DIM = 64
+
+
+def _dim(obj: dict) -> int:
+    """The entry's "dim", checked to lie in 0..MAX_DIM."""
+    if "dim" not in obj:
+        raise CatalogError("missing dim")
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError):
+        raise CatalogError(f"bad dim {obj['dim']!r}") from None
+    if not 0 <= dim <= MAX_DIM:
+        raise CatalogError(f"dim {dim} is outside 0..{MAX_DIM}")
+    return dim
+
+
+def _ref(obj: dict, key: str) -> str:
+    """The name under `key` of a previously declared entry."""
+    name = obj.get(key)
+    if not isinstance(name, str):
+        raise CatalogError(f"missing or non-string reference {key!r}")
+    return name
 
 
 def _parse_field(obj) -> FieldSpec:
@@ -648,19 +673,20 @@ def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
         payload = _load_structure(obj, kind)
         entry = CatalogEntry(name, kind, payload, note)
     elif kind == "module":
-        alg = algebra_of(resolve(obj["algebra"]).payload)
-        dim = int(obj["dim"])
+        alg_name = _ref(obj, "algebra")
+        dim = _dim(obj)
+        alg = algebra_of(resolve(alg_name).payload)
         side = obj.get("side", "left")
         act = _parse_tensor3(alg.field, obj.get("action", ()), alg.dim, dim, dim, "action")
         payload = ActionStructure(alg, dim, side, act, name=name)
-        entry = CatalogEntry(name, kind, payload, note, {"algebra": obj["algebra"]})
+        entry = CatalogEntry(name, kind, payload, note, {"algebra": alg_name})
     elif kind == "comodule":
-        host = resolve(obj["host"])
-        coalg = coalgebra_of(host.payload)
-        dim = int(obj["dim"])
+        host_name = _ref(obj, "host")
+        dim = _dim(obj)
+        coalg = coalgebra_of(resolve(host_name).payload)
         co = _parse_tensor3(coalg.field, obj.get("coaction", ()), dim, dim, coalg.dim, "coaction")
         payload = CoactionStructure(coalg, dim, co, name=name)
-        entry = CatalogEntry(name, kind, payload, note, {"host": obj["host"]})
+        entry = CatalogEntry(name, kind, payload, note, {"host": host_name})
     elif kind == "dimodule":
         host = resolve(obj["host"]).payload
         module = resolve(obj["module"]).payload
@@ -708,10 +734,10 @@ def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
 
 def _load_structure(obj: dict, kind: str):
     field = _parse_field(obj.get("field", {"kind": "rational"}))
+    dim = _dim(obj)
     try:
-        dim = int(obj["dim"])
         labels = tuple(str(x) for x in obj["basis"])
-    except (KeyError, TypeError, ValueError) as ex:
+    except (KeyError, TypeError) as ex:
         raise CatalogError(f"bad structure header: {ex}") from None
     if len(labels) != dim:
         raise CatalogError("basis label count differs from dim")

@@ -124,14 +124,6 @@ class FieldSpec:
             return {"kind": "rational"}
         return {"kind": "prime", "p": self.p}
 
-    @staticmethod
-    def from_json(obj: dict) -> "FieldSpec":
-        if obj.get("kind") == "rational":
-            return FieldSpec("rational")
-        if obj.get("kind") == "prime":
-            return FieldSpec("prime", int(obj["p"]))
-        raise FieldError(f"bad field description {obj!r}")
-
     def __str__(self) -> str:
         return "Q" if self.kind == "rational" else f"F_{self.p}"
 
@@ -256,15 +248,6 @@ def identity(field: FieldSpec, n: int) -> Mat:
 def unit_vec(field: FieldSpec, n: int, i: int) -> Vec:
     z = field.zero
     return tuple(field.one if j == i else z for j in range(n))
-
-
-def zeros_tensor3(field: FieldSpec, a: int, b: int, c: int) -> Tensor3:
-    z = field.zero
-    return (((z,) * c,) * b,) * a
-
-
-def freeze_tensor3(cells) -> Tensor3:
-    return tuple(tuple(tuple(r) for r in plane) for plane in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +498,6 @@ def solve_linear(a: Mat, b: Vec, field: FieldSpec) -> LinearSolution | None:
 def column_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
     """Canonical (RREF of the transpose) basis of the column space."""
     r, piv = rref(transpose(a), field)
-    return tuple(r[i] for i in range(len(piv)))
-
-
-def row_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
-    r, piv = rref(a, field)
     return tuple(r[i] for i in range(len(piv)))
 
 

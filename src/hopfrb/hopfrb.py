@@ -92,7 +92,6 @@ from .rbcore import (
     check_rb_operator,
     check_rbp_module,
     classify_generic,
-    commutant_subalgebra,
 )
 
 
@@ -369,14 +368,14 @@ def dual_action_T(
         cols.append(tuple(out))
     t = mat_from_cols(cols)
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
-    if len(commutant_subalgebra(module, t)) != module.algebra.dim:
+    lam = -alg.field.one
+    verdict = classify_generic(module, t, lam, trials=trials, seed=seed)
+    if not verdict.a_linear:
         raise InternalError("functional-induced operator is not dual-linear")
     t_idem = mat_mul(t, t) == t
     chi_idem = convolution(chi, chi).coords == chi.coords
     if t_idem != chi_idem:
         raise InternalError("operator idempotency disagrees with convolution idempotency")
-    lam = -alg.field.one
-    verdict = classify_generic(module, t, lam, trials=trials, seed=seed)
     if verdict.generic != t_idem:
         raise InternalError("generic verdict disagrees with the idempotency test")
     return t, DualActionRecord(True, t_idem, chi_idem, verdict)
@@ -566,14 +565,14 @@ def dimodule_T(
                     out[j] = out[j] + dd * f.coords[k]
         cols.append(tuple(out))
     t = mat_from_cols(cols)
-    if len(commutant_subalgebra(d.action, t)) != alg.dim:
+    lam = -alg.field.one
+    verdict = classify_generic(d.action, t, lam, trials=trials, seed=seed)
+    if not verdict.a_linear:
         raise InternalError("dimodule operator is not linear over the host")
     t_idem = mat_mul(t, t) == t
     f_idem = convolution(f, f).coords == f.coords
     if f_idem and not t_idem:
         raise InternalError("convolution idempotent induced a non-idempotent operator")
-    lam = -alg.field.one
-    verdict = classify_generic(d.action, t, lam, trials=trials, seed=seed)
     if verdict.generic != t_idem:
         raise InternalError("generic verdict disagrees with the idempotency test")
     return t, DimoduleTRecord(True, t_idem, f_idem, verdict)

@@ -17,6 +17,16 @@ stored, never inferred.
 Randomized falsification draws operator entries uniformly from
 {-2, -1, 0, 1, 2} with a per-trial seed string "<seed>:<trial>", so runs
 are reproducible and trials are independent.
+
+The identity is affine in P.  Writing C_b = [act(e_b), T] and
+K_i = T act(e_i) T + lam T act(e_i), it reads on the basis element e_i
+
+    sum_b P[b][i] C_b = K_i
+
+so `classify_generic` computes every C_b and K_i once and decides each
+random trial with one linear combination per e_i, in raw field values
+(`Fraction`, or `int` reduced mod p at the comparison).  Trial 0 is also
+run through the unchanged `check_rbp_module` as an independent oracle.
 """
 
 from __future__ import annotations
@@ -61,9 +71,15 @@ def fuzz_seed() -> str:
     return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
 
 
-def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
+def _random_entries(n: int, seed: str, trial: int) -> list[int]:
+    """The n x n entries of trial `trial`'s random operator, row-major."""
     rng = random.Random(f"{seed}:{trial}")
-    return mat(field, [[rng.choice((-2, -1, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    return [rng.choice((-2, -1, 0, 1, 2)) for _ in range(n * n)]
+
+
+def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
+    entries = _random_entries(n, seed, trial)
+    return mat(field, [entries[r * n:(r + 1) * n] for r in range(n)])
 
 
 @dataclass
@@ -118,8 +134,7 @@ def _pairing_sides(inst: RbpInstance) -> list[tuple[Mat, Mat]]:
     algebra basis element."""
     a, m, p, t, lam = inst.algebra, inst.module, inst.p, inst.t, inst.weight
     out = []
-    for i in range(a.dim):
-        act_i = m.matrix(a.basis(i))
+    for i, act_i in enumerate(m.basis_ops):
         act_pi = m.matrix(column(p, i))
         lhs = mat_mul(act_pi, t)
         rhs = mat_add(
@@ -160,6 +175,11 @@ def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
     return is_zero_mat(mat_add(mat_mul(t, t), mat_scale(lam, t)))
 
 
+def _commutators(m: ActionStructure, t: Mat) -> tuple[Mat, ...]:
+    """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis element b."""
+    return tuple(mat_sub(mat_mul(op, t), mat_mul(t, op)) for op in m.basis_ops)
+
+
 def commutant_subalgebra(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
     """Basis of C_M = { a : T(a . m) = a . T(m) for all m }.
 
@@ -168,15 +188,11 @@ def commutant_subalgebra(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
     package bug."""
     a = m.algebra
     f = a.field
-    rows = []
-    comms = []
-    for i in range(a.dim):
-        act_i = m.matrix(a.basis(i))
-        comms.append(mat_sub(mat_mul(t, act_i), mat_mul(act_i, t)))
-    for r in range(m.dim):
-        for c in range(m.dim):
-            rows.append(tuple(comms[i][r][c] for i in range(a.dim)))
-    basis = kernel_basis(tuple(rows), f, ncols=a.dim)
+    comms = _commutators(m, t)
+    rows = tuple(
+        tuple(comm[r][c] for comm in comms) for r in range(m.dim) for c in range(m.dim)
+    )
+    basis = kernel_basis(rows, f, ncols=a.dim)
     for u in basis:
         for v in basis:
             if not in_span(a.mul(u, v), basis, f):
@@ -191,11 +207,8 @@ def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
 
     A violation names the pair (b, m) of algebra and module basis indices,
     with delta the commutator applied to the module basis vector m."""
-    a = m.algebra
     ck = Checker("a-linearity", instance or m.name)
-    for b in range(a.dim):
-        act_b = m.matrix(a.basis(b))
-        comm = mat_sub(mat_mul(act_b, t), mat_mul(t, act_b))
+    for b, comm in enumerate(_commutators(m, t)):
         for j in range(m.dim):
             ck.zero_vec("commutes-with-action", (("b", b), ("m", j)), column(comm, j))
     return ck.report()
@@ -230,6 +243,28 @@ class GenericVerdict:
         }
 
 
+def _fails_affine(
+    p: list[int], n: int, comms: list, k: list, modulus: int
+) -> bool:
+    """Whether the row-major operator `p` breaks sum_b P[b][i] C_b = K_i for
+    some i.  `comms[b]` lists the nonzero (cell, value) entries of C_b and
+    `k[i]` the cells of K_i, in raw field values; `modulus` is p for F_p
+    and 0 for Q."""
+    for i, k_i in enumerate(k):
+        acc = [0] * len(k_i)
+        for b, comm in enumerate(comms):
+            coef = p[b * n + i]
+            if coef:
+                for cell, x in comm:
+                    acc[cell] += coef * x
+        if modulus:
+            if any((x - y) % modulus for x, y in zip(acc, k_i)):
+                return True
+        elif acc != k_i:
+            return True
+    return False
+
+
 def classify_generic(
     m: ActionStructure,
     t: Mat,
@@ -243,25 +278,45 @@ def classify_generic(
     no longer mentions P; that exact condition is the verdict, and the
     randomized trials must agree with it uniformly (all pass, or all fail).
     Disagreement raises InternalError.
+
+    Each trial draws P as `random_operator` does and checks the affine form
+    sum_b P[b][i] [act(e_b), T] = T act(e_i) (T + lam) on every basis
+    element e_i, stopping at the first that fails; the commutators and the
+    right-hand sides are computed once per call.  Trial 0 is also checked
+    by `check_rbp_module`, and a disagreement raises InternalError.
     """
     a = m.algebra
     f = a.field
+    n = a.dim
     seed = fuzz_seed() if seed is None else seed
-    cm = commutant_subalgebra(m, t)
-    a_linear = len(cm) == a.dim
+    comms = _commutators(m, t)
+    a_linear = all(is_zero_mat(c) for c in comms)
     qi = is_quasi_idempotent(t, lam)
     generic: bool | None = None
     if a_linear:
         defect = mat_add(mat_mul(t, t), mat_scale(lam, t))
-        generic = all(
-            is_zero_mat(mat_mul(m.matrix(a.basis(i)), defect)) for i in range(a.dim)
-        )
+        generic = all(is_zero_mat(mat_mul(op, defect)) for op in m.basis_ops)
+    sparse = [
+        [(cell, x.value) for cell, x in enumerate(x for row in c for x in row) if not x.is_zero]
+        for c in comms
+    ]
+    rhs = []
+    for op in m.basis_ops:
+        t_op = mat_mul(t, op)
+        k_i = mat_add(mat_mul(t_op, t), mat_scale(lam, t_op))
+        rhs.append([x.value for row in k_i for x in row])
+    modulus = f.p if f.kind == "prime" else 0
     failures = 0
     for trial in range(trials):
-        p = random_operator(f, a.dim, seed, trial)
-        inst = RbpInstance(a, m, p, t, lam, name=f"fuzz:{trial}")
-        if not check_rbp_module(inst).ok:
-            failures += 1
+        fails = _fails_affine(_random_entries(n, seed, trial), n, sparse, rhs, modulus)
+        failures += fails
+        if trial == 0:
+            inst = RbpInstance(a, m, random_operator(f, n, seed, 0), t, lam, name="fuzz:0")
+            if check_rbp_module(inst).ok == fails:
+                raise InternalError(
+                    f"affine trial and check_rbp_module disagree on trial 0 of {m.name}: "
+                    f"affine {'fails' if fails else 'passes'}"
+                )
     if a_linear and trials:
         expected = 0 if generic else trials
         if failures != expected:

@@ -39,7 +39,6 @@ class Report:
     checked: tuple = ()
     skipped: tuple = ()
     weight: str | None = None
-    trials: int | None = None
 
     @property
     def result(self) -> str:
@@ -61,8 +60,6 @@ class Report:
         }
         if self.weight is not None:
             out["weight"] = self.weight
-        if self.trials is not None:
-            out["trials"] = self.trials
         if self.violations:
             out["witness"] = self.violations[0].to_json()
             out["violations"] = self.violation_count
@@ -78,7 +75,6 @@ class Checker:
         self._check = check
         self._instance = instance
         self._weight = weight
-        self._trials: int | None = None
         self._violations: dict[str, Violation] = {}
         self._count = 0
         self._checked: list[str] = []
@@ -93,11 +89,6 @@ class Checker:
         self._count += 1
         if axiom not in self._violations:
             self._violations[axiom] = Violation(axiom, tuple(witness), delta)
-
-    def require(self, axiom: str, witness: tuple, holds: bool) -> None:
-        self._touch(axiom)
-        if not holds:
-            self.fail(axiom, witness)
 
     def equal_vec(self, axiom: str, witness: tuple, got: Vec, want: Vec) -> None:
         self._touch(axiom)
@@ -114,9 +105,6 @@ class Checker:
         if axiom not in self._skipped:
             self._skipped.append(axiom)
 
-    def set_trials(self, n: int) -> None:
-        self._trials = n
-
     @property
     def failed(self) -> bool:
         return self._count > 0
@@ -130,5 +118,4 @@ class Checker:
             checked=tuple(self._checked),
             skipped=tuple(self._skipped),
             weight=self._weight,
-            trials=self._trials,
         )

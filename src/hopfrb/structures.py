@@ -666,21 +666,6 @@ def counit_functional(host: CoalgebraLike) -> Functional:
     return Functional(host, coalgebra_of(host).counit)
 
 
-def convolve_operators(c: FinCoalgebra, a: FinAlgebra, f: Mat, g: Mat) -> Mat:
-    """Convolution of linear maps C -> A given by matrices."""
-    if c.field != a.field:
-        raise StructureError("convolution of maps over different fields")
-    cols = []
-    for i in range(c.dim):
-        acc = zeros_vec(a.field, a.dim)
-        for j in range(c.dim):
-            for k, d in enumerate(c.comult[i][j]):
-                if not d.is_zero:
-                    acc = vec_add(acc, vec_scale(d, a.mul(column(f, j), column(g, k))))
-        cols.append(acc)
-    return mat_from_cols(cols)
-
-
 def _antipode_system_ordinary(b: BialgebraLike):
     alg, co = algebra_of(b), coalgebra_of(b)
     n = alg.dim

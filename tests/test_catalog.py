@@ -1,6 +1,7 @@
 """Built-in catalog, named instances, and the JSON structure-file format."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from hopfrb.structures import check_algebra, check_hopf
 from hopfrb.rbcore import check_rbp_module
 from hopfrb.catalog import (
     KINDS,
+    MAX_DIM,
     CatalogError,
     cyclic_group_algebra,
     dump,
@@ -184,3 +186,35 @@ def test_prime_field_structure_file():
     entry = load_entry(obj)
     assert entry.payload.field == prime_field(5)
     assert dump(load_entry(dump(entry))) == dump(entry)
+
+
+@pytest.mark.parametrize("kind", ["algebra", "module", "comodule"])
+def test_dim_cap_is_enforced_before_allocation(kind):
+    over = MAX_DIM + 1
+    if kind == "algebra":
+        obj = {"kind": "algebra", "name": "huge", "dim": over,
+               "basis": [f"e{i}" for i in range(over)]}
+    elif kind == "module":
+        obj = {"kind": "module", "name": "huge", "algebra": "mat2-rational", "dim": over}
+    else:
+        obj = {"kind": "comodule", "name": "huge", "host": "group-algebra-c2", "dim": over}
+    get("mat2-rational")  # build the catalog outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(CatalogError, match="outside"):
+            load_entry(obj, validate=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the cap is checked before any tensor is built: a dense tensor at
+    # dim 65 would take megabytes
+    assert peak < 64 * 1024
+
+
+def test_dim_cap_admits_the_cap_itself():
+    obj = {"kind": "module", "name": "wide-zero", "algebra": "group-algebra-c2",
+           "dim": MAX_DIM, "action": []}
+    assert load_entry(obj, validate=False).payload.dim == MAX_DIM
+    for bad in (-1, "two", None, [2]):
+        with pytest.raises(CatalogError):
+            load_entry({**obj, "dim": bad}, validate=False)

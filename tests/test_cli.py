@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report files, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hopfrb import __version__
 from hopfrb.cli import main
 from hopfrb.exactlin import RATIONAL
-from hopfrb.catalog import get
+from hopfrb.catalog import dump, get
 from hopfrb.cli import parse_operator
 
 
@@ -100,6 +101,23 @@ def test_check_structure_file(tmp_path, capsys):
     assert main(["check", "algebra", "--entry", f"@{junk}"]) == 2
 
 
+@pytest.mark.parametrize("entry,drop", [
+    ("c2-regular-module", "dim"),
+    ("c2-regular-module", "algebra"),
+    ("c2-regular-comodule", "dim"),
+    ("c2-regular-comodule", "host"),
+])
+def test_check_file_missing_key_exits_2(tmp_path, capsys, entry, drop):
+    obj = dump(get(entry))
+    del obj[drop]
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    kind = obj["kind"]
+    assert main(["check", kind, "--entry", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and drop in err
+
+
 def test_check_report_file(tmp_path):
     out = tmp_path / "rep.json"
     rc = main(["check", "rb-operator", "--algebra", "mat2-rational",
@@ -180,6 +198,27 @@ def test_replay_all_ignores_env_seed_when_flag_given(tmp_path, monkeypatch, caps
     main(["replay", "all", "--seed", "7", "--trials", "3", "--report", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `hopfrb replay all --trials 10 --report F` as the pure-check
+# implementation of classify_generic wrote it: faster code must keep every
+# report byte-identical
+GOLDEN_REPLAY_DIGESTS = {
+    "7": "8a2705e4e5fda5e0e79b2872c63fea31d0daec617067b7a88463bebcbb47defd",
+    None: "9b7d898485c335d111d68c377c10ce6584c2a9a0e74ad3c5bb96e09d831c3de9",
+}
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_REPLAY_DIGESTS), ids=["seed-7", "default-seed"])
+def test_replay_all_report_digest_is_pinned(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.delenv("HOPFRB_SEED", raising=False)
+    out = tmp_path / "r.json"
+    argv = ["replay", "all", "--trials", "10", "--report", str(out)]
+    if seed is not None:
+        argv += ["--seed", seed]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLAY_DIGESTS[seed]
 
 
 def test_replay_negative_trials_rejected(capsys):

@@ -9,14 +9,17 @@ from hopfrb.exactlin import (
     RATIONAL,
     apply_mat,
     identity,
+    kernel_basis,
     mat,
     mat_mul,
     mat_scale,
+    prime_field,
     vec_scale,
     zeros_mat,
 )
-from hopfrb.structures import PreconditionError
-from hopfrb.actions import regular_action
+from hopfrb.structures import FinAlgebra, PreconditionError
+from hopfrb.actions import ActionStructure, regular_action
+from hopfrb import rbcore
 from hopfrb.rbcore import (
     RbpInstance,
     atkinson_solvable,
@@ -35,7 +38,13 @@ from hopfrb.rbcore import (
     scale_weight,
     tilde_pair,
 )
-from hopfrb.catalog import get, get_instance, list_instances, normalized_group_integral
+from hopfrb.catalog import (
+    get,
+    get_instance,
+    list_entries,
+    list_instances,
+    normalized_group_integral,
+)
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
@@ -138,6 +147,85 @@ def test_non_linear_operator_is_unclassified():
     assert not v.a_linear
     assert v.generic is None
     assert 0 < v.failures <= 10
+
+
+# -- the affine trials against the full check ---------------------------------
+
+FIELDS = [Q, prime_field(2), prime_field(3), prime_field(5)]
+CATALOG_MODULES = sorted(name for name, kind in list_entries() if kind == "module")
+
+
+def _over(module, field):
+    """The catalog module with its integer structure constants read in `field`."""
+    conv = lambda t3: tuple(  # noqa: E731
+        tuple(tuple(field.of(x.value) for x in row) for row in plane) for plane in t3
+    )
+    a = module.algebra
+    unit = None if a.unit is None else tuple(field.of(x.value) for x in a.unit)
+    alg = FinAlgebra(field, a.dim, a.labels, conv(a.mult), unit, name=a.name)
+    return ActionStructure(alg, module.dim, module.side, conv(module.act), name=module.name)
+
+
+def _a_linear_basis(module):
+    """Basis of the T with [act(e_b), T] = 0 for all b, as flat row-major vectors."""
+    d, f = module.dim, module.field
+    rows = []
+    for op in module.basis_ops:
+        for r in range(d):
+            for c in range(d):
+                row = [f.zero] * (d * d)
+                for k in range(d):
+                    row[k * d + c] = row[k * d + c] + op[r][k]  # (act T)[r][c]
+                    row[r * d + k] = row[r * d + k] - op[k][c]  # (T act)[r][c]
+                rows.append(tuple(row))
+    return kernel_basis(tuple(rows), f, ncols=d * d)
+
+
+def _brute_force_failures(module, t, lam, trials, seed):
+    a = module.algebra
+    return sum(
+        not check_rbp_module(
+            RbpInstance(a, module, random_operator(a.field, a.dim, seed, k), t, lam)
+        ).ok
+        for k in range(trials)
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("linear", [True, False], ids=["a-linear", "random"])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_affine_trials_count_what_check_rbp_module_counts(field, linear, data):
+    module = _over(get(data.draw(st.sampled_from(CATALOG_MODULES))).payload, field)
+    d = module.dim
+    coef = st.integers(min_value=-2, max_value=2)
+    if linear:
+        basis = _a_linear_basis(module)
+        cs = data.draw(st.lists(coef, min_size=len(basis), max_size=len(basis)))
+        flat = [field.zero] * (d * d)
+        for c, v in zip(cs, basis):
+            flat = [x + field.of(c) * y for x, y in zip(flat, v)]
+        t = tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
+    else:
+        t = mat(field, data.draw(
+            st.lists(st.lists(coef, min_size=d, max_size=d), min_size=d, max_size=d)))
+    lam = field.of(data.draw(coef))
+    seed = str(data.draw(st.integers(min_value=0, max_value=10**6)))
+    trials = 6
+    v = classify_generic(module, t, lam, trials=trials, seed=seed)
+    if linear:
+        assert v.a_linear
+    assert v.failures == _brute_force_failures(module, t, lam, trials, seed)
+
+
+def test_affine_and_oracle_disagreement_is_a_package_bug(monkeypatch):
+    module = get("c2-regular-module").payload
+    t = mat(Q, [[1, 0], [0, 0]])  # not kC2-linear, so only the oracle can object
+    classify_generic(module, t, MINUS_ONE, trials=3, seed="t")
+    real = rbcore._fails_affine
+    monkeypatch.setattr(rbcore, "_fails_affine", lambda *args: not real(*args))
+    with pytest.raises(InternalError, match="check_rbp_module disagree"):
+        classify_generic(module, t, MINUS_ONE, trials=3, seed="t")
 
 
 def test_commutant_of_matrix_action():
