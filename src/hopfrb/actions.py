@@ -9,8 +9,7 @@ difference (composition order flips).
 
 Coactions are right coactions, ``co[i][j][k]`` the coefficient of
 ``f_j (x) e_k`` in ``rho(f_i)``, with module-major lex layout on tensor
-coordinates.  The ``side`` field exists so left coactions can be stored,
-but no checker here accepts them.
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,13 +18,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
+    Cells3,
     DimensionError,
     Mat,
     Tensor3,
     Vec,
+    add_outer,
+    column,
     identity,
     kernel_basis,
     mat_mul,
+    nonzero,
+    nonzero_cells,
+    plane_cells,
+    tensor_vec,
     unit_vec,
     zeros_vec,
 )
@@ -71,6 +77,11 @@ class ActionStructure:
         return unit_vec(self.field, self.dim, j)
 
     @cached_property
+    def act_nz(self) -> Cells3:
+        """Nonzero cells of act, built on first use: act_nz[i][j] lists (k, c)."""
+        return nonzero_cells(self.act)
+
+    @cached_property
     def basis_ops(self) -> tuple[Mat, ...]:
         """matrix(e_b) for every algebra basis element b, built on first use."""
         return tuple(self.matrix(self.algebra.basis(b)) for b in range(self.algebra.dim))
@@ -78,29 +89,20 @@ class ActionStructure:
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""
         out = [[self.field.zero] * self.dim for _ in range(self.dim)]
-        for i, ri in enumerate(r):
-            if ri.is_zero:
-                continue
-            plane = self.act[i]
-            for j in range(self.dim):
-                for k, a in enumerate(plane[j]):
-                    if not a.is_zero:
-                        out[k][j] = out[k][j] + ri * a
+        for i, ri in nonzero(r):
+            for j, k, a in plane_cells(self.act_nz[i]):
+                out[k][j] += ri * a
         return tuple(tuple(row) for row in out)
 
     def apply(self, r: Vec, m: Vec) -> Vec:
         out = [self.field.zero] * self.dim
-        for i, ri in enumerate(r):
-            if ri.is_zero:
-                continue
-            plane = self.act[i]
-            for j, mj in enumerate(m):
-                if mj.is_zero:
-                    continue
+        ms = nonzero(m)
+        for i, ri in nonzero(r):
+            cells = self.act_nz[i]
+            for j, mj in ms:
                 c = ri * mj
-                for k, a in enumerate(plane[j]):
-                    if not a.is_zero:
-                        out[k] = out[k] + c * a
+                for k, a in cells[j]:
+                    out[k] += c * a
         return tuple(out)
 
 
@@ -109,12 +111,9 @@ class CoactionStructure:
     coalgebra: FinCoalgebra
     dim: int
     co: Tensor3
-    side: str = "right"
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.side not in ("right", "left"):
-            raise StructureError(f"{self.name}: side must be right or left")
         if len(self.co) != self.dim or any(
             len(p) != self.dim or any(len(r) != self.coalgebra.dim for r in p)
             for p in self.co
@@ -128,23 +127,19 @@ class CoactionStructure:
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
 
+    @cached_property
+    def co_nz(self) -> Cells3:
+        """Nonzero cells of co, built on first use: co_nz[i][j] lists (k, c)."""
+        return nonzero_cells(self.co)
+
     def coact_vec(self, m: Vec) -> Vec:
         """rho(m) on the (module, coalgebra) lex pair basis."""
         h = self.coalgebra.dim
         out = [self.field.zero] * (self.dim * h)
-        for i, mi in enumerate(m):
-            if mi.is_zero:
-                continue
-            for j in range(self.dim):
-                for k, c in enumerate(self.co[i][j]):
-                    if not c.is_zero:
-                        out[j * h + k] = out[j * h + k] + mi * c
+        for i, mi in nonzero(m):
+            for j, k, c in plane_cells(self.co_nz[i]):
+                out[j * h + k] += mi * c
         return tuple(out)
-
-
-def _require_right(c: CoactionStructure) -> None:
-    if c.side != "right":
-        raise StructureError(f"{c.name}: only right coactions are checked here")
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,6 @@ class Dimodule:
     def __post_init__(self) -> None:
         if self.action.side != "left":
             raise StructureError(f"{self.name}: dimodule action must be left")
-        _require_right(self.coaction)
         if self.action.algebra != algebra_of(self.host):
             raise StructureError(f"{self.name}: action is not over the host algebra")
         if self.coaction.coalgebra != coalgebra_of(self.host):
@@ -186,7 +180,6 @@ class HopfModule:
     def __post_init__(self) -> None:
         if self.action.side != "right":
             raise StructureError(f"{self.name}: hopf-module action must be right")
-        _require_right(self.coaction)
         if self.action.algebra != algebra_of(self.host):
             raise StructureError(f"{self.name}: action is not over the host algebra")
         if self.coaction.coalgebra != coalgebra_of(self.host):
@@ -209,7 +202,6 @@ class WeakComoduleAlgebra:
     name: str = ""
 
     def __post_init__(self) -> None:
-        _require_right(self.coaction)
         if self.coaction.coalgebra != coalgebra_of(self.host):
             raise StructureError(f"{self.name}: coaction is not over the host coalgebra")
         if self.coaction.dim != self.carrier.dim:
@@ -229,7 +221,6 @@ class DoiHopfModule:
     def __post_init__(self) -> None:
         if self.action.side != "right":
             raise StructureError(f"{self.name}: doi-hopf action must be right")
-        _require_right(self.coaction)
         if self.action.algebra != self.comodule_algebra.carrier:
             raise StructureError(f"{self.name}: action is not over the comodule algebra")
         if self.coaction.coalgebra != self.comodule_algebra.coaction.coalgebra:
@@ -296,7 +287,6 @@ def coaction_to_dual_action(
     com: CoactionStructure, dual: FinAlgebra | None = None
 ) -> ActionStructure:
     """Left action of the dual convolution algebra: f . m = m_(0) f(m_(1))."""
-    _require_right(com)
     if dual is None:
         dual = dual_algebra(com.coalgebra)
     h = com.coalgebra.dim
@@ -336,7 +326,6 @@ def check_action(action: ActionStructure) -> Report:
 
 
 def check_coaction(com: CoactionStructure) -> Report:
-    _require_right(com)
     ck = Checker("coaction", com.name)
     c = com.coalgebra
     n, h = com.dim, c.dim
@@ -344,28 +333,14 @@ def check_coaction(com: CoactionStructure) -> Report:
         # (rho (x) id) rho = (id (x) Delta) rho
         lhs = [com.field.zero] * (n * h * h)
         rhs = [com.field.zero] * (n * h * h)
-        for j in range(n):
-            for k in range(h):
-                d = com.co[i][j][k]
-                if d.is_zero:
-                    continue
-                for l in range(n):
-                    for a, d2 in enumerate(com.co[j][l]):
-                        if not d2.is_zero:
-                            idx = (l * h + a) * h + k
-                            lhs[idx] = lhs[idx] + d * d2
-                for a in range(h):
-                    for b, d2 in enumerate(c.comult[k][a]):
-                        if not d2.is_zero:
-                            idx = (j * h + a) * h + b
-                            rhs[idx] = rhs[idx] + d * d2
-        ck.equal_vec("coaction-coassoc", (("i", i),), tuple(lhs), tuple(rhs))
         out = [com.field.zero] * n
-        for j in range(n):
-            for k in range(h):
-                d = com.co[i][j][k]
-                if not (d.is_zero or c.counit[k].is_zero):
-                    out[j] = out[j] + d * c.counit[k]
+        for j, k, d in plane_cells(com.co_nz[i]):
+            for l, a, d2 in plane_cells(com.co_nz[j]):
+                lhs[(l * h + a) * h + k] += d * d2
+            for a, b, d2 in plane_cells(c.comult_nz[k]):
+                rhs[(j * h + a) * h + b] += d * d2
+            out[j] += d * c.counit[k]
+        ck.equal_vec("coaction-coassoc", (("i", i),), tuple(lhs), tuple(rhs))
         ck.equal_vec("coaction-counit", (("i", i),), tuple(out), com.basis(i))
     return ck.report()
 
@@ -387,14 +362,9 @@ def check_dimodule(d: Dimodule) -> Report:
         for i in range(n):
             lhs = com.coact_vec(action.apply(alg.basis(u), com.basis(i)))
             rhs = [action.field.zero] * (n * h)
-            for j in range(n):
-                for l in range(h):
-                    dd = com.co[i][j][l]
-                    if dd.is_zero:
-                        continue
-                    for p, mx in enumerate(action.act[u][j]):
-                        if not mx.is_zero:
-                            rhs[p * h + l] = rhs[p * h + l] + dd * mx
+            for j, l, dd in plane_cells(com.co_nz[i]):
+                for p, mx in action.act_nz[u][j]:
+                    rhs[p * h + l] += dd * mx
             ck.equal_vec("dimodule-law", (("h", u), ("m", i)), lhs, tuple(rhs))
     return ck.report()
 
@@ -411,25 +381,13 @@ def check_hopf_module(hm: HopfModule) -> Report:
         for i in range(n):
             lhs = com.coact_vec(action.apply(alg.basis(u), com.basis(i)))
             rhs = [action.field.zero] * (n * h)
-            for j in range(n):
-                for l in range(h):
-                    dd = com.co[i][j][l]
-                    if dd.is_zero:
-                        continue
-                    for a in range(h):
-                        for bq, d2 in enumerate(co.comult[u][a]):
-                            if d2.is_zero:
-                                continue
-                            c = dd * d2
-                            ja = action.act[a][j]
-                            lb = alg.mult[l][bq]
-                            for p, mx in enumerate(ja):
-                                if mx.is_zero:
-                                    continue
-                                cm = c * mx
-                                for q, my in enumerate(lb):
-                                    if not my.is_zero:
-                                        rhs[p * h + q] = rhs[p * h + q] + cm * my
+            for j, l, dd in plane_cells(com.co_nz[i]):
+                for a, bq, d2 in plane_cells(co.comult_nz[u]):
+                    c = dd * d2
+                    for p, mx in action.act_nz[a][j]:
+                        cm = c * mx
+                        for q, my in alg.mult_nz[l][bq]:
+                            rhs[p * h + q] += cm * my
             ck.equal_vec("hopf-module-law", (("h", u), ("m", i)), lhs, tuple(rhs))
     return ck.report()
 
@@ -447,25 +405,13 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
         for j in range(n):
             lhs = com.coact_vec(carrier.mult[i][j])
             rhs = [carrier.field.zero] * (n * hd)
-            for a in range(n):
-                for p in range(hd):
-                    d1 = com.co[i][a][p]
-                    if d1.is_zero:
-                        continue
-                    for b in range(n):
-                        for q, d2 in enumerate(com.co[j][b]):
-                            if d2.is_zero:
-                                continue
-                            c = d1 * d2
-                            ab = carrier.mult[a][b]
-                            pq = halg.mult[p][q]
-                            for x, mx in enumerate(ab):
-                                if mx.is_zero:
-                                    continue
-                                cm = c * mx
-                                for y, my in enumerate(pq):
-                                    if not my.is_zero:
-                                        rhs[x * hd + y] = rhs[x * hd + y] + cm * my
+            for a, p, d1 in plane_cells(com.co_nz[i]):
+                for b, q, d2 in plane_cells(com.co_nz[j]):
+                    c = d1 * d2
+                    for x, mx in carrier.mult_nz[a][b]:
+                        cm = c * mx
+                        for y, my in halg.mult_nz[p][q]:
+                            rhs[x * hd + y] += cm * my
             ck.equal_vec("coaction-mult", (("i", i), ("j", j)), lhs, tuple(rhs))
     if not carrier.unital:
         ck.skip("coaction-unit")
@@ -475,23 +421,13 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
     for a in range(n):
         # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
         lhs = [carrier.field.zero] * (n * hd)
-        for idx, c in enumerate(rho1):
-            if c.is_zero:
-                continue
+        for idx, c in nonzero(rho1):
             x, y = divmod(idx, hd)
-            for xx, mx in enumerate(carrier.mult[x][a]):
-                if not mx.is_zero:
-                    lhs[xx * hd + y] = lhs[xx * hd + y] + c * mx
+            for xx, mx in carrier.mult_nz[x][a]:
+                lhs[xx * hd + y] += c * mx
         rhs = [carrier.field.zero] * (n * hd)
-        for j in range(n):
-            for k in range(hd):
-                d = com.co[a][j][k]
-                if d.is_zero:
-                    continue
-                for kk in range(hd):
-                    pv = pil[kk][k]
-                    if not pv.is_zero:
-                        rhs[j * hd + kk] = rhs[j * hd + kk] + d * pv
+        for j, k, d in plane_cells(com.co_nz[a]):
+            add_outer(rhs, d, carrier.basis(j), column(pil, k))
         ck.equal_vec("coaction-unit", (("a", a),), tuple(lhs), tuple(rhs))
     return ck.report()
 
@@ -511,25 +447,13 @@ def check_doi_hopf(d: DoiHopfModule) -> Report:
         for i in range(n):
             lhs = com.coact_vec(action.apply(carrier.basis(u), com.basis(i)))
             rhs = [action.field.zero] * (n * hd)
-            for j in range(n):
-                for l in range(hd):
-                    dd = com.co[i][j][l]
-                    if dd.is_zero:
-                        continue
-                    for b in range(ad):
-                        for q, d2 in enumerate(coa.co[u][b]):
-                            if d2.is_zero:
-                                continue
-                            c = dd * d2
-                            jb = action.act[b][j]
-                            lq = halg.mult[l][q]
-                            for p, mx in enumerate(jb):
-                                if mx.is_zero:
-                                    continue
-                                cm = c * mx
-                                for y, my in enumerate(lq):
-                                    if not my.is_zero:
-                                        rhs[p * hd + y] = rhs[p * hd + y] + cm * my
+            for j, l, dd in plane_cells(com.co_nz[i]):
+                for b, q, d2 in plane_cells(coa.co_nz[u]):
+                    c = dd * d2
+                    for p, mx in action.act_nz[b][j]:
+                        cm = c * mx
+                        for y, my in halg.mult_nz[l][q]:
+                            rhs[p * hd + y] += cm * my
             ck.equal_vec("doi-hopf-law", (("a", u), ("m", i)), lhs, tuple(rhs))
     return ck.report()
 
@@ -550,15 +474,12 @@ def check_module_algebra(b: BialgebraLike, carrier: FinAlgebra, action: ActionSt
             for j in range(carrier.dim):
                 lhs = action.apply(alg.basis(u), carrier.mult[i][j])
                 rhs = zeros_vec(carrier.field, carrier.dim)
-                for a in range(n):
-                    for bq, dd in enumerate(co.comult[u][a]):
-                        if dd.is_zero:
-                            continue
-                        term = carrier.mul(
-                            action.apply(alg.basis(a), carrier.basis(i)),
-                            action.apply(alg.basis(bq), carrier.basis(j)),
-                        )
-                        rhs = tuple(x + dd * y for x, y in zip(rhs, term))
+                for a, bq, dd in plane_cells(co.comult_nz[u]):
+                    term = carrier.mul(
+                        action.apply(alg.basis(a), carrier.basis(i)),
+                        action.apply(alg.basis(bq), carrier.basis(j)),
+                    )
+                    rhs = tuple(x + dd * y for x, y in zip(rhs, term))
                 ck.equal_vec("module-algebra-mult", (("h", u), ("x", i), ("y", j)), lhs, rhs)
         if carrier.unital:
             lhs = action.apply(alg.basis(u), carrier.unit)
@@ -590,39 +511,21 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
                 for q in range(hd):
                     col = j * hd + q
                     out = [f.zero] * n
-                    for aa in range(hd):
-                        for bb, dd in enumerate(co.comult[p][aa]):
-                            if dd.is_zero:
-                                continue
-                            hb = action.act[aa][j]
-                            gq = halg.mult[bb][q]
-                            for k, hbk in enumerate(hb):
-                                if hbk.is_zero:
-                                    continue
-                                ik = a.mult[i][k]
-                                c = dd * hbk
-                                for m, ikm in enumerate(ik):
-                                    if ikm.is_zero:
-                                        continue
-                                    cm = c * ikm
-                                    for y, gy in enumerate(gq):
-                                        if not gy.is_zero:
-                                            out[m * hd + y] = out[m * hd + y] + cm * gy
+                    for aa, bb, dd in plane_cells(co.comult_nz[p]):
+                        for k, hbk in action.act_nz[aa][j]:
+                            c = dd * hbk
+                            for m, ikm in a.mult_nz[i][k]:
+                                cm = c * ikm
+                                for y, gy in halg.mult_nz[bb][q]:
+                                    out[m * hd + y] += cm * gy
                     mult[row][col] = out
-    unit = [f.zero] * n
-    for i, ua in enumerate(a.unit):
-        if ua.is_zero:
-            continue
-        for p, uh in enumerate(halg.unit):
-            if not uh.is_zero:
-                unit[i * hd + p] = ua * uh
     labels = tuple(f"{la}#{lh}" for la in a.labels for lh in halg.labels)
     return FinAlgebra(
         f,
         n,
         labels,
         tuple(tuple(tuple(c) for c in row) for row in mult),
-        tuple(unit),
+        tensor_vec(a.unit, halg.unit),
         name=f"{a.name}#{name_of(b)}",
     )
 
@@ -642,12 +545,8 @@ def endomorphism_module(m: ActionStructure) -> ActionStructure:
     # a . E_rs = sum_j act[a][j][s] E_rj
     for u in range(a.dim):
         for r in range(n):
-            for s in range(n):
-                src = r * n + s
-                for j in range(n):
-                    c = m.act[u][j][s]
-                    if not c.is_zero:
-                        act[u][src][r * n + j] = act[u][src][r * n + j] + c
+            for j, s, c in plane_cells(m.act_nz[u]):
+                act[u][r * n + s][r * n + j] += c
     return ActionStructure(
         a,
         n * n,
@@ -663,7 +562,6 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     strict: { m : rho(m) = m (x) 1 }.  weak: { m : rho(m) = m_(0) (x)
     pi_L(m_(1)) }, which needs a weak host.
     """
-    _require_right(c)
     if mode not in ("strict", "weak"):
         raise StructureError(f"unknown coinvariants mode {mode!r}")
     if coalgebra_of(host) != c.coalgebra:
@@ -691,10 +589,8 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
                 row = []
                 for i in range(n):
                     corr = f.zero
-                    for l in range(hd):
-                        d = c.co[i][j][l]
-                        if not (d.is_zero or pil[k][l].is_zero):
-                            corr = corr + d * pil[k][l]
+                    for l, d in c.co_nz[i][j]:
+                        corr += d * pil[k][l]
                     row.append(c.co[i][j][k] - corr)
                 rows.append(tuple(row))
     return kernel_basis(tuple(rows), f, ncols=n)

@@ -24,6 +24,7 @@ from .exactlin import (
     Vec,
     identity,
     mat,
+    plane_cells,
     prime_field,
     vec,
     zeros_vec,
@@ -39,7 +40,6 @@ from .structures import (
     algebra_of,
     check_algebra,
     check_bialgebra,
-    check_coalgebra,
     check_hopf,
     check_weak_bialgebra,
     check_weak_hopf,
@@ -608,6 +608,19 @@ def _ref(obj: dict, key: str) -> str:
     return name
 
 
+def _parsed(obj: dict, key: str, build, default=None):
+    """build(obj[key]) for a list-valued key; a missing key gives
+    `default` when there is one.  A missing or non-list value, or one
+    that build cannot read, raises CatalogError."""
+    raw = obj.get(key, default)
+    if not isinstance(raw, list):
+        raise CatalogError(f"missing or non-list {key!r}")
+    try:
+        return build(raw)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as ex:
+        raise CatalogError(f"bad {key!r}: {ex}") from None
+
+
 def _parse_field(obj) -> FieldSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise CatalogError("field must be an object with a 'kind'")
@@ -621,34 +634,44 @@ def _parse_field(obj) -> FieldSpec:
     raise CatalogError(f"unknown field kind {obj['kind']!r}")
 
 
-def _parse_tensor3(field: FieldSpec, triples, a: int, b: int, c: int, what: str):
-    cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
-    for item in triples:
-        try:
+def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int):
+    """The a x b x c tensor of the sparse triple list under `key`; an
+    absent key is the zero tensor."""
+
+    def build(triples: list):
+        cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
+        for item in triples:
             i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
-            val = field.of(item["c"])
-        except (KeyError, TypeError, ValueError) as ex:
-            raise CatalogError(f"bad {what} triple {item!r}: {ex}") from None
-        if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
-            raise CatalogError(f"{what} index out of range in {item!r}")
-        cells[i][j][k] = cells[i][j][k] + val
-    return tuple(tuple(tuple(r) for r in plane) for plane in cells)
+            if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
+                raise CatalogError(f"{key} index out of range in {item!r}")
+            cells[i][j][k] += field.of(item["c"])
+        return tuple(tuple(tuple(r) for r in plane) for plane in cells)
+
+    return _parsed(obj, key, build, default=[])
 
 
-def _dump_tensor3(t3) -> list:
-    out = []
-    for i, plane in enumerate(t3):
-        for j, row in enumerate(plane):
-            for k, c in enumerate(row):
-                if not c.is_zero:
-                    out.append({"i": i, "j": j, "k": k, "c": str(c)})
-    return out
+def _dump_tensor3(cells) -> list:
+    """Triple list of a structure's nonzero_cells view."""
+    return [
+        {"i": i, "j": j, "k": k, "c": str(c)}
+        for i, plane in enumerate(cells)
+        for j, k, c in plane_cells(plane)
+    ]
 
 
-def _dump_field(f: FieldSpec) -> dict:
-    if f.kind == "rational":
-        return {"kind": "rational"}
-    return {"kind": "prime", "p": f.p}
+_STRUCTURE_KINDS = ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf")
+# the entries each kind references by name, keyed by role
+_ROLES = {
+    **dict.fromkeys(_STRUCTURE_KINDS, ()),
+    "module": ("algebra",),
+    "comodule": ("host",),
+    "dimodule": ("host", "module", "comodule"),
+    "hopf-module": ("host", "module", "comodule"),
+    "doi-hopf": ("host", "carrier", "module", "comodule"),
+    "pairing": ("host",),
+    "rmatrix": ("host",),
+    "functional": ("host",),
+}
 
 
 def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
@@ -669,64 +692,43 @@ def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
         raise CatalogError("missing entry name")
     note = obj.get("note", "loaded from file")
 
-    if kind in ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf"):
+    refs = {role: _ref(obj, role) for role in _ROLES[kind]}
+    got = {role: resolve(ref) for role, ref in refs.items()}
+    # the composite constructors read a referenced module or comodule's fields
+    for role in ("module", "comodule"):
+        if role in got and got[role].kind != role:
+            raise CatalogError(f"{role} {refs[role]!r} has kind {got[role].kind!r}")
+    p = {role: e.payload for role, e in got.items()}
+    if kind in _STRUCTURE_KINDS:
         payload = _load_structure(obj, kind)
-        entry = CatalogEntry(name, kind, payload, note)
     elif kind == "module":
-        alg_name = _ref(obj, "algebra")
         dim = _dim(obj)
-        alg = algebra_of(resolve(alg_name).payload)
-        side = obj.get("side", "left")
-        act = _parse_tensor3(alg.field, obj.get("action", ()), alg.dim, dim, dim, "action")
-        payload = ActionStructure(alg, dim, side, act, name=name)
-        entry = CatalogEntry(name, kind, payload, note, {"algebra": alg_name})
+        alg = algebra_of(p["algebra"])
+        act = _parse_tensor3(alg.field, obj, "action", alg.dim, dim, dim)
+        payload = ActionStructure(alg, dim, obj.get("side", "left"), act, name=name)
     elif kind == "comodule":
-        host_name = _ref(obj, "host")
         dim = _dim(obj)
-        coalg = coalgebra_of(resolve(host_name).payload)
-        co = _parse_tensor3(coalg.field, obj.get("coaction", ()), dim, dim, coalg.dim, "coaction")
+        coalg = coalgebra_of(p["host"])
+        co = _parse_tensor3(coalg.field, obj, "coaction", dim, dim, coalg.dim)
         payload = CoactionStructure(coalg, dim, co, name=name)
-        entry = CatalogEntry(name, kind, payload, note, {"host": host_name})
-    elif kind == "dimodule":
-        host = resolve(obj["host"]).payload
-        module = resolve(obj["module"]).payload
-        comodule = resolve(obj["comodule"]).payload
-        payload = Dimodule(host, module, comodule, name=name)
-        entry = CatalogEntry(name, kind, payload, note,
-                             {k: obj[k] for k in ("host", "module", "comodule")})
-    elif kind == "hopf-module":
-        host = resolve(obj["host"]).payload
-        module = resolve(obj["module"]).payload
-        comodule = resolve(obj["comodule"]).payload
-        payload = HopfModule(host, module, comodule, name=name)
-        entry = CatalogEntry(name, kind, payload, note,
-                             {k: obj[k] for k in ("host", "module", "comodule")})
+    elif kind in ("dimodule", "hopf-module"):
+        cls = Dimodule if kind == "dimodule" else HopfModule
+        payload = cls(p["host"], p["module"], p["comodule"], name=name)
     elif kind == "doi-hopf":
-        host = resolve(obj["host"]).payload
-        carrier_entry = resolve(obj["carrier"])
-        carrier = (algebra_of(carrier_entry.payload)
-                   if carrier_entry.kind != "algebra" else carrier_entry.payload)
-        comodule = resolve(obj["comodule"]).payload
-        module = resolve(obj["module"]).payload
-        wca = WeakComoduleAlgebra(host, carrier, comodule, name=f"{name}-carrier")
-        payload = DoiHopfModule(wca, module, comodule, name=name)
-        entry = CatalogEntry(name, kind, payload, note,
-                             {k: obj[k] for k in ("host", "carrier", "module", "comodule")})
+        carrier = algebra_of(p["carrier"])
+        wca = WeakComoduleAlgebra(p["host"], carrier, p["comodule"], name=f"{name}-carrier")
+        payload = DoiHopfModule(wca, p["module"], p["comodule"], name=name)
     elif kind == "pairing":
-        host = resolve(obj["host"]).payload
-        f = algebra_of(host).field
-        payload = PairingForm(host, mat(f, obj["sigma"]))
-        entry = CatalogEntry(name, kind, payload, note, {"host": obj["host"]})
+        f = algebra_of(p["host"]).field
+        payload = PairingForm(p["host"], _parsed(obj, "sigma", lambda raw: mat(f, raw)))
     elif kind == "rmatrix":
-        host = resolve(obj["host"]).payload
-        f = algebra_of(host).field
-        payload = RMatrix(host, vec(f, obj["r"]), vec(f, obj["rinv"]))
-        entry = CatalogEntry(name, kind, payload, note, {"host": obj["host"]})
+        f = algebra_of(p["host"]).field
+        r, rinv = (_parsed(obj, key, lambda raw: vec(f, raw)) for key in ("r", "rinv"))
+        payload = RMatrix(p["host"], r, rinv)
     else:  # functional
-        host = resolve(obj["host"]).payload
-        f = coalgebra_of(host).field
-        payload = Functional(host, vec(f, obj["coords"]))
-        entry = CatalogEntry(name, kind, payload, note, {"host": obj["host"]})
+        f = coalgebra_of(p["host"]).field
+        payload = Functional(p["host"], _parsed(obj, "coords", lambda raw: vec(f, raw)))
+    entry = CatalogEntry(name, kind, payload, note, refs)
     if validate:
         _validate(entry)
     return entry
@@ -741,18 +743,18 @@ def _load_structure(obj: dict, kind: str):
         raise CatalogError(f"bad structure header: {ex}") from None
     if len(labels) != dim:
         raise CatalogError("basis label count differs from dim")
-    mult = _parse_tensor3(field, obj.get("mult", ()), dim, dim, dim, "mult")
-    unit = vec(field, obj["unit"]) if "unit" in obj else None
+    mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
+    unit = _parsed(obj, "unit", lambda raw: vec(field, raw)) if "unit" in obj else None
     name = obj["name"]
     alg = FinAlgebra(field, dim, labels, mult, unit=unit, name=name)
     if kind == "algebra":
         return alg
     if "comult" not in obj or "counit" not in obj:
         raise CatalogError(f"kind {kind!r} needs comult and counit")
-    comult = _parse_tensor3(field, obj["comult"], dim, dim, dim, "comult")
-    counit = vec(field, obj["counit"])
+    comult = _parse_tensor3(field, obj, "comult", dim, dim, dim)
+    counit = _parsed(obj, "counit", lambda raw: vec(field, raw))
     coalg = FinCoalgebra(field, dim, labels, comult, counit=counit)
-    antipode = mat(field, obj["antipode"]) if "antipode" in obj else None
+    antipode = _parsed(obj, "antipode", lambda raw: mat(field, raw)) if "antipode" in obj else None
     if kind == "bialgebra":
         return Bialgebra(name, alg, coalg)
     if kind == "hopf":
@@ -784,17 +786,17 @@ def dump(entry: CatalogEntry) -> dict:
     if entry.note:
         out["note"] = entry.note
     p = entry.payload
-    if entry.kind in ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf"):
+    if entry.kind in _STRUCTURE_KINDS:
         alg = algebra_of(p)
-        out["field"] = _dump_field(alg.field)
+        out["field"] = alg.field.to_json()
         out["dim"] = alg.dim
         out["basis"] = list(alg.labels)
-        out["mult"] = _dump_tensor3(alg.mult)
+        out["mult"] = _dump_tensor3(alg.mult_nz)
         if alg.unit is not None:
             out["unit"] = [str(c) for c in alg.unit]
         if entry.kind != "algebra":
             co = coalgebra_of(p)
-            out["comult"] = _dump_tensor3(co.comult)
+            out["comult"] = _dump_tensor3(co.comult_nz)
             out["counit"] = [str(c) for c in co.counit]
             s = getattr(p, "antipode", None)
             if s is not None:
@@ -803,11 +805,11 @@ def dump(entry: CatalogEntry) -> dict:
         out.update(entry.refs)
         out["side"] = p.side
         out["dim"] = p.dim
-        out["action"] = _dump_tensor3(p.act)
+        out["action"] = _dump_tensor3(p.act_nz)
     elif entry.kind == "comodule":
         out.update(entry.refs)
         out["dim"] = p.dim
-        out["coaction"] = _dump_tensor3(p.co)
+        out["coaction"] = _dump_tensor3(p.co_nz)
     elif entry.kind in ("dimodule", "hopf-module", "doi-hopf"):
         out.update(entry.refs)
     elif entry.kind == "pairing":

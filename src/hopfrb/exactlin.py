@@ -213,6 +213,29 @@ class Scalar:
 Vec = tuple  # tuple[Scalar, ...]
 Mat = tuple  # tuple[Vec, ...], row major
 Tensor3 = tuple  # tuple[Mat, ...]
+Cells3 = tuple  # tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
+
+
+def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
+    """The (index, value) pairs of the nonzero entries of v, in index order."""
+    return tuple((i, c) for i, c in enumerate(v) if not c.is_zero)
+
+
+def nonzero_cells(t: Tensor3) -> Cells3:
+    """Sparse view of a dense 3-index tensor: per (i, j), the (k, c) pairs
+    of t[i][j] with c != 0, in index order.
+
+    Every structure caches this view of its own tensor, so a sum over
+    structure constants reads only the nonzero cells and never tests a
+    zero itself.
+    """
+    return tuple(tuple(nonzero(row) for row in plane) for plane in t)
+
+
+def plane_cells(plane) -> Iterable[tuple[int, int, Scalar]]:
+    """The (j, k, c) cells of one plane ``cells[i]`` of a nonzero_cells
+    view, row by row."""
+    return ((j, k, c) for j, row in enumerate(plane) for k, c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +380,17 @@ def stack_rows(mats: Iterable[Mat]) -> Mat:
 def tensor_vec(u: Vec, v: Vec) -> Vec:
     """Kronecker product of coordinate vectors, left factor major."""
     return tuple(a * b for a in u for b in v)
+
+
+def add_outer(acc: list, c: Scalar, u: Vec, v: Vec) -> None:
+    """acc += c (u (x) v) in place, on the lex pair basis; only the nonzero
+    entries of u and v are visited."""
+    w = len(v)
+    vs = nonzero(v)
+    for i, ui in nonzero(u):
+        cu = c * ui
+        for j, vj in vs:
+            acc[i * w + j] += cu * vj
 
 
 def tensor_mat(a: Mat, b: Mat) -> Mat:

@@ -25,6 +25,7 @@ from .exactlin import (
     Mat,
     Scalar,
     Vec,
+    add_outer,
     apply_mat,
     column,
     column_space_basis,
@@ -33,6 +34,8 @@ from .exactlin import (
     kernel_basis,
     mat_from_cols,
     mat_mul,
+    nonzero,
+    plane_cells,
     solve_linear,
     span_eq,
     vec_add,
@@ -239,12 +242,9 @@ def adjoint_action(h) -> ActionStructure:
         plane = []
         for j in range(n):
             out = zeros_vec(alg.field, n)
-            for a in range(n):
-                for b, d in enumerate(co.comult[i][a]):
-                    if d.is_zero:
-                        continue
-                    term = alg.mul(alg.mul(alg.basis(a), alg.basis(j)), column(s, b))
-                    out = vec_add(out, vec_scale(d, term))
+            for a, b, d in plane_cells(co.comult_nz[i]):
+                term = alg.mul(alg.mul(alg.basis(a), alg.basis(j)), column(s, b))
+                out = vec_add(out, vec_scale(d, term))
             plane.append(out)
         act.append(tuple(plane))
     return ActionStructure(alg, n, "left", tuple(act), name=f"{name_of(h)}-adjoint")
@@ -269,52 +269,27 @@ def smash_integral_T(
     ad, hd = a.dim, alg.dim
     n = ad * hd
     f = a.field
+
+    def split(delta: Vec, j: int, q: int) -> Vec:
+        """(delta_(1) . a_j) # (delta_(2) e_q) for delta in H (x) H."""
+        out = [f.zero] * n
+        for p, c in nonzero(delta):
+            p1, p2 = divmod(p, hd)
+            for x, mx in act.act_nz[p1][j]:
+                cm = c * mx
+                for y, my in alg.mult_nz[p2][q]:
+                    out[x * hd + y] += cm * my
+        return tuple(out)
+
+    basis = [(j, q) for j in range(ad) for q in range(hd)]
     de = co.comult_vec(e)
-    t = [[f.zero] * n for _ in range(n)]
-    hact = [[[f.zero] * n for _ in range(n)] for _ in range(hd)]
-    for j in range(ad):
-        for q in range(hd):
-            src = j * hd + q
-            for p, c in enumerate(de):
-                if c.is_zero:
-                    continue
-                p1, p2 = divmod(p, hd)
-                ea = act.act[p1][j]
-                eh = alg.mult[p2][q]
-                for x, mx in enumerate(ea):
-                    if mx.is_zero:
-                        continue
-                    cm = c * mx
-                    for y, my in enumerate(eh):
-                        if not my.is_zero:
-                            t[x * hd + y][src] = t[x * hd + y][src] + cm * my
-            # (1#e_i)(a_j#e_q) = (e_i1 . a_j)#(e_i2 e_q), same shape as T
-            for i in range(hd):
-                for aa in range(hd):
-                    for bb, d in enumerate(co.comult[i][aa]):
-                        if d.is_zero:
-                            continue
-                        ea = act.act[aa][j]
-                        eh = alg.mult[bb][q]
-                        for x, mx in enumerate(ea):
-                            if mx.is_zero:
-                                continue
-                            cm = d * mx
-                            for y, my in enumerate(eh):
-                                if not my.is_zero:
-                                    hact[i][src][x * hd + y] = (
-                                        hact[i][src][x * hd + y] + cm * my
-                                    )
-    module = ActionStructure(
-        alg,
-        n,
-        "left",
-        tuple(tuple(tuple(r) for r in plane) for plane in hact),
-        name=f"{smash.name}-as-{name_of(h)}-module",
-    )
+    t = mat_from_cols([split(de, j, q) for j, q in basis])
+    # (1#e_i)(a_j#e_q) = (e_i1 . a_j)#(e_i2 e_q), the same shape as T
+    deltas = [co.comult_vec(alg.basis(i)) for i in range(hd)]
+    hact = tuple(tuple(split(d, j, q) for j, q in basis) for d in deltas)
+    module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
     if not check_action(module).ok:
         raise InternalError("1#h multiplication is not a module action")
-    t = tuple(tuple(r) for r in t)
     lam = -f.one
     verdict = classify_generic(module, t, lam, trials=trials, seed=seed)
     if verdict.generic is not True:
@@ -358,13 +333,8 @@ def dual_action_T(
     cols = []
     for i in range(n):
         out = [alg.field.zero] * n
-        for a in range(n):
-            ca = chi.coords[a]
-            if ca.is_zero:
-                continue
-            for k, d in enumerate(co.comult[i][a]):
-                if not d.is_zero:
-                    out[k] = out[k] + ca * d
+        for a, k, d in plane_cells(co.comult_nz[i]):
+            out[k] += chi.coords[a] * d
         cols.append(tuple(out))
     t = mat_from_cols(cols)
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
@@ -496,10 +466,8 @@ def hopf_module_projection(
     cols = []
     for i in range(n):
         out = zeros_vec(alg.field, n)
-        for j in range(n):
-            for k, d in enumerate(com.co[i][j]):
-                if not d.is_zero:
-                    out = vec_add(out, vec_scale(d, action.apply(column(s, k), com.basis(j))))
+        for j, k, d in plane_cells(com.co_nz[i]):
+            out = vec_add(out, vec_scale(d, action.apply(column(s, k), com.basis(j))))
         cols.append(out)
     e_m = mat_from_cols(cols)
     if mat_mul(e_m, e_m) != e_m:
@@ -559,10 +527,8 @@ def dimodule_T(
     cols = []
     for i in range(n):
         out = [alg.field.zero] * n
-        for j in range(n):
-            for k, dd in enumerate(com.co[i][j]):
-                if not (dd.is_zero or f.coords[k].is_zero):
-                    out[j] = out[j] + dd * f.coords[k]
+        for j, k, dd in plane_cells(com.co_nz[i]):
+            out[j] += dd * f.coords[k]
         cols.append(tuple(out))
     t = mat_from_cols(cols)
     lam = -alg.field.one
@@ -618,9 +584,8 @@ class RMatrix:
 def _pair_eval(sigma: Mat, x: int, v: Vec, side: str, field) -> Scalar:
     """sigma(x, v) for side right, sigma(v, x) for side left."""
     acc = field.zero
-    for j, c in enumerate(v):
-        if not c.is_zero:
-            acc = acc + c * (sigma[x][j] if side == "right" else sigma[j][x])
+    for j, c in nonzero(v):
+        acc += c * (sigma[x][j] if side == "right" else sigma[j][x])
     return acc
 
 
@@ -632,16 +597,13 @@ def _pairing_dimodule(h: BialgebraLike, sigma: Mat, flavor: str) -> Dimodule:
         plane = []
         for hh in range(n):
             out = [alg.field.zero] * n
-            for a in range(n):
-                for b, d in enumerate(co.comult[hh][a]):
-                    if d.is_zero:
-                        continue
-                    if flavor == "long":
-                        # x . h = sigma(h_(2), x) h_(1)
-                        out[a] = out[a] + d * sigma[b][x]
-                    else:
-                        # x . h = sigma(x, h_(1)) h_(2)
-                        out[b] = out[b] + d * sigma[x][a]
+            for a, b, d in plane_cells(co.comult_nz[hh]):
+                if flavor == "long":
+                    # x . h = sigma(h_(2), x) h_(1)
+                    out[a] += d * sigma[b][x]
+                else:
+                    # x . h = sigma(x, h_(1)) h_(2)
+                    out[b] += d * sigma[x][a]
             plane.append(tuple(out))
         act.append(tuple(plane))
     action = ActionStructure(alg, n, "left", tuple(act), name=f"{name_of(h)}-{flavor}-action")
@@ -663,12 +625,9 @@ def check_long_pairing(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dim
             # sigma(x_(1), y) x_(2) = sigma(x_(2), y) x_(1)
             lhs = [alg.field.zero] * n
             rhs = [alg.field.zero] * n
-            for a in range(n):
-                for b, d in enumerate(co.comult[x][a]):
-                    if d.is_zero:
-                        continue
-                    lhs[b] = lhs[b] + d * sigma[a][y]
-                    rhs[a] = rhs[a] + d * sigma[b][y]
+            for a, b, d in plane_cells(co.comult_nz[x]):
+                lhs[b] += d * sigma[a][y]
+                rhs[a] += d * sigma[b][y]
             ck.equal_vec("pair-symmetry", (("x", x), ("y", y)), tuple(lhs), tuple(rhs))
         ck.equal_vec(
             "pair-right-unit",
@@ -686,26 +645,16 @@ def check_long_pairing(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dim
         for y in range(n):
             for z in range(n):
                 # sigma(x, yz) = sigma(x_(2), y) sigma(x_(1), z)
-                lhs = alg.field.zero
-                for w, mw in enumerate(alg.mult[y][z]):
-                    if not mw.is_zero:
-                        lhs = lhs + mw * sigma[x][w]
+                lhs = _pair_eval(sigma, x, alg.mult[y][z], "right", alg.field)
                 rhs = alg.field.zero
-                for a in range(n):
-                    for b, d in enumerate(co.comult[x][a]):
-                        if not d.is_zero:
-                            rhs = rhs + d * sigma[b][y] * sigma[a][z]
+                for a, b, d in plane_cells(co.comult_nz[x]):
+                    rhs += d * sigma[b][y] * sigma[a][z]
                 ck.equal_vec("pair-mult-right", (("x", x), ("y", y), ("z", z)), (lhs,), (rhs,))
                 # sigma(xy, z) = sigma(x, z_(1)) sigma(y, z_(2))
-                lhs = alg.field.zero
-                for w, mw in enumerate(alg.mult[x][y]):
-                    if not mw.is_zero:
-                        lhs = lhs + mw * sigma[w][z]
+                lhs = _pair_eval(sigma, z, alg.mult[x][y], "left", alg.field)
                 rhs = alg.field.zero
-                for a in range(n):
-                    for b, d in enumerate(co.comult[z][a]):
-                        if not d.is_zero:
-                            rhs = rhs + d * sigma[x][a] * sigma[y][b]
+                for a, b, d in plane_cells(co.comult_nz[z]):
+                    rhs += d * sigma[x][a] * sigma[y][b]
                 ck.equal_vec("pair-mult-left", (("x", x), ("y", y), ("z", z)), (lhs,), (rhs,))
     rep = ck.report()
     if not rep.ok:
@@ -731,40 +680,24 @@ def check_braided(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dimodule
             # sigma(x_(1), y_(1)) y_(2) x_(2) = x_(1) y_(1) sigma(x_(2), y_(2))
             lhs = zeros_vec(alg.field, n)
             rhs = zeros_vec(alg.field, n)
-            for a in range(n):
-                for b, dx in enumerate(co.comult[x][a]):
-                    if dx.is_zero:
-                        continue
-                    for c in range(n):
-                        for e, dy in enumerate(co.comult[y][c]):
-                            if dy.is_zero:
-                                continue
-                            coeff = dx * dy
-                            lhs = vec_add(lhs, vec_scale(coeff * sigma[a][c], alg.mult[e][b]))
-                            rhs = vec_add(rhs, vec_scale(coeff * sigma[b][e], alg.mult[a][c]))
+            for a, b, dx in plane_cells(co.comult_nz[x]):
+                for c, e, dy in plane_cells(co.comult_nz[y]):
+                    coeff = dx * dy
+                    lhs = vec_add(lhs, vec_scale(coeff * sigma[a][c], alg.mult[e][b]))
+                    rhs = vec_add(rhs, vec_scale(coeff * sigma[b][e], alg.mult[a][c]))
             ck.equal_vec("braid-commute", (("x", x), ("y", y)), lhs, rhs)
             for z in range(n):
                 # sigma(x, yz) = sigma(x_(1), y) sigma(x_(2), z)
-                lhs2 = alg.field.zero
-                for w, mw in enumerate(alg.mult[y][z]):
-                    if not mw.is_zero:
-                        lhs2 = lhs2 + mw * sigma[x][w]
+                lhs2 = _pair_eval(sigma, x, alg.mult[y][z], "right", alg.field)
                 rhs2 = alg.field.zero
-                for a in range(n):
-                    for b, d in enumerate(co.comult[x][a]):
-                        if not d.is_zero:
-                            rhs2 = rhs2 + d * sigma[a][y] * sigma[b][z]
+                for a, b, d in plane_cells(co.comult_nz[x]):
+                    rhs2 += d * sigma[a][y] * sigma[b][z]
                 ck.equal_vec("braid-mult-right", (("x", x), ("y", y), ("z", z)), (lhs2,), (rhs2,))
                 # sigma(xy, z) = sigma(x, z_(2)) sigma(y, z_(1))
-                lhs3 = alg.field.zero
-                for w, mw in enumerate(alg.mult[x][y]):
-                    if not mw.is_zero:
-                        lhs3 = lhs3 + mw * sigma[w][z]
+                lhs3 = _pair_eval(sigma, z, alg.mult[x][y], "left", alg.field)
                 rhs3 = alg.field.zero
-                for a in range(n):
-                    for b, d in enumerate(co.comult[z][a]):
-                        if not d.is_zero:
-                            rhs3 = rhs3 + d * sigma[x][b] * sigma[y][a]
+                for a, b, d in plane_cells(co.comult_nz[z]):
+                    rhs3 += d * sigma[x][b] * sigma[y][a]
                 ck.equal_vec("braid-mult-left", (("x", x), ("y", y), ("z", z)), (lhs3,), (rhs3,))
     rep = ck.report()
     if not rep.ok:
@@ -796,56 +729,37 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
     r13 = [f.zero] * (n ** 3)
     r23 = [f.zero] * (n ** 3)
     r12 = [f.zero] * (n ** 3)
-    for p, c in enumerate(r):
-        if c.is_zero:
-            continue
-        i, j = divmod(p, n)
-        for u, uu in enumerate(alg.unit):
-            if uu.is_zero:
-                continue
-            r13[(i * n + u) * n + j] = r13[(i * n + u) * n + j] + c * uu
-            r23[(u * n + i) * n + j] = r23[(u * n + i) * n + j] + c * uu
-            r12[(i * n + j) * n + u] = r12[(i * n + j) * n + u] + c * uu
+    r_cells = [(*divmod(p, n), c) for p, c in nonzero(r)]
+    for i, j, c in r_cells:
+        for u, uu in nonzero(alg.unit):
+            r13[(i * n + u) * n + j] += c * uu
+            r23[(u * n + i) * n + j] += c * uu
+            r12[(i * n + j) * n + u] += c * uu
     r13, r23, r12 = tuple(r13), tuple(r23), tuple(r12)
-    lhs = [f.zero] * (n ** 3)
-    for p, c in enumerate(r):
-        if c.is_zero:
-            continue
-        a, b = divmod(p, n)
-        for x in range(n):
-            for y, d in enumerate(co.comult[a][x]):
-                if not d.is_zero:
-                    lhs[(x * n + y) * n + b] = lhs[(x * n + y) * n + b] + c * d
-    ck.equal_vec("comult-left-leg", (), tuple(lhs), tensor3_product(alg, r13, r23))
-    lhs = [f.zero] * (n ** 3)
-    for p, c in enumerate(r):
-        if c.is_zero:
-            continue
-        a, b = divmod(p, n)
-        for x in range(n):
-            for y, d in enumerate(co.comult[b][x]):
-                if not d.is_zero:
-                    lhs[(a * n + x) * n + y] = lhs[(a * n + x) * n + y] + c * d
-    ck.equal_vec("comult-right-leg", (), tuple(lhs), tensor3_product(alg, r13, r12))
+    # (Delta (x) id)(R) and (id (x) Delta)(R)
+    left = [f.zero] * (n ** 3)
+    right = [f.zero] * (n ** 3)
+    for a, b, c in r_cells:
+        for x, y, d in plane_cells(co.comult_nz[a]):
+            left[(x * n + y) * n + b] += c * d
+        for x, y, d in plane_cells(co.comult_nz[b]):
+            right[(a * n + x) * n + y] += c * d
+    ck.equal_vec("comult-left-leg", (), tuple(left), tensor3_product(alg, r13, r23))
+    ck.equal_vec("comult-right-leg", (), tuple(right), tensor3_product(alg, r13, r12))
     rep = ck.report()
     if not rep.ok:
         return rep, None
-    coar = []
+    # rho(e_a) = e_a R_i (x) R_j
+    coar = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        plane = []
-        for u in range(n):
-            out = [f.zero] * n
-            for p, c in enumerate(r):
-                if c.is_zero:
-                    continue
-                i, j = divmod(p, n)
-                m = alg.mult[a][i][u]
-                if not m.is_zero:
-                    out[j] = out[j] + c * m
-            plane.append(tuple(out))
-        coar.append(tuple(plane))
+        for i, j, c in r_cells:
+            for u, m in alg.mult_nz[a][i]:
+                coar[a][u][j] += c * m
     coaction = CoactionStructure(
-        coalgebra_of(h), n, tuple(coar), name=f"{name_of(h)}-rmatrix-coaction"
+        coalgebra_of(h),
+        n,
+        tuple(tuple(tuple(row) for row in plane) for plane in coar),
+        name=f"{name_of(h)}-rmatrix-coaction",
     )
     dim = Dimodule(
         h, regular_action(alg, "left"), coaction, name=f"{name_of(h)}-rmatrix-dimodule"
@@ -888,13 +802,8 @@ def doi_hopf_projection(
     for i in range(hd):
         lhs = a.coaction.coact_vec(column(phi, i))
         rhs = [carrier.field.zero] * (ad * hd)
-        for x in range(hd):
-            for y, d in enumerate(co.comult[i][x]):
-                if d.is_zero:
-                    continue
-                for p, pv in enumerate(column(phi, x)):
-                    if not pv.is_zero:
-                        rhs[p * hd + y] = rhs[p * hd + y] + d * pv
+        for x, y, d in plane_cells(co.comult_nz[i]):
+            add_outer(rhs, d, column(phi, x), halg.basis(y))
         if lhs != tuple(rhs):
             raise PreconditionError(f"phi does not intertwine the coactions at basis {i}")
     rep_d = check_doi_hopf(m)
@@ -904,12 +813,8 @@ def doi_hopf_projection(
     cols = []
     for i in range(ad):
         out = zeros_vec(carrier.field, ad)
-        for j in range(ad):
-            for k, d in enumerate(a.coaction.co[i][j]):
-                if not d.is_zero:
-                    out = vec_add(
-                        out, vec_scale(d, carrier.mul(carrier.basis(j), column(phis, k)))
-                    )
+        for j, k, d in plane_cells(a.coaction.co_nz[i]):
+            out = vec_add(out, vec_scale(d, carrier.mul(carrier.basis(j), column(phis, k))))
         cols.append(out)
     e_a = mat_from_cols(cols)
     if mat_mul(e_a, e_a) != e_a:
@@ -918,13 +823,8 @@ def doi_hopf_projection(
     cols = []
     for i in range(n):
         out = zeros_vec(carrier.field, n)
-        for j in range(n):
-            for k, d in enumerate(m.coaction.co[i][j]):
-                if not d.is_zero:
-                    out = vec_add(
-                        out,
-                        vec_scale(d, m.action.apply(column(phis, k), m.coaction.basis(j))),
-                    )
+        for j, k, d in plane_cells(m.coaction.co_nz[i]):
+            out = vec_add(out, vec_scale(d, m.action.apply(column(phis, k), m.coaction.basis(j))))
         cols.append(out)
     e_m = mat_from_cols(cols)
     weak_co = coinvariants(m.coaction, "weak", w)

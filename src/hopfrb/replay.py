@@ -16,6 +16,7 @@ from .exactlin import (
     identity,
     mat_mul,
     mat_scale,
+    plane_cells,
     vec,
     vec_add,
     vec_scale,
@@ -396,13 +397,9 @@ def _replay_thm_4_8(seed: str, trials: int) -> list:
                                                   doi.coaction.basis(mi)))
             rhs = zeros_vec(carrier.field, doi.dim)
             ea_of_a = apply_mat(e_a, carrier.basis(i))
-            for j in range(doi.dim):
-                for k, d in enumerate(doi.coaction.co[mi][j]):
-                    if d.is_zero:
-                        continue
-                    inner = carrier.mul(ea_of_a, column(phis, k))
-                    rhs = vec_add(rhs, vec_scale(d, doi.action.apply(inner,
-                                                                     doi.coaction.basis(j))))
+            for j, k, d in plane_cells(doi.coaction.co_nz[mi]):
+                inner = carrier.mul(ea_of_a, column(phis, k))
+                rhs = vec_add(rhs, vec_scale(d, doi.action.apply(inner, doi.coaction.basis(j))))
             if lhs != rhs:
                 bad += 1
     _check(checks, "projection-respects-action", bad == 0,

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hopfrb
 from hopfrb import __version__
 from hopfrb.cli import main
 from hopfrb.exactlin import RATIONAL
@@ -116,6 +120,47 @@ def test_check_file_missing_key_exits_2(tmp_path, capsys, entry, drop):
     assert main(["check", kind, "--entry", f"@{path}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and drop in err
+
+
+# one malformed value per case, each in a catalog.dump-ed entry
+MALFORMED_FILES = {
+    "dimodule-without-module": ("c2-long-dimodule", lambda obj: obj.pop("module")),
+    "dimodule-module-is-a-hopf-algebra": (
+        "c2-long-dimodule", lambda obj: obj.update(module="group-algebra-c2")),
+    "module-action-is-a-number": ("c2-regular-module", lambda obj: obj.update(action=5)),
+    "pairing-sigma-is-a-number": ("c2-bicharacter-sigma", lambda obj: obj.update(sigma=5)),
+    "rmatrix-without-rinv": ("c2-triangular-R", lambda obj: obj.pop("rinv")),
+    "hopf-counit-is-a-number": ("group-algebra-c2", lambda obj: obj.update(counit=3)),
+    "hopf-module-host-is-a-list": (
+        "c2-regular-hopf-module", lambda obj: obj.update(host=["x"])),
+}
+
+
+def _malformed_file(tmp_path, case: str):
+    entry, edit = MALFORMED_FILES[case]
+    obj = dump(get(entry))
+    edit(obj)
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    return ["check", obj["kind"], "--entry", f"@{path}"]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_structure_file_exits_2(tmp_path, capsys, case):
+    assert main(_malformed_file(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_structure_file_exits_2_from_the_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfrb.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = _malformed_file(tmp_path, "module-action-is-a-number")
+    proc = subprocess.run([sys.executable, "-m", "hopfrb.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_check_report_file(tmp_path):

@@ -1,0 +1,139 @@
+"""The sparse view of structure constants against dense reference sums.
+
+Each structure reads its tensor through ``nonzero_cells``.  The references
+below are plain triple loops over every cell, zeros included, so a view that
+drops, repeats or misplaces a cell shows up as a wrong coordinate.  The
+tensors are random, mostly zero and asymmetric, with independent dims per
+index, so swapped indices do not cancel out.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfrb.actions import ActionStructure, CoactionStructure
+from hopfrb.exactlin import RATIONAL, nonzero_cells, prime_field
+from hopfrb.structures import FinAlgebra, FinCoalgebra, tensor2_product, tensor3_product
+
+FIELDS = (RATIONAL, prime_field(2), prime_field(5))
+# zero six times as likely as each other value
+VALUES = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, 3])
+
+
+def _tensor(data, field, a: int, b: int, c: int):
+    return tuple(
+        tuple(tuple(field.of(data.draw(VALUES)) for _ in range(c)) for _ in range(b))
+        for _ in range(a)
+    )
+
+
+def _vec(data, field, n: int):
+    return tuple(field.of(data.draw(VALUES)) for _ in range(n))
+
+
+def _sum(field, terms):
+    return sum(terms, field.zero)
+
+
+def _draw(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    dims = data.draw(st.tuples(*(st.integers(1, 3) for _ in range(3))))
+    return field, dims
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_view_lists_exactly_the_nonzero_cells_in_order(data):
+    field, (a, b, c) = _draw(data)
+    t = _tensor(data, field, a, b, c)
+    view = nonzero_cells(t)
+    for i in range(a):
+        for j in range(b):
+            assert view[i][j] == tuple(
+                (k, t[i][j][k]) for k in range(c) if t[i][j][k] != field.zero
+            )
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_algebra_products_match_dense_sums(data):
+    field, (n, _, _) = _draw(data)
+    mult = _tensor(data, field, n, n, n)
+    alg = FinAlgebra(field, n, tuple(f"e{i}" for i in range(n)), mult)
+    x, y = _vec(data, field, n), _vec(data, field, n)
+    r = range(n)
+    assert alg.mul(x, y) == tuple(
+        _sum(field, (x[i] * y[j] * mult[i][j][k] for i in r for j in r)) for k in r
+    )
+    u, v = _vec(data, field, n * n), _vec(data, field, n * n)
+    assert tensor2_product(alg, u, v) == tuple(
+        _sum(field, (u[i * n + j] * v[k * n + l] * mult[i][k][p] * mult[j][l][q]
+                     for i in r for j in r for k in r for l in r))
+        for p in r for q in r
+    )
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_tensor_cube_product_matches_dense_sums(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 2))
+    mult = _tensor(data, field, n, n, n)
+    alg = FinAlgebra(field, n, tuple(f"e{i}" for i in range(n)), mult)
+    u, v = _vec(data, field, n ** 3), _vec(data, field, n ** 3)
+    r = range(n)
+    assert tensor3_product(alg, u, v) == tuple(
+        _sum(field, (u[(i * n + j) * n + k] * v[(l * n + m) * n + s]
+                     * mult[i][l][p] * mult[j][m][q] * mult[k][s][w]
+                     for i in r for j in r for k in r for l in r for m in r for s in r))
+        for p in r for q in r for w in r
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_coalgebra_comultiplication_matches_dense_sums(data):
+    field, (n, _, _) = _draw(data)
+    comult = _tensor(data, field, n, n, n)
+    co = FinCoalgebra(field, n, tuple(f"e{i}" for i in range(n)), comult, _vec(data, field, n))
+    x = _vec(data, field, n)
+    r = range(n)
+    assert co.comult_vec(x) == tuple(
+        _sum(field, (x[i] * comult[i][j][k] for i in r)) for j in r for k in r
+    )
+    assert co.comult2_vec(x) == tuple(
+        _sum(field, (x[i] * comult[i][m][c] * comult[m][a][b] for i in r for m in r))
+        for a in r for b in r for c in r
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_action_operators_match_dense_sums(data):
+    field, (n, m, _) = _draw(data)
+    alg = FinAlgebra(field, n, tuple(f"e{i}" for i in range(n)), _tensor(data, field, n, n, n))
+    side = data.draw(st.sampled_from(["left", "right"]))
+    act = _tensor(data, field, n, m, m)
+    module = ActionStructure(alg, m, side, act)
+    x, v = _vec(data, field, n), _vec(data, field, m)
+    assert module.matrix(x) == tuple(
+        tuple(_sum(field, (x[i] * act[i][j][k] for i in range(n))) for j in range(m))
+        for k in range(m)
+    )
+    assert module.apply(x, v) == tuple(
+        _sum(field, (x[i] * v[j] * act[i][j][k] for i in range(n) for j in range(m)))
+        for k in range(m)
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_coaction_matches_dense_sums(data):
+    field, (h, m, _) = _draw(data)
+    co = FinCoalgebra(field, h, tuple(f"e{i}" for i in range(h)),
+                      _tensor(data, field, h, h, h), _vec(data, field, h))
+    rho = _tensor(data, field, m, m, h)
+    comodule = CoactionStructure(co, m, rho)
+    v = _vec(data, field, m)
+    assert comodule.coact_vec(v) == tuple(
+        _sum(field, (v[i] * rho[i][j][k] for i in range(m))) for j in range(m) for k in range(h)
+    )

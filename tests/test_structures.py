@@ -179,6 +179,22 @@ def test_ordinary_hopf_embeds_as_weak():
     assert check_counital_maps(w).ok
 
 
+@pytest.mark.parametrize("name", ["weak-two-point", "weak-pair-groupoid"])
+def test_weak_antipode_is_solved_exactly(name):
+    w = get(name).payload
+    assert compute_antipode(w.weak) == w.antipode
+
+
+def test_weak_antipode_of_an_ordinary_hopf_algebra():
+    w = as_weak(get("group-algebra-c2").payload)
+    assert compute_antipode(w.weak) == w.antipode
+
+
+def test_weak_view_of_bialgebra_without_antipode():
+    # the weak axioms over an ordinary bialgebra are the ordinary ones
+    assert compute_antipode(as_weak(_idempotent_monoid_bialgebra())) is None
+
+
 def test_target_source_idempotent_and_split():
     for name in ("weak-two-point", "weak-pair-groupoid"):
         w = get(name).payload
