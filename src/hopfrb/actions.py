@@ -345,16 +345,11 @@ def check_coaction(com: CoactionStructure) -> Report:
     return ck.report()
 
 
-def _merge_into(ck: Checker, rep: Report) -> None:
-    for v in rep.violations:
-        ck.fail(v.axiom, v.witness, v.delta)
-
-
 def check_dimodule(d: Dimodule) -> Report:
     """Underlying axioms plus rho(h . m) = h . m_(0) (x) m_(1)."""
     ck = Checker("dimodule", d.name)
-    _merge_into(ck, check_action(d.action))
-    _merge_into(ck, check_coaction(d.coaction))
+    ck.merge(check_action(d.action))
+    ck.merge(check_coaction(d.coaction))
     alg = algebra_of(d.host)
     action, com = d.action, d.coaction
     n, h = d.dim, alg.dim
@@ -372,8 +367,8 @@ def check_dimodule(d: Dimodule) -> Report:
 def check_hopf_module(hm: HopfModule) -> Report:
     """Underlying axioms plus rho(m . h) = m_(0) . h_1 (x) m_(1) h_2."""
     ck = Checker("hopf-module", hm.name)
-    _merge_into(ck, check_action(hm.action))
-    _merge_into(ck, check_coaction(hm.coaction))
+    ck.merge(check_action(hm.action))
+    ck.merge(check_coaction(hm.coaction))
     alg, co = algebra_of(hm.host), coalgebra_of(hm.host)
     action, com = hm.action, hm.coaction
     n, h = hm.dim, alg.dim
@@ -397,7 +392,7 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
     unit axiom rho(1)(a (x) 1) = (id (x) pi_L) rho(a).  Over an ordinary
     bialgebra host pi_L collapses to eps( ) 1 and the same code applies."""
     ck = Checker("weak-comodule-algebra", w.name or w.carrier.name)
-    _merge_into(ck, check_coaction(w.coaction))
+    ck.merge(check_coaction(w.coaction))
     carrier, com = w.carrier, w.coaction
     halg = algebra_of(w.host)
     n, hd = carrier.dim, halg.dim
@@ -435,9 +430,9 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
 def check_doi_hopf(d: DoiHopfModule) -> Report:
     """Underlying axioms plus rho(m . a) = m_(0) . a_(0) (x) m_(1) a_(1)."""
     ck = Checker("doi-hopf", d.name)
-    _merge_into(ck, check_action(d.action))
-    _merge_into(ck, check_coaction(d.coaction))
-    _merge_into(ck, check_weak_comodule_algebra(d.comodule_algebra))
+    ck.merge(check_action(d.action))
+    ck.merge(check_coaction(d.coaction))
+    ck.merge(check_weak_comodule_algebra(d.comodule_algebra))
     action, com = d.action, d.coaction
     carrier = d.comodule_algebra.carrier
     coa = d.comodule_algebra.coaction
@@ -467,7 +462,7 @@ def check_module_algebra(b: BialgebraLike, carrier: FinAlgebra, action: ActionSt
     if action.side != "left" or action.dim != carrier.dim:
         raise StructureError("module-algebra law expects a left action on the carrier")
     ck = Checker("module-algebra", action.name or carrier.name)
-    _merge_into(ck, check_action(action))
+    ck.merge(check_action(action))
     n = alg.dim
     for u in range(n):
         for i in range(carrier.dim):

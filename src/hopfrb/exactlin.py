@@ -58,6 +58,7 @@ class FieldSpec:
     """Coefficient field: ``kind`` is ``"rational"`` or ``"prime"``.
 
     Prime fields carry their modulus ``p``; it is validated on creation.
+    ``zero`` and ``one`` are the field's Scalars, built once on creation.
     """
 
     kind: str
@@ -72,15 +73,24 @@ class FieldSpec:
                 raise FieldError(f"{self.p!r} is not a prime modulus")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")
+        # set in the same order on every instance; a cached_property would
+        # write to __dict__, which slows every later attribute read on the
+        # field (measured on CPython 3.11)
+        object.__setattr__(self, "zero", self.of(0))
+        object.__setattr__(self, "one", self.of(1))
 
     def of(self, value: RawScalar) -> "Scalar":
-        """Coerce an int, Fraction, string or Scalar into this field."""
+        """Coerce an int, Fraction, string or Scalar into this field.
+
+        A float is refused: it is not an exact value."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldError(f"scalar {value} is not in {self}")
             return value
         if isinstance(value, str):
             return self.parse(value)
+        if isinstance(value, float):
+            raise FieldError(f"float {value!r} is not an exact element of {self}")
         if self.kind == "rational":
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):
@@ -111,14 +121,6 @@ class FieldSpec:
         except (ValueError, ZeroDivisionError) as ex:
             raise FieldError(f"cannot parse {text!r} as an element of {self}: {ex}") from None
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.of(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.of(1)
-
     def to_json(self) -> dict:
         if self.kind == "rational":
             return {"kind": "rational"}
@@ -126,9 +128,6 @@ class FieldSpec:
 
     def __str__(self) -> str:
         return "Q" if self.kind == "rational" else f"F_{self.p}"
-
-
-RATIONAL = FieldSpec("rational")
 
 
 def prime_field(p: int) -> FieldSpec:
@@ -209,6 +208,8 @@ class Scalar:
     def __repr__(self) -> str:
         return f"<{self}>"
 
+
+RATIONAL = FieldSpec("rational")
 
 Vec = tuple  # tuple[Scalar, ...]
 Mat = tuple  # tuple[Vec, ...], row major
@@ -295,17 +296,6 @@ def vec_scale(c: Scalar, u: Vec) -> Vec:
 
 def is_zero_vec(u: Vec) -> bool:
     return all(a.is_zero for a in u)
-
-
-def dot(u: Vec, v: Vec) -> Scalar:
-    if len(u) != len(v):
-        raise DimensionError("vector length mismatch")
-    if not u:
-        raise DimensionError("dot product of empty vectors needs a field")
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
 
 
 def apply_mat(a: Mat, x: Vec) -> Vec:

@@ -4,13 +4,10 @@ Every public operation here follows one discipline: hypotheses of the
 underlying statement are *preconditions* (PreconditionError when the caller's
 data fails them), while the statement's own conclusions are *postconditions*
 (InternalError when they fail, since that means the implementation, not the
-input, is wrong).  One deliberate exception: hopf_module_projection returns
-its dual-side classification record unasserted, because that classification
-is not a consequence of the construction: on group algebras E is not linear
-over the dual, and (dual, M, 0, E) already fails the paired identity.
-
-The randomized cross-checks behind each generic verdict take `trials` and
-`seed`; a seed of None falls back to `rbcore.fuzz_seed()`.
+input, is wrong).  Every postcondition is decided exactly; nothing here is
+randomized.  Where the statement says an operator T is generic
+(pairs with every P), that is asserted through the exact criterion at
+weight -1: an idempotent T that commutes with the action pairs with every P.
 
 Weight -1 is hard-coded exactly where the constructions produce it;
 everything else keeps the weight as a parameter.
@@ -89,13 +86,7 @@ from .actions import (
     regular_coaction,
     smash_product,
 )
-from .rbcore import (
-    GenericVerdict,
-    RbpInstance,
-    check_rb_operator,
-    check_rbp_module,
-    classify_generic,
-)
+from .rbcore import RbpInstance, check_a_linear, check_rb_operator, check_rbp_module
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +149,13 @@ def integral_T(
     h: BialgebraLike,
     m: ActionStructure,
     e: Vec,
-    trials: int = 40,
-    seed: str | None = None,
-) -> tuple[Mat, GenericVerdict]:
+) -> Mat:
     """T = action of a normalized two-sided integral; generic at weight -1.
 
     The integral equations force T to be an idempotent module projection
     onto the subspace fixed up to the counit by every algebra element, so
-    idempotency, genericity and the image identification are asserted.
+    idempotency, linearity over the host (together: genericity) and the
+    image identification are asserted.
     """
     _require_normalized_two_sided_integral(h, e)
     alg, co = algebra_of(h), coalgebra_of(h)
@@ -174,10 +164,8 @@ def integral_T(
     t = m.matrix(e)
     if mat_mul(t, t) != t:
         raise InternalError("integral operator is not idempotent")
-    lam = -alg.field.one
-    verdict = classify_generic(m, t, lam, trials=trials, seed=seed)
-    if verdict.generic is not True:
-        raise InternalError("integral operator failed the generic classification")
+    if not check_a_linear(m, t).ok:
+        raise InternalError("integral operator is not linear over the host")
     rows = []
     for i in range(alg.dim):
         op = m.matrix(alg.basis(i))
@@ -191,7 +179,7 @@ def integral_T(
     fixed = kernel_basis(tuple(rows), alg.field, ncols=m.dim)
     if not span_eq(column_space_basis(t, alg.field), fixed, alg.field):
         raise InternalError("image of the integral operator is not the fixed subspace")
-    return t, verdict
+    return t
 
 
 def find_cointegrals(h: BialgebraLike) -> tuple[CointegralSpace, bool, Functional | None]:
@@ -255,13 +243,12 @@ def smash_integral_T(
     h: BialgebraLike,
     act: ActionStructure,
     e: Vec,
-    trials: int = 40,
-    seed: str | None = None,
-) -> tuple[FinAlgebra, Mat, GenericVerdict]:
+) -> tuple[FinAlgebra, ActionStructure, Mat]:
     """The operator a#h |-> e_(1) . a # e_(2) h on the smash product.
 
-    Returns the smash algebra, the operator, and the classification of the
-    smash product as a module through 1#h at weight -1, asserted generic.
+    Returns the smash algebra, the smash product as a module through 1#h,
+    and the operator, asserted idempotent and linear over 1#h: generic at
+    weight -1.
     """
     _require_normalized_two_sided_integral(h, e)
     smash = smash_product(a, h, act)  # precondition-checks the module algebra
@@ -290,43 +277,24 @@ def smash_integral_T(
     module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
     if not check_action(module).ok:
         raise InternalError("1#h multiplication is not a module action")
-    lam = -f.one
-    verdict = classify_generic(module, t, lam, trials=trials, seed=seed)
-    if verdict.generic is not True:
-        raise InternalError("smash integral operator failed the generic classification")
-    return smash, t, verdict
+    if mat_mul(t, t) != t:
+        raise InternalError("smash integral operator is not idempotent")
+    if not check_a_linear(module, t).ok:
+        raise InternalError("smash integral operator is not linear over 1#h")
+    return smash, module, t
 
 
 # ---------------------------------------------------------------------------
 # functionals acting through comultiplication
 
 
-@dataclass(frozen=True)
-class DualActionRecord:
-    """Equivalence bits for a functional-induced operator on the host."""
-
-    h_star_linear: bool
-    t_idempotent: bool
-    chi_idempotent: bool
-    verdict: GenericVerdict
-
-    def to_json(self) -> dict:
-        return {
-            "h_star_linear": self.h_star_linear,
-            "t_idempotent": self.t_idempotent,
-            "chi_idempotent": self.chi_idempotent,
-            "verdict": self.verdict.to_json(),
-        }
-
-
-def dual_action_T(
-    h: BialgebraLike, chi: Functional, trials: int = 40, seed: str | None = None
-) -> tuple[Mat, DualActionRecord]:
+def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructure]:
     """T(x) = chi(x_(1)) x_(2) on the host as a module over its dual.
 
-    T is always dual-linear, and T idempotent is equivalent to chi being a
-    convolution idempotent (the counit recovers chi from T); both facts are
-    asserted, and the verdict at weight -1 must match.
+    Returns T and the dual-action module.  T is always dual-linear, and T
+    idempotent is equivalent to chi being a convolution idempotent (the
+    counit recovers chi from T); both facts are asserted.  So at weight -1
+    T is generic exactly when chi is a convolution idempotent.
     """
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
@@ -338,32 +306,26 @@ def dual_action_T(
         cols.append(tuple(out))
     t = mat_from_cols(cols)
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
-    lam = -alg.field.one
-    verdict = classify_generic(module, t, lam, trials=trials, seed=seed)
-    if not verdict.a_linear:
+    if not check_a_linear(module, t).ok:
         raise InternalError("functional-induced operator is not dual-linear")
-    t_idem = mat_mul(t, t) == t
-    chi_idem = convolution(chi, chi).coords == chi.coords
-    if t_idem != chi_idem:
+    if (mat_mul(t, t) == t) != (convolution(chi, chi).coords == chi.coords):
         raise InternalError("operator idempotency disagrees with convolution idempotency")
-    if verdict.generic != t_idem:
-        raise InternalError("generic verdict disagrees with the idempotency test")
-    return t, DualActionRecord(True, t_idem, chi_idem, verdict)
+    return t, module
 
 
 # ---------------------------------------------------------------------------
 # weak bialgebras: target maps and adjoint actions
 
 
-def weak_target_rbp(
-    w: WeakLike, trials: int = 40, seed: str | None = None
-) -> tuple[RbpInstance, Report]:
+def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     """The host as a module over its target subalgebra, paired through the
     target map.
 
     Returns the verified instance (target subalgebra acting by left
     multiplication, restricted target map, full target map, weight -1) and
     the operator-identity report for the restriction, asserted to pass.
+    The target map is asserted idempotent and linear over the target
+    subalgebra, so it pairs with every P at weight -1.
     """
     rep = check_weak_bialgebra(w)
     if not rep.ok:
@@ -385,10 +347,8 @@ def weak_target_rbp(
     )
     if not check_action(module).ok:
         raise InternalError("multiplication by the target subalgebra is not a module action")
-    lam = -f.one
-    verdict = classify_generic(module, pil, lam, trials=trials, seed=seed)
-    if verdict.generic is not True:
-        raise InternalError("target map failed the generic classification")
+    if not check_a_linear(module, pil).ok:
+        raise InternalError("target map is not linear over the target subalgebra")
     cols = []
     for s in range(r):
         v = apply_mat(pil, apply_mat(sub.inclusion, sub.algebra.basis(s)))
@@ -397,6 +357,7 @@ def weak_target_rbp(
             raise InternalError("target map does not preserve its own image")
         cols.append(sol.particular)
     p_sub = mat_from_cols(cols)
+    lam = -f.one
     rb_report = check_rb_operator(sub.algebra, p_sub, lam, instance=f"{name_of(w)}-target")
     if not rb_report.ok:
         raise InternalError("restricted target map fails the operator identity")
@@ -444,17 +405,14 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
 # Hopf modules and dimodules
 
 
-def hopf_module_projection(
-    h: HopfAlgebra, m: HopfModule, trials: int = 40, seed: str | None = None
-) -> tuple[Mat, RbpInstance, GenericVerdict]:
+def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInstance]:
     """E(m) = m_(0) . S(m_(1)) for a Hopf module.
 
     Asserted: E is idempotent, its image lies in the strict coinvariants,
-    and (M over the host, h |-> eps(h) 1, E) verifies at weight -1.  Also
-    returned: the classification of E over the dual-action module structure,
-    deliberately unasserted; callers read the verdict off the record.  For
-    group algebras E = eps(.) 1 does not commute with the dual action, so
-    the verdict has a_linear False and generic None.
+    and (M over the host, h |-> eps(h) 1, E) verifies at weight -1.  Nothing
+    is claimed over the dual algebra: for group algebras E = eps(.) 1 does
+    not commute with the dual action, and P = 0 already fails the paired
+    identity there.
     """
     rep = check_hopf_module(m)
     if not rep.ok:
@@ -483,40 +441,16 @@ def hopf_module_projection(
     inst = RbpInstance(alg, action, p, e_m, lam, name=f"{m.name}-projection-instance")
     if not check_rbp_module(inst).ok:
         raise InternalError("projection instance failed the paired identity")
-    dual_module = coaction_to_dual_action(com, dual_algebra(h))
-    verdict = classify_generic(dual_module, e_m, lam, trials=trials, seed=seed)
-    return e_m, inst, verdict
+    return e_m, inst
 
 
-@dataclass(frozen=True)
-class DimoduleTRecord:
-    h_linear: bool
-    t_idempotent: bool
-    f_idempotent: bool
-    verdict: GenericVerdict
-
-    def to_json(self) -> dict:
-        return {
-            "h_linear": self.h_linear,
-            "t_idempotent": self.t_idempotent,
-            "f_idempotent": self.f_idempotent,
-            "verdict": self.verdict.to_json(),
-        }
-
-
-def dimodule_T(
-    h: BialgebraLike,
-    d: Dimodule,
-    f: Functional,
-    trials: int = 40,
-    seed: str | None = None,
-) -> tuple[Mat, DimoduleTRecord]:
+def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
     """T(m) = m_(0) f(m_(1)) on a dimodule.
 
     T is linear over the host (the compatibility law moves the action past
     the coaction leg), and a convolution-idempotent f always yields an
-    idempotent T; both are asserted.  The generic verdict at weight -1 must
-    agree with T's idempotency and is recorded.
+    idempotent T; both are asserted.  So at weight -1 T is generic exactly
+    when it is idempotent.
     """
     rep = check_dimodule(d)
     if not rep.ok:
@@ -531,17 +465,11 @@ def dimodule_T(
             out[j] += dd * f.coords[k]
         cols.append(tuple(out))
     t = mat_from_cols(cols)
-    lam = -alg.field.one
-    verdict = classify_generic(d.action, t, lam, trials=trials, seed=seed)
-    if not verdict.a_linear:
+    if not check_a_linear(d.action, t).ok:
         raise InternalError("dimodule operator is not linear over the host")
-    t_idem = mat_mul(t, t) == t
-    f_idem = convolution(f, f).coords == f.coords
-    if f_idem and not t_idem:
+    if convolution(f, f).coords == f.coords and mat_mul(t, t) != t:
         raise InternalError("convolution idempotent induced a non-idempotent operator")
-    if verdict.generic != t_idem:
-        raise InternalError("generic verdict disagrees with the idempotency test")
-    return t, DimoduleTRecord(True, t_idem, f_idem, verdict)
+    return t
 
 
 # ---------------------------------------------------------------------------

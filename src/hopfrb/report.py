@@ -101,6 +101,14 @@ class Checker:
         if not is_zero_vec(v):
             self.fail(axiom, witness, v)
 
+    def merge(self, sub: Report) -> None:
+        """Take in a sub-check: the first witness of each axiom it violated
+        and its whole violation count."""
+        for v in sub.violations:
+            self._touch(v.axiom)
+            self._violations.setdefault(v.axiom, v)
+        self._count += sub.violation_count
+
     def skip(self, axiom: str) -> None:
         if axiom not in self._skipped:
             self._skipped.append(axiom)

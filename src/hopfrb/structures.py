@@ -454,22 +454,11 @@ def check_coalgebra(c: FinCoalgebra, instance: str = "") -> Report:
     return ck.report()
 
 
-def _merge(ck: Checker, sub: Report, prefix: str = "") -> None:
-    for v in sub.violations:
-        ck.fail(prefix + v.axiom, v.witness, v.delta)
-    # keep counts faithful: one fail() above per distinct axiom; add the rest
-    extra = sub.violation_count - len(sub.violations)
-    for _ in range(extra):
-        if sub.violations:
-            v = sub.violations[0]
-            ck.fail(prefix + v.axiom, v.witness, v.delta)
-
-
 def check_bialgebra(b: BialgebraLike) -> Report:
     alg, co = algebra_of(b), coalgebra_of(b)
     ck = Checker("bialgebra", name_of(b))
-    _merge(ck, check_algebra(alg))
-    _merge(ck, check_coalgebra(co))
+    ck.merge(check_algebra(alg))
+    ck.merge(check_coalgebra(co))
     n = alg.dim
     for i in range(n):
         for j in range(n):
@@ -491,7 +480,7 @@ def tensor_unit(a: FinAlgebra) -> Vec:
 
 def check_hopf(h: HopfAlgebra) -> Report:
     ck = Checker("hopf", h.name)
-    _merge(ck, check_bialgebra(h.bialgebra))
+    ck.merge(check_bialgebra(h.bialgebra))
     alg, co, s = h.algebra, h.coalgebra, h.antipode
     n = alg.dim
     for i in range(n):
@@ -509,8 +498,8 @@ def check_hopf(h: HopfAlgebra) -> Report:
 def check_weak_bialgebra(w: WeakLike) -> Report:
     alg, co = algebra_of(w), coalgebra_of(w)
     ck = Checker("weak-bialgebra", name_of(w))
-    _merge(ck, check_algebra(alg))
-    _merge(ck, check_coalgebra(co))
+    ck.merge(check_algebra(alg))
+    ck.merge(check_coalgebra(co))
     n = alg.dim
     for i in range(n):
         for j in range(n):
@@ -553,7 +542,7 @@ def check_weak_bialgebra(w: WeakLike) -> Report:
 
 def check_weak_hopf(w: WeakHopfAlgebra) -> Report:
     ck = Checker("weak-hopf", w.name)
-    _merge(ck, check_weak_bialgebra(w.weak))
+    ck.merge(check_weak_bialgebra(w.weak))
     alg, co, s = w.algebra, w.coalgebra, w.antipode
     pil, pir = target_source(w)
     n = alg.dim

@@ -164,6 +164,18 @@ def test_dimodule_compatibility_violation():
     assert rep.violations[0].axiom == "dimodule-law"
 
 
+def test_dimodule_counts_every_violation_of_its_action():
+    c3 = get("group-algebra-c3").payload
+    # e acts as id and g, g^2 as 2 id, so the law fails on the four products
+    # g^a g^b with a, b > 0
+    scale = (Q.one, Q.of(2), Q.of(2))
+    bad = ActionStructure(c3.algebra, 1, "left", tuple(((c,),) for c in scale))
+    assert check_action(bad).violation_count == 4
+    rep = check_dimodule(Dimodule(c3, bad, trivial_coaction(c3, 1)))
+    assert rep.violations[0].axiom == "action-assoc"
+    assert rep.violation_count == 4
+
+
 def test_catalog_hopf_modules_verify():
     for name in ("c2-regular-hopf-module", "c3-regular-hopf-module"):
         assert check_hopf_module(get(name).payload).ok

@@ -133,6 +133,10 @@ MALFORMED_FILES = {
     "hopf-counit-is-a-number": ("group-algebra-c2", lambda obj: obj.update(counit=3)),
     "hopf-module-host-is-a-list": (
         "c2-regular-hopf-module", lambda obj: obj.update(host=["x"])),
+    "algebra-coefficient-is-a-float": (
+        "mat2-rational", lambda obj: obj.update(
+            field={"kind": "prime", "p": 5}, dim=1, basis=["x"],
+            mult=[{"i": 0, "j": 0, "k": 0, "c": 1.5}], unit=[1])),
 }
 
 
@@ -245,25 +249,27 @@ def test_replay_all_ignores_env_seed_when_flag_given(tmp_path, monkeypatch, caps
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of `hopfrb replay all --trials 10 --report F` as the pure-check
+# sha256 of `hopfrb replay all --trials N --report F` as the pure-check
 # implementation of classify_generic wrote it: faster code must keep every
-# report byte-identical
+# report byte-identical.  Trials 100 is the count the benchmark replays.
 GOLDEN_REPLAY_DIGESTS = {
-    "7": "8a2705e4e5fda5e0e79b2872c63fea31d0daec617067b7a88463bebcbb47defd",
-    None: "9b7d898485c335d111d68c377c10ce6584c2a9a0e74ad3c5bb96e09d831c3de9",
+    ("7", 10): "8a2705e4e5fda5e0e79b2872c63fea31d0daec617067b7a88463bebcbb47defd",
+    (None, 10): "9b7d898485c335d111d68c377c10ce6584c2a9a0e74ad3c5bb96e09d831c3de9",
+    ("7", 100): "01eae1c47c93ba5b702651a90b99dcee427cafc3c3b9b121ba1d5523272542bf",
 }
 
 
-@pytest.mark.parametrize("seed", list(GOLDEN_REPLAY_DIGESTS), ids=["seed-7", "default-seed"])
-def test_replay_all_report_digest_is_pinned(tmp_path, monkeypatch, capsys, seed):
+@pytest.mark.parametrize("seed,trials", list(GOLDEN_REPLAY_DIGESTS),
+                         ids=["seed-7", "default-seed", "seed-7-trials-100"])
+def test_replay_all_report_digest_is_pinned(tmp_path, monkeypatch, capsys, seed, trials):
     monkeypatch.delenv("HOPFRB_SEED", raising=False)
     out = tmp_path / "r.json"
-    argv = ["replay", "all", "--trials", "10", "--report", str(out)]
+    argv = ["replay", "all", "--trials", str(trials), "--report", str(out)]
     if seed is not None:
         argv += ["--seed", seed]
     assert main(argv) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLAY_DIGESTS[seed]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLAY_DIGESTS[seed, trials]
 
 
 def test_replay_negative_trials_rejected(capsys):

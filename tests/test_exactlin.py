@@ -81,6 +81,14 @@ def test_nonzero_denominator_mod_p():
         F5.of(Fraction(1, 5))
 
 
+def test_floats_are_refused():
+    # a float is a binary fraction, not the exact value it was written as
+    with pytest.raises(FieldError):
+        RATIONAL.of(0.1)
+    with pytest.raises(FieldError):
+        prime_field(5).of(1.5)
+
+
 scalars_q = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(RATIONAL.of)
 scalars_f5 = st.integers(min_value=0, max_value=4).map(F5.of)
 
