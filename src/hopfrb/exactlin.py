@@ -1,11 +1,11 @@
-"""Exact scalars and dense linear algebra over Q and F_p.
+"""Exact scalars and linear algebra over Q and F_p.
 
 Every higher layer manipulates structure constants through this module.
 Vectors, matrices and 3-index tensors are immutable nested tuples of
 Scalar values, all operations are pure, and every comparison is exact;
-there are no floats and no tolerances anywhere.  Row reduction runs a
-fraction-free (Bareiss style) forward pass, so intermediate entries stay
-integral for rational input, and pivots are normalised only at the end.
+there are no floats and no tolerances anywhere.  Row reduction is one
+sparse Gauss-Jordan on raw values (ints mod p or Fractions), which visits
+only nonzero entries; its inputs and outputs are Scalar tuples.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -82,15 +81,16 @@ class FieldSpec:
     def of(self, value: RawScalar) -> "Scalar":
         """Coerce an int, Fraction, string or Scalar into this field.
 
-        A float is refused: it is not an exact value."""
+        A float is refused: it is not an exact value; nor is a bool, which
+        Python would otherwise take for the int 0 or 1."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldError(f"scalar {value} is not in {self}")
             return value
         if isinstance(value, str):
             return self.parse(value)
-        if isinstance(value, float):
-            raise FieldError(f"float {value!r} is not an exact element of {self}")
+        if isinstance(value, (bool, float)):
+            raise FieldError(f"{value!r} is not an exact element of {self}")
         if self.kind == "rational":
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):
@@ -400,62 +400,62 @@ def tensor_mat(a: Mat, b: Mat) -> Mat:
 # row reduction, kernels, solving
 
 
-def _clear_denominators(row: list) -> list:
-    dens = [s.value.denominator for s in row]
-    m = math.lcm(*dens) if dens else 1
-    if m == 1:
-        return row
-    f = row[0].field
-    c = f.of(m)
-    return [c * s for s in row]
+def _raw_rows(a: Mat) -> list[dict]:
+    """The rows of a as {column: raw value} dicts of their nonzero entries."""
+    return [{j: s.value for j, s in enumerate(row) if s.value} for row in a]
 
 
 def rref(a: Mat, field: FieldSpec) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
+    """Reduced row echelon form and pivot columns, zero rows last.
 
-    Forward elimination is fraction-free: every update is the Bareiss
-    cross-multiplication divided by the previous pivot, which is an exact
-    division and keeps entries integral when the input rows are integral
-    (rational rows are rescaled to integers first).  The reduced form is
-    produced at the very end by ordinary field normalisation.
+    Sparse Gauss-Jordan on raw values (ints mod p or Fractions), one
+    ``{column: value}`` dict per row.  The columns are swept in order; a
+    pivot is scaled to 1 and cleared from exactly the rows, above and
+    below, that have a nonzero in its column.  The shortest such row is
+    the pivot row, which keeps fill-in low; the reduced form is unique,
+    so the choice never shows.  Values become Scalars only on return.
     """
-    rows = [list(r) for r in a]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if field.kind == "rational":
-        rows = [_clear_denominators(r) for r in rows]
-    prev = field.one
+    nc = len(a[0]) if a else 0
+    p = field.p
+    rest = _raw_rows(a)
+    done: list[dict] = []
     piv_cols: list[int] = []
-    r = 0
     for c in range(nc):
-        if r >= nr:
-            break
-        pr = next((i for i in range(r, nr) if not rows[i][c].is_zero), None)
-        if pr is None:
+        hits = [i for i, row in enumerate(rest) if c in row]
+        if not hits:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            fic = rows[i][c]
-            for j in range(c, nc):
-                rows[i][j] = (piv * rows[i][j] - fic * rows[r][j]) / prev
-        prev = piv
+        prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
+        prow = {j: v * inv % p if p else v * inv for j, v in prow.items()}
+        for row in [r for r in done + rest if c in r]:
+            f = row[c]
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                row[j] = x % p if p else x
+                if not row[j]:
+                    del row[j]
+        done.append(prow)
         piv_cols.append(c)
-        r += 1
-    # normalisation pass: unit pivots, zeros above
-    for k in reversed(range(len(piv_cols))):
-        c = piv_cols[k]
-        inv = rows[k][c].inverse()
-        rows[k] = [inv * x for x in rows[k]]
-        for i in range(k):
-            f = rows[i][c]
-            if not f.is_zero:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return tuple(tuple(r) for r in rows), tuple(piv_cols)
+    zero = field.zero
+    out = [tuple(Scalar(field, row[j]) if j in row else zero for j in range(nc)) for row in done]
+    out += [(zero,) * nc] * (len(a) - len(done))
+    return tuple(out), tuple(piv_cols)
 
 
 def rank(a: Mat, field: FieldSpec) -> int:
     return len(rref(a, field)[1])
+
+
+def _kernel_from_rref(r: Mat, piv: tuple[int, ...], ncols: int, field: FieldSpec) -> tuple[Vec, ...]:
+    """Per free column f of a reduced form: 1 at f, -r[k][f] at pivot k."""
+    out = []
+    for f in sorted(set(range(ncols)) - set(piv)):
+        x = [field.zero] * ncols
+        x[f] = field.one
+        for row_idx, p in enumerate(piv):
+            x[p] = -r[row_idx][f]
+        out.append(tuple(x))
+    return tuple(out)
 
 
 def kernel_basis(a: Mat, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ...]:
@@ -468,18 +468,8 @@ def kernel_basis(a: Mat, field: FieldSpec, ncols: int | None = None) -> tuple[Ve
         if not a:
             raise DimensionError("kernel of empty matrix needs explicit ncols")
         ncols = len(a[0])
-    if not a:
-        return tuple(unit_vec(field, ncols, i) for i in range(ncols))
     r, piv = rref(a, field)
-    free = [c for c in range(ncols) if c not in piv]
-    out = []
-    for f in free:
-        x = [field.zero] * ncols
-        x[f] = field.one
-        for row_idx, p in enumerate(piv):
-            x[p] = -r[row_idx][f]
-        out.append(tuple(x))
-    return tuple(out)
+    return _kernel_from_rref(r, piv, ncols, field)
 
 
 @dataclass(frozen=True)
@@ -490,12 +480,24 @@ class LinearSolution:
     nullspace: tuple
 
 
+def _maps_to(rows: list[dict], x: Vec, b: Vec, p: int) -> bool:
+    """Whether the raw sparse rows send x to b, exactly."""
+    xs = [s.value for s in x]
+    for row, bi in zip(rows, b):
+        acc = sum(v * xs[j] for j, v in row.items()) - bi.value
+        if acc % p if p else acc:
+            return False
+    return True
+
+
 def solve_linear(a: Mat, b: Vec, field: FieldSpec) -> LinearSolution | None:
     """Solve ``a x = b``; None when inconsistent.
 
-    The particular solution sets all free variables to zero.  Both the
-    particular solution and every nullspace vector are verified by
-    substitution before being returned.
+    One elimination of the augmented matrix gives both answers: when the
+    last column is not a pivot, the first ``nc`` columns are the reduced
+    form of ``a``.  The particular solution sets all free variables to
+    zero.  Both the particular solution and every nullspace vector are
+    verified by substitution before being returned.
     """
     if len(a) != len(b):
         raise DimensionError("rows of a must match length of b")
@@ -510,12 +512,12 @@ def solve_linear(a: Mat, b: Vec, field: FieldSpec) -> LinearSolution | None:
     for row_idx, p in enumerate(piv):
         x[p] = r[row_idx][nc]
     particular = tuple(x)
-    null = kernel_basis(a, field, nc)
-    if apply_mat(a, particular) != tuple(b):
+    null = _kernel_from_rref(r, piv, nc, field)
+    rows, zero = _raw_rows(a), zeros_vec(field, len(a))
+    if not _maps_to(rows, particular, b, field.p):
         raise InternalError("solver produced a non-solution")
-    for v in null:
-        if not is_zero_vec(apply_mat(a, v)):
-            raise InternalError("solver produced a bad kernel vector")
+    if not all(_maps_to(rows, v, zero, field.p) for v in null):
+        raise InternalError("solver produced a bad kernel vector")
     return LinearSolution(particular, null)
 
 
@@ -525,17 +527,30 @@ def column_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
     return tuple(r[i] for i in range(len(piv)))
 
 
-def in_span(v: Vec, basis: Sequence[Vec], field: FieldSpec) -> bool:
-    if is_zero_vec(v):
-        return True
-    if not basis:
-        return False
-    m = mat_from_cols(tuple(basis))
-    return solve_linear(m, v, field) is not None
-
-
 def span_leq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
-    return all(in_span(v, b2, field) for v in b1)
+    """Whether every vector of b1 lies in the span of b2.
+
+    Each vector is reduced against one RREF of b2: it lies in the span
+    exactly when it equals the combination of the reduced rows weighted by
+    its own entries at their pivots."""
+    if b2 and any(len(v) != len(b2[0]) for v in b1):
+        raise DimensionError("vector length mismatch")
+    r, piv = rref(tuple(b2), field)
+    p = field.p
+    rows = list(zip(piv, _raw_rows(r[:len(piv)])))
+    for v in b1:
+        acc = [s.value for s in v]
+        for c, row in rows:
+            f = acc[c]
+            for j, x in row.items():
+                acc[j] -= f * x
+        if any(x % p if p else x for x in acc):
+            return False
+    return True
+
+
+def in_span(v: Vec, basis: Sequence[Vec], field: FieldSpec) -> bool:
+    return span_leq((v,), basis, field)
 
 
 def span_eq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:

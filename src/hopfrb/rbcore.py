@@ -54,8 +54,9 @@ from .exactlin import (
     mat_mul,
     mat_scale,
     mat_sub,
-    solve_linear,
+    span_leq,
     stack_rows,
+    transpose,
     vec_add,
     vec_scale,
 )
@@ -193,10 +194,8 @@ def commutant_subalgebra(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
         tuple(comm[r][c] for comm in comms) for r in range(m.dim) for c in range(m.dim)
     )
     basis = kernel_basis(rows, f, ncols=a.dim)
-    for u in basis:
-        for v in basis:
-            if not in_span(a.mul(u, v), basis, f):
-                raise InternalError("commutant basis is not multiplicatively closed")
+    if not span_leq([a.mul(u, v) for u in basis for v in basis], basis, f):
+        raise InternalError("commutant basis is not multiplicatively closed")
     if a.unital and not in_span(a.unit, basis, f):
         raise InternalError("commutant does not contain the unit")
     return basis
@@ -374,17 +373,12 @@ def atkinson_solvable(
     if lam.is_zero:
         raise PreconditionError("factorization solvability needs nonzero weight")
     pt, tt = tilde_pair(p, t, lam)
-    stacked = stack_rows((t, tt))
     minus_one = -a.field.one
-    for i in range(a.dim):
-        pa = column(p, i)
-        pta = column(pt, i)
-        for j in range(m.dim):
-            v1 = m.apply(pa, column(t, j))
-            v2 = vec_scale(minus_one, m.apply(pta, column(tt, j)))
-            if solve_linear(stacked, v1 + v2, a.field) is None:
-                return False
-    return True
+    rhs = [m.apply(column(p, i), column(t, j))
+           + vec_scale(minus_one, m.apply(column(pt, i), column(tt, j)))
+           for i in range(a.dim) for j in range(m.dim)]
+    # each right-hand side must lie in the column space of [T; T~]
+    return span_leq(rhs, transpose(stack_rows((t, tt))), a.field)
 
 
 def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
@@ -557,9 +551,5 @@ def image_closed_under_p_action(inst: RbpInstance) -> bool:
     _require_verified(inst, "image_closed_under_p_action")
     a, m, t = inst.algebra, inst.module, inst.t
     img = column_space_basis(t, a.field)
-    for i in range(a.dim):
-        pa = column(inst.p, i)
-        for v in img:
-            if not in_span(m.apply(pa, v), img, a.field):
-                return False
-    return True
+    moved = [m.apply(column(inst.p, i), v) for i in range(a.dim) for v in img]
+    return span_leq(moved, img, a.field)

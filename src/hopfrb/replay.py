@@ -56,6 +56,7 @@ from .hopfrb import (
     doi_hopf_projection,
     dual_action_T,
     find_integrals,
+    functional_operator,
     hopf_module_projection,
     integral_T,
     smash_integral_T,
@@ -256,7 +257,7 @@ def _replay_prop_4_1(seed: str, trials: int) -> list:
     bad = 0
     for trial in range(trials):
         chi = Functional(h, random_operator(f, h.dim, f"{seed}:functional", trial)[0])
-        t, _ = dual_action_T(h, chi)
+        t = functional_operator(h, chi)
         recovered = tuple(
             sum((t[k][i] * eps.coords[k] for k in range(h.dim)), f.zero)
             for i in range(h.dim)

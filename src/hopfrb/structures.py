@@ -831,14 +831,8 @@ def check_quantum_commutative(w: WeakLike) -> bool:
     alg = algebra_of(w)
     _, pir = target_source(w)
     by_identity = quantum_commutative_witness(w) is None
-    central = True
-    for z in column_space_basis(pir, alg.field):
-        for i in range(alg.dim):
-            if alg.mul(z, alg.basis(i)) != alg.mul(alg.basis(i), z):
-                central = False
-                break
-        if not central:
-            break
+    central = all(alg.mul(z, alg.basis(i)) == alg.mul(alg.basis(i), z)
+                  for z in column_space_basis(pir, alg.field) for i in range(alg.dim))
     if by_identity != central:
         raise InternalError(
             f"{name_of(w)}: quantum-commutativity criteria disagree "

@@ -137,6 +137,10 @@ MALFORMED_FILES = {
         "mat2-rational", lambda obj: obj.update(
             field={"kind": "prime", "p": 5}, dim=1, basis=["x"],
             mult=[{"i": 0, "j": 0, "k": 0, "c": 1.5}], unit=[1])),
+    "algebra-coefficient-is-a-bool": (
+        "mat2-rational", lambda obj: obj.update(
+            field={"kind": "prime", "p": 5}, dim=1, basis=["x"],
+            mult=[{"i": 0, "j": 0, "k": 0, "c": True}], unit=[True])),
 }
 
 

@@ -13,6 +13,7 @@ from hopfrb.exactlin import (
     apply_mat,
     column_space_basis,
     in_span,
+    is_zero_vec,
     kernel_basis,
     mat,
     mat_mul,
@@ -87,6 +88,16 @@ def test_floats_are_refused():
         RATIONAL.of(0.1)
     with pytest.raises(FieldError):
         prime_field(5).of(1.5)
+
+
+def test_bools_are_refused():
+    # bool is an int subclass, so True would otherwise pass as 1
+    with pytest.raises(FieldError):
+        RATIONAL.of(True)
+    with pytest.raises(FieldError):
+        prime_field(5).of(False)
+    with pytest.raises(FieldError):
+        vec(F5, [1, True])
 
 
 scalars_q = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(RATIONAL.of)
@@ -196,6 +207,74 @@ def test_solve_substitution_roundtrip(rows, x):
 def test_rank_kernel_dimension(rows):
     a = q(rows)
     assert rank(a, RATIONAL) + len(kernel_basis(a, RATIONAL)) == 2
+
+
+def _dense_rref(rows, nc, p):
+    """Textbook dense Gauss-Jordan on Fractions (p = 0) or ints mod p."""
+    rows = [list(r) for r in rows]
+    piv = []
+    for c in range(nc):
+        r = len(piv)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        rows[r] = [x * inv % p if p else x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p if p else x - f * y
+                           for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+    return rows, tuple(piv)
+
+
+ORACLE_FIELDS = (RATIONAL, F2, prime_field(3), F5)
+
+
+@st.composite
+def linear_systems(draw):
+    """(field, ncols, a, b): up to 8 rows drawn from a pool that holds a
+    zero row and a sum of two rows, so duplicate rows, zero rows, rank
+    deficiency, wide and tall shapes and no rows at all all occur."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    nc = draw(st.integers(min_value=1, max_value=7))
+    entry = st.integers(min_value=-3, max_value=3) | st.just(0)
+    if field is RATIONAL:
+        entry = entry | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    row = st.lists(entry, min_size=nc, max_size=nc)
+    pool = draw(st.lists(row, min_size=2, max_size=4))
+    pool += [[0] * nc, [x + y for x, y in zip(pool[0], pool[1])]]
+    a = mat(field, draw(st.lists(st.sampled_from(pool), max_size=8)))
+    if draw(st.booleans()):
+        b = apply_mat(a, vec(field, draw(row)))
+    else:
+        b = vec(field, draw(st.lists(entry, min_size=len(a), max_size=len(a))))
+    return field, nc, a, b
+
+
+@given(linear_systems())
+def test_sparse_kernel_matches_dense_gauss_jordan(system):
+    field, nc, a, b = system
+    p = field.p
+    dense, dpiv = _dense_rref([[s.value for s in r] for r in a], nc, p)
+    r, piv = rref(a, field)
+    assert piv == dpiv
+    assert r == mat(field, dense)
+    ker = kernel_basis(a, field, ncols=nc)
+    assert len(ker) == nc - len(dpiv)
+    assert all(is_zero_vec(apply_mat(a, v)) for v in ker)
+    sol = solve_linear(a, b, field)
+    if not a:
+        return
+    aug = [[s.value for s in row] + [bi.value] for row, bi in zip(a, b)]
+    if nc in _dense_rref(aug, nc + 1, p)[1]:
+        assert sol is None
+    else:
+        assert sol is not None and apply_mat(a, sol.particular) == b
+        assert len(sol.nullspace) == nc - len(dpiv)
+        assert all(is_zero_vec(apply_mat(a, v)) for v in sol.nullspace)
 
 
 # -- tensor products --------------------------------------------------------

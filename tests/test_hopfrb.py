@@ -3,7 +3,9 @@ projections onto coinvariants."""
 
 import pytest
 
-from hopfrb.exactlin import RATIONAL, apply_mat, identity, mat, mat_mul, vec, zeros_vec
+from hopfrb.exactlin import (
+    RATIONAL, apply_mat, identity, mat, mat_mul, prime_field, vec, zeros_vec,
+)
 from hopfrb.structures import (
     Functional,
     PreconditionError,
@@ -38,7 +40,7 @@ from hopfrb.hopfrb import (
     smash_integral_T,
     weak_target_rbp,
 )
-from hopfrb.catalog import get, normalized_group_integral
+from hopfrb.catalog import cyclic_group_algebra, get, normalized_group_integral
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
@@ -60,6 +62,18 @@ def test_group_integrals_are_two_sided():
         # the sum of group elements spans both sides
         assert left.basis[0] == right.basis[0]
         assert all(not c.is_zero for c in left.basis[0])
+
+
+@pytest.mark.parametrize("n,p", [(5, 5), (6, 3), (6, 5), (5, 7)])
+def test_cyclic_integral_is_normalizable_unless_p_divides_n(n, p):
+    # Maschke via Larson-Sweedler: k[C_n] is semisimple iff eps(Lambda) != 0
+    # iff p does not divide n; the integrals are the multiples of sum g^i
+    h = cyclic_group_algebra(n, prime_field(p))
+    space = find_integrals(h, "left")
+    assert len(space.basis) == 1
+    (lam,) = space.basis
+    assert len(set(lam)) == 1 and not lam[0].is_zero
+    assert h.coalgebra.counit_of(lam).is_zero == (n % p == 0)
 
 
 def test_sweedler_integral_not_normalizable():

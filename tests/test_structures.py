@@ -28,7 +28,7 @@ from hopfrb.structures import (
     subalgebra_image,
     target_source,
 )
-from hopfrb.catalog import get
+from hopfrb.catalog import cyclic_group_algebra, get
 
 Q = RATIONAL
 
@@ -123,6 +123,17 @@ def test_computed_antipode_matches_stored():
     for name in ("group-algebra-c2", "group-algebra-c3", "sweedler-h4"):
         h = get(name).payload
         assert compute_antipode(h.bialgebra) == h.antipode
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(13)], ids=str)
+def test_c12_antipode_inverts_every_group_element(field):
+    # 288 x 144 system; the closed form is g^i -> g^-i
+    n = 12
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        s[-i % n][i] = 1
+    h = cyclic_group_algebra(n, field)
+    assert compute_antipode(h.bialgebra) == mat(field, s)
 
 
 def test_c2_antipode_is_identity():
