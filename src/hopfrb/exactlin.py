@@ -320,10 +320,31 @@ def _sum_products(row: Vec, x: Vec):
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a b on raw values: each nonzero a[r][k] adds its
+    multiples of the nonzero entries of row k of b, and the sums become
+    Scalars only on return."""
     if a and b and len(a[0]) != len(b):
         raise DimensionError("matrix product shape mismatch")
-    bt = transpose(b)
-    return tuple(tuple(_sum_products(row, col) for col in bt) for row in a)
+    nc = len(b[0]) if b else 0
+    if not a or not nc:
+        return ((),) * len(a)
+    field = a[0][0].field
+    if b[0][0].field != field:
+        raise FieldError(f"mixed fields {field} and {b[0][0].field}")
+    p, zero = field.p, field.zero
+    b_rows = [[(j, s.value) for j, s in enumerate(row) if s.value] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * nc
+        for s, b_row in zip(row, b_rows):
+            x = s.value
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        if p:
+            acc = [v % p for v in acc]
+        out.append(tuple(Scalar(field, v) if v else zero for v in acc))
+    return tuple(out)
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

@@ -23,16 +23,20 @@ K_i = T act(e_i) T + lam T act(e_i), it reads on the basis element e_i
 
     sum_b P[b][i] C_b = K_i
 
-so `classify_generic` computes every C_b and K_i once and decides each
-random trial with one linear combination per e_i, in raw field values
-(`Fraction`, or `int` reduced mod p at the comparison).  Trial 0 is also
-run through the unchanged `check_rbp_module` as an independent oracle.
+so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
+`PairingSystem.fails` decides a random P with one linear combination per
+e_i, in raw field values (`Fraction`, or `int` reduced mod p at the
+comparison).  Every fuzzed P is decided this way: the trials of
+`classify_generic` and replay's own fuzz loops alike.  Trial 0 of each is
+also run through the unchanged `check_rbp_module` as an independent
+oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 from .exactlin import (
@@ -78,9 +82,13 @@ def _random_entries(n: int, seed: str, trial: int) -> list[int]:
     return [rng.choice((-2, -1, 0, 1, 2)) for _ in range(n * n)]
 
 
-def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
-    entries = _random_entries(n, seed, trial)
+def operator_of(field: FieldSpec, n: int, entries: Sequence) -> Mat:
+    """The n x n operator with the row-major raw `entries`."""
     return mat(field, [entries[r * n:(r + 1) * n] for r in range(n)])
+
+
+def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
+    return operator_of(field, n, _random_entries(n, seed, trial))
 
 
 @dataclass
@@ -243,13 +251,14 @@ class GenericVerdict:
 
 
 def _fails_affine(
-    p: list[int], n: int, comms: list, k: list, modulus: int
+    p: Sequence, n: int, comms: tuple, k: tuple, modulus: int, rows: Sequence | None = None
 ) -> bool:
     """Whether the row-major operator `p` breaks sum_b P[b][i] C_b = K_i for
-    some i.  `comms[b]` lists the nonzero (cell, value) entries of C_b and
-    `k[i]` the cells of K_i, in raw field values; `modulus` is p for F_p
-    and 0 for Q."""
-    for i, k_i in enumerate(k):
+    some i in `rows` (default: every i).  `comms[b]` lists the nonzero
+    (cell, value) entries of C_b and `k[i]` the cells of K_i, in raw field
+    values; `modulus` is p for F_p and 0 for Q."""
+    for i in range(len(k)) if rows is None else rows:
+        k_i = k[i]
         acc = [0] * len(k_i)
         for b, comm in enumerate(comms):
             coef = p[b * n + i]
@@ -262,6 +271,70 @@ def _fails_affine(
         elif acc != k_i:
             return True
     return False
+
+
+@dataclass(frozen=True)
+class PairingSystem:
+    """The paired identity of a fixed (M, T, lam) in its affine form.
+
+    On the algebra basis element e_i it reads sum_b P[b][i] C_b = K_i with
+    C_b = [act(e_b), T] and K_i = T act(e_i) (T + lam); `comms[b]` holds
+    the nonzero (cell, value) entries of C_b and `rhs[i]` every cell of
+    K_i, row-major, in raw field values.  The set of P that pair with T is
+    the solution set, an affine space.
+    """
+
+    module: ActionStructure
+    t: Mat
+    weight: Scalar
+    comms: tuple
+    rhs: tuple
+
+    def fails(self, p: Sequence) -> bool:
+        """Whether the raw row-major P breaks the identity; its entries are
+        ints over F_p, ints or Fractions over Q."""
+        return _fails_affine(p, self.module.algebra.dim, self.comms, self.rhs,
+                             self.weight.field.p)
+
+    def decide(self, p: Sequence, seed: str, trial: int) -> bool:
+        """`fails`, with trial 0 re-checked by `check_rbp_module`; a
+        disagreement raises InternalError naming the module, the seed, the
+        trial and the first basis element e_i where the two differ."""
+        fails = self.fails(p)
+        if trial == 0:
+            a = self.module.algebra
+            n = a.dim
+            inst = RbpInstance(a, self.module, operator_of(a.field, n, p), self.t,
+                               self.weight, name="fuzz:0")
+            rep = check_rbp_module(inst)
+            if rep.ok == fails:
+                oracle = {dict(v.witness)["a"] for v in rep.violations}
+                first = next(
+                    (i for i in range(n)
+                     if _fails_affine(p, n, self.comms, self.rhs, a.field.p, (i,))
+                     != (i in oracle)),
+                    None,
+                )
+                raise InternalError(
+                    f"affine trial and check_rbp_module disagree on {self.module.name}, "
+                    f"seed {seed!r}, trial {trial}, first at e_{first}: "
+                    f"affine {'fails' if fails else 'passes'}"
+                )
+        return fails
+
+
+def pairing_system(m: ActionStructure, t: Mat, lam: Scalar) -> PairingSystem:
+    """The commutators C_b and right-hand sides K_i of (M, T, lam), once."""
+    comms = tuple(
+        tuple((cell, x.value) for cell, x in enumerate(x for row in c for x in row) if x.value)
+        for c in _commutators(m, t)
+    )
+    rhs = []
+    for op in m.basis_ops:
+        t_op = mat_mul(t, op)
+        k_i = mat_add(mat_mul(t_op, t), mat_scale(lam, t_op))
+        rhs.append([x.value for row in k_i for x in row])
+    return PairingSystem(m, t, lam, comms, tuple(rhs))
 
 
 def classify_generic(
@@ -278,44 +351,23 @@ def classify_generic(
     randomized trials must agree with it uniformly (all pass, or all fail).
     Disagreement raises InternalError.
 
-    Each trial draws P as `random_operator` does and checks the affine form
-    sum_b P[b][i] [act(e_b), T] = T act(e_i) (T + lam) on every basis
-    element e_i, stopping at the first that fails; the commutators and the
-    right-hand sides are computed once per call.  Trial 0 is also checked
-    by `check_rbp_module`, and a disagreement raises InternalError.
+    Each trial draws P as `random_operator` does and decides it from the
+    `pairing_system` of (M, T, lam), built once per call, stopping at the
+    first e_i that fails.  Trial 0 is also checked by `check_rbp_module`,
+    and a disagreement raises InternalError (`PairingSystem.decide`).
     """
-    a = m.algebra
-    f = a.field
-    n = a.dim
+    n = m.algebra.dim
     seed = fuzz_seed() if seed is None else seed
-    comms = _commutators(m, t)
-    a_linear = all(is_zero_mat(c) for c in comms)
+    system = pairing_system(m, t, lam)
+    a_linear = not any(system.comms)
     qi = is_quasi_idempotent(t, lam)
     generic: bool | None = None
     if a_linear:
         defect = mat_add(mat_mul(t, t), mat_scale(lam, t))
         generic = all(is_zero_mat(mat_mul(op, defect)) for op in m.basis_ops)
-    sparse = [
-        [(cell, x.value) for cell, x in enumerate(x for row in c for x in row) if not x.is_zero]
-        for c in comms
-    ]
-    rhs = []
-    for op in m.basis_ops:
-        t_op = mat_mul(t, op)
-        k_i = mat_add(mat_mul(t_op, t), mat_scale(lam, t_op))
-        rhs.append([x.value for row in k_i for x in row])
-    modulus = f.p if f.kind == "prime" else 0
-    failures = 0
-    for trial in range(trials):
-        fails = _fails_affine(_random_entries(n, seed, trial), n, sparse, rhs, modulus)
-        failures += fails
-        if trial == 0:
-            inst = RbpInstance(a, m, random_operator(f, n, seed, 0), t, lam, name="fuzz:0")
-            if check_rbp_module(inst).ok == fails:
-                raise InternalError(
-                    f"affine trial and check_rbp_module disagree on trial 0 of {m.name}: "
-                    f"affine {'fails' if fails else 'passes'}"
-                )
+    failures = sum(
+        system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
+    )
     if a_linear and trials:
         expected = 0 if generic else trials
         if failures != expected:

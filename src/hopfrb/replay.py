@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import __version__
 from .exactlin import (
+    InternalError,
     apply_mat,
     column,
     identity,
@@ -44,7 +45,10 @@ from .rbcore import (
     classify_generic,
     double_construction,
     fuzz_seed,
+    _random_entries,
     is_quasi_idempotent,
+    operator_of,
+    pairing_system,
     random_operator,
     tilde_pair,
 )
@@ -99,11 +103,10 @@ def _replay_thm_3_2(seed: str, trials: int) -> list:
     t2 = mat_scale(f.of(2), identity(f, h.dim))
     _check(checks, "doubled-identity-not-quasi-idempotent",
            not is_quasi_idempotent(t2, lam))
+    system = pairing_system(module, t2, lam)
     found = None
     for trial in range(trials):
-        p = random_operator(f, h.dim, seed, trial)
-        inst = RbpInstance(h.algebra, module, p, t2, lam)
-        if not check_rbp_module(inst).ok:
+        if system.decide(_random_entries(h.dim, seed, trial), seed, trial):
             found = trial
             break
     _check(checks, "doubled-identity-falsified", found is not None,
@@ -112,6 +115,18 @@ def _replay_thm_3_2(seed: str, trials: int) -> list:
     _check(checks, "doubled-identity-not-generic", verdict2.generic is False,
            verdict=verdict2.to_json())
     return checks
+
+
+def _raw_tilde(x: list, n: int, minus) -> list:
+    """-lam id - X on the row-major raw entries of an n x n operator X,
+    with `minus` the raw value of -lam."""
+    return [(minus if r == c else 0) - x[r * n + c] for r in range(n) for c in range(n)]
+
+
+def _same_raw(x: list, y: list, modulus: int) -> bool:
+    """Whether two raw entry lists agree, mod p over F_p (modulus p) or
+    exactly over Q (modulus 0)."""
+    return not any((u - v) % modulus if modulus else u - v for u, v in zip(x, y))
 
 
 def _replay_prop_3_1(seed: str, trials: int) -> list:
@@ -131,17 +146,28 @@ def _replay_prop_3_1(seed: str, trials: int) -> list:
     f = h.field
     t = module.matrix(normalized_group_integral(h))
     lam = -f.one
+    n, mod, minus = h.dim, f.p, -lam.value
+    _, tt = tilde_pair((), t, lam)
+    t_system, tt_system = pairing_system(module, t, lam), pairing_system(module, tt, lam)
+    t_raw, tt_raw = ([x.value for row in op for x in row] for op in (t, tt))
+    t_involutes = _same_raw(_raw_tilde(tt_raw, n, minus), t_raw, mod)
     bad = 0
     for trial in range(trials):
-        p = random_operator(f, h.dim, seed, trial)
-        inst = RbpInstance(h.algebra, module, p, t, lam)
-        if not check_rbp_module(inst).ok:
-            bad += 1
-            continue
-        pt, tt = tilde_pair(p, t, lam)
-        mirrored = RbpInstance(h.algebra, module, pt, tt, lam)
-        if not check_rbp_module(mirrored).ok or tilde_pair(pt, tt, lam) != (p, t):
-            bad += 1
+        p = _random_entries(n, seed, trial)
+        pt = _raw_tilde(p, n, minus)
+        fails = t_system.decide(p, seed, trial)
+        fails_tilde = tt_system.decide(pt, seed, trial)
+        involutes = t_involutes and _same_raw(_raw_tilde(pt, n, minus), p, mod)
+        if trial == 0:
+            p_mat = operator_of(f, n, p)
+            pair = tilde_pair(p_mat, t, lam)
+            if involutes != (pair == (operator_of(f, n, pt), tt)
+                             and tilde_pair(*pair, lam) == (p_mat, t)):
+                raise InternalError(
+                    f"raw and Scalar tilde involutions disagree on {module.name}, "
+                    f"seed {seed!r}, trial 0"
+                )
+        bad += fails or fails_tilde or not involutes
     _check(checks, "tilde-on-fuzzed-instances", bad == 0, trials=trials, failures=bad)
     return checks
 

@@ -770,21 +770,26 @@ class SubAlgebra:
 
 def subalgebra_image(op: Mat, a: FinAlgebra) -> SubAlgebra:
     """Restrict a to the image of op; raises StructureError when the image
-    is not multiplicatively closed (witness pair in the message)."""
+    is not multiplicatively closed (witness pair in the message).
+
+    The basis is in reduced echelon form, so a vector's coordinates in it
+    are its entries at the pivots, and the vector lies in the span exactly
+    when those coordinates give it back."""
     basis = column_space_basis(op, a.field)
     r = len(basis)
     incl = mat_from_cols(basis)
-    coords: dict[tuple[int, int], Vec] = {}
-    for i in range(r):
-        for j in range(r):
-            prod = a.mul(basis[i], basis[j])
-            sol = solve_linear(incl, prod, a.field) if r else None
-            if sol is None:
-                raise StructureError(
-                    f"image of operator on {a.name} is not closed: basis pair ({i}, {j})"
-                )
-            coords[(i, j)] = sol.particular
-    mult = tuple(tuple(coords[(i, j)] for j in range(r)) for i in range(r))
+    piv = [next(c for c, x in enumerate(row) if not x.is_zero) for row in basis]
+
+    def coords(i: int, j: int) -> Vec:
+        prod = a.mul(basis[i], basis[j])
+        out = tuple(prod[c] for c in piv)
+        if apply_mat(incl, out) != prod:
+            raise StructureError(
+                f"image of operator on {a.name} is not closed: basis pair ({i}, {j})"
+            )
+        return out
+
+    mult = tuple(tuple(coords(i, j) for j in range(r)) for i in range(r))
     labels = tuple(f"b{i}" for i in range(r))
     sub_unit = None
     if r:

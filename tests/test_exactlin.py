@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfrb.exactlin import (
+    DimensionError,
     FieldError,
     FieldSpec,
     RATIONAL,
@@ -275,6 +276,50 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
         assert sol is not None and apply_mat(a, sol.particular) == b
         assert len(sol.nullspace) == nc - len(dpiv)
         assert all(is_zero_vec(apply_mat(a, v)) for v in sol.nullspace)
+
+
+def _dense_product(a, b, field):
+    """Textbook dense product in Scalar arithmetic, one sum per cell."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(inner)), field.zero) for c in range(cols))
+        for r in range(len(a))
+    )
+
+
+@st.composite
+def products(draw):
+    """(field, a, b) with a r x k and b k x c, each side from 0 to 4, and
+    entries that are zero about half the time."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    entry = st.just(0) | st.integers(min_value=-9, max_value=9)
+    if field is RATIONAL:
+        entry = entry | st.fractions(max_denominator=7)
+    a = mat(field, draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                 min_size=r, max_size=r)))
+    b = mat(field, draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                 min_size=k, max_size=k)))
+    return field, a, b
+
+
+@given(products())
+def test_sparse_product_matches_dense_scalar_product(case):
+    field, a, b = case
+    # empty shapes included: a r x 0 times a 0 x c product is r empty rows
+    got = mat_mul(a, b)
+    assert got == _dense_product(a, b, field)
+    assert all(s.field == field for row in got for s in row)
+
+
+def test_product_shape_and_field_errors():
+    with pytest.raises(DimensionError):
+        mat_mul(q([[1, 2]]), q([[1, 2]]))
+    with pytest.raises(FieldError):
+        mat_mul(q([[1]]), mat(F5, [[1]]))
+    assert mat_mul((), q([[1]])) == ()
+    assert mat_mul(q([[1], [2]]), q([[]])) == ((), ())
 
 
 # -- tensor products --------------------------------------------------------

@@ -14,6 +14,7 @@ from hopfrb.exactlin import (
     mat_mul,
     mat_scale,
     prime_field,
+    solve_linear,
     vec_scale,
     zeros_mat,
 )
@@ -34,6 +35,8 @@ from hopfrb.rbcore import (
     idempotent_identities,
     image_closed_under_p_action,
     is_quasi_idempotent,
+    operator_of,
+    pairing_system,
     random_operator,
     scale_weight,
     tilde_pair,
@@ -226,6 +229,92 @@ def test_affine_and_oracle_disagreement_is_a_package_bug(monkeypatch):
     monkeypatch.setattr(rbcore, "_fails_affine", lambda *args: not real(*args))
     with pytest.raises(InternalError, match="check_rbp_module disagree"):
         classify_generic(module, t, MINUS_ONE, trials=3, seed="t")
+
+
+@st.composite
+def raw_entries(draw, field, count):
+    """`count` raw values of arbitrary elements of `field`: any int over
+    F_p, any int or Fraction over Q."""
+    entry = st.integers(min_value=-10**6, max_value=10**6)
+    if field is Q:
+        entry = entry | st.fractions(max_denominator=50)
+    return draw(st.lists(entry, min_size=count, max_size=count))
+
+
+def _solution_p(module, t, lam, p, moved):
+    """P with each column i in `moved` whose system is solvable moved onto
+    Pair(M, T): particular solution plus the draw's own nullspace mix.
+    The other columns stay, so P can fail at some e_i and pass at others."""
+    n, f = module.algebra.dim, module.field
+    system = pairing_system(module, t, lam)
+    p = list(p)
+    for i in moved:
+        a = tuple(tuple(f.of(dict(c).get(cell, 0)) for c in system.comms)
+                  for cell in range(module.dim ** 2))
+        sol = solve_linear(a, tuple(f.of(x) for x in system.rhs[i]), f)
+        if sol is None:
+            continue
+        col = sol.particular
+        for k, v in enumerate(sol.nullspace):
+            col = tuple(x + f.of(p[k % len(p)]) * y for x, y in zip(col, v))
+        for b in range(n):
+            p[b * n + i] = col[b].value
+    return p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_pairing_system_decides_what_check_rbp_module_decides(field, data):
+    module = _over(get(data.draw(st.sampled_from(CATALOG_MODULES))).payload, field)
+    a, n, d = module.algebra, module.algebra.dim, module.dim
+    lam = field.of(data.draw(raw_entries(field, 1))[0])
+    kind = data.draw(st.sampled_from(["random", "a-linear", "zero", "minus-lam"]))
+    if kind == "random":
+        t = operator_of(field, d, data.draw(raw_entries(field, d * d)))
+    elif kind == "a-linear":
+        basis = _a_linear_basis(module)
+        flat = [field.zero] * (d * d)
+        for c, v in zip(data.draw(raw_entries(field, len(basis))), basis):
+            flat = [x + field.of(c) * y for x, y in zip(flat, v)]
+        t = operator_of(field, d, flat)
+    else:
+        c = field.zero if kind == "zero" else -lam
+        t = mat_scale(c, identity(field, d))
+    p = data.draw(raw_entries(field, n * n))
+    moved = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    p = _solution_p(module, t, lam, p, moved)
+    minus = -lam.value
+    pt = [(minus if r == c else 0) - p[r * n + c] for r in range(n) for c in range(n)]
+    _, tt = tilde_pair((), t, lam)
+    verdicts = []
+    for raw, op in ((p, t), (pt, tt)):
+        system = pairing_system(module, op, lam)
+        rep = check_rbp_module(RbpInstance(a, module, operator_of(field, n, raw), op, lam))
+        assert system.fails(raw) == (not rep.ok)
+        # the first e_i the system rejects is the oracle's witness
+        first = next((i for i in range(n) if rbcore._fails_affine(
+            raw, n, system.comms, system.rhs, field.p, (i,))), None)
+        assert first == (dict(rep.violations[0].witness)["a"] if rep.violations else None)
+        verdicts.append(system.fails(raw))
+    # the tilde pair changes neither side of the identity's defect
+    assert verdicts[0] == verdicts[1]
+
+
+def test_disagreement_names_module_seed_trial_and_basis_element(monkeypatch):
+    module = get("c2-regular-module").payload
+    t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
+    real = rbcore._fails_affine
+
+    def flip_e1(p, n, comms, k, modulus, rows=None):
+        # the real answer on every e_i but e_1, which is made to fail
+        rows = range(len(k)) if rows is None else rows
+        return any(real(p, n, comms, k, modulus, (i,)) != (i == 1) for i in rows)
+
+    monkeypatch.setattr(rbcore, "_fails_affine", flip_e1)
+    with pytest.raises(InternalError,
+                       match="c2-regular-left, seed 's', trial 0, first at e_1"):
+        classify_generic(module, t, MINUS_ONE, trials=3, seed="s")
 
 
 def test_commutant_of_matrix_action():

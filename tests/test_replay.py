@@ -1,10 +1,12 @@
 """Replay suites: shape, ordering, determinism."""
 
 import json
+import sys
 
 import pytest
 
-from hopfrb import __version__
+from hopfrb import __version__, rbcore
+from hopfrb.exactlin import InternalError
 from hopfrb.replay import ReplayError, replay_ids, run_all, run_replay
 
 ALL_IDS = ("cor-int", "ex-4.7", "prop-3.1", "prop-3.6", "prop-4.1", "prop-4.3",
@@ -70,3 +72,34 @@ def test_projection_suite_reports_dual_side_honestly():
             "axiom": "pairing-identity", "a": 0,
             "delta": ["0"] + ["-1"] * (n - 1) + ["0"] * (n * n - n)}
     assert rep["result"] == "pass"
+
+
+def test_oracle_guards_replay_fuzz_loop(monkeypatch):
+    # prop-3.1 calls no classify_generic, so its own loop has to raise
+    real = rbcore._fails_affine
+    monkeypatch.setattr(rbcore, "_fails_affine", lambda *args: not real(*args))
+    with pytest.raises(InternalError, match="seed '5', trial 0, first at e_0"):
+        run_replay("prop-3.1", seed=5, trials=10)
+
+
+def _count_full_checks(monkeypatch, rid, trials):
+    """check_rbp_module calls in one run, wherever a hopfrb module names it."""
+    real, calls = rbcore.check_rbp_module, []
+
+    def counted(inst):
+        calls.append(inst)
+        return real(inst)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hopfrb") and getattr(mod, "check_rbp_module", None) is real:
+            monkeypatch.setattr(mod, "check_rbp_module", counted)
+    run_replay(rid, seed=3, trials=trials)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_full_checks_do_not_grow_with_trials(monkeypatch):
+    # only trial 0 goes through check_rbp_module; every other draw is
+    # decided by the pairing systems
+    assert (_count_full_checks(monkeypatch, "prop-3.1", 10)
+            == _count_full_checks(monkeypatch, "prop-3.1", 100))

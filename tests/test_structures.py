@@ -2,7 +2,18 @@
 
 import pytest
 
-from hopfrb.exactlin import RATIONAL, apply_mat, identity, mat, prime_field, vec
+from hopfrb import exactlin
+from hopfrb.exactlin import (
+    RATIONAL,
+    apply_mat,
+    column_space_basis,
+    identity,
+    mat,
+    mat_from_cols,
+    prime_field,
+    solve_linear,
+    vec,
+)
 from hopfrb.structures import (
     Bialgebra,
     FinAlgebra,
@@ -237,6 +248,63 @@ def test_target_subalgebra_closed():
     sub = subalgebra_image(pil, w.algebra)
     assert sub.algebra.dim == 2
     assert check_algebra(sub.algebra).ok
+
+
+def _image_by_solves(op, a):
+    """Reference: one solve per basis pair and one for the unit."""
+    basis = column_space_basis(op, a.field)
+    r, incl = len(basis), mat_from_cols(basis)
+    mult = tuple(
+        tuple(solve_linear(incl, a.mul(basis[i], basis[j]), a.field).particular
+              for j in range(r))
+        for i in range(r)
+    )
+    rows, rhs = [], []
+    for t in range(r):
+        for c in range(r):
+            rows.append(tuple(mult[s][t][c] for s in range(r)))
+            rhs.append(a.field.one if t == c else a.field.zero)
+            rows.append(tuple(mult[t][s][c] for s in range(r)))
+            rhs.append(a.field.one if t == c else a.field.zero)
+    sol = solve_linear(tuple(rows), tuple(rhs), a.field) if r else None
+    return incl, mult, None if sol is None else sol.particular
+
+
+def _counting_rref(monkeypatch):
+    calls = []
+    real = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["weak-two-point", "weak-pair-groupoid"])
+def test_target_subalgebra_matches_per_pair_solves(name, monkeypatch):
+    w = get(name).payload
+    pil, _ = target_source(w)
+    calls = _counting_rref(monkeypatch)
+    sub = subalgebra_image(pil, w.algebra)
+    assert len(calls) == 2  # the basis and the unit, not r^2 + 2 = 6
+    assert (sub.inclusion, sub.algebra.mult, sub.algebra.unit) == _image_by_solves(
+        pil, w.algebra)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_image_costs_two_eliminations_at_every_rank(n, monkeypatch):
+    # the identity's image is the whole of C_n, of rank n
+    a = cyclic_group_algebra(n).algebra
+    calls = _counting_rref(monkeypatch)
+    sub = subalgebra_image(identity(Q, n), a)
+    assert len(calls) == 2
+    assert (sub.inclusion, sub.algebra.mult, sub.algebra.unit) == _image_by_solves(
+        identity(Q, n), a)
+
+
+def test_image_not_closed_names_first_pair():
+    mat2 = get("mat2-rational").payload
+    # span{E12, E21}: E12 E12 = 0 stays, E12 E21 = E11 leaves
+    op = mat(Q, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    with pytest.raises(StructureError, match=r"basis pair \(0, 1\)"):
+        subalgebra_image(op, mat2)
 
 
 # -- duals and convolution ----------------------------------------------------
