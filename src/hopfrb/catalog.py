@@ -24,8 +24,10 @@ from .exactlin import (
     Vec,
     identity,
     mat,
+    mat_from_cols,
     plane_cells,
     prime_field,
+    unit_vec,
     vec,
     zeros_vec,
 )
@@ -104,93 +106,74 @@ class CatalogEntry:
 # builders
 
 
+def groupoid_algebra(name: str, arrows, labels, compose, inverse,
+                     field: FieldSpec = RATIONAL) -> HopfAlgebra | WeakHopfAlgebra:
+    """Algebra of a finite groupoid on its arrows.
+
+    The product of two arrows is compose(a, b), their composite, or 0 when
+    compose returns None.  Every arrow is group-like: Delta(a) = a (x) a,
+    eps(a) = 1 and S(a) = inverse(a).  The unit is the sum of the
+    identities, the arrows with a a = a.  One identity makes the groupoid a
+    group and its algebra a Hopf algebra; with more, Delta(1) != 1 (x) 1
+    and the algebra is weak Hopf (Boehm, Nill and Szlachanyi, J. Algebra
+    1999)."""
+    arrows = tuple(arrows)
+    labels = tuple(labels)
+    n = len(arrows)
+    idx = {a: i for i, a in enumerate(arrows)}
+    zero = zeros_vec(field, n)
+    e = tuple(unit_vec(field, n, i) for i in range(n))
+
+    def product(a, b):
+        ab = compose(a, b)
+        return zero if ab is None else e[idx[ab]]
+
+    mult = tuple(tuple(product(a, b) for b in arrows) for a in arrows)
+    identities = [int(compose(a, a) == a) for a in arrows]
+    unit = vec(field, identities)
+    alg = FinAlgebra(field, n, labels, mult, unit=unit, name=name)
+    comult = tuple(tuple(e[i] if j == i else zero for j in range(n)) for i in range(n))
+    coalg = FinCoalgebra(field, n, labels, comult, counit=vec(field, [1] * n))
+    s = mat_from_cols([e[idx[inverse(a)]] for a in arrows])
+    if sum(identities) == 1:
+        return HopfAlgebra(name, Bialgebra(name, alg, coalg), s)
+    return WeakHopfAlgebra(name, WeakBialgebra(name, alg, coalg), s)
+
+
+def _pair_compose(a, b):
+    # arrows (i, j) of a pair groupoid, or of a subgroupoid of one
+    return (a[0], b[1]) if a[1] == b[0] else None
+
+
+def _pair_inverse(a):
+    return (a[1], a[0])
+
+
 def matrix_unit_algebra(n: int, field: FieldSpec = RATIONAL) -> FinAlgebra:
-    """n x n matrix algebra on the basis E_rs, row-major."""
-    dim = n * n
-    labels = tuple(f"E{r + 1}{s + 1}" for r in range(n) for s in range(n))
-    mult = []
-    for r in range(n):
-        for s in range(n):
-            plane = []
-            for t in range(n):
-                for u in range(n):
-                    out = [0] * dim
-                    if s == t:
-                        out[r * n + u] = 1
-                    plane.append(vec(field, out))
-            mult.append(tuple(plane))
-    unit = [0] * dim
-    for r in range(n):
-        unit[r * n + r] = 1
-    return FinAlgebra(
-        field, dim, labels, tuple(mult), unit=vec(field, unit), name=f"mat{n}"
-    )
+    """n x n matrix algebra on the basis E_rs, row-major: the algebra of the
+    pair groupoid on n objects."""
+    arrows = tuple((r, s) for r in range(1, n + 1) for s in range(1, n + 1))
+    labels = tuple(f"E{r}{s}" for r, s in arrows)
+    return groupoid_algebra(f"mat{n}", arrows, labels, _pair_compose, _pair_inverse,
+                            field).algebra
 
 
 def cyclic_group_algebra(n: int, field: FieldSpec = RATIONAL) -> HopfAlgebra:
     """Group algebra of Z/n with the group-like coalgebra structure."""
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g{i}") for i in range(n))
-    mult = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            out = [0] * n
-            out[(i + j) % n] = 1
-            plane.append(vec(field, out))
-        mult.append(tuple(plane))
-    unit = vec(field, [1] + [0] * (n - 1))
-    alg = FinAlgebra(field, n, labels, tuple(mult), unit=unit, name=f"c{n}")
-    com = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            out = [0] * n
-            if j == i:
-                out[i] = 1
-            plane.append(vec(field, out))
-        com.append(tuple(plane))
-    coalg = FinCoalgebra(field, n, labels, tuple(com), counit=vec(field, [1] * n))
-    s = [[0] * n for _ in range(n)]
-    for i in range(n):
-        s[(n - i) % n][i] = 1
-    return HopfAlgebra(f"c{n}", Bialgebra(f"c{n}", alg, coalg), mat(field, s))
+    return groupoid_algebra(f"c{n}", range(n), labels, lambda i, j: (i + j) % n,
+                            lambda i: -i % n, field)
 
 
 def symmetric_group_algebra_s3(field: FieldSpec = RATIONAL) -> HopfAlgebra:
     """Group algebra of S_3, multiplication generated from permutation
     composition rather than a hand-entered table."""
     perms = sorted(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
     labels = tuple("p" + "".join(str(v) for v in p) for p in perms)
-    mult = []
-    for p in perms:
-        plane = []
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(3))
-            out = [0] * n
-            out[idx[comp]] = 1
-            plane.append(vec(field, out))
-        mult.append(tuple(plane))
-    ident = tuple(range(3))
-    unit = [0] * n
-    unit[idx[ident]] = 1
-    alg = FinAlgebra(field, n, labels, tuple(mult), unit=vec(field, unit), name="s3")
-    com = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            out = [0] * n
-            if j == i:
-                out[i] = 1
-            plane.append(vec(field, out))
-        com.append(tuple(plane))
-    coalg = FinCoalgebra(field, n, labels, tuple(com), counit=vec(field, [1] * n))
-    s = [[0] * n for _ in range(n)]
-    for p in perms:
-        inv = tuple(sorted(range(3), key=lambda i: p[i]))
-        s[idx[inv]][idx[p]] = 1
-    return HopfAlgebra("s3", Bialgebra("s3", alg, coalg), mat(field, s))
+    return groupoid_algebra(
+        "s3", perms, labels, lambda p, q: tuple(p[q[i]] for i in range(3)),
+        lambda p: tuple(sorted(range(3), key=lambda i: p[i])), field,
+    )
 
 
 def dual_c2_hopf(field: FieldSpec = RATIONAL) -> HopfAlgebra:
@@ -259,49 +242,18 @@ def sweedler_h4(field: FieldSpec = RATIONAL) -> HopfAlgebra:
 
 def two_point_weak_hopf(field: FieldSpec = RATIONAL) -> WeakHopfAlgebra:
     """k e1 + k e2 with Delta(ei) = ei (x) ei: commutative, genuinely weak
-    since Delta(1) is not 1 (x) 1."""
-    z = zeros_vec(field, 2)
-    mult = ((vec(field, [1, 0]), z), (z, vec(field, [0, 1])))
-    alg = FinAlgebra(field, 2, ("e1", "e2"), mult, unit=vec(field, [1, 1]), name="two-point")
-    com = ((vec(field, [1, 0]), z), (z, vec(field, [0, 1])))
-    coalg = FinCoalgebra(field, 2, ("e1", "e2"), com, counit=vec(field, [1, 1]))
-    return WeakHopfAlgebra(
-        "two-point", WeakBialgebra("two-point", alg, coalg), identity(field, 2)
-    )
+    since Delta(1) is not 1 (x) 1.  The discrete groupoid on two objects."""
+    return groupoid_algebra("two-point", ((1, 1), (2, 2)), ("e1", "e2"),
+                            _pair_compose, _pair_inverse, field)
 
 
 def pair_groupoid_weak_hopf(field: FieldSpec = RATIONAL) -> WeakHopfAlgebra:
     """Groupoid algebra of the pair groupoid on two objects: the matrix
     units e_ij with Delta(e_ij) = e_ij (x) e_ij and S(e_ij) = e_ji."""
-    pairs = tuple((i, j) for i in (1, 2) for j in (1, 2))
-    idx = {p: q for q, p in enumerate(pairs)}
-    labels = tuple(f"e{i}{j}" for i, j in pairs)
-    z = zeros_vec(field, 4)
-    mult = [[z] * 4 for _ in range(4)]
-    for (i, j), p in idx.items():
-        for (k, l), q in idx.items():
-            if j == k:
-                out = [0] * 4
-                out[idx[(i, l)]] = 1
-                mult[p][q] = vec(field, out)
-    alg = FinAlgebra(
-        field, 4, labels, tuple(tuple(r) for r in mult),
-        unit=vec(field, [1, 0, 0, 1]), name="pair-groupoid",
-    )
-    com = [[z] * 4 for _ in range(4)]
-    for p in range(4):
-        out = [0] * 4
-        out[p] = 1
-        row = list(com[p])
-        row[p] = vec(field, out)
-        com[p] = tuple(row)
-    coalg = FinCoalgebra(field, 4, labels, tuple(com), counit=vec(field, [1, 1, 1, 1]))
-    s = [[0] * 4 for _ in range(4)]
-    for (i, j), p in idx.items():
-        s[idx[(j, i)]][p] = 1
-    return WeakHopfAlgebra(
-        "pair-groupoid", WeakBialgebra("pair-groupoid", alg, coalg), mat(field, s)
-    )
+    arrows = ((1, 1), (1, 2), (2, 1), (2, 2))
+    labels = tuple(f"e{i}{j}" for i, j in arrows)
+    return groupoid_algebra("pair-groupoid", arrows, labels, _pair_compose,
+                            _pair_inverse, field)
 
 
 def dual_numbers_algebra(field: FieldSpec = RATIONAL) -> FinAlgebra:
@@ -587,14 +539,18 @@ def list_instances() -> tuple[str, ...]:
 MAX_DIM = 64
 
 
+def _int(value, what: str) -> int:
+    """`value` when it is a JSON integer; a float, string or bool is refused."""
+    if type(value) is not int:
+        raise CatalogError(f"bad {what} {value!r}: not an integer")
+    return value
+
+
 def _dim(obj: dict) -> int:
     """The entry's "dim", checked to lie in 0..MAX_DIM."""
     if "dim" not in obj:
         raise CatalogError("missing dim")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError):
-        raise CatalogError(f"bad dim {obj['dim']!r}") from None
+    dim = _int(obj["dim"], "dim")
     if not 0 <= dim <= MAX_DIM:
         raise CatalogError(f"dim {dim} is outside 0..{MAX_DIM}")
     return dim
@@ -628,8 +584,8 @@ def _parse_field(obj) -> FieldSpec:
         return RATIONAL
     if obj["kind"] == "prime":
         try:
-            return prime_field(int(obj["p"]))
-        except (KeyError, ValueError, TypeError) as ex:
+            return prime_field(obj["p"])
+        except (KeyError, FieldError) as ex:
             raise CatalogError(f"bad prime field: {ex}") from None
     raise CatalogError(f"unknown field kind {obj['kind']!r}")
 
@@ -641,7 +597,7 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
     def build(triples: list):
         cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
         for item in triples:
-            i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
+            i, j, k = (_int(item[x], f"{key} index") for x in "ijk")
             if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
                 raise CatalogError(f"{key} index out of range in {item!r}")
             cells[i][j][k] += field.of(item["c"])
@@ -674,13 +630,12 @@ _ROLES = {
 }
 
 
-def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
+def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
     """Build and validate a CatalogEntry from one parsed JSON object.
 
-    `resolve` maps referenced entry names to CatalogEntry values; the
-    default looks them up in the built-in catalog.  `validate=False`
-    skips the axiom checks so a caller can run a specific checker and
-    report the witness instead of refusing here.
+    Referenced entry names are looked up in the built-in catalog.
+    `validate=False` skips the axiom checks so a caller can run a specific
+    checker and report the witness instead of refusing here.
     """
     if not isinstance(obj, dict):
         raise CatalogError("structure file must contain a JSON object")
@@ -693,7 +648,7 @@ def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
     note = obj.get("note", "loaded from file")
 
     refs = {role: _ref(obj, role) for role in _ROLES[kind]}
-    got = {role: resolve(ref) for role, ref in refs.items()}
+    got = {role: get(ref) for role, ref in refs.items()}
     # the composite constructors read a referenced module or comodule's fields
     for role in ("module", "comodule"):
         if role in got and got[role].kind != role:
@@ -737,10 +692,7 @@ def load_entry(obj: dict, resolve=get, validate: bool = True) -> CatalogEntry:
 def _load_structure(obj: dict, kind: str):
     field = _parse_field(obj.get("field", {"kind": "rational"}))
     dim = _dim(obj)
-    try:
-        labels = tuple(str(x) for x in obj["basis"])
-    except (KeyError, TypeError) as ex:
-        raise CatalogError(f"bad structure header: {ex}") from None
+    labels = _parsed(obj, "basis", lambda raw: tuple(str(x) for x in raw))
     if len(labels) != dim:
         raise CatalogError("basis label count differs from dim")
     mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
@@ -769,15 +721,20 @@ def _load_structure(obj: dict, kind: str):
     return WeakHopfAlgebra(name, weak, antipode)
 
 
-def load_file(path: str, validate: bool = True) -> CatalogEntry:
+def read_json(path: str):
+    """The JSON value in the file at `path`; a file that cannot be read, is
+    not UTF-8 JSON or is too deep or long to parse raises CatalogError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as ex:
         raise CatalogError(f"cannot read {path}: {ex}") from None
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # UnicodeDecodeError is a ValueError
         raise CatalogError(f"{path} is not valid JSON: {ex}") from None
-    return load_entry(obj, validate=validate)
+
+
+def load_file(path: str, validate: bool = True) -> CatalogEntry:
+    return load_entry(read_json(path), validate=validate)
 
 
 def dump(entry: CatalogEntry) -> dict:

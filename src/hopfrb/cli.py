@@ -119,11 +119,10 @@ def parse_operator(literal: str, alg, module=None) -> Mat:
         return mat_scale(c, identity(f, n))
     if literal.startswith("matrix:@"):
         path = literal[len("matrix:@"):]
+        rows = catalog.read_json(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                rows = json.load(fh)
             m = mat(f, rows)
-        except (OSError, json.JSONDecodeError, FieldError, ValueError, TypeError) as ex:
+        except (FieldError, ValueError, TypeError) as ex:
             raise UsageError(f"cannot read matrix from {path}: {ex}") from None
         if len(m) != n or any(len(r) != n for r in m):
             raise UsageError(f"matrix in {path} is not {n}x{n}")

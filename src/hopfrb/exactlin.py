@@ -37,6 +37,11 @@ class InternalError(Exception):
     """A postcondition that is a theorem failed; indicates a package bug."""
 
 
+# The largest modulus a prime field accepts: primality is decided by trial
+# division, about sqrt(p) steps, so a modulus near 10^18 would stall a load.
+MAX_MODULUS = 2**31 - 1
+
+
 def _is_prime(p: int) -> bool:
     # trial division; field moduli in this package are tiny
     if p < 2:
@@ -56,7 +61,8 @@ RawScalar = Union[int, Fraction, str, "Scalar"]
 class FieldSpec:
     """Coefficient field: ``kind`` is ``"rational"`` or ``"prime"``.
 
-    Prime fields carry their modulus ``p``; it is validated on creation.
+    Prime fields carry their modulus ``p``, an int prime up to
+    ``MAX_MODULUS``; it is validated on creation.
     ``zero`` and ``one`` are the field's Scalars, built once on creation.
     """
 
@@ -68,6 +74,8 @@ class FieldSpec:
             if self.p != 0:
                 raise FieldError("rational field takes no modulus")
         elif self.kind == "prime":
+            if not isinstance(self.p, int) or self.p > MAX_MODULUS:
+                raise FieldError(f"modulus {self.p!r} is not an integer up to {MAX_MODULUS}")
             if not _is_prime(self.p):
                 raise FieldError(f"{self.p!r} is not a prime modulus")
         else:

@@ -405,6 +405,19 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
 # Hopf modules and dimodules
 
 
+def _coaction_projection(m, phis: Mat) -> Mat:
+    """Matrix of x |-> x_(0) . phis(x_(1)) on a module that is also a
+    comodule: E with phis = S for a Hopf module, phi S for a Doi-Hopf one."""
+    action, com = m.action, m.coaction
+    cols = []
+    for i in range(m.dim):
+        out = zeros_vec(action.algebra.field, m.dim)
+        for j, k, d in plane_cells(com.co_nz[i]):
+            out = vec_add(out, vec_scale(d, action.apply(column(phis, k), com.basis(j))))
+        cols.append(out)
+    return mat_from_cols(cols)
+
+
 def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInstance]:
     """E(m) = m_(0) . S(m_(1)) for a Hopf module.
 
@@ -418,26 +431,17 @@ def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInsta
     if not rep.ok:
         raise PreconditionError(f"hopf-module axioms fail: {rep.to_json()}")
     alg, co = algebra_of(h), coalgebra_of(h)
-    s = h.antipode
-    action, com = m.action, m.coaction
-    n = m.dim
-    cols = []
-    for i in range(n):
-        out = zeros_vec(alg.field, n)
-        for j, k, d in plane_cells(com.co_nz[i]):
-            out = vec_add(out, vec_scale(d, action.apply(column(s, k), com.basis(j))))
-        cols.append(out)
-    e_m = mat_from_cols(cols)
+    e_m = _coaction_projection(m, h.antipode)
     if mat_mul(e_m, e_m) != e_m:
         raise InternalError("hopf-module projection is not idempotent")
-    strict = coinvariants(com, "strict", h)
+    strict = coinvariants(m.coaction, "strict", h)
     if not span_leq(column_space_basis(e_m, alg.field), strict, alg.field):
         raise InternalError("projection image leaves the coinvariants")
     p = tuple(
         tuple(alg.unit[r] * co.counit[c] for c in range(alg.dim)) for r in range(alg.dim)
     )
     lam = -alg.field.one
-    inst = RbpInstance(alg, action, p, e_m, lam, name=f"{m.name}-projection-instance")
+    inst = RbpInstance(alg, m.action, p, e_m, lam, name=f"{m.name}-projection-instance")
     if not check_rbp_module(inst).ok:
         raise InternalError("projection instance failed the paired identity")
     return e_m, inst
@@ -746,14 +750,7 @@ def doi_hopf_projection(
     e_a = mat_from_cols(cols)
     if mat_mul(e_a, e_a) != e_a:
         raise InternalError("comodule-algebra projection is not idempotent")
-    n = m.dim
-    cols = []
-    for i in range(n):
-        out = zeros_vec(carrier.field, n)
-        for j, k, d in plane_cells(m.coaction.co_nz[i]):
-            out = vec_add(out, vec_scale(d, m.action.apply(column(phis, k), m.coaction.basis(j))))
-        cols.append(out)
-    e_m = mat_from_cols(cols)
+    e_m = _coaction_projection(m, phis)
     weak_co = coinvariants(m.coaction, "weak", w)
     if not span_leq(column_space_basis(e_m, carrier.field), weak_co, carrier.field):
         raise InternalError("projection image leaves the weak coinvariants")

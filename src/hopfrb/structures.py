@@ -171,19 +171,23 @@ class FinCoalgebra:
         return acc
 
 
-@dataclass(frozen=True)
-class Bialgebra:
-    name: str
-    algebra: FinAlgebra
-    coalgebra: FinCoalgebra
+class _Host:
+    """The four host carriers' ``field``, ``dim``, ``labels`` and checks
+    made on construction; ``_role`` names the carrier in the unit check."""
+
+    _role = "bialgebra"
 
     def __post_init__(self) -> None:
-        if self.algebra.field != self.coalgebra.field:
+        alg, co = self.algebra, self.coalgebra
+        if alg.field != co.field:
             raise StructureError(f"{self.name}: algebra/coalgebra fields differ")
-        if self.algebra.dim != self.coalgebra.dim:
+        if alg.dim != co.dim:
             raise StructureError(f"{self.name}: algebra/coalgebra dims differ")
-        if not self.algebra.unital:
-            raise StructureError(f"{self.name}: bialgebra carrier must be unital")
+        if not alg.unital:
+            raise StructureError(f"{self.name}: {self._role} carrier must be unital")
+        s, n = getattr(self, "antipode", None), alg.dim
+        if s is not None and (len(s) != n or any(len(r) != n for r in s)):
+            raise DimensionError(f"{self.name}: antipode is not dim x dim")
 
     @property
     def field(self) -> FieldSpec:
@@ -199,27 +203,17 @@ class Bialgebra:
 
 
 @dataclass(frozen=True)
-class HopfAlgebra:
+class Bialgebra(_Host):
+    name: str
+    algebra: FinAlgebra
+    coalgebra: FinCoalgebra
+
+
+@dataclass(frozen=True)
+class HopfAlgebra(_Host):
     name: str
     bialgebra: Bialgebra
     antipode: Mat
-
-    def __post_init__(self) -> None:
-        n = self.bialgebra.dim
-        if len(self.antipode) != n or any(len(r) != n for r in self.antipode):
-            raise DimensionError(f"{self.name}: antipode is not dim x dim")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.bialgebra.field
-
-    @property
-    def dim(self) -> int:
-        return self.bialgebra.dim
-
-    @property
-    def labels(self) -> tuple:
-        return self.bialgebra.labels
 
     @property
     def algebra(self) -> FinAlgebra:
@@ -231,57 +225,22 @@ class HopfAlgebra:
 
 
 @dataclass(frozen=True)
-class WeakBialgebra:
+class WeakBialgebra(_Host):
     """Carrier for the weak axiom set; bialgebra unit/counit compatibility
     is deliberately not part of its contract."""
+
+    _role = "weak bialgebra"
 
     name: str
     algebra: FinAlgebra
     coalgebra: FinCoalgebra
 
-    def __post_init__(self) -> None:
-        if self.algebra.field != self.coalgebra.field:
-            raise StructureError(f"{self.name}: algebra/coalgebra fields differ")
-        if self.algebra.dim != self.coalgebra.dim:
-            raise StructureError(f"{self.name}: algebra/coalgebra dims differ")
-        if not self.algebra.unital:
-            raise StructureError(f"{self.name}: weak bialgebra carrier must be unital")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.algebra.field
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def labels(self) -> tuple:
-        return self.algebra.labels
-
 
 @dataclass(frozen=True)
-class WeakHopfAlgebra:
+class WeakHopfAlgebra(_Host):
     name: str
     weak: WeakBialgebra
     antipode: Mat
-
-    def __post_init__(self) -> None:
-        n = self.weak.dim
-        if len(self.antipode) != n or any(len(r) != n for r in self.antipode):
-            raise DimensionError(f"{self.name}: antipode is not dim x dim")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.weak.field
-
-    @property
-    def dim(self) -> int:
-        return self.weak.dim
-
-    @property
-    def labels(self) -> tuple:
-        return self.weak.labels
 
     @property
     def algebra(self) -> FinAlgebra:
@@ -292,7 +251,6 @@ class WeakHopfAlgebra:
         return self.weak.coalgebra
 
 
-StructureLike = Union[FinAlgebra, FinCoalgebra, Bialgebra, HopfAlgebra, WeakBialgebra, WeakHopfAlgebra]
 BialgebraLike = Union[Bialgebra, HopfAlgebra]
 WeakLike = Union[WeakBialgebra, WeakHopfAlgebra]
 CoalgebraLike = Union[FinCoalgebra, Bialgebra, HopfAlgebra, WeakBialgebra, WeakHopfAlgebra]
@@ -301,7 +259,7 @@ CoalgebraLike = Union[FinCoalgebra, Bialgebra, HopfAlgebra, WeakBialgebra, WeakH
 def algebra_of(x) -> FinAlgebra:
     if isinstance(x, FinAlgebra):
         return x
-    if isinstance(x, (Bialgebra, WeakBialgebra, HopfAlgebra, WeakHopfAlgebra)):
+    if isinstance(x, _Host):
         return x.algebra
     raise StructureError(f"{x!r} has no algebra part")
 
@@ -309,7 +267,7 @@ def algebra_of(x) -> FinAlgebra:
 def coalgebra_of(x) -> FinCoalgebra:
     if isinstance(x, FinCoalgebra):
         return x
-    if isinstance(x, (Bialgebra, WeakBialgebra, HopfAlgebra, WeakHopfAlgebra)):
+    if isinstance(x, _Host):
         return x.coalgebra
     raise StructureError(f"{x!r} has no coalgebra part")
 
@@ -588,24 +546,31 @@ def counit_functional(host: CoalgebraLike) -> Functional:
     return Functional(host, coalgebra_of(host).counit)
 
 
+def _convolution_blocks(alg: FinAlgebra, co: FinCoalgebra, i: int):
+    """Rows c of S(x_(1)) x_(2) and x_(1) S(x_(2)) at x = e_i, linear in
+    the n^2 entries of S (unknown s * n + j is S[s][j])."""
+    n = alg.dim
+    z = alg.field.zero
+    s_id = [[z] * (n * n) for _ in range(n)]
+    id_s = [[z] * (n * n) for _ in range(n)]
+    for j, k, d in plane_cells(co.comult_nz[i]):
+        for s in range(n):
+            for c, m in alg.mult_nz[s][k]:
+                s_id[c][s * n + j] += d * m
+            for c, m in alg.mult_nz[j][s]:
+                id_s[c][s * n + k] += d * m
+    return s_id, id_s
+
+
 def _antipode_system_ordinary(b: BialgebraLike):
     """S(x_(1)) x_(2) = eps(x) 1 = x_(1) S(x_(2)), two rows per (x, c)."""
     alg, co = algebra_of(b), coalgebra_of(b)
-    n = alg.dim
-    f = alg.field
     rows, rhs = [], []
-    for i in range(n):
-        row1 = [[f.zero] * (n * n) for _ in range(n)]
-        row2 = [[f.zero] * (n * n) for _ in range(n)]
-        for j, k, d in plane_cells(co.comult_nz[i]):
-            for s in range(n):
-                for c, m in alg.mult_nz[s][k]:
-                    row1[c][s * n + j] += d * m
-                for c, m in alg.mult_nz[j][s]:
-                    row2[c][s * n + k] += d * m
-        for c in range(n):
+    for i in range(alg.dim):
+        s_id, id_s = _convolution_blocks(alg, co, i)
+        for c in range(alg.dim):
             want = co.counit[i] * alg.unit[c]
-            rows += [tuple(row1[c]), tuple(row2[c])]
+            rows += [tuple(s_id[c]), tuple(id_s[c])]
             rhs += [want, want]
     return tuple(rows), tuple(rhs)
 
@@ -619,22 +584,16 @@ def _antipode_system_weak(w: WeakLike):
     f = alg.field
     rows, rhs = [], []
     for i in range(n):
-        row1 = [[f.zero] * (n * n) for _ in range(n)]
-        row2 = [[f.zero] * (n * n) for _ in range(n)]
-        row3 = [[f.zero] * (n * n) for _ in range(n)]
+        s_id, id_s = _convolution_blocks(alg, co, i)
+        cubic = [[f.zero] * (n * n) for _ in range(n)]
         for j, k, d in plane_cells(co.comult_nz[i]):
-            for s in range(n):
-                for c, m in alg.mult_nz[j][s]:
-                    row1[c][s * n + k] += d * m
-                for c, m in alg.mult_nz[s][k]:
-                    row2[c][s * n + j] += d * m
             for r, p in nonzero(column(pir, j)):
                 for t in range(n):
                     for c, m in alg.mult_nz[r][t]:
-                        row3[c][t * n + k] += d * p * m
+                        cubic[c][t * n + k] += d * p * m
         for c in range(n):
-            row3[c][c * n + i] -= f.one
-            rows += [tuple(row1[c]), tuple(row2[c]), tuple(row3[c])]
+            cubic[c][c * n + i] -= f.one
+            rows += [tuple(id_s[c]), tuple(s_id[c]), tuple(cubic[c])]
             rhs += [pil[c][i], pir[c][i], f.zero]
     return tuple(rows), tuple(rhs)
 

@@ -1,12 +1,20 @@
 """Built-in catalog, named instances, and the JSON structure-file format."""
 
+import hashlib
+import itertools
 import json
 import tracemalloc
 
 import pytest
 
-from hopfrb.exactlin import FieldError, RATIONAL, prime_field, vec
-from hopfrb.structures import check_algebra, check_hopf
+from hopfrb.exactlin import FieldError, RATIONAL, mat, prime_field, vec
+from hopfrb.structures import (
+    HopfAlgebra,
+    check_algebra,
+    check_hopf,
+    check_weak_hopf,
+    compute_antipode,
+)
 from hopfrb.rbcore import check_rbp_module
 from hopfrb.catalog import (
     KINDS,
@@ -16,6 +24,7 @@ from hopfrb.catalog import (
     dump,
     get,
     get_instance,
+    groupoid_algebra,
     get_kind,
     list_entries,
     list_instances,
@@ -95,6 +104,44 @@ def test_s3_is_noncommutative():
     assert check_hopf(s3).ok
 
 
+def _pair_groupoid(objects: int, discrete: bool = False):
+    """Arrows, labels, composition and inverse of the pair groupoid on
+    `objects` objects, or of its discrete subgroupoid of identities."""
+    arrows = [(i, j) for i in range(objects) for j in range(objects)
+              if i == j or not discrete]
+    return (arrows, [f"a{i}{j}" for i, j in arrows],
+            lambda a, b: (a[0], b[1]) if a[1] == b[0] else None, lambda a: (a[1], a[0]))
+
+
+def _groupoids():
+    """(name, arrows, labels, compose, inverse) of every generated groupoid."""
+    out = [(f"c{n}", list(range(n)), [f"g{i}" for i in range(n)],
+            lambda i, j, n=n: (i + j) % n, lambda i, n=n: -i % n) for n in range(1, 9)]
+    perms = sorted(itertools.permutations(range(3)))
+    out.append(("s3", perms, [str(p) for p in perms],
+                lambda p, q: tuple(p[q[i]] for i in range(3)),
+                lambda p: tuple(sorted(range(3), key=lambda i: p[i]))))
+    out += [(f"pair{k}", *_pair_groupoid(k)) for k in (1, 2, 3)]
+    out += [(f"discrete{k}", *_pair_groupoid(k, discrete=True)) for k in (2, 3)]
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(2), prime_field(3), prime_field(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_groupoid_algebras_are_hopf_or_weak_hopf(field):
+    for name, arrows, labels, compose, inverse in _groupoids():
+        h = groupoid_algebra(name, arrows, labels, compose, inverse, field)
+        identities = [a for a in arrows if compose(a, a) == a]
+        assert isinstance(h, HopfAlgebra) == (len(identities) == 1), name
+        assert (check_hopf if len(identities) == 1 else check_weak_hopf)(h).ok, name
+        # S e_a = e_(a^-1), read off the groupoid rather than the built host
+        want = [[0] * len(arrows) for _ in arrows]
+        for j, a in enumerate(arrows):
+            want[arrows.index(inverse(a))][j] = 1
+        carrier = h.bialgebra if len(identities) == 1 else h.weak
+        assert compute_antipode(carrier) == mat(field, want), name
+
+
 def test_characteristic_refusals():
     f2 = prime_field(2)
     with pytest.raises(FieldError):
@@ -114,6 +161,16 @@ def test_dump_load_fixpoint_for_every_entry():
         obj = dump(entry)
         again = dump(load_entry(obj))
         assert again == obj, name
+
+
+# sha256 of every built-in entry's dump, taken before the group(oid)
+# builders were folded into groupoid_algebra: the catalog's bytes must not move
+CATALOG_DUMP_SHA256 = "bbfc87a5a5a35e353111d322948d753057a522676b647b539dbe52841f2843dc"
+
+
+def test_catalog_dump_digest_is_pinned():
+    text = json.dumps([dump(get(name)) for name, _ in list_entries()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DUMP_SHA256
 
 
 def test_dump_serializes_to_json():

@@ -7,12 +7,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hopfrb
 from hopfrb import __version__
-from hopfrb.cli import main
+from hopfrb.cli import _ENTRY_CHECKS, main
 from hopfrb.exactlin import RATIONAL
-from hopfrb.catalog import dump, get
+from hopfrb.catalog import MAX_DIM, dump, get, list_entries
 from hopfrb.cli import parse_operator
 
 
@@ -141,6 +143,18 @@ MALFORMED_FILES = {
         "mat2-rational", lambda obj: obj.update(
             field={"kind": "prime", "p": 5}, dim=1, basis=["x"],
             mult=[{"i": 0, "j": 0, "k": 0, "c": True}], unit=[True])),
+    "algebra-dim-is-a-float": ("mat2-rational", lambda obj: obj.update(dim=4.7)),
+    "algebra-dim-is-a-string": ("mat2-rational", lambda obj: obj.update(dim="4")),
+    "algebra-basis-is-a-string": (
+        "mat2-rational", lambda obj: obj.update(dim=2, basis="1x", mult=[], unit=[1, 0])),
+    "algebra-index-is-a-float": (
+        "mat2-rational", lambda obj: obj["mult"].append({"i": 0.9, "j": 0, "k": 0, "c": "0"})),
+    "hopf-modulus-is-a-float": (
+        "group-algebra-c2", lambda obj: obj.update(field={"kind": "prime", "p": 5.5})),
+    "algebra-modulus-above-the-cap": (
+        "mat2-rational", lambda obj: obj.update(
+            field={"kind": "prime", "p": 1000000000000000003}, dim=1, basis=["x"],
+            mult=[{"i": 0, "j": 0, "k": 0, "c": "1"}], unit=["1"])),
 }
 
 
@@ -158,6 +172,85 @@ def test_malformed_structure_file_exits_2(tmp_path, capsys, case):
     assert main(_malformed_file(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# files json.load returns no value for
+UNREADABLE_FILES = {
+    "not-utf-8": b'{"kind": "algebra", "name": "\xff"}',
+    "nested-too-deeply": b"[" * 200000 + b"]" * 200000,
+    "integer-too-long": b'{"kind": "algebra", "name": "x", "dim": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("flag", ["--entry", "--op"])
+@pytest.mark.parametrize("case", list(UNREADABLE_FILES))
+def test_unreadable_structure_file_exits_2(tmp_path, capsys, case, flag):
+    path = tmp_path / "entry.json"
+    path.write_bytes(UNREADABLE_FILES[case])
+    if flag == "--entry":
+        argv = ["check", "algebra", "--entry", f"@{path}"]
+    else:
+        argv = ["check", "rb-operator", "--algebra", "group-algebra-c2",
+                "--op", f"matrix:@{path}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# -- exit-code mutation fuzz ---------------------------------------------------
+
+_TRIPLE_KEYS = ("mult", "comult", "action", "coaction")
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 99), st.floats(-3, 99), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(0, 3)),
+)
+_BAD_DIMS = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=MAX_DIM + 1), st.floats(),
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(0, 3), max_size=2),
+)
+# out of range for every dim the loader admits, or not an integer at all
+_BAD_INDICES = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_DIM),
+                         st.sampled_from([0.5, 1.0, "0", True]))
+
+
+@st.composite
+def _mutated_entry(draw):
+    """(kind, mutation, object): one catalog.dump-ed entry with one key
+    dropped, one value swapped for another JSON type, one bad triple
+    index, or a bad dim."""
+    obj = dump(get(draw(st.sampled_from([name for name, _ in list_entries()]))))
+    kind = obj["kind"]
+    triples = [key for key in _TRIPLE_KEYS if key in obj]
+    mutations = ["drop", "retype"] + ["index"] * bool(triples) + ["dim"] * ("dim" in obj)
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif mutation == "retype":
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(obj[key])))
+    elif mutation == "index":
+        triple = {"i": 0, "j": 0, "k": 0, "c": "1"}
+        triple[draw(st.sampled_from("ijk"))] = draw(_BAD_INDICES)
+        obj[draw(st.sampled_from(triples))].append(triple)
+    else:
+        dim = obj["dim"]  # near misses too: the right size, but not as an integer
+        obj["dim"] = draw(_BAD_DIMS | st.sampled_from([float(dim), dim + 0.5, str(dim), [dim]]))
+    return kind, mutation, obj
+
+
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_entry())
+def test_mutated_structure_files_keep_the_exit_code_contract(tmp_path, capsys, case):
+    kind, mutation, obj = case
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    check = kind if kind in _ENTRY_CHECKS else "algebra"  # a functional has no checker
+    rc = main(["check", check, "--entry", f"@{path}"])
+    capsys.readouterr()
+    assert rc in (0, 1, 2)
+    if mutation in ("index", "dim"):
+        assert rc == 2
 
 
 def test_malformed_structure_file_exits_2_from_the_entry_point(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfrb.exactlin import (
+    MAX_MODULUS,
     DimensionError,
     FieldError,
     FieldSpec,
@@ -63,6 +64,14 @@ def test_prime_parse_rejects_wrong_modulus():
 def test_prime_field_requires_prime():
     with pytest.raises(FieldError):
         prime_field(6)
+
+
+def test_modulus_is_an_int_up_to_the_cap():
+    assert prime_field(MAX_MODULUS).p == MAX_MODULUS
+    # checked before the trial division, which would run for minutes here
+    for bad in (5.0, "5", 1000000000000000003, MAX_MODULUS + 2):
+        with pytest.raises(FieldError):
+            prime_field(bad)
 
 
 def test_mixed_field_arithmetic_rejected():
