@@ -1,8 +1,12 @@
 """Built-in example structures and the JSON ingestion pipeline.
 
-Every entry is validated by its kind's full axiom checker the first time the
-catalog is built; an entry that stops passing is a package bug.  The catalog
-is constructed once and then read only.
+The catalog is a table of declarations: name, kind, note, the entries it
+references and a builder.  An entry is built and validated by its kind's
+full axiom checker on first use, after the entries it references, and is
+then kept and read only; nothing is validated until something asks for it,
+so listing names validates nothing.  An entry that fails is a package bug
+and is not kept.  The named paired-module instances are built and verified
+the same way, one at a time.
 
 Characteristic-sensitive data (anything needing 1/|G| or 1/2) is offered
 through builder functions that refuse prime fields dividing the relevant
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .exactlin import (
     FieldError,
@@ -64,7 +68,13 @@ from .actions import (
     trivial_action,
 )
 from .rbcore import RbpInstance, check_rbp_module, double_construction
-from .hopfrb import PairingForm, RMatrix, check_long_pairing, check_quasitriangular
+from .hopfrb import (
+    PairingForm,
+    RMatrix,
+    _pairing_dimodule,  # shares the induced-action formula
+    check_long_pairing,
+    check_quasitriangular,
+)
 
 KINDS = (
     "algebra",
@@ -344,187 +354,223 @@ def _validate(entry: CatalogEntry) -> None:
         raise CatalogError(f"no validator for kind {entry.kind!r}")
 
 
-@lru_cache(maxsize=1)
-def _catalog() -> dict:
-    entries: dict[str, CatalogEntry] = {}
+class _Declared(NamedTuple):
+    """A built-in entry before it is built: `build` takes the payloads of
+    `refs`, in their order."""
 
-    def add(name, kind, payload, note, **refs):
-        entry = CatalogEntry(name, kind, payload, note, dict(refs))
-        _validate(entry)
-        if name in entries:
-            raise CatalogError(f"duplicate catalog entry {name!r}")
-        entries[name] = entry
-        return payload
-
-    mat2 = add("mat2-rational", "algebra", matrix_unit_algebra(2),
-               "2x2 matrix units over the rationals")
-    add("mat3-rational", "algebra", matrix_unit_algebra(3),
-        "3x3 matrix units over the rationals")
-    kx = add("kx-mod-x2", "algebra", dual_numbers_algebra(),
-             "dual numbers: 1, x with x^2 = 0")
-
-    c2 = add("group-algebra-c2", "hopf", cyclic_group_algebra(2),
-             "group algebra of Z/2")
-    c3 = add("group-algebra-c3", "hopf", cyclic_group_algebra(3),
-             "group algebra of Z/3")
-    add("group-algebra-s3", "hopf", symmetric_group_algebra_s3(),
-        "group algebra of S_3, table generated from permutation composition")
-    add("dual-group-algebra-c2", "hopf", dual_c2_hopf(),
-        "functions on Z/2 with pointwise product")
-    add("sweedler-h4", "hopf", sweedler_h4(),
-        "4-dimensional host whose antipode is not involutive")
-
-    tp = add("weak-two-point", "weak-hopf", two_point_weak_hopf(),
-             "commutative weak host: two orthogonal idempotent group-likes")
-    pg = add("weak-pair-groupoid", "weak-hopf", pair_groupoid_weak_hopf(),
-             "groupoid algebra of the pair groupoid on two objects")
-
-    add("mat2-regular-module", "module", regular_action(mat2, "left"),
-        "mat2 acting on itself by left multiplication", algebra="mat2-rational")
-    add("mat2-regular-right-module", "module", regular_action(mat2, "right"),
-        "mat2 acting on itself by right multiplication", algebra="mat2-rational")
-    add("c2-regular-module", "module", regular_action(c2.algebra, "left"),
-        "Z/2 group algebra on itself, left", algebra="group-algebra-c2")
-    add("c3-regular-module", "module", regular_action(c3.algebra, "left"),
-        "Z/3 group algebra on itself, left", algebra="group-algebra-c3")
-    c2_right = add("c2-regular-right-module", "module", regular_action(c2.algebra, "right"),
-                   "Z/2 group algebra on itself, right", algebra="group-algebra-c2")
-    c3_right = add("c3-regular-right-module", "module", regular_action(c3.algebra, "right"),
-                   "Z/3 group algebra on itself, right", algebra="group-algebra-c3")
-    pg_right = add("pair-groupoid-regular-right-module", "module",
-                   regular_action(pg.algebra, "right"),
-                   "pair groupoid algebra on itself, right", algebra="weak-pair-groupoid")
-    add("kx-mod-x2-with-c2-action", "module", sign_action_on_dual_numbers(c2),
-        "Z/2 flipping the sign of x on the dual numbers", algebra="group-algebra-c2")
-    c2_triv = add("c2-trivial-module", "module", trivial_action(c2, 2, "left"),
-                  "Z/2 acting through the counit on a 2-dim space",
-                  algebra="group-algebra-c2")
-
-    c2_com = add("c2-regular-comodule", "comodule", regular_coaction(c2),
-                 "Z/2 group algebra coacting on itself", host="group-algebra-c2")
-    c3_com = add("c3-regular-comodule", "comodule", regular_coaction(c3),
-                 "Z/3 group algebra coacting on itself", host="group-algebra-c3")
-    pg_com = add("pair-groupoid-self-comodule", "comodule", regular_coaction(pg),
-                 "pair groupoid algebra coacting on itself", host="weak-pair-groupoid")
-
-    sigma = add("c2-bicharacter-sigma", "pairing", bicharacter_sigma_c2(c2),
-                "sign bicharacter on Z/2", host="group-algebra-c2")
-    add("c2-triangular-R", "rmatrix", triangular_rmatrix_c2(c2),
-        "the triangular structure on Z/2", host="group-algebra-c2")
-
-    add("c2-trivial-dimodule", "dimodule",
-        Dimodule(c2, c2_triv, c2_com, name="c2-trivial-dimodule"),
-        "trivial action with the regular coaction",
-        host="group-algebra-c2", module="c2-trivial-module",
-        comodule="c2-regular-comodule")
-    from .hopfrb import _pairing_dimodule  # shares the induced-action formula
-
-    long_dim = _pairing_dimodule(c2, sigma.sigma, "long")
-    add("c2-long-module", "module", long_dim.action,
-        "action induced by the sign bicharacter", algebra="group-algebra-c2")
-    add("c2-long-dimodule", "dimodule", long_dim,
-        "bicharacter-induced action with the regular coaction",
-        host="group-algebra-c2", module="c2-long-module",
-        comodule="c2-regular-comodule")
-
-    add("c2-regular-hopf-module", "hopf-module",
-        HopfModule(c2, c2_right, c2_com, name="c2-regular-hopf-module"),
-        "the regular Hopf module over Z/2",
-        host="group-algebra-c2", module="c2-regular-right-module",
-        comodule="c2-regular-comodule")
-    add("c3-regular-hopf-module", "hopf-module",
-        HopfModule(c3, c3_right, c3_com, name="c3-regular-hopf-module"),
-        "the regular Hopf module over Z/3",
-        host="group-algebra-c3", module="c3-regular-right-module",
-        comodule="c3-regular-comodule")
-
-    pg_wca = WeakComoduleAlgebra(pg, pg.algebra, pg_com, name="pair-groupoid-self")
-    add("pair-groupoid-doi-hopf", "doi-hopf",
-        DoiHopfModule(pg_wca, pg_right, pg_com, name="pair-groupoid-doi-hopf"),
-        "the pair groupoid algebra over itself with its own coaction",
-        host="weak-pair-groupoid", carrier="weak-pair-groupoid",
-        comodule="pair-groupoid-self-comodule",
-        module="pair-groupoid-regular-right-module")
-
-    f = c2.field
-    add("c2-delta-e", "functional", Functional(c2, vec(f, [1, 0])),
-        "indicator of the identity on Z/2", host="group-algebra-c2")
-    add("c2-delta-g", "functional", Functional(c2, vec(f, [0, 1])),
-        "indicator of the generator on Z/2", host="group-algebra-c2")
-    add("c2-epsilon", "functional", Functional(c2, vec(f, [1, 1])),
-        "the counit of the Z/2 group algebra", host="group-algebra-c2")
-    add("c2-two-delta-e", "functional", Functional(c2, vec(f, [2, 0])),
-        "a scaled, non-idempotent functional", host="group-algebra-c2")
-
-    return entries
+    kind: str
+    note: str
+    refs: dict
+    build: Callable
 
 
-def list_entries() -> tuple[tuple[str, str], ...]:
-    """(name, kind) pairs, sorted by name."""
-    return tuple(sorted((e.name, e.kind) for e in _catalog().values()))
+_DECLARED: dict[str, _Declared] = {}
+_BUILT: dict[str, CatalogEntry] = {}
+
+
+def _declare(name: str, kind: str, note: str, build: Callable, **refs) -> None:
+    if name in _DECLARED:
+        raise CatalogError(f"duplicate catalog entry {name!r}")
+    _DECLARED[name] = _Declared(kind, note, refs, build)
 
 
 def get(name: str) -> CatalogEntry:
+    """The built-in entry `name`, built and validated on first use together
+    with the entries it references, then kept; a failing entry is not kept."""
+    entry = _BUILT.get(name)
+    if entry is not None:
+        return entry
     try:
-        return _catalog()[name]
+        decl = _DECLARED[name]
     except KeyError:
         raise CatalogError(f"unknown catalog entry {name!r}") from None
-
-
-def get_kind(name: str, kind: str) -> CatalogEntry:
-    entry = get(name)
-    if entry.kind != kind:
-        raise CatalogError(f"entry {name!r} has kind {entry.kind!r}, expected {kind!r}")
+    payload = decl.build(*(get(ref).payload for ref in decl.refs.values()))
+    entry = CatalogEntry(name, decl.kind, payload, decl.note, dict(decl.refs))
+    _validate(entry)
+    _BUILT[name] = entry
     return entry
+
+
+def _catalog() -> dict:
+    """Every built-in entry, built and validated."""
+    return {name: get(name) for name in _DECLARED}
+
+
+def list_entries() -> tuple[tuple[str, str], ...]:
+    """(name, kind) pairs, sorted by name; nothing is built."""
+    return tuple(sorted((name, decl.kind) for name, decl in _DECLARED.items()))
+
+
+_declare("mat2-rational", "algebra", "2x2 matrix units over the rationals",
+         lambda: matrix_unit_algebra(2))
+_declare("mat3-rational", "algebra", "3x3 matrix units over the rationals",
+         lambda: matrix_unit_algebra(3))
+_declare("kx-mod-x2", "algebra", "dual numbers: 1, x with x^2 = 0", dual_numbers_algebra)
+
+_declare("group-algebra-c2", "hopf", "group algebra of Z/2", lambda: cyclic_group_algebra(2))
+_declare("group-algebra-c3", "hopf", "group algebra of Z/3", lambda: cyclic_group_algebra(3))
+_declare("group-algebra-s3", "hopf",
+         "group algebra of S_3, table generated from permutation composition",
+         symmetric_group_algebra_s3)
+_declare("dual-group-algebra-c2", "hopf", "functions on Z/2 with pointwise product",
+         dual_c2_hopf)
+_declare("sweedler-h4", "hopf", "4-dimensional host whose antipode is not involutive",
+         sweedler_h4)
+
+_declare("weak-two-point", "weak-hopf",
+         "commutative weak host: two orthogonal idempotent group-likes", two_point_weak_hopf)
+_declare("weak-pair-groupoid", "weak-hopf",
+         "groupoid algebra of the pair groupoid on two objects", pair_groupoid_weak_hopf)
+
+
+def _regular(side: str):
+    return lambda algebra: regular_action(algebra_of(algebra), side)
+
+
+_declare("mat2-regular-module", "module", "mat2 acting on itself by left multiplication",
+         _regular("left"), algebra="mat2-rational")
+_declare("mat2-regular-right-module", "module", "mat2 acting on itself by right multiplication",
+         _regular("right"), algebra="mat2-rational")
+_declare("c2-regular-module", "module", "Z/2 group algebra on itself, left",
+         _regular("left"), algebra="group-algebra-c2")
+_declare("c3-regular-module", "module", "Z/3 group algebra on itself, left",
+         _regular("left"), algebra="group-algebra-c3")
+_declare("c2-regular-right-module", "module", "Z/2 group algebra on itself, right",
+         _regular("right"), algebra="group-algebra-c2")
+_declare("c3-regular-right-module", "module", "Z/3 group algebra on itself, right",
+         _regular("right"), algebra="group-algebra-c3")
+_declare("pair-groupoid-regular-right-module", "module",
+         "pair groupoid algebra on itself, right",
+         _regular("right"), algebra="weak-pair-groupoid")
+_declare("kx-mod-x2-with-c2-action", "module", "Z/2 flipping the sign of x on the dual numbers",
+         sign_action_on_dual_numbers, algebra="group-algebra-c2")
+_declare("c2-trivial-module", "module", "Z/2 acting through the counit on a 2-dim space",
+         lambda algebra: trivial_action(algebra, 2, "left"), algebra="group-algebra-c2")
+
+_declare("c2-regular-comodule", "comodule", "Z/2 group algebra coacting on itself",
+         regular_coaction, host="group-algebra-c2")
+_declare("c3-regular-comodule", "comodule", "Z/3 group algebra coacting on itself",
+         regular_coaction, host="group-algebra-c3")
+_declare("pair-groupoid-self-comodule", "comodule", "pair groupoid algebra coacting on itself",
+         regular_coaction, host="weak-pair-groupoid")
+
+_declare("c2-bicharacter-sigma", "pairing", "sign bicharacter on Z/2",
+         bicharacter_sigma_c2, host="group-algebra-c2")
+_declare("c2-triangular-R", "rmatrix", "the triangular structure on Z/2",
+         triangular_rmatrix_c2, host="group-algebra-c2")
+
+def _composite(cls, name: str):
+    return lambda host, module, comodule: cls(host, module, comodule, name=name)
+
+
+_declare("c2-trivial-dimodule", "dimodule", "trivial action with the regular coaction",
+         _composite(Dimodule, "c2-trivial-dimodule"),
+         host="group-algebra-c2", module="c2-trivial-module", comodule="c2-regular-comodule")
+_declare("c2-long-module", "module", "action induced by the sign bicharacter",
+         lambda host: _pairing_dimodule(
+             host, get("c2-bicharacter-sigma").payload.sigma, "long").action,
+         algebra="group-algebra-c2")
+_declare("c2-long-dimodule", "dimodule", "bicharacter-induced action with the regular coaction",
+         _composite(Dimodule, "c2-long-dimodule"),
+         host="group-algebra-c2", module="c2-long-module", comodule="c2-regular-comodule")
+_declare("c2-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/2",
+         _composite(HopfModule, "c2-regular-hopf-module"),
+         host="group-algebra-c2", module="c2-regular-right-module",
+         comodule="c2-regular-comodule")
+_declare("c3-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/3",
+         _composite(HopfModule, "c3-regular-hopf-module"),
+         host="group-algebra-c3", module="c3-regular-right-module",
+         comodule="c3-regular-comodule")
+
+
+def _pair_groupoid_doi_hopf(host, carrier, comodule, module) -> DoiHopfModule:
+    wca = WeakComoduleAlgebra(host, algebra_of(carrier), comodule, name="pair-groupoid-self")
+    return DoiHopfModule(wca, module, comodule, name="pair-groupoid-doi-hopf")
+
+
+_declare("pair-groupoid-doi-hopf", "doi-hopf",
+         "the pair groupoid algebra over itself with its own coaction", _pair_groupoid_doi_hopf,
+         host="weak-pair-groupoid", carrier="weak-pair-groupoid",
+         comodule="pair-groupoid-self-comodule", module="pair-groupoid-regular-right-module")
+
+
+def _functional(*coords):
+    return lambda host: Functional(host, vec(host.field, coords))
+
+
+_declare("c2-delta-e", "functional", "indicator of the identity on Z/2",
+         _functional(1, 0), host="group-algebra-c2")
+_declare("c2-delta-g", "functional", "indicator of the generator on Z/2",
+         _functional(0, 1), host="group-algebra-c2")
+_declare("c2-epsilon", "functional", "the counit of the Z/2 group algebra",
+         _functional(1, 1), host="group-algebra-c2")
+_declare("c2-two-delta-e", "functional", "a scaled, non-idempotent functional",
+         _functional(2, 0), host="group-algebra-c2")
 
 
 # ---------------------------------------------------------------------------
 # named paired-module instances for the command line and the replay suite
 
 
-@lru_cache(maxsize=1)
-def instances() -> dict:
-    out: dict[str, RbpInstance] = {}
-    f = RATIONAL
-
+def _mat2_proj(name: str, side: str, module: str) -> RbpInstance:
     mat2 = get("mat2-rational").payload
-    left = get("mat2-regular-module").payload
+    e11 = (mat2.left_mult if side == "left" else mat2.right_mult)(mat2.basis(0))
+    return RbpInstance(mat2, get(module).payload, e11, e11, -RATIONAL.one, name=name)
+
+
+def _doubled_mat2() -> RbpInstance:
+    mat2 = get("mat2-rational").payload
     e11 = mat2.left_mult(mat2.basis(0))
-    inst = RbpInstance(mat2, left, e11, e11, -f.one, name="mat2-proj")
-    out["mat2-proj"] = inst
-
-    right = get("mat2-regular-right-module").payload
-    e11r = mat2.right_mult(mat2.basis(0))
-    out["mat2-right-proj"] = RbpInstance(mat2, right, e11r, e11r, -f.one, name="mat2-right-proj")
-
-    _, _, doubled = double_construction(mat2, e11, left, e11, -f.one)
+    _, _, doubled = double_construction(mat2, e11, get("mat2-regular-module").payload, e11,
+                                        -RATIONAL.one)
     doubled.name = "doubled-mat2"
-    out["doubled-mat2"] = doubled
+    return doubled
 
-    for label, hopf_name, module_name in (
-        ("c2-integral-proj", "group-algebra-c2", "c2-regular-module"),
-        ("c3-integral-proj", "group-algebra-c3", "c3-regular-module"),
-    ):
-        h = get(hopf_name).payload
-        module = get(module_name).payload
-        t = module.matrix(normalized_group_integral(h))
-        out[label] = RbpInstance(h.algebra, module, t, t, -f.one, name=label)
 
-    for inst in out.values():
-        if not check_rbp_module(inst).ok:
-            raise InternalError(f"built-in instance {inst.name} failed verification")
-    return out
+def _integral_proj(name: str, hopf_name: str, module_name: str) -> RbpInstance:
+    h = get(hopf_name).payload
+    module = get(module_name).payload
+    t = module.matrix(normalized_group_integral(h))
+    return RbpInstance(h.algebra, module, t, t, -RATIONAL.one, name=name)
+
+
+_INSTANCES = {
+    "mat2-proj": lambda: _mat2_proj("mat2-proj", "left", "mat2-regular-module"),
+    "mat2-right-proj": lambda: _mat2_proj("mat2-right-proj", "right",
+                                          "mat2-regular-right-module"),
+    "doubled-mat2": _doubled_mat2,
+    "c2-integral-proj": lambda: _integral_proj("c2-integral-proj", "group-algebra-c2",
+                                               "c2-regular-module"),
+    "c3-integral-proj": lambda: _integral_proj("c3-integral-proj", "group-algebra-c3",
+                                               "c3-regular-module"),
+}
+_VERIFIED: dict[str, RbpInstance] = {}
 
 
 def get_instance(name: str) -> RbpInstance:
+    """The named instance, built and verified by check_rbp_module on first
+    use, then kept."""
+    inst = _VERIFIED.get(name)
+    if inst is not None:
+        return inst
     try:
-        return instances()[name]
+        build = _INSTANCES[name]
     except KeyError:
         raise CatalogError(f"unknown instance {name!r}") from None
+    inst = build()
+    if not check_rbp_module(inst).ok:
+        raise InternalError(f"built-in instance {inst.name} failed verification")
+    _VERIFIED[name] = inst
+    return inst
+
+
+def instances() -> dict:
+    """Every named instance, built and verified."""
+    return {name: get_instance(name) for name in _INSTANCES}
 
 
 def list_instances() -> tuple[str, ...]:
-    return tuple(sorted(instances()))
+    return tuple(sorted(_INSTANCES))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,8 @@ def _emit(cfg: RunConfig, doc: dict) -> None:
 
 
 def cmd_list(cfg: RunConfig) -> int:
+    if cfg.kind is not None and cfg.kind not in KINDS:
+        raise UsageError(f"unknown kind {cfg.kind!r}; known: {', '.join(KINDS)}")
     for n, k in catalog.list_entries():
         if cfg.kind in (None, k):
             print(f"{n}  {k}")

@@ -76,10 +76,31 @@ def fuzz_seed() -> str:
     return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
 
 
-def _random_entries(n: int, seed: str, trial: int) -> list[int]:
-    """The n x n entries of trial `trial`'s random operator, row-major."""
-    rng = random.Random(f"{seed}:{trial}")
-    return [rng.choice((-2, -1, 0, 1, 2)) for _ in range(n * n)]
+# (seed, trial) -> the longest prefix of its stream drawn so far; emptied
+# before the draws stored since it was last emptied exceed _STREAM_CELLS
+_STREAMS: dict = {}
+_STREAM_CELLS = 1 << 16
+_stream_cells = 0
+
+
+def _random_entries(n: int, seed: str, trial: int) -> tuple[int, ...]:
+    """The n x n entries of trial `trial`'s random operator, row-major.
+
+    They are the first n^2 draws of the stream seeded by "<seed>:<trial>",
+    so every n reads a prefix of one stream.  A stream is seeded once per
+    process (again only when a longer prefix is asked for), and callers
+    share the tuple."""
+    global _stream_cells
+    key, cells = (seed, trial), n * n
+    draws = _STREAMS.get(key, ())
+    if len(draws) < cells:
+        if _stream_cells + cells > _STREAM_CELLS:
+            _STREAMS.clear()
+            _stream_cells = 0
+        _stream_cells += cells
+        rng = random.Random(f"{seed}:{trial}")
+        draws = _STREAMS[key] = tuple(rng.choice((-2, -1, 0, 1, 2)) for _ in range(cells))
+    return draws[:cells]
 
 
 def operator_of(field: FieldSpec, n: int, entries: Sequence) -> Mat:

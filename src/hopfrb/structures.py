@@ -14,7 +14,7 @@ The weak counital maps are written ``pi_L`` (target) and ``pi_R`` (source):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Union
 
 from .exactlin import (
@@ -173,11 +173,13 @@ class FinCoalgebra:
 
 class _Host:
     """The four host carriers' ``field``, ``dim``, ``labels`` and checks
-    made on construction; ``_role`` names the carrier in the unit check."""
+    made on construction; ``_role`` names the carrier in the unit check.
+    ``_reports`` keeps the axiom reports of this object (`_kept_on_host`)."""
 
     _role = "bialgebra"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_reports", {})
         alg, co = self.algebra, self.coalgebra
         if alg.field != co.field:
             raise StructureError(f"{self.name}: algebra/coalgebra fields differ")
@@ -371,6 +373,29 @@ def unit_comult_cells(b) -> tuple[tuple[int, int, Scalar], ...]:
 # axiom checkers
 
 
+def _kept_on_host(check):
+    """`check` with its report kept on the host object it was asked about.
+
+    A second call on the same object returns the first (frozen) report; an
+    equal but distinct host is checked again, since the key is the object
+    itself, never its value.  A checker that merges another one calls its
+    undecorated walk (``__wrapped__``), so a fresh host is always walked in
+    full."""
+    key = check.__name__
+
+    @wraps(check)
+    def kept(host) -> Report:
+        reports = getattr(host, "_reports", None)
+        if reports is None:
+            return check(host)
+        rep = reports.get(key)
+        if rep is None:
+            rep = reports[key] = check(host)
+        return rep
+
+    return kept
+
+
 def check_algebra(a: FinAlgebra) -> Report:
     ck = Checker("algebra", a.name)
     n = a.dim
@@ -412,6 +437,7 @@ def check_coalgebra(c: FinCoalgebra, instance: str = "") -> Report:
     return ck.report()
 
 
+@_kept_on_host
 def check_bialgebra(b: BialgebraLike) -> Report:
     alg, co = algebra_of(b), coalgebra_of(b)
     ck = Checker("bialgebra", name_of(b))
@@ -436,9 +462,10 @@ def tensor_unit(a: FinAlgebra) -> Vec:
     return tensor_vec(a.unit, a.unit)
 
 
+@_kept_on_host
 def check_hopf(h: HopfAlgebra) -> Report:
     ck = Checker("hopf", h.name)
-    ck.merge(check_bialgebra(h.bialgebra))
+    ck.merge(check_bialgebra.__wrapped__(h.bialgebra))
     alg, co, s = h.algebra, h.coalgebra, h.antipode
     n = alg.dim
     for i in range(n):
@@ -453,6 +480,7 @@ def check_hopf(h: HopfAlgebra) -> Report:
     return ck.report()
 
 
+@_kept_on_host
 def check_weak_bialgebra(w: WeakLike) -> Report:
     alg, co = algebra_of(w), coalgebra_of(w)
     ck = Checker("weak-bialgebra", name_of(w))
@@ -498,9 +526,10 @@ def check_weak_bialgebra(w: WeakLike) -> Report:
     return ck.report()
 
 
+@_kept_on_host
 def check_weak_hopf(w: WeakHopfAlgebra) -> Report:
     ck = Checker("weak-hopf", w.name)
-    ck.merge(check_weak_bialgebra(w.weak))
+    ck.merge(check_weak_bialgebra.__wrapped__(w.weak))
     alg, co, s = w.algebra, w.coalgebra, w.antipode
     pil, pir = target_source(w)
     n = alg.dim

@@ -3,10 +3,15 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import hopfrb
+from hopfrb import catalog
 from hopfrb.exactlin import FieldError, RATIONAL, mat, prime_field, vec
 from hopfrb.structures import (
     HopfAlgebra,
@@ -25,7 +30,6 @@ from hopfrb.catalog import (
     get,
     get_instance,
     groupoid_algebra,
-    get_kind,
     list_entries,
     list_instances,
     load_entry,
@@ -60,10 +64,55 @@ def test_unknown_entry_rejected():
         get("no-such-entry")
 
 
-def test_get_kind_enforces_kind():
-    assert get_kind("group-algebra-c2", "hopf").name == "group-algebra-c2"
-    with pytest.raises(CatalogError):
-        get_kind("group-algebra-c2", "algebra")
+# counts the entries _validate sees and the instances check_rbp_module
+# verifies while the statement after the first line runs, in a fresh process
+_COUNT_BUILDS = """
+import sys
+import hopfrb
+from hopfrb import catalog
+validated, verified = [], []
+validate, verify = catalog._validate, catalog.check_rbp_module
+catalog._validate = lambda entry: validated.append(entry.name) or validate(entry)
+catalog.check_rbp_module = lambda inst: verified.append(inst.name) or verify(inst)
+exec(sys.argv[1])
+print(sorted(validated), sorted(verified))
+"""
+
+
+@pytest.mark.parametrize("statement, validated, verified", [
+    ("catalog.list_entries(); catalog.list_instances()", [], []),
+    ('catalog.get("c2-regular-module")', ["c2-regular-module", "group-algebra-c2"], []),
+    ('catalog.get_instance("mat2-proj")', ["mat2-rational", "mat2-regular-module"],
+     ["mat2-proj"]),
+])
+def test_first_use_builds_only_what_it_touches(statement, validated, verified):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfrb.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, statement],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == f"{validated} {verified}"
+
+
+def test_failing_builtin_raises_and_is_not_kept(monkeypatch):
+    name = "mat3-rational"
+    decl = catalog._DECLARED[name]
+
+    def not_associative():
+        good = matrix_unit_algebra(2)
+        mult = [list(plane) for plane in good.mult]
+        mult[0][1] = good.basis(3)  # E11 E12 = E22 breaks (E11 E11) E12 = E11 (E11 E12)
+        return type(good)(good.field, good.dim, good.labels,
+                          tuple(tuple(plane) for plane in mult), good.unit, name)
+
+    monkeypatch.delitem(catalog._BUILT, name, raising=False)
+    monkeypatch.setitem(catalog._DECLARED, name, decl._replace(build=not_associative))
+    for _ in range(2):  # the failure is not kept: the second get builds again
+        with pytest.raises(CatalogError, match="fails algebra axioms"):
+            get(name)
+        assert name not in catalog._BUILT
+    monkeypatch.setitem(catalog._DECLARED, name, decl)
+    assert check_algebra(get(name).payload).ok
 
 
 def test_named_instances_verify():
@@ -255,7 +304,9 @@ def test_dim_cap_is_enforced_before_allocation(kind):
         obj = {"kind": "module", "name": "huge", "algebra": "mat2-rational", "dim": over}
     else:
         obj = {"kind": "comodule", "name": "huge", "host": "group-algebra-c2", "dim": over}
-    get("mat2-rational")  # build the catalog outside the measurement
+    # build the referenced entries outside the measurement
+    get("mat2-rational")
+    get("group-algebra-c2")
     tracemalloc.start()
     try:
         with pytest.raises(CatalogError, match="outside"):

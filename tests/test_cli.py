@@ -36,8 +36,17 @@ def test_list_kind_filter(capsys):
 
 
 def test_list_empty_filter_is_fine(capsys):
-    assert main(["list", "--kind", "frobnicator"]) == 0
+    # a known kind that no built-in entry has
+    assert main(["list", "--kind", "bialgebra"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_list_unknown_kind_is_bad_input(capsys):
+    assert main(["list", "--kind", "frobnicator"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown kind 'frobnicator'")
+    assert "weak-hopf" in captured.err
 
 
 # -- check exit codes ---------------------------------------------------------

@@ -40,7 +40,10 @@ from hopfrb.hopfrb import (
     smash_integral_T,
     weak_target_rbp,
 )
-from hopfrb.catalog import cyclic_group_algebra, get, normalized_group_integral
+from hopfrb import structures
+from hopfrb.catalog import (
+    cyclic_group_algebra, get, normalized_group_integral, two_point_weak_hopf,
+)
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
@@ -192,6 +195,27 @@ def test_target_map_rbp_for_both_weak_hosts():
         inst, rb_report = weak_target_rbp(w)
         assert rb_report.ok
         assert inst.verified == "pass"
+
+
+def test_weak_axiom_report_is_kept_on_the_host(monkeypatch):
+    walks = []
+
+    class Counting(structures.Checker):
+        def __init__(self, check, instance=""):
+            if check == "weak-bialgebra":
+                walks.append(instance)
+            super().__init__(check, instance)
+
+    monkeypatch.setattr(structures, "Checker", Counting)
+    w = two_point_weak_hopf()
+    weak_target_rbp(w)
+    weak_target_rbp(w)
+    assert walks == ["two-point"]
+    # equal but not the same object: walked again, never looked up by value
+    twin = two_point_weak_hopf()
+    assert twin == w and twin is not w
+    weak_target_rbp(twin)
+    assert walks == ["two-point", "two-point"]
 
 
 def test_adjoint_rbp_needs_quantum_commutativity():

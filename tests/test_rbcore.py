@@ -1,5 +1,7 @@
 """Rota-Baxter operators, paired modules, and their constructions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -489,6 +491,17 @@ def test_unverified_instances_are_rejected_by_constructions():
                       MINUS_ONE)
     with pytest.raises(PreconditionError):
         atkinson_witness(bad, mat2.basis(0), mat2.basis(0))
+
+
+def test_random_entries_are_prefixes_of_one_stream():
+    fresh = random.Random("prefix:3")
+    stream = [fresh.choice((-2, -1, 0, 1, 2)) for _ in range(25)]
+    small = rbcore._random_entries(2, "prefix", 3)
+    large = rbcore._random_entries(5, "prefix", 3)  # longer than the kept draws
+    again = rbcore._random_entries(3, "prefix", 3)  # a prefix of the kept draws
+    assert list(large) == stream
+    assert small == large[:4] and again == large[:9]
+    assert isinstance(large, tuple)
 
 
 def test_random_operator_is_seed_deterministic():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hopfrb import exactlin
+from hopfrb import exactlin, structures
 from hopfrb.exactlin import (
     RATIONAL,
     apply_mat,
@@ -182,6 +182,27 @@ def test_hopf_check_rejects_wrong_antipode():
     rep = check_hopf(wrong)
     assert not rep.ok
     assert any(v.axiom.startswith("antipode") for v in rep.violations)
+
+
+def test_report_is_kept_only_on_the_host_checked(monkeypatch):
+    walks = []
+
+    class Counting(structures.Checker):
+        def __init__(self, check, instance=""):
+            if check in ("bialgebra", "hopf"):
+                walks.append(check)
+            super().__init__(check, instance)
+
+    monkeypatch.setattr(structures, "Checker", Counting)
+    c3 = cyclic_group_algebra(3)
+    b = c3.bialgebra
+    assert check_bialgebra(b) is check_bialgebra(b)
+    assert walks == ["bialgebra"]
+    # a fresh host over the same bialgebra is walked in full, its
+    # bialgebra axioms included
+    for _ in range(2):
+        assert check_hopf(HopfAlgebra(c3.name, b, c3.antipode)).ok
+    assert walks == ["bialgebra"] + ["hopf", "bialgebra"] * 2
 
 
 # -- weak structures ----------------------------------------------------------
