@@ -269,20 +269,6 @@ def trivial_action(b: BialgebraLike, mdim: int, side: str = "left") -> ActionStr
     return ActionStructure(alg, mdim, side, act, name=f"{name_of(b)}-trivial")
 
 
-def trivial_coaction(b, mdim: int) -> CoactionStructure:
-    """rho(m) = m (x) 1 on an mdim-dimensional carrier."""
-    alg, co = algebra_of(b), coalgebra_of(b)
-    f = alg.field
-    ct = tuple(
-        tuple(
-            tuple(alg.unit[k] if i == j else f.zero for k in range(co.dim))
-            for j in range(mdim)
-        )
-        for i in range(mdim)
-    )
-    return CoactionStructure(co, mdim, ct, name=f"{name_of(b)}-trivial-coaction")
-
-
 def coaction_to_dual_action(
     com: CoactionStructure, dual: FinAlgebra | None = None
 ) -> ActionStructure:
@@ -364,26 +350,37 @@ def check_dimodule(d: Dimodule) -> Report:
     return ck.report()
 
 
+def _entwining_walk(ck: Checker, axiom: str, role: str, action: ActionStructure,
+                    com: CoactionStructure, cells: Cells3, halg: FinAlgebra) -> None:
+    """rho(m . a) = m_(0) . a_(0) (x) m_(1) a_(1) on every basis pair (a, m).
+
+    `action` is a right action and `com` a right coaction of the host whose
+    algebra is `halg`.  `cells[u]` holds the (a_(0), a_(1)) cells of e_u,
+    the u-th basis element of the acting algebra: its comultiplication for
+    a Hopf module, its coaction for a Doi-Hopf module.  A violation names
+    (role, u) and ("m", i)."""
+    n, hd = action.dim, halg.dim
+    for u in range(action.algebra.dim):
+        for i in range(n):
+            lhs = com.coact_vec(action.apply(action.algebra.basis(u), com.basis(i)))
+            rhs = [action.field.zero] * (n * hd)
+            for j, l, dd in plane_cells(com.co_nz[i]):
+                for b, q, d2 in plane_cells(cells[u]):
+                    c = dd * d2
+                    for p, mx in action.act_nz[b][j]:
+                        cm = c * mx
+                        for y, my in halg.mult_nz[l][q]:
+                            rhs[p * hd + y] += cm * my
+            ck.equal_vec(axiom, ((role, u), ("m", i)), lhs, tuple(rhs))
+
+
 def check_hopf_module(hm: HopfModule) -> Report:
     """Underlying axioms plus rho(m . h) = m_(0) . h_1 (x) m_(1) h_2."""
     ck = Checker("hopf-module", hm.name)
     ck.merge(check_action(hm.action))
     ck.merge(check_coaction(hm.coaction))
-    alg, co = algebra_of(hm.host), coalgebra_of(hm.host)
-    action, com = hm.action, hm.coaction
-    n, h = hm.dim, alg.dim
-    for u in range(h):
-        for i in range(n):
-            lhs = com.coact_vec(action.apply(alg.basis(u), com.basis(i)))
-            rhs = [action.field.zero] * (n * h)
-            for j, l, dd in plane_cells(com.co_nz[i]):
-                for a, bq, d2 in plane_cells(co.comult_nz[u]):
-                    c = dd * d2
-                    for p, mx in action.act_nz[a][j]:
-                        cm = c * mx
-                        for q, my in alg.mult_nz[l][bq]:
-                            rhs[p * h + q] += cm * my
-            ck.equal_vec("hopf-module-law", (("h", u), ("m", i)), lhs, tuple(rhs))
+    _entwining_walk(ck, "hopf-module-law", "h", hm.action, hm.coaction,
+                    coalgebra_of(hm.host).comult_nz, algebra_of(hm.host))
     return ck.report()
 
 
@@ -433,23 +430,8 @@ def check_doi_hopf(d: DoiHopfModule) -> Report:
     ck.merge(check_action(d.action))
     ck.merge(check_coaction(d.coaction))
     ck.merge(check_weak_comodule_algebra(d.comodule_algebra))
-    action, com = d.action, d.coaction
-    carrier = d.comodule_algebra.carrier
-    coa = d.comodule_algebra.coaction
-    halg = algebra_of(d.comodule_algebra.host)
-    n, ad, hd = d.dim, carrier.dim, halg.dim
-    for u in range(ad):
-        for i in range(n):
-            lhs = com.coact_vec(action.apply(carrier.basis(u), com.basis(i)))
-            rhs = [action.field.zero] * (n * hd)
-            for j, l, dd in plane_cells(com.co_nz[i]):
-                for b, q, d2 in plane_cells(coa.co_nz[u]):
-                    c = dd * d2
-                    for p, mx in action.act_nz[b][j]:
-                        cm = c * mx
-                        for y, my in halg.mult_nz[l][q]:
-                            rhs[p * hd + y] += cm * my
-            ck.equal_vec("doi-hopf-law", (("a", u), ("m", i)), lhs, tuple(rhs))
+    _entwining_walk(ck, "doi-hopf-law", "a", d.action, d.coaction,
+                    d.comodule_algebra.coaction.co_nz, algebra_of(d.comodule_algebra.host))
     return ck.report()
 
 
@@ -522,32 +504,6 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
         tuple(tuple(tuple(c) for c in row) for row in mult),
         tensor_vec(a.unit, halg.unit),
         name=f"{a.name}#{name_of(b)}",
-    )
-
-
-def endomorphism_module(m: ActionStructure) -> ActionStructure:
-    """Left module on End(M) induced by a right module M: (a . f)(x) = f(x . a).
-
-    Basis of End(M) is the matrix units in row-major order, E_{rs} at index
-    r * dim + s.
-    """
-    if m.side != "right":
-        raise StructureError("endomorphism module is induced by a right module")
-    a = m.algebra
-    n = m.dim
-    f = m.field
-    act = [[[f.zero] * (n * n) for _ in range(n * n)] for _ in range(a.dim)]
-    # a . E_rs = sum_j act[a][j][s] E_rj
-    for u in range(a.dim):
-        for r in range(n):
-            for j, s, c in plane_cells(m.act_nz[u]):
-                act[u][r * n + s][r * n + j] += c
-    return ActionStructure(
-        a,
-        n * n,
-        "left",
-        tuple(tuple(tuple(row) for row in plane) for plane in act),
-        name=f"end({m.name})",
     )
 
 

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from .exactlin import (
     FieldError,
     FieldSpec,
-    InternalError,
     RATIONAL,
     Vec,
     identity,
@@ -68,6 +67,7 @@ from .actions import (
     trivial_action,
 )
 from .rbcore import RbpInstance, check_rbp_module, double_construction
+from .report import _postcondition
 from .hopfrb import (
     PairingForm,
     RMatrix,
@@ -558,8 +558,8 @@ def get_instance(name: str) -> RbpInstance:
     except KeyError:
         raise CatalogError(f"unknown instance {name!r}") from None
     inst = build()
-    if not check_rbp_module(inst).ok:
-        raise InternalError(f"built-in instance {inst.name} failed verification")
+    _postcondition("built-in instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
     _VERIFIED[name] = inst
     return inst
 

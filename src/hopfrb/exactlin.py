@@ -412,19 +412,6 @@ def add_outer(acc: list, c: Scalar, u: Vec, v: Vec) -> None:
             acc[i * w + j] += cu * vj
 
 
-def tensor_mat(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; represents ``f (x) g`` on the lex tensor basis."""
-    if not a or not b:
-        return ()
-    br, bc = len(b), len(b[0])
-    ar, ac = len(a), len(a[0])
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(ac) for l in range(bc))
-        for i in range(ar)
-        for k in range(br)
-    )
-
-
 # ---------------------------------------------------------------------------
 # row reduction, kernels, solving
 

@@ -4,7 +4,8 @@ Every public operation here follows one discipline: hypotheses of the
 underlying statement are *preconditions* (PreconditionError when the caller's
 data fails them), while the statement's own conclusions are *postconditions*
 (InternalError when they fail, since that means the implementation, not the
-input, is wrong).  Every postcondition is decided exactly; nothing here is
+input, is wrong; `report._postcondition` names the structure, the clause and
+its first witness).  Every postcondition is decided exactly; nothing here is
 randomized.  Where the statement says an operator T is generic
 (pairs with every P), that is asserted through the exact criterion at
 weight -1: an idempotent T that commutes with the action pairs with every P.
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import (
-    InternalError,
     Mat,
     Scalar,
     Vec,
@@ -38,7 +38,7 @@ from .exactlin import (
     vec_scale,
     zeros_vec,
 )
-from .report import Checker, Report
+from .report import Checker, Report, _postcondition
 from .structures import (
     BialgebraLike,
     FinAlgebra,
@@ -99,12 +99,6 @@ class IntegralSpace:
     basis: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class CointegralSpace:
-    host: BialgebraLike
-    basis: tuple[Functional, ...]
-
-
 def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
     """Solution space of h x = eps(h) x (left) or x h = eps(h) x (right)."""
     if side not in ("left", "right"):
@@ -122,11 +116,14 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
                 row.append(val)
             rows.append(tuple(row))
     basis = kernel_basis(tuple(rows), alg.field, ncols=n)
-    for v in basis:
-        for i in range(n):
-            prod = alg.mul(alg.basis(i), v) if side == "left" else alg.mul(v, alg.basis(i))
-            if prod != tuple(co.counit[i] * x for x in v):
-                raise InternalError("integral space violates its defining equation")
+    left = side == "left"
+    _postcondition(
+        "every integral solves h x = eps(h) x" if left else "every integral solves x h = eps(h) x",
+        name_of(h),
+        tuple(tuple(alg.mul(alg.basis(i), v) if left else alg.mul(v, alg.basis(i))
+                    for i in range(n)) for v in basis),
+        tuple(tuple(tuple(co.counit[i] * x for x in v) for i in range(n)) for v in basis),
+    )
     return IntegralSpace(h, side, basis)
 
 
@@ -161,10 +158,8 @@ def integral_T(
     if m.algebra != alg or m.side != "left":
         raise PreconditionError("integral_T expects a left module over the host algebra")
     t = m.matrix(e)
-    if mat_mul(t, t) != t:
-        raise InternalError("integral operator is not idempotent")
-    if not check_a_linear(m, t).ok:
-        raise InternalError("integral operator is not linear over the host")
+    _postcondition("integral operator is idempotent", m.name, mat_mul(t, t), t)
+    _postcondition("integral operator is linear over the host", m.name, check_a_linear(m, t))
     rows = []
     for i in range(alg.dim):
         op = m.matrix(alg.basis(i))
@@ -176,41 +171,9 @@ def integral_T(
                 )
             )
     fixed = kernel_basis(tuple(rows), alg.field, ncols=m.dim)
-    if not span_eq(column_space_basis(t, alg.field), fixed, alg.field):
-        raise InternalError("image of the integral operator is not the fixed subspace")
+    _postcondition("image of the integral operator is the fixed subspace", m.name,
+                   span_eq(column_space_basis(t, alg.field), fixed, alg.field), True)
     return t
-
-
-def find_cointegrals(h: BialgebraLike) -> tuple[CointegralSpace, bool, Functional | None]:
-    """Solutions of f * lam = f(1) lam in the dual; the flag says whether
-    some solution has lam(1) != 0, and then a normalized one is returned."""
-    alg, co = algebra_of(h), coalgebra_of(h)
-    n = alg.dim
-    rows = []
-    for u in range(n):
-        for i in range(n):
-            row = []
-            for k in range(n):
-                val = co.comult[i][u][k]
-                if k == i:
-                    val = val - alg.unit[u]
-                row.append(val)
-            rows.append(tuple(row))
-    basis = kernel_basis(tuple(rows), alg.field, ncols=n)
-    funcs = tuple(Functional(h, v) for v in basis)
-    for f in funcs:
-        for u in range(n):
-            du = Functional(h, alg.basis(u))
-            want = tuple(alg.unit[u] * x for x in f.coords)
-            if convolution(du, f).coords != want:
-                raise InternalError("cointegral space violates its defining equation")
-    chi = None
-    for f in funcs:
-        at_one = f(alg.unit)
-        if not at_one.is_zero:
-            chi = Functional(h, tuple(x / at_one for x in f.coords))
-            break
-    return CointegralSpace(h, funcs), chi is not None, chi
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +237,10 @@ def smash_integral_T(
     deltas = [co.comult_vec(alg.basis(i)) for i in range(hd)]
     hact = tuple(tuple(split(d, j, q) for j, q in basis) for d in deltas)
     module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
-    if not check_action(module).ok:
-        raise InternalError("1#h multiplication is not a module action")
-    if mat_mul(t, t) != t:
-        raise InternalError("smash integral operator is not idempotent")
-    if not check_a_linear(module, t).ok:
-        raise InternalError("smash integral operator is not linear over 1#h")
+    _postcondition("1#h multiplication is a module action", module.name, check_action(module))
+    _postcondition("smash integral operator is idempotent", module.name, mat_mul(t, t), t)
+    _postcondition("smash integral operator is linear over 1#h", module.name,
+                   check_a_linear(module, t))
     return smash, module, t
 
 
@@ -310,10 +271,10 @@ def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructu
     """
     t = functional_operator(h, chi)
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
-    if not check_a_linear(module, t).ok:
-        raise InternalError("functional-induced operator is not dual-linear")
-    if (mat_mul(t, t) == t) != (convolution(chi, chi).coords == chi.coords):
-        raise InternalError("operator idempotency disagrees with convolution idempotency")
+    _postcondition("functional-induced operator is dual-linear", module.name,
+                   check_a_linear(module, t))
+    _postcondition("T is idempotent iff chi is a convolution idempotent", module.name,
+                   mat_mul(t, t) == t, convolution(chi, chi).coords == chi.coords)
     return t, module
 
 
@@ -337,8 +298,7 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     alg = algebra_of(w)
     f = alg.field
     pil, _ = target_source(w)
-    if mat_mul(pil, pil) != pil:
-        raise InternalError("target map is not idempotent on a valid weak bialgebra")
+    _postcondition("target map is idempotent", name_of(w), mat_mul(pil, pil), pil)
     sub = subalgebra_image(pil, alg)
     r = sub.algebra.dim
     n = alg.dim
@@ -349,23 +309,23 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     module = ActionStructure(
         sub.algebra, n, "left", tuple(act), name=f"{name_of(w)}-over-target"
     )
-    if not check_action(module).ok:
-        raise InternalError("multiplication by the target subalgebra is not a module action")
-    if not check_a_linear(module, pil).ok:
-        raise InternalError("target map is not linear over the target subalgebra")
+    _postcondition("multiplication by the target subalgebra is a module action", module.name,
+                   check_action(module))
+    _postcondition("target map is linear over the target subalgebra", module.name,
+                   check_a_linear(module, pil))
     # an idempotent fixes its image, so the restricted target map is the identity
-    if mat_mul(pil, sub.inclusion) != sub.inclusion:
-        raise InternalError("target map does not fix its own image")
+    _postcondition("target map fixes its own image", name_of(w),
+                   mat_mul(pil, sub.inclusion), sub.inclusion)
     p_sub = identity(f, r)
     lam = -f.one
     rb_report = check_rb_operator(sub.algebra, p_sub, lam, instance=f"{name_of(w)}-target")
-    if not rb_report.ok:
-        raise InternalError("restricted target map fails the operator identity")
+    _postcondition("restricted target map is a Rota-Baxter operator", rb_report.instance,
+                   rb_report)
     inst = RbpInstance(
         sub.algebra, module, p_sub, pil, lam, name=f"{name_of(w)}-target-instance"
     )
-    if not check_rbp_module(inst).ok:
-        raise InternalError("target instance failed the paired identity")
+    _postcondition("target instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
     return inst, rb_report
 
 
@@ -382,22 +342,20 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
             f"{witness.to_json() if witness else None}"
         )
     module = adjoint_action(w)
-    if not check_action(module).ok:
-        raise InternalError("adjoint action is not a module action on this host")
+    _postcondition("adjoint action is a module action", module.name, check_action(module))
     alg = algebra_of(w)
     pil, _ = target_source(w)
     lam = -alg.field.one
     inst = RbpInstance(alg, module, pil, pil, lam, name=f"{name_of(w)}-adjoint-instance")
-    if not check_rbp_module(inst).ok:
-        raise InternalError("adjoint instance failed the paired identity")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = apply_mat(pil, module.apply(alg.basis(i), alg.basis(j)))
-            rhs = apply_mat(pil, alg.mult[i][j])
-            if lhs != rhs:
-                raise InternalError(
-                    "target of the adjoint action differs from target of the product"
-                )
+    _postcondition("adjoint instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
+    n = alg.dim
+    _postcondition(
+        "target of the adjoint action is the target of the product", module.name,
+        tuple(tuple(apply_mat(pil, module.apply(alg.basis(i), alg.basis(j))) for j in range(n))
+              for i in range(n)),
+        tuple(tuple(apply_mat(pil, alg.mult[i][j]) for j in range(n)) for i in range(n)),
+    )
     return inst
 
 
@@ -405,13 +363,13 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
 # Hopf modules and dimodules
 
 
-def _coaction_projection(m, phis: Mat) -> Mat:
-    """Matrix of x |-> x_(0) . phis(x_(1)) on a module that is also a
-    comodule: E with phis = S for a Hopf module, phi S for a Doi-Hopf one."""
-    action, com = m.action, m.coaction
+def _coaction_projection(action: ActionStructure, com: CoactionStructure, phis: Mat) -> Mat:
+    """Matrix of x |-> x_(0) . phis(x_(1)) on a carrier with both an action
+    and a coaction: E with phis = S for a Hopf module, phi S for a Doi-Hopf
+    one, and E_A on a comodule algebra acting on itself from the right."""
     cols = []
-    for i in range(m.dim):
-        out = zeros_vec(action.algebra.field, m.dim)
+    for i in range(com.dim):
+        out = zeros_vec(action.algebra.field, com.dim)
         for j, k, d in plane_cells(com.co_nz[i]):
             out = vec_add(out, vec_scale(d, action.apply(column(phis, k), com.basis(j))))
         cols.append(out)
@@ -431,19 +389,18 @@ def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInsta
     if not rep.ok:
         raise PreconditionError(f"hopf-module axioms fail: {rep.to_json()}")
     alg, co = algebra_of(h), coalgebra_of(h)
-    e_m = _coaction_projection(m, h.antipode)
-    if mat_mul(e_m, e_m) != e_m:
-        raise InternalError("hopf-module projection is not idempotent")
+    e_m = _coaction_projection(m.action, m.coaction, h.antipode)
+    _postcondition("hopf-module projection is idempotent", m.name, mat_mul(e_m, e_m), e_m)
     strict = coinvariants(m.coaction, "strict", h)
-    if not span_leq(column_space_basis(e_m, alg.field), strict, alg.field):
-        raise InternalError("projection image leaves the coinvariants")
+    _postcondition("projection image lies in the coinvariants", m.name,
+                   span_leq(column_space_basis(e_m, alg.field), strict, alg.field), True)
     p = tuple(
         tuple(alg.unit[r] * co.counit[c] for c in range(alg.dim)) for r in range(alg.dim)
     )
     lam = -alg.field.one
     inst = RbpInstance(alg, m.action, p, e_m, lam, name=f"{m.name}-projection-instance")
-    if not check_rbp_module(inst).ok:
-        raise InternalError("projection instance failed the paired identity")
+    _postcondition("projection instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
     return e_m, inst
 
 
@@ -468,10 +425,11 @@ def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
             out[j] += dd * f.coords[k]
         cols.append(tuple(out))
     t = mat_from_cols(cols)
-    if not check_a_linear(d.action, t).ok:
-        raise InternalError("dimodule operator is not linear over the host")
-    if convolution(f, f).coords == f.coords and mat_mul(t, t) != t:
-        raise InternalError("convolution idempotent induced a non-idempotent operator")
+    _postcondition("dimodule operator is linear over the host", d.name,
+                   check_a_linear(d.action, t))
+    if convolution(f, f).coords == f.coords:
+        _postcondition("a convolution idempotent induces an idempotent operator", d.name,
+                       mat_mul(t, t), t)
     return t
 
 
@@ -591,8 +549,8 @@ def check_long_pairing(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dim
     if not rep.ok:
         return rep, None
     dim = _pairing_dimodule(h, sigma, "long")
-    if not check_dimodule(dim).ok:
-        raise InternalError("long pairing passed but its dimodule failed")
+    _postcondition("the dimodule of a long pairing satisfies its axioms", dim.name,
+                   check_dimodule(dim))
     return rep, dim
 
 
@@ -634,8 +592,8 @@ def check_braided(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dimodule
     if not rep.ok:
         return rep, None
     dim = _pairing_dimodule(h, sigma, "braided")
-    if not check_dimodule(dim).ok:
-        raise InternalError("braided pairing passed but its dimodule failed")
+    _postcondition("the dimodule of a braided pairing satisfies its axioms", dim.name,
+                   check_dimodule(dim))
     return rep, dim
 
 
@@ -695,8 +653,8 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
     dim = Dimodule(
         h, regular_action(alg, "left"), coaction, name=f"{name_of(h)}-rmatrix-dimodule"
     )
-    if not check_dimodule(dim).ok:
-        raise InternalError("R-matrix identities passed but the dimodule failed")
+    _postcondition("the dimodule of an R-matrix satisfies its axioms", dim.name,
+                   check_dimodule(dim))
     return rep, dim
 
 
@@ -741,34 +699,24 @@ def doi_hopf_projection(
     if not rep_d.ok:
         raise PreconditionError(f"doi-hopf axioms fail: {rep_d.to_json()}")
     phis = mat_mul(phi, w.antipode)
-    cols = []
-    for i in range(ad):
-        out = zeros_vec(carrier.field, ad)
-        for j, k, d in plane_cells(a.coaction.co_nz[i]):
-            out = vec_add(out, vec_scale(d, carrier.mul(carrier.basis(j), column(phis, k))))
-        cols.append(out)
-    e_a = mat_from_cols(cols)
-    if mat_mul(e_a, e_a) != e_a:
-        raise InternalError("comodule-algebra projection is not idempotent")
-    e_m = _coaction_projection(m, phis)
+    right_regular = regular_action(carrier, "right")
+    e_a = _coaction_projection(right_regular, a.coaction, phis)
+    _postcondition("comodule-algebra projection is idempotent", carrier.name,
+                   mat_mul(e_a, e_a), e_a)
+    e_m = _coaction_projection(m.action, m.coaction, phis)
     weak_co = coinvariants(m.coaction, "weak", w)
-    if not span_leq(column_space_basis(e_m, carrier.field), weak_co, carrier.field):
-        raise InternalError("projection image leaves the weak coinvariants")
+    _postcondition("projection image lies in the weak coinvariants", m.name,
+                   span_leq(column_space_basis(e_m, carrier.field), weak_co, carrier.field), True)
     lam = -carrier.field.one
     inst = RbpInstance(carrier, m.action, e_a, e_m, lam, name=f"{m.name}-doi-instance")
-    if not check_rbp_module(inst).ok:
-        raise InternalError("doi-hopf instance failed the paired identity")
-    slice_is_carrier = (
-        m.action.act == regular_action(carrier, "right").act
-        and m.coaction.co == a.coaction.co
-    )
-    if slice_is_carrier:
-        if e_m != e_a:
-            raise InternalError("carrier slice disagrees with the algebra projection")
-        if not check_rb_operator(carrier, e_a, lam).ok:
-            raise InternalError("carrier projection fails the operator identity")
+    _postcondition("doi-hopf instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
+    if m.action.act == right_regular.act and m.coaction.co == a.coaction.co:
+        _postcondition("carrier slice reproduces the algebra projection", m.name, e_m, e_a)
+        _postcondition("carrier projection is a Rota-Baxter operator", carrier.name,
+                       check_rb_operator(carrier, e_a, lam))
     if carrier.mult == halg.mult and carrier.unit == halg.unit and phi == identity(halg.field, hd):
         pil, _ = target_source(w)
-        if a.coaction.co == co.comult and e_a != pil:
-            raise InternalError("self-coaction projection differs from the target map")
+        if a.coaction.co == co.comult:
+            _postcondition("self-coaction projection is the target map", carrier.name, e_a, pil)
     return e_a, e_m, inst

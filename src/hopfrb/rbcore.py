@@ -50,9 +50,7 @@ from .exactlin import (
     column,
     column_space_basis,
     identity,
-    in_span,
     is_zero_mat,
-    kernel_basis,
     mat,
     mat_add,
     mat_mul,
@@ -64,7 +62,7 @@ from .exactlin import (
     vec_add,
     vec_scale,
 )
-from .report import Checker, Report, Violation
+from .report import Checker, Report, Violation, _postcondition
 from .structures import FinAlgebra, PreconditionError, StructureError, check_algebra
 from .actions import ActionStructure, check_action
 
@@ -208,26 +206,6 @@ def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
 def _commutators(m: ActionStructure, t: Mat) -> tuple[Mat, ...]:
     """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis element b."""
     return tuple(mat_sub(mat_mul(op, t), mat_mul(t, op)) for op in m.basis_ops)
-
-
-def commutant_subalgebra(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
-    """Basis of C_M = { a : T(a . m) = a . T(m) for all m }.
-
-    Multiplicative closure and (for unital A) membership of the unit are
-    postconditions of the theory; they are asserted, and a failure is a
-    package bug."""
-    a = m.algebra
-    f = a.field
-    comms = _commutators(m, t)
-    rows = tuple(
-        tuple(comm[r][c] for comm in comms) for r in range(m.dim) for c in range(m.dim)
-    )
-    basis = kernel_basis(rows, f, ncols=a.dim)
-    if not span_leq([a.mul(u, v) for u in basis for v in basis], basis, f):
-        raise InternalError("commutant basis is not multiplicatively closed")
-    if a.unital and not in_span(a.unit, basis, f):
-        raise InternalError("commutant does not contain the unit")
-    return basis
 
 
 def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
@@ -413,8 +391,8 @@ def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
     n = P(a) . m + a . T(m) + lam (a . m).
 
     Also asserts the tilde identity P~(a) . T~(m) = -T~(n).  Both are
-    postconditions for a verified instance of nonzero weight, so failures
-    raise InternalError.
+    postconditions for a verified instance of nonzero weight, so a failure
+    is a package bug (InternalError).
     """
     _require_verified(inst, "atkinson_witness")
     lam = inst.weight
@@ -425,13 +403,12 @@ def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
     tm = apply_mat(inst.t, m_vec)
     am = m.apply(a_vec, m_vec)
     n = vec_add(vec_add(m.apply(pa, m_vec), m.apply(a_vec, tm)), vec_scale(lam, am))
-    if m.apply(pa, tm) != apply_mat(inst.t, n):
-        raise InternalError("factorization identity failed on a verified instance")
+    _postcondition("factorization P(a) . T(m) = T(n)", inst.name,
+                   m.apply(pa, tm), apply_mat(inst.t, n))
     pt, tt = tilde_pair(inst.p, inst.t, lam)
-    lhs = m.apply(apply_mat(pt, a_vec), apply_mat(tt, m_vec))
-    rhs = vec_scale(-inst.field.one, apply_mat(tt, n))
-    if lhs != rhs:
-        raise InternalError("tilde factorization identity failed on a verified instance")
+    _postcondition("tilde factorization P~(a) . T~(m) = -T~(n)", inst.name,
+                   m.apply(apply_mat(pt, a_vec), apply_mat(tt, m_vec)),
+                   vec_scale(-inst.field.one, apply_mat(tt, n)))
     return n
 
 
@@ -502,8 +479,7 @@ def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
         first.weight,
         name="(+)".join(inst.name or "?" for inst in instances),
     )
-    if not check_rbp_module(out).ok:
-        raise InternalError("direct sum of verified instances failed verification")
+    _postcondition("direct sum satisfies the paired identity", out.name, check_rbp_module(out))
     return out
 
 
@@ -518,8 +494,8 @@ def scale_weight(inst: RbpInstance, mu: Scalar) -> RbpInstance:
         inst.weight * mu,
         name=f"{inst.name}*{mu}",
     )
-    if not check_rbp_module(out).ok:
-        raise InternalError("weight scaling failed verification")
+    _postcondition("scaled instance satisfies the paired identity", out.name,
+                   check_rbp_module(out))
     return out
 
 
@@ -554,9 +530,7 @@ def double_construction(
             plane.append(v)
         star_mult.append(tuple(plane))
     star = FinAlgebra(f, n, a.labels, tuple(star_mult), None, name=f"{a.name}-star")
-    rep = check_algebra(star)
-    if not rep.ok:
-        raise InternalError("star product of a verified pair is not associative")
+    _postcondition("star product is an algebra", star.name, check_algebra(star))
     tri_act = []
     for i in range(n):
         op = mat_add(
@@ -567,17 +541,13 @@ def double_construction(
         plane = tuple(tuple(op[k][j] for k in range(m.dim)) for j in range(m.dim))
         tri_act.append(plane)
     tri = ActionStructure(star, m.dim, m.side, tuple(tri_act), name=f"{m.name}-tri")
-    rep = check_action(tri)
-    if not rep.ok:
-        raise InternalError("induced action of the star algebra is not associative")
-    for i in range(n):
-        lhs = mat_mul(t, tri.matrix(a.basis(i)))
-        rhs = mat_mul(m.matrix(column(p, i)), t)
-        if lhs != rhs:
-            raise InternalError("intertwining identity failed for the induced action")
+    _postcondition("induced action is a module action", tri.name, check_action(tri))
+    _postcondition("intertwining T(a |> m) = P(a) . T(m)", tri.name,
+                   tuple(mat_mul(t, tri.matrix(a.basis(i))) for i in range(n)),
+                   tuple(mat_mul(m.matrix(column(p, i)), t) for i in range(n)))
     inst = RbpInstance(star, tri, p, t, lam, name=f"{m.name}-double")
-    if not check_rbp_module(inst).ok:
-        raise InternalError("doubled instance failed the paired identity")
+    _postcondition("doubled instance satisfies the paired identity", inst.name,
+                   check_rbp_module(inst))
     return star, tri, inst
 
 

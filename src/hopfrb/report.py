@@ -9,9 +9,9 @@ strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .exactlin import Vec, is_zero_vec
+from .exactlin import InternalError, Vec, is_zero_vec
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,37 @@ class Violation:
         if self.delta is not None:
             out["delta"] = [str(s) for s in self.delta]
         return out
+
+
+def _first_cell(got, want, at: tuple = ()) -> tuple:
+    """(index path, got value, want value) at the first cell where two
+    nestings of tuples differ."""
+    if isinstance(got, tuple) and isinstance(want, tuple):
+        for i, (x, y) in enumerate(zip(got, want)):
+            if x != y:
+                return _first_cell(x, y, (*at, i))
+    return at, got, want
+
+
+def _postcondition(clause: str, structure: str, got, want=None) -> None:
+    """Assert that `clause` holds of `structure`; a failure is a package bug.
+
+    `got` is a Report, which must pass, or one side of an equality whose
+    other side is `want`: vectors, matrices, tuples of them, or plain
+    values.  The passing path makes only that comparison.  On failure the
+    InternalError names the structure, the clause and the first witness:
+    the Report's first Violation, or the first differing cell and both of
+    its values."""
+    if isinstance(got, Report):
+        if got.ok:
+            return
+        witness = got.violations[0].to_json() if got.violations else got.to_json()
+    elif got == want:
+        return
+    else:
+        at, x, y = _first_cell(got, want)
+        witness = f"cell {at}: got {x}, want {y}"
+    raise InternalError(f"{structure}: {clause} fails; first witness {witness}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .exactlin import (
     Cells3,
     DimensionError,
     FieldSpec,
-    InternalError,
     Mat,
     Scalar,
     Tensor3,
@@ -42,7 +41,7 @@ from .exactlin import (
     vec_scale,
     zeros_vec,
 )
-from .report import Checker, Report, Violation
+from .report import Checker, Report, Violation, _postcondition
 
 
 class StructureError(Exception):
@@ -59,7 +58,9 @@ class PreconditionError(Exception):
 
 @dataclass(frozen=True)
 class FinAlgebra:
-    """Associative algebra by structure constants; ``unit=None`` means nonunital."""
+    """Associative algebra by structure constants; ``unit=None`` means nonunital.
+
+    ``_reports`` keeps this object's `check_algebra` report (`_kept_on_host`)."""
 
     field: FieldSpec
     dim: int
@@ -69,6 +70,7 @@ class FinAlgebra:
     name: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_reports", {})
         if len(self.labels) != self.dim:
             raise DimensionError(f"{self.name}: {len(self.labels)} labels for dim {self.dim}")
         if len(self.mult) != self.dim or any(
@@ -374,7 +376,8 @@ def unit_comult_cells(b) -> tuple[tuple[int, int, Scalar], ...]:
 
 
 def _kept_on_host(check):
-    """`check` with its report kept on the host object it was asked about.
+    """`check` with its report kept on the object it was asked about: a
+    host, or for `check_algebra` an algebra.
 
     A second call on the same object returns the first (frozen) report; an
     equal but distinct host is checked again, since the key is the object
@@ -385,9 +388,7 @@ def _kept_on_host(check):
 
     @wraps(check)
     def kept(host) -> Report:
-        reports = getattr(host, "_reports", None)
-        if reports is None:
-            return check(host)
+        reports = host._reports
         rep = reports.get(key)
         if rep is None:
             rep = reports[key] = check(host)
@@ -396,6 +397,7 @@ def _kept_on_host(check):
     return kept
 
 
+@_kept_on_host
 def check_algebra(a: FinAlgebra) -> Report:
     ck = Checker("algebra", a.name)
     n = a.dim
@@ -441,7 +443,7 @@ def check_coalgebra(c: FinCoalgebra, instance: str = "") -> Report:
 def check_bialgebra(b: BialgebraLike) -> Report:
     alg, co = algebra_of(b), coalgebra_of(b)
     ck = Checker("bialgebra", name_of(b))
-    ck.merge(check_algebra(alg))
+    ck.merge(check_algebra.__wrapped__(alg))
     ck.merge(check_coalgebra(co))
     n = alg.dim
     for i in range(n):
@@ -484,7 +486,7 @@ def check_hopf(h: HopfAlgebra) -> Report:
 def check_weak_bialgebra(w: WeakLike) -> Report:
     alg, co = algebra_of(w), coalgebra_of(w)
     ck = Checker("weak-bialgebra", name_of(w))
-    ck.merge(check_algebra(alg))
+    ck.merge(check_algebra.__wrapped__(alg))
     ck.merge(check_coalgebra(co))
     n = alg.dim
     for i in range(n):
@@ -826,11 +828,8 @@ def check_quantum_commutative(w: WeakLike) -> bool:
     by_identity = quantum_commutative_witness(w) is None
     central = all(alg.mul(z, alg.basis(i)) == alg.mul(alg.basis(i), z)
                   for z in column_space_basis(pir, alg.field) for i in range(alg.dim))
-    if by_identity != central:
-        raise InternalError(
-            f"{name_of(w)}: quantum-commutativity criteria disagree "
-            f"(identity={by_identity}, centre={central})"
-        )
+    _postcondition("identity and centre criteria of quantum commutativity agree", name_of(w),
+                   by_identity, central)
     return by_identity
 
 

@@ -20,12 +20,10 @@ from hopfrb.actions import (
     check_weak_comodule_algebra,
     coaction_to_dual_action,
     coinvariants,
-    endomorphism_module,
     regular_action,
     regular_coaction,
     smash_product,
     trivial_action,
-    trivial_coaction,
 )
 from hopfrb.catalog import get
 
@@ -72,16 +70,6 @@ def test_trivial_action_is_counit_scaling():
     assert act.apply(g, m) == m  # eps(g) = 1
 
 
-def test_endomorphism_module_of_regular():
-    mat2 = get("mat2-rational").payload
-    end = endomorphism_module(regular_action(mat2, "right"))
-    assert end.side == "left"
-    assert end.dim == 16
-    assert check_action(end).ok
-    with pytest.raises(StructureError):
-        endomorphism_module(regular_action(mat2, "left"))
-
-
 # -- coactions ----------------------------------------------------------------
 
 
@@ -89,11 +77,6 @@ def test_regular_coaction_passes():
     for name in ("group-algebra-c2", "sweedler-h4", "weak-pair-groupoid"):
         com = regular_coaction(get(name).payload)
         assert check_coaction(com).ok
-
-
-def test_trivial_coaction_passes():
-    c2 = get("group-algebra-c2").payload
-    assert check_coaction(trivial_coaction(c2, 3)).ok
 
 
 def test_broken_coaction_witnessed():
@@ -171,7 +154,8 @@ def test_dimodule_counts_every_violation_of_its_action():
     scale = (Q.one, Q.of(2), Q.of(2))
     bad = ActionStructure(c3.algebra, 1, "left", tuple(((c,),) for c in scale))
     assert check_action(bad).violation_count == 4
-    rep = check_dimodule(Dimodule(c3, bad, trivial_coaction(c3, 1)))
+    trivial = CoactionStructure(c3.coalgebra, 1, ((c3.algebra.unit,),))  # rho(m) = m (x) 1
+    rep = check_dimodule(Dimodule(c3, bad, trivial))
     assert rep.violations[0].axiom == "action-assoc"
     assert rep.violation_count == 4
 
@@ -186,9 +170,12 @@ def test_doi_hopf_verifies_and_rejects():
     assert check_doi_hopf(doi).ok
     assert check_weak_comodule_algebra(doi.comodule_algebra).ok
     w = get("weak-pair-groupoid").payload
-    # trivial coaction is not multiplicative against the groupoid comult
+    # a coaction on a carrier of another dimension is refused
+    trivial = CoactionStructure(w.coalgebra, 3, tuple(
+        tuple(w.algebra.unit if i == j else (Q.zero,) * w.dim for j in range(3))
+        for i in range(3)))
     with pytest.raises(StructureError):
-        WeakComoduleAlgebra(w, w.algebra, trivial_coaction(w, 3))
+        WeakComoduleAlgebra(w, w.algebra, trivial)
 
 
 # -- module algebras and smash products ---------------------------------------

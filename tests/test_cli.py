@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopfrb
-from hopfrb import __version__
+from hopfrb import __version__, catalog, structures
 from hopfrb.cli import _ENTRY_CHECKS, main
 from hopfrb.exactlin import RATIONAL
 from hopfrb.catalog import MAX_DIM, dump, get, list_entries
@@ -100,6 +100,21 @@ def test_check_generic_verdict_drives_exit():
             "--trials", "20"]
     assert main(base + ["--op", "scalar:0"]) == 0
     assert main(base + ["--op", "scalar:2"]) == 1
+
+
+def test_check_algebra_walks_the_entry_once(monkeypatch):
+    walks = []
+
+    class Counting(structures.Checker):
+        def __init__(self, check, instance=""):
+            walks.append(check)
+            super().__init__(check, instance)
+
+    monkeypatch.setattr(structures, "Checker", Counting)
+    # a fresh entry, so validating it is part of the command
+    monkeypatch.delitem(catalog._BUILT, "mat3-rational", raising=False)
+    assert main(["check", "algebra", "--entry", "mat3-rational"]) == 0
+    assert walks == ["algebra"]
 
 
 def test_check_structure_file(tmp_path, capsys):

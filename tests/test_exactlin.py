@@ -24,7 +24,6 @@ from hopfrb.exactlin import (
     rref,
     solve_linear,
     span_eq,
-    tensor_mat,
     tensor_vec,
     vec,
 )
@@ -340,23 +339,3 @@ def test_tensor_vec_basis_pairs():
     # lex pair order: e0 (x) e0, e0 (x) e1, e1 (x) e0, e1 (x) e1
     assert tensor_vec(u, v) == qv([0, 1, 0, 0])
     assert tensor_vec(v, u) == qv([0, 0, 1, 0])
-
-
-def test_tensor_mat_acts_factorwise():
-    a = q([[1, 2], [3, 4]])
-    b = q([[0, 1], [1, 0]])
-    u = qv([1, 2])
-    v = qv([3, 4])
-    lhs = apply_mat(tensor_mat(a, b), tensor_vec(u, v))
-    rhs = tensor_vec(apply_mat(a, u), apply_mat(b, v))
-    assert lhs == rhs
-
-
-def test_tensor_mat_multiplicative():
-    a = q([[1, 1], [0, 1]])
-    b = q([[2, 0], [1, 1]])
-    c = q([[0, 1], [1, 1]])
-    d = q([[1, 2], [3, 4]])
-    assert mat_mul(tensor_mat(a, b), tensor_mat(c, d)) == tensor_mat(
-        mat_mul(a, c), mat_mul(b, d)
-    )

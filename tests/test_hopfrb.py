@@ -4,7 +4,8 @@ projections onto coinvariants."""
 import pytest
 
 from hopfrb.exactlin import (
-    RATIONAL, apply_mat, identity, mat, mat_mul, prime_field, vec, zeros_vec,
+    RATIONAL, InternalError, apply_mat, identity, mat, mat_mul, mat_scale, prime_field, vec,
+    zeros_vec,
 )
 from hopfrb.structures import (
     Functional,
@@ -21,7 +22,9 @@ from hopfrb.actions import (
     regular_action,
     regular_coaction,
 )
-from hopfrb.rbcore import check_rb_operator, check_rbp_module, classify_generic, random_operator
+from hopfrb.rbcore import (
+    check_a_linear, check_rb_operator, check_rbp_module, classify_generic, random_operator,
+)
 from hopfrb.hopfrb import (
     PairingForm,
     RMatrix,
@@ -33,14 +36,13 @@ from hopfrb.hopfrb import (
     dimodule_T,
     doi_hopf_projection,
     dual_action_T,
-    find_cointegrals,
     find_integrals,
     hopf_module_projection,
     integral_T,
     smash_integral_T,
     weak_target_rbp,
 )
-from hopfrb import structures
+from hopfrb import hopfrb, structures
 from hopfrb.catalog import (
     cyclic_group_algebra, get, normalized_group_integral, two_point_weak_hopf,
 )
@@ -104,20 +106,6 @@ def test_integral_T_rejects_non_integral():
     module = get("c2-regular-module").payload
     with pytest.raises(PreconditionError):
         integral_T(c2, module, vec(Q, [1, 0]))
-
-
-def test_cointegrals_of_group_algebra():
-    c2 = _c2()
-    space, normalizable, chi = find_cointegrals(c2)
-    assert len(space.basis) == 1
-    assert normalizable and chi is not None
-    # the cointegral is the delta function at the identity element
-    assert chi.coords == vec(Q, [1, 0])
-    # defining property: f * chi = f(1) chi for every functional
-    for coords in ([1, 0], [0, 1], [3, -2]):
-        f = Functional(c2, vec(Q, coords))
-        prod = convolution(f, chi)
-        assert prod.coords == tuple(f.coords[0] * c for c in chi.coords)
 
 
 def test_adjoint_action_of_commutative_host_is_trivial_on_itself():
@@ -248,6 +236,31 @@ def test_hopf_module_dual_classification_is_returned_raw():
     assert verdict.a_linear is False
     assert verdict.generic is None
     assert verdict.failures > 0
+
+
+def test_failed_report_postcondition_names_clause_structure_and_violation(monkeypatch):
+    module = get("c2-regular-module").payload
+    not_linear = mat(Q, [[1, 0], [0, 0]])
+    # integral_T's T is linear; report the A-linearity of a T that is not
+    monkeypatch.setattr(hopfrb, "check_a_linear", lambda m, t: check_a_linear(m, not_linear))
+    with pytest.raises(InternalError) as err:
+        integral_T(_c2(), module, normalized_group_integral(_c2()))
+    assert str(err.value) == (
+        "c2-regular-left: integral operator is linear over the host fails; first witness "
+        "{'axiom': 'commutes-with-action', 'b': 1, 'm': 0, 'delta': ['0', '1']}")
+
+
+def test_failed_equality_postcondition_names_clause_structure_and_cell(monkeypatch):
+    m = get("c2-regular-hopf-module").payload
+    real = hopfrb._coaction_projection
+    # twice the projection E = [[1, 1], [0, 0]] squares to 4 E, not 2 E
+    monkeypatch.setattr(hopfrb, "_coaction_projection",
+                        lambda *args: mat_scale(Q.of(2), real(*args)))
+    with pytest.raises(InternalError) as err:
+        hopf_module_projection(_c2(), m)
+    assert str(err.value) == (
+        f"{m.name}: hopf-module projection is idempotent fails; "
+        "first witness cell (0, 0): got 4, want 2")
 
 
 # -- pairings and R-matrices --------------------------------------------------

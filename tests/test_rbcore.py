@@ -31,7 +31,6 @@ from hopfrb.rbcore import (
     check_rb_operator,
     check_rbp_module,
     classify_generic,
-    commutant_subalgebra,
     direct_sum,
     double_construction,
     idempotent_identities,
@@ -319,16 +318,6 @@ def test_disagreement_names_module_seed_trial_and_basis_element(monkeypatch):
         classify_generic(module, t, MINUS_ONE, trials=3, seed="s")
 
 
-def test_commutant_of_matrix_action():
-    mat2 = _mat2()
-    left = regular_action(mat2, "left")
-    # [L_e11, L_a] = 0 iff a commutes with e11: the diagonal subalgebra
-    cm = commutant_subalgebra(left, mat2.left_mult(mat2.basis(0)))
-    assert len(cm) == 2
-    cm_full = commutant_subalgebra(left, identity(Q, 4))
-    assert len(cm_full) == 4
-
-
 def test_a_linearity_names_first_commutator_witness():
     module = get("c2-regular-module").payload
     t = mat(Q, [[1, 0], [0, 0]])
@@ -337,7 +326,6 @@ def test_a_linearity_names_first_commutator_witness():
     # [act(g), T] 1 = g . T(1) - T(g . 1) = g - 0 = g
     assert rep.violations[0].to_json() == {
         "axiom": "commutes-with-action", "b": 1, "m": 0, "delta": ["0", "1"]}
-    assert len(commutant_subalgebra(module, t)) < 2
     integral = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
     assert check_a_linear(module, integral).ok
 

@@ -189,7 +189,7 @@ def test_report_is_kept_only_on_the_host_checked(monkeypatch):
 
     class Counting(structures.Checker):
         def __init__(self, check, instance=""):
-            if check in ("bialgebra", "hopf"):
+            if check in ("algebra", "bialgebra", "hopf"):
                 walks.append(check)
             super().__init__(check, instance)
 
@@ -197,12 +197,16 @@ def test_report_is_kept_only_on_the_host_checked(monkeypatch):
     c3 = cyclic_group_algebra(3)
     b = c3.bialgebra
     assert check_bialgebra(b) is check_bialgebra(b)
-    assert walks == ["bialgebra"]
+    assert walks == ["bialgebra", "algebra"]
     # a fresh host over the same bialgebra is walked in full, its
-    # bialgebra axioms included
+    # bialgebra and algebra axioms included
     for _ in range(2):
         assert check_hopf(HopfAlgebra(c3.name, b, c3.antipode)).ok
-    assert walks == ["bialgebra"] + ["hopf", "bialgebra"] * 2
+    assert walks == ["bialgebra", "algebra"] + ["hopf", "bialgebra", "algebra"] * 2
+    walks.clear()
+    # the nested walks kept nothing on the algebra; a direct check keeps its report
+    assert check_algebra(b.algebra) is check_algebra(b.algebra)
+    assert walks == ["algebra"]
 
 
 # -- weak structures ----------------------------------------------------------
