@@ -16,24 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .exactlin import (
-    Cells3,
     DimensionError,
     Mat,
+    RawTensor,
     Tensor3,
     Vec,
-    add_outer,
-    column,
+    blocks,
+    contract,
     identity,
     kernel_basis,
     mat_mul,
-    nonzero,
-    nonzero_cells,
-    plane_cells,
+    scalar_vec,
     tensor_vec,
     unit_vec,
-    zeros_vec,
 )
 from .report import Checker, Report
 from .structures import (
@@ -77,9 +75,9 @@ class ActionStructure:
         return unit_vec(self.field, self.dim, j)
 
     @cached_property
-    def act_nz(self) -> Cells3:
-        """Nonzero cells of act, built on first use: act_nz[i][j] lists (k, c)."""
-        return nonzero_cells(self.act)
+    def raw(self) -> RawTensor:
+        """Raw sparse view of act, built on first use: raw.rows[i][j] lists (k, c)."""
+        return RawTensor(self.field, self.act, (self.algebra.dim, self.dim, self.dim))
 
     @cached_property
     def basis_ops(self) -> tuple[Mat, ...]:
@@ -88,22 +86,26 @@ class ActionStructure:
 
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""
-        out = [[self.field.zero] * self.dim for _ in range(self.dim)]
-        for i, ri in nonzero(r):
-            for j, k, a in plane_cells(self.act_nz[i]):
-                out[k][j] += ri * a
-        return tuple(tuple(row) for row in out)
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, s in enumerate(r):
+            if s.value:
+                for j, row in enumerate(self.raw.rows[i]):
+                    for k, a in row:
+                        acc[k][j] += s.value * a
+        return tuple(scalar_vec(self.field, row) for row in acc)
 
     def apply(self, r: Vec, m: Vec) -> Vec:
-        out = [self.field.zero] * self.dim
-        ms = nonzero(m)
-        for i, ri in nonzero(r):
-            cells = self.act_nz[i]
-            for j, mj in ms:
-                c = ri * mj
-                for k, a in cells[j]:
-                    out[k] += c * a
-        return tuple(out)
+        rows = self.raw.rows
+        acc = [0] * self.dim
+        ms = [(j, s.value) for j, s in enumerate(m) if s.value]
+        for i, s in enumerate(r):
+            if s.value:
+                cells = rows[i]
+                for j, mj in ms:
+                    c = s.value * mj
+                    for k, a in cells[j]:
+                        acc[k] += c * a
+        return scalar_vec(self.field, acc)
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,20 @@ class CoactionStructure:
         return unit_vec(self.field, self.dim, j)
 
     @cached_property
-    def co_nz(self) -> Cells3:
-        """Nonzero cells of co, built on first use: co_nz[i][j] lists (k, c)."""
-        return nonzero_cells(self.co)
+    def raw(self) -> RawTensor:
+        """Raw sparse view of co, built on first use: raw.rows[i][j] lists (k, c)."""
+        return RawTensor(self.field, self.co, (self.dim, self.dim, self.coalgebra.dim))
 
     def coact_vec(self, m: Vec) -> Vec:
         """rho(m) on the (module, coalgebra) lex pair basis."""
         h = self.coalgebra.dim
-        out = [self.field.zero] * (self.dim * h)
-        for i, mi in nonzero(m):
-            for j, k, c in plane_cells(self.co_nz[i]):
-                out[j * h + k] += mi * c
-        return tuple(out)
+        acc = [0] * (self.dim * h)
+        for i, s in enumerate(m):
+            if s.value:
+                for j, row in enumerate(self.raw.rows[i]):
+                    for k, c in row:
+                        acc[j * h + k] += s.value * c
+        return scalar_vec(self.field, acc)
 
 
 @dataclass(frozen=True)
@@ -314,20 +318,14 @@ def check_action(action: ActionStructure) -> Report:
 def check_coaction(com: CoactionStructure) -> Report:
     ck = Checker("coaction", com.name)
     c = com.coalgebra
-    n, h = com.dim, c.dim
+    n = com.dim
+    # (rho (x) id) rho = (id (x) Delta) rho
+    lhs = blocks(contract("ijk,jla->ilak", com, com), n)
+    rhs = blocks(contract("ijk,kab->ijab", com, c), n)
+    counit = blocks(contract("ijk,k->ij", com, c.counit), n)
     for i in range(n):
-        # (rho (x) id) rho = (id (x) Delta) rho
-        lhs = [com.field.zero] * (n * h * h)
-        rhs = [com.field.zero] * (n * h * h)
-        out = [com.field.zero] * n
-        for j, k, d in plane_cells(com.co_nz[i]):
-            for l, a, d2 in plane_cells(com.co_nz[j]):
-                lhs[(l * h + a) * h + k] += d * d2
-            for a, b, d2 in plane_cells(c.comult_nz[k]):
-                rhs[(j * h + a) * h + b] += d * d2
-            out[j] += d * c.counit[k]
-        ck.equal_vec("coaction-coassoc", (("i", i),), tuple(lhs), tuple(rhs))
-        ck.equal_vec("coaction-counit", (("i", i),), tuple(out), com.basis(i))
+        ck.equal_vec("coaction-coassoc", (("i", i),), lhs[i], rhs[i])
+        ck.equal_vec("coaction-counit", (("i", i),), counit[i], com.basis(i))
     return ck.report()
 
 
@@ -336,42 +334,29 @@ def check_dimodule(d: Dimodule) -> Report:
     ck = Checker("dimodule", d.name)
     ck.merge(check_action(d.action))
     ck.merge(check_coaction(d.coaction))
-    alg = algebra_of(d.host)
     action, com = d.action, d.coaction
-    n, h = d.dim, alg.dim
-    for u in range(h):
-        for i in range(n):
-            lhs = com.coact_vec(action.apply(alg.basis(u), com.basis(i)))
-            rhs = [action.field.zero] * (n * h)
-            for j, l, dd in plane_cells(com.co_nz[i]):
-                for p, mx in action.act_nz[u][j]:
-                    rhs[p * h + l] += dd * mx
-            ck.equal_vec("dimodule-law", (("h", u), ("m", i)), lhs, tuple(rhs))
+    h = action.algebra.dim
+    lhs = blocks(contract("uik,kpl->uipl", action, com), h, d.dim)
+    rhs = blocks(contract("ijl,ujp->uipl", com, action), h, d.dim)
+    for u, i in product(range(h), range(d.dim)):
+        ck.equal_vec("dimodule-law", (("h", u), ("m", i)), lhs[u][i], rhs[u][i])
     return ck.report()
 
 
 def _entwining_walk(ck: Checker, axiom: str, role: str, action: ActionStructure,
-                    com: CoactionStructure, cells: Cells3, halg: FinAlgebra) -> None:
+                    com: CoactionStructure, coacting, halg: FinAlgebra) -> None:
     """rho(m . a) = m_(0) . a_(0) (x) m_(1) a_(1) on every basis pair (a, m).
 
     `action` is a right action and `com` a right coaction of the host whose
-    algebra is `halg`.  `cells[u]` holds the (a_(0), a_(1)) cells of e_u,
-    the u-th basis element of the acting algebra: its comultiplication for
-    a Hopf module, its coaction for a Doi-Hopf module.  A violation names
-    (role, u) and ("m", i)."""
-    n, hd = action.dim, halg.dim
-    for u in range(action.algebra.dim):
-        for i in range(n):
-            lhs = com.coact_vec(action.apply(action.algebra.basis(u), com.basis(i)))
-            rhs = [action.field.zero] * (n * hd)
-            for j, l, dd in plane_cells(com.co_nz[i]):
-                for b, q, d2 in plane_cells(cells[u]):
-                    c = dd * d2
-                    for p, mx in action.act_nz[b][j]:
-                        cm = c * mx
-                        for y, my in halg.mult_nz[l][q]:
-                            rhs[p * hd + y] += cm * my
-            ck.equal_vec(axiom, ((role, u), ("m", i)), lhs, tuple(rhs))
+    algebra is `halg`.  `coacting` gives the (a_(0), a_(1)) cells of e_u,
+    the u-th basis element of the acting algebra: the host coalgebra for a
+    Hopf module, the comodule-algebra coaction for a Doi-Hopf module.  A
+    violation names (role, u) and ("m", i)."""
+    ad, n = action.algebra.dim, action.dim
+    lhs = blocks(contract("uik,kpy->uipy", action, com), ad, n)
+    rhs = blocks(contract("ijl,bjp,ubq,lqy->uipy", com, action, coacting, halg), ad, n)
+    for u, i in product(range(ad), range(n)):
+        ck.equal_vec(axiom, ((role, u), ("m", i)), lhs[u][i], rhs[u][i])
 
 
 def check_hopf_module(hm: HopfModule) -> Report:
@@ -380,7 +365,7 @@ def check_hopf_module(hm: HopfModule) -> Report:
     ck.merge(check_action(hm.action))
     ck.merge(check_coaction(hm.coaction))
     _entwining_walk(ck, "hopf-module-law", "h", hm.action, hm.coaction,
-                    coalgebra_of(hm.host).comult_nz, algebra_of(hm.host))
+                    coalgebra_of(hm.host), algebra_of(hm.host))
     return ck.report()
 
 
@@ -392,35 +377,21 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
     ck.merge(check_coaction(w.coaction))
     carrier, com = w.carrier, w.coaction
     halg = algebra_of(w.host)
-    n, hd = carrier.dim, halg.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = com.coact_vec(carrier.mult[i][j])
-            rhs = [carrier.field.zero] * (n * hd)
-            for a, p, d1 in plane_cells(com.co_nz[i]):
-                for b, q, d2 in plane_cells(com.co_nz[j]):
-                    c = d1 * d2
-                    for x, mx in carrier.mult_nz[a][b]:
-                        cm = c * mx
-                        for y, my in halg.mult_nz[p][q]:
-                            rhs[x * hd + y] += cm * my
-            ck.equal_vec("coaction-mult", (("i", i), ("j", j)), lhs, tuple(rhs))
+    n = carrier.dim
+    lhs = blocks(contract("ijk,kxy->ijxy", carrier, com), n, n)
+    rhs = blocks(contract("iap,jbq,abx,pqy->ijxy", com, com, carrier, halg), n, n)
+    for i, j in product(range(n), repeat=2):
+        ck.equal_vec("coaction-mult", (("i", i), ("j", j)), lhs[i][j], rhs[i][j])
     if not carrier.unital:
         ck.skip("coaction-unit")
         return ck.report()
     pil, _ = target_source(w.host)
-    rho1 = com.coact_vec(carrier.unit)
+    # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
+    rho1 = blocks(com.coact_vec(carrier.unit), n)
+    lhs = blocks(contract("xy,xaz->azy", rho1, carrier), n)
+    rhs = blocks(contract("ajk,yk->ajy", com, pil), n)
     for a in range(n):
-        # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
-        lhs = [carrier.field.zero] * (n * hd)
-        for idx, c in nonzero(rho1):
-            x, y = divmod(idx, hd)
-            for xx, mx in carrier.mult_nz[x][a]:
-                lhs[xx * hd + y] += c * mx
-        rhs = [carrier.field.zero] * (n * hd)
-        for j, k, d in plane_cells(com.co_nz[a]):
-            add_outer(rhs, d, carrier.basis(j), column(pil, k))
-        ck.equal_vec("coaction-unit", (("a", a),), tuple(lhs), tuple(rhs))
+        ck.equal_vec("coaction-unit", (("a", a),), lhs[a], rhs[a])
     return ck.report()
 
 
@@ -431,7 +402,7 @@ def check_doi_hopf(d: DoiHopfModule) -> Report:
     ck.merge(check_coaction(d.coaction))
     ck.merge(check_weak_comodule_algebra(d.comodule_algebra))
     _entwining_walk(ck, "doi-hopf-law", "a", d.action, d.coaction,
-                    d.comodule_algebra.coaction.co_nz, algebra_of(d.comodule_algebra.host))
+                    d.comodule_algebra.coaction, algebra_of(d.comodule_algebra.host))
     return ck.report()
 
 
@@ -445,23 +416,17 @@ def check_module_algebra(b: BialgebraLike, carrier: FinAlgebra, action: ActionSt
         raise StructureError("module-algebra law expects a left action on the carrier")
     ck = Checker("module-algebra", action.name or carrier.name)
     ck.merge(check_action(action))
-    n = alg.dim
+    n, m = alg.dim, carrier.dim
+    lhs = blocks(contract("ijk,ukl->uijl", carrier, action), n, m, m)
+    rhs = blocks(contract("uab,aip,bjq,pqr->uijr", co, action, action, carrier), n, m, m)
     for u in range(n):
-        for i in range(carrier.dim):
-            for j in range(carrier.dim):
-                lhs = action.apply(alg.basis(u), carrier.mult[i][j])
-                rhs = zeros_vec(carrier.field, carrier.dim)
-                for a, bq, dd in plane_cells(co.comult_nz[u]):
-                    term = carrier.mul(
-                        action.apply(alg.basis(a), carrier.basis(i)),
-                        action.apply(alg.basis(bq), carrier.basis(j)),
-                    )
-                    rhs = tuple(x + dd * y for x, y in zip(rhs, term))
-                ck.equal_vec("module-algebra-mult", (("h", u), ("x", i), ("y", j)), lhs, rhs)
+        for i, j in product(range(m), repeat=2):
+            ck.equal_vec("module-algebra-mult", (("h", u), ("x", i), ("y", j)),
+                         lhs[u][i][j], rhs[u][i][j])
         if carrier.unital:
-            lhs = action.apply(alg.basis(u), carrier.unit)
             want = tuple(co.counit[u] * x for x in carrier.unit)
-            ck.equal_vec("module-algebra-unit", (("h", u),), lhs, want)
+            ck.equal_vec("module-algebra-unit", (("h", u),),
+                         action.apply(alg.basis(u), carrier.unit), want)
         else:
             ck.skip("module-algebra-unit")
     return ck.report()
@@ -477,31 +442,14 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
     if not rep.ok:
         raise PreconditionError(f"smash product needs a module algebra: {rep.to_json()}")
     halg, co = algebra_of(b), coalgebra_of(b)
-    ad, hd = a.dim, halg.dim
-    n = ad * hd
-    f = a.field
-    mult = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(ad):
-        for p in range(hd):
-            row = i * hd + p
-            for j in range(ad):
-                for q in range(hd):
-                    col = j * hd + q
-                    out = [f.zero] * n
-                    for aa, bb, dd in plane_cells(co.comult_nz[p]):
-                        for k, hbk in action.act_nz[aa][j]:
-                            c = dd * hbk
-                            for m, ikm in a.mult_nz[i][k]:
-                                cm = c * ikm
-                                for y, gy in halg.mult_nz[bb][q]:
-                                    out[m * hd + y] += cm * gy
-                    mult[row][col] = out
+    n = a.dim * halg.dim
+    mult = contract("pab,ajk,ikm,bqy->ipjqmy", co, action, a, halg)
     labels = tuple(f"{la}#{lh}" for la in a.labels for lh in halg.labels)
     return FinAlgebra(
-        f,
+        a.field,
         n,
         labels,
-        tuple(tuple(tuple(c) for c in row) for row in mult),
+        blocks(mult, n, n),
         tensor_vec(a.unit, halg.unit),
         name=f"{a.name}#{name_of(b)}",
     )
@@ -535,13 +483,7 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):
             raise StructureError("weak coinvariants need a weak bialgebra host")
         pil, _ = target_source(host)
-        for j in range(n):
-            for k in range(hd):
-                row = []
-                for i in range(n):
-                    corr = f.zero
-                    for l, d in c.co_nz[i][j]:
-                        corr += d * pil[k][l]
-                    row.append(c.co[i][j][k] - corr)
-                rows.append(tuple(row))
+        corr = blocks(contract("ijl,kl->jki", c, pil), n, hd)
+        for j, k in product(range(n), range(hd)):
+            rows.append(tuple(c.co[i][j][k] - x for i, x in enumerate(corr[j][k])))
     return kernel_basis(tuple(rows), f, ncols=n)

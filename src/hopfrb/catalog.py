@@ -24,11 +24,11 @@ from .exactlin import (
     FieldError,
     FieldSpec,
     RATIONAL,
+    Scalar,
     Vec,
     identity,
     mat,
     mat_from_cols,
-    plane_cells,
     prime_field,
     unit_vec,
     vec,
@@ -652,12 +652,13 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
     return _parsed(obj, key, build, default=[])
 
 
-def _dump_tensor3(cells) -> list:
-    """Triple list of a structure's nonzero_cells view."""
+def _dump_tensor3(raw) -> list:
+    """Triple list of a structure's raw sparse view."""
     return [
-        {"i": i, "j": j, "k": k, "c": str(c)}
-        for i, plane in enumerate(cells)
-        for j, k, c in plane_cells(plane)
+        {"i": i, "j": j, "k": k, "c": str(Scalar(raw.field, c))}
+        for i, plane in enumerate(raw.rows)
+        for j, row in enumerate(plane)
+        for k, c in row
     ]
 
 
@@ -794,12 +795,12 @@ def dump(entry: CatalogEntry) -> dict:
         out["field"] = alg.field.to_json()
         out["dim"] = alg.dim
         out["basis"] = list(alg.labels)
-        out["mult"] = _dump_tensor3(alg.mult_nz)
+        out["mult"] = _dump_tensor3(alg.raw)
         if alg.unit is not None:
             out["unit"] = [str(c) for c in alg.unit]
         if entry.kind != "algebra":
             co = coalgebra_of(p)
-            out["comult"] = _dump_tensor3(co.comult_nz)
+            out["comult"] = _dump_tensor3(co.raw)
             out["counit"] = [str(c) for c in co.counit]
             s = getattr(p, "antipode", None)
             if s is not None:
@@ -808,11 +809,11 @@ def dump(entry: CatalogEntry) -> dict:
         out.update(entry.refs)
         out["side"] = p.side
         out["dim"] = p.dim
-        out["action"] = _dump_tensor3(p.act_nz)
+        out["action"] = _dump_tensor3(p.raw)
     elif entry.kind == "comodule":
         out.update(entry.refs)
         out["dim"] = p.dim
-        out["coaction"] = _dump_tensor3(p.co_nz)
+        out["coaction"] = _dump_tensor3(p.raw)
     elif entry.kind in ("dimodule", "hopf-module", "doi-hopf"):
         out.update(entry.refs)
     elif entry.kind == "pairing":

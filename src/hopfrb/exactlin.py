@@ -5,7 +5,10 @@ Vectors, matrices and 3-index tensors are immutable nested tuples of
 Scalar values, all operations are pure, and every comparison is exact;
 there are no floats and no tolerances anywhere.  Row reduction is one
 sparse Gauss-Jordan on raw values (ints mod p or Fractions), which visits
-only nonzero entries; its inputs and outputs are Scalar tuples.
+only nonzero entries; its inputs and outputs are Scalar tuples.  Every sum
+of products of structure constants is one `contract` call, in einsum
+notation over the raw sparse view (`RawTensor`) that each carrier keeps of
+its tensor; it, too, turns raw values into Scalars only on return.
 
 Conventions used throughout the package:
 
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 
@@ -222,7 +227,6 @@ RATIONAL = FieldSpec("rational")
 Vec = tuple  # tuple[Scalar, ...]
 Mat = tuple  # tuple[Vec, ...], row major
 Tensor3 = tuple  # tuple[Mat, ...]
-Cells3 = tuple  # tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
 
 
 def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
@@ -230,21 +234,162 @@ def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
     return tuple((i, c) for i, c in enumerate(v) if not c.is_zero)
 
 
-def nonzero_cells(t: Tensor3) -> Cells3:
-    """Sparse view of a dense 3-index tensor: per (i, j), the (k, c) pairs
-    of t[i][j] with c != 0, in index order.
+def scalar_vec(field: FieldSpec, raw: Sequence) -> Vec:
+    """Scalars of raw values: ints (reduced mod p here) or Fractions."""
+    p, zero = field.p, field.zero
+    if p:
+        raw = [v % p for v in raw]
+    return tuple(Scalar(field, v) if v else zero for v in raw)
 
-    Every structure caches this view of its own tensor, so a sum over
-    structure constants reads only the nonzero cells and never tests a
-    zero itself.
+
+def blocks(v: Sequence, count: int, *counts: int) -> tuple:
+    """v cut into `count` consecutive blocks of equal length, each cut again
+    by `counts`: ``blocks(v, n)`` gives the rows of an n-row matrix stored
+    row major, ``blocks(v, a, b)`` the a x b x c tensor on a lex basis."""
+    size = len(v) // count if count else 0
+    out = tuple(tuple(v[b * size:(b + 1) * size]) for b in range(count))
+    return tuple(blocks(x, *counts) for x in out) if counts else out
+
+
+# ---------------------------------------------------------------------------
+# raw sparse tensors and the contraction helper
+
+
+class RawTensor:
+    """Raw sparse view of a dense 3-index Scalar tensor, built once per
+    carrier (algebra, coalgebra, action, coaction).
+
+    ``rows[i][j]`` lists the (k, value) pairs of the nonzero t[i][j][k] in
+    index order, each value raw: an int mod p or a Fraction.  ``shape`` is
+    the extent of (i, j, k).  `grouped` files the cells by one layout once,
+    for every `contract` that reads the tensor that way.
     """
-    return tuple(tuple(nonzero(row) for row in plane) for plane in t)
+
+    __slots__ = ("field", "shape", "rows", "_groups")
+
+    def __init__(self, field: FieldSpec, t: Tensor3, shape: tuple) -> None:
+        self.field, self.shape, self._groups = field, shape, {}
+        self.rows = tuple(tuple(tuple((k, s.value) for k, s in enumerate(row) if s.value)
+                                for row in plane) for plane in t)
+
+    def grouped(self, key: tuple, rest: tuple) -> dict:
+        if (key, rest) not in self._groups:
+            cells = [((i, j, k), v) for i, plane in enumerate(self.rows)
+                     for j, row in enumerate(plane) for k, v in row]
+            self._groups[key, rest] = _group(cells, key, rest)
+        return self._groups[key, rest]
 
 
-def plane_cells(plane) -> Iterable[tuple[int, int, Scalar]]:
-    """The (j, k, c) cells of one plane ``cells[i]`` of a nonzero_cells
-    view, row by row."""
-    return ((j, k, c) for j, row in enumerate(plane) for k, c in row)
+def _picker(positions: tuple, bare: bool = False):
+    """The entries of an index tuple at `positions`, as a tuple; one entry
+    comes bare when `bare` is set."""
+    if len(positions) == 1 and not bare:
+        p = positions[0]
+        return lambda t: (t[p],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _group(cells, key: tuple, rest: tuple) -> dict:
+    """(index tuple, value) cells filed by their entries at `key`, each
+    kept as (its entries at `rest`, value)."""
+    pick_key, pick_rest, out = _picker(key, bare=True), _picker(rest), {}
+    for idx, v in cells:
+        out.setdefault(pick_key(idx), []).append((pick_rest(idx), v))
+    return out
+
+
+_PLANS: dict = {}
+
+
+def _plan(spec: str) -> tuple:
+    """Operand letters, output letters and one step per operand: its
+    positions that meet the partial sum's letters, its new positions, the
+    picker of the meeting letters from a partial index, and the picker of
+    the letters still needed afterwards (None: all of them).  A letter is
+    summed out after the last operand that carries it, and the last step
+    puts the output letters in order."""
+    ins, _, out = spec.partition("->")
+    ins = ins.split(",")
+    if any(len(set(x)) != len(x) for x in (*ins, out)) or not set(out) <= set("".join(ins)):
+        raise DimensionError(f"contraction spec {spec!r} repeats a letter in one operand "
+                             "or outputs a letter no operand has")
+    steps, live = [], ""
+    for n, letters in enumerate(ins):
+        merged = live + "".join(c for c in letters if c not in live)
+        needed = set("".join(ins[n + 1:]) + out)
+        keep = (tuple(merged.index(c) for c in out) if n == len(ins) - 1
+                else tuple(i for i, c in enumerate(merged) if c in needed))
+        steps.append((tuple(i for i, c in enumerate(letters) if c in live),
+                      tuple(i for i, c in enumerate(letters) if c not in live),
+                      _picker(tuple(live.index(c) for c in letters if c in live), bare=True),
+                      None if keep == tuple(range(len(merged))) else _picker(keep)))
+        live = "".join(merged[i] for i in keep)
+    _PLANS[spec] = ins, out, steps
+    return _PLANS[spec]
+
+
+def _field_of(op) -> FieldSpec | None:
+    raw = getattr(op, "raw", None)
+    if raw is not None:
+        return raw.field
+    first = next(iter(op), None)
+    if isinstance(first, tuple):
+        first = next(iter(first), None)
+    return None if first is None else first.field
+
+
+def contract(spec: str, *operands) -> Vec:
+    """Sum of products of `operands` over their shared index letters, in
+    numpy.einsum notation: ``contract("ij,kl,ikx,jly->xy", u, v, a, a)`` is
+    the product of u and v in A (x) A, given as n x n matrices, for an
+    algebra a.
+
+    An operand with three letters is a carrier (FinAlgebra, FinCoalgebra,
+    ActionStructure, CoactionStructure), read through its raw sparse view
+    ``.raw``; with two, a Scalar matrix; with one, a Scalar vector.  No
+    letter repeats within an operand.  The plan is built once per spec.
+    The arithmetic runs on raw values, a letter is summed out as soon as
+    no later operand carries it, and only the result becomes Scalars: a
+    vector on the lex basis of the output letters.
+    """
+    ins, out, steps = _PLANS.get(spec) or _plan(spec)
+    if len(ins) != len(operands):
+        raise DimensionError(f"{spec!r} names {len(ins)} operands, not {len(operands)}")
+    fields = {_field_of(op) for op in operands} - {None}
+    if len(fields) > 1:
+        raise FieldError(f"mixed fields {sorted(map(str, fields))}")
+    field = next(iter(fields), None)
+    p = field.p if field else 0
+    dims: dict = {}
+    partial: dict = {(): None}
+    for (key, rest, probe, keep), letters, op in zip(steps, ins, operands):
+        raw = getattr(op, "raw", None)
+        if raw is not None:
+            shape, groups = raw.shape, raw.grouped(key, rest)
+        elif len(letters) == 1:
+            shape = (len(op),)
+            groups = _group([((i,), s.value) for i, s in enumerate(op) if s.value], key, rest)
+        else:
+            shape = (len(op), len(op[0]) if op else 0)
+            groups = _group([((r, c), s.value) for r, row in enumerate(op)
+                             for c, s in enumerate(row) if s.value], key, rest)
+        if len(shape) != len(letters):
+            raise DimensionError(f"operand for {letters!r} has shape {shape}")
+        for c, d in zip(letters, shape):
+            if dims.setdefault(c, d) != d:
+                raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
+        new: dict = {}
+        get = new.get
+        for idx, v in partial.items():
+            for ext, w in groups.get(probe(idx), ()):
+                at = idx + ext if keep is None else keep(idx + ext)
+                new[at] = get(at, 0) + (w if v is None else v * w)
+        partial = ({at: r for at, x in new.items() if (r := x % p)} if p
+                   else {at: x for at, x in new.items() if x})
+    cells = [partial.get(idx, 0) for idx in product(*(range(dims[c]) for c in out))]
+    if field is None and cells:
+        raise FieldError("a contraction of empty operands has no field")
+    return scalar_vec(field, cells) if cells else ()
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +484,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     field = a[0][0].field
     if b[0][0].field != field:
         raise FieldError(f"mixed fields {field} and {b[0][0].field}")
-    p, zero = field.p, field.zero
     b_rows = [[(j, s.value) for j, s in enumerate(row) if s.value] for row in b]
     out = []
     for row in a:
@@ -349,9 +493,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
             if x:
                 for j, y in b_row:
                     acc[j] += x * y
-        if p:
-            acc = [v % p for v in acc]
-        out.append(tuple(Scalar(field, v) if v else zero for v in acc))
+        out.append(scalar_vec(field, acc))
     return tuple(out)
 
 
@@ -399,17 +541,6 @@ def stack_rows(mats: Iterable[Mat]) -> Mat:
 def tensor_vec(u: Vec, v: Vec) -> Vec:
     """Kronecker product of coordinate vectors, left factor major."""
     return tuple(a * b for a in u for b in v)
-
-
-def add_outer(acc: list, c: Scalar, u: Vec, v: Vec) -> None:
-    """acc += c (u (x) v) in place, on the lex pair basis; only the nonzero
-    entries of u and v are visited."""
-    w = len(v)
-    vs = nonzero(v)
-    for i, ui in nonzero(u):
-        cu = c * ui
-        for j, vj in vs:
-            acc[i * w + j] += cu * vj
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +674,8 @@ def column_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
     return tuple(r[i] for i in range(len(piv)))
 
 
-def span_leq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
-    """Whether every vector of b1 lies in the span of b2.
+def first_outside(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> int | None:
+    """Index of the first vector of b1 outside the span of b2; None if none.
 
     Each vector is reduced against one RREF of b2: it lies in the span
     exactly when it equals the combination of the reduced rows weighted by
@@ -554,15 +685,20 @@ def span_leq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
     r, piv = rref(tuple(b2), field)
     p = field.p
     rows = list(zip(piv, _raw_rows(r[:len(piv)])))
-    for v in b1:
+    for k, v in enumerate(b1):
         acc = [s.value for s in v]
         for c, row in rows:
             f = acc[c]
             for j, x in row.items():
                 acc[j] -= f * x
         if any(x % p if p else x for x in acc):
-            return False
-    return True
+            return k
+    return None
+
+
+def span_leq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
+    """Whether every vector of b1 lies in the span of b2."""
+    return first_outside(b1, b2, field) is None
 
 
 def in_span(v: Vec, basis: Sequence[Vec], field: FieldSpec) -> bool:

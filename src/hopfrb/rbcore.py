@@ -47,6 +47,7 @@ from .exactlin import (
     Scalar,
     Vec,
     apply_mat,
+    blocks,
     column,
     column_space_basis,
     identity,
@@ -103,7 +104,7 @@ def _random_entries(n: int, seed: str, trial: int) -> tuple[int, ...]:
 
 def operator_of(field: FieldSpec, n: int, entries: Sequence) -> Mat:
     """The n x n operator with the row-major raw `entries`."""
-    return mat(field, [entries[r * n:(r + 1) * n] for r in range(n)])
+    return mat(field, blocks(entries, n))
 
 
 def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:

@@ -13,16 +13,14 @@ from . import __version__
 from .exactlin import (
     InternalError,
     apply_mat,
-    column,
+    blocks,
+    contract,
     identity,
     mat_mul,
     mat_scale,
-    plane_cells,
     vec,
-    vec_add,
     vec_scale,
     zeros_mat,
-    zeros_vec,
 )
 from .structures import (
     Functional,
@@ -409,13 +407,7 @@ def _replay_ex_4_7(seed: str, trials: int) -> list:
     _check(checks, "induced-operator-generic", verdict.generic is True,
            record=_dimodule_record(t, chi, verdict))
     # the operator is right multiplication by R_i chi(R_j)
-    f = h.field
-    elt = zeros_vec(f, h.dim)
-    for pq, c in enumerate(rm.r):
-        if c.is_zero:
-            continue
-        p, q = divmod(pq, h.dim)
-        elt = vec_add(elt, vec_scale(c * chi.coords[q], h.algebra.basis(p)))
+    elt = contract("pq,q->p", blocks(rm.r, h.dim), chi.coords)
     direct = h.algebra.right_mult(elt)
     _check(checks, "operator-matches-direct-formula", t == direct)
     return checks
@@ -432,18 +424,11 @@ def _replay_thm_4_8(seed: str, trials: int) -> list:
     _check(checks, "instance-verifies", check_rbp_module(inst).ok)
     carrier = a.carrier
     phis = mat_mul(phi, w.antipode)
-    bad = 0
-    for i in range(carrier.dim):        # a
-        for mi in range(doi.dim):       # m
-            lhs = apply_mat(e_m, doi.action.apply(carrier.basis(i),
-                                                  doi.coaction.basis(mi)))
-            rhs = zeros_vec(carrier.field, doi.dim)
-            ea_of_a = apply_mat(e_a, carrier.basis(i))
-            for j, k, d in plane_cells(doi.coaction.co_nz[mi]):
-                inner = carrier.mul(ea_of_a, column(phis, k))
-                rhs = vec_add(rhs, vec_scale(d, doi.action.apply(inner, doi.coaction.basis(j))))
-            if lhs != rhs:
-                bad += 1
+    # E(m . a) = m_(0) . E_A(a) phi(S(m_(1))) on every basis pair (a, m)
+    lhs = contract("imp,qp->imq", doi.action, e_m)
+    rhs = contract("mjk,si,tk,stu,ujq->imq", doi.coaction, e_a, phis, carrier, doi.action)
+    pairs = carrier.dim * doi.dim
+    bad = sum(got != want for got, want in zip(blocks(lhs, pairs), blocks(rhs, pairs)))
     _check(checks, "projection-respects-action", bad == 0,
            pairs=carrier.dim * doi.dim, failures=bad)
     return checks

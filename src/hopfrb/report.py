@@ -40,25 +40,29 @@ def _first_cell(got, want, at: tuple = ()) -> tuple:
     return at, got, want
 
 
-def _postcondition(clause: str, structure: str, got, want=None) -> None:
+def _postcondition(clause: str, structure: str, got, want=None, witness=None) -> None:
     """Assert that `clause` holds of `structure`; a failure is a package bug.
 
-    `got` is a Report, which must pass, or one side of an equality whose
-    other side is `want`: vectors, matrices, tuples of them, or plain
-    values.  The passing path makes only that comparison.  On failure the
-    InternalError names the structure, the clause and the first witness:
-    the Report's first Violation, or the first differing cell and both of
-    its values."""
+    `got` is a Report, which must have no violation (an axiom it skipped is
+    no failure), or one side of an equality whose other side is `want`:
+    vectors, matrices, tuples of them, or plain values.  The passing path
+    makes only that check.  On failure the InternalError names the
+    structure, the clause and the first witness: the Report's first
+    Violation; the text `witness()` returns, when the caller names one
+    (a boolean clause searches for its witness only then); or else the
+    first differing cell and both of its values."""
     if isinstance(got, Report):
-        if got.ok:
+        if not got.violation_count:
             return
-        witness = got.violations[0].to_json() if got.violations else got.to_json()
+        text = got.violations[0].to_json()
     elif got == want:
         return
+    elif witness is not None:
+        text = witness()
     else:
         at, x, y = _first_cell(got, want)
-        witness = f"cell {at}: got {x}, want {y}"
-    raise InternalError(f"{structure}: {clause} fails; first witness {witness}")
+        text = f"cell {at}: got {x}, want {y}"
+    raise InternalError(f"{structure}: {clause} fails; first witness {text}")
 
 
 @dataclass(frozen=True)

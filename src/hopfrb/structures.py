@@ -15,31 +15,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import product
 from typing import Union
 
 from .exactlin import (
-    Cells3,
     DimensionError,
     FieldSpec,
     Mat,
+    RawTensor,
     Scalar,
     Tensor3,
     Vec,
-    add_outer,
     apply_mat,
+    blocks,
     column,
     column_space_basis,
+    contract,
     mat_from_cols,
     mat_mul,
     nonzero,
-    nonzero_cells,
-    plane_cells,
+    scalar_vec,
     solve_linear,
     tensor_vec,
     unit_vec,
-    vec_add,
     vec_scale,
-    zeros_vec,
 )
 from .report import Checker, Report, Violation, _postcondition
 
@@ -94,20 +93,22 @@ class FinAlgebra:
             raise StructureError(f"{self.name}: no basis label {label!r}") from None
 
     @cached_property
-    def mult_nz(self) -> Cells3:
-        """Nonzero cells of mult, built on first use: mult_nz[i][j] lists (k, c)."""
-        return nonzero_cells(self.mult)
+    def raw(self) -> RawTensor:
+        """Raw sparse view of mult, built on first use: raw.rows[i][j] lists (k, c)."""
+        return RawTensor(self.field, self.mult, (self.dim,) * 3)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        out = [self.field.zero] * self.dim
-        ys = nonzero(y)
-        for i, xi in nonzero(x):
-            cells = self.mult_nz[i]
-            for j, yj in ys:
-                c = xi * yj
-                for k, m in cells[j]:
-                    out[k] += c * m
-        return tuple(out)
+        rows = self.raw.rows
+        acc = [0] * self.dim
+        ys = [(j, s.value) for j, s in enumerate(y) if s.value]
+        for i, s in enumerate(x):
+            if s.value:
+                cells = rows[i]
+                for j, yj in ys:
+                    c = s.value * yj
+                    for k, m in cells[j]:
+                        acc[k] += c * m
+        return scalar_vec(self.field, acc)
 
     def left_mult(self, r: Vec) -> Mat:
         """Matrix of x -> r x."""
@@ -142,29 +143,20 @@ class FinCoalgebra:
         return unit_vec(self.field, self.dim, i)
 
     @cached_property
-    def comult_nz(self) -> Cells3:
-        """Nonzero cells of comult, built on first use: comult_nz[i][j] lists (k, c)."""
-        return nonzero_cells(self.comult)
+    def raw(self) -> RawTensor:
+        """Raw sparse view of comult, built on first use: raw.rows[i][j] lists (k, c)."""
+        return RawTensor(self.field, self.comult, (self.dim,) * 3)
 
     def comult_vec(self, x: Vec) -> Vec:
         """Delta(x) as a dim^2 vector on the lex pair basis."""
         n = self.dim
-        out = [self.field.zero] * (n * n)
-        for i, xi in nonzero(x):
-            for j, k, d in plane_cells(self.comult_nz[i]):
-                out[j * n + k] += xi * d
-        return tuple(out)
-
-    def comult2_vec(self, x: Vec) -> Vec:
-        """(Delta (x) id) Delta(x) as a dim^3 vector; coassociativity is not assumed."""
-        n = self.dim
-        out = [self.field.zero] * (n * n * n)
-        for i, xi in nonzero(x):
-            for m, c, d in plane_cells(self.comult_nz[i]):
-                coeff = xi * d
-                for a, b, d2 in plane_cells(self.comult_nz[m]):
-                    out[(a * n + b) * n + c] += coeff * d2
-        return tuple(out)
+        acc = [0] * (n * n)
+        for i, s in enumerate(x):
+            if s.value:
+                for j, row in enumerate(self.raw.rows[i]):
+                    for k, d in row:
+                        acc[j * n + k] += s.value * d
+        return scalar_vec(self.field, acc)
 
     def counit_of(self, x: Vec) -> Scalar:
         acc = self.field.zero
@@ -315,63 +307,6 @@ class Functional:
 
 
 # ---------------------------------------------------------------------------
-# products on tensor powers (computed directly, never materialised)
-
-
-def tensor2_product(a: FinAlgebra, u: Vec, v: Vec) -> Vec:
-    """Product of u, v in A (x) A, both given as dim^2 coordinate vectors."""
-    n = a.dim
-    out = [a.field.zero] * (n * n)
-    vs = nonzero(v)
-    for p, up in nonzero(u):
-        i, j = divmod(p, n)
-        for q, vq in vs:
-            k, l = divmod(q, n)
-            c = up * vq
-            for x, mx in a.mult_nz[i][k]:
-                cm = c * mx
-                for y, my in a.mult_nz[j][l]:
-                    out[x * n + y] += cm * my
-    return tuple(out)
-
-
-def tensor3_product(a: FinAlgebra, u: Vec, v: Vec) -> Vec:
-    """Product of u, v in A (x) A (x) A, both dim^3 coordinate vectors."""
-    n = a.dim
-    out = [a.field.zero] * (n ** 3)
-    vs = nonzero(v)
-    for p, up in nonzero(u):
-        ij, k = divmod(p, n)
-        i, j = divmod(ij, n)
-        for q, vq in vs:
-            lm, r = divmod(q, n)
-            l, m = divmod(lm, n)
-            c = up * vq
-            for x, mx in a.mult_nz[i][l]:
-                cx = c * mx
-                for y, my in a.mult_nz[j][m]:
-                    cy = cx * my
-                    for z, mz in a.mult_nz[k][r]:
-                        out[(x * n + y) * n + z] += cy * mz
-    return tuple(out)
-
-
-def swap_tensor2(v: Vec, n: int) -> Vec:
-    """The flip map on A (x) A coordinates."""
-    out = [None] * (n * n)
-    for p, c in enumerate(v):
-        i, j = divmod(p, n)
-        out[j * n + i] = c
-    return tuple(out)
-
-
-def unit_comult_cells(b) -> tuple[tuple[int, int, Scalar], ...]:
-    """The nonzero cells (j, k, d) of Delta(1) = sum d e_j (x) e_k."""
-    alg, co = algebra_of(b), coalgebra_of(b)
-    return tuple((*divmod(p, co.dim), d) for p, d in nonzero(co.comult_vec(alg.unit)))
-
-
-# ---------------------------------------------------------------------------
 # axiom checkers
 
 
@@ -401,13 +336,10 @@ def _kept_on_host(check):
 def check_algebra(a: FinAlgebra) -> Report:
     ck = Checker("algebra", a.name)
     n = a.dim
-    for i in range(n):
-        for j in range(n):
-            ij = a.mult[i][j]
-            for k in range(n):
-                lhs = a.mul(ij, a.basis(k))
-                rhs = a.mul(a.basis(i), a.mult[j][k])
-                ck.equal_vec("assoc", (("i", i), ("j", j), ("k", k)), lhs, rhs)
+    lhs = blocks(contract("ijm,mkx->ijkx", a, a), n, n, n)
+    rhs = blocks(contract("jkm,imx->ijkx", a, a), n, n, n)
+    for i, j, k in product(range(n), repeat=3):
+        ck.equal_vec("assoc", (("i", i), ("j", j), ("k", k)), lhs[i][j][k], rhs[i][j][k])
     if a.unital:
         for i in range(n):
             ck.equal_vec("unit-left", (("i", i),), a.mul(a.unit, a.basis(i)), a.basis(i))
@@ -421,22 +353,23 @@ def check_algebra(a: FinAlgebra) -> Report:
 def check_coalgebra(c: FinCoalgebra, instance: str = "") -> Report:
     ck = Checker("coalgebra", instance)
     n = c.dim
+    # (Delta (x) id) Delta = (id (x) Delta) Delta
+    lhs = blocks(contract("imc,mab->iabc", c, c), n)
+    rhs = blocks(contract("iam,mbc->iabc", c, c), n)
+    left = blocks(contract("ijk,j->ik", c, c.counit), n)
+    right = blocks(contract("ijk,k->ij", c, c.counit), n)
     for i in range(n):
-        # (Delta (x) id) Delta = (id (x) Delta) Delta
-        lhs = c.comult2_vec(c.basis(i))
-        rhs = [c.field.zero] * (n ** 3)
-        for a, m, d in plane_cells(c.comult_nz[i]):
-            for b, cc, d2 in plane_cells(c.comult_nz[m]):
-                rhs[(a * n + b) * n + cc] += d * d2
-        ck.equal_vec("coassoc", (("i", i),), lhs, tuple(rhs))
-        left = [c.field.zero] * n
-        right = [c.field.zero] * n
-        for j, k, d in plane_cells(c.comult_nz[i]):
-            left[k] += d * c.counit[j]
-            right[j] += d * c.counit[k]
-        ck.equal_vec("counit-left", (("i", i),), tuple(left), c.basis(i))
-        ck.equal_vec("counit-right", (("i", i),), tuple(right), c.basis(i))
+        ck.equal_vec("coassoc", (("i", i),), lhs[i], rhs[i])
+        ck.equal_vec("counit-left", (("i", i),), left[i], c.basis(i))
+        ck.equal_vec("counit-right", (("i", i),), right[i], c.basis(i))
     return ck.report()
+
+
+def _comult_mult(alg: FinAlgebra, co: FinCoalgebra) -> tuple:
+    """Delta(e_i e_j) and Delta(e_i) Delta(e_j) in A (x) A, at [i][j]."""
+    n = alg.dim
+    return (blocks(contract("ijm,mab->ijab", alg, co), n, n),
+            blocks(contract("ipq,jrs,prx,qsy->ijxy", co, co, alg, alg), n, n))
 
 
 @_kept_on_host
@@ -445,15 +378,12 @@ def check_bialgebra(b: BialgebraLike) -> Report:
     ck = Checker("bialgebra", name_of(b))
     ck.merge(check_algebra.__wrapped__(alg))
     ck.merge(check_coalgebra(co))
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = co.comult_vec(alg.mult[i][j])
-            rhs = tensor2_product(alg, co.comult_vec(alg.basis(i)), co.comult_vec(alg.basis(j)))
-            ck.equal_vec("comult-mult", (("i", i), ("j", j)), lhs, rhs)
-            got = co.counit_of(alg.mult[i][j])
-            want = co.counit[i] * co.counit[j]
-            ck.equal_vec("counit-mult", (("i", i), ("j", j)), (got,), (want,))
+    lhs, rhs = _comult_mult(alg, co)
+    for i, j in product(range(alg.dim), repeat=2):
+        ck.equal_vec("comult-mult", (("i", i), ("j", j)), lhs[i][j], rhs[i][j])
+        got = co.counit_of(alg.mult[i][j])
+        want = co.counit[i] * co.counit[j]
+        ck.equal_vec("counit-mult", (("i", i), ("j", j)), (got,), (want,))
     ck.equal_vec("comult-unit", (), co.comult_vec(alg.unit), tensor_unit(alg))
     ck.equal_vec("counit-unit", (), (co.counit_of(alg.unit),), (alg.field.one,))
     return ck.report()
@@ -464,22 +394,29 @@ def tensor_unit(a: FinAlgebra) -> Vec:
     return tensor_vec(a.unit, a.unit)
 
 
+def _antipode_sums(alg: FinAlgebra, co: FinCoalgebra, s: Mat) -> tuple:
+    """S(x_(1)) x_(2) and x_(1) S(x_(2)), per basis element x = e_i."""
+    n = alg.dim
+    return (blocks(contract("ijk,sj,skc->ic", co, s, alg), n),
+            blocks(contract("ijk,sk,jsc->ic", co, s, alg), n))
+
+
 @_kept_on_host
 def check_hopf(h: HopfAlgebra) -> Report:
     ck = Checker("hopf", h.name)
     ck.merge(check_bialgebra.__wrapped__(h.bialgebra))
-    alg, co, s = h.algebra, h.coalgebra, h.antipode
-    n = alg.dim
-    for i in range(n):
-        left = zeros_vec(alg.field, n)
-        right = zeros_vec(alg.field, n)
-        for j, k, d in plane_cells(co.comult_nz[i]):
-            left = vec_add(left, vec_scale(d, alg.mul(column(s, j), alg.basis(k))))
-            right = vec_add(right, vec_scale(d, alg.mul(alg.basis(j), column(s, k))))
+    alg, co = h.algebra, h.coalgebra
+    s_id, id_s = _antipode_sums(alg, co, h.antipode)
+    for i in range(alg.dim):
         want = vec_scale(co.counit[i], alg.unit)
-        ck.equal_vec("antipode-left", (("i", i),), left, want)
-        ck.equal_vec("antipode-right", (("i", i),), right, want)
+        ck.equal_vec("antipode-left", (("i", i),), s_id[i], want)
+        ck.equal_vec("antipode-right", (("i", i),), id_s[i], want)
     return ck.report()
+
+
+def _counit_of_products(alg: FinAlgebra, co: FinCoalgebra) -> Mat:
+    """The matrix of eps(e_x e_y)."""
+    return blocks(contract("xyp,p->xy", alg, co.counit), alg.dim)
 
 
 @_kept_on_host
@@ -489,42 +426,23 @@ def check_weak_bialgebra(w: WeakLike) -> Report:
     ck.merge(check_algebra.__wrapped__(alg))
     ck.merge(check_coalgebra(co))
     n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = co.comult_vec(alg.mult[i][j])
-            rhs = tensor2_product(alg, co.comult_vec(alg.basis(i)), co.comult_vec(alg.basis(j)))
-            ck.equal_vec("comult-mult", (("i", i), ("j", j)), lhs, rhs)
+    lhs, rhs = _comult_mult(alg, co)
+    for i, j in product(range(n), repeat=2):
+        ck.equal_vec("comult-mult", (("i", i), ("j", j)), lhs[i][j], rhs[i][j])
     # eps(xyz) = eps(x y_(1)) eps(y_(2) z) = eps(x y_(2)) eps(y_(1) z)
-    for x in range(n):
-        for y in range(n):
-            xy = alg.mult[x][y]
-            for z in range(n):
-                lhs = co.counit_of(alg.mul(xy, alg.basis(z)))
-                r1 = alg.field.zero
-                r2 = alg.field.zero
-                for a, b, d in plane_cells(co.comult_nz[y]):
-                    exa = co.counit_of(alg.mult[x][a])
-                    ebz = co.counit_of(alg.mult[b][z])
-                    exb = co.counit_of(alg.mult[x][b])
-                    eaz = co.counit_of(alg.mult[a][z])
-                    r1 += d * exa * ebz
-                    r2 += d * exb * eaz
-                ck.equal_vec("weak-counit-mult-1", (("x", x), ("y", y), ("z", z)), (lhs,), (r1,))
-                ck.equal_vec("weak-counit-mult-2", (("x", x), ("y", y), ("z", z)), (lhs,), (r2,))
+    eps = _counit_of_products(alg, co)
+    lhs = blocks(contract("xya,az->xyz", alg, eps), n, n)
+    r1 = blocks(contract("yab,xa,bz->xyz", co, eps, eps), n, n)
+    r2 = blocks(contract("yab,xb,az->xyz", co, eps, eps), n, n)
+    for x, y, z in product(range(n), repeat=3):
+        xyz = (("x", x), ("y", y), ("z", z))
+        ck.equal_vec("weak-counit-mult-1", xyz, (lhs[x][y][z],), (r1[x][y][z],))
+        ck.equal_vec("weak-counit-mult-2", xyz, (lhs[x][y][z],), (r2[x][y][z],))
     # Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1)
-    d1 = unit_comult_cells(w)
-    lhs = co.comult2_vec(alg.unit)
-    r1 = [alg.field.zero] * (n ** 3)
-    r2 = [alg.field.zero] * (n ** 3)
-    for a, q, dq in d1:
-        for r, c, dr in d1:
-            coeff = dq * dr
-            for b, m in alg.mult_nz[q][r]:
-                r1[(a * n + b) * n + c] += coeff * m
-            for b, m in alg.mult_nz[r][q]:
-                r2[(a * n + b) * n + c] += coeff * m
-    ck.equal_vec("weak-comult-unit-1", (), lhs, tuple(r1))
-    ck.equal_vec("weak-comult-unit-2", (), lhs, tuple(r2))
+    d1 = blocks(co.comult_vec(alg.unit), n)
+    lhs = contract("i,imc,mab->abc", alg.unit, co, co)
+    ck.equal_vec("weak-comult-unit-1", (), lhs, contract("aq,rc,qrb->abc", d1, d1, alg))
+    ck.equal_vec("weak-comult-unit-2", (), lhs, contract("aq,rc,rqb->abc", d1, d1, alg))
     return ck.report()
 
 
@@ -534,24 +452,13 @@ def check_weak_hopf(w: WeakHopfAlgebra) -> Report:
     ck.merge(check_weak_bialgebra.__wrapped__(w.weak))
     alg, co, s = w.algebra, w.coalgebra, w.antipode
     pil, pir = target_source(w)
-    n = alg.dim
-    for i in range(n):
-        left = zeros_vec(alg.field, n)
-        right = zeros_vec(alg.field, n)
-        for j, k, d in plane_cells(co.comult_nz[i]):
-            left = vec_add(left, vec_scale(d, alg.mul(alg.basis(j), column(s, k))))
-            right = vec_add(right, vec_scale(d, alg.mul(column(s, j), alg.basis(k))))
-        ck.equal_vec("antipode-target", (("i", i),), left, column(pil, i))
-        ck.equal_vec("antipode-source", (("i", i),), right, column(pir, i))
-        # S(x_(1)) x_(2) S(x_(3)) = S(x)
-        d2 = co.comult2_vec(co.basis(i))
-        acc = zeros_vec(alg.field, n)
-        for p, cval in nonzero(d2):
-            ab, c3 = divmod(p, n)
-            a3, b3 = divmod(ab, n)
-            term = alg.mul(alg.mul(column(s, a3), alg.basis(b3)), column(s, c3))
-            acc = vec_add(acc, vec_scale(cval, term))
-        ck.equal_vec("antipode-triple", (("i", i),), acc, column(s, i))
+    s_id, id_s = _antipode_sums(alg, co, s)
+    # S(x_(1)) x_(2) S(x_(3)) = S(x), on (Delta (x) id) Delta(x)
+    triple = blocks(contract("imc,mab,sa,sbt,uc,tur->ir", co, co, s, alg, s, alg), alg.dim)
+    for i in range(alg.dim):
+        ck.equal_vec("antipode-target", (("i", i),), id_s[i], column(pil, i))
+        ck.equal_vec("antipode-source", (("i", i),), s_id[i], column(pir, i))
+        ck.equal_vec("antipode-triple", (("i", i),), triple[i], column(s, i))
     return ck.report()
 
 
@@ -564,45 +471,30 @@ def convolution(f: Functional, g: Functional) -> Functional:
     cf, cg = coalgebra_of(f.host), coalgebra_of(g.host)
     if cf != cg:
         raise StructureError("convolution of functionals on different hosts")
-    coords = []
-    for i in range(cf.dim):
-        acc = cf.field.zero
-        for j, k, d in plane_cells(cf.comult_nz[i]):
-            acc += d * f.coords[j] * g.coords[k]
-        coords.append(acc)
-    return Functional(f.host, tuple(coords))
+    return Functional(f.host, contract("ijk,j,k->i", cf, f.coords, g.coords))
 
 
 def counit_functional(host: CoalgebraLike) -> Functional:
     return Functional(host, coalgebra_of(host).counit)
 
 
-def _convolution_blocks(alg: FinAlgebra, co: FinCoalgebra, i: int):
-    """Rows c of S(x_(1)) x_(2) and x_(1) S(x_(2)) at x = e_i, linear in
-    the n^2 entries of S (unknown s * n + j is S[s][j])."""
+def _convolution_blocks(alg: FinAlgebra, co: FinCoalgebra) -> tuple:
+    """Rows [i][c] of S(x_(1)) x_(2) and x_(1) S(x_(2)) at x = e_i, linear
+    in the n^2 entries of S (unknown (s, j), in lex order, is S[s][j])."""
     n = alg.dim
-    z = alg.field.zero
-    s_id = [[z] * (n * n) for _ in range(n)]
-    id_s = [[z] * (n * n) for _ in range(n)]
-    for j, k, d in plane_cells(co.comult_nz[i]):
-        for s in range(n):
-            for c, m in alg.mult_nz[s][k]:
-                s_id[c][s * n + j] += d * m
-            for c, m in alg.mult_nz[j][s]:
-                id_s[c][s * n + k] += d * m
-    return s_id, id_s
+    return (blocks(contract("ijk,skc->icsj", co, alg), n, n),
+            blocks(contract("ijk,jsc->icsk", co, alg), n, n))
 
 
 def _antipode_system_ordinary(b: BialgebraLike):
     """S(x_(1)) x_(2) = eps(x) 1 = x_(1) S(x_(2)), two rows per (x, c)."""
     alg, co = algebra_of(b), coalgebra_of(b)
+    s_id, id_s = _convolution_blocks(alg, co)
     rows, rhs = [], []
-    for i in range(alg.dim):
-        s_id, id_s = _convolution_blocks(alg, co, i)
-        for c in range(alg.dim):
-            want = co.counit[i] * alg.unit[c]
-            rows += [tuple(s_id[c]), tuple(id_s[c])]
-            rhs += [want, want]
+    for i, c in product(range(alg.dim), repeat=2):
+        want = co.counit[i] * alg.unit[c]
+        rows += [s_id[i][c], id_s[i][c]]
+        rhs += [want, want]
     return tuple(rows), tuple(rhs)
 
 
@@ -613,24 +505,15 @@ def _antipode_system_weak(w: WeakLike):
     pil, pir = target_source(w)
     n = alg.dim
     f = alg.field
+    s_id, id_s = _convolution_blocks(alg, co)
+    cubic = blocks(contract("ijk,rj,rtc->ictk", co, pir, alg), n, n)
     rows, rhs = [], []
-    for i in range(n):
-        s_id, id_s = _convolution_blocks(alg, co, i)
-        cubic = [[f.zero] * (n * n) for _ in range(n)]
-        for j, k, d in plane_cells(co.comult_nz[i]):
-            for r, p in nonzero(column(pir, j)):
-                for t in range(n):
-                    for c, m in alg.mult_nz[r][t]:
-                        cubic[c][t * n + k] += d * p * m
-        for c in range(n):
-            cubic[c][c * n + i] -= f.one
-            rows += [tuple(id_s[c]), tuple(s_id[c]), tuple(cubic[c])]
-            rhs += [pil[c][i], pir[c][i], f.zero]
+    for i, c in product(range(n), repeat=2):
+        cub = list(cubic[i][c])
+        cub[c * n + i] -= f.one  # the unknown S[c][i]
+        rows += [id_s[i][c], s_id[i][c], tuple(cub)]
+        rhs += [pil[c][i], pir[c][i], f.zero]
     return tuple(rows), tuple(rhs)
-
-
-def _unflatten(xs: Vec, n: int) -> Mat:
-    return tuple(tuple(xs[r * n + c] for c in range(n)) for r in range(n))
 
 
 def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
@@ -651,7 +534,7 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
     weak = isinstance(b, (WeakBialgebra, WeakHopfAlgebra))
     rows, rhs = _antipode_system_weak(b) if weak else _antipode_system_ordinary(b)
     sol = solve_linear(rows, rhs, alg.field)
-    return None if sol is None else _unflatten(sol.particular, alg.dim)
+    return None if sol is None else blocks(sol.particular, alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +544,9 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
 def target_source(w: WeakLike) -> tuple[Mat, Mat]:
     """Matrices of pi_L and pi_R."""
     alg, co = algebra_of(w), coalgebra_of(w)
-    n = alg.dim
-    d1 = unit_comult_cells(w)
-    pil_cols, pir_cols = [], []
-    for h in range(n):
-        pl = [alg.field.zero] * n
-        pr = [alg.field.zero] * n
-        for j, k, d in d1:
-            pl[k] += d * co.counit_of(alg.mult[j][h])
-            pr[j] += d * co.counit_of(alg.mult[h][k])
-        pil_cols.append(tuple(pl))
-        pir_cols.append(tuple(pr))
-    return mat_from_cols(pil_cols), mat_from_cols(pir_cols)
+    d1, eps = blocks(co.comult_vec(alg.unit), alg.dim), _counit_of_products(alg, co)
+    return (blocks(contract("jk,jh->kh", d1, eps), alg.dim),
+            blocks(contract("jk,hk->jh", d1, eps), alg.dim))
 
 
 def check_counital_maps(w: WeakLike) -> Report:
@@ -686,7 +560,10 @@ def check_counital_maps(w: WeakLike) -> Report:
     ck = Checker("counital-maps", name_of(w))
     ck.equal_vec("W1-target", (), tuple(r for m in mat_mul(pil, pil) for r in m), tuple(r for m in pil for r in m))
     ck.equal_vec("W1-source", (), tuple(r for m in mat_mul(pir, pir) for r in m), tuple(r for m in pir for r in m))
-    d1 = unit_comult_cells(w)
+    d1 = blocks(co.comult_vec(alg.unit), n)
+    # W3: Delta(pi_L(x)) = 1_(1) pi_L(x) (x) 1_(2), mirrored for pi_R
+    w3_target = blocks(contract("ak,asp,sx->xpk", d1, alg, pil), n)
+    w3_source = blocks(contract("jb,sx,sbq->xjq", d1, pir, alg), n)
     for x in range(n):
         plx = column(pil, x)
         prx = column(pir, x)
@@ -703,15 +580,8 @@ def check_counital_maps(w: WeakLike) -> Report:
             got2 = co.counit_of(alg.mul(alg.basis(x), column(pil, y)))
             ck.equal_vec("W4-source", (("x", x), ("y", y)), (got1,), (exy,))
             ck.equal_vec("W4-target", (("x", x), ("y", y)), (got2,), (exy,))
-        # W3: Delta(pi_L(x)) = 1_(1) pi_L(x) (x) 1_(2), mirrored for pi_R
-        want = [alg.field.zero] * (n * n)
-        for a, k, d in d1:
-            add_outer(want, d, alg.mul(alg.basis(a), plx), alg.basis(k))
-        ck.equal_vec("W3-target", (("x", x),), co.comult_vec(plx), tuple(want))
-        want = [alg.field.zero] * (n * n)
-        for j, b, d in d1:
-            add_outer(want, d, alg.basis(j), alg.mul(prx, alg.basis(b)))
-        ck.equal_vec("W3-source", (("x", x),), co.comult_vec(prx), tuple(want))
+        ck.equal_vec("W3-target", (("x", x),), co.comult_vec(plx), w3_target[x])
+        ck.equal_vec("W3-source", (("x", x),), co.comult_vec(prx), w3_source[x])
     if s is None:
         ck.skip("W5")
         ck.skip("W6")
@@ -721,23 +591,15 @@ def check_counital_maps(w: WeakLike) -> Report:
     ck.equal_vec("W5-target", (), flat(mat_mul(pil, pir)), flat(mat_mul(s, pir)))
     ck.equal_vec("W5-source", (), flat(mat_mul(pir, pil)), flat(mat_mul(pir, s)))
     ck.equal_vec("W5-source", (), flat(mat_mul(pir, pil)), flat(mat_mul(s, pil)))
-    for x in range(n):
-        # x_(1) (x) pi_R(x_(2)) = x 1_(1) (x) S(1_(2))
-        lhs = [alg.field.zero] * (n * n)
-        rhs = [alg.field.zero] * (n * n)
-        for j, m, d in plane_cells(co.comult_nz[x]):
-            add_outer(lhs, d, alg.basis(j), column(pir, m))
-        for a, b, d in d1:
-            add_outer(rhs, d, alg.mult[x][a], column(s, b))
-        ck.equal_vec("W6-right", (("x", x),), tuple(lhs), tuple(rhs))
-        # pi_L(x_(1)) (x) x_(2) = S(1_(1)) (x) 1_(2) x
-        lhs = [alg.field.zero] * (n * n)
-        rhs = [alg.field.zero] * (n * n)
-        for m, k, d in plane_cells(co.comult_nz[x]):
-            add_outer(lhs, d, column(pil, m), alg.basis(k))
-        for a, b, d in d1:
-            add_outer(rhs, d, column(s, a), alg.mult[b][x])
-        ck.equal_vec("W6-left", (("x", x),), tuple(lhs), tuple(rhs))
+    # x_(1) (x) pi_R(x_(2)) = x 1_(1) (x) S(1_(2))
+    right = zip(blocks(contract("xjm,qm->xjq", co, pir), n),
+                blocks(contract("ab,xap,qb->xpq", d1, alg, s), n))
+    # pi_L(x_(1)) (x) x_(2) = S(1_(1)) (x) 1_(2) x
+    left = zip(blocks(contract("xmk,pm->xpk", co, pil), n),
+               blocks(contract("ab,pa,bxq->xpq", d1, s, alg), n))
+    for x, (lhs_r, rhs_r), (lhs_l, rhs_l) in zip(range(n), right, left):
+        ck.equal_vec("W6-right", (("x", x),), lhs_r, rhs_r)
+        ck.equal_vec("W6-left", (("x", x),), lhs_l, rhs_l)
     return ck.report()
 
 
@@ -803,16 +665,11 @@ def quantum_commutative_witness(w: WeakLike) -> Violation | None:
     alg, co = algebra_of(w), coalgebra_of(w)
     _, pir = target_source(w)
     n = alg.dim
-    for h in range(n):
-        for g in range(n):
-            want = alg.mult[h][g]
-            got = zeros_vec(alg.field, n)
-            for a, b, d in plane_cells(co.comult_nz[h]):
-                term = alg.mul(alg.mul(alg.basis(a), alg.basis(g)), column(pir, b))
-                got = vec_add(got, vec_scale(d, term))
-            if got != tuple(want):
-                delta = tuple(x - y for x, y in zip(got, want))
-                return Violation("quantum-commutative", (("h", h), ("g", g)), delta)
+    got = blocks(contract("hab,agt,sb,tsr->hgr", co, alg, pir, alg), n, n)
+    for h, g in product(range(n), repeat=2):
+        if got[h][g] != alg.mult[h][g]:
+            delta = tuple(x - y for x, y in zip(got[h][g], alg.mult[h][g]))
+            return Violation("quantum-commutative", (("h", h), ("g", g)), delta)
     return None
 
 
@@ -825,12 +682,23 @@ def check_quantum_commutative(w: WeakLike) -> bool:
     """
     alg = algebra_of(w)
     _, pir = target_source(w)
-    by_identity = quantum_commutative_witness(w) is None
-    central = all(alg.mul(z, alg.basis(i)) == alg.mul(alg.basis(i), z)
-                  for z in column_space_basis(pir, alg.field) for i in range(alg.dim))
+    violation = quantum_commutative_witness(w)
+    source = column_space_basis(pir, alg.field)
+    pairs = [(k, i) for k in range(len(source)) for i in range(alg.dim)]
+
+    def commutes(k: int, i: int) -> bool:
+        return alg.mul(source[k], alg.basis(i)) == alg.mul(alg.basis(i), source[k])
+
+    def witness() -> str:
+        if violation is not None:
+            return f"{violation.to_json()}, yet the source subalgebra is central"
+        k, i = next(pair for pair in pairs if not commutes(*pair))
+        return (f"source basis vector {k} {[str(x) for x in source[k]]} does not commute "
+                f"with e_{i}, yet the identity holds")
+
     _postcondition("identity and centre criteria of quantum commutativity agree", name_of(w),
-                   by_identity, central)
-    return by_identity
+                   violation is None, all(commutes(*pair) for pair in pairs), witness=witness)
+    return violation is None
 
 
 def check_algebra_morphism(f: Mat, src: FinAlgebra, dst: FinAlgebra) -> Report:

@@ -8,7 +8,6 @@ identity at weight -1 (see the README).  The replay of that statement, run
 by criterion 13, records the same refutation with its witnesses.
 """
 
-import json
 import shutil
 import subprocess
 import sys
@@ -59,7 +58,6 @@ from hopfrb.rbcore import (
     tilde_pair,
 )
 from hopfrb.hopfrb import (
-    check_long_pairing,
     check_quasitriangular,
     dimodule_T,
     doi_hopf_projection,

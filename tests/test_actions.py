@@ -2,14 +2,12 @@
 
 import pytest
 
-from hopfrb.exactlin import RATIONAL, apply_mat, vec
-from hopfrb.structures import StructureError, algebra_of, dual_algebra
+from hopfrb.exactlin import RATIONAL, vec
+from hopfrb.structures import StructureError, dual_algebra
 from hopfrb.actions import (
     ActionStructure,
     CoactionStructure,
     Dimodule,
-    DoiHopfModule,
-    HopfModule,
     WeakComoduleAlgebra,
     check_action,
     check_coaction,

@@ -1,0 +1,111 @@
+"""`exactlin.contract` against plain dense loops, for every spec in src.
+
+The specs are read from the package source, so a contraction is covered as
+soon as it is written.  Each operand is random and mostly zero over Q, F_2
+or F_5, with an independent extent per index letter; a three-letter operand
+is a stand-in carrier that offers only its raw view, so no carrier's shape
+rule ties its letters together.  The reference walks every assignment of
+every letter, zeros included.
+"""
+
+import ast
+from dataclasses import replace
+from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfrb.exactlin import (
+    RATIONAL, DimensionError, FieldError, RawTensor, contract, identity, prime_field,
+)
+from hopfrb.catalog import get
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopfrb"
+FIELDS = (RATIONAL, prime_field(2), prime_field(5))
+# zero six times as likely as each other value
+VALUES = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, 3])
+
+
+def _specs() -> list:
+    """Every spec literal in the first argument of a `contract` call."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract":
+                found.update(c.value for c in ast.walk(node.args[0])
+                             if isinstance(c, ast.Constant) and "->" in str(c.value))
+    return sorted(found)
+
+
+SPECS = _specs()
+
+
+def _operand(field, letters: str, cells: dict, shape: tuple):
+    if len(letters) == 3:
+        a, b, c = shape
+        t = tuple(tuple(tuple(cells[i, j, k] for k in range(c)) for j in range(b))
+                  for i in range(a))
+        return SimpleNamespace(raw=RawTensor(field, t, shape))
+    if len(letters) == 2:
+        return tuple(tuple(cells[i, j] for j in range(shape[1])) for i in range(shape[0]))
+    return tuple(cells[i,] for i in range(shape[0]))
+
+
+def test_the_package_states_its_sums_through_contract():
+    assert len(SPECS) >= 40
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_contract_matches_dense_loops(spec, data):
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    letters = sorted(set("".join(ins)))
+    top = 3 if len(letters) <= 6 else 2
+    dims = {c: data.draw(st.integers(1, top)) for c in letters}
+    field = data.draw(st.sampled_from(FIELDS))
+    dense = []
+    for x in ins:
+        shape = tuple(dims[c] for c in x)
+        dense.append({idx: field.of(data.draw(VALUES)) for idx in product(*map(range, shape))})
+    operands = [_operand(field, x, cells, tuple(dims[c] for c in x))
+                for x, cells in zip(ins, dense)]
+    summed = [c for c in letters if c not in out]
+    want = []
+    for o in product(*(range(dims[c]) for c in out)):
+        acc = field.zero
+        for s in product(*(range(dims[c]) for c in summed)):
+            at = {**dict(zip(out, o)), **dict(zip(summed, s))}
+            term = field.one
+            for x, cells in zip(ins, dense):
+                term = term * cells[tuple(at[c] for c in x)]
+            acc = acc + term
+        want.append(acc)
+    assert contract(spec, *operands) == tuple(want)
+
+
+def test_a_carrier_files_its_cells_once_per_layout():
+    alg = replace(get("group-algebra-c3").payload.algebra)  # a fresh raw view
+    first = contract("ijm,mkx->ijkx", alg, alg)
+    groups = dict(alg.raw._groups)
+    assert contract("ijm,mkx->ijkx", alg, alg) == first
+    assert len(groups) == 2
+    assert all(alg.raw._groups[layout] is g for layout, g in groups.items())
+
+
+def test_disagreeing_extents_mixed_fields_and_bad_specs_are_refused():
+    alg = get("group-algebra-c3").payload.algebra
+    with pytest.raises(DimensionError):
+        contract("ij,jkl->ikl", identity(RATIONAL, 2), alg)
+    with pytest.raises(FieldError):
+        contract("i,i->", identity(RATIONAL, 1)[0], identity(prime_field(3), 1)[0])
+    with pytest.raises(DimensionError):
+        contract("ii->i", identity(RATIONAL, 2))
+    with pytest.raises(DimensionError):
+        contract("ij->x", identity(RATIONAL, 2))
+    with pytest.raises(DimensionError):
+        contract("ij,jk->ik", identity(RATIONAL, 2))

@@ -10,7 +10,6 @@ from hopfrb.exactlin import (
     MAX_MODULUS,
     DimensionError,
     FieldError,
-    FieldSpec,
     RATIONAL,
     apply_mat,
     column_space_basis,

@@ -4,8 +4,7 @@ projections onto coinvariants."""
 import pytest
 
 from hopfrb.exactlin import (
-    RATIONAL, InternalError, apply_mat, identity, mat, mat_mul, mat_scale, prime_field, vec,
-    zeros_vec,
+    RATIONAL, InternalError, identity, mat, mat_mul, mat_scale, prime_field, vec,
 )
 from hopfrb.structures import (
     Functional,
@@ -23,7 +22,7 @@ from hopfrb.actions import (
     regular_coaction,
 )
 from hopfrb.rbcore import (
-    check_a_linear, check_rb_operator, check_rbp_module, classify_generic, random_operator,
+    check_a_linear, check_rb_operator, classify_generic, random_operator,
 )
 from hopfrb.hopfrb import (
     PairingForm,
@@ -261,6 +260,47 @@ def test_failed_equality_postcondition_names_clause_structure_and_cell(monkeypat
     assert str(err.value) == (
         f"{m.name}: hopf-module projection is idempotent fails; "
         "first witness cell (0, 0): got 4, want 2")
+
+
+def test_failed_image_postcondition_names_a_column_outside_the_fixed_subspace(monkeypatch):
+    # an empty fixed subspace: the first column of T lies outside it
+    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: ())
+    with pytest.raises(InternalError) as err:
+        integral_T(_c2(), get("c2-regular-module").payload, normalized_group_integral(_c2()))
+    assert str(err.value) == (
+        "c2-regular-left: image of the integral operator is the fixed subspace fails; "
+        "first witness column 0 ['1/2', '1/2'] lies outside the fixed subspace")
+
+
+def test_failed_image_postcondition_names_a_fixed_vector_outside_the_image(monkeypatch):
+    # the whole space as the fixed subspace: e_0 lies outside the image of T
+    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: identity(Q, 2))
+    with pytest.raises(InternalError) as err:
+        integral_T(_c2(), get("c2-regular-module").payload, normalized_group_integral(_c2()))
+    assert str(err.value) == (
+        "c2-regular-left: image of the integral operator is the fixed subspace fails; "
+        "first witness fixed vector 0 ['1', '0'] lies outside the image")
+
+
+def test_failed_coinvariant_postcondition_names_a_column_of_the_projection(monkeypatch):
+    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: ())
+    m = get("c2-regular-hopf-module").payload
+    with pytest.raises(InternalError) as err:
+        hopf_module_projection(_c2(), m)
+    assert str(err.value) == (
+        f"{m.name}: projection image lies in the coinvariants fails; "
+        "first witness column 0 ['1', '0'] lies outside the coinvariants")
+
+
+def test_failed_weak_coinvariant_postcondition_names_a_column_of_the_projection(monkeypatch):
+    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: ())
+    doi = get("pair-groupoid-doi-hopf").payload
+    with pytest.raises(InternalError) as err:
+        doi_hopf_projection(get("weak-pair-groupoid").payload, doi.comodule_algebra,
+                            identity(Q, 4), doi)
+    assert str(err.value) == (
+        f"{doi.name}: projection image lies in the weak coinvariants fails; "
+        "first witness column 0 ['1', '0', '0', '0'] lies outside the weak coinvariants")
 
 
 # -- pairings and R-matrices --------------------------------------------------

@@ -1,18 +1,19 @@
-"""The sparse view of structure constants against dense reference sums.
+"""The raw sparse view of structure constants against dense reference sums.
 
-Each structure reads its tensor through ``nonzero_cells``.  The references
-below are plain triple loops over every cell, zeros included, so a view that
-drops, repeats or misplaces a cell shows up as a wrong coordinate.  The
-tensors are random, mostly zero and asymmetric, with independent dims per
-index, so swapped indices do not cancel out.
+Each structure reads its tensor through its raw view (``RawTensor``), in its
+own kernels and in `contract`.  The references below are plain loops over
+every cell, zeros included, so a view that drops, repeats or misplaces a
+cell shows up as a wrong coordinate.  The tensors are random, mostly zero
+and asymmetric, with independent dims per index, so swapped indices do not
+cancel out.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrb.actions import ActionStructure, CoactionStructure
-from hopfrb.exactlin import RATIONAL, nonzero_cells, prime_field
-from hopfrb.structures import FinAlgebra, FinCoalgebra, tensor2_product, tensor3_product
+from hopfrb.exactlin import RATIONAL, RawTensor, blocks, contract, prime_field
+from hopfrb.structures import FinAlgebra, FinCoalgebra
 
 FIELDS = (RATIONAL, prime_field(2), prime_field(5))
 # zero six times as likely as each other value
@@ -45,11 +46,12 @@ def _draw(data):
 def test_view_lists_exactly_the_nonzero_cells_in_order(data):
     field, (a, b, c) = _draw(data)
     t = _tensor(data, field, a, b, c)
-    view = nonzero_cells(t)
+    view = RawTensor(field, t, (a, b, c))
+    assert view.shape == (a, b, c)
     for i in range(a):
         for j in range(b):
-            assert view[i][j] == tuple(
-                (k, t[i][j][k]) for k in range(c) if t[i][j][k] != field.zero
+            assert view.rows[i][j] == tuple(
+                (k, t[i][j][k].value) for k in range(c) if t[i][j][k] != field.zero
             )
 
 
@@ -65,28 +67,46 @@ def test_algebra_products_match_dense_sums(data):
         _sum(field, (x[i] * y[j] * mult[i][j][k] for i in r for j in r)) for k in r
     )
     u, v = _vec(data, field, n * n), _vec(data, field, n * n)
-    assert tensor2_product(alg, u, v) == tuple(
+    # the product in A (x) A, as check_bialgebra and RMatrix state it
+    assert contract("ab,cd,acx,bdy->xy", blocks(u, n), blocks(v, n), alg, alg) == tuple(
         _sum(field, (u[i * n + j] * v[k * n + l] * mult[i][k][p] * mult[j][l][q]
                      for i in r for j in r for k in r for l in r))
         for p in r for q in r
     )
 
 
+def _unital_algebra(data, field, n: int) -> FinAlgebra:
+    """A random algebra with e_0 as a two-sided unit, associative or not."""
+    mult = [[list(row) for row in plane] for plane in _tensor(data, field, n, n, n)]
+    for j in range(n):
+        mult[0][j] = mult[j][0] = [field.one if k == j else field.zero for k in range(n)]
+    unit = tuple(field.one if k == 0 else field.zero for k in range(n))
+    return FinAlgebra(field, n, tuple(f"e{i}" for i in range(n)),
+                      tuple(tuple(tuple(row) for row in plane) for plane in mult), unit)
+
+
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_tensor_cube_product_matches_dense_sums(data):
+    # R13 R23 and R13 R12 in A (x) A (x) A as check_quasitriangular states
+    # them, against the dense cube product of the legs with their 1s in place
     field = data.draw(st.sampled_from(FIELDS))
     n = data.draw(st.integers(1, 2))
-    mult = _tensor(data, field, n, n, n)
-    alg = FinAlgebra(field, n, tuple(f"e{i}" for i in range(n)), mult)
-    u, v = _vec(data, field, n ** 3), _vec(data, field, n ** 3)
-    r = range(n)
-    assert tensor3_product(alg, u, v) == tuple(
-        _sum(field, (u[(i * n + j) * n + k] * v[(l * n + m) * n + s]
-                     * mult[i][l][p] * mult[j][m][q] * mult[k][s][w]
-                     for i in r for j in r for k in r for l in r for m in r for s in r))
-        for p in r for q in r for w in r
-    )
+    alg = _unital_algebra(data, field, n)
+    mult, one, r = alg.mult, alg.unit, range(n)
+    rm, sm = (tuple(_vec(data, field, n) for _ in r) for _ in range(2))
+
+    def cube(u, v):
+        return tuple(
+            _sum(field, (u[a][b][c] * v[d][e][g] * mult[a][d][p] * mult[b][e][q] * mult[c][g][w]
+                         for a in r for b in r for c in r for d in r for e in r for g in r))
+            for p in r for q in r for w in r)
+
+    r13 = [[[rm[i][j] * one[u] for j in r] for u in r] for i in r]
+    r23 = [[[sm[i][j] * one[u] for j in r] for i in r] for u in r]
+    r12 = [[[sm[i][j] * one[u] for u in r] for j in r] for i in r]
+    assert contract("ij,kl,jlz->ikz", rm, sm, alg) == cube(r13, r23)
+    assert contract("ij,kl,ikx->xlj", rm, sm, alg) == cube(r13, r12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -100,7 +120,8 @@ def test_coalgebra_comultiplication_matches_dense_sums(data):
     assert co.comult_vec(x) == tuple(
         _sum(field, (x[i] * comult[i][j][k] for i in r)) for j in r for k in r
     )
-    assert co.comult2_vec(x) == tuple(
+    # (Delta (x) id) Delta(x), as check_weak_bialgebra states it
+    assert contract("i,imc,mab->abc", x, co, co) == tuple(
         _sum(field, (x[i] * comult[i][m][c] * comult[m][a][b] for i in r for m in r))
         for a in r for b in r for c in r
     )

@@ -6,6 +6,9 @@ string, as `bench/spans.py` names what it traces) anywhere in `src/hopfrb`
 or `bench/*.py` outside its own definition.  Imports do not count.  Code
 that only its own unit tests call is deleted, unless it is listed below
 with the reason it stays.
+
+The test modules are held to the same standard: a name a test module
+imports and never reads fails `test_every_test_module_reads_what_it_imports`.
 """
 
 import ast
@@ -66,3 +69,21 @@ def test_every_public_name_is_used_outside_its_definition():
 
 def test_every_kept_name_is_still_defined():
     assert set(KEPT) <= set(_definitions(_trees()))
+
+
+def _unread_imports(tree: ast.AST) -> list:
+    """Names that `tree` binds by an import and never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", "") != "__future__"):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_test_module_reads_what_it_imports():
+    unread = {path.name: names for path in sorted((ROOT / "tests").glob("*.py"))
+              if (names := _unread_imports(ast.parse(path.read_text())))}
+    assert not unread, f"test modules import names they never read: {unread}"

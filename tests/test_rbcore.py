@@ -13,7 +13,6 @@ from hopfrb.exactlin import (
     identity,
     kernel_basis,
     mat,
-    mat_mul,
     mat_scale,
     prime_field,
     solve_linear,
@@ -440,6 +439,16 @@ def test_double_construction_star_is_nonunital():
     # star product of E22 with itself: E22 * E22 = 2 E22 P(E22) + lam E22^2
     e22 = star.basis(3)
     assert star.mul(e22, e22) == vec_scale(MINUS_ONE, mat2.basis(3))
+
+
+def test_double_construction_on_the_zero_algebra():
+    # the star algebra of a zero-dimensional algebra checks nothing and skips
+    # both unit axioms; a postcondition rejects only a violation
+    zero = FinAlgebra(Q, 0, (), (), None, name="zero")
+    module = ActionStructure(zero, 1, "left", (), name="zero-module")
+    star, tri, inst = double_construction(zero, (), module, identity(Q, 1), MINUS_ONE)
+    assert star.dim == 0 and star.unit is None
+    assert check_rbp_module(inst).result == "pass"
 
 
 def test_double_construction_needs_rb_hypothesis():

@@ -5,6 +5,7 @@ import pytest
 from hopfrb import exactlin, structures
 from hopfrb.exactlin import (
     RATIONAL,
+    InternalError,
     apply_mat,
     column_space_basis,
     identity,
@@ -29,7 +30,6 @@ from hopfrb.structures import (
     check_counital_maps,
     check_hopf,
     check_quantum_commutative,
-    check_weak_bialgebra,
     check_weak_hopf,
     compute_antipode,
     convolution,
@@ -40,6 +40,7 @@ from hopfrb.structures import (
     target_source,
 )
 from hopfrb.catalog import cyclic_group_algebra, get
+from hopfrb.report import Violation
 
 Q = RATIONAL
 
@@ -265,6 +266,27 @@ def test_quantum_commutativity_split():
     wit = quantum_commutative_witness(get("weak-pair-groupoid").payload)
     assert wit is not None and wit.axiom == "quantum-commutative"
     assert quantum_commutative_witness(get("weak-two-point").payload) is None
+
+
+def test_criteria_disagreement_names_the_identity_violation(monkeypatch):
+    fake = Violation("quantum-commutative", (("h", 0), ("g", 1)), (Q.one, Q.zero))
+    monkeypatch.setattr(structures, "quantum_commutative_witness", lambda w: fake)
+    with pytest.raises(InternalError) as err:
+        check_quantum_commutative(get("weak-two-point").payload)
+    assert str(err.value) == (
+        "two-point: identity and centre criteria of quantum commutativity agree fails; "
+        "first witness {'axiom': 'quantum-commutative', 'h': 0, 'g': 1, 'delta': ['1', '0']}, "
+        "yet the source subalgebra is central")
+
+
+def test_criteria_disagreement_names_the_first_noncentral_pair(monkeypatch):
+    monkeypatch.setattr(structures, "quantum_commutative_witness", lambda w: None)
+    with pytest.raises(InternalError) as err:
+        check_quantum_commutative(get("weak-pair-groupoid").payload)
+    assert str(err.value) == (
+        "pair-groupoid: identity and centre criteria of quantum commutativity agree fails; "
+        "first witness source basis vector 0 ['1', '0', '0', '0'] does not commute with e_1, "
+        "yet the identity holds")
 
 
 def test_target_subalgebra_closed():
