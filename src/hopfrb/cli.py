@@ -292,7 +292,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_replay(cfg: RunConfig) -> int:
-    from .replay import ReplayError, run_all, run_replay, replay_ids
+    from .replay import run_all, run_replay, replay_ids
 
     if cfg.target == "all":
         doc = run_all(seed=cfg.seed, trials=cfg.trials)

@@ -497,24 +497,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if len(a) != len(b):
-        raise DimensionError("matrix sum shape mismatch")
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    if len(a) != len(b):
-        raise DimensionError("matrix sum shape mismatch")
-    return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
 def mat_scale(c: Scalar, a: Mat) -> Mat:
     return tuple(vec_scale(c, r) for r in a)
-
-
-def is_zero_mat(a: Mat) -> bool:
-    return all(is_zero_vec(r) for r in a)
 
 
 def transpose(a: Mat) -> Mat:
@@ -529,13 +513,6 @@ def mat_from_cols(cols: Sequence[Vec]) -> Mat:
 
 def column(a: Mat, j: int) -> Vec:
     return tuple(row[j] for row in a)
-
-
-def stack_rows(mats: Iterable[Mat]) -> Mat:
-    rows: list = []
-    for m in mats:
-        rows.extend(m)
-    return tuple(rows)
 
 
 def tensor_vec(u: Vec, v: Vec) -> Vec:

@@ -28,8 +28,16 @@ so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
 e_i, in raw field values (`Fraction`, or `int` reduced mod p at the
 comparison).  Every fuzzed P is decided this way: the trials of
 `classify_generic` and replay's own fuzz loops alike.  Trial 0 of each is
-also run through the unchanged `check_rbp_module` as an independent
-oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
+also run through `check_rbp_module` as an oracle (`PairingSystem.decide`),
+and a disagreement raises InternalError.
+
+Every identity here is written once, as `exactlin.contract` calls.  The
+oracle states the identity itself, not its affine form: it builds no
+commutator and no pairing system, so the two share only the contraction
+kernel.  The kernel's independence rests on the tests: every spec in src
+is checked against dense loops (tests/test_contract.py), and
+`check_rbp_module` and `check_rb_operator` against plain loops over the
+paper's formulas (tests/test_rbcore.py).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import os
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
 
 from .exactlin import (
     DimensionError,
@@ -50,18 +59,16 @@ from .exactlin import (
     blocks,
     column,
     column_space_basis,
-    identity,
-    is_zero_mat,
+    contract,
+    is_zero_vec,
     mat,
-    mat_add,
     mat_mul,
     mat_scale,
-    mat_sub,
     span_leq,
-    stack_rows,
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from .report import Checker, Report, Violation, _postcondition
 from .structures import FinAlgebra, PreconditionError, StructureError, check_algebra
@@ -140,50 +147,43 @@ class RbpInstance:
         return self.algebra.field
 
 
+def _shifted(x: Mat, lam: Scalar) -> Mat:
+    """X + lam id."""
+    return tuple(tuple(v + lam if r == c else v for c, v in enumerate(row))
+                 for r, row in enumerate(x))
+
+
+def _induced(p: Mat, c, u: Mat) -> Vec:
+    """P(e_i) . f_j + e_i . U(f_j) on the carrier c, flat on the lex basis of
+    (i, j, k): the star product x * y = P(x) y + x (P + lam)(y) of Prop. 3.6
+    for c = A and U = P + lam, its action on M for c = M and U = T + lam."""
+    return vec_add(contract("bi,bjk->ijk", p, c), contract("ilk,lj->ijk", c, u))
+
+
 def check_rb_operator(a: FinAlgebra, p: Mat, lam: Scalar, instance: str = "") -> Report:
-    """P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on all basis pairs."""
+    """P(x)P(y) = P(x * y) on all basis pairs, where x * y = P(x)y + xP(y)
+    + lam xy is the induced product."""
     ck = Checker("rb-operator", instance or a.name, weight=str(lam))
     n = a.dim
-    for i in range(n):
-        pi = column(p, i)
-        for j in range(n):
-            pj = column(p, j)
-            lhs = a.mul(pi, pj)
-            rhs = vec_add(
-                apply_mat(p, a.mul(pi, a.basis(j))),
-                apply_mat(p, a.mul(a.basis(i), pj)),
-            )
-            rhs = vec_add(rhs, vec_scale(lam, apply_mat(p, a.mult[i][j])))
-            ck.equal_vec("rb-identity", (("x", i), ("y", j)), lhs, rhs)
+    lhs = blocks(contract("ai,bj,abk->ijk", p, p, a), n, n)
+    star = blocks(_induced(p, a, _shifted(p, lam)), n * n)
+    rhs = blocks(contract("sk,xk->sx", star, p), n, n)
+    for i, j in product(range(n), repeat=2):
+        ck.equal_vec("rb-identity", (("x", i), ("y", j)), lhs[i][j], rhs[i][j])
     return ck.report()
 
 
-def _pairing_sides(inst: RbpInstance) -> list[tuple[Mat, Mat]]:
-    """(lhs, rhs) operator pairs of the paired-module identity, one per
-    algebra basis element."""
-    a, m, p, t, lam = inst.algebra, inst.module, inst.p, inst.t, inst.weight
-    out = []
-    for i, act_i in enumerate(m.basis_ops):
-        act_pi = m.matrix(column(p, i))
-        lhs = mat_mul(act_pi, t)
-        rhs = mat_add(
-            mat_mul(t, act_pi),
-            mat_add(mat_mul(t, mat_mul(act_i, t)), mat_scale(lam, mat_mul(t, act_i))),
-        )
-        out.append((lhs, rhs))
-    return out
-
-
 def check_rbp_module(inst: RbpInstance) -> Report:
-    """The weight-lam identity on all basis pairs; fills inst.verified."""
+    """act(P e_i) T = T act(P e_i) + T act(e_i) (T + lam) for every algebra
+    basis element e_i, compared on the row-major cells; fills
+    inst.verified."""
+    m, p, t, n = inst.module, inst.p, inst.t, inst.algebra.dim
     ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
-    for i, (lhs, rhs) in enumerate(_pairing_sides(inst)):
-        ck.equal_vec(
-            "pairing-identity",
-            (("a", i),),
-            tuple(x for row in lhs for x in row),
-            tuple(x for row in rhs for x in row),
-        )
+    lhs = blocks(contract("bi,bkr,kc->irc", p, m, t), n)
+    rhs = blocks(vec_add(contract("rk,bi,bck->irc", t, p, m),
+                         contract("rk,ilk,lc->irc", t, m, _shifted(t, inst.weight))), n)
+    for i in range(n):
+        ck.equal_vec("pairing-identity", (("a", i),), lhs[i], rhs[i])
     rep = ck.report()
     inst.verified = "pass" if rep.ok else "fail"
     inst.witness = rep.violations[0] if rep.violations else None
@@ -198,15 +198,15 @@ def _require_verified(inst: RbpInstance, op: str) -> None:
 
 
 def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
-    """T^2 + lam T = 0, exactly."""
-    if not t:
-        return True
-    return is_zero_mat(mat_add(mat_mul(t, t), mat_scale(lam, t)))
+    """T (T + lam) = 0, exactly."""
+    return is_zero_vec(contract("rk,kc->rc", t, _shifted(t, lam)))
 
 
-def _commutators(m: ActionStructure, t: Mat) -> tuple[Mat, ...]:
-    """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis element b."""
-    return tuple(mat_sub(mat_mul(op, t), mat_mul(t, op)) for op in m.basis_ops)
+def _commutators(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
+    """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis
+    element b, on its row-major cells."""
+    return blocks(vec_sub(contract("bkr,kc->brc", m, t), contract("rk,bck->brc", t, m)),
+                  m.algebra.dim)
 
 
 def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
@@ -217,7 +217,7 @@ def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
     ck = Checker("a-linearity", instance or m.name)
     for b, comm in enumerate(_commutators(m, t)):
         for j in range(m.dim):
-            ck.zero_vec("commutes-with-action", (("b", b), ("m", j)), column(comm, j))
+            ck.zero_vec("commutes-with-action", (("b", b), ("m", j)), comm[j::m.dim])
     return ck.report()
 
 
@@ -325,16 +325,10 @@ class PairingSystem:
 
 def pairing_system(m: ActionStructure, t: Mat, lam: Scalar) -> PairingSystem:
     """The commutators C_b and right-hand sides K_i of (M, T, lam), once."""
-    comms = tuple(
-        tuple((cell, x.value) for cell, x in enumerate(x for row in c for x in row) if x.value)
-        for c in _commutators(m, t)
-    )
-    rhs = []
-    for op in m.basis_ops:
-        t_op = mat_mul(t, op)
-        k_i = mat_add(mat_mul(t_op, t), mat_scale(lam, t_op))
-        rhs.append([x.value for row in k_i for x in row])
-    return PairingSystem(m, t, lam, comms, tuple(rhs))
+    comms = tuple(tuple((cell, x.value) for cell, x in enumerate(c) if x.value)
+                  for c in _commutators(m, t))
+    rhs = blocks(contract("rk,ilk,lc->irc", t, m, _shifted(t, lam)), m.algebra.dim)
+    return PairingSystem(m, t, lam, comms, tuple([x.value for x in k] for k in rhs))
 
 
 def classify_generic(
@@ -363,8 +357,7 @@ def classify_generic(
     qi = is_quasi_idempotent(t, lam)
     generic: bool | None = None
     if a_linear:
-        defect = mat_add(mat_mul(t, t), mat_scale(lam, t))
-        generic = all(is_zero_mat(mat_mul(op, defect)) for op in m.basis_ops)
+        generic = is_zero_vec(contract("bkr,kl,lc->brc", m, t, _shifted(t, lam)))
     failures = sum(
         system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
     )
@@ -380,11 +373,8 @@ def classify_generic(
 
 def tilde_pair(p: Mat, t: Mat, lam: Scalar) -> tuple[Mat, Mat]:
     """(-lam id - P, -lam id - T); applying it twice gives back (P, T)."""
-    f = lam.field
-    minus = -lam
-    pt = mat_sub(mat_scale(minus, identity(f, len(p))), p) if p else ()
-    tt = mat_sub(mat_scale(minus, identity(f, len(t))), t) if t else ()
-    return pt, tt
+    minus_one = -lam.field.one
+    return mat_scale(minus_one, _shifted(p, lam)), mat_scale(minus_one, _shifted(t, lam))
 
 
 def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
@@ -400,10 +390,8 @@ def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
     if lam.is_zero:
         raise PreconditionError("atkinson_witness needs nonzero weight")
     m = inst.module
-    pa = apply_mat(inst.p, a_vec)
-    tm = apply_mat(inst.t, m_vec)
-    am = m.apply(a_vec, m_vec)
-    n = vec_add(vec_add(m.apply(pa, m_vec), m.apply(a_vec, tm)), vec_scale(lam, am))
+    pa, tm = apply_mat(inst.p, a_vec), apply_mat(inst.t, m_vec)
+    n = vec_add(m.apply(pa, m_vec), m.apply(a_vec, apply_mat(_shifted(inst.t, lam), m_vec)))
     _postcondition("factorization P(a) . T(m) = T(n)", inst.name,
                    m.apply(pa, tm), apply_mat(inst.t, n))
     pt, tt = tilde_pair(inst.p, inst.t, lam)
@@ -420,16 +408,17 @@ def atkinson_solvable(
 
     This is the hypothesis side of the factorization equivalence: for
     nonzero weight it holds exactly when (M, P, T) is a paired module.
+    The tilde equation P~(a) . T~(m) = -T~(n) is stated as
+    (P + lam)(a) . (T + lam)(m) = (T + lam)(n), its negation.
     """
     if lam.is_zero:
         raise PreconditionError("factorization solvability needs nonzero weight")
-    pt, tt = tilde_pair(p, t, lam)
-    minus_one = -a.field.one
-    rhs = [m.apply(column(p, i), column(t, j))
-           + vec_scale(minus_one, m.apply(column(pt, i), column(tt, j)))
-           for i in range(a.dim) for j in range(m.dim)]
-    # each right-hand side must lie in the column space of [T; T~]
-    return span_leq(rhs, transpose(stack_rows((t, tt))), a.field)
+    pl, tl = _shifted(p, lam), _shifted(t, lam)
+    rows = a.dim * m.dim
+    rhs = [x + y for x, y in zip(blocks(contract("bi,lj,blk->ijk", p, t, m), rows),
+                                 blocks(contract("bi,lj,blk->ijk", pl, tl, m), rows))]
+    # each right-hand side must lie in the column space of [T; T + lam]
+    return span_leq(rhs, transpose(t + tl), a.field)
 
 
 def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
@@ -517,35 +506,16 @@ def double_construction(
     base = RbpInstance(a, m, p, t, lam, name=f"{m.name}-base")
     if not check_rbp_module(base).ok:
         raise PreconditionError("double_construction needs a verified paired module")
-    f = a.field
-    n = a.dim
-    star_mult = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            v = vec_add(
-                a.mul(a.basis(i), column(p, j)),
-                a.mul(column(p, i), a.basis(j)),
-            )
-            v = vec_add(v, vec_scale(lam, a.mult[i][j]))
-            plane.append(v)
-        star_mult.append(tuple(plane))
-    star = FinAlgebra(f, n, a.labels, tuple(star_mult), None, name=f"{a.name}-star")
+    n, d = a.dim, m.dim
+    star = FinAlgebra(a.field, n, a.labels, blocks(_induced(p, a, _shifted(p, lam)), n, n),
+                      None, name=f"{a.name}-star")
     _postcondition("star product is an algebra", star.name, check_algebra(star))
-    tri_act = []
-    for i in range(n):
-        op = mat_add(
-            m.matrix(column(p, i)),
-            mat_add(mat_mul(m.matrix(a.basis(i)), t), mat_scale(lam, m.matrix(a.basis(i)))),
-        )
-        # rows of the action plane are indexed by module input, so transpose
-        plane = tuple(tuple(op[k][j] for k in range(m.dim)) for j in range(m.dim))
-        tri_act.append(plane)
-    tri = ActionStructure(star, m.dim, m.side, tuple(tri_act), name=f"{m.name}-tri")
+    tri = ActionStructure(star, d, m.side, blocks(_induced(p, m, _shifted(t, lam)), n, d),
+                          name=f"{m.name}-tri")
     _postcondition("induced action is a module action", tri.name, check_action(tri))
     _postcondition("intertwining T(a |> m) = P(a) . T(m)", tri.name,
-                   tuple(mat_mul(t, tri.matrix(a.basis(i))) for i in range(n)),
-                   tuple(mat_mul(m.matrix(column(p, i)), t) for i in range(n)))
+                   blocks(contract("rk,ick->irc", t, tri), n, d),
+                   blocks(contract("bi,bkr,kc->irc", p, m, t), n, d))
     inst = RbpInstance(star, tri, p, t, lam, name=f"{m.name}-double")
     _postcondition("doubled instance satisfies the paired identity", inst.name,
                    check_rbp_module(inst))
@@ -560,33 +530,28 @@ def idempotent_identities(inst: RbpInstance) -> Report:
     Inapplicable identities are reported skipped.
     """
     _require_verified(inst, "idempotent_identities")
-    a, m, p, t, lam = inst.algebra, inst.module, inst.p, inst.t, inst.weight
-    f = a.field
+    m, p, t, lam, n = inst.module, inst.p, inst.t, inst.weight, inst.algebra.dim
     ck = Checker("idempotent-identities", inst.name, weight=str(lam))
-    one_plus = f.one + lam
-    t_idem = (not t) or mat_mul(t, t) == t
-    p_idem = (not p) or mat_mul(p, p) == p
-    flat = lambda mm: tuple(x for row in mm for x in row)  # noqa: E731
-    if not t_idem:
+    if t and mat_mul(t, t) != t:
         ck.skip("T-after-T-vanishes")
         ck.skip("T-after-P-vanishes")
         ck.skip("P-T-cross-term")
         return ck.report()
-    for i in range(a.dim):
-        act_i = m.matrix(a.basis(i))
-        v = mat_scale(one_plus, mat_mul(t, mat_mul(act_i, t)))
-        ck.zero_vec("T-after-T-vanishes", (("a", i),), flat(v))
-    if not p_idem:
+    # every identity carries the factor 1 + lam; it rides on T
+    t_scaled = mat_scale(lam.field.one + lam, t)
+    t_t = blocks(contract("rk,ilk,lc->irc", t_scaled, m, t), n)
+    for i in range(n):
+        ck.zero_vec("T-after-T-vanishes", (("a", i),), t_t[i])
+    if p and mat_mul(p, p) != p:
         ck.skip("T-after-P-vanishes")
         ck.skip("P-T-cross-term")
         return ck.report()
-    for i in range(a.dim):
-        act_i = m.matrix(a.basis(i))
-        act_pi = m.matrix(column(p, i))
-        v = mat_scale(one_plus, mat_mul(t, act_pi))
-        ck.zero_vec("T-after-P-vanishes", (("a", i),), flat(v))
-        w = mat_scale(one_plus, mat_sub(mat_mul(act_pi, t), mat_scale(lam, mat_mul(t, act_i))))
-        ck.zero_vec("P-T-cross-term", (("a", i),), flat(w))
+    t_p = blocks(contract("rk,bi,bck->irc", t_scaled, p, m), n)
+    cross = blocks(vec_sub(contract("bi,bkr,kc->irc", p, m, t_scaled),
+                           contract("rk,ick->irc", mat_scale(lam, t_scaled), m)), n)
+    for i in range(n):
+        ck.zero_vec("T-after-P-vanishes", (("a", i),), t_p[i])
+        ck.zero_vec("P-T-cross-term", (("a", i),), cross[i])
     return ck.report()
 
 

@@ -7,8 +7,10 @@ or `bench/*.py` outside its own definition.  Imports do not count.  Code
 that only its own unit tests call is deleted, unless it is listed below
 with the reason it stays.
 
-The test modules are held to the same standard: a name a test module
-imports and never reads fails `test_every_test_module_reads_what_it_imports`.
+The modules of src and of the tests are held to the same standard: a name
+a module imports and never reads fails `test_every_src_module_reads_what_it_imports`
+or `test_every_test_module_reads_what_it_imports`; an import inside a
+function counts too.
 """
 
 import ast
@@ -83,7 +85,16 @@ def _unread_imports(tree: ast.AST) -> list:
     return sorted(bound - read)
 
 
+def _unread_by_module(folder: Path) -> dict:
+    return {path.name: names for path in sorted(folder.glob("*.py"))
+            if (names := _unread_imports(ast.parse(path.read_text())))}
+
+
 def test_every_test_module_reads_what_it_imports():
-    unread = {path.name: names for path in sorted((ROOT / "tests").glob("*.py"))
-              if (names := _unread_imports(ast.parse(path.read_text())))}
+    unread = _unread_by_module(ROOT / "tests")
     assert not unread, f"test modules import names they never read: {unread}"
+
+
+def test_every_src_module_reads_what_it_imports():
+    unread = _unread_by_module(SRC)
+    assert not unread, f"src modules import names they never read: {unread}"

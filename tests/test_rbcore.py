@@ -1,6 +1,7 @@
 """Rota-Baxter operators, paired modules, and their constructions."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,93 @@ def test_p_need_not_be_rb_for_pairing():
     assert check_rbp_module(inst).ok
 
 
+# -- both identities against plain loops over the paper's formulas -----------
+#
+# The checkers and the pairing system state their sums through one kernel,
+# `exactlin.contract`; these loops share nothing with it.  The algebras are
+# random, mostly zero and need not be associative or unital.
+
+ORACLE_FIELDS = [Q, prime_field(2), prime_field(5)]
+SPARSE = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, 3])
+
+
+def _draw_tensor(data, field, *shape):
+    if not shape:
+        return field.of(data.draw(SPARSE))
+    return tuple(_draw_tensor(data, field, *shape[1:]) for _ in range(shape[0]))
+
+
+def _plain_act(act, x, v, field):
+    """x . v for an algebra vector x and a carrier vector v, by the triple sum."""
+    out = [field.zero] * len(v)
+    for i, xi in enumerate(x):
+        for j, vj in enumerate(v):
+            for k in range(len(v)):
+                out[k] = out[k] + xi * vj * act[i][j][k]
+    return out
+
+
+def _plain_apply(op, v, field):
+    return [sum((op[r][c] * v[c] for c in range(len(v))), field.zero) for r in range(len(op))]
+
+
+def _expected_report(deltas):
+    """(violation count, first witness, its delta) of (witness, delta) pairs."""
+    failing = [(w, d) for w, d in deltas if any(not x.is_zero for x in d)]
+    return len(failing), *(failing[0] if failing else (None, None))
+
+
+def _got_report(rep):
+    if not rep.violations:
+        return rep.violation_count, None, None
+    return rep.violation_count, rep.violations[0].witness, rep.violations[0].delta
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_both_identities_match_plain_loops(field, data):
+    n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mult, act = _draw_tensor(data, field, n, n, n), _draw_tensor(data, field, n, d, d)
+    p, t = _draw_tensor(data, field, n, n), _draw_tensor(data, field, d, d)
+    if data.draw(st.booleans()):
+        t = zeros_mat(field, d, d)  # pairs with every P, so passing reports occur
+    lam = _draw_tensor(data, field)
+    side = data.draw(st.sampled_from(["left", "right"]))
+    alg = FinAlgebra(field, n, tuple(range(n)), mult, None, name="A")
+    module = ActionStructure(alg, d, side, act, name="M")
+    e = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    f = [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+
+    # P(a).T(m) = T(P(a).m) + T(a.T(m)) + lam T(a.m), a = e_i, m = f_c;
+    # the delta lists lhs - rhs at (r, c), row-major
+    deltas = []
+    for i in range(n):
+        pa = _plain_apply(p, e[i], field)
+        cols = []
+        for c in range(d):
+            lhs = _plain_act(act, pa, _plain_apply(t, f[c], field), field)
+            rhs = [x + y + lam * z for x, y, z in zip(
+                _plain_apply(t, _plain_act(act, pa, f[c], field), field),
+                _plain_apply(t, _plain_act(act, e[i], _plain_apply(t, f[c], field), field), field),
+                _plain_apply(t, _plain_act(act, e[i], f[c], field), field))]
+            cols.append([x - y for x, y in zip(lhs, rhs)])
+        deltas.append(((("a", i),), tuple(cols[c][r] for r in range(d) for c in range(d))))
+    rep = check_rbp_module(RbpInstance(alg, module, p, t, lam, name="oracle"))
+    assert _got_report(rep) == _expected_report(deltas)
+
+    # P(x)P(y) = P(P(x)y + xP(y) + lam xy), x = e_i, y = e_j
+    deltas = []
+    for i, j in product(range(n), repeat=2):
+        px, py = _plain_apply(p, e[i], field), _plain_apply(p, e[j], field)
+        star = [x + y + lam * z for x, y, z in zip(
+            _plain_act(mult, px, e[j], field), _plain_act(mult, e[i], py, field),
+            _plain_act(mult, e[i], e[j], field))]
+        lhs, rhs = _plain_act(mult, px, py, field), _plain_apply(p, star, field)
+        deltas.append(((("x", i), ("y", j)), tuple(x - y for x, y in zip(lhs, rhs))))
+    assert _got_report(check_rb_operator(alg, p, lam)) == _expected_report(deltas)
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -173,7 +261,8 @@ def _a_linear_basis(module):
     """Basis of the T with [act(e_b), T] = 0 for all b, as flat row-major vectors."""
     d, f = module.dim, module.field
     rows = []
-    for op in module.basis_ops:
+    for b in range(module.algebra.dim):
+        op = module.matrix(module.algebra.basis(b))
         for r in range(d):
             for c in range(d):
                 row = [f.zero] * (d * d)
