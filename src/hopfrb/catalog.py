@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .exactlin import (
     FieldError,
@@ -50,31 +51,14 @@ from .structures import (
     check_weak_hopf,
     coalgebra_of,
 )
-from .actions import (
-    ActionStructure,
-    CoactionStructure,
-    Dimodule,
-    DoiHopfModule,
-    HopfModule,
-    WeakComoduleAlgebra,
-    check_action,
-    check_coaction,
-    check_dimodule,
-    check_doi_hopf,
-    check_hopf_module,
-    regular_action,
-    regular_coaction,
-    trivial_action,
-)
-from .rbcore import RbpInstance, check_rbp_module, double_construction
 from .report import _postcondition
-from .hopfrb import (
-    PairingForm,
-    RMatrix,
-    _pairing_dimodule,  # shares the induced-action formula
-    check_long_pairing,
-    check_quasitriangular,
-)
+
+# actions, rbcore and hopfrb are imported on the code paths that read them
+# (see _deferred), so listing names or checking a host loads none of them
+if TYPE_CHECKING:
+    from .actions import ActionStructure, DoiHopfModule
+    from .hopfrb import PairingForm, RMatrix
+    from .rbcore import RbpInstance
 
 KINDS = (
     "algebra",
@@ -110,6 +94,20 @@ class CatalogEntry:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise CatalogError(f"unknown catalog kind {self.kind!r}")
+
+
+def _deferred(module: str, name: str) -> Callable:
+    """The function `name` of hopfrb.<module>, imported when first called."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return call
+
+
+def _on_host(check: Callable) -> Callable:
+    """A (host, structure) -> (report, detail) checker as structure -> report."""
+    return lambda p: check(p.host, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +273,8 @@ def dual_numbers_algebra(field: FieldSpec = RATIONAL) -> FinAlgebra:
 
 def sign_action_on_dual_numbers(h: HopfAlgebra) -> ActionStructure:
     """g acts on k[x]/(x^2) by x |-> -x; a module-algebra action."""
+    from .actions import ActionStructure
+
     f = h.field
     act = (
         (vec(f, [1, 0]), vec(f, [0, 1])),
@@ -285,6 +285,8 @@ def sign_action_on_dual_numbers(h: HopfAlgebra) -> ActionStructure:
 
 def triangular_rmatrix_c2(h: HopfAlgebra) -> RMatrix:
     """R = (1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g)/2; needs 2 invertible."""
+    from .hopfrb import RMatrix
+
     f = h.field
     if f.kind == "prime" and f.p == 2:
         raise FieldError("triangular structure needs 2 invertible")
@@ -295,6 +297,8 @@ def triangular_rmatrix_c2(h: HopfAlgebra) -> RMatrix:
 
 def bicharacter_sigma_c2(h: HopfAlgebra) -> PairingForm:
     """sigma(g^a, g^b) = (-1)^(ab), the nontrivial bicharacter of Z/2."""
+    from .hopfrb import PairingForm
+
     return PairingForm(h, mat(h.field, [[1, 1], [1, -1]]))
 
 
@@ -320,11 +324,13 @@ _VALIDATORS = {
     "hopf": check_hopf,
     "weak-bialgebra": check_weak_bialgebra,
     "weak-hopf": check_weak_hopf,
-    "module": check_action,
-    "comodule": check_coaction,
-    "dimodule": check_dimodule,
-    "hopf-module": check_hopf_module,
-    "doi-hopf": check_doi_hopf,
+    "module": _deferred("actions", "check_action"),
+    "comodule": _deferred("actions", "check_coaction"),
+    "dimodule": _deferred("actions", "check_dimodule"),
+    "hopf-module": _deferred("actions", "check_hopf_module"),
+    "doi-hopf": _deferred("actions", "check_doi_hopf"),
+    "pairing": _on_host(_deferred("hopfrb", "check_long_pairing")),
+    "rmatrix": _on_host(_deferred("hopfrb", "check_quasitriangular")),
 }
 
 
@@ -335,18 +341,6 @@ def _validate(entry: CatalogEntry) -> None:
         if not rep.ok:
             raise CatalogError(
                 f"catalog entry {entry.name!r} fails {entry.kind} axioms: {rep.to_json()}"
-            )
-    elif entry.kind == "pairing":
-        rep, _ = check_long_pairing(entry.payload.host, entry.payload)
-        if not rep.ok:
-            raise CatalogError(
-                f"catalog entry {entry.name!r} fails the pairing axioms: {rep.to_json()}"
-            )
-    elif entry.kind == "rmatrix":
-        rep, _ = check_quasitriangular(entry.payload.host, entry.payload)
-        if not rep.ok:
-            raise CatalogError(
-                f"catalog entry {entry.name!r} fails the R-matrix axioms: {rep.to_json()}"
             )
     elif entry.kind == "functional":
         coalgebra_of(entry.payload.host)  # host must carry a coalgebra
@@ -424,7 +418,7 @@ _declare("weak-pair-groupoid", "weak-hopf",
 
 
 def _regular(side: str):
-    return lambda algebra: regular_action(algebra_of(algebra), side)
+    return lambda algebra: _deferred("actions", "regular_action")(algebra_of(algebra), side)
 
 
 _declare("mat2-regular-module", "module", "mat2 acting on itself by left multiplication",
@@ -445,45 +439,57 @@ _declare("pair-groupoid-regular-right-module", "module",
 _declare("kx-mod-x2-with-c2-action", "module", "Z/2 flipping the sign of x on the dual numbers",
          sign_action_on_dual_numbers, algebra="group-algebra-c2")
 _declare("c2-trivial-module", "module", "Z/2 acting through the counit on a 2-dim space",
-         lambda algebra: trivial_action(algebra, 2, "left"), algebra="group-algebra-c2")
+         lambda algebra: _deferred("actions", "trivial_action")(algebra, 2, "left"),
+         algebra="group-algebra-c2")
 
 _declare("c2-regular-comodule", "comodule", "Z/2 group algebra coacting on itself",
-         regular_coaction, host="group-algebra-c2")
+         _deferred("actions", "regular_coaction"), host="group-algebra-c2")
 _declare("c3-regular-comodule", "comodule", "Z/3 group algebra coacting on itself",
-         regular_coaction, host="group-algebra-c3")
+         _deferred("actions", "regular_coaction"), host="group-algebra-c3")
 _declare("pair-groupoid-self-comodule", "comodule", "pair groupoid algebra coacting on itself",
-         regular_coaction, host="weak-pair-groupoid")
+         _deferred("actions", "regular_coaction"), host="weak-pair-groupoid")
 
 _declare("c2-bicharacter-sigma", "pairing", "sign bicharacter on Z/2",
          bicharacter_sigma_c2, host="group-algebra-c2")
 _declare("c2-triangular-R", "rmatrix", "the triangular structure on Z/2",
          triangular_rmatrix_c2, host="group-algebra-c2")
 
-def _composite(cls, name: str):
-    return lambda host, module, comodule: cls(host, module, comodule, name=name)
+
+def _composite(cls: str, name: str):
+    """Builder of the actions class `cls` from (host, module, comodule)."""
+    make = _deferred("actions", cls)
+    return lambda host, module, comodule: make(host, module, comodule, name=name)
 
 
 _declare("c2-trivial-dimodule", "dimodule", "trivial action with the regular coaction",
-         _composite(Dimodule, "c2-trivial-dimodule"),
+         _composite("Dimodule", "c2-trivial-dimodule"),
          host="group-algebra-c2", module="c2-trivial-module", comodule="c2-regular-comodule")
+
+
+def _long_module(host):
+    from .hopfrb import _pairing_dimodule  # shares the induced-action formula
+
+    return _pairing_dimodule(host, get("c2-bicharacter-sigma").payload.sigma, "long").action
+
+
 _declare("c2-long-module", "module", "action induced by the sign bicharacter",
-         lambda host: _pairing_dimodule(
-             host, get("c2-bicharacter-sigma").payload.sigma, "long").action,
-         algebra="group-algebra-c2")
+         _long_module, algebra="group-algebra-c2")
 _declare("c2-long-dimodule", "dimodule", "bicharacter-induced action with the regular coaction",
-         _composite(Dimodule, "c2-long-dimodule"),
+         _composite("Dimodule", "c2-long-dimodule"),
          host="group-algebra-c2", module="c2-long-module", comodule="c2-regular-comodule")
 _declare("c2-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/2",
-         _composite(HopfModule, "c2-regular-hopf-module"),
+         _composite("HopfModule", "c2-regular-hopf-module"),
          host="group-algebra-c2", module="c2-regular-right-module",
          comodule="c2-regular-comodule")
 _declare("c3-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/3",
-         _composite(HopfModule, "c3-regular-hopf-module"),
+         _composite("HopfModule", "c3-regular-hopf-module"),
          host="group-algebra-c3", module="c3-regular-right-module",
          comodule="c3-regular-comodule")
 
 
 def _pair_groupoid_doi_hopf(host, carrier, comodule, module) -> DoiHopfModule:
+    from .actions import DoiHopfModule, WeakComoduleAlgebra
+
     wca = WeakComoduleAlgebra(host, algebra_of(carrier), comodule, name="pair-groupoid-self")
     return DoiHopfModule(wca, module, comodule, name="pair-groupoid-doi-hopf")
 
@@ -513,12 +519,16 @@ _declare("c2-two-delta-e", "functional", "a scaled, non-idempotent functional",
 
 
 def _mat2_proj(name: str, side: str, module: str) -> RbpInstance:
+    from .rbcore import RbpInstance
+
     mat2 = get("mat2-rational").payload
     e11 = (mat2.left_mult if side == "left" else mat2.right_mult)(mat2.basis(0))
     return RbpInstance(mat2, get(module).payload, e11, e11, -RATIONAL.one, name=name)
 
 
 def _doubled_mat2() -> RbpInstance:
+    from .rbcore import double_construction
+
     mat2 = get("mat2-rational").payload
     e11 = mat2.left_mult(mat2.basis(0))
     _, _, doubled = double_construction(mat2, e11, get("mat2-regular-module").payload, e11,
@@ -528,6 +538,8 @@ def _doubled_mat2() -> RbpInstance:
 
 
 def _integral_proj(name: str, hopf_name: str, module_name: str) -> RbpInstance:
+    from .rbcore import RbpInstance
+
     h = get(hopf_name).payload
     module = get(module_name).payload
     t = module.matrix(normalized_group_integral(h))
@@ -557,6 +569,8 @@ def get_instance(name: str) -> RbpInstance:
         build = _INSTANCES[name]
     except KeyError:
         raise CatalogError(f"unknown instance {name!r}") from None
+    from .rbcore import check_rbp_module
+
     inst = build()
     _postcondition("built-in instance satisfies the paired identity", inst.name,
                    check_rbp_module(inst))
@@ -707,25 +721,38 @@ def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
         dim = _dim(obj)
         alg = algebra_of(p["algebra"])
         act = _parse_tensor3(alg.field, obj, "action", alg.dim, dim, dim)
+        from .actions import ActionStructure
+
         payload = ActionStructure(alg, dim, obj.get("side", "left"), act, name=name)
     elif kind == "comodule":
         dim = _dim(obj)
         coalg = coalgebra_of(p["host"])
         co = _parse_tensor3(coalg.field, obj, "coaction", dim, dim, coalg.dim)
+        from .actions import CoactionStructure
+
         payload = CoactionStructure(coalg, dim, co, name=name)
     elif kind in ("dimodule", "hopf-module"):
+        from .actions import Dimodule, HopfModule
+
         cls = Dimodule if kind == "dimodule" else HopfModule
         payload = cls(p["host"], p["module"], p["comodule"], name=name)
     elif kind == "doi-hopf":
+        from .actions import DoiHopfModule, WeakComoduleAlgebra
+
         carrier = algebra_of(p["carrier"])
         wca = WeakComoduleAlgebra(p["host"], carrier, p["comodule"], name=f"{name}-carrier")
         payload = DoiHopfModule(wca, p["module"], p["comodule"], name=name)
     elif kind == "pairing":
         f = algebra_of(p["host"]).field
-        payload = PairingForm(p["host"], _parsed(obj, "sigma", lambda raw: mat(f, raw)))
+        sigma = _parsed(obj, "sigma", lambda raw: mat(f, raw))
+        from .hopfrb import PairingForm
+
+        payload = PairingForm(p["host"], sigma)
     elif kind == "rmatrix":
         f = algebra_of(p["host"]).field
         r, rinv = (_parsed(obj, key, lambda raw: vec(f, raw)) for key in ("r", "rinv"))
+        from .hopfrb import RMatrix
+
         payload = RMatrix(p["host"], r, rinv)
     else:  # functional
         f = coalgebra_of(p["host"]).field

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import __version__
 from .exactlin import ExactError, FieldError, Mat, Scalar, identity, mat, mat_scale, zeros_mat
+from .report import fuzz_seed
 from .structures import (
     PreconditionError,
     StructureError,
@@ -31,24 +32,11 @@ from .structures import (
     coalgebra_of,
     quantum_commutative_witness,
 )
-from .actions import (
-    check_action,
-    check_coaction,
-    check_dimodule,
-    check_doi_hopf,
-    check_hopf_module,
-)
-from .rbcore import (
-    RbpInstance,
-    atkinson_solvable,
-    check_rb_operator,
-    check_rbp_module,
-    classify_generic,
-    fuzz_seed,
-)
-from .hopfrb import check_braided, check_long_pairing, check_quasitriangular
 from . import catalog
-from .catalog import KINDS, CatalogError
+from .catalog import KINDS, CatalogError, _deferred, _on_host
+
+# actions, rbcore and hopfrb are imported where a check reads them, so a
+# cold command loads only the layers it uses
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -162,14 +150,14 @@ _ENTRY_CHECKS = {
     "weak-bialgebra": (_WEAK_KINDS, check_weak_bialgebra),
     "weak-hopf": (("weak-hopf",), check_weak_hopf),
     "counital-maps": (_WEAK_KINDS, check_counital_maps),
-    "module": (("module",), check_action),
-    "comodule": (("comodule",), check_coaction),
-    "dimodule": (("dimodule",), check_dimodule),
-    "hopf-module": (("hopf-module",), check_hopf_module),
-    "doi-hopf": (("doi-hopf",), check_doi_hopf),
-    "pairing": (("pairing",), lambda p: check_long_pairing(p.host, p)[0]),
-    "braided": (("pairing",), lambda p: check_braided(p.host, p)[0]),
-    "rmatrix": (("rmatrix",), lambda p: check_quasitriangular(p.host, p)[0]),
+    "module": (("module",), _deferred("actions", "check_action")),
+    "comodule": (("comodule",), _deferred("actions", "check_coaction")),
+    "dimodule": (("dimodule",), _deferred("actions", "check_dimodule")),
+    "hopf-module": (("hopf-module",), _deferred("actions", "check_hopf_module")),
+    "doi-hopf": (("doi-hopf",), _deferred("actions", "check_doi_hopf")),
+    "pairing": (("pairing",), _on_host(_deferred("hopfrb", "check_long_pairing"))),
+    "braided": (("pairing",), _on_host(_deferred("hopfrb", "check_braided"))),
+    "rmatrix": (("rmatrix",), _on_host(_deferred("hopfrb", "check_quasitriangular"))),
 }
 
 CHECK_NAMES = tuple(sorted(_ENTRY_CHECKS)) + (
@@ -206,11 +194,15 @@ def _run_check(cfg: RunConfig) -> dict:
         if cfg.op is None:
             raise UsageError("check 'rb-operator' needs --op")
         op = parse_operator(cfg.op, alg)
+        from .rbcore import check_rb_operator
+
         rep = check_rb_operator(alg, op, lam, instance=entry.name)
         return {"inputs": {"algebra": entry.name, "op": cfg.op},
                 "result": rep.result, "report": rep.to_json()}
 
     if name == "rbp-module":
+        from .rbcore import RbpInstance, check_rbp_module
+
         iname = cfg.names.get("instance")
         if iname is None:
             raise UsageError("check 'rbp-module' needs --instance")
@@ -221,6 +213,8 @@ def _run_check(cfg: RunConfig) -> dict:
         return {"inputs": {"instance": iname}, "result": rep.result, "report": rep.to_json()}
 
     if name == "atkinson":
+        from .rbcore import atkinson_solvable
+
         iname = cfg.names.get("instance")
         if iname is None:
             raise UsageError("check 'atkinson' needs --instance")
@@ -239,6 +233,8 @@ def _run_check(cfg: RunConfig) -> dict:
         if cfg.op is None:
             raise UsageError("check 'generic' needs --op")
         t = parse_operator(cfg.op, alg, module=module)
+        from .rbcore import classify_generic
+
         verdict = classify_generic(module, t, lam, trials=cfg.trials, seed=cfg.seed_str)
         return {"inputs": {"module": entry.name, "op": cfg.op},
                 "result": "pass" if verdict.generic is True else "fail",

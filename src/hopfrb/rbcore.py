@@ -42,7 +42,6 @@ paper's formulas (tests/test_rbcore.py).
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
@@ -71,15 +70,9 @@ from .exactlin import (
     vec_sub,
 )
 from .report import Checker, Report, Violation, _postcondition
+from .report import DEFAULT_SEED as DEFAULT_SEED, fuzz_seed as fuzz_seed  # re-exported
 from .structures import FinAlgebra, PreconditionError, StructureError, check_algebra
 from .actions import ActionStructure, check_action
-
-DEFAULT_SEED = "hopfrb"
-
-
-def fuzz_seed() -> str:
-    """Seed for randomized searches; override with HOPFRB_SEED."""
-    return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
 
 
 # (seed, trial) -> the longest prefix of its stream drawn so far; emptied
@@ -495,11 +488,19 @@ def double_construction(
     """The induced product a * b = a P(b) + P(a) b + lam ab with the
     matching action a |> m = P(a) . m + a . T(m) + lam (a . m).
 
-    Both hypotheses (operator identity on A, paired identity on M) are
-    preconditions.  The star algebra is nonunital; associativity, module
-    associativity of |>, the intertwining T(a |> m) = P(a) . T(m), and the
-    paired identity for the new triple are all asserted.
+    The preconditions are that A is an algebra, M an A-module, P a
+    Rota-Baxter operator on A and (M, P, T) a paired module; the first two
+    failing name their first violation.  The star algebra is nonunital;
+    associativity, module associativity of |>, the intertwining
+    T(a |> m) = P(a) . T(m), and the paired identity for the new triple are
+    all asserted.
     """
+    for needs, check, carrier in (("A to be an algebra", check_algebra, a),
+                                  ("M to be an A-module", check_action, m)):
+        rep = check(carrier)
+        if rep.violation_count:
+            raise PreconditionError(f"double_construction needs {needs}; first witness "
+                                    f"{rep.violations[0].to_json()}")
     rep_op = check_rb_operator(a, p, lam)
     if not rep_op.ok:
         raise PreconditionError("double_construction needs the operator identity on A")

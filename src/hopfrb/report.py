@@ -4,14 +4,23 @@ Every ``check_*`` function walks a finite list of axioms over basis
 tuples and produces a Report: the first violating witness per axiom, a
 total violation count, and the lists of axioms that were checked or
 skipped.  Reports serialise to plain JSON with scalars rendered as exact
-strings.
+strings.  The seed of the randomized searches lives here too, because
+every report header names it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .exactlin import InternalError, Vec, is_zero_vec
+
+DEFAULT_SEED = "hopfrb"
+
+
+def fuzz_seed() -> str:
+    """Seed for randomized searches; override with HOPFRB_SEED."""
+    return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
 
 
 @dataclass(frozen=True)

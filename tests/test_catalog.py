@@ -65,15 +65,16 @@ def test_unknown_entry_rejected():
 
 
 # counts the entries _validate sees and the instances check_rbp_module
-# verifies while the statement after the first line runs, in a fresh process
+# verifies while the statement after the first line runs, in a fresh process;
+# catalog imports check_rbp_module from rbcore when it verifies an instance
 _COUNT_BUILDS = """
 import sys
 import hopfrb
-from hopfrb import catalog
+from hopfrb import catalog, rbcore
 validated, verified = [], []
-validate, verify = catalog._validate, catalog.check_rbp_module
+validate, verify = catalog._validate, rbcore.check_rbp_module
 catalog._validate = lambda entry: validated.append(entry.name) or validate(entry)
-catalog.check_rbp_module = lambda inst: verified.append(inst.name) or verify(inst)
+rbcore.check_rbp_module = lambda inst: verified.append(inst.name) or verify(inst)
 exec(sys.argv[1])
 print(sorted(validated), sorted(verified))
 """

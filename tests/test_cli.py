@@ -288,6 +288,48 @@ def test_malformed_structure_file_exits_2_from_the_entry_point(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+# a cold command imports the layers above structures only where it reads
+# them; the child prints the hopfrb modules loaded once main returns
+_FOOTPRINT = """
+import sys
+from hopfrb import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("hopfrb."))))
+sys.exit(code)
+"""
+_UPPER = {"hopfrb.actions", "hopfrb.rbcore", "hopfrb.hopfrb", "hopfrb.replay"}
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["list"], _UPPER),
+    (["check", "hopf", "--entry", "group-algebra-c2"], _UPPER),
+    (["check", "weak-hopf", "--entry", "@weak-pair-groupoid"], _UPPER),
+    (["check", "module", "--entry", "@c2-regular-module"], {"hopfrb.rbcore", "hopfrb.hopfrb"}),
+    (["check", "rb-operator", "--algebra", "mat2-rational", "--op", "proj:E11"],
+     {"hopfrb.hopfrb", "hopfrb.replay"}),
+    (["check", "generic", "--module", "c2-regular-module", "--op", "id", "--trials", "10"],
+     {"hopfrb.hopfrb", "hopfrb.replay"}),
+], ids=["list", "check-hopf", "check-weak-hopf-file", "check-module-file", "check-rb-operator",
+        "check-generic"])
+def test_cold_command_imports_only_the_layers_it_reads(tmp_path, argv, never):
+    args = []
+    for arg in argv:  # @name: the catalog entry name, dumped to a file
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(dump(get(arg[1:]))))
+            arg = f"@{path}"
+        args.append(arg)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfrb.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {"hopfrb.catalog", "hopfrb.cli", "hopfrb.structures"} <= loaded
+    assert not loaded & never, sorted(loaded & never)
+
+
 def test_check_report_file(tmp_path):
     out = tmp_path / "rep.json"
     rc = main(["check", "rb-operator", "--algebra", "mat2-rational",

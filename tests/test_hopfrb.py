@@ -10,6 +10,7 @@ from hopfrb.structures import (
     Functional,
     PreconditionError,
     as_weak,
+    check_hopf,
     convolution,
     dual_algebra,
     target_source,
@@ -43,7 +44,12 @@ from hopfrb.hopfrb import (
 )
 from hopfrb import hopfrb, structures
 from hopfrb.catalog import (
-    cyclic_group_algebra, get, normalized_group_integral, two_point_weak_hopf,
+    cyclic_group_algebra,
+    get,
+    normalized_group_integral,
+    sweedler_h4,
+    symmetric_group_algebra_s3,
+    two_point_weak_hopf,
 )
 
 Q = RATIONAL
@@ -88,6 +94,29 @@ def test_sweedler_integral_not_normalizable():
     module = regular_action(h4.algebra, "left")
     with pytest.raises(PreconditionError):
         integral_T(h4, module, space.basis[0])
+
+
+_LARSON_RADFORD_HOSTS = {
+    **{f"c{n}": (lambda n=n: cyclic_group_algebra(n), True) for n in range(2, 7)},
+    "s3": (symmetric_group_algebra_s3, True),
+    "h4": (sweedler_h4, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_LARSON_RADFORD_HOSTS))
+def test_larson_radford_involutive_antipode_iff_normalizable_integral(name):
+    # Larson and Radford (J. Algebra 1988): over Q a finite-dimensional Hopf
+    # algebra is semisimple iff S^2 = id; by Larson-Sweedler it is
+    # semisimple iff eps(Lambda) != 0 for its (unique up to scale) left
+    # integral.  The group algebras are semisimple, Sweedler's H4 is not.
+    build, semisimple = _LARSON_RADFORD_HOSTS[name]
+    h = build()
+    assert check_hopf(h).ok  # so h.antipode is the antipode, which is unique
+    s = h.antipode
+    assert (mat_mul(s, s) == identity(Q, h.algebra.dim)) is semisimple
+    space = find_integrals(h, "left")
+    assert len(space.basis) == 1
+    assert h.coalgebra.counit_of(space.basis[0]).is_zero is not semisimple
 
 
 def test_integral_operator_oracle():

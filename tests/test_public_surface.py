@@ -9,8 +9,9 @@ with the reason it stays.
 
 The modules of src and of the tests are held to the same standard: a name
 a module imports and never reads fails `test_every_src_module_reads_what_it_imports`
-or `test_every_test_module_reads_what_it_imports`; an import inside a
-function counts too.
+or `test_every_test_module_reads_what_it_imports`.  Each import is judged in
+its own scope: a function-level import must be read by its function, and a
+top-level import by some read that no local import shadows.
 """
 
 import ast
@@ -73,16 +74,92 @@ def test_every_kept_name_is_still_defined():
     assert set(KEPT) <= set(_definitions(_trees()))
 
 
-def _unread_imports(tree: ast.AST) -> list:
-    """Names that `tree` binds by an import and never reads."""
-    bound = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.Import, ast.ImportFrom))
-                and getattr(node, "module", "") != "__future__"):
-            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(bound - read)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = (*_FUNCTIONS, ast.ClassDef)
+_NAMED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _params(node) -> list:
+    args = node.args
+    return [a for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                        args.kwarg) if a is not None]
+
+
+def _evaluated_outside(node) -> list:
+    """The parts of a function, lambda or class that the enclosing scope
+    evaluates: decorators, defaults, annotations, bases."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords]
+    args = node.args
+    parts = [*args.defaults, *(d for d in args.kw_defaults if d is not None)]
+    if isinstance(node, ast.Lambda):
+        return parts
+    returns = [node.returns] if node.returns else []
+    return [*parts, *node.decorator_list, *returns,
+            *(a.annotation for a in _params(node) if a.annotation)]
+
+
+def _scopes(tree: ast.Module) -> list:
+    """(scope, enclosing scope, the nodes the scope evaluates itself) for the
+    module and every function, lambda and class in it."""
+    out = []
+
+    def visit(scope, outer, roots) -> None:
+        own, stack = [], list(roots)
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if isinstance(node, _SCOPES):
+                stack.extend(_evaluated_outside(node))
+                visit(node, scope, node.body if isinstance(node.body, list) else [node.body])
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+        out.append((scope, outer, own))
+
+    visit(tree, None, tree.body)
+    return out
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """Names an import binds in one scope and no read resolves to.
+
+    A read resolves to the innermost enclosing scope that binds the name,
+    skipping class scopes as Python does.  So a top-level import that every
+    reader shadows with a local import is unread, and so is a local import
+    that its own function never reads; the latter is named `function.name`.
+    `from m import x as x` (or `import x as x`) marks a re-export and is
+    never unread."""
+    scopes = _scopes(tree)
+    outer_of, binds, imports = {}, {}, {}
+    for scope, outer, own in scopes:
+        bound = {a.arg for a in _params(scope)} if isinstance(scope, _FUNCTIONS) else set()
+        imported = set()
+        for node in own:
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.add(node.id)
+            elif isinstance(node, _NAMED) or (isinstance(node, ast.ExceptHandler) and node.name):
+                bound.add(node.name)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    bound.add(name)
+                    if alias.asname != alias.name:
+                        imported.add(name)
+        outer_of[scope], binds[scope], imports[scope] = outer, bound, imported
+    read = set()
+    for scope, _, own in scopes:
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                at = scope
+                while at is not None and node.id not in binds[at]:
+                    at = outer_of[at]
+                    while isinstance(at, ast.ClassDef):
+                        at = outer_of[at]
+                read.add((at, node.id))
+    return sorted(name if scope is tree else f"{scope.name}.{name}"
+                  for scope, names in imports.items()
+                  for name in names if (scope, name) not in read)
 
 
 def _unread_by_module(folder: Path) -> dict:
@@ -98,3 +175,31 @@ def test_every_test_module_reads_what_it_imports():
 def test_every_src_module_reads_what_it_imports():
     unread = _unread_by_module(SRC)
     assert not unread, f"src modules import names they never read: {unread}"
+
+
+_SCOPED = """
+from m import shadowed, used, annotated, kept as kept
+import pkg.sub
+
+
+def reads_its_own(x: annotated) -> None:
+    from m import shadowed
+    return shadowed, pkg.sub
+
+
+def never_reads_its_own():
+    from m import idle
+    return used
+
+
+class Holder:
+    from m import in_class
+
+    def method(self):
+        return in_class  # a class scope is not visible here
+"""
+
+
+def test_unread_imports_resolve_by_scope():
+    assert _unread_imports(ast.parse(_SCOPED)) == ["Holder.in_class", "never_reads_its_own.idle",
+                                                   "shadowed"]

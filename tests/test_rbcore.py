@@ -20,8 +20,8 @@ from hopfrb.exactlin import (
     vec_scale,
     zeros_mat,
 )
-from hopfrb.structures import FinAlgebra, PreconditionError
-from hopfrb.actions import ActionStructure, regular_action
+from hopfrb.structures import FinAlgebra, PreconditionError, check_algebra
+from hopfrb.actions import ActionStructure, check_action, regular_action
 from hopfrb import rbcore
 from hopfrb.rbcore import (
     RbpInstance,
@@ -546,6 +546,37 @@ def test_double_construction_needs_rb_hypothesis():
     bad_p = mat2.left_mult(mat2.basis(1))
     with pytest.raises(PreconditionError):
         double_construction(mat2, bad_p, module, bad_p, MINUS_ONE)
+
+
+def _random_tensor(rng, field, a, b, c):
+    return tuple(tuple(tuple(field.of(rng.randint(-2, 2)) for _ in range(c))
+                       for _ in range(b)) for _ in range(a))
+
+
+# P = 0 and T = 0 satisfy the operator and the paired identity on any A and
+# M, so only the algebra and module preconditions can refuse these inputs;
+# without them the postconditions on the star algebra fail instead
+@pytest.mark.parametrize("seed", range(4))
+def test_double_construction_refuses_a_non_associative_algebra(seed):
+    rng = random.Random(f"double-algebra:{seed}")
+    f5 = prime_field(5)
+    a = FinAlgebra(f5, 2, ("x", "y"), _random_tensor(rng, f5, 2, 2, 2), None, name="random")
+    assert check_algebra(a).violation_count
+    zero = zeros_mat(f5, 2, 2)
+    with pytest.raises(PreconditionError,
+                       match=r"needs A to be an algebra; first witness \{'axiom': 'assoc'"):
+        double_construction(a, zero, regular_action(a, "left"), zero, -f5.one)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_double_construction_refuses_a_non_module(seed):
+    rng = random.Random(f"double-module:{seed}")
+    c2 = get("group-algebra-c2").payload.algebra
+    m = ActionStructure(c2, 2, "left", _random_tensor(rng, Q, 2, 2, 2), name="random")
+    assert check_action(m).violation_count
+    with pytest.raises(PreconditionError,
+                       match=r"needs M to be an A-module; first witness \{'axiom': 'action-"):
+        double_construction(c2, zeros_mat(Q, 2, 2), m, zeros_mat(Q, 2, 2), MINUS_ONE)
 
 
 def test_idempotent_identities_on_projection():
