@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .exactlin import (
     DimensionError,
@@ -24,10 +23,9 @@ from .exactlin import (
     RawTensor,
     Tensor3,
     Vec,
-    blocks,
     contract,
-    identity,
     kernel_basis,
+    raw_identity,
     scalar_vec,
     tensor_vec,
     unit_vec,
@@ -42,16 +40,21 @@ from .structures import (
     StructureError,
     WeakBialgebra,
     WeakHopfAlgebra,
+    _kept_on_host,
+    _target_source,
     algebra_of,
     coalgebra_of,
     dual_algebra,
     name_of,
-    target_source,
 )
 
 
 @dataclass(frozen=True)
 class ActionStructure:
+    """Action of an algebra on a module by structure constants.
+
+    ``_reports`` keeps this object's `check_action` report (`_kept_on_host`)."""
+
     algebra: FinAlgebra
     dim: int
     side: str  # "left" | "right"
@@ -65,6 +68,7 @@ class ActionStructure:
             len(p) != self.dim or any(len(r) != self.dim for r in p) for p in self.act
         ):
             raise DimensionError(f"{self.name}: action tensor is not adim x mdim x mdim")
+        object.__setattr__(self, "_reports", {})
 
     @property
     def field(self):
@@ -75,35 +79,38 @@ class ActionStructure:
 
     @cached_property
     def raw(self) -> RawTensor:
-        """Raw sparse view of act, built on first use: raw.rows[i][j] lists (k, c)."""
-        return RawTensor(self.field, self.act, (self.algebra.dim, self.dim, self.dim))
+        """Raw sparse view of act, built on first use."""
+        return RawTensor.of(self.field, self.act, (self.algebra.dim, self.dim, self.dim))
 
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""
+        cells = self.raw.grouped((0,), (1, 2))
         acc = [[0] * self.dim for _ in range(self.dim)]
         for i, s in enumerate(r):
             if s.value:
-                for j, row in enumerate(self.raw.rows[i]):
-                    for k, a in row:
-                        acc[k][j] += s.value * a
+                for (j, k), a in cells.get(i, ()):
+                    acc[k][j] += s.value * a
         return tuple(scalar_vec(self.field, row) for row in acc)
 
     def apply(self, r: Vec, m: Vec) -> Vec:
-        rows = self.raw.rows
+        cells = self.raw.grouped((0, 1), (2,))
         acc = [0] * self.dim
         ms = [(j, s.value) for j, s in enumerate(m) if s.value]
         for i, s in enumerate(r):
             if s.value:
-                cells = rows[i]
                 for j, mj in ms:
                     c = s.value * mj
-                    for k, a in cells[j]:
+                    for (k,), a in cells.get((i, j), ()):
                         acc[k] += c * a
         return scalar_vec(self.field, acc)
 
 
 @dataclass(frozen=True)
 class CoactionStructure:
+    """Right coaction of a coalgebra on a comodule by structure constants.
+
+    ``_reports`` keeps this object's `check_coaction` report (`_kept_on_host`)."""
+
     coalgebra: FinCoalgebra
     dim: int
     co: Tensor3
@@ -115,6 +122,7 @@ class CoactionStructure:
             for p in self.co
         ):
             raise DimensionError(f"{self.name}: coaction tensor is not mdim x mdim x cdim")
+        object.__setattr__(self, "_reports", {})
 
     @property
     def field(self):
@@ -125,18 +133,17 @@ class CoactionStructure:
 
     @cached_property
     def raw(self) -> RawTensor:
-        """Raw sparse view of co, built on first use: raw.rows[i][j] lists (k, c)."""
-        return RawTensor(self.field, self.co, (self.dim, self.dim, self.coalgebra.dim))
+        """Raw sparse view of co, built on first use."""
+        return RawTensor.of(self.field, self.co, (self.dim, self.dim, self.coalgebra.dim))
 
     def coact_vec(self, m: Vec) -> Vec:
         """rho(m) on the (module, coalgebra) lex pair basis."""
-        h = self.coalgebra.dim
+        h, cells = self.coalgebra.dim, self.raw.grouped((0,), (1, 2))
         acc = [0] * (self.dim * h)
         for i, s in enumerate(m):
             if s.value:
-                for j, row in enumerate(self.raw.rows[i]):
-                    for k, c in row:
-                        acc[j * h + k] += s.value * c
+                for (j, k), c in cells.get(i, ()):
+                    acc[j * h + k] += s.value * c
         return scalar_vec(self.field, acc)
 
 
@@ -287,51 +294,45 @@ def coaction_to_dual_action(
 # axiom checkers
 
 
+@_kept_on_host
 def check_action(action: ActionStructure) -> Report:
     """The operator of e_i e_j is the composite of those of e_i and e_j, in
     the order of the side; the unit acts as the identity.  A violation's
     delta is the difference of the two operators, on their row-major cells."""
     ck = Checker("action", action.name)
     a = action.algebra
-    n = a.dim
-    prod = blocks(contract("ijk,kyx->ijxy", a, action), n, n)
     spec = "izx,jyz->ijxy" if action.side == "left" else "jzx,iyz->ijxy"
-    want = blocks(contract(spec, action, action), n, n)
-    for i, j in product(range(n), repeat=2):
-        ck.equal_vec("action-assoc", (("i", i), ("j", j)), prod[i][j], want[i][j])
+    ck.compare(("i", "j"), ("action-assoc", contract("ijk,kyx->ijxy", a, action),
+                            contract(spec, action, action)))
     if a.unital:
-        ck.equal_vec("action-unit", (), contract("i,iyx->xy", a.unit, action),
-                     tuple(x for row in identity(a.field, action.dim) for x in row))
+        ck.compare((), ("action-unit", contract("i,iyx->xy", a.unit, action),
+                        raw_identity(a.field, action.dim)))
     else:
         ck.skip("action-unit")
     return ck.report()
 
 
+@_kept_on_host
 def check_coaction(com: CoactionStructure) -> Report:
     ck = Checker("coaction", com.name)
     c = com.coalgebra
-    n = com.dim
     # (rho (x) id) rho = (id (x) Delta) rho
-    lhs = blocks(contract("ijk,jla->ilak", com, com), n)
-    rhs = blocks(contract("ijk,kab->ijab", com, c), n)
-    counit = blocks(contract("ijk,k->ij", com, c.counit), n)
-    for i in range(n):
-        ck.equal_vec("coaction-coassoc", (("i", i),), lhs[i], rhs[i])
-        ck.equal_vec("coaction-counit", (("i", i),), counit[i], com.basis(i))
+    ck.compare(("i",),
+               ("coaction-coassoc", contract("ijk,jla->ilak", com, com),
+                contract("ijk,kab->ijab", com, c)),
+               ("coaction-counit", contract("ijk,k->ij", com, c.counit),
+                raw_identity(com.field, com.dim)))
     return ck.report()
 
 
 def check_dimodule(d: Dimodule) -> Report:
     """Underlying axioms plus rho(h . m) = h . m_(0) (x) m_(1)."""
     ck = Checker("dimodule", d.name)
-    ck.merge(check_action(d.action))
-    ck.merge(check_coaction(d.coaction))
+    ck.merge(check_action.__wrapped__(d.action))
+    ck.merge(check_coaction.__wrapped__(d.coaction))
     action, com = d.action, d.coaction
-    h = action.algebra.dim
-    lhs = blocks(contract("uik,kpl->uipl", action, com), h, d.dim)
-    rhs = blocks(contract("ijl,ujp->uipl", com, action), h, d.dim)
-    for u, i in product(range(h), range(d.dim)):
-        ck.equal_vec("dimodule-law", (("h", u), ("m", i)), lhs[u][i], rhs[u][i])
+    ck.compare(("h", "m"), ("dimodule-law", contract("uik,kpl->uipl", action, com),
+                            contract("ijl,ujp->uipl", com, action)))
     return ck.report()
 
 
@@ -344,18 +345,15 @@ def _entwining_walk(ck: Checker, axiom: str, role: str, action: ActionStructure,
     the u-th basis element of the acting algebra: the host coalgebra for a
     Hopf module, the comodule-algebra coaction for a Doi-Hopf module.  A
     violation names (role, u) and ("m", i)."""
-    ad, n = action.algebra.dim, action.dim
-    lhs = blocks(contract("uik,kpy->uipy", action, com), ad, n)
-    rhs = blocks(contract("ijl,bjp,ubq,lqy->uipy", com, action, coacting, halg), ad, n)
-    for u, i in product(range(ad), range(n)):
-        ck.equal_vec(axiom, ((role, u), ("m", i)), lhs[u][i], rhs[u][i])
+    ck.compare((role, "m"), (axiom, contract("uik,kpy->uipy", action, com),
+                             contract("ijl,bjp,ubq,lqy->uipy", com, action, coacting, halg)))
 
 
 def check_hopf_module(hm: HopfModule) -> Report:
     """Underlying axioms plus rho(m . h) = m_(0) . h_1 (x) m_(1) h_2."""
     ck = Checker("hopf-module", hm.name)
-    ck.merge(check_action(hm.action))
-    ck.merge(check_coaction(hm.coaction))
+    ck.merge(check_action.__wrapped__(hm.action))
+    ck.merge(check_coaction.__wrapped__(hm.coaction))
     _entwining_walk(ck, "hopf-module-law", "h", hm.action, hm.coaction,
                     coalgebra_of(hm.host), algebra_of(hm.host))
     return ck.report()
@@ -366,32 +364,26 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
     unit axiom rho(1)(a (x) 1) = (id (x) pi_L) rho(a).  Over an ordinary
     bialgebra host pi_L collapses to eps( ) 1 and the same code applies."""
     ck = Checker("weak-comodule-algebra", w.name or w.carrier.name)
-    ck.merge(check_coaction(w.coaction))
+    ck.merge(check_coaction.__wrapped__(w.coaction))
     carrier, com = w.carrier, w.coaction
     halg = algebra_of(w.host)
-    n = carrier.dim
-    lhs = blocks(contract("ijk,kxy->ijxy", carrier, com), n, n)
-    rhs = blocks(contract("iap,jbq,abx,pqy->ijxy", com, com, carrier, halg), n, n)
-    for i, j in product(range(n), repeat=2):
-        ck.equal_vec("coaction-mult", (("i", i), ("j", j)), lhs[i][j], rhs[i][j])
+    ck.compare(("i", "j"), ("coaction-mult", contract("ijk,kxy->ijxy", carrier, com),
+                            contract("iap,jbq,abx,pqy->ijxy", com, com, carrier, halg)))
     if not carrier.unital:
         ck.skip("coaction-unit")
         return ck.report()
-    pil, _ = target_source(w.host)
+    pil, _ = _target_source(halg, coalgebra_of(w.host))
     # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
-    rho1 = blocks(com.coact_vec(carrier.unit), n)
-    lhs = blocks(contract("xy,xaz->azy", rho1, carrier), n)
-    rhs = blocks(contract("ajk,yk->ajy", com, pil), n)
-    for a in range(n):
-        ck.equal_vec("coaction-unit", (("a", a),), lhs[a], rhs[a])
+    ck.compare(("a",), ("coaction-unit", contract("i,ixy,xaz->azy", carrier.unit, com, carrier),
+                        contract("ajk,yk->ajy", com, pil)))
     return ck.report()
 
 
 def check_doi_hopf(d: DoiHopfModule) -> Report:
     """Underlying axioms plus rho(m . a) = m_(0) . a_(0) (x) m_(1) a_(1)."""
     ck = Checker("doi-hopf", d.name)
-    ck.merge(check_action(d.action))
-    ck.merge(check_coaction(d.coaction))
+    ck.merge(check_action.__wrapped__(d.action))
+    ck.merge(check_coaction.__wrapped__(d.coaction))
     ck.merge(check_weak_comodule_algebra(d.comodule_algebra))
     _entwining_walk(ck, "doi-hopf-law", "a", d.action, d.coaction,
                     d.comodule_algebra.coaction, algebra_of(d.comodule_algebra.host))
@@ -407,19 +399,16 @@ def check_module_algebra(b: BialgebraLike, carrier: FinAlgebra, action: ActionSt
     if action.side != "left" or action.dim != carrier.dim:
         raise StructureError("module-algebra law expects a left action on the carrier")
     ck = Checker("module-algebra", action.name or carrier.name)
-    ck.merge(check_action(action))
-    n, m = alg.dim, carrier.dim
-    lhs = blocks(contract("ijk,ukl->uijl", carrier, action), n, m, m)
-    rhs = blocks(contract("uab,aip,bjq,pqr->uijr", co, action, action, carrier), n, m, m)
-    for u in range(n):
-        for i, j in product(range(m), repeat=2):
-            ck.equal_vec("module-algebra-mult", (("h", u), ("x", i), ("y", j)),
-                         lhs[u][i][j], rhs[u][i][j])
-        if carrier.unital:
-            want = tuple(co.counit[u] * x for x in carrier.unit)
-            ck.equal_vec("module-algebra-unit", (("h", u),),
-                         action.apply(alg.basis(u), carrier.unit), want)
-        else:
+    ck.merge(check_action.__wrapped__(action))
+    mult = ("module-algebra-mult", contract("ijk,ukl->uijl", carrier, action),
+            contract("uab,aip,bjq,pqr->uijr", co, action, action, carrier))
+    if carrier.unital:
+        ck.compare(("h", "x", "y"), mult,
+                   ("module-algebra-unit", contract("k,ukl->ul", carrier.unit, action),
+                    contract("u,l->ul", co.counit, carrier.unit), 1))
+    else:
+        ck.compare(("h", "x", "y"), mult)
+        if alg.dim:
             ck.skip("module-algebra-unit")
     return ck.report()
 
@@ -441,7 +430,7 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
         a.field,
         n,
         labels,
-        blocks(mult, n, n),
+        mult.dense(n, n, n),
         tensor_vec(a.unit, halg.unit),
         name=f"{a.name}#{name_of(b)}",
     )
@@ -458,24 +447,16 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     if coalgebra_of(host) != c.coalgebra:
         raise StructureError("coinvariants host does not own the coaction's coalgebra")
     halg = algebra_of(host)
-    n, hd = c.dim, halg.dim
-    f = c.field
-    rows = []
+    n, hd, f = c.dim, halg.dim, c.field
     if mode == "strict":
-        for j in range(n):
-            for k in range(hd):
-                row = []
-                for i in range(n):
-                    val = c.co[i][j][k]
-                    if i == j:
-                        val = val - halg.unit[k]
-                    row.append(val)
-                rows.append(tuple(row))
+        # m (x) 1: f_j (x) e_k at f_i = f_j
+        corr = RawTensor(f, (n, hd, n), {(j, k, j): u.value for j in range(n)
+                                         for k, u in enumerate(halg.unit) if u.value})
     else:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):
             raise StructureError("weak coinvariants need a weak bialgebra host")
-        pil, _ = target_source(host)
-        corr = blocks(contract("ijl,kl->jki", c, pil), n, hd)
-        for j, k in product(range(n), range(hd)):
-            rows.append(tuple(c.co[i][j][k] - x for i, x in enumerate(corr[j][k])))
-    return kernel_basis(tuple(rows), f, ncols=n)
+        pil, _ = _target_source(halg, coalgebra_of(host))
+        corr = contract("ijl,kl->jki", c, pil)
+    # one row per f_j (x) e_k, over the coefficient of f_i
+    rho = RawTensor(f, (n, hd, n), {(j, k, i): v for (i, j, k), v in c.raw.cells.items()})
+    return kernel_basis(list((rho - corr).rows(2).values()), f, ncols=n)

@@ -668,12 +668,8 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
 
 def _dump_tensor3(raw) -> list:
     """Triple list of a structure's raw sparse view."""
-    return [
-        {"i": i, "j": j, "k": k, "c": str(Scalar(raw.field, c))}
-        for i, plane in enumerate(raw.rows)
-        for j, row in enumerate(plane)
-        for k, c in row
-    ]
+    return [{"i": i, "j": j, "k": k, "c": str(Scalar(raw.field, c))}
+            for (i, j, k), c in sorted(raw.cells.items())]
 
 
 _STRUCTURE_KINDS = ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf")

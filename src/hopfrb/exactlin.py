@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -256,28 +256,115 @@ def blocks(v: Sequence, count: int, *counts: int) -> tuple:
 
 
 class RawTensor:
-    """Raw sparse view of a dense 3-index Scalar tensor, built once per
-    carrier (algebra, coalgebra, action, coaction).
+    """Raw sparse tensor: the nonzero cells of a tensor of any rank.
 
-    ``rows[i][j]`` lists the (k, value) pairs of the nonzero t[i][j][k] in
-    index order, each value raw: an int mod p or a Fraction.  ``shape`` is
-    the extent of (i, j, k).  `grouped` files the cells by one layout once,
-    for every `contract` that reads the tensor that way.
+    ``cells`` maps each index tuple of a nonzero cell to its raw value, an
+    int reduced mod p or a Fraction; ``shape`` is the extent of each index.
+    One type serves as the view a carrier keeps of its dense Scalar tensor
+    (`RawTensor.of`, built once per carrier) and as what `contract`
+    returns, and `contract` reads either.  `grouped` files the cells by one
+    layout once, for every `contract` that reads the tensor that way; `+`
+    and `-` add cellwise; `flat` and `dense` give the values back on a lex
+    basis, the latter as Scalars, at the boundary.
     """
 
-    __slots__ = ("field", "shape", "rows", "_groups")
+    __slots__ = ("field", "shape", "cells", "_groups")
 
-    def __init__(self, field: FieldSpec, t: Tensor3, shape: tuple) -> None:
-        self.field, self.shape, self._groups = field, shape, {}
-        self.rows = tuple(tuple(tuple((k, s.value) for k, s in enumerate(row) if s.value)
-                                for row in plane) for plane in t)
+    def __init__(self, field: FieldSpec | None, shape: tuple, cells: dict) -> None:
+        self.field, self.shape, self.cells, self._groups = field, shape, cells, {}
+
+    @classmethod
+    def of(cls, field: FieldSpec, t, shape: tuple) -> "RawTensor":
+        """The raw view of the dense Scalar tensor t (nested tuples) of `shape`."""
+        level = [((), t)]
+        for _ in shape:
+            level = [((*idx, i), x) for idx, xs in level for i, x in enumerate(xs)]
+        return cls(field, shape, {idx: s.value for idx, s in level if s.value})
 
     def grouped(self, key: tuple, rest: tuple) -> dict:
         if (key, rest) not in self._groups:
-            cells = [((i, j, k), v) for i, plane in enumerate(self.rows)
-                     for j, row in enumerate(plane) for k, v in row]
-            self._groups[key, rest] = _group(cells, key, rest)
+            self._groups[key, rest] = _group(self.cells.items(), key, rest)
         return self._groups[key, rest]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RawTensor) and self.shape == other.shape
+                and self.cells == other.cells)
+
+    def _merged(self, other: "RawTensor", sign: int) -> "RawTensor":
+        if self.shape != other.shape:
+            raise DimensionError(f"shapes {self.shape} and {other.shape} differ")
+        field = self.field or other.field
+        p = field.p if field else 0
+        cells = dict(self.cells)
+        for idx, v in other.cells.items():
+            x = cells.get(idx, 0) + sign * v
+            if p:
+                x %= p
+            if x:
+                cells[idx] = x
+            else:
+                cells.pop(idx, None)
+        return RawTensor(field, self.shape, cells)
+
+    def __add__(self, other: "RawTensor") -> "RawTensor":
+        return self._merged(other, 1)
+
+    def __sub__(self, other: "RawTensor") -> "RawTensor":
+        return self._merged(other, -1)
+
+    def transposed(self) -> "RawTensor":
+        """The tensor with its indices in reverse order: a matrix's transpose."""
+        return RawTensor(self.field, self.shape[::-1],
+                         {idx[::-1]: v for idx, v in self.cells.items()})
+
+    def _slot(self, k: int):
+        """Where an index tuple's entries from position k on sit on the lex
+        basis of those indices."""
+        strides, step = [], 1
+        for d in reversed(self.shape[k:]):
+            strides.append(step)
+            step *= d
+        strides.reverse()
+        return lambda idx: sum(i * s for i, s in zip(idx[k:], strides))
+
+    def rows(self, k: int) -> dict:
+        """The cells as raw sparse rows: the first k indices name the row,
+        the rest its column on their lex basis."""
+        slot, out = self._slot(k), {}
+        for idx, v in self.cells.items():
+            out.setdefault(idx[:k], {})[slot(idx)] = v
+        return out
+
+    def flat(self, prefix: tuple = ()) -> list:
+        """The raw values of the cells under the index `prefix`, zeros
+        included, on the lex basis of the remaining indices."""
+        d = len(prefix)
+        slot, out = self._slot(d), [0] * prod(self.shape[d:])
+        for idx, v in self.cells.items():
+            if idx[:d] == prefix:
+                out[slot(idx)] = v
+        return out
+
+    def dense(self, *shape: int) -> tuple:
+        """The Scalar tensor: nested tuples of `shape`, by default the
+        tensor's own, filled in lex order."""
+        flat, shape = self.flat(), shape or self.shape
+        if flat and self.field is None:
+            raise FieldError("a tensor of empty operands has no field")
+        values = scalar_vec(self.field, flat) if flat else ()
+        return blocks(values, *shape[:-1]) if len(shape) > 1 else values
+
+
+def differing(got: RawTensor, want: RawTensor | None, depth: int) -> list:
+    """The sorted index prefixes of length `depth` under which the cells of
+    got and want differ; a missing want is zero."""
+    a, b = got.cells, {} if want is None else want.cells
+    return sorted({idx[:depth] for idx in a.keys() | b.keys() if a.get(idx, 0) != b.get(idx, 0)})
+
+
+def raw_identity(field: FieldSpec, n: int) -> RawTensor:
+    """The n x n identity as a raw tensor."""
+    return RawTensor(field, (n, n), {(i, i): field.one.value for i in range(n)})
 
 
 def _picker(positions: tuple, bare: bool = False):
@@ -328,68 +415,65 @@ def _plan(spec: str) -> tuple:
     return _PLANS[spec]
 
 
-def _field_of(op) -> FieldSpec | None:
+def _view(op, letters: str) -> RawTensor:
+    """A `contract` operand as a raw tensor: itself, a carrier's raw view
+    ``.raw``, or a Scalar vector or matrix (nested tuples) read off."""
+    if isinstance(op, RawTensor):
+        return op
     raw = getattr(op, "raw", None)
     if raw is not None:
-        return raw.field
-    first = next(iter(op), None)
-    if isinstance(first, tuple):
-        first = next(iter(first), None)
-    return None if first is None else first.field
+        return raw
+    shape, first = [], op
+    for _ in letters:
+        shape.append(len(first))
+        first = first[0] if first else ()
+    return RawTensor.of(getattr(first, "field", None), op, tuple(shape))
 
 
-def contract(spec: str, *operands) -> Vec:
+def contract(spec: str, *operands) -> RawTensor:
     """Sum of products of `operands` over their shared index letters, in
     numpy.einsum notation: ``contract("ij,kl,ikx,jly->xy", u, v, a, a)`` is
     the product of u and v in A (x) A, given as n x n matrices, for an
     algebra a.
 
-    An operand with three letters is a carrier (FinAlgebra, FinCoalgebra,
-    ActionStructure, CoactionStructure), read through its raw sparse view
-    ``.raw``; with two, a Scalar matrix; with one, a Scalar vector.  No
+    An operand is a raw tensor (what `contract` returns), a carrier
+    (FinAlgebra, FinCoalgebra, ActionStructure, CoactionStructure) read
+    through its raw view ``.raw``, or a Scalar matrix or vector.  No
     letter repeats within an operand.  The plan is built once per spec.
     The arithmetic runs on raw values, a letter is summed out as soon as
-    no later operand carries it, and only the result becomes Scalars: a
-    vector on the lex basis of the output letters.
+    no later operand carries it, and the result stays raw: a RawTensor
+    whose indices are the output letters, holding only its nonzero cells.
+    No Scalar is built.
     """
     ins, out, steps = _PLANS.get(spec) or _plan(spec)
     if len(ins) != len(operands):
         raise DimensionError(f"{spec!r} names {len(ins)} operands, not {len(operands)}")
-    fields = {_field_of(op) for op in operands} - {None}
+    views = [_view(op, letters) for op, letters in zip(operands, ins)]
+    fields = {v.field for v in views} - {None}
     if len(fields) > 1:
         raise FieldError(f"mixed fields {sorted(map(str, fields))}")
     field = next(iter(fields), None)
     p = field.p if field else 0
     dims: dict = {}
     partial: dict = {(): None}
-    for (key, rest, probe, keep), letters, op in zip(steps, ins, operands):
-        raw = getattr(op, "raw", None)
-        if raw is not None:
-            shape, groups = raw.shape, raw.grouped(key, rest)
-        elif len(letters) == 1:
-            shape = (len(op),)
-            groups = _group([((i,), s.value) for i, s in enumerate(op) if s.value], key, rest)
-        else:
-            shape = (len(op), len(op[0]) if op else 0)
-            groups = _group([((r, c), s.value) for r, row in enumerate(op)
-                             for c, s in enumerate(row) if s.value], key, rest)
-        if len(shape) != len(letters):
-            raise DimensionError(f"operand for {letters!r} has shape {shape}")
-        for c, d in zip(letters, shape):
+    for (key, rest, probe, keep), letters, view in zip(steps, ins, views):
+        if len(view.shape) != len(letters):
+            raise DimensionError(f"operand for {letters!r} has shape {view.shape}")
+        for c, d in zip(letters, view.shape):
             if dims.setdefault(c, d) != d:
                 raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
         new: dict = {}
-        get = new.get
+        get, groups = new.get, view.grouped(key, rest)
         for idx, v in partial.items():
             for ext, w in groups.get(probe(idx), ()):
                 at = idx + ext if keep is None else keep(idx + ext)
                 new[at] = get(at, 0) + (w if v is None else v * w)
         partial = ({at: r for at, x in new.items() if (r := x % p)} if p
                    else {at: x for at, x in new.items() if x})
-    cells = [partial.get(idx, 0) for idx in product(*(range(dims[c]) for c in out))]
-    if field is None and cells:
+    shape = tuple(dims[c] for c in out)
+    if field is None and prod(shape):
         raise FieldError("a contraction of empty operands has no field")
-    return scalar_vec(field, cells) if cells else ()
+    return RawTensor(field, shape, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +521,8 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionError("vector length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Scalar, u: Vec) -> Vec:
     return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a.is_zero for a in u)
 
 
 def apply_mat(a: Mat, x: Vec) -> Vec:
@@ -524,27 +598,35 @@ def tensor_vec(u: Vec, v: Vec) -> Vec:
 # row reduction, kernels, solving
 
 
-def _raw_rows(a: Mat) -> list[dict]:
-    """The rows of a as {column: raw value} dicts of their nonzero entries."""
-    return [{j: s.value for j, s in enumerate(row) if s.value} for row in a]
+def _raw_row(row, p: int) -> dict:
+    """A fresh raw sparse row: a {column: raw value} dict, reduced mod p and
+    without zeros, or the nonzero entries of a Scalar row."""
+    if isinstance(row, dict):
+        return {j: r for j, v in row.items() if (r := v % p if p else v)}
+    return {j: s.value for j, s in enumerate(row) if s.value}
 
 
-def rref(a: Mat, field: FieldSpec) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, zero rows last.
+def rref(a, field: FieldSpec) -> tuple:
+    """Reduced row echelon form and pivot columns.
 
-    Sparse Gauss-Jordan on raw values (ints mod p or Fractions), one
+    The one elimination every solve, kernel and span test goes through:
+    sparse Gauss-Jordan on raw values (ints mod p or Fractions), one
     ``{column: value}`` dict per row.  The columns are swept in order; a
     pivot is scaled to 1 and cleared from exactly the rows, above and
     below, that have a nonzero in its column.  The shortest such row is
     the pivot row, which keeps fill-in low; the reduced form is unique,
-    so the choice never shows.  Values become Scalars only on return.
+    so the choice never shows.
+
+    The rows of `a` are Scalar rows, or raw sparse dict rows as the
+    system builders make them.  The reduced form comes back in the same
+    form: a Scalar matrix with its zero rows last, or the nonzero raw rows
+    alone, in pivot order.
     """
-    nc = len(a[0]) if a else 0
     p = field.p
-    rest = _raw_rows(a)
+    rest = [_raw_row(row, p) for row in a]
     done: list[dict] = []
     piv_cols: list[int] = []
-    for c in range(nc):
+    for c in sorted(set().union(*rest)):
         hits = [i for i, row in enumerate(rest) if c in row]
         if not hits:
             continue
@@ -560,7 +642,9 @@ def rref(a: Mat, field: FieldSpec) -> tuple[Mat, tuple[int, ...]]:
                     del row[j]
         done.append(prow)
         piv_cols.append(c)
-    zero = field.zero
+    if not a or isinstance(a[0], dict):
+        return tuple(done), tuple(piv_cols)
+    nc, zero = len(a[0]), field.zero
     out = [tuple(Scalar(field, row[j]) if j in row else zero for j in range(nc)) for row in done]
     out += [(zero,) * nc] * (len(a) - len(done))
     return tuple(out), tuple(piv_cols)
@@ -570,30 +654,18 @@ def rank(a: Mat, field: FieldSpec) -> int:
     return len(rref(a, field)[1])
 
 
-def _kernel_from_rref(r: Mat, piv: tuple[int, ...], ncols: int, field: FieldSpec) -> tuple[Vec, ...]:
-    """Per free column f of a reduced form: 1 at f, -r[k][f] at pivot k."""
-    out = []
-    for f in sorted(set(range(ncols)) - set(piv)):
-        x = [field.zero] * ncols
-        x[f] = field.one
-        for row_idx, p in enumerate(piv):
-            x[p] = -r[row_idx][f]
-        out.append(tuple(x))
-    return tuple(out)
-
-
-def kernel_basis(a: Mat, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ...]:
+def kernel_basis(a, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ...]:
     """Basis of the right kernel; one vector per free column, in order.
 
     The basis vector for free column ``f`` has a 1 in slot ``f``, so the
-    count always equals ``ncols - rank``.
+    count always equals ``ncols - rank``.  The rows are Scalar rows, or raw
+    sparse dict rows with `ncols` given; the basis is Scalar vectors.
     """
     if ncols is None:
         if not a:
             raise DimensionError("kernel of empty matrix needs explicit ncols")
         ncols = len(a[0])
-    r, piv = rref(a, field)
-    return _kernel_from_rref(r, piv, ncols, field)
+    return solve_linear(a, (0,) * len(a), field, ncols).nullspace
 
 
 @dataclass(frozen=True)
@@ -604,45 +676,50 @@ class LinearSolution:
     nullspace: tuple
 
 
-def _maps_to(rows: list[dict], x: Vec, b: Vec, p: int) -> bool:
-    """Whether the raw sparse rows send x to b, exactly."""
-    xs = [s.value for s in x]
+def _maps_to(rows: list[dict], x: list, b: list, p: int) -> bool:
+    """Whether the raw sparse rows send the raw x to the raw b, exactly."""
     for row, bi in zip(rows, b):
-        acc = sum(v * xs[j] for j, v in row.items()) - bi.value
+        acc = sum(v * x[j] for j, v in row.items()) - bi
         if acc % p if p else acc:
             return False
     return True
 
 
-def solve_linear(a: Mat, b: Vec, field: FieldSpec) -> LinearSolution | None:
+def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolution | None:
     """Solve ``a x = b``; None when inconsistent.
 
-    One elimination of the augmented matrix gives both answers: when the
-    last column is not a pivot, the first ``nc`` columns are the reduced
-    form of ``a``.  The particular solution sets all free variables to
-    zero.  Both the particular solution and every nullspace vector are
-    verified by substitution before being returned.
+    The rows of `a` are Scalar rows, or raw sparse dict rows with the
+    unknown count `ncols` given; b holds Scalars or raw values.  One
+    elimination of the augmented rows gives both answers: when the last
+    column is not a pivot, the reduced rows give the particular solution,
+    with every free variable zero, and one kernel vector per free column.
+    Both are verified by substitution, on raw values, before they become
+    Scalars on return.
     """
     if len(a) != len(b):
         raise DimensionError("rows of a must match length of b")
-    if not a:
-        return LinearSolution((), ())
-    nc = len(a[0])
-    aug = tuple(row + (bi,) for row, bi in zip(a, b))
-    r, piv = rref(aug, field)
+    nc = ncols if ncols is not None else len(a[0]) if a else 0
+    p, one = field.p, field.one.value
+    rows = [_raw_row(row, p) for row in a]
+    rhs = [x % p if p else x for x in (getattr(x, "value", x) for x in b)]
+    done, piv = rref([{**row, nc: bi} if bi else row for row, bi in zip(rows, rhs)], field)
     if nc in piv:
         return None
-    x = [field.zero] * nc
-    for row_idx, p in enumerate(piv):
-        x[p] = r[row_idx][nc]
-    particular = tuple(x)
-    null = _kernel_from_rref(r, piv, nc, field)
-    rows, zero = _raw_rows(a), zeros_vec(field, len(a))
-    if not _maps_to(rows, particular, b, field.p):
+    x = [0] * nc
+    for row, c in zip(done, piv):
+        x[c] = row.get(nc, 0)
+    null = []
+    for f in sorted(set(range(nc)) - set(piv)):
+        v = [0] * nc
+        v[f] = one
+        for row, c in zip(done, piv):
+            v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
+        null.append(v)
+    if not _maps_to(rows, x, rhs, p):
         raise InternalError("solver produced a non-solution")
-    if not all(_maps_to(rows, v, zero, field.p) for v in null):
+    if not all(_maps_to(rows, v, [0] * len(rows), p) for v in null):
         raise InternalError("solver produced a bad kernel vector")
-    return LinearSolution(particular, null)
+    return LinearSolution(scalar_vec(field, x), tuple(scalar_vec(field, v) for v in null))
 
 
 def column_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
@@ -659,12 +736,11 @@ def first_outside(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> int
     its own entries at their pivots."""
     if b2 and any(len(v) != len(b2[0]) for v in b1):
         raise DimensionError("vector length mismatch")
-    r, piv = rref(tuple(b2), field)
     p = field.p
-    rows = list(zip(piv, _raw_rows(r[:len(piv)])))
+    rows, piv = rref([_raw_row(v, p) for v in b2], field)
     for k, v in enumerate(b1):
         acc = [s.value for s in v]
-        for c, row in rows:
+        for c, row in zip(piv, rows):
             f = acc[c]
             for j, x in row.items():
                 acc[j] -= f * x

@@ -17,16 +17,17 @@ everything else keeps the weight as a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .exactlin import (
     Mat,
+    RawTensor,
     Scalar,
     Vec,
     apply_mat,
     blocks,
     column_space_basis,
     contract,
+    differing,
     first_outside,
     identity,
     kernel_basis,
@@ -59,7 +60,6 @@ from .structures import (
     quantum_commutative_witness,
     subalgebra_image,
     target_source,
-    tensor_unit,
 )
 from .actions import (
     ActionStructure,
@@ -99,18 +99,10 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
         raise StructureError("integral side must be left or right")
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
-    rows = []
-    for i in range(n):
-        for c in range(n):
-            row = []
-            for x in range(n):
-                val = alg.mult[i][x][c] if side == "left" else alg.mult[x][i][c]
-                if x == c:
-                    val = val - co.counit[i]
-                row.append(val)
-            rows.append(tuple(row))
-    basis = kernel_basis(tuple(rows), alg.field, ncols=n)
     left = side == "left"
+    cells = alg.raw.cells.items()
+    basis = kernel_basis(_fixed_rows(cells if left else (((i, x, c), v) for (x, i, c), v in cells),
+                                     co.counit, n), alg.field, ncols=n)
     _postcondition(
         "every integral solves h x = eps(h) x" if left else "every integral solves x h = eps(h) x",
         name_of(h),
@@ -119,6 +111,21 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
         tuple(tuple(tuple(co.counit[i] * x for x in v) for i in range(n)) for v in basis),
     )
     return IntegralSpace(h, side, basis)
+
+
+def _fixed_rows(cells, counit: Vec, n: int) -> list:
+    """Raw sparse rows of h x = eps(h) x at every h = e_i, one per (i, r):
+    `cells` gives ((i, x, r), v), the coefficient v of the unknown x in
+    coordinate r of e_i x, and `counit` the eps(e_i)."""
+    rows: dict = {}
+    for (i, x, r), v in cells:
+        rows.setdefault((i, r), {})[x] = v
+    for i, e in enumerate(counit):
+        if e.value:
+            for r in range(n):
+                row = rows.setdefault((i, r), {})
+                row[r] = row.get(r, 0) - e.value
+    return list(rows.values())
 
 
 def _require_normalized_two_sided_integral(h: BialgebraLike, e: Vec) -> None:
@@ -154,17 +161,8 @@ def integral_T(
     t = m.matrix(e)
     _postcondition("integral operator is idempotent", m.name, mat_mul(t, t), t)
     _postcondition("integral operator is linear over the host", m.name, check_a_linear(m, t))
-    rows = []
-    for i in range(alg.dim):
-        op = m.matrix(alg.basis(i))
-        for r in range(m.dim):
-            rows.append(
-                tuple(
-                    op[r][c] - (co.counit[i] if r == c else alg.field.zero)
-                    for c in range(m.dim)
-                )
-            )
-    fixed = kernel_basis(tuple(rows), alg.field, ncols=m.dim)
+    fixed = kernel_basis(_fixed_rows(m.raw.cells.items(), co.counit, m.dim), alg.field,
+                         ncols=m.dim)
     cols = transpose(t)
     _postcondition("image of the integral operator is the fixed subspace", m.name,
                    span_eq(column_space_basis(t, alg.field), fixed, alg.field), True,
@@ -190,7 +188,7 @@ def adjoint_action(h) -> ActionStructure:
     if s is None:
         raise PreconditionError("adjoint action needs an antipode")
     n = alg.dim
-    act = blocks(contract("iab,ajt,sb,tsr->ijr", co, alg, s, alg), n, n)
+    act = contract("iab,ajt,sb,tsr->ijr", co, alg, s, alg).dense()
     return ActionStructure(alg, n, "left", act, name=f"{name_of(h)}-adjoint")
 
 
@@ -211,9 +209,9 @@ def smash_integral_T(
     alg, co = algebra_of(h), coalgebra_of(h)
     n = a.dim * alg.dim
     # column (j, q) of T is (e_(1) . a_j) # (e_(2) e_q)
-    t = blocks(contract("ab,ajx,bqy->xyjq", blocks(co.comult_vec(e), alg.dim), act, alg), n)
+    t = contract("ab,ajx,bqy->xyjq", blocks(co.comult_vec(e), alg.dim), act, alg).dense(n, n)
     # (1#e_i)(a_j#e_q) = (e_i1 . a_j)#(e_i2 e_q), the same shape as T
-    hact = blocks(contract("iab,ajx,bqy->ijqxy", co, act, alg), alg.dim, n)
+    hact = contract("iab,ajx,bqy->ijqxy", co, act, alg).dense(alg.dim, n, n)
     module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
     _postcondition("1#h multiplication is a module action", module.name, check_action(module))
     _postcondition("smash integral operator is idempotent", module.name, mat_mul(t, t), t)
@@ -228,7 +226,7 @@ def smash_integral_T(
 
 def functional_operator(h: BialgebraLike, chi: Functional) -> Mat:
     """The matrix of T(x) = chi(x_(1)) x_(2) on the host."""
-    return blocks(contract("iak,a->ki", coalgebra_of(h), chi.coords), algebra_of(h).dim)
+    return contract("iak,a->ki", coalgebra_of(h), chi.coords).dense()
 
 
 def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructure]:
@@ -337,7 +335,7 @@ def _coaction_projection(action: ActionStructure, com: CoactionStructure, phis: 
     """Matrix of x |-> x_(0) . phis(x_(1)) on a carrier with both an action
     and a coaction: E with phis = S for a Hopf module, phi S for a Doi-Hopf
     one, and E_A on a comodule algebra acting on itself from the right."""
-    return blocks(contract("ijk,sk,sjp->pi", com, phis, action), com.dim)
+    return contract("ijk,sk,sjp->pi", com, phis, action).dense()
 
 
 def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInstance]:
@@ -381,7 +379,7 @@ def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
     rep = check_dimodule(d)
     if not rep.ok:
         raise PreconditionError(f"dimodule axioms fail: {rep.to_json()}")
-    t = blocks(contract("ijk,k->ji", d.coaction, f.coords), d.dim)
+    t = contract("ijk,k->ji", d.coaction, f.coords).dense()
     _postcondition("dimodule operator is linear over the host", d.name,
                    check_a_linear(d.action, t))
     if convolution(f, f).coords == f.coords:
@@ -419,7 +417,8 @@ class RMatrix:
         n2 = alg.dim * alg.dim
         if len(self.r) != n2 or len(self.rinv) != n2:
             raise StructureError("tensor-square element has wrong length")
-        one, r, rinv = tensor_unit(alg), blocks(self.r, alg.dim), blocks(self.rinv, alg.dim)
+        one = contract("a,b->ab", alg.unit, alg.unit)
+        r, rinv = blocks(self.r, alg.dim), blocks(self.rinv, alg.dim)
         # R R^-1 = 1 (x) 1 = R^-1 R in A (x) A
         if (contract("ab,cd,acx,bdy->xy", r, rinv, alg, alg) != one
                 or contract("ab,cd,acx,bdy->xy", rinv, r, alg, alg) != one):
@@ -431,7 +430,7 @@ def _pairing_dimodule(h: BialgebraLike, sigma: Mat, flavor: str) -> Dimodule:
     n = alg.dim
     # long: x . h = sigma(h_(2), x) h_(1); braided: x . h = sigma(x, h_(1)) h_(2)
     act = contract("hab,bx->xha" if flavor == "long" else "hab,xa->xhb", co, sigma)
-    action = ActionStructure(alg, n, "left", blocks(act, n, n),
+    action = ActionStructure(alg, n, "left", act.dense(),
                              name=f"{name_of(h)}-{flavor}-action")
     return Dimodule(h, action, regular_coaction(h), name=f"{name_of(h)}-{flavor}-dimodule")
 
@@ -446,26 +445,20 @@ def check_long_pairing(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dim
     sigma = form.sigma
     n = alg.dim
     ck = Checker("long-pairing", name_of(h))
-    # sigma(x_(1), y) x_(2) = sigma(x_(2), y) x_(1)
-    sym_l = blocks(contract("xab,ay->xyb", co, sigma), n, n)
-    sym_r = blocks(contract("xab,by->xya", co, sigma), n, n)
-    right_unit = contract("xj,j->x", sigma, alg.unit)
-    left_unit = contract("jx,j->x", sigma, alg.unit)
-    for x in range(n):
-        for y in range(n):
-            ck.equal_vec("pair-symmetry", (("x", x), ("y", y)), sym_l[x][y], sym_r[x][y])
-        ck.equal_vec("pair-right-unit", (("x", x),), (right_unit[x],), (co.counit[x],))
-        ck.equal_vec("pair-left-unit", (("x", x),), (left_unit[x],), (co.counit[x],))
-    # sigma(x, yz) = sigma(x_(2), y) sigma(x_(1), z)
-    lhs2 = blocks(contract("yzk,xk->xyz", alg, sigma), n, n)
-    rhs2 = blocks(contract("xab,by,az->xyz", co, sigma, sigma), n, n)
-    # sigma(xy, z) = sigma(x, z_(1)) sigma(y, z_(2))
-    lhs3 = blocks(contract("xyk,kz->xyz", alg, sigma), n, n)
-    rhs3 = blocks(contract("zab,xa,yb->xyz", co, sigma, sigma), n, n)
-    for x, y, z in product(range(n), repeat=3):
-        xyz = (("x", x), ("y", y), ("z", z))
-        ck.equal_vec("pair-mult-right", xyz, (lhs2[x][y][z],), (rhs2[x][y][z],))
-        ck.equal_vec("pair-mult-left", xyz, (lhs3[x][y][z],), (rhs3[x][y][z],))
+    counit = RawTensor.of(alg.field, co.counit, (n,))
+    ck.compare(("x", "y"),
+               # sigma(x_(1), y) x_(2) = sigma(x_(2), y) x_(1)
+               ("pair-symmetry", contract("xab,ay->xyb", co, sigma),
+                contract("xab,by->xya", co, sigma)),
+               ("pair-right-unit", contract("xj,j->x", sigma, alg.unit), counit, 1),
+               ("pair-left-unit", contract("jx,j->x", sigma, alg.unit), counit, 1))
+    ck.compare(("x", "y", "z"),
+               # sigma(x, yz) = sigma(x_(2), y) sigma(x_(1), z)
+               ("pair-mult-right", contract("yzk,xk->xyz", alg, sigma),
+                contract("xab,by,az->xyz", co, sigma, sigma)),
+               # sigma(xy, z) = sigma(x, z_(1)) sigma(y, z_(2))
+               ("pair-mult-left", contract("xyk,kz->xyz", alg, sigma),
+                contract("zab,xa,yb->xyz", co, sigma, sigma)))
     rep = ck.report()
     if not rep.ok:
         return rep, None
@@ -485,22 +478,16 @@ def check_braided(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dimodule
     sigma = form.sigma
     n = alg.dim
     ck = Checker("braided-pairing", name_of(h))
-    # sigma(x_(1), y_(1)) y_(2) x_(2) = x_(1) y_(1) sigma(x_(2), y_(2))
-    lhs = blocks(contract("xab,ac,yce,ebr->xyr", co, sigma, co, alg), n, n)
-    rhs = blocks(contract("xab,be,yce,acr->xyr", co, sigma, co, alg), n, n)
-    # sigma(x, yz) = sigma(x_(1), y) sigma(x_(2), z)
-    lhs2 = blocks(contract("yzk,xk->xyz", alg, sigma), n, n)
-    rhs2 = blocks(contract("xab,ay,bz->xyz", co, sigma, sigma), n, n)
-    # sigma(xy, z) = sigma(x, z_(2)) sigma(y, z_(1))
-    lhs3 = blocks(contract("xyk,kz->xyz", alg, sigma), n, n)
-    rhs3 = blocks(contract("zab,xb,ya->xyz", co, sigma, sigma), n, n)
-    for x in range(n):
-        for y in range(n):
-            ck.equal_vec("braid-commute", (("x", x), ("y", y)), lhs[x][y], rhs[x][y])
-            for z in range(n):
-                xyz = (("x", x), ("y", y), ("z", z))
-                ck.equal_vec("braid-mult-right", xyz, (lhs2[x][y][z],), (rhs2[x][y][z],))
-                ck.equal_vec("braid-mult-left", xyz, (lhs3[x][y][z],), (rhs3[x][y][z],))
+    ck.compare(("x", "y", "z"),
+               # sigma(x_(1), y_(1)) y_(2) x_(2) = x_(1) y_(1) sigma(x_(2), y_(2))
+               ("braid-commute", contract("xab,ac,yce,ebr->xyr", co, sigma, co, alg),
+                contract("xab,be,yce,acr->xyr", co, sigma, co, alg), 2),
+               # sigma(x, yz) = sigma(x_(1), y) sigma(x_(2), z)
+               ("braid-mult-right", contract("yzk,xk->xyz", alg, sigma),
+                contract("xab,ay,bz->xyz", co, sigma, sigma)),
+               # sigma(xy, z) = sigma(x, z_(2)) sigma(y, z_(1))
+               ("braid-mult-left", contract("xyk,kz->xyz", alg, sigma),
+                contract("zab,xb,ya->xyz", co, sigma, sigma)))
     rep = ck.report()
     if not rep.ok:
         return rep, None
@@ -524,16 +511,15 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
     r, rinv = blocks(rm.r, n), blocks(rm.rinv, n)
     ck = Checker("quasitriangular", name_of(h))
     # R Delta(h) R^-1 = Delta^op(h)
-    lhs = blocks(contract("ab,icd,acp,bdq,pex,ef,qfy->ixy", r, co, alg, alg, alg, rinv, alg), n)
-    flip = blocks(contract("icd->idc", co), n)
-    for i in range(n):
-        ck.equal_vec("intertwine-comult", (("h", i),), lhs[i], flip[i])
+    ck.compare(("h",), ("intertwine-comult",
+                        contract("ab,icd,acp,bdq,pex,ef,qfy->ixy", r, co, alg, alg, alg, rinv, alg),
+                        contract("icd->idc", co)))
     # (Delta (x) id)(R) = R13 R23 and (id (x) Delta)(R) = R13 R12; the
     # bialgebra precondition makes 1 a two-sided unit, so the legs' 1s drop
-    ck.equal_vec("comult-left-leg", (), contract("ab,axy->xyb", r, co),
-                 contract("ij,kl,jlz->ikz", r, r, alg))
-    ck.equal_vec("comult-right-leg", (), contract("ab,bxy->axy", r, co),
-                 contract("ij,kl,ikx->xlj", r, r, alg))
+    ck.compare((), ("comult-left-leg", contract("ab,axy->xyb", r, co),
+                    contract("ij,kl,jlz->ikz", r, r, alg)),
+               ("comult-right-leg", contract("ab,bxy->axy", r, co),
+                contract("ij,kl,ikx->xlj", r, r, alg)))
     rep = ck.report()
     if not rep.ok:
         return rep, None
@@ -541,7 +527,7 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
     coaction = CoactionStructure(
         coalgebra_of(h),
         n,
-        blocks(contract("aiu,ij->auj", alg, r), n, n),
+        contract("aiu,ij->auj", alg, r).dense(),
         name=f"{name_of(h)}-rmatrix-coaction",
     )
     dim = Dimodule(
@@ -582,11 +568,9 @@ def doi_hopf_projection(
         raise PreconditionError(f"phi is not an algebra map: {rep_m.to_json()}")
     co = coalgebra_of(w)
     hd = halg.dim
-    lhs = blocks(contract("pi,pqy->iqy", phi, a.coaction), hd)
-    rhs = blocks(contract("ixy,px->ipy", co, phi), hd)
-    for i in range(hd):
-        if lhs[i] != rhs[i]:
-            raise PreconditionError(f"phi does not intertwine the coactions at basis {i}")
+    bad = differing(contract("pi,pqy->iqy", phi, a.coaction), contract("ixy,px->ipy", co, phi), 1)
+    if bad:
+        raise PreconditionError(f"phi does not intertwine the coactions at basis {bad[0][0]}")
     rep_d = check_doi_hopf(m)
     if not rep_d.ok:
         raise PreconditionError(f"doi-hopf axioms fail: {rep_d.to_json()}")

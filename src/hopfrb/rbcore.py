@@ -45,13 +45,13 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 
 from .exactlin import (
     DimensionError,
     FieldSpec,
     InternalError,
     Mat,
+    RawTensor,
     Scalar,
     Vec,
     apply_mat,
@@ -59,7 +59,6 @@ from .exactlin import (
     column,
     column_space_basis,
     contract,
-    is_zero_vec,
     mat,
     mat_mul,
     mat_scale,
@@ -67,7 +66,6 @@ from .exactlin import (
     transpose,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from .report import Checker, Report, Violation, _postcondition
 from .report import DEFAULT_SEED as DEFAULT_SEED, fuzz_seed as fuzz_seed  # re-exported
@@ -146,23 +144,19 @@ def _shifted(x: Mat, lam: Scalar) -> Mat:
                  for r, row in enumerate(x))
 
 
-def _induced(p: Mat, c, u: Mat) -> Vec:
-    """P(e_i) . f_j + e_i . U(f_j) on the carrier c, flat on the lex basis of
-    (i, j, k): the star product x * y = P(x) y + x (P + lam)(y) of Prop. 3.6
-    for c = A and U = P + lam, its action on M for c = M and U = T + lam."""
-    return vec_add(contract("bi,bjk->ijk", p, c), contract("ilk,lj->ijk", c, u))
+def _induced(p: Mat, c, u: Mat) -> RawTensor:
+    """P(e_i) . f_j + e_i . U(f_j) on the carrier c, indexed (i, j, k): the
+    star product x * y = P(x) y + x (P + lam)(y) of Prop. 3.6 for c = A and
+    U = P + lam, its action on M for c = M and U = T + lam."""
+    return contract("bi,bjk->ijk", p, c) + contract("ilk,lj->ijk", c, u)
 
 
 def check_rb_operator(a: FinAlgebra, p: Mat, lam: Scalar, instance: str = "") -> Report:
     """P(x)P(y) = P(x * y) on all basis pairs, where x * y = P(x)y + xP(y)
     + lam xy is the induced product."""
     ck = Checker("rb-operator", instance or a.name, weight=str(lam))
-    n = a.dim
-    lhs = blocks(contract("ai,bj,abk->ijk", p, p, a), n, n)
-    star = blocks(_induced(p, a, _shifted(p, lam)), n * n)
-    rhs = blocks(contract("sk,xk->sx", star, p), n, n)
-    for i, j in product(range(n), repeat=2):
-        ck.equal_vec("rb-identity", (("x", i), ("y", j)), lhs[i][j], rhs[i][j])
+    ck.compare(("x", "y"), ("rb-identity", contract("ai,bj,abk->ijk", p, p, a),
+                            contract("ijk,xk->ijx", _induced(p, a, _shifted(p, lam)), p)))
     return ck.report()
 
 
@@ -170,13 +164,11 @@ def check_rbp_module(inst: RbpInstance) -> Report:
     """act(P e_i) T = T act(P e_i) + T act(e_i) (T + lam) for every algebra
     basis element e_i, compared on the row-major cells; fills
     inst.verified."""
-    m, p, t, n = inst.module, inst.p, inst.t, inst.algebra.dim
+    m, p, t = inst.module, inst.p, inst.t
     ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
-    lhs = blocks(contract("bi,bkr,kc->irc", p, m, t), n)
-    rhs = blocks(vec_add(contract("rk,bi,bck->irc", t, p, m),
-                         contract("rk,ilk,lc->irc", t, m, _shifted(t, inst.weight))), n)
-    for i in range(n):
-        ck.equal_vec("pairing-identity", (("a", i),), lhs[i], rhs[i])
+    ck.compare(("a",), ("pairing-identity", contract("bi,bkr,kc->irc", p, m, t),
+                        contract("rk,bi,bck->irc", t, p, m)
+                        + contract("rk,ilk,lc->irc", t, m, _shifted(t, inst.weight))))
     rep = ck.report()
     inst.verified = "pass" if rep.ok else "fail"
     inst.witness = rep.violations[0] if rep.violations else None
@@ -192,14 +184,13 @@ def _require_verified(inst: RbpInstance, op: str) -> None:
 
 def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
     """T (T + lam) = 0, exactly."""
-    return is_zero_vec(contract("rk,kc->rc", t, _shifted(t, lam)))
+    return not contract("rk,kc->rc", t, _shifted(t, lam)).cells
 
 
-def _commutators(m: ActionStructure, t: Mat) -> tuple[Vec, ...]:
+def _commutators(m: ActionStructure, t: Mat) -> RawTensor:
     """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis
-    element b, on its row-major cells."""
-    return blocks(vec_sub(contract("bkr,kc->brc", m, t), contract("rk,bck->brc", t, m)),
-                  m.algebra.dim)
+    element b, indexed (b, c, r): column c, row r."""
+    return contract("bkr,kc->bcr", m, t) - contract("rk,bck->bcr", t, m)
 
 
 def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
@@ -208,9 +199,7 @@ def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
     A violation names the pair (b, m) of algebra and module basis indices,
     with delta the commutator applied to the module basis vector m."""
     ck = Checker("a-linearity", instance or m.name)
-    for b, comm in enumerate(_commutators(m, t)):
-        for j in range(m.dim):
-            ck.zero_vec("commutes-with-action", (("b", b), ("m", j)), comm[j::m.dim])
+    ck.compare(("b", "m"), ("commutes-with-action", _commutators(m, t), None))
     return ck.report()
 
 
@@ -273,7 +262,8 @@ class PairingSystem:
     On the algebra basis element e_i it reads sum_b P[b][i] C_b = K_i with
     C_b = [act(e_b), T] and K_i = T act(e_i) (T + lam); `comms[b]` holds
     the nonzero (cell, value) entries of C_b and `rhs[i]` every cell of
-    K_i, row-major, in raw field values.  The set of P that pair with T is
+    K_i, column-major (cell c m + r for row r, column c), in raw field
+    values.  The set of P that pair with T is
     the solution set, an affine space.
     """
 
@@ -318,10 +308,12 @@ class PairingSystem:
 
 def pairing_system(m: ActionStructure, t: Mat, lam: Scalar) -> PairingSystem:
     """The commutators C_b and right-hand sides K_i of (M, T, lam), once."""
-    comms = tuple(tuple((cell, x.value) for cell, x in enumerate(c) if x.value)
-                  for c in _commutators(m, t))
-    rhs = blocks(contract("rk,ilk,lc->irc", t, m, _shifted(t, lam)), m.algebra.dim)
-    return PairingSystem(m, t, lam, comms, tuple([x.value for x in k] for k in rhs))
+    n, cells = m.algebra.dim, m.dim * m.dim
+    comms = _commutators(m, t).rows(1)
+    rhs = contract("rk,ilk,lc->icr", t, m, _shifted(t, lam)).rows(1)
+    return PairingSystem(m, t, lam, tuple(tuple(comms.get((b,), {}).items()) for b in range(n)),
+                         tuple([rhs.get((i,), {}).get(c, 0) for c in range(cells)]
+                               for i in range(n)))
 
 
 def classify_generic(
@@ -350,7 +342,7 @@ def classify_generic(
     qi = is_quasi_idempotent(t, lam)
     generic: bool | None = None
     if a_linear:
-        generic = is_zero_vec(contract("bkr,kl,lc->brc", m, t, _shifted(t, lam)))
+        generic = not contract("bkr,kl,lc->brc", m, t, _shifted(t, lam)).cells
     failures = sum(
         system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
     )
@@ -408,9 +400,9 @@ def atkinson_solvable(
         raise PreconditionError("factorization solvability needs nonzero weight")
     pl, tl = _shifted(p, lam), _shifted(t, lam)
     rows = a.dim * m.dim
-    rhs = [x + y for x, y in zip(blocks(contract("bi,lj,blk->ijk", p, t, m), rows),
-                                 blocks(contract("bi,lj,blk->ijk", pl, tl, m), rows))]
-    # each right-hand side must lie in the column space of [T; T + lam]
+    rhs = [x + y for x, y in zip(contract("bi,lj,blk->ijk", p, t, m).dense(rows, m.dim),
+                                 contract("bi,lj,blk->ijk", pl, tl, m).dense(rows, m.dim))]
+    # each stacked right-hand side must lie in the column space of [T; T + lam]
     return span_leq(rhs, transpose(t + tl), a.field)
 
 
@@ -508,15 +500,14 @@ def double_construction(
     if not check_rbp_module(base).ok:
         raise PreconditionError("double_construction needs a verified paired module")
     n, d = a.dim, m.dim
-    star = FinAlgebra(a.field, n, a.labels, blocks(_induced(p, a, _shifted(p, lam)), n, n),
-                      None, name=f"{a.name}-star")
+    star = FinAlgebra(a.field, n, a.labels, _induced(p, a, _shifted(p, lam)).dense(), None,
+                      name=f"{a.name}-star")
     _postcondition("star product is an algebra", star.name, check_algebra(star))
-    tri = ActionStructure(star, d, m.side, blocks(_induced(p, m, _shifted(t, lam)), n, d),
+    tri = ActionStructure(star, d, m.side, _induced(p, m, _shifted(t, lam)).dense(),
                           name=f"{m.name}-tri")
     _postcondition("induced action is a module action", tri.name, check_action(tri))
     _postcondition("intertwining T(a |> m) = P(a) . T(m)", tri.name,
-                   blocks(contract("rk,ick->irc", t, tri), n, d),
-                   blocks(contract("bi,bkr,kc->irc", p, m, t), n, d))
+                   contract("rk,ick->irc", t, tri), contract("bi,bkr,kc->irc", p, m, t))
     inst = RbpInstance(star, tri, p, t, lam, name=f"{m.name}-double")
     _postcondition("doubled instance satisfies the paired identity", inst.name,
                    check_rbp_module(inst))
@@ -531,7 +522,7 @@ def idempotent_identities(inst: RbpInstance) -> Report:
     Inapplicable identities are reported skipped.
     """
     _require_verified(inst, "idempotent_identities")
-    m, p, t, lam, n = inst.module, inst.p, inst.t, inst.weight, inst.algebra.dim
+    m, p, t, lam = inst.module, inst.p, inst.t, inst.weight
     ck = Checker("idempotent-identities", inst.name, weight=str(lam))
     if t and mat_mul(t, t) != t:
         ck.skip("T-after-T-vanishes")
@@ -540,19 +531,15 @@ def idempotent_identities(inst: RbpInstance) -> Report:
         return ck.report()
     # every identity carries the factor 1 + lam; it rides on T
     t_scaled = mat_scale(lam.field.one + lam, t)
-    t_t = blocks(contract("rk,ilk,lc->irc", t_scaled, m, t), n)
-    for i in range(n):
-        ck.zero_vec("T-after-T-vanishes", (("a", i),), t_t[i])
+    ck.compare(("a",), ("T-after-T-vanishes", contract("rk,ilk,lc->irc", t_scaled, m, t), None))
     if p and mat_mul(p, p) != p:
         ck.skip("T-after-P-vanishes")
         ck.skip("P-T-cross-term")
         return ck.report()
-    t_p = blocks(contract("rk,bi,bck->irc", t_scaled, p, m), n)
-    cross = blocks(vec_sub(contract("bi,bkr,kc->irc", p, m, t_scaled),
-                           contract("rk,ick->irc", mat_scale(lam, t_scaled), m)), n)
-    for i in range(n):
-        ck.zero_vec("T-after-P-vanishes", (("a", i),), t_p[i])
-        ck.zero_vec("P-T-cross-term", (("a", i),), cross[i])
+    ck.compare(("a",),
+               ("T-after-P-vanishes", contract("rk,bi,bck->irc", t_scaled, p, m), None),
+               ("P-T-cross-term", contract("bi,bkr,kc->irc", p, m, t_scaled)
+                - contract("rk,ick->irc", mat_scale(lam, t_scaled), m), None))
     return ck.report()
 
 

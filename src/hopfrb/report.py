@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import prod
 
-from .exactlin import InternalError, Vec, is_zero_vec
+from .exactlin import InternalError, RawTensor, Vec, differing, scalar_vec
 
 DEFAULT_SEED = "hopfrb"
 
@@ -54,7 +55,7 @@ def _postcondition(clause: str, structure: str, got, want=None, witness=None) ->
 
     `got` is a Report, which must have no violation (an axiom it skipped is
     no failure), or one side of an equality whose other side is `want`:
-    vectors, matrices, tuples of them, or plain values.  The passing path
+    raw tensors, vectors, matrices, tuples of them, or plain values.  The passing path
     makes only that check.  On failure the InternalError names the
     structure, the clause and the first witness: the Report's first
     Violation; the text `witness()` returns, when the caller names one
@@ -69,6 +70,8 @@ def _postcondition(clause: str, structure: str, got, want=None, witness=None) ->
     elif witness is not None:
         text = witness()
     else:
+        if isinstance(got, RawTensor):
+            got, want = got.dense(), want.dense()
         at, x, y = _first_cell(got, want)
         text = f"cell {at}: got {x}, want {y}"
     raise InternalError(f"{structure}: {clause} fails; first witness {text}")
@@ -134,16 +137,38 @@ class Checker:
         if axiom not in self._violations:
             self._violations[axiom] = Violation(axiom, tuple(witness), delta)
 
-    def equal_vec(self, axiom: str, witness: tuple, got: Vec, want: Vec) -> None:
-        self._touch(axiom)
-        if got != want:
-            delta = tuple(a - b for a, b in zip(got, want))
-            self.fail(axiom, witness, delta)
+    def compare(self, roles: tuple, *checks) -> None:
+        """Compare raw tensors, cell by cell, on every witness prefix.
 
-    def zero_vec(self, axiom: str, witness: tuple, v: Vec) -> None:
-        self._touch(axiom)
-        if not is_zero_vec(v):
-            self.fail(axiom, witness, v)
+        Each check is ``(axiom, got, want)``: raw tensors whose leading
+        indices are the witness `roles` (want None reads as zero).  A check
+        may add a fourth entry, the number of leading roles it names when it
+        names fewer.  The mismatches are listed as nested loops over the
+        roles would meet them, with the checks at one prefix in the order
+        given; a check naming fewer roles runs at its prefix before the
+        deeper checks that follow it in `checks`, or after those before it.
+        An axiom counts as checked when its prefix range is not empty, every
+        mismatch counts, and only an axiom's first witness builds its dense
+        Scalar delta (got - want on the cells under the prefix)."""
+        depth = [c[3] if len(c) > 3 else len(roles) for c in checks]
+        found = []
+        for n, (axiom, got, want, *_) in enumerate(checks):
+            d = depth[n]
+            if not prod(got.shape[:d]):
+                continue
+            self._touch(axiom)
+            after = any(e > d for e in depth[:n])
+            pad = (float("inf") if after else -1,) if d < len(roles) else ()
+            found += [((*w, *pad, n), w, n) for w in differing(got, want, d)]
+        for _, w, n in sorted(found):
+            axiom, got, want = checks[n][:3]
+            self._count += 1
+            if axiom not in self._violations:
+                values = got.flat(w)
+                if want is not None:
+                    values = [x - y for x, y in zip(values, want.flat(w))]
+                self._violations[axiom] = Violation(
+                    axiom, tuple(zip(roles, w)), scalar_vec(got.field or want.field, values))
 
     def merge(self, sub: Report) -> None:
         """Take in a sub-check: the first witness of each axiom it violated

@@ -5,7 +5,8 @@ soon as it is written.  Each operand is random and mostly zero over Q, F_2
 or F_5, with an independent extent per index letter; a three-letter operand
 is a stand-in carrier that offers only its raw view, so no carrier's shape
 rule ties its letters together.  The reference walks every assignment of
-every letter, zeros included.
+every letter, zeros included; `contract` must return exactly its nonzero
+cells, raw, with the output letters' extents as the shape.
 """
 
 import ast
@@ -48,7 +49,7 @@ def _operand(field, letters: str, cells: dict, shape: tuple):
         a, b, c = shape
         t = tuple(tuple(tuple(cells[i, j, k] for k in range(c)) for j in range(b))
                   for i in range(a))
-        return SimpleNamespace(raw=RawTensor(field, t, shape))
+        return SimpleNamespace(raw=RawTensor.of(field, t, shape))
     if len(letters) == 2:
         return tuple(tuple(cells[i, j] for j in range(shape[1])) for i in range(shape[0]))
     return tuple(cells[i,] for i in range(shape[0]))
@@ -75,7 +76,7 @@ def test_contract_matches_dense_loops(spec, data):
     operands = [_operand(field, x, cells, tuple(dims[c] for c in x))
                 for x, cells in zip(ins, dense)]
     summed = [c for c in letters if c not in out]
-    want = []
+    want = {}
     for o in product(*(range(dims[c]) for c in out)):
         acc = field.zero
         for s in product(*(range(dims[c]) for c in summed)):
@@ -84,8 +85,11 @@ def test_contract_matches_dense_loops(spec, data):
             for x, cells in zip(ins, dense):
                 term = term * cells[tuple(at[c] for c in x)]
             acc = acc + term
-        want.append(acc)
-    assert contract(spec, *operands) == tuple(want)
+        if not acc.is_zero:
+            want[o] = acc.value
+    got = contract(spec, *operands)
+    assert got.shape == tuple(dims[c] for c in out)
+    assert got.cells == want
 
 
 def test_a_carrier_files_its_cells_once_per_layout():

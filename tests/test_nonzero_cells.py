@@ -1,7 +1,8 @@
 """The raw sparse view of structure constants against dense reference sums.
 
 Each structure reads its tensor through its raw view (``RawTensor``), in its
-own kernels and in `contract`.  The references below are plain loops over
+own kernels and in `contract`, whose raw results are read back here on the
+lex basis of their indices (``RawTensor.dense``).  The references below are plain loops over
 every cell, zeros included, so a view that drops, repeats or misplaces a
 cell shows up as a wrong coordinate.  The tensors are random, mostly zero
 and asymmetric, with independent dims per index, so swapped indices do not
@@ -46,13 +47,12 @@ def _draw(data):
 def test_view_lists_exactly_the_nonzero_cells_in_order(data):
     field, (a, b, c) = _draw(data)
     t = _tensor(data, field, a, b, c)
-    view = RawTensor(field, t, (a, b, c))
+    view = RawTensor.of(field, t, (a, b, c))
     assert view.shape == (a, b, c)
-    for i in range(a):
-        for j in range(b):
-            assert view.rows[i][j] == tuple(
-                (k, t[i][j][k].value) for k in range(c) if t[i][j][k] != field.zero
-            )
+    assert list(view.cells.items()) == [
+        ((i, j, k), t[i][j][k].value)
+        for i in range(a) for j in range(b) for k in range(c) if t[i][j][k] != field.zero
+    ]
 
 
 @settings(deadline=None, max_examples=60)
@@ -68,7 +68,8 @@ def test_algebra_products_match_dense_sums(data):
     )
     u, v = _vec(data, field, n * n), _vec(data, field, n * n)
     # the product in A (x) A, as check_bialgebra and RMatrix state it
-    assert contract("ab,cd,acx,bdy->xy", blocks(u, n), blocks(v, n), alg, alg) == tuple(
+    got = contract("ab,cd,acx,bdy->xy", blocks(u, n), blocks(v, n), alg, alg)
+    assert got.dense(n * n) == tuple(
         _sum(field, (u[i * n + j] * v[k * n + l] * mult[i][k][p] * mult[j][l][q]
                      for i in r for j in r for k in r for l in r))
         for p in r for q in r
@@ -105,8 +106,8 @@ def test_tensor_cube_product_matches_dense_sums(data):
     r13 = [[[rm[i][j] * one[u] for j in r] for u in r] for i in r]
     r23 = [[[sm[i][j] * one[u] for j in r] for i in r] for u in r]
     r12 = [[[sm[i][j] * one[u] for u in r] for j in r] for i in r]
-    assert contract("ij,kl,jlz->ikz", rm, sm, alg) == cube(r13, r23)
-    assert contract("ij,kl,ikx->xlj", rm, sm, alg) == cube(r13, r12)
+    assert contract("ij,kl,jlz->ikz", rm, sm, alg).dense(n ** 3) == cube(r13, r23)
+    assert contract("ij,kl,ikx->xlj", rm, sm, alg).dense(n ** 3) == cube(r13, r12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -121,7 +122,7 @@ def test_coalgebra_comultiplication_matches_dense_sums(data):
         _sum(field, (x[i] * comult[i][j][k] for i in r)) for j in r for k in r
     )
     # (Delta (x) id) Delta(x), as check_weak_bialgebra states it
-    assert contract("i,imc,mab->abc", x, co, co) == tuple(
+    assert contract("i,imc,mab->abc", x, co, co).dense(n ** 3) == tuple(
         _sum(field, (x[i] * comult[i][m][c] * comult[m][a][b] for i in r for m in r))
         for a in r for b in r for c in r
     )
