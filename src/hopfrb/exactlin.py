@@ -3,12 +3,15 @@
 Every higher layer manipulates structure constants through this module.
 Vectors, matrices and 3-index tensors are immutable nested tuples of
 Scalar values, all operations are pure, and every comparison is exact;
-there are no floats and no tolerances anywhere.  Row reduction is one
-sparse Gauss-Jordan on raw values (ints mod p or Fractions), which visits
-only nonzero entries; its inputs and outputs are Scalar tuples.  Every sum
-of products of structure constants is one `contract` call, in einsum
-notation over the raw sparse view (`RawTensor`) that each carrier keeps of
-its tensor; it, too, turns raw values into Scalars only on return.
+there are no floats and no tolerances anywhere.  Under them sit raw values
+(ints mod p or Fractions) in sparse form.  Every sum of products of
+structure constants is one `contract` call, in einsum notation; it reads
+raw sparse tensors (`RawTensor`: the view each carrier keeps of its
+tensor, or an earlier result) and returns one, so checkers compare and
+chain results without building Scalars.  Row reduction is one sparse
+Gauss-Jordan on raw rows, which visits only nonzero entries; the system
+builders hand it raw rows, and Scalars appear only at the boundary:
+Scalar matrices in, solutions and kernels out.
 
 Conventions used throughout the package:
 
@@ -470,10 +473,7 @@ def contract(spec: str, *operands) -> RawTensor:
                 new[at] = get(at, 0) + (w if v is None else v * w)
         partial = ({at: r for at, x in new.items() if (r := x % p)} if p
                    else {at: x for at, x in new.items() if x})
-    shape = tuple(dims[c] for c in out)
-    if field is None and prod(shape):
-        raise FieldError("a contraction of empty operands has no field")
-    return RawTensor(field, shape, partial)
+    return RawTensor(field, tuple(dims[c] for c in out), partial)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +513,6 @@ def unit_vec(field: FieldSpec, n: int, i: int) -> Vec:
 
 # ---------------------------------------------------------------------------
 # vector and matrix arithmetic
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionError("vector length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, u: Vec) -> Vec:

@@ -64,7 +64,6 @@ from .exactlin import (
     mat_scale,
     span_leq,
     transpose,
-    vec_add,
     vec_scale,
 )
 from .report import Checker, Report, Violation, _postcondition
@@ -376,7 +375,8 @@ def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
         raise PreconditionError("atkinson_witness needs nonzero weight")
     m = inst.module
     pa, tm = apply_mat(inst.p, a_vec), apply_mat(inst.t, m_vec)
-    n = vec_add(m.apply(pa, m_vec), m.apply(a_vec, apply_mat(_shifted(inst.t, lam), m_vec)))
+    n = tuple(x + y for x, y in zip(m.apply(pa, m_vec),
+                                    m.apply(a_vec, apply_mat(_shifted(inst.t, lam), m_vec))))
     _postcondition("factorization P(a) . T(m) = T(n)", inst.name,
                    m.apply(pa, tm), apply_mat(inst.t, n))
     pt, tt = tilde_pair(inst.p, inst.t, lam)

@@ -131,12 +131,6 @@ class Checker:
         if axiom not in self._checked:
             self._checked.append(axiom)
 
-    def fail(self, axiom: str, witness: tuple, delta: Vec | None = None) -> None:
-        self._touch(axiom)
-        self._count += 1
-        if axiom not in self._violations:
-            self._violations[axiom] = Violation(axiom, tuple(witness), delta)
-
     def compare(self, roles: tuple, *checks) -> None:
         """Compare raw tensors, cell by cell, on every witness prefix.
 
@@ -181,10 +175,6 @@ class Checker:
     def skip(self, axiom: str) -> None:
         if axiom not in self._skipped:
             self._skipped.append(axiom)
-
-    @property
-    def failed(self) -> bool:
-        return self._count > 0
 
     def report(self) -> Report:
         return Report(

@@ -307,7 +307,8 @@ class Functional:
 
 def _kept_on_host(check):
     """`check` with its report kept on the object it was asked about: a
-    host, or for `check_algebra` an algebra.
+    host, an algebra for `check_algebra`, and an action or a coaction for
+    `actions.check_action` and `actions.check_coaction`.
 
     A second call on the same object returns the first (frozen) report; an
     equal but distinct host is checked again, since the key is the object

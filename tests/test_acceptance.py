@@ -23,7 +23,6 @@ from hopfrb.exactlin import (
     mat_scale,
     span_eq,
     vec,
-    vec_add,
     vec_scale,
     zeros_mat,
     zeros_vec,
@@ -327,8 +326,8 @@ def test_criterion_12_comodule_algebra_projection():
                     if d.is_zero:
                         continue
                     inner = carrier.mul(ea_of_a, column(phis, k))
-                    rhs = vec_add(rhs, vec_scale(
-                        d, doi.action.apply(inner, doi.coaction.basis(j))))
+                    rhs = tuple(x + y for x, y in zip(rhs, vec_scale(
+                        d, doi.action.apply(inner, doi.coaction.basis(j)))))
             ok &= lhs == rhs
     ok &= check_rbp_module(inst).ok
     _verdict(12, "projection identity for comodule-algebra modules", ok)

@@ -95,6 +95,37 @@ def test_first_use_builds_only_what_it_touches(statement, validated, verified):
     assert out.stdout.strip() == f"{validated} {verified}"
 
 
+# counts the axiom walks (one Checker per walk) of each (check, instance)
+# while the statement runs, in a fresh process
+_COUNT_WALKS = """
+import sys
+from collections import Counter
+from hopfrb import catalog, replay, report
+walks, init = Counter(), report.Checker.__init__
+def counted(self, check, instance="", weight=None):
+    walks[check, instance] += 1
+    init(self, check, instance, weight)
+report.Checker.__init__ = counted
+exec(sys.argv[1])
+print(walks["action", "mat2-regular-left"], walks["action", "mat2-regular-left-tri"])
+"""
+
+
+def test_module_reports_are_kept_on_the_action():
+    # the catalog validates mat2-regular-module once; double_construction's
+    # module precondition, in the doubled-mat2 instance and in each prop-3.6
+    # round, reads that report, and each induced action is walked once, by
+    # its postcondition, however often replay asks again
+    statement = ("catalog.instances()\n"
+                 "for _ in range(2): replay.run_replay('prop-3.6', seed=7, trials=1)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfrb.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _COUNT_WALKS, statement],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["1", "3"]
+
+
 def test_failing_builtin_raises_and_is_not_kept(monkeypatch):
     name = "mat3-rational"
     decl = catalog._DECLARED[name]

@@ -585,6 +585,64 @@ def test_idempotent_identities_on_projection():
     assert "T-after-T-vanishes" in rep.checked
 
 
+def _nilpotent_instance(lam):
+    """A verified instance at weight lam whose idempotent identities carry
+    the factor 1 + lam, with P and T idempotent and neither symmetric.
+
+    A is the zero algebra on x, y; x and y act on k^3 by E23 and E21, so
+    every product of two actions vanishes and M is an A-module.  T projects
+    onto f1 + f2 along f2, f3 and P sends x and y to x; then T kills the
+    image of both actions, so the paired identity holds at any weight, while
+    act(y) T and T^t act(x) do not vanish."""
+    a = FinAlgebra(Q, 2, ("x", "y"), ((mat(Q, [[0, 0]] * 2),) * 2), None, name="zero2")
+    e23, e21 = mat(Q, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]), mat(Q, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    act = tuple(tuple(tuple(x[k][j] for k in range(3)) for j in range(3)) for x in (e23, e21))
+    module = ActionStructure(a, 3, "left", act, name="k3")
+    t = mat(Q, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
+    return RbpInstance(a, module, mat(Q, [[1, 1], [0, 0]]), t, Q.of(lam), name="nilpotent")
+
+
+@pytest.mark.parametrize("lam", [1, 2, -3])
+def test_idempotent_identities_away_from_weight_minus_one(lam):
+    inst = _nilpotent_instance(lam)
+    assert check_action(inst.module).ok and check_rbp_module(inst).ok
+    rep = idempotent_identities(inst)
+    assert rep.ok and not rep.skipped
+    assert rep.checked == ("T-after-T-vanishes", "T-after-P-vanishes", "P-T-cross-term")
+
+
+def _left_mult_by_e11_plus_e12():
+    """P = T = left multiplication by the idempotent E11 + E12 of M_2, which
+    no basis matrix unit diagonalizes; conjugate to the mat2-proj instance."""
+    mat2 = _mat2()
+    e = mat2.left_mult(tuple(x + y for x, y in zip(mat2.basis(0), mat2.basis(1))))
+    return mat2, get("mat2-regular-module").payload, e
+
+
+def test_atkinson_solvability_with_non_diagonal_operators():
+    mat2, module, e = _left_mult_by_e11_plus_e12()
+    assert e != tuple(zip(*e))  # neither diagonal nor symmetric
+    assert check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE)).ok
+    assert atkinson_solvable(mat2, module, e, e, MINUS_ONE)
+    f = mat2.left_mult(mat2.basis(1))
+    assert not check_rbp_module(RbpInstance(mat2, module, e, f, MINUS_ONE)).ok
+    assert not atkinson_solvable(mat2, module, e, f, MINUS_ONE)
+
+
+def test_double_construction_with_non_diagonal_operators():
+    mat2, module, e = _left_mult_by_e11_plus_e12()
+    assert check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE)).ok
+    star, tri, inst = double_construction(mat2, e, module, e, MINUS_ONE)
+    assert inst.verified == "pass" and check_algebra(star).ok and check_action(tri).ok
+    # x * y = P(x) y + x P(y) - xy, with P(x) = (E11 + E12) x
+    for i, j in product(range(4), repeat=2):
+        x, y = mat2.basis(i), mat2.basis(j)
+        px, py = apply_mat(e, x), apply_mat(e, y)
+        want = tuple(u + v - w for u, v, w in zip(mat2.mul(px, y), mat2.mul(x, py),
+                                                   mat2.mul(x, y)))
+        assert star.mul(x, y) == want
+
+
 def test_idempotent_identities_skip_without_idempotency():
     c2 = get("group-algebra-c2").payload
     module = get("c2-regular-module").payload

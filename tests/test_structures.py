@@ -177,6 +177,47 @@ def test_s3_antipode_inverts_permutations():
         assert alg.mul(alg.basis(i), inv) == alg.basis(e)
 
 
+def _taft(n: int, q: int, p: int) -> Bialgebra:
+    """T_n(q) over F_p on the basis g^a x^b (slot a n + b), from its closed
+    form: g^n = 1, x^n = 0, x g = q g x, Delta(g) = g (x) g and
+    Delta(x) = x (x) 1 + g (x) x, so Delta(g^a x^b) is the sum over k of
+    [b choose k]_q g^(a+k) x^(b-k) (x) g^a x^k."""
+    f, d = prime_field(p), n * n
+    binom = [[1]]
+    for b in range(1, n):
+        prev = binom[-1]
+        binom.append([1, *((prev[k - 1] + q ** k * prev[k]) % p for k in range(1, b)), 1])
+    slot = lambda a, b: (a % n) * n + b  # noqa: E731
+    mult, comult = [], []
+    for a in range(n):
+        for b in range(n):
+            mult += [(slot(a, b), slot(c, e), slot(a + c, b + e), q ** (b * c))
+                     for c in range(n) for e in range(n - b)]
+            comult += [(slot(a, b), slot(a + k, b - k), slot(a, k), binom[b][k])
+                       for k in range(b + 1)]
+    labels = tuple(f"g{a}x{b}" for a in range(n) for b in range(n))
+    counit = vec(f, [int(b == 0) for a in range(n) for b in range(n)])
+    alg = FinAlgebra(f, d, labels, _sparse3(f, d, mult), vec(f, [int(i == 0) for i in range(d)]),
+                     name=f"T{n}({q})")
+    return Bialgebra(alg.name, alg, FinCoalgebra(f, d, labels, _sparse3(f, d, comult), counit))
+
+
+@pytest.mark.parametrize("n, q, p", [(2, 4, 5), (3, 2, 7), (4, 2, 5)])
+def test_taft_antipode_has_order_twice_n(n, q, p):
+    # the antipode of T_n(q) has order exactly 2n (Taft, PNAS 1971): S^2 is
+    # conjugation by g, which moves x by a primitive n-th root of unity
+    b = _taft(n, q, p)
+    s = compute_antipode(b)
+    assert s is not None
+    assert check_hopf(HopfAlgebra(b.name, b, s)).ok
+    one, power, order = identity(b.field, b.dim), s, 1
+    while power != one:
+        power, order = tuple(tuple(sum((r[k] * s[k][j] for k in range(b.dim)), b.field.zero)
+                                   for j in range(b.dim)) for r in power), order + 1
+        assert order <= 2 * n
+    assert order == 2 * n
+
+
 def test_hopf_check_rejects_wrong_antipode():
     h = get("group-algebra-c3").payload
     wrong = HopfAlgebra(h.name, h.bialgebra, identity(Q, 3))
