@@ -374,7 +374,8 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
         return ck.report()
     pil, _ = _target_source(halg, coalgebra_of(w.host))
     # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
-    ck.compare(("a",), ("coaction-unit", contract("i,ixy,xaz->azy", carrier.unit, com, carrier),
+    rho1 = contract("i,ixy->xy", carrier.unit, com)
+    ck.compare(("a",), ("coaction-unit", contract("xy,xaz->azy", rho1, carrier),
                         contract("ajk,yk->ajy", com, pil)))
     return ck.report()
 

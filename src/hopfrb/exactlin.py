@@ -267,7 +267,8 @@ class RawTensor:
     (`RawTensor.of`, built once per carrier) and as what `contract`
     returns, and `contract` reads either.  `grouped` files the cells by one
     layout once, for every `contract` that reads the tensor that way; `+`
-    and `-` add cellwise; `flat` and `dense` give the values back on a lex
+    and `-` add cellwise; `permuted` reorders the indices; `rows` files the
+    cells as sparse rows; `flat` and `dense` give the values back on a lex
     basis, the latter as Scalars, at the boundary.
     """
 
@@ -315,10 +316,12 @@ class RawTensor:
     def __sub__(self, other: "RawTensor") -> "RawTensor":
         return self._merged(other, -1)
 
-    def transposed(self) -> "RawTensor":
-        """The tensor with its indices in reverse order: a matrix's transpose."""
-        return RawTensor(self.field, self.shape[::-1],
-                         {idx[::-1]: v for idx, v in self.cells.items()})
+    def permuted(self, *order: int) -> "RawTensor":
+        """The tensor whose k-th index is index order[k] of this one: a
+        matrix's transpose is ``permuted(1, 0)``."""
+        pick = _picker(order)
+        return RawTensor(self.field, pick(self.shape),
+                         {pick(idx): v for idx, v in self.cells.items()})
 
     def _slot(self, k: int):
         """Where an index tuple's entries from position k on sit on the lex

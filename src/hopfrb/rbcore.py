@@ -188,8 +188,8 @@ def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
 
 def _commutators(m: ActionStructure, t: Mat) -> RawTensor:
     """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis
-    element b, indexed (b, c, r): column c, row r."""
-    return contract("bkr,kc->bcr", m, t) - contract("rk,bck->bcr", t, m)
+    element b, indexed (b, r, c): row r, column c."""
+    return contract("bkr,kc->brc", m, t) - contract("rk,bck->brc", t, m)
 
 
 def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
@@ -198,7 +198,7 @@ def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
     A violation names the pair (b, m) of algebra and module basis indices,
     with delta the commutator applied to the module basis vector m."""
     ck = Checker("a-linearity", instance or m.name)
-    ck.compare(("b", "m"), ("commutes-with-action", _commutators(m, t), None))
+    ck.compare(("b", "m"), ("commutes-with-action", _commutators(m, t).permuted(0, 2, 1), None))
     return ck.report()
 
 
@@ -261,8 +261,7 @@ class PairingSystem:
     On the algebra basis element e_i it reads sum_b P[b][i] C_b = K_i with
     C_b = [act(e_b), T] and K_i = T act(e_i) (T + lam); `comms[b]` holds
     the nonzero (cell, value) entries of C_b and `rhs[i]` every cell of
-    K_i, column-major (cell c m + r for row r, column c), in raw field
-    values.  The set of P that pair with T is
+    K_i, row-major, in raw field values.  The set of P that pair with T is
     the solution set, an affine space.
     """
 
@@ -309,7 +308,7 @@ def pairing_system(m: ActionStructure, t: Mat, lam: Scalar) -> PairingSystem:
     """The commutators C_b and right-hand sides K_i of (M, T, lam), once."""
     n, cells = m.algebra.dim, m.dim * m.dim
     comms = _commutators(m, t).rows(1)
-    rhs = contract("rk,ilk,lc->icr", t, m, _shifted(t, lam)).rows(1)
+    rhs = contract("rk,ilk,lc->irc", t, m, _shifted(t, lam)).rows(1)
     return PairingSystem(m, t, lam, tuple(tuple(comms.get((b,), {}).items()) for b in range(n)),
                          tuple([rhs.get((i,), {}).get(c, 0) for c in range(cells)]
                                for i in range(n)))

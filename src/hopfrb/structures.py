@@ -434,9 +434,9 @@ def check_weak_hopf(w: WeakHopfAlgebra) -> Report:
     s_id, id_s = _antipode_sums(alg, co, s)
     # S(x_(1)) x_(2) S(x_(3)) = S(x), on (Delta (x) id) Delta(x)
     triple = contract("imc,mab,sa,sbt,uc,tur->ir", co, co, s, alg, s, alg)
-    ck.compare(("i",), ("antipode-target", id_s, pil.transposed()),
-               ("antipode-source", s_id, pir.transposed()),
-               ("antipode-triple", triple, RawTensor.of(alg.field, s, (alg.dim,) * 2).transposed()))
+    ck.compare(("i",), ("antipode-target", id_s, pil.permuted(1, 0)),
+               ("antipode-source", s_id, pir.permuted(1, 0)),
+               ("antipode-triple", triple, RawTensor.of(alg.field, s, (alg.dim,) * 2).permuted(1, 0)))
     return ck.report()
 
 
@@ -481,7 +481,7 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
         # pi_R(x_(1)) S(x_(2)) - S(x), with the unknown S[c][i] of S(e_i) at e_c
         cubic = contract("ijk,rj,rtc->ictk", co, pir, alg) - RawTensor(
             f, (n,) * 4, {(i, c, c, i): f.one.value for i, c in product(range(n), repeat=2)})
-        system = ((id_s, pil.transposed()), (s_id, pir.transposed()), (cubic, None))
+        system = ((id_s, pil.permuted(1, 0)), (s_id, pir.permuted(1, 0)), (cubic, None))
     else:
         unit = contract("i,c->ic", co.counit, alg.unit)
         system = ((s_id, unit), (id_s, unit))
