@@ -298,17 +298,16 @@ def _module_cases(c: _Cases, f, tag: str) -> None:
         c.run(f"{label}:integral-T", integral_T, h, left, e)
         c.run(f"{label}:dual-action-T", dual_action_T, h, Functional(h, c.vec(f, n)))
     # the catalog's smash and integral constructions, with one input perturbed
-    for fld in (f,):
-        c2 = catalog.cyclic_group_algebra(2, fld)
-        kx = catalog.dual_numbers_algebra(fld)
-        act = catalog.sign_action_on_dual_numbers(c2)
-        bad = ActionStructure(act.algebra, 2, "left", c.perturb(act.act, fld), name="sign~")
-        e = c.run(f"{tag}:integral", catalog.normalized_group_integral, c2)
-        for a in (act, bad):
-            c.run(f"{tag}:smash-integral:{a.name}", smash_integral_T, kx, c2, a,
-                  e if e is not None else c.vec(fld, 2))
-        c.run(f"{tag}:integral-T", integral_T, c2, regular_action(c2.algebra, "left"),
-              e if e is not None else c.vec(fld, 2))
+    c2 = catalog.cyclic_group_algebra(2, f)
+    kx = catalog.dual_numbers_algebra(f)
+    act = catalog.sign_action_on_dual_numbers(c2)
+    bad = ActionStructure(act.algebra, 2, "left", c.perturb(act.act, f), name="sign~")
+    e = c.run(f"{tag}:integral", catalog.normalized_group_integral, c2)
+    for a in (act, bad):
+        c.run(f"{tag}:smash-integral:{a.name}", smash_integral_T, kx, c2, a,
+              e if e is not None else c.vec(f, 2))
+    c.run(f"{tag}:integral-T", integral_T, c2, regular_action(c2.algebra, "left"),
+          e if e is not None else c.vec(f, 2))
 
 
 def _doi_cases(c: _Cases, f, label: str, w) -> None:
