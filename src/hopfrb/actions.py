@@ -459,5 +459,4 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
         pil, _ = _target_source(halg, coalgebra_of(host))
         corr = contract("ijl,kl->jki", c, pil)
     # one row per f_j (x) e_k, over the coefficient of f_i
-    rho = RawTensor(f, (n, hd, n), {(j, k, i): v for (i, j, k), v in c.raw.cells.items()})
-    return kernel_basis(list((rho - corr).rows(2).values()), f, ncols=n)
+    return kernel_basis(list((c.raw.permuted(1, 2, 0) - corr).rows(2).values()), f, ncols=n)

@@ -617,7 +617,9 @@ def rref(a, field: FieldSpec) -> tuple:
     The rows of `a` are Scalar rows, or raw sparse dict rows as the
     system builders make them.  The reduced form comes back in the same
     form: a Scalar matrix with its zero rows last, or the nonzero raw rows
-    alone, in pivot order.
+    alone, in pivot order.  A raw row's length is its nonzero count, so a
+    per-layer trace that counts an elimination's cells as rows times the
+    length of the first row undercounts a raw system.
     """
     p = field.p
     rest = [_raw_row(row, p) for row in a]
@@ -662,7 +664,8 @@ def kernel_basis(a, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ..
         if not a:
             raise DimensionError("kernel of empty matrix needs explicit ncols")
         ncols = len(a[0])
-    return solve_linear(a, (0,) * len(a), field, ncols).nullspace
+    rows = [_raw_row(row, field.p) for row in a]
+    return tuple(scalar_vec(field, v) for v in _nullspace(rows, *rref(rows, field), ncols, field))
 
 
 @dataclass(frozen=True)
@@ -682,6 +685,22 @@ def _maps_to(rows: list[dict], x: list, b: list, p: int) -> bool:
     return True
 
 
+def _nullspace(rows: list[dict], done: tuple, piv: tuple, nc: int, field: FieldSpec) -> list:
+    """The raw kernel basis read off the reduced rows `done` of the raw
+    `rows`: per free column f, 1 at f and -row[f] at each pivot; every
+    vector is checked against `rows` by substitution."""
+    p, null = field.p, []
+    for f in sorted(set(range(nc)) - set(piv)):
+        v = [0] * nc
+        v[f] = field.one.value
+        for row, c in zip(done, piv):
+            v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
+        null.append(v)
+    if not all(_maps_to(rows, v, [0] * len(rows), p) for v in null):
+        raise InternalError("solver produced a bad kernel vector")
+    return null
+
+
 def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolution | None:
     """Solve ``a x = b``; None when inconsistent.
 
@@ -696,7 +715,7 @@ def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolu
     if len(a) != len(b):
         raise DimensionError("rows of a must match length of b")
     nc = ncols if ncols is not None else len(a[0]) if a else 0
-    p, one = field.p, field.one.value
+    p = field.p
     rows = [_raw_row(row, p) for row in a]
     rhs = [x % p if p else x for x in (getattr(x, "value", x) for x in b)]
     done, piv = rref([{**row, nc: bi} if bi else row for row, bi in zip(rows, rhs)], field)
@@ -705,17 +724,9 @@ def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolu
     x = [0] * nc
     for row, c in zip(done, piv):
         x[c] = row.get(nc, 0)
-    null = []
-    for f in sorted(set(range(nc)) - set(piv)):
-        v = [0] * nc
-        v[f] = one
-        for row, c in zip(done, piv):
-            v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
-        null.append(v)
     if not _maps_to(rows, x, rhs, p):
         raise InternalError("solver produced a non-solution")
-    if not all(_maps_to(rows, v, [0] * len(rows), p) for v in null):
-        raise InternalError("solver produced a bad kernel vector")
+    null = _nullspace(rows, done, piv, nc, field)
     return LinearSolution(scalar_vec(field, x), tuple(scalar_vec(field, v) for v in null))
 
 

@@ -100,9 +100,8 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
     left = side == "left"
-    cells = alg.raw.cells.items()
-    basis = kernel_basis(_fixed_rows(cells if left else (((i, x, c), v) for (x, i, c), v in cells),
-                                     co.counit, n), alg.field, ncols=n)
+    basis = _fixed_space(alg.raw.permuted(0, 2, 1) if left else alg.raw.permuted(1, 2, 0),
+                         co.counit)
     _postcondition(
         "every integral solves h x = eps(h) x" if left else "every integral solves x h = eps(h) x",
         name_of(h),
@@ -113,19 +112,14 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
     return IntegralSpace(h, side, basis)
 
 
-def _fixed_rows(cells, counit: Vec, n: int) -> list:
-    """Raw sparse rows of h x = eps(h) x at every h = e_i, one per (i, r):
-    `cells` gives ((i, x, r), v), the coefficient v of the unknown x in
-    coordinate r of e_i x, and `counit` the eps(e_i)."""
-    rows: dict = {}
-    for (i, x, r), v in cells:
-        rows.setdefault((i, r), {})[x] = v
-    for i, e in enumerate(counit):
-        if e.value:
-            for r in range(n):
-                row = rows.setdefault((i, r), {})
-                row[r] = row.get(r, 0) - e.value
-    return list(rows.values())
+def _fixed_space(act: RawTensor, counit: Vec) -> tuple[Vec, ...]:
+    """Basis of the x with h x = eps(h) x at every h = e_i: `act` holds at
+    (i, r, x) the coefficient of the unknown x in coordinate r of e_i x.
+    One raw sparse row per (i, r), as `coinvariants` builds its system."""
+    f, n = act.field, act.shape[2]
+    eps_x = RawTensor(f, act.shape, {(i, r, r): e.value for i, e in enumerate(counit)
+                                     if e.value for r in range(n)})
+    return kernel_basis(list((act - eps_x).rows(2).values()), f, ncols=n)
 
 
 def _require_normalized_two_sided_integral(h: BialgebraLike, e: Vec) -> None:
@@ -161,8 +155,7 @@ def integral_T(
     t = m.matrix(e)
     _postcondition("integral operator is idempotent", m.name, mat_mul(t, t), t)
     _postcondition("integral operator is linear over the host", m.name, check_a_linear(m, t))
-    fixed = kernel_basis(_fixed_rows(m.raw.cells.items(), co.counit, m.dim), alg.field,
-                         ncols=m.dim)
+    fixed = _fixed_space(m.raw.permuted(0, 2, 1), co.counit)
     cols = transpose(t)
     _postcondition("image of the integral operator is the fixed subspace", m.name,
                    span_eq(column_space_basis(t, alg.field), fixed, alg.field), True,

@@ -8,7 +8,7 @@ that has two or more, copies the tree to a scratch directory, runs the
 tier-1 suite on that one mutant with ``pytest -x``, and reports the
 mutants that no test kills.
 
-    python3 tests/mutation_survey.py [--root DIR] [--work DIR] [--only N ...]
+    python3 tests/mutation_survey.py [--root DIR] [--work DIR]
 
 ``--root`` is the tree to survey (default: this checkout); ``--work`` the
 scratch directory the copy lives in (default: a fresh temporary one).
@@ -78,7 +78,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("--work", type=Path, default=None)
-    ap.add_argument("--only", type=int, nargs="*", help="survey only these mutant numbers")
     args = ap.parse_args(argv)
     work = Path(tempfile.mkdtemp(prefix="mutation-")) if args.work is None else args.work
     tree = work / "tree"
@@ -89,8 +88,6 @@ def main(argv=None) -> int:
     found = mutants(tree / "src" / "hopfrb")
     survivors = []
     for n, (name, line, spec, mutated) in enumerate(found):
-        if args.only and n not in args.only:
-            continue
         path = tree / "src" / "hopfrb" / name
         original = path.read_text()
         path.write_text(mutated)
@@ -104,8 +101,7 @@ def main(argv=None) -> int:
         print(f"{n:3d} {name}:{line} {spec} -> {mutate(spec)}: "
               f"{'SURVIVED' if alive else 'killed'}{f' (equivalent: {note})' if note and alive else ''}",
               flush=True)
-    surveyed = len(args.only) if args.only else len(found)
-    print(f"survivors: {len(survivors)} of {surveyed} mutants", flush=True)
+    print(f"survivors: {len(survivors)} of {len(found)} mutants", flush=True)
     return 0
 
 
