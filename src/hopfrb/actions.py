@@ -26,6 +26,7 @@ from .exactlin import (
     contract,
     kernel_basis,
     raw_identity,
+    raw_value,
     scalar_vec,
     tensor_vec,
     unit_vec,
@@ -86,22 +87,20 @@ class ActionStructure:
         """Operator of the element r on the module, whichever the side."""
         cells = self.raw.grouped((0,), (1, 2))
         acc = [[0] * self.dim for _ in range(self.dim)]
-        for i, s in enumerate(r):
-            if s.value:
-                for (j, k), a in cells.get(i, ()):
-                    acc[k][j] += s.value * a
+        for i, ri in [(i, raw_value(s)) for i, s in enumerate(r) if s.value]:
+            for (j, k), a in cells.get(i, ()):
+                acc[k][j] += ri * a
         return tuple(scalar_vec(self.field, row) for row in acc)
 
     def apply(self, r: Vec, m: Vec) -> Vec:
         cells = self.raw.grouped((0, 1), (2,))
         acc = [0] * self.dim
-        ms = [(j, s.value) for j, s in enumerate(m) if s.value]
-        for i, s in enumerate(r):
-            if s.value:
-                for j, mj in ms:
-                    c = s.value * mj
-                    for (k,), a in cells.get((i, j), ()):
-                        acc[k] += c * a
+        ms = [(j, raw_value(s)) for j, s in enumerate(m) if s.value]
+        for i, ri in [(i, raw_value(s)) for i, s in enumerate(r) if s.value]:
+            for j, mj in ms:
+                c = ri * mj
+                for (k,), a in cells.get((i, j), ()):
+                    acc[k] += c * a
         return scalar_vec(self.field, acc)
 
 
@@ -140,10 +139,9 @@ class CoactionStructure:
         """rho(m) on the (module, coalgebra) lex pair basis."""
         h, cells = self.coalgebra.dim, self.raw.grouped((0,), (1, 2))
         acc = [0] * (self.dim * h)
-        for i, s in enumerate(m):
-            if s.value:
-                for (j, k), c in cells.get(i, ()):
-                    acc[j * h + k] += s.value * c
+        for i, mi in [(i, raw_value(s)) for i, s in enumerate(m) if s.value]:
+            for (j, k), c in cells.get(i, ()):
+                acc[j * h + k] += mi * c
         return scalar_vec(self.field, acc)
 
 
@@ -451,7 +449,7 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     n, hd, f = c.dim, halg.dim, c.field
     if mode == "strict":
         # m (x) 1: f_j (x) e_k at f_i = f_j
-        corr = RawTensor(f, (n, hd, n), {(j, k, j): u.value for j in range(n)
+        corr = RawTensor(f, (n, hd, n), {(j, k, j): raw_value(u) for j in range(n)
                                          for k, u in enumerate(halg.unit) if u.value})
     else:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):

@@ -25,12 +25,12 @@ from .exactlin import (
     FieldError,
     FieldSpec,
     RATIONAL,
-    Scalar,
     Vec,
     identity,
     mat,
     mat_from_cols,
     prime_field,
+    scalar_vec,
     unit_vec,
     vec,
     zeros_vec,
@@ -657,6 +657,10 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
     def build(triples: list):
         cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
         for item in triples:
+            if not (isinstance(item, dict) and all(x in item for x in "ijk")
+                    and type(item.get("c")) in (str, int)):
+                raise CatalogError(f"{key} entry {item!r} is not an object with i, j, k "
+                                   "and a string or int c")
             i, j, k = (_int(item[x], f"{key} index") for x in "ijk")
             if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
                 raise CatalogError(f"{key} index out of range in {item!r}")
@@ -668,7 +672,7 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
 
 def _dump_tensor3(raw) -> list:
     """Triple list of a structure's raw sparse view."""
-    return [{"i": i, "j": j, "k": k, "c": str(Scalar(raw.field, c))}
+    return [{"i": i, "j": j, "k": k, "c": str(scalar_vec(raw.field, [c])[0])}
             for (i, j, k), c in sorted(raw.cells.items())]
 
 

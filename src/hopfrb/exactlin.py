@@ -4,14 +4,17 @@ Every higher layer manipulates structure constants through this module.
 Vectors, matrices and 3-index tensors are immutable nested tuples of
 Scalar values, all operations are pure, and every comparison is exact;
 there are no floats and no tolerances anywhere.  Under them sit raw values
-(ints mod p or Fractions) in sparse form.  Every sum of products of
-structure constants is one `contract` call, in einsum notation; it reads
-raw sparse tensors (`RawTensor`: the view each carrier keeps of its
-tensor, or an earlier result) and returns one, so checkers compare and
-chain results without building Scalars.  Row reduction is one sparse
-Gauss-Jordan on raw rows, which visits only nonzero entries; the system
-builders hand it raw rows, and Scalars appear only at the boundary:
-Scalar matrices in, solutions and kernels out.
+in sparse form: ints mod p, or over Q ints when integral and Fractions
+otherwise, so integer structure constants multiply at machine-int speed.
+Every sum of products of structure constants is one `contract` call, in
+einsum notation; it reads raw sparse tensors (`RawTensor`: the view each
+carrier keeps of its tensor, or an earlier result) and returns one, so
+checkers compare and chain results without building Scalars.  Row
+reduction is one sparse Gauss-Jordan on raw rows, which visits only
+nonzero entries; the system builders hand it raw rows, and Scalars appear
+only at the boundary: Scalar matrices in, solutions and kernels out.
+`raw_value` reads a Scalar into the raw layer and `scalar_vec` is the one
+way back, which over Q gives Fractions again.
 
 Conventions used throughout the package:
 
@@ -118,7 +121,10 @@ class FieldSpec:
         return Scalar(self, value % self.p)
 
     def parse(self, text: str) -> "Scalar":
-        """Inverse of ``str(scalar)``; prime scalars also accept bare ints."""
+        """Inverse of ``str(scalar)``; prime scalars also accept bare ints.
+
+        Exponent notation is refused: ``str`` never writes it, and a few
+        bytes of it ("1e10000000") would build a huge integer."""
         text = text.strip()
         try:
             if " mod " in text:
@@ -133,6 +139,8 @@ class FieldSpec:
                     num, den = text.split("/")
                     return self.of(Fraction(int(num), int(den)))
                 return self.of(int(text))
+            if "e" in text.lower():
+                raise ValueError("exponent notation is not accepted")
             return Scalar(self, Fraction(text))
         except (ValueError, ZeroDivisionError) as ex:
             raise FieldError(f"cannot parse {text!r} as an element of {self}: {ex}") from None
@@ -237,11 +245,22 @@ def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
     return tuple((i, c) for i, c in enumerate(v) if not c.is_zero)
 
 
+def _lean(x):
+    """A raw value in lean form: a Fraction with denominator 1 as its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def raw_value(s: Scalar):
+    """The raw value of a Scalar: its int mod p over F_p, and over Q an int
+    when it is integral, its Fraction otherwise."""
+    return _lean(s.value)
+
+
 def scalar_vec(field: FieldSpec, raw: Sequence) -> Vec:
-    """Scalars of raw values: ints (reduced mod p here) or Fractions."""
+    """Scalars of raw values: ints (reduced mod p here) or, over Q, ints and
+    Fractions, which come back as Fractions."""
     p, zero = field.p, field.zero
-    if p:
-        raw = [v % p for v in raw]
+    raw = [v % p for v in raw] if p else [v if type(v) is Fraction else Fraction(v) for v in raw]
     return tuple(Scalar(field, v) if v else zero for v in raw)
 
 
@@ -261,8 +280,9 @@ def blocks(v: Sequence, count: int, *counts: int) -> tuple:
 class RawTensor:
     """Raw sparse tensor: the nonzero cells of a tensor of any rank.
 
-    ``cells`` maps each index tuple of a nonzero cell to its raw value, an
-    int reduced mod p or a Fraction; ``shape`` is the extent of each index.
+    ``cells`` maps each index tuple of a nonzero cell to its raw value: an
+    int reduced mod p, or over Q an int when integral and a Fraction
+    otherwise; ``shape`` is the extent of each index.
     One type serves as the view a carrier keeps of its dense Scalar tensor
     (`RawTensor.of`, built once per carrier) and as what `contract`
     returns, and `contract` reads either.  `grouped` files the cells by one
@@ -283,7 +303,7 @@ class RawTensor:
         level = [((), t)]
         for _ in shape:
             level = [((*idx, i), x) for idx, xs in level for i, x in enumerate(xs)]
-        return cls(field, shape, {idx: s.value for idx, s in level if s.value})
+        return cls(field, shape, {idx: raw_value(s) for idx, s in level if s.value})
 
     def grouped(self, key: tuple, rest: tuple) -> dict:
         if (key, rest) not in self._groups:
@@ -302,8 +322,7 @@ class RawTensor:
         cells = dict(self.cells)
         for idx, v in other.cells.items():
             x = cells.get(idx, 0) + sign * v
-            if p:
-                x %= p
+            x = x % p if p else _lean(x)
             if x:
                 cells[idx] = x
             else:
@@ -370,7 +389,7 @@ def differing(got: RawTensor, want: RawTensor | None, depth: int) -> list:
 
 def raw_identity(field: FieldSpec, n: int) -> RawTensor:
     """The n x n identity as a raw tensor."""
-    return RawTensor(field, (n, n), {(i, i): field.one.value for i in range(n)})
+    return RawTensor(field, (n, n), {(i, i): raw_value(field.one) for i in range(n)})
 
 
 def _picker(positions: tuple, bare: bool = False):
@@ -475,7 +494,7 @@ def contract(spec: str, *operands) -> RawTensor:
                 at = idx + ext if keep is None else keep(idx + ext)
                 new[at] = get(at, 0) + (w if v is None else v * w)
         partial = ({at: r for at, x in new.items() if (r := x % p)} if p
-                   else {at: x for at, x in new.items() if x})
+                   else {at: _lean(x) for at, x in new.items() if x})
     return RawTensor(field, tuple(dims[c] for c in out), partial)
 
 
@@ -555,13 +574,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     field = a[0][0].field
     if b[0][0].field != field:
         raise FieldError(f"mixed fields {field} and {b[0][0].field}")
-    b_rows = [[(j, s.value) for j, s in enumerate(row) if s.value] for row in b]
+    b_rows = [[(j, raw_value(s)) for j, s in enumerate(row) if s.value] for row in b]
     out = []
     for row in a:
         acc = [0] * nc
         for s, b_row in zip(row, b_rows):
-            x = s.value
-            if x:
+            if s.value:
+                x = raw_value(s)
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(scalar_vec(field, acc))
@@ -596,21 +615,22 @@ def tensor_vec(u: Vec, v: Vec) -> Vec:
 
 
 def _raw_row(row, p: int) -> dict:
-    """A fresh raw sparse row: a {column: raw value} dict, reduced mod p and
-    without zeros, or the nonzero entries of a Scalar row."""
+    """A fresh raw sparse row: a {column: raw value} dict, reduced mod p or
+    lean and without zeros, or the nonzero entries of a Scalar row."""
     if isinstance(row, dict):
-        return {j: r for j, v in row.items() if (r := v % p if p else v)}
-    return {j: s.value for j, s in enumerate(row) if s.value}
+        return {j: r for j, v in row.items() if (r := v % p if p else _lean(v))}
+    return {j: raw_value(s) for j, s in enumerate(row) if s.value}
 
 
 def rref(a, field: FieldSpec) -> tuple:
     """Reduced row echelon form and pivot columns.
 
     The one elimination every solve, kernel and span test goes through:
-    sparse Gauss-Jordan on raw values (ints mod p or Fractions), one
-    ``{column: value}`` dict per row.  The columns are swept in order; a
-    pivot is scaled to 1 and cleared from exactly the rows, above and
-    below, that have a nonzero in its column.  The shortest such row is
+    sparse Gauss-Jordan on raw values (ints mod p, or over Q ints when
+    integral and Fractions otherwise, kept so through every scaling and
+    elimination), one ``{column: value}`` dict per row.  The columns are
+    swept in order; a pivot is scaled to 1 and cleared from exactly the
+    rows, above and below, that have a nonzero in its column.  The shortest such row is
     the pivot row, which keeps fill-in low; the reduced form is unique,
     so the choice never shows.
 
@@ -630,22 +650,22 @@ def rref(a, field: FieldSpec) -> tuple:
         if not hits:
             continue
         prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
-        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
-        prow = {j: v * inv % p if p else v * inv for j, v in prow.items()}
+        inv = pow(prow[c], -1, p) if p else _lean(Fraction(1) / prow[c])
+        prow = {j: v * inv % p if p else _lean(v * inv) for j, v in prow.items()}
         for row in [r for r in done + rest if c in r]:
             f = row[c]
             for j, v in prow.items():
                 x = row.get(j, 0) - f * v
-                row[j] = x % p if p else x
+                row[j] = x % p if p else _lean(x)
                 if not row[j]:
                     del row[j]
         done.append(prow)
         piv_cols.append(c)
     if not a or isinstance(a[0], dict):
         return tuple(done), tuple(piv_cols)
-    nc, zero = len(a[0]), field.zero
-    out = [tuple(Scalar(field, row[j]) if j in row else zero for j in range(nc)) for row in done]
-    out += [(zero,) * nc] * (len(a) - len(done))
+    nc = len(a[0])
+    out = [scalar_vec(field, [row.get(j, 0) for j in range(nc)]) for row in done]
+    out += [(field.zero,) * nc] * (len(a) - len(done))
     return tuple(out), tuple(piv_cols)
 
 
@@ -692,7 +712,7 @@ def _nullspace(rows: list[dict], done: tuple, piv: tuple, nc: int, field: FieldS
     p, null = field.p, []
     for f in sorted(set(range(nc)) - set(piv)):
         v = [0] * nc
-        v[f] = field.one.value
+        v[f] = raw_value(field.one)
         for row, c in zip(done, piv):
             v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
         null.append(v)
@@ -717,7 +737,7 @@ def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolu
     nc = ncols if ncols is not None else len(a[0]) if a else 0
     p = field.p
     rows = [_raw_row(row, p) for row in a]
-    rhs = [x % p if p else x for x in (getattr(x, "value", x) for x in b)]
+    rhs = [x % p if p else _lean(x) for x in (getattr(x, "value", x) for x in b)]
     done, piv = rref([{**row, nc: bi} if bi else row for row, bi in zip(rows, rhs)], field)
     if nc in piv:
         return None
@@ -747,7 +767,7 @@ def first_outside(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> int
     p = field.p
     rows, piv = rref([_raw_row(v, p) for v in b2], field)
     for k, v in enumerate(b1):
-        acc = [s.value for s in v]
+        acc = [raw_value(s) for s in v]
         for c, row in zip(piv, rows):
             f = acc[c]
             for j, x in row.items():

@@ -25,11 +25,11 @@ K_i = T act(e_i) T + lam T act(e_i), it reads on the basis element e_i
 
 so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
 `PairingSystem.fails` decides a random P with one linear combination per
-e_i, in raw field values (`Fraction`, or `int` reduced mod p at the
-comparison).  Every fuzzed P is decided this way: the trials of
-`classify_generic` and replay's own fuzz loops alike.  Trial 0 of each is
-also run through `check_rbp_module` as an oracle (`PairingSystem.decide`),
-and a disagreement raises InternalError.
+e_i, in raw field values (ints mod p, reduced at the comparison, or over
+Q ints when integral and Fractions otherwise).  Every fuzzed P is decided
+this way: the trials of `classify_generic` and replay's own fuzz loops
+alike.  Trial 0 of each is also run through `check_rbp_module` as an
+oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
 
 Every identity here is written once, as `exactlin.contract` calls.  The
 oracle states the identity itself, not its affine form: it builds no

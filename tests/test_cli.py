@@ -167,6 +167,8 @@ MALFORMED_FILES = {
         "mat2-rational", lambda obj: obj.update(
             field={"kind": "prime", "p": 5}, dim=1, basis=["x"],
             mult=[{"i": 0, "j": 0, "k": 0, "c": True}], unit=[True])),
+    "hopf-coefficient-in-exponent-notation": (
+        "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1e5")),
     "algebra-dim-is-a-float": ("mat2-rational", lambda obj: obj.update(dim=4.7)),
     "algebra-dim-is-a-string": ("mat2-rational", lambda obj: obj.update(dim="4")),
     "algebra-basis-is-a-string": (
@@ -196,6 +198,26 @@ def test_malformed_structure_file_exits_2(tmp_path, capsys, case):
     assert main(_malformed_file(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# one bad sparse triple per case: (entry, key, the replacement of its first triple)
+BAD_TRIPLES = {
+    "mult-entry-is-a-list": ("group-algebra-c2", "mult", [0, 0, 0, "1"]),
+    "coefficient-is-a-list": ("group-algebra-c2", "mult", {"i": 0, "j": 0, "k": 0, "c": [1]}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TRIPLES))
+def test_bad_triple_is_named(tmp_path, capsys, case):
+    entry, key, triple = BAD_TRIPLES[case]
+    obj = dump(get(entry))
+    obj[key][0] = triple
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", obj["kind"], "--entry", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{key} entry {triple!r} is not an object with i, j, k and a string or int c" in err
 
 
 # files json.load returns no value for

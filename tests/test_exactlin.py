@@ -11,8 +11,10 @@ from hopfrb.exactlin import (
     DimensionError,
     FieldError,
     RATIONAL,
+    RawTensor,
     apply_mat,
     column_space_basis,
+    contract,
     in_span,
     kernel_basis,
     mat,
@@ -52,6 +54,17 @@ def test_prime_parse_and_str():
     assert str(F5.parse("9")) == "4 mod 5"
     assert F5.parse("4 mod 5") == F5.of(-1)
     assert F5.parse("1/2") == F5.of(3)  # 2 * 3 = 6 = 1
+
+
+def test_parse_refuses_exponent_notation():
+    # str(scalar) never writes an exponent, and "1e10000000" would build a
+    # 33-million-bit integer before anything could refuse it
+    for text in ("1e5", "2E3", "-1e-5", "3/1e2"):
+        with pytest.raises(FieldError, match="exponent"):
+            RATIONAL.parse(text)
+        with pytest.raises(FieldError):
+            F5.parse(text)
+    assert RATIONAL.parse("-15/4") == RATIONAL.of(Fraction(-15, 4))
 
 
 def test_prime_parse_rejects_wrong_modulus():
@@ -338,3 +351,46 @@ def test_tensor_vec_basis_pairs():
     # lex pair order: e0 (x) e0, e0 (x) e1, e1 (x) e0, e1 (x) e1
     assert tensor_vec(u, v) == qv([0, 1, 0, 0])
     assert tensor_vec(v, u) == qv([0, 0, 1, 0])
+
+
+# -- lean raw values over Q -----------------------------------------------------
+
+
+def _lean(values) -> bool:
+    """Whether raw Q values are lean: ints, and Fractions only off the integers."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
+
+
+def _fractions(scalars) -> bool:
+    """Whether every Q Scalar holds a Fraction, as its public value does."""
+    return all(type(s.value) is Fraction for s in scalars)
+
+
+@st.composite
+def q_matrices(draw):
+    """Q matrices a (r x k), b (k x c) and d (r x c) whose entries mix ints
+    with halves, thirds and quarters, so that products, sums and pivots land
+    on the integers as well as off them."""
+    entry = st.integers(min_value=-4, max_value=4) | st.fractions(-3, 3, max_denominator=4)
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    return tuple(q(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows)))
+                 for rows, cols in ((r, k), (k, c), (r, c)))
+
+
+@given(q_matrices())
+def test_raw_values_over_q_stay_lean(case):
+    a, b, d = case
+    raw_a, raw_d = (RawTensor.of(RATIONAL, m, (len(m), len(m[0]))) for m in (a, d))
+    product = contract("ik,kj->ij", a, b)
+    results = (raw_a, raw_d, product, product + raw_d, product - raw_d, raw_d - raw_d)
+    assert all(_lean(t.cells.values()) for t in results)
+    reduced, _ = rref([row for t in results for row in t.rows(1).values()], RATIONAL)
+    assert all(_lean(row.values()) for row in reduced)
+    assert all(_fractions(s for row in t.dense() for s in row) for t in results if t.cells)
+    assert all(_fractions(row) for row in rref(a, RATIONAL)[0])
+    assert all(_fractions(row) for row in mat_mul(a, b))
+    assert all(_fractions(v) for v in kernel_basis(a, RATIONAL))
+    sol = solve_linear(d, tuple(row[0] for row in d), RATIONAL)
+    assert sol is not None and _fractions(sol.particular)
+    assert all(_fractions(v) for v in sol.nullspace)

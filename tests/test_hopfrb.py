@@ -4,13 +4,15 @@ projections onto coinvariants."""
 import pytest
 
 from hopfrb.exactlin import (
-    RATIONAL, InternalError, identity, mat, mat_mul, mat_scale, prime_field, vec,
+    RATIONAL, InternalError, RawTensor, contract, identity, mat, mat_mul, mat_scale, prime_field,
+    vec,
 )
 from hopfrb.structures import (
     Functional,
     PreconditionError,
     as_weak,
     check_hopf,
+    compute_antipode,
     convolution,
     dual_algebra,
     target_source,
@@ -47,6 +49,7 @@ from hopfrb.catalog import (
     cyclic_group_algebra,
     get,
     normalized_group_integral,
+    pair_groupoid_weak_hopf,
     sweedler_h4,
     symmetric_group_algebra_s3,
     two_point_weak_hopf,
@@ -117,6 +120,45 @@ def test_larson_radford_involutive_antipode_iff_normalizable_integral(name):
     space = find_integrals(h, "left")
     assert len(space.basis) == 1
     assert h.coalgebra.counit_of(space.basis[0]).is_zero is not semisimple
+
+
+_INTEGER_TABLE_HOSTS = {
+    **{f"c{n}": lambda f, n=n: cyclic_group_algebra(n, f) for n in range(2, 8)},
+    "s3": symmetric_group_algebra_s3,
+    "h4": sweedler_h4,
+    "pair-groupoid": pair_groupoid_weak_hopf,
+}
+
+
+def _mod_101(t: RawTensor) -> dict:
+    """The raw cells of a Q result reduced mod 101, zeros dropped; the
+    hosts have integer tables and these answers are integral, so every raw
+    value is an int."""
+    assert all(type(v) is int for v in t.cells.values())
+    return {idx: r for idx, v in t.cells.items() if (r := v % 101)}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_TABLE_HOSTS))
+def test_integer_table_hosts_reduce_mod_101_to_their_f101_answers(name):
+    # a second field as oracle: on an integer table, every step of the
+    # antipode, the integrals and a product contraction commutes with
+    # reduction mod 101, so Q's raw answers reduced must equal F_101's
+    build, f101 = _INTEGER_TABLE_HOSTS[name], prime_field(101)
+    hq, hp = build(Q), build(f101)
+    n = hq.dim
+
+    def views(h):
+        f = h.field
+        out = [contract("ijx,xkl->ijkl", h.algebra, h.algebra),
+               RawTensor.of(f, compute_antipode(h), (n, n))]
+        for side in ("left", "right"):
+            basis = find_integrals(h, side).basis
+            out.append(RawTensor.of(f, basis, (len(basis), n)))
+        return out
+
+    q_views, p_views = views(hq), views(hp)
+    assert [t.shape for t in q_views] == [t.shape for t in p_views]
+    assert [_mod_101(t) for t in q_views] == [t.cells for t in p_views]
 
 
 def test_integral_operator_oracle():

@@ -11,6 +11,7 @@ from hopfrb.exactlin import (
     identity,
     mat,
     mat_from_cols,
+    mat_mul,
     prime_field,
     solve_linear,
     vec,
@@ -39,7 +40,8 @@ from hopfrb.structures import (
     subalgebra_image,
     target_source,
 )
-from hopfrb.catalog import cyclic_group_algebra, get
+from hopfrb.catalog import cyclic_group_algebra, get, sweedler_h4
+from hopfrb.hopfrb import find_integrals
 from hopfrb.report import Violation
 
 Q = RATIONAL
@@ -216,6 +218,66 @@ def test_taft_antipode_has_order_twice_n(n, q, p):
                                    for j in range(b.dim)) for r in power), order + 1
         assert order <= 2 * n
     assert order == 2 * n
+
+
+def _dual(b) -> Bialgebra:
+    """H* on the dual basis e^i: e^j e^k = sum_i Delta(e_i)[j][k] e^i,
+    Delta(e^i) = sum_jk (e_j e_k)[i] e^j (x) e^k, unit eps, counit at 1."""
+    a, c, d = b.algebra, b.coalgebra, b.dim
+    mult = tuple(tuple(tuple(c.comult[i][j][k] for i in range(d)) for k in range(d))
+                 for j in range(d))
+    comult = tuple(tuple(tuple(a.mult[j][k][i] for k in range(d)) for j in range(d))
+                   for i in range(d))
+    labels = tuple(f"d{x}" for x in b.labels)
+    alg = FinAlgebra(b.field, d, labels, mult, c.counit, name=f"{b.name}*")
+    return Bialgebra(alg.name, alg, FinCoalgebra(b.field, d, labels, comult, a.unit))
+
+
+def _modular_character(b, side: str) -> tuple:
+    """chi with Lambda h = chi(h) Lambda for the left integral Lambda of b
+    (side "left"), or h Lambda = chi(h) Lambda for its right integral; on a
+    finite-dimensional Hopf algebra each integral space is a line."""
+    (lam,) = find_integrals(b, side).basis
+    a, r = b.algebra, next(i for i, x in enumerate(lam) if not x.is_zero)
+    chi = []
+    for i in range(b.dim):
+        y = a.mul(lam, a.basis(i)) if side == "left" else a.mul(a.basis(i), lam)
+        chi.append(y[r] / lam[r])
+        assert y == tuple(chi[-1] * x for x in lam)
+    return tuple(chi)
+
+
+_RADFORD_HOSTS = {
+    "h4": lambda: sweedler_h4(Q),
+    "T2(4)": lambda: _taft(2, 4, 5),
+    "T3(2)": lambda: _taft(3, 2, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_RADFORD_HOSTS))
+def test_radford_s4_formula(name):
+    # Radford (Amer. J. Math. 1976): S^4(h) = g (alpha -> h <- alpha^-1) g^-1,
+    # where alpha -> h <- beta = beta(h_(1)) h_(2) alpha(h_(3)).  alpha is
+    # the distinguished grouplike of H*: Lambda h = alpha(h) Lambda for a left
+    # integral Lambda of H, h Lambda' = alpha^-1(h) Lambda' for a right one.
+    # g is the distinguished grouplike of H: p lam = p(g) lam for a right
+    # integral lam of H*, lam' p = p(g^-1) lam' for a left one.
+    b = _RADFORD_HOSTS[name]()
+    h = b if isinstance(b, HopfAlgebra) else HopfAlgebra(b.name, b, compute_antipode(b))
+    f, d, a, co = h.field, h.dim, h.algebra, h.coalgebra.comult
+    alpha, alpha_inv = _modular_character(h, "left"), _modular_character(h, "right")
+    dual = _dual(h)
+    g, g_inv = _modular_character(dual, "right"), _modular_character(dual, "left")
+    assert a.mul(g, g_inv) == a.unit
+    assert convolution(Functional(h, alpha), Functional(h, alpha_inv)).coords == h.coalgebra.counit
+
+    def hit(i):
+        return tuple(sum((co[i][j][k] * alpha_inv[j] * co[k][x][y] * alpha[y]
+                          for j in range(d) for k in range(d) for y in range(d)
+                          if not co[i][j][k].is_zero), f.zero) for x in range(d))
+
+    s2 = mat_mul(h.antipode, h.antipode)
+    assert mat_mul(s2, s2) == mat_from_cols([a.mul(a.mul(g, hit(i)), g_inv) for i in range(d)])
 
 
 def test_hopf_check_rejects_wrong_antipode():
