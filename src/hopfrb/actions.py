@@ -14,13 +14,13 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
     DimensionError,
     Mat,
     RawTensor,
+    Record,
     Tensor3,
     Vec,
     contract,
@@ -50,8 +50,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class ActionStructure:
+class ActionStructure(Record):
     """Action of an algebra on a module by structure constants.
 
     ``_reports`` keeps this object's `check_action` report (`_kept_on_host`)."""
@@ -104,8 +103,7 @@ class ActionStructure:
         return scalar_vec(self.field, acc)
 
 
-@dataclass(frozen=True)
-class CoactionStructure:
+class CoactionStructure(Record):
     """Right coaction of a coalgebra on a comodule by structure constants.
 
     ``_reports`` keeps this object's `check_coaction` report (`_kept_on_host`)."""
@@ -145,8 +143,7 @@ class CoactionStructure:
         return scalar_vec(self.field, acc)
 
 
-@dataclass(frozen=True)
-class Dimodule:
+class Dimodule(Record):
     """Left action and right coaction over one host; the compatibility
     rho(h . m) = h . m_(0) (x) m_(1) is checked by check_dimodule, not
     assumed at construction."""
@@ -171,8 +168,7 @@ class Dimodule:
         return self.action.dim
 
 
-@dataclass(frozen=True)
-class HopfModule:
+class HopfModule(Record):
     """Right action and right coaction; law rho(m . h) = m_(0) . h_1 (x) m_(1) h_2."""
 
     host: BialgebraLike
@@ -195,8 +191,7 @@ class HopfModule:
         return self.action.dim
 
 
-@dataclass(frozen=True)
-class WeakComoduleAlgebra:
+class WeakComoduleAlgebra(Record):
     """Algebra with a multiplicative right coaction of a (weak) bialgebra."""
 
     host: object
@@ -211,8 +206,7 @@ class WeakComoduleAlgebra:
             raise StructureError(f"{self.name}: carrier dims differ")
 
 
-@dataclass(frozen=True)
-class DoiHopfModule:
+class DoiHopfModule(Record):
     """Right module over the comodule algebra's carrier plus a right
     coaction of the host, tied by rho(m . a) = m_(0) . a_(0) (x) m_(1) a_(1)."""
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -25,6 +24,8 @@ from .exactlin import (
     FieldError,
     FieldSpec,
     RATIONAL,
+    Mat,
+    Record,
     Vec,
     identity,
     mat,
@@ -81,19 +82,21 @@ class CatalogError(Exception):
     """Unknown name, malformed file, or kind mismatch."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     kind: str
     payload: object
     note: str = ""
     # names of previously declared entries this one was assembled from,
-    # keyed by role; composite kinds serialize through these
-    refs: dict = dc_field(default_factory=dict)
+    # keyed by role; composite kinds serialize through these; a fresh dict
+    # per entry when left out
+    refs: dict | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise CatalogError(f"unknown catalog kind {self.kind!r}")
+        if self.refs is None:
+            object.__setattr__(self, "refs", {})
 
 
 def _deferred(module: str, name: str) -> Callable:
@@ -626,15 +629,29 @@ def _ref(obj: dict, key: str) -> str:
 
 def _parsed(obj: dict, key: str, build, default=None):
     """build(obj[key]) for a list-valued key; a missing key gives
-    `default` when there is one.  A missing or non-list value, or one
-    that build cannot read, raises CatalogError."""
+    `default` when there is one.  A missing or non-list value raises
+    CatalogError, and build names the item it cannot read."""
     raw = obj.get(key, default)
     if not isinstance(raw, list):
         raise CatalogError(f"missing or non-list {key!r}")
-    try:
-        return build(raw)
-    except (KeyError, TypeError, ValueError, ArithmeticError) as ex:
-        raise CatalogError(f"bad {key!r}: {ex}") from None
+    return build(raw)
+
+
+def _scalars(field: FieldSpec, key: str, items: list) -> Vec:
+    """The list `items` under `key` read as scalars: each is a string or an int."""
+    for item in items:
+        if type(item) not in (str, int):
+            raise CatalogError(f"{key} entry {item!r} is not a string or int")
+    return vec(field, items)
+
+
+def _rows(field: FieldSpec, key: str, rows: list) -> Mat:
+    """The list `rows` under `key` read as a matrix: each row is a list as
+    `_scalars` reads it."""
+    for row in rows:
+        if not isinstance(row, list):
+            raise CatalogError(f"{key} row {row!r} is not a list")
+    return mat(field, [_scalars(field, key, row) for row in rows])
 
 
 def _parse_field(obj) -> FieldSpec:
@@ -744,19 +761,20 @@ def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
         payload = DoiHopfModule(wca, p["module"], p["comodule"], name=name)
     elif kind == "pairing":
         f = algebra_of(p["host"]).field
-        sigma = _parsed(obj, "sigma", lambda raw: mat(f, raw))
+        sigma = _parsed(obj, "sigma", lambda raw: _rows(f, "sigma", raw))
         from .hopfrb import PairingForm
 
         payload = PairingForm(p["host"], sigma)
     elif kind == "rmatrix":
         f = algebra_of(p["host"]).field
-        r, rinv = (_parsed(obj, key, lambda raw: vec(f, raw)) for key in ("r", "rinv"))
+        r, rinv = (_parsed(obj, key, lambda raw: _scalars(f, key, raw)) for key in ("r", "rinv"))
         from .hopfrb import RMatrix
 
         payload = RMatrix(p["host"], r, rinv)
     else:  # functional
         f = coalgebra_of(p["host"]).field
-        payload = Functional(p["host"], _parsed(obj, "coords", lambda raw: vec(f, raw)))
+        coords = _parsed(obj, "coords", lambda raw: _scalars(f, "coords", raw))
+        payload = Functional(p["host"], coords)
     entry = CatalogEntry(name, kind, payload, note, refs)
     if validate:
         _validate(entry)
@@ -770,7 +788,8 @@ def _load_structure(obj: dict, kind: str):
     if len(labels) != dim:
         raise CatalogError("basis label count differs from dim")
     mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
-    unit = _parsed(obj, "unit", lambda raw: vec(field, raw)) if "unit" in obj else None
+    unit = (_parsed(obj, "unit", lambda raw: _scalars(field, "unit", raw))
+            if "unit" in obj else None)
     name = obj["name"]
     alg = FinAlgebra(field, dim, labels, mult, unit=unit, name=name)
     if kind == "algebra":
@@ -778,9 +797,10 @@ def _load_structure(obj: dict, kind: str):
     if "comult" not in obj or "counit" not in obj:
         raise CatalogError(f"kind {kind!r} needs comult and counit")
     comult = _parse_tensor3(field, obj, "comult", dim, dim, dim)
-    counit = _parsed(obj, "counit", lambda raw: vec(field, raw))
+    counit = _parsed(obj, "counit", lambda raw: _scalars(field, "counit", raw))
     coalg = FinCoalgebra(field, dim, labels, comult, counit=counit)
-    antipode = _parsed(obj, "antipode", lambda raw: mat(field, raw)) if "antipode" in obj else None
+    antipode = (_parsed(obj, "antipode", lambda raw: _rows(field, "antipode", raw))
+                if "antipode" in obj else None)
     if kind == "bialgebra":
         return Bialgebra(name, alg, coalg)
     if kind == "hopf":

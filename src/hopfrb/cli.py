@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .exactlin import ExactError, FieldError, Mat, Scalar, identity, mat, mat_scale, zeros_mat
+from .exactlin import (
+    ExactError, FieldError, Mat, Record, Scalar, identity, mat, mat_scale, zeros_mat,
+)
 from .report import fuzz_seed
 from .structures import (
     PreconditionError,
@@ -47,13 +48,12 @@ class UsageError(Exception):
     """Bad request: unknown name, kind mismatch, unparsable input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Parsed invocation; one value per flag the subcommands share."""
 
     command: str
     target: str = ""
-    names: dict = dc_field(default_factory=dict)
+    names: dict | None = None  # a fresh dict per config when left out
     op: str | None = None
     weight: str = "-1"
     seed: int | None = None
@@ -62,6 +62,8 @@ class RunConfig:
     kind: str | None = None
 
     def __post_init__(self) -> None:
+        if self.names is None:
+            object.__setattr__(self, "names", {})
         if self.trials < 0:
             raise UsageError("trials must be nonnegative")
 

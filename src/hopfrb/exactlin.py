@@ -16,6 +16,11 @@ only at the boundary: Scalar matrices in, solutions and kernels out.
 `raw_value` reads a Scalar into the raw layer and `scalar_vec` is the one
 way back, which over Q gives Fractions again.
 
+Every value type of the package (fields, scalars, structures, reports,
+catalog entries) is a `Record`: a plain base class that reads a subclass's
+fields off its annotations and generates no code, so defining the
+package's classes costs a cold start almost nothing.
+
 Conventions used throughout the package:
 
 * a matrix ``A`` acts on column vectors, ``apply(A, x)[r] = sum A[r][c] x[c]``;
@@ -25,10 +30,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 
@@ -46,6 +50,78 @@ class DimensionError(ExactError):
 
 class InternalError(Exception):
     """A postcondition that is a theorem failed; indicates a package bug."""
+
+
+class Record:
+    """An immutable value with named fields.
+
+    A subclass's fields are its annotated names along the MRO, in order; a
+    field's default is the class attribute of the same name.  Instances
+    take the fields positionally or by keyword, and `__post_init__` runs
+    last.  Assigning or deleting an attribute raises AttributeError (a
+    `__post_init__` that keeps derived state writes it with
+    ``object.__setattr__``).  ``==`` compares the fields of two instances of
+    one class, ``hash`` is the hash of the tuple of fields, and ``repr``
+    reads ``Class(field=value, ...)``.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names: list = []
+        for klass in reversed(cls.__mro__):
+            names += [n for n in vars(klass).get("__annotations__", ()) if n not in names]
+        cls._fields = tuple(names)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._key = (attrgetter(*names) if len(names) > 1
+                    else lambda self: tuple(getattr(self, n) for n in names))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._filled(args, kwargs)
+        # one object.__setattr__ per field, as a frozen dataclass does: reading
+        # self.__dict__ would give the instance a real dict, which slows
+        # every later attribute read (measured on CPython 3.11)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _filled(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value in order: `args`, then keywords or defaults."""
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif hasattr(cls, name):
+                values.append(getattr(cls, name))
+            else:
+                raise TypeError(f"{cls.__name__}() needs a value for {name!r}")
+        if kwargs or len(values) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}, "
+                            f"not {len(args)} values and {sorted(kwargs)}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
 
 # The largest modulus a prime field accepts: primality is decided by trial
@@ -68,19 +144,22 @@ def _is_prime(p: int) -> bool:
 RawScalar = Union[int, Fraction, str, "Scalar"]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Coefficient field: ``kind`` is ``"rational"`` or ``"prime"``.
 
     Prime fields carry their modulus ``p``, an int prime up to
     ``MAX_MODULUS``; it is validated on creation.
     ``zero`` and ``one`` are the field's Scalars, built once on creation.
+    Fields are compared on every Scalar operation, so ``__init__``, ``==``
+    and ``hash`` are written out rather than read off the fields.
     """
 
     kind: str
     p: int = 0
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, p: int = 0) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
         if self.kind == "rational":
             if self.p != 0:
                 raise FieldError("rational field takes no modulus")
@@ -96,6 +175,14 @@ class FieldSpec:
         # field (measured on CPython 3.11)
         object.__setattr__(self, "zero", self.of(0))
         object.__setattr__(self, "one", self.of(1))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.p) == (other.kind, other.p)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     def of(self, value: RawScalar) -> "Scalar":
         """Coerce an int, Fraction, string or Scalar into this field.
@@ -123,10 +210,15 @@ class FieldSpec:
     def parse(self, text: str) -> "Scalar":
         """Inverse of ``str(scalar)``; prime scalars also accept bare ints.
 
-        Exponent notation is refused: ``str`` never writes it, and a few
-        bytes of it ("1e10000000") would build a huge integer."""
+        Exponent notation, decimal points and digit underscores are
+        refused: ``str`` never writes them, and a few bytes of exponent
+        ("1e10000000") would build a huge integer."""
         text = text.strip()
         try:
+            if "e" in text.lower():
+                raise ValueError("exponent notation is not accepted")
+            if "." in text or "_" in text:
+                raise ValueError("decimal points and digit underscores are not accepted")
             if " mod " in text:
                 if self.kind != "prime":
                     raise FieldError(f"{text!r} names a residue but field is {self}")
@@ -139,8 +231,6 @@ class FieldSpec:
                     num, den = text.split("/")
                     return self.of(Fraction(int(num), int(den)))
                 return self.of(int(text))
-            if "e" in text.lower():
-                raise ValueError("exponent notation is not accepted")
             return Scalar(self, Fraction(text))
         except (ValueError, ZeroDivisionError) as ex:
             raise FieldError(f"cannot parse {text!r} as an element of {self}: {ex}") from None
@@ -158,16 +248,29 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec("prime", p)
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """Exact field element.
 
     Rational values are stored as ``Fraction`` (lowest terms, positive
     denominator by construction); prime-field values as ints in ``[0, p)``.
+    Scalars are built on every arithmetic step, so ``__init__``, ``==`` and
+    ``hash`` are written out, as for `FieldSpec`.
     """
 
     field: FieldSpec
     value: Union[Fraction, int]
+
+    def __init__(self, field: FieldSpec, value: Union[Fraction, int]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.field, self.value) == (other.field, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.value))
 
     def _coerce(self, other: RawScalar) -> "Scalar":
         if isinstance(other, Scalar):
@@ -688,8 +791,7 @@ def kernel_basis(a, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ..
     return tuple(scalar_vec(field, v) for v in _nullspace(rows, *rref(rows, field), ncols, field))
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Record):
     """One particular solution together with a kernel basis."""
 
     particular: Vec

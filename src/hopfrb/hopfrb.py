@@ -16,11 +16,10 @@ everything else keeps the weight as a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import (
     Mat,
     RawTensor,
+    Record,
     Scalar,
     Vec,
     apply_mat,
@@ -87,8 +86,7 @@ from .rbcore import RbpInstance, check_a_linear, check_rb_operator, check_rbp_mo
 # integrals and cointegrals
 
 
-@dataclass(frozen=True)
-class IntegralSpace:
+class IntegralSpace(Record):
     host: BialgebraLike
     side: str
     basis: tuple[Vec, ...]
@@ -386,8 +384,7 @@ def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
 # pairings and R-matrices
 
 
-@dataclass(frozen=True)
-class PairingForm:
+class PairingForm(Record):
     host: BialgebraLike
     sigma: Mat
 
@@ -400,8 +397,7 @@ class PairingForm:
         return self.sigma[i][j]
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(Record):
     host: BialgebraLike
     r: Vec
     rinv: Vec

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
+from operator import attrgetter
 
 from .exactlin import (
     DimensionError,
@@ -52,6 +52,7 @@ from .exactlin import (
     InternalError,
     Mat,
     RawTensor,
+    Record,
     Scalar,
     Vec,
     apply_mat,
@@ -108,8 +109,7 @@ def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
     return operator_of(field, n, _random_entries(n, seed, trial))
 
 
-@dataclass
-class RbpInstance:
+class RbpInstance(Record):
     """A paired-module candidate; `verified` is filled by check_rbp_module."""
 
     algebra: FinAlgebra
@@ -119,7 +119,19 @@ class RbpInstance:
     weight: Scalar
     name: str = ""
     verified: str = "unchecked"  # "unchecked" | "pass" | "fail"
-    witness: Violation | None = dataclass_field(default=None, compare=False)
+    witness: Violation | None = None
+
+    # the one mutable record: check_rbp_module fills in verified and witness
+    # after construction, so it is unhashable, and witness takes no part in ==
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    _compared = attrgetter("algebra", "module", "p", "t", "weight", "name", "verified")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
 
     def __post_init__(self) -> None:
         if self.module.algebra != self.algebra:
@@ -202,8 +214,7 @@ def check_a_linear(m: ActionStructure, t: Mat, instance: str = "") -> Report:
     return ck.report()
 
 
-@dataclass(frozen=True)
-class GenericVerdict:
+class GenericVerdict(Record):
     """Outcome of classify_generic.
 
     `generic` is the classification verdict: with an A-linear T it equals
@@ -254,8 +265,7 @@ def _fails_affine(
     return False
 
 
-@dataclass(frozen=True)
-class PairingSystem:
+class PairingSystem(Record):
     """The paired identity of a fixed (M, T, lam) in its affine form.
 
     On the algebra basis element e_i it reads sum_b P[b][i] C_b = K_i with

@@ -11,10 +11,9 @@ every report header names it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import prod
 
-from .exactlin import InternalError, RawTensor, Vec, differing, scalar_vec
+from .exactlin import InternalError, RawTensor, Record, Vec, differing, scalar_vec
 
 DEFAULT_SEED = "hopfrb"
 
@@ -24,8 +23,7 @@ def fuzz_seed() -> str:
     return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """First witness for one violated axiom: named basis indices + delta."""
 
     axiom: str
@@ -77,8 +75,7 @@ def _postcondition(clause: str, structure: str, got, want=None, witness=None) ->
     raise InternalError(f"{structure}: {clause} fails; first witness {text}")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     check: str
     instance: str = ""
     violations: tuple = ()

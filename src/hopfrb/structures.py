@@ -13,7 +13,6 @@ The weak counital maps are written ``pi_L`` (target) and ``pi_R`` (source):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
 from typing import Union
@@ -23,6 +22,7 @@ from .exactlin import (
     FieldSpec,
     Mat,
     RawTensor,
+    Record,
     Scalar,
     Tensor3,
     Vec,
@@ -53,8 +53,7 @@ class PreconditionError(Exception):
 # carriers
 
 
-@dataclass(frozen=True)
-class FinAlgebra:
+class FinAlgebra(Record):
     """Associative algebra by structure constants; ``unit=None`` means nonunital.
 
     ``_reports`` keeps this object's `check_algebra` report (`_kept_on_host`)."""
@@ -117,8 +116,7 @@ class FinAlgebra:
         return mat_from_cols(cols)
 
 
-@dataclass(frozen=True)
-class FinCoalgebra:
+class FinCoalgebra(Record):
     field: FieldSpec
     dim: int
     labels: tuple
@@ -159,7 +157,7 @@ class FinCoalgebra:
         return acc
 
 
-class _Host:
+class _Host(Record):
     """The four host carriers' ``field``, ``dim``, ``labels`` and checks
     made on construction; ``_role`` names the carrier in the unit check.
     ``_reports`` keeps the axiom reports of this object (`_kept_on_host`)."""
@@ -192,14 +190,12 @@ class _Host:
         return self.algebra.labels
 
 
-@dataclass(frozen=True)
 class Bialgebra(_Host):
     name: str
     algebra: FinAlgebra
     coalgebra: FinCoalgebra
 
 
-@dataclass(frozen=True)
 class HopfAlgebra(_Host):
     name: str
     bialgebra: Bialgebra
@@ -214,7 +210,6 @@ class HopfAlgebra(_Host):
         return self.bialgebra.coalgebra
 
 
-@dataclass(frozen=True)
 class WeakBialgebra(_Host):
     """Carrier for the weak axiom set; bialgebra unit/counit compatibility
     is deliberately not part of its contract."""
@@ -226,7 +221,6 @@ class WeakBialgebra(_Host):
     coalgebra: FinCoalgebra
 
 
-@dataclass(frozen=True)
 class WeakHopfAlgebra(_Host):
     name: str
     weak: WeakBialgebra
@@ -282,8 +276,7 @@ def as_weak(x: BialgebraLike) -> WeakLike:
     raise StructureError("as_weak expects a bialgebra or Hopf algebra")
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """Linear functional on a coalgebra-bearing host, in dual coordinates."""
 
     host: CoalgebraLike
@@ -558,8 +551,7 @@ def check_counital_maps(w: WeakLike) -> Report:
 # subalgebras and quantum commutativity
 
 
-@dataclass(frozen=True)
-class SubAlgebra:
+class SubAlgebra(Record):
     """Image of an operator, closed under multiplication.
 
     ``inclusion`` holds the chosen basis of the image as columns, so

@@ -88,6 +88,13 @@ def test_check_usage_errors(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_weight_str_never_writes_exits_2(capsys):
+    for weight in ("0.5", "1_0"):
+        assert main(["check", "rb-operator", "--algebra", "mat2-rational", "--op", "id",
+                     "--weight", weight]) == 2
+        assert "bad weight" in capsys.readouterr().err
+
+
 def test_check_structure_entries():
     assert main(["check", "hopf", "--entry", "group-algebra-c2"]) == 0
     assert main(["check", "weak-hopf", "--entry", "weak-pair-groupoid"]) == 0
@@ -169,6 +176,12 @@ MALFORMED_FILES = {
             mult=[{"i": 0, "j": 0, "k": 0, "c": True}], unit=[True])),
     "hopf-coefficient-in-exponent-notation": (
         "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1e5")),
+    "hopf-coefficient-with-a-decimal-point": (
+        "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1.0")),
+    "hopf-coefficient-with-a-digit-underscore": (
+        "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1_0")),
+    "hopf-antipode-row-is-a-number": ("group-algebra-c2", lambda obj: obj.update(antipode=[1, 2])),
+    "algebra-unit-entry-is-a-list": ("kx-mod-x2", lambda obj: obj.update(unit=[[1], 0])),
     "algebra-dim-is-a-float": ("mat2-rational", lambda obj: obj.update(dim=4.7)),
     "algebra-dim-is-a-string": ("mat2-rational", lambda obj: obj.update(dim="4")),
     "algebra-basis-is-a-string": (
@@ -198,6 +211,15 @@ def test_malformed_structure_file_exits_2(tmp_path, capsys, case):
     assert main(_malformed_file(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, named", [
+    ("hopf-antipode-row-is-a-number", "antipode row 1 is not a list"),
+    ("algebra-unit-entry-is-a-list", "unit entry [1] is not a string or int"),
+], ids=["antipode-row", "unit-entry"])
+def test_malformed_vector_or_matrix_names_its_key_and_item(tmp_path, capsys, case, named):
+    assert main(_malformed_file(tmp_path, case)) == 2
+    assert named in capsys.readouterr().err
 
 
 # one bad sparse triple per case: (entry, key, the replacement of its first triple)
@@ -311,15 +333,18 @@ def test_malformed_structure_file_exits_2_from_the_entry_point(tmp_path):
 
 
 # a cold command imports the layers above structures only where it reads
-# them; the child prints the hopfrb modules loaded once main returns
+# them, and no command imports dataclasses or inspect; the child prints
+# which of these modules are loaded once main returns
 _FOOTPRINT = """
 import sys
 from hopfrb import cli
 code = cli.main(sys.argv[1:])
-print(" ".join(sorted(name for name in sys.modules if name.startswith("hopfrb."))))
+print(" ".join(sorted(name for name in sys.modules
+                      if name.startswith("hopfrb.") or name in ("dataclasses", "inspect"))))
 sys.exit(code)
 """
 _UPPER = {"hopfrb.actions", "hopfrb.rbcore", "hopfrb.hopfrb", "hopfrb.replay"}
+_HEAVY = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, never", [
@@ -331,8 +356,9 @@ _UPPER = {"hopfrb.actions", "hopfrb.rbcore", "hopfrb.hopfrb", "hopfrb.replay"}
      {"hopfrb.hopfrb", "hopfrb.replay"}),
     (["check", "generic", "--module", "c2-regular-module", "--op", "id", "--trials", "10"],
      {"hopfrb.hopfrb", "hopfrb.replay"}),
+    (["replay", "thm-3.5"], set()),
 ], ids=["list", "check-hopf", "check-weak-hopf-file", "check-module-file", "check-rb-operator",
-        "check-generic"])
+        "check-generic", "replay-thm-3.5"])
 def test_cold_command_imports_only_the_layers_it_reads(tmp_path, argv, never):
     args = []
     for arg in argv:  # @name: the catalog entry name, dumped to a file
@@ -349,7 +375,7 @@ def test_cold_command_imports_only_the_layers_it_reads(tmp_path, argv, never):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert {"hopfrb.catalog", "hopfrb.cli", "hopfrb.structures"} <= loaded
-    assert not loaded & never, sorted(loaded & never)
+    assert not loaded & (never | _HEAVY), sorted(loaded & (never | _HEAVY))
 
 
 def test_check_report_file(tmp_path):

@@ -67,6 +67,16 @@ def test_parse_refuses_exponent_notation():
     assert RATIONAL.parse("-15/4") == RATIONAL.of(Fraction(-15, 4))
 
 
+def test_parse_refuses_decimal_points_and_digit_underscores():
+    # str(scalar) writes neither, so a file holding them is not what dump wrote
+    for text in ("1.5", "1.", ".5", "1_000", "1_0/3"):
+        with pytest.raises(FieldError, match="decimal points and digit underscores"):
+            RATIONAL.parse(text)
+    for text in ("1_0", "1_0 mod 5", "1.0", "3/1_0"):
+        with pytest.raises(FieldError, match="decimal points and digit underscores"):
+            F5.parse(text)
+
+
 def test_prime_parse_rejects_wrong_modulus():
     with pytest.raises(FieldError):
         F5.parse("1 mod 7")
