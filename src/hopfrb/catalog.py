@@ -627,31 +627,35 @@ def _ref(obj: dict, key: str) -> str:
     return name
 
 
-def _parsed(obj: dict, key: str, build, default=None):
-    """build(obj[key]) for a list-valued key; a missing key gives
-    `default` when there is one.  A missing or non-list value raises
-    CatalogError, and build names the item it cannot read."""
+def _listed(obj: dict, key: str, default=None) -> list:
+    """obj[key], which must be a list; a missing key gives `default` when
+    there is one."""
     raw = obj.get(key, default)
     if not isinstance(raw, list):
         raise CatalogError(f"missing or non-list {key!r}")
-    return build(raw)
+    return raw
 
 
-def _scalars(field: FieldSpec, key: str, items: list) -> Vec:
-    """The list `items` under `key` read as scalars: each is a string or an int."""
+def _coefficients(key: str, items: list) -> list:
+    """`items`, each a string or an int; any other item is named."""
     for item in items:
         if type(item) not in (str, int):
             raise CatalogError(f"{key} entry {item!r} is not a string or int")
-    return vec(field, items)
+    return items
 
 
-def _rows(field: FieldSpec, key: str, rows: list) -> Mat:
-    """The list `rows` under `key` read as a matrix: each row is a list as
-    `_scalars` reads it."""
+def _vector(field: FieldSpec, obj: dict, key: str) -> Vec:
+    """The list of coefficients under `key`, as scalars."""
+    return vec(field, _coefficients(key, _listed(obj, key)))
+
+
+def _matrix(field: FieldSpec, obj: dict, key: str) -> Mat:
+    """The list of rows under `key`, each a list of coefficients, as a matrix."""
+    rows = _listed(obj, key)
     for row in rows:
         if not isinstance(row, list):
             raise CatalogError(f"{key} row {row!r} is not a list")
-    return mat(field, [_scalars(field, key, row) for row in rows])
+    return mat(field, [_coefficients(key, row) for row in rows])
 
 
 def _parse_field(obj) -> FieldSpec:
@@ -670,21 +674,18 @@ def _parse_field(obj) -> FieldSpec:
 def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int):
     """The a x b x c tensor of the sparse triple list under `key`; an
     absent key is the zero tensor."""
-
-    def build(triples: list):
-        cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
-        for item in triples:
-            if not (isinstance(item, dict) and all(x in item for x in "ijk")
-                    and type(item.get("c")) in (str, int)):
-                raise CatalogError(f"{key} entry {item!r} is not an object with i, j, k "
-                                   "and a string or int c")
-            i, j, k = (_int(item[x], f"{key} index") for x in "ijk")
-            if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
-                raise CatalogError(f"{key} index out of range in {item!r}")
-            cells[i][j][k] += field.of(item["c"])
-        return tuple(tuple(tuple(r) for r in plane) for plane in cells)
-
-    return _parsed(obj, key, build, default=[])
+    triples = _listed(obj, key, default=[])
+    cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
+    for item in triples:
+        if not (isinstance(item, dict) and all(x in item for x in "ijk")
+                and type(item.get("c")) in (str, int)):
+            raise CatalogError(f"{key} entry {item!r} is not an object with i, j, k "
+                               "and a string or int c")
+        i, j, k = (_int(item[x], f"{key} index") for x in "ijk")
+        if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
+            raise CatalogError(f"{key} index out of range in {item!r}")
+        cells[i][j][k] += field.of(item["c"])
+    return tuple(tuple(tuple(r) for r in plane) for plane in cells)
 
 
 def _dump_tensor3(raw) -> list:
@@ -761,20 +762,19 @@ def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
         payload = DoiHopfModule(wca, p["module"], p["comodule"], name=name)
     elif kind == "pairing":
         f = algebra_of(p["host"]).field
-        sigma = _parsed(obj, "sigma", lambda raw: _rows(f, "sigma", raw))
+        sigma = _matrix(f, obj, "sigma")
         from .hopfrb import PairingForm
 
         payload = PairingForm(p["host"], sigma)
     elif kind == "rmatrix":
         f = algebra_of(p["host"]).field
-        r, rinv = (_parsed(obj, key, lambda raw: _scalars(f, key, raw)) for key in ("r", "rinv"))
+        r, rinv = (_vector(f, obj, key) for key in ("r", "rinv"))
         from .hopfrb import RMatrix
 
         payload = RMatrix(p["host"], r, rinv)
     else:  # functional
         f = coalgebra_of(p["host"]).field
-        coords = _parsed(obj, "coords", lambda raw: _scalars(f, "coords", raw))
-        payload = Functional(p["host"], coords)
+        payload = Functional(p["host"], _vector(f, obj, "coords"))
     entry = CatalogEntry(name, kind, payload, note, refs)
     if validate:
         _validate(entry)
@@ -784,12 +784,11 @@ def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
 def _load_structure(obj: dict, kind: str):
     field = _parse_field(obj.get("field", {"kind": "rational"}))
     dim = _dim(obj)
-    labels = _parsed(obj, "basis", lambda raw: tuple(str(x) for x in raw))
+    labels = tuple(str(x) for x in _listed(obj, "basis"))
     if len(labels) != dim:
         raise CatalogError("basis label count differs from dim")
     mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
-    unit = (_parsed(obj, "unit", lambda raw: _scalars(field, "unit", raw))
-            if "unit" in obj else None)
+    unit = _vector(field, obj, "unit") if "unit" in obj else None
     name = obj["name"]
     alg = FinAlgebra(field, dim, labels, mult, unit=unit, name=name)
     if kind == "algebra":
@@ -797,10 +796,9 @@ def _load_structure(obj: dict, kind: str):
     if "comult" not in obj or "counit" not in obj:
         raise CatalogError(f"kind {kind!r} needs comult and counit")
     comult = _parse_tensor3(field, obj, "comult", dim, dim, dim)
-    counit = _parsed(obj, "counit", lambda raw: _scalars(field, "counit", raw))
+    counit = _vector(field, obj, "counit")
     coalg = FinCoalgebra(field, dim, labels, comult, counit=counit)
-    antipode = (_parsed(obj, "antipode", lambda raw: _rows(field, "antipode", raw))
-                if "antipode" in obj else None)
+    antipode = _matrix(field, obj, "antipode") if "antipode" in obj else None
     if kind == "bialgebra":
         return Bialgebra(name, alg, coalg)
     if kind == "hopf":
