@@ -79,9 +79,9 @@ class Record:
         names = self._fields
         if kwargs or len(args) != len(names):
             args = self._filled(args, kwargs)
-        # one object.__setattr__ per field, as a frozen dataclass does: reading
-        # self.__dict__ would give the instance a real dict, which slows
-        # every later attribute read (measured on CPython 3.11)
+        # one object.__setattr__ per field: writing through self.__dict__
+        # would give the instance a real dict, which slows every later
+        # attribute read (measured on CPython 3.11)
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         self.__post_init__()

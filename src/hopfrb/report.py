@@ -174,12 +174,7 @@ class Checker:
             self._skipped.append(axiom)
 
     def report(self) -> Report:
-        return Report(
-            check=self._check,
-            instance=self._instance,
-            violations=tuple(self._violations.values()),
-            violation_count=self._count,
-            checked=tuple(self._checked),
-            skipped=tuple(self._skipped),
-            weight=self._weight,
-        )
+        # positional: every check builds one, and Record binds positional
+        # arguments faster than keywords
+        return Report(self._check, self._instance, tuple(self._violations.values()),
+                      self._count, tuple(self._checked), tuple(self._skipped), self._weight)
