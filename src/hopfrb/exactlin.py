@@ -150,8 +150,8 @@ class FieldSpec(Record):
     Prime fields carry their modulus ``p``, an int prime up to
     ``MAX_MODULUS``; it is validated on creation.
     ``zero`` and ``one`` are the field's Scalars, built once on creation.
-    Fields are compared on every Scalar operation, so ``__init__``, ``==``
-    and ``hash`` are written out rather than read off the fields.
+    A field is compared on every Scalar operation, so ``__init__``, ``==``
+    and ``hash`` are written out rather than left to `Record`.
     """
 
     kind: str
