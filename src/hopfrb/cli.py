@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .exactlin import (
-    ExactError, FieldError, Mat, Record, Scalar, identity, mat, mat_scale, zeros_mat,
+    ExactError, FieldError, Mat, Record, Scalar, identity, mat_scale, zeros_mat,
 )
 from .report import fuzz_seed
 from .structures import (
@@ -34,7 +34,7 @@ from .structures import (
     quantum_commutative_witness,
 )
 from . import catalog
-from .catalog import KINDS, CatalogError, _deferred, _on_host
+from .catalog import KINDS, CatalogError, _deferred, _matrix, _on_host
 
 # actions, rbcore and hopfrb are imported where a check reads them, so a
 # cold command loads only the layers it uses
@@ -111,8 +111,8 @@ def parse_operator(literal: str, alg, module=None) -> Mat:
         path = literal[len("matrix:@"):]
         rows = catalog.read_json(path)
         try:
-            m = mat(f, rows)
-        except (FieldError, ValueError, TypeError) as ex:
+            m = _matrix(f, {"matrix": rows}, "matrix")
+        except (CatalogError, FieldError) as ex:
             raise UsageError(f"cannot read matrix from {path}: {ex}") from None
         if len(m) != n or any(len(r) != n for r in m):
             raise UsageError(f"matrix in {path} is not {n}x{n}")

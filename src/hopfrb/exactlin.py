@@ -363,8 +363,10 @@ def scalar_vec(field: FieldSpec, raw: Sequence) -> Vec:
     """Scalars of raw values: ints (reduced mod p here) or, over Q, ints and
     Fractions, which come back as Fractions."""
     p, zero = field.p, field.zero
-    raw = [v % p for v in raw] if p else [v if type(v) is Fraction else Fraction(v) for v in raw]
-    return tuple(Scalar(field, v) if v else zero for v in raw)
+    if p:
+        return tuple(Scalar(field, r) if (r := v % p) else zero for v in raw)
+    return tuple((Scalar(field, v if type(v) is Fraction else Fraction(v)) if v else zero)
+                 for v in raw)
 
 
 def blocks(v: Sequence, count: int, *counts: int) -> tuple:
@@ -572,32 +574,55 @@ def contract(spec: str, *operands) -> RawTensor:
     no later operand carries it, and the result stays raw: a RawTensor
     whose indices are the output letters, holding only its nonzero cells.
     No Scalar is built.
+
+    The partial sum starts as the first operand's cells.  Values are
+    reduced (mod p, and integral Fractions to ints) only on a step that sums
+    a letter out and on the last step: a step that sums nothing puts each
+    product of two nonzero values in a cell of its own, so no cell cancels.
     """
     ins, out, steps = _PLANS.get(spec) or _plan(spec)
     if len(ins) != len(operands):
         raise DimensionError(f"{spec!r} names {len(ins)} operands, not {len(operands)}")
     views = [_view(op, letters) for op, letters in zip(operands, ins)]
-    fields = {v.field for v in views} - {None}
-    if len(fields) > 1:
-        raise FieldError(f"mixed fields {sorted(map(str, fields))}")
-    field = next(iter(fields), None)
+    field = None
+    for view in views:
+        if view.field is not field and view.field is not None:
+            if field is not None and view.field != field:
+                raise FieldError(f"mixed fields {sorted({str(field), str(view.field)})}")
+            field = view.field
     p = field.p if field else 0
     dims: dict = {}
-    partial: dict = {(): None}
-    for (key, rest, probe, keep), letters, view in zip(steps, ins, views):
+    for letters, view in zip(ins, views):
         if len(view.shape) != len(letters):
             raise DimensionError(f"operand for {letters!r} has shape {view.shape}")
         for c, d in zip(letters, view.shape):
             if dims.setdefault(c, d) != d:
                 raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
-        new: dict = {}
-        get, groups = new.get, view.grouped(key, rest)
-        for idx, v in partial.items():
-            for ext, w in groups.get(probe(idx), ()):
-                at = idx + ext if keep is None else keep(idx + ext)
-                new[at] = get(at, 0) + (w if v is None else v * w)
-        partial = ({at: r for at, x in new.items() if (r := x % p)} if p
-                   else {at: _lean(x) for at, x in new.items() if x})
+    partial, last = views[0].cells, len(steps) - 1
+    for n, (key, rest, probe, keep) in enumerate(steps):
+        if n:
+            new: dict = {}
+            groups = views[n].grouped(key, rest)
+            if keep is None:
+                for idx, v in partial.items():
+                    for ext, w in groups.get(probe(idx), ()):
+                        new[idx + ext] = v * w
+            else:
+                get = new.get
+                for idx, v in partial.items():
+                    for ext, w in groups.get(probe(idx), ()):
+                        at = keep(idx + ext)
+                        new[at] = get(at, 0) + v * w
+            partial = new
+        elif keep is not None:  # the first operand has a letter no later one reads
+            new = {}
+            for idx, v in partial.items():
+                at = keep(idx)
+                new[at] = new.get(at, 0) + v
+            partial = new
+        if keep is not None or n == last:
+            partial = ({at: r for at, x in partial.items() if (r := x % p)} if p
+                       else {at: _lean(x) for at, x in partial.items() if x})
     return RawTensor(field, tuple(dims[c] for c in out), partial)
 
 

@@ -334,14 +334,15 @@ def classify_generic(
     """Decide whether (M, T) pairs with every P, and fuzz the answer.
 
     For A-linear T the identity collapses to a . (T^2 + lam T) m = 0, which
-    no longer mentions P; that exact condition is the verdict, and the
-    randomized trials must agree with it uniformly (all pass, or all fail).
-    Disagreement raises InternalError.
+    no longer mentions P; that exact condition is the verdict.
 
-    Each trial draws P as `random_operator` does and decides it from the
+    A trial draws P as `random_operator` does and decides it from the
     `pairing_system` of (M, T, lam), built once per call, stopping at the
     first e_i that fails.  Trial 0 is also checked by `check_rbp_module`,
-    and a disagreement raises InternalError (`PairingSystem.decide`).
+    and a disagreement raises InternalError (`PairingSystem.decide`).  For
+    A-linear T every C_b is zero, so a trial reads 0 = K_i whatever P it
+    draws: trial 0's outcome counts for all `trials`, and that count must
+    agree with the verdict (all pass, or all fail), else InternalError.
     """
     n = m.algebra.dim
     seed = fuzz_seed() if seed is None else seed
@@ -351,9 +352,11 @@ def classify_generic(
     generic: bool | None = None
     if a_linear:
         generic = not contract("bkr,kl,lc->brc", m, t, _shifted(t, lam)).cells
-    failures = sum(
-        system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
-    )
+        failures = trials * system.decide(_random_entries(n, seed, 0), seed, 0) if trials > 0 else 0
+    else:
+        failures = sum(
+            system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
+        )
     if a_linear and trials:
         expected = 0 if generic else trials
         if failures != expected:

@@ -409,6 +409,21 @@ def test_matrix_literal_shape_checked(tmp_path):
                  "--op", f"matrix:@{mfile}"]) == 2
 
 
+@pytest.mark.parametrize("rows, named", [
+    ([1, 2], "matrix row 1 is not a list"),
+    ([[1, [2]], [0, 1]], "matrix entry [2] is not a string or int"),
+    ({"a": 1}, "missing or non-list 'matrix'"),
+], ids=["row-is-a-number", "entry-is-a-list", "object"])
+def test_malformed_matrix_literal_names_its_row_or_entry(tmp_path, capsys, rows, named):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(rows))
+    assert main(["check", "rb-operator", "--algebra", "kx-mod-x2",
+                 "--op", f"matrix:@{mfile}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read matrix from {mfile}: ") and named in err
+    assert "Traceback" not in err
+
+
 # -- replay -------------------------------------------------------------------
 
 

@@ -390,6 +390,46 @@ def test_pairing_system_decides_what_check_rbp_module_decides(field, data):
     assert verdicts[0] == verdicts[1]
 
 
+def _c2_operators() -> dict:
+    """T on the regular kC2-module, each with its failures out of 7 trials
+    when it is A-linear (None when it is not)."""
+    integral = get("c2-regular-module").payload.matrix(
+        normalized_group_integral(get("group-algebra-c2").payload))
+    return {
+        "a-linear-generic": (integral, 0),
+        "a-linear-not-generic": (mat_scale(Q.of(2), identity(Q, 2)), 7),
+        "not-a-linear": (mat(Q, [[1, 0], [0, 0]]), None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_c2_operators()))
+def test_an_a_linear_t_decides_trial_0_for_every_trial(monkeypatch, case):
+    module = get("c2-regular-module").payload
+    t, failures = _c2_operators()[case]
+    calls = {"_random_entries": 0, "_fails_affine": 0}
+    for name in calls:
+        def counted(*args, real=getattr(rbcore, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(rbcore, name, counted)
+    v = classify_generic(module, t, MINUS_ONE, trials=7, seed="t")
+    assert v.trials == 7 and v.a_linear == (failures is not None)
+    if v.a_linear:
+        assert v.failures == failures
+        assert calls == {"_random_entries": 1, "_fails_affine": 1}
+    else:
+        assert calls == {"_random_entries": 7, "_fails_affine": 7}
+    assert classify_generic(module, t, MINUS_ONE, trials=0, seed="t").failures == 0
+
+
+def test_a_linear_count_against_the_verdict_is_a_package_bug(monkeypatch):
+    module = get("c2-regular-module").payload
+    t, _ = _c2_operators()["a-linear-generic"]
+    monkeypatch.setattr(rbcore.PairingSystem, "decide", lambda self, p, seed, trial: True)
+    with pytest.raises(InternalError, match="generic=True, failures=5/5"):
+        classify_generic(module, t, MINUS_ONE, trials=5, seed="t")
+
+
 def test_disagreement_names_module_seed_trial_and_basis_element(monkeypatch):
     module = get("c2-regular-module").payload
     t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
