@@ -30,6 +30,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import prod
 from operator import attrgetter, itemgetter
@@ -210,15 +211,20 @@ class FieldSpec(Record):
     def parse(self, text: str) -> "Scalar":
         """Inverse of ``str(scalar)``; prime scalars also accept bare ints.
 
-        Exponent notation, decimal points and digit underscores are
-        refused: ``str`` never writes them, and a few bytes of exponent
-        ("1e10000000") would build a huge integer."""
+        Both fields read one grammar, in ASCII digits: an integer with an
+        optional sign, then optionally ``/`` and an unsigned nonzero
+        denominator; over F_p also ``"<integer> mod p"``.  Exponent notation,
+        decimal points and digit underscores are refused: ``str`` never
+        writes them, and a few bytes of exponent ("1e10000000") would build
+        a huge integer."""
         text = text.strip()
         try:
             if "e" in text.lower():
                 raise ValueError("exponent notation is not accepted")
             if "." in text or "_" in text:
                 raise ValueError("decimal points and digit underscores are not accepted")
+            if not re.fullmatch(r"[-+]?[0-9]+(/[0-9]+| mod [0-9]+)?", text):
+                raise ValueError("not a signed integer, fraction or residue in ASCII digits")
             if " mod " in text:
                 if self.kind != "prime":
                     raise FieldError(f"{text!r} names a residue but field is {self}")
@@ -226,13 +232,11 @@ class FieldSpec(Record):
                 if int(mod) != self.p:
                     raise FieldError(f"{text!r} does not live in F_{self.p}")
                 return self.of(int(res))
-            if self.kind == "prime":
-                if "/" in text:
-                    num, den = text.split("/")
-                    return self.of(Fraction(int(num), int(den)))
-                return self.of(int(text))
-            return Scalar(self, Fraction(text))
-        except (ValueError, ZeroDivisionError) as ex:
+            num, _, den = text.partition("/")
+            if den and not int(den):
+                raise ValueError("zero denominator")
+            return self.of(Fraction(int(num), int(den or 1)))
+        except ValueError as ex:
             raise FieldError(f"cannot parse {text!r} as an element of {self}: {ex}") from None
 
     def to_json(self) -> dict:
@@ -392,9 +396,9 @@ class RawTensor:
     (`RawTensor.of`, built once per carrier) and as what `contract`
     returns, and `contract` reads either.  `grouped` files the cells by one
     layout once, for every `contract` that reads the tensor that way; `+`
-    and `-` add cellwise; `permuted` reorders the indices; `rows` files the
-    cells as sparse rows; `flat` and `dense` give the values back on a lex
-    basis, the latter as Scalars, at the boundary.
+    and `-` add cellwise and refuse mixed fields; `permuted` reorders the
+    indices; `rows` files the cells as sparse rows; `flat` and `dense` give
+    the values back on a lex basis, the latter as Scalars, at the boundary.
     """
 
     __slots__ = ("field", "shape", "cells", "_groups")
@@ -423,6 +427,8 @@ class RawTensor:
         if self.shape != other.shape:
             raise DimensionError(f"shapes {self.shape} and {other.shape} differ")
         field = self.field or other.field
+        if other.field not in (None, field):
+            raise FieldError(f"mixed fields {sorted({str(field), str(other.field)})}")
         p = field.p if field else 0
         cells = dict(self.cells)
         for idx, v in other.cells.items():
@@ -545,16 +551,17 @@ def _plan(spec: str) -> tuple:
     return _PLANS[spec]
 
 
-def _view(op, letters: str) -> RawTensor:
-    """A `contract` operand as a raw tensor: itself, a carrier's raw view
-    ``.raw``, or a Scalar vector or matrix (nested tuples) read off."""
+def raw_view(op, rank: int = 2) -> RawTensor:
+    """`op` as a raw tensor: itself, a carrier's ``.raw``, or a Scalar tensor
+    of `rank` (a matrix by default) read off, once per call: pass the view on
+    to read one Scalar operand in several `contract` calls."""
     if isinstance(op, RawTensor):
         return op
     raw = getattr(op, "raw", None)
     if raw is not None:
         return raw
     shape, first = [], op
-    for _ in letters:
+    for _ in range(rank):
         shape.append(len(first))
         first = first[0] if first else ()
     return RawTensor.of(getattr(first, "field", None), op, tuple(shape))
@@ -583,7 +590,7 @@ def contract(spec: str, *operands) -> RawTensor:
     ins, out, steps = _PLANS.get(spec) or _plan(spec)
     if len(ins) != len(operands):
         raise DimensionError(f"{spec!r} names {len(ins)} operands, not {len(operands)}")
-    views = [_view(op, letters) for op, letters in zip(operands, ins)]
+    views = [raw_view(op, len(letters)) for op, letters in zip(operands, ins)]
     field = None
     for view in views:
         if view.field is not field and view.field is not None:

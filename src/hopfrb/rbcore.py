@@ -28,13 +28,16 @@ so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
 e_i, in raw field values (ints mod p, reduced at the comparison, or over
 Q ints when integral and Fractions otherwise).  Every fuzzed P is decided
 this way: the trials of `classify_generic` and replay's own fuzz loops
-alike.  Trial 0 of each is also run through `check_rbp_module` as an
-oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
+alike.  Trial 0 of each is also run through `check_rbp_module`'s identity
+as an oracle (`PairingSystem.decide`); a disagreement raises InternalError.
 
-Every identity here is written once, as `exactlin.contract` calls.  The
-oracle states the identity itself, not its affine form: it builds no
-commutator and no pairing system, so the two share only the contraction
-kernel.  The kernel's independence rests on the tests: every spec in src
+Every identity here is written once, as `exactlin.contract` calls on raw
+operands: each entry point reads its Scalar P and T into the raw layer once
+(`exactlin.raw_view`), and T + lam id and the tilde pair are formed on raw
+cells, so Scalars are built only for what is returned.  The oracle states
+the identity itself, not its affine form: it builds no commutator, so the
+two share only the contraction kernel and the raw T and T + lam that the
+system read (`PairingSystem.views`).  The kernel's independence rests on the tests: every spec in src
 is checked against dense loops (tests/test_contract.py), and
 `check_rbp_module` and `check_rb_operator` against plain loops over the
 paper's formulas (tests/test_rbcore.py).
@@ -55,7 +58,6 @@ from .exactlin import (
     Record,
     Scalar,
     Vec,
-    apply_mat,
     blocks,
     column,
     column_space_basis,
@@ -63,9 +65,10 @@ from .exactlin import (
     mat,
     mat_mul,
     mat_scale,
+    raw_value,
+    raw_view,
     span_leq,
     transpose,
-    vec_scale,
 )
 from .report import Checker, Report, Violation, _postcondition
 from .report import DEFAULT_SEED as DEFAULT_SEED, fuzz_seed as fuzz_seed  # re-exported
@@ -149,13 +152,12 @@ class RbpInstance(Record):
         return self.algebra.field
 
 
-def _shifted(x: Mat, lam: Scalar) -> Mat:
-    """X + lam id."""
-    return tuple(tuple(v + lam if r == c else v for c, v in enumerate(row))
-                 for r, row in enumerate(x))
+def _shifted(x: RawTensor, lam: Scalar) -> RawTensor:
+    """X + lam id, on raw cells; a lam over another field raises FieldError."""
+    return x + RawTensor(lam.field, x.shape, {(i, i): raw_value(lam) for i in range(min(x.shape))})
 
 
-def _induced(p: Mat, c, u: Mat) -> RawTensor:
+def _induced(p: RawTensor, c, u: RawTensor) -> RawTensor:
     """P(e_i) . f_j + e_i . U(f_j) on the carrier c, indexed (i, j, k): the
     star product x * y = P(x) y + x (P + lam)(y) of Prop. 3.6 for c = A and
     U = P + lam, its action on M for c = M and U = T + lam."""
@@ -165,9 +167,19 @@ def _induced(p: Mat, c, u: Mat) -> RawTensor:
 def check_rb_operator(a: FinAlgebra, p: Mat, lam: Scalar, instance: str = "") -> Report:
     """P(x)P(y) = P(x * y) on all basis pairs, where x * y = P(x)y + xP(y)
     + lam xy is the induced product."""
+    p = raw_view(p)
     ck = Checker("rb-operator", instance or a.name, weight=str(lam))
     ck.compare(("x", "y"), ("rb-identity", contract("ai,bj,abk->ijk", p, p, a),
                             contract("ijk,xk->ijx", _induced(p, a, _shifted(p, lam)), p)))
+    return ck.report()
+
+
+def _pairing_report(inst: RbpInstance, p: RawTensor, t: RawTensor, tl: RawTensor) -> Report:
+    """The paired identity of `inst`, on its raw P, T and tl = T + lam."""
+    m = inst.module
+    ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
+    ck.compare(("a",), ("pairing-identity", contract("bi,bkr,kc->irc", p, m, t),
+                        contract("rk,bi,bck->irc", t, p, m) + contract("rk,ilk,lc->irc", t, m, tl)))
     return ck.report()
 
 
@@ -175,12 +187,8 @@ def check_rbp_module(inst: RbpInstance) -> Report:
     """act(P e_i) T = T act(P e_i) + T act(e_i) (T + lam) for every algebra
     basis element e_i, compared on the row-major cells; fills
     inst.verified."""
-    m, p, t = inst.module, inst.p, inst.t
-    ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
-    ck.compare(("a",), ("pairing-identity", contract("bi,bkr,kc->irc", p, m, t),
-                        contract("rk,bi,bck->irc", t, p, m)
-                        + contract("rk,ilk,lc->irc", t, m, _shifted(t, inst.weight))))
-    rep = ck.report()
+    t = raw_view(inst.t)
+    rep = _pairing_report(inst, raw_view(inst.p), t, _shifted(t, inst.weight))
     inst.verified = "pass" if rep.ok else "fail"
     inst.witness = rep.violations[0] if rep.violations else None
     return rep
@@ -195,12 +203,14 @@ def _require_verified(inst: RbpInstance, op: str) -> None:
 
 def is_quasi_idempotent(t: Mat, lam: Scalar) -> bool:
     """T (T + lam) = 0, exactly."""
+    t = raw_view(t)
     return not contract("rk,kc->rc", t, _shifted(t, lam)).cells
 
 
 def _commutators(m: ActionStructure, t: Mat) -> RawTensor:
     """[act(e_b), T] = act(e_b) T - T act(e_b) for every algebra basis
     element b, indexed (b, r, c): row r, column c."""
+    t = raw_view(t)
     return contract("bkr,kc->brc", m, t) - contract("rk,bck->brc", t, m)
 
 
@@ -272,7 +282,8 @@ class PairingSystem(Record):
     C_b = [act(e_b), T] and K_i = T act(e_i) (T + lam); `comms[b]` holds
     the nonzero (cell, value) entries of C_b and `rhs[i]` every cell of
     K_i, row-major, in raw field values.  The set of P that pair with T is
-    the solution set, an affine space.
+    the solution set, an affine space.  `views` (not a field) holds the raw
+    T and T + lam that `pairing_system` read, for `decide`'s oracle.
     """
 
     module: ActionStructure
@@ -297,7 +308,7 @@ class PairingSystem(Record):
             n = a.dim
             inst = RbpInstance(a, self.module, operator_of(a.field, n, p), self.t,
                                self.weight, name="fuzz:0")
-            rep = check_rbp_module(inst)
+            rep = _pairing_report(inst, raw_view(inst.p), *self.views)
             if rep.ok == fails:
                 oracle = {dict(v.witness)["a"] for v in rep.violations}
                 first = next(
@@ -315,13 +326,17 @@ class PairingSystem(Record):
 
 
 def pairing_system(m: ActionStructure, t: Mat, lam: Scalar) -> PairingSystem:
-    """The commutators C_b and right-hand sides K_i of (M, T, lam), once."""
-    n, cells = m.algebra.dim, m.dim * m.dim
-    comms = _commutators(m, t).rows(1)
-    rhs = contract("rk,ilk,lc->irc", t, m, _shifted(t, lam)).rows(1)
-    return PairingSystem(m, t, lam, tuple(tuple(comms.get((b,), {}).items()) for b in range(n)),
-                         tuple([rhs.get((i,), {}).get(c, 0) for c in range(cells)]
-                               for i in range(n)))
+    """The commutators C_b and right-hand sides K_i of (M, T, lam), once,
+    from one raw view of T."""
+    n, cells, raw = m.algebra.dim, m.dim * m.dim, raw_view(t)
+    comms = _commutators(m, raw).rows(1)
+    tl = _shifted(raw, lam)
+    rhs = contract("rk,ilk,lc->irc", raw, m, tl).rows(1)
+    system = PairingSystem(m, t, lam, tuple(tuple(comms.get((b,), {}).items()) for b in range(n)),
+                           tuple([rhs.get((i,), {}).get(c, 0) for c in range(cells)]
+                                 for i in range(n)))
+    object.__setattr__(system, "views", (raw, tl))
+    return system
 
 
 def classify_generic(
@@ -347,11 +362,12 @@ def classify_generic(
     n = m.algebra.dim
     seed = fuzz_seed() if seed is None else seed
     system = pairing_system(m, t, lam)
+    raw, tl = system.views
     a_linear = not any(system.comms)
-    qi = is_quasi_idempotent(t, lam)
+    qi = is_quasi_idempotent(raw, lam)
     generic: bool | None = None
     if a_linear:
-        generic = not contract("bkr,kl,lc->brc", m, t, _shifted(t, lam)).cells
+        generic = not contract("bkr,kl,lc->brc", m, raw, tl).cells
         failures = trials * system.decide(_random_entries(n, seed, 0), seed, 0) if trials > 0 else 0
     else:
         failures = sum(
@@ -368,9 +384,10 @@ def classify_generic(
 
 
 def tilde_pair(p: Mat, t: Mat, lam: Scalar) -> tuple[Mat, Mat]:
-    """(-lam id - P, -lam id - T); applying it twice gives back (P, T)."""
-    minus_one = -lam.field.one
-    return mat_scale(minus_one, _shifted(p, lam)), mat_scale(minus_one, _shifted(t, lam))
+    """(-lam id - P, -lam id - T); applying it twice gives back (P, T).
+    Computed on raw cells; Scalars are built once, for the Mats returned."""
+    return tuple((RawTensor(lam.field, x.shape, {}) - _shifted(x, lam)).dense()
+                 for x in (raw_view(p), raw_view(t)))
 
 
 def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
@@ -385,17 +402,16 @@ def atkinson_witness(inst: RbpInstance, a_vec: Vec, m_vec: Vec) -> Vec:
     lam = inst.weight
     if lam.is_zero:
         raise PreconditionError("atkinson_witness needs nonzero weight")
-    m = inst.module
-    pa, tm = apply_mat(inst.p, a_vec), apply_mat(inst.t, m_vec)
-    n = tuple(x + y for x, y in zip(m.apply(pa, m_vec),
-                                    m.apply(a_vec, apply_mat(_shifted(inst.t, lam), m_vec))))
-    _postcondition("factorization P(a) . T(m) = T(n)", inst.name,
-                   m.apply(pa, tm), apply_mat(inst.t, n))
-    pt, tt = tilde_pair(inst.p, inst.t, lam)
-    _postcondition("tilde factorization P~(a) . T~(m) = -T~(n)", inst.name,
-                   m.apply(apply_mat(pt, a_vec), apply_mat(tt, m_vec)),
-                   vec_scale(-inst.field.one, apply_mat(tt, n)))
-    return n
+    m, p, t = inst.module, raw_view(inst.p), raw_view(inst.t)
+    a_vec, m_vec, tl = raw_view(a_vec, 1), raw_view(m_vec, 1), _shifted(t, lam)
+    n = contract("bi,i,bjk,j->k", p, a_vec, m, m_vec) + contract("i,ilk,lc,c->k", a_vec, m, tl, m_vec)
+    # with P~ = -(P + lam) and T~ = -(T + lam), the tilde identity is the
+    # first one with P + lam and T + lam in place of P and T
+    for clause, x, y in (("factorization P(a) . T(m) = T(n)", p, t),
+                         ("tilde factorization P~(a) . T~(m) = -T~(n)", _shifted(p, lam), tl)):
+        _postcondition(clause, inst.name, contract("bi,i,bjk,jc,c->k", x, a_vec, m, y, m_vec),
+                       contract("kc,c->k", y, n))
+    return n.dense()
 
 
 def atkinson_solvable(
@@ -410,12 +426,12 @@ def atkinson_solvable(
     """
     if lam.is_zero:
         raise PreconditionError("factorization solvability needs nonzero weight")
-    pl, tl = _shifted(p, lam), _shifted(t, lam)
-    rows = a.dim * m.dim
-    rhs = [x + y for x, y in zip(contract("bi,lj,blk->ijk", p, t, m).dense(rows, m.dim),
+    rp, rt, rows = raw_view(p), raw_view(t), a.dim * m.dim
+    pl, tl = _shifted(rp, lam), _shifted(rt, lam)
+    rhs = [x + y for x, y in zip(contract("bi,lj,blk->ijk", rp, rt, m).dense(rows, m.dim),
                                  contract("bi,lj,blk->ijk", pl, tl, m).dense(rows, m.dim))]
     # each stacked right-hand side must lie in the column space of [T; T + lam]
-    return span_leq(rhs, transpose(t + tl), a.field)
+    return span_leq(rhs, transpose(t + tl.dense()), a.field)
 
 
 def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
@@ -512,14 +528,15 @@ def double_construction(
     if not check_rbp_module(base).ok:
         raise PreconditionError("double_construction needs a verified paired module")
     n, d = a.dim, m.dim
-    star = FinAlgebra(a.field, n, a.labels, _induced(p, a, _shifted(p, lam)).dense(), None,
+    rp, rt = raw_view(p), raw_view(t)
+    star = FinAlgebra(a.field, n, a.labels, _induced(rp, a, _shifted(rp, lam)).dense(), None,
                       name=f"{a.name}-star")
     _postcondition("star product is an algebra", star.name, check_algebra(star))
-    tri = ActionStructure(star, d, m.side, _induced(p, m, _shifted(t, lam)).dense(),
+    tri = ActionStructure(star, d, m.side, _induced(rp, m, _shifted(rt, lam)).dense(),
                           name=f"{m.name}-tri")
     _postcondition("induced action is a module action", tri.name, check_action(tri))
     _postcondition("intertwining T(a |> m) = P(a) . T(m)", tri.name,
-                   contract("rk,ick->irc", t, tri), contract("bi,bkr,kc->irc", p, m, t))
+                   contract("rk,ick->irc", rt, tri), contract("bi,bkr,kc->irc", rp, m, rt))
     inst = RbpInstance(star, tri, p, t, lam, name=f"{m.name}-double")
     _postcondition("doubled instance satisfies the paired identity", inst.name,
                    check_rbp_module(inst))

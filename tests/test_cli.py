@@ -178,6 +178,8 @@ MALFORMED_FILES = {
         "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1.0")),
     "hopf-coefficient-with-a-digit-underscore": (
         "group-algebra-c2", lambda obj: obj["mult"][0].update(c="1_0")),
+    "hopf-coefficient-with-a-non-ascii-digit": (
+        "group-algebra-c2", lambda obj: obj["mult"][0].update(c="\u0661")),
     "hopf-antipode-row-is-a-number": ("group-algebra-c2", lambda obj: obj.update(antipode=[1, 2])),
     "algebra-unit-entry-is-a-list": ("kx-mod-x2", lambda obj: obj.update(unit=[[1], 0])),
     "algebra-dim-is-a-float": ("mat2-rational", lambda obj: obj.update(dim=4.7)),

@@ -77,6 +77,38 @@ def test_parse_refuses_decimal_points_and_digit_underscores():
             F5.parse(text)
 
 
+def test_parse_reads_one_grammar_in_both_fields():
+    # a sign goes on the numerator only, as str writes it
+    for field in (RATIONAL, F5):
+        assert field.parse("+3/2") == field.of(Fraction(3, 2))
+        for text in ("1/-2", "1/+2", "3 / 2", "-"):
+            with pytest.raises(FieldError, match="ASCII digits"):
+                field.parse(text)
+    assert F5.parse("-4 mod 5") == F5.of(1)
+    with pytest.raises(FieldError, match="ASCII digits"):
+        F5.parse("4 mod +5")
+
+
+def test_parse_refuses_non_ascii_digits():
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() and Fraction() read as 3
+    for text in ("\u0663", "1/\u0663", "\uff11", "-\u0663/2"):
+        for field in (RATIONAL, F5):
+            with pytest.raises(FieldError, match="ASCII digits"):
+                field.parse(text)
+    with pytest.raises(FieldError, match="ASCII digits"):
+        F5.parse("\u0663 mod 5")
+    with pytest.raises(FieldError, match="ASCII digits"):
+        F5.parse("3 mod \u0665")
+
+
+def test_parse_names_a_zero_denominator():
+    for field in (RATIONAL, F5):
+        with pytest.raises(FieldError, match="zero denominator"):
+            field.parse("3/0")
+        with pytest.raises(FieldError, match="zero denominator"):
+            field.parse("-1/000")
+
+
 def test_prime_parse_rejects_wrong_modulus():
     with pytest.raises(FieldError):
         F5.parse("1 mod 7")
@@ -98,6 +130,17 @@ def test_modulus_is_an_int_up_to_the_cap():
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(FieldError):
         RATIONAL.one + F5.one
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_raw_tensors_of_two_fields_do_not_add(op):
+    q3, f4 = RawTensor(RATIONAL, (1,), {(0,): 3}), RawTensor(F5, (1,), {(0,): 4})
+    for x, y in ((q3, f4), (f4, q3)):
+        with pytest.raises(FieldError, match=r"mixed fields \['F_5', 'Q'\]"):
+            x + y if op == "add" else x - y
+    # a tensor of empty operands has no field and takes the other's
+    empty = RawTensor(None, (1,), {})
+    assert (empty + f4).field == F5 and (f4 - empty).cells == {(0,): 4}
 
 
 def test_division():

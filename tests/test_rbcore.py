@@ -1,6 +1,8 @@
 """Rota-Baxter operators, paired modules, and their constructions."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,15 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrb.exactlin import (
+    FieldError,
     InternalError,
     RATIONAL,
+    RawTensor,
     apply_mat,
     identity,
     kernel_basis,
     mat,
     mat_scale,
     prime_field,
+    raw_view,
     solve_linear,
+    vec,
     vec_scale,
     zeros_mat,
 )
@@ -43,6 +49,7 @@ from hopfrb.rbcore import (
     tilde_pair,
 )
 from hopfrb.catalog import (
+    cyclic_group_algebra,
     get,
     get_instance,
     list_entries,
@@ -501,6 +508,89 @@ def test_tilde_on_all_catalog_instances():
         assert check_rbp_module(mirrored).ok, name
 
 
+# -- the raw shift, tilde pair and factorization against Scalar formulas ------
+
+
+def _scalar_shifted(x, lam):
+    """X + lam id, one Scalar sum per diagonal entry."""
+    return tuple(tuple(v + lam if r == c else v for c, v in enumerate(row))
+                 for r, row in enumerate(x))
+
+
+def _scalar_tilde(x, lam):
+    return mat_scale(-lam.field.one, _scalar_shifted(x, lam))
+
+
+F5 = prime_field(5)
+SHIFTS = {
+    "q-fractions": (Q, [[Fraction(1, 2), -3, 0], [Fraction(2, 3), 0, 1], [0, 5, Fraction(-7, 4)]],
+                    Fraction(-5, 7)),
+    "q-zero-weight": (Q, [[Fraction(1, 3), 2], [0, -1]], 0),
+    "q-cancelling": (Q, [[Fraction(1, 2), 1], [0, 3]], Fraction(-1, 2)),
+    "f5": (F5, [[4, 1, 0], [2, 3, 1], [0, 0, 4]], 3),
+    "f5-zero-weight": (F5, [[1, 0], [3, 4]], 0),
+    "f2": (prime_field(2), [[1, 1], [0, 1]], 1),
+    "empty": (Q, [], Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(SHIFTS))
+def test_raw_shift_and_tilde_pair_match_the_scalar_formulas(case):
+    field, rows, lam = SHIFTS[case]
+    x, lam = mat(field, rows), field.of(lam)
+    y = tuple(tuple(v * field.of(2) + field.one for v in row) for row in x)
+    assert rbcore._shifted(raw_view(x), lam).dense() == _scalar_shifted(x, lam)
+    assert tilde_pair(x, y, lam) == (_scalar_tilde(x, lam), _scalar_tilde(y, lam))
+    assert tilde_pair(*tilde_pair(x, y, lam), lam) == (x, y)
+
+
+def test_tilde_of_the_empty_p_is_empty():
+    # prop-3.1 mirrors T alone by passing P = ()
+    module = get("c2-regular-module").payload
+    t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
+    assert tilde_pair((), t, MINUS_ONE) == ((), _scalar_tilde(t, MINUS_ONE))
+    assert tilde_pair((), (), MINUS_ONE) == ((), ())
+
+
+@pytest.mark.parametrize("lam", [F5.of(4), F5.zero])
+def test_a_weight_from_another_field_is_refused(lam):
+    module = get("c2-regular-module").payload
+    t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
+    for call in (lambda: classify_generic(module, t, lam, trials=3, seed="s"),
+                 lambda: is_quasi_idempotent(t, lam),
+                 lambda: pairing_system(module, t, lam),
+                 lambda: tilde_pair(t, t, lam),
+                 lambda: tilde_pair((), t, lam)):
+        with pytest.raises(FieldError, match="mixed fields"):
+            call()
+
+
+def test_each_operator_is_read_into_the_raw_layer_once(monkeypatch):
+    """One check_rbp_module call and one classify_generic call read each
+    Scalar operator they are given (or build) at most once."""
+    read, of = [], RawTensor.of.__func__
+
+    def counted(cls, field, t, shape):
+        read.append(t)  # kept alive, so no two reads share an id by reuse
+        return of(cls, field, t, shape)
+
+    monkeypatch.setattr(RawTensor, "of", classmethod(counted))
+    mat2, module, e = _left_mult_by_e11_plus_e12()
+    p, t = (mat(Q, [[x.value for x in row] for row in e]) for _ in range(2))
+    check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE))  # builds the carrier views
+    read.clear()
+    check_rbp_module(RbpInstance(mat2, module, p, t, MINUS_ONE))
+    reads = Counter(map(id, read))
+    assert reads[id(p)] == reads[id(t)] == 1 and set(reads.values()) == {1}
+    c2_module = get("c2-regular-module").payload
+    for t in (mat(Q, [[1, 0], [0, 0]]),  # not A-linear: every trial is drawn
+              c2_module.matrix(normalized_group_integral(get("group-algebra-c2").payload))):
+        read.clear()
+        classify_generic(c2_module, t, MINUS_ONE, trials=5, seed="once")
+        reads = Counter(map(id, read))
+        assert reads[id(t)] == 1 and set(reads.values()) == {1}
+
+
 # -- factorization ------------------------------------------------------------
 
 
@@ -516,6 +606,45 @@ def test_atkinson_witness_identities():
             assert lhs == apply_mat(inst.t, n)
             lhs2 = m.apply(apply_mat(pt, av), apply_mat(tt, mv))
             assert lhs2 == vec_scale(MINUS_ONE, apply_mat(tt, n))
+
+
+def _scalar_witness(inst, av, mv):
+    """n = P(a) . m + a . (T + lam)(m), on Scalars."""
+    m, tl = inst.module, _scalar_shifted(inst.t, inst.weight)
+    return tuple(x + y for x, y in zip(m.apply(apply_mat(inst.p, av), mv),
+                                       m.apply(av, apply_mat(tl, mv))))
+
+
+def _seeded_instance(field, scale, seed):
+    """A random P with the generic integral operator of C_2 at weight -1,
+    which pairs with every P."""
+    c2 = cyclic_group_algebra(2, field)
+    module = regular_action(c2.algebra, "left")
+    p = mat_scale(field.of(scale), random_operator(field, 2, seed, 0))
+    inst = RbpInstance(c2.algebra, module, p, module.matrix(normalized_group_integral(c2)),
+                       -field.one, name=f"seeded-{field}")
+    assert check_rbp_module(inst).ok
+    return inst
+
+
+def _witness_instances():
+    mat2, module, e = _left_mult_by_e11_plus_e12()
+    return [get_instance("mat2-proj"), RbpInstance(mat2, module, e, e, MINUS_ONE, name="e11+e12"),
+            _nilpotent_instance(2), _seeded_instance(Q, Fraction(1, 3), "atkinson"),
+            _seeded_instance(F5, 2, "atkinson")]
+
+
+def test_atkinson_witness_matches_the_scalar_formula():
+    rng = random.Random("atkinson-vectors")
+    for inst in _witness_instances():
+        a, m, f = inst.algebra, inst.module, inst.field
+        pairs = [(a.basis(i), m.basis(j)) for i in range(a.dim) for j in range(m.dim)]
+        pairs += [(vec(f, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)]),
+                   vec(f, [rng.randint(-3, 3) for _ in range(m.dim)])) for _ in range(5)]
+        for av, mv in pairs:
+            n = atkinson_witness(inst, av, mv)
+            assert n == _scalar_witness(inst, av, mv), inst.name
+            assert m.apply(apply_mat(inst.p, av), apply_mat(inst.t, mv)) == apply_mat(inst.t, n)
 
 
 def test_atkinson_needs_nonzero_weight():
