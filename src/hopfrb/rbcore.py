@@ -28,17 +28,17 @@ so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
 e_i, in raw field values (ints mod p, reduced at the comparison, or over
 Q ints when integral and Fractions otherwise).  Every fuzzed P is decided
 this way: the trials of `classify_generic` and replay's own fuzz loops
-alike.  Trial 0 of each is also run through `check_rbp_module`'s identity
-as an oracle (`PairingSystem.decide`); a disagreement raises InternalError.
+alike.  Trial 0 of each is also run through `check_rbp_module` as an
+oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
 
 Every identity here is written once, as `exactlin.contract` calls on raw
 operands: each entry point reads its Scalar P and T into the raw layer once
 (`exactlin.raw_view`), and T + lam id and the tilde pair are formed on raw
 cells, so Scalars are built only for what is returned.  The oracle states
-the identity itself, not its affine form: it builds no commutator, so the
-two share only the contraction kernel and the raw T and T + lam that the
-system read (`PairingSystem.views`).  The kernel's independence rests on the tests: every spec in src
-is checked against dense loops (tests/test_contract.py), and
+the identity itself, not its affine form: it builds no commutator and no
+pairing system and reads P and T itself, so the two share only the
+contraction kernel.  The kernel's independence rests on the tests: every
+spec in src is checked against dense loops (tests/test_contract.py), and
 `check_rbp_module` and `check_rb_operator` against plain loops over the
 paper's formulas (tests/test_rbcore.py).
 """
@@ -174,21 +174,16 @@ def check_rb_operator(a: FinAlgebra, p: Mat, lam: Scalar, instance: str = "") ->
     return ck.report()
 
 
-def _pairing_report(inst: RbpInstance, p: RawTensor, t: RawTensor, tl: RawTensor) -> Report:
-    """The paired identity of `inst`, on its raw P, T and tl = T + lam."""
-    m = inst.module
-    ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
-    ck.compare(("a",), ("pairing-identity", contract("bi,bkr,kc->irc", p, m, t),
-                        contract("rk,bi,bck->irc", t, p, m) + contract("rk,ilk,lc->irc", t, m, tl)))
-    return ck.report()
-
-
 def check_rbp_module(inst: RbpInstance) -> Report:
     """act(P e_i) T = T act(P e_i) + T act(e_i) (T + lam) for every algebra
     basis element e_i, compared on the row-major cells; fills
     inst.verified."""
-    t = raw_view(inst.t)
-    rep = _pairing_report(inst, raw_view(inst.p), t, _shifted(t, inst.weight))
+    m, p, t = inst.module, raw_view(inst.p), raw_view(inst.t)
+    ck = Checker("rbp-module", inst.name, weight=str(inst.weight))
+    ck.compare(("a",), ("pairing-identity", contract("bi,bkr,kc->irc", p, m, t),
+                        contract("rk,bi,bck->irc", t, p, m)
+                        + contract("rk,ilk,lc->irc", t, m, _shifted(t, inst.weight))))
+    rep = ck.report()
     inst.verified = "pass" if rep.ok else "fail"
     inst.witness = rep.violations[0] if rep.violations else None
     return rep
@@ -283,7 +278,7 @@ class PairingSystem(Record):
     the nonzero (cell, value) entries of C_b and `rhs[i]` every cell of
     K_i, row-major, in raw field values.  The set of P that pair with T is
     the solution set, an affine space.  `views` (not a field) holds the raw
-    T and T + lam that `pairing_system` read, for `decide`'s oracle.
+    T and T + lam that `pairing_system` read, for `classify_generic`.
     """
 
     module: ActionStructure
@@ -308,7 +303,7 @@ class PairingSystem(Record):
             n = a.dim
             inst = RbpInstance(a, self.module, operator_of(a.field, n, p), self.t,
                                self.weight, name="fuzz:0")
-            rep = _pairing_report(inst, raw_view(inst.p), *self.views)
+            rep = check_rbp_module(inst)
             if rep.ok == fails:
                 oracle = {dict(v.witness)["a"] for v in rep.violations}
                 first = next(

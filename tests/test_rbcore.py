@@ -566,13 +566,27 @@ def test_a_weight_from_another_field_is_refused(lam):
 
 
 def test_each_operator_is_read_into_the_raw_layer_once(monkeypatch):
-    """One check_rbp_module call and one classify_generic call read each
-    Scalar operator they are given (or build) at most once."""
-    read, of = [], RawTensor.of.__func__
+    """One check_rbp_module call reads its P and T once each.  One
+    classify_generic call reads T once for the pairing system, the
+    quasi-idempotency test and the generic test; its trial-0 oracle is a
+    check_rbp_module call of its own, which reads P and T once more."""
+    read, phase, of = [], ["outer"], RawTensor.of.__func__
 
     def counted(cls, field, t, shape):
-        read.append(t)  # kept alive, so no two reads share an id by reuse
+        read.append((phase[0], t))  # kept alive, so no two reads share an id by reuse
         return of(cls, field, t, shape)
+
+    def oracle(inst):
+        phase[0] = "oracle"
+        try:
+            return check_rbp_module(inst)
+        finally:
+            phase[0] = "outer"
+
+    def reads():
+        counts = Counter((where, id(t)) for where, t in read)
+        assert set(counts.values()) == {1}, counts
+        return counts
 
     monkeypatch.setattr(RawTensor, "of", classmethod(counted))
     mat2, module, e = _left_mult_by_e11_plus_e12()
@@ -580,18 +594,16 @@ def test_each_operator_is_read_into_the_raw_layer_once(monkeypatch):
     check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE))  # builds the carrier views
     read.clear()
     check_rbp_module(RbpInstance(mat2, module, p, t, MINUS_ONE))
-    reads = Counter(map(id, read))
-    assert reads[id(p)] == reads[id(t)] == 1 and set(reads.values()) == {1}
+    assert reads()[("outer", id(p))] == reads()[("outer", id(t))] == 1
+    monkeypatch.setattr(rbcore, "check_rbp_module", oracle)
     c2_module = get("c2-regular-module").payload
     for t in (mat(Q, [[1, 0], [0, 0]]),  # not A-linear: every trial is drawn
               c2_module.matrix(normalized_group_integral(get("group-algebra-c2").payload))):
         read.clear()
         classify_generic(c2_module, t, MINUS_ONE, trials=5, seed="once")
-        reads = Counter(map(id, read))
-        assert reads[id(t)] == 1 and set(reads.values()) == {1}
-
-
-# -- factorization ------------------------------------------------------------
+        counts = reads()
+        assert counts[("outer", id(t))] == counts[("oracle", id(t))] == 1
+        assert sum(where == "oracle" for where, _ in read) == 2  # the drawn P and T
 
 
 def test_atkinson_witness_identities():
