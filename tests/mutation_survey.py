@@ -35,6 +35,8 @@ SPEC = re.compile(r'"([a-z]+(?:,[a-z]+)*->[a-z]*)"')
 
 EQUIVALENT = {
     ("exactlin.py", "ij,kl,ikx,jly->xy"): "the example in contract's docstring is never run",
+    ("replay.py", "ki,k->i"): "prop-4.1 reads functional_operator on C_2 only, where every "
+                              "Delta(g) = g (x) g makes T diagonal, so T read transposed is T",
 }
 
 
