@@ -26,7 +26,6 @@ from .exactlin import (
     contract,
     kernel_basis,
     raw_identity,
-    raw_value,
     scalar_vec,
     tensor_vec,
     unit_vec,
@@ -86,7 +85,7 @@ class ActionStructure(Record):
         """Operator of the element r on the module, whichever the side."""
         cells = self.raw.grouped((0,), (1, 2))
         acc = [[0] * self.dim for _ in range(self.dim)]
-        for i, ri in [(i, raw_value(s)) for i, s in enumerate(r) if s.value]:
+        for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
             for (j, k), a in cells.get(i, ()):
                 acc[k][j] += ri * a
         return tuple(scalar_vec(self.field, row) for row in acc)
@@ -94,8 +93,8 @@ class ActionStructure(Record):
     def apply(self, r: Vec, m: Vec) -> Vec:
         cells = self.raw.grouped((0, 1), (2,))
         acc = [0] * self.dim
-        ms = [(j, raw_value(s)) for j, s in enumerate(m) if s.value]
-        for i, ri in [(i, raw_value(s)) for i, s in enumerate(r) if s.value]:
+        ms = [(j, v) for j, s in enumerate(m) if (v := s.value)]
+        for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
             for j, mj in ms:
                 c = ri * mj
                 for (k,), a in cells.get((i, j), ()):
@@ -137,7 +136,7 @@ class CoactionStructure(Record):
         """rho(m) on the (module, coalgebra) lex pair basis."""
         h, cells = self.coalgebra.dim, self.raw.grouped((0,), (1, 2))
         acc = [0] * (self.dim * h)
-        for i, mi in [(i, raw_value(s)) for i, s in enumerate(m) if s.value]:
+        for i, mi in [(i, v) for i, s in enumerate(m) if (v := s.value)]:
             for (j, k), c in cells.get(i, ()):
                 acc[j * h + k] += mi * c
         return scalar_vec(self.field, acc)
@@ -443,7 +442,7 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     n, hd, f = c.dim, halg.dim, c.field
     if mode == "strict":
         # m (x) 1: f_j (x) e_k at f_i = f_j
-        corr = RawTensor(f, (n, hd, n), {(j, k, j): raw_value(u) for j in range(n)
+        corr = RawTensor(f, (n, hd, n), {(j, k, j): u.value for j in range(n)
                                          for k, u in enumerate(halg.unit) if u.value})
     else:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):

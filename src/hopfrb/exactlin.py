@@ -13,8 +13,8 @@ checkers compare and chain results without building Scalars.  Row
 reduction is one sparse Gauss-Jordan on raw rows, which visits only
 nonzero entries; the system builders hand it raw rows, and Scalars appear
 only at the boundary: Scalar matrices in, solutions and kernels out.
-`raw_value` reads a Scalar into the raw layer and `scalar_vec` is the one
-way back, which over Q gives Fractions again.
+A Scalar holds its raw value, so ``s.value`` reads it into the raw layer,
+and `scalar_vec` is the one way back.
 
 Every value type of the package (fields, scalars, structures, reports,
 catalog entries) is a `Record`: a plain base class that reads a subclass's
@@ -145,6 +145,11 @@ def _is_prime(p: int) -> bool:
 RawScalar = Union[int, Fraction, str, "Scalar"]
 
 
+def _lean(x):
+    """A raw value in lean form: a Fraction with denominator 1 as its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class FieldSpec(Record):
     """Coefficient field: ``kind`` is ``"rational"`` or ``"prime"``.
 
@@ -199,7 +204,7 @@ class FieldSpec(Record):
         if isinstance(value, (bool, float)):
             raise FieldError(f"{value!r} is not an exact element of {self}")
         if self.kind == "rational":
-            return Scalar(self, Fraction(value))
+            return Scalar(self, value if type(value) is int else _lean(Fraction(value)))
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -255,8 +260,10 @@ def prime_field(p: int) -> FieldSpec:
 class Scalar(Record):
     """Exact field element.
 
-    Rational values are stored as ``Fraction`` (lowest terms, positive
-    denominator by construction); prime-field values as ints in ``[0, p)``.
+    The value is the raw value the sparse layer computes with: over Q an
+    int when integral and otherwise a ``Fraction`` (lowest terms, positive
+    denominator), over F_p an int in ``[0, p)``.  ``==``, ``hash`` and ``str``
+    treat an int as the Fraction of the same value.
     Scalars are built on every arithmetic step, so ``__init__``, ``==`` and
     ``hash`` are written out, as for `FieldSpec`.
     """
@@ -286,7 +293,7 @@ class Scalar(Record):
     def __add__(self, other: RawScalar) -> "Scalar":
         o = self._coerce(other)
         if self.field.kind == "rational":
-            return Scalar(self.field, self.value + o.value)
+            return Scalar(self.field, _lean(self.value + o.value))
         return Scalar(self.field, (self.value + o.value) % self.field.p)
 
     __radd__ = __add__
@@ -305,7 +312,7 @@ class Scalar(Record):
     def __mul__(self, other: RawScalar) -> "Scalar":
         o = self._coerce(other)
         if self.field.kind == "rational":
-            return Scalar(self.field, self.value * o.value)
+            return Scalar(self.field, _lean(self.value * o.value))
         return Scalar(self.field, (self.value * o.value) % self.field.p)
 
     __rmul__ = __mul__
@@ -314,7 +321,8 @@ class Scalar(Record):
         if self.is_zero:
             raise FieldError("inverse of zero")
         if self.field.kind == "rational":
-            return Scalar(self.field, 1 / self.value)
+            # Fraction(1), since 1 / an int is a float
+            return Scalar(self.field, _lean(Fraction(1) / self.value))
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other: RawScalar) -> "Scalar":
@@ -352,25 +360,14 @@ def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
     return tuple((i, c) for i, c in enumerate(v) if not c.is_zero)
 
 
-def _lean(x):
-    """A raw value in lean form: a Fraction with denominator 1 as its int."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
-def raw_value(s: Scalar):
-    """The raw value of a Scalar: its int mod p over F_p, and over Q an int
-    when it is integral, its Fraction otherwise."""
-    return _lean(s.value)
-
-
 def scalar_vec(field: FieldSpec, raw: Sequence) -> Vec:
     """Scalars of raw values: ints (reduced mod p here) or, over Q, ints and
-    Fractions, which come back as Fractions."""
+    Fractions, leaned here, since a raw sum such as 2 * (1/2) can end on an
+    integral Fraction."""
     p, zero = field.p, field.zero
     if p:
         return tuple(Scalar(field, r) if (r := v % p) else zero for v in raw)
-    return tuple((Scalar(field, v if type(v) is Fraction else Fraction(v)) if v else zero)
-                 for v in raw)
+    return tuple(Scalar(field, _lean(v)) if v else zero for v in raw)
 
 
 def blocks(v: Sequence, count: int, *counts: int) -> tuple:
@@ -391,14 +388,15 @@ class RawTensor:
 
     ``cells`` maps each index tuple of a nonzero cell to its raw value: an
     int reduced mod p, or over Q an int when integral and a Fraction
-    otherwise; ``shape`` is the extent of each index.
-    One type serves as the view a carrier keeps of its dense Scalar tensor
-    (`RawTensor.of`, built once per carrier) and as what `contract`
-    returns, and `contract` reads either.  `grouped` files the cells by one
-    layout once, for every `contract` that reads the tensor that way; `+`
-    and `-` add cellwise and refuse mixed fields; `permuted` reorders the
-    indices; `rows` files the cells as sparse rows; `flat` and `dense` give
-    the values back on a lex basis, the latter as Scalars, at the boundary.
+    otherwise, the value a Scalar holds; ``shape`` is the extent of each
+    index.  One type serves as the view a carrier keeps of its dense Scalar
+    tensor (`RawTensor.of`, built once per carrier, which takes each
+    Scalar's value as it is) and as what `contract` returns, and `contract`
+    reads either.  `grouped` files the cells by one layout once, for every
+    `contract` that reads the tensor that way; `+` and `-` add cellwise and
+    refuse mixed fields; `permuted` reorders the indices; `rows` files the
+    cells as sparse rows; `flat` and `dense` give the values back on a lex
+    basis, the latter as Scalars, at the boundary.
     """
 
     __slots__ = ("field", "shape", "cells", "_groups")
@@ -412,7 +410,7 @@ class RawTensor:
         level = [((), t)]
         for _ in shape:
             level = [((*idx, i), x) for idx, xs in level for i, x in enumerate(xs)]
-        return cls(field, shape, {idx: raw_value(s) for idx, s in level if s.value})
+        return cls(field, shape, {idx: v for idx, s in level if (v := s.value)})
 
     def grouped(self, key: tuple, rest: tuple) -> dict:
         if (key, rest) not in self._groups:
@@ -500,7 +498,7 @@ def differing(got: RawTensor, want: RawTensor | None, depth: int) -> list:
 
 def raw_identity(field: FieldSpec, n: int) -> RawTensor:
     """The n x n identity as a raw tensor."""
-    return RawTensor(field, (n, n), {(i, i): raw_value(field.one) for i in range(n)})
+    return RawTensor(field, (n, n), {(i, i): 1 for i in range(n)})
 
 
 def _picker(positions: tuple, bare: bool = False):
@@ -709,13 +707,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     field = a[0][0].field
     if b[0][0].field != field:
         raise FieldError(f"mixed fields {field} and {b[0][0].field}")
-    b_rows = [[(j, raw_value(s)) for j, s in enumerate(row) if s.value] for row in b]
+    b_rows = [[(j, v) for j, s in enumerate(row) if (v := s.value)] for row in b]
     out = []
     for row in a:
         acc = [0] * nc
         for s, b_row in zip(row, b_rows):
-            if s.value:
-                x = raw_value(s)
+            if x := s.value:
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(scalar_vec(field, acc))
@@ -754,7 +751,7 @@ def _raw_row(row, p: int) -> dict:
     lean and without zeros, or the nonzero entries of a Scalar row."""
     if isinstance(row, dict):
         return {j: r for j, v in row.items() if (r := v % p if p else _lean(v))}
-    return {j: raw_value(s) for j, s in enumerate(row) if s.value}
+    return {j: v for j, s in enumerate(row) if (v := s.value)}
 
 
 def rref(a, field: FieldSpec) -> tuple:
@@ -765,35 +762,54 @@ def rref(a, field: FieldSpec) -> tuple:
     integral and Fractions otherwise, kept so through every scaling and
     elimination), one ``{column: value}`` dict per row.  The columns are
     swept in order; a pivot is scaled to 1 and cleared from exactly the
-    rows, above and below, that have a nonzero in its column.  The shortest such row is
-    the pivot row, which keeps fill-in low; the reduced form is unique,
-    so the choice never shows.
+    rows, above and below, that have a nonzero in its column.  The shortest
+    unreduced such row, the first in order among equals, is the pivot row,
+    which keeps fill-in low; the reduced form is unique, so the choice never
+    shows.  A column index maps each column to the rows, reduced or not,
+    with a nonzero there, and follows every fill-in and cancellation, so a
+    column's pivot search and its clearing read only the rows that have
+    that column, not every row.
 
     The rows of `a` are Scalar rows, or raw sparse dict rows as the
-    system builders make them.  The reduced form comes back in the same
-    form: a Scalar matrix with its zero rows last, or the nonzero raw rows
-    alone, in pivot order.  A raw row's length is its nonzero count, so a
-    per-layer trace that counts an elimination's cells as rows times the
-    length of the first row undercounts a raw system.
+    system builders make them; the elimination works on copies, so a
+    caller's dict rows are never changed.  The reduced form comes back in
+    the same form: a Scalar matrix with its zero rows last, or the nonzero
+    raw rows alone, in pivot order.  A raw row's length is its nonzero
+    count, so a per-layer trace that counts an elimination's cells as rows
+    times the length of the first row undercounts a raw system.
     """
     p = field.p
-    rest = [_raw_row(row, p) for row in a]
+    rows = [_raw_row(row, p) for row in a]
+    where: dict = {}
+    for k, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(k)
+    open_rows = set(range(len(rows)))
     done: list[dict] = []
     piv_cols: list[int] = []
-    for c in sorted(set().union(*rest)):
-        hits = [i for i, row in enumerate(rest) if c in row]
+    for c in sorted(where):
+        hits = [k for k in where[c] if k in open_rows]
         if not hits:
             continue
-        prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
-        inv = pow(prow[c], -1, p) if p else _lean(Fraction(1) / prow[c])
-        prow = {j: v * inv % p if p else _lean(v * inv) for j, v in prow.items()}
-        for row in [r for r in done + rest if c in r]:
-            f = row[c]
-            for j, v in prow.items():
+        pk = min(hits, key=lambda k: (len(rows[k]), k))
+        open_rows.remove(pk)
+        inv = pow(rows[pk][c], -1, p) if p else Fraction(1) / rows[pk][c]
+        rows[pk] = prow = {j: v * inv % p if p else _lean(v * inv) for j, v in rows[pk].items()}
+        tail = [(j, v) for j, v in prow.items() if j != c]
+        for k in where[c]:
+            if k == pk:
+                continue
+            row = rows[k]
+            f = row.pop(c)
+            for j, v in tail:
                 x = row.get(j, 0) - f * v
-                row[j] = x % p if p else _lean(x)
-                if not row[j]:
+                x = x % p if p else _lean(x)
+                if x:
+                    row[j] = x
+                    where[j].add(k)
+                else:
                     del row[j]
+                    where[j].discard(k)
         done.append(prow)
         piv_cols.append(c)
     if not a or isinstance(a[0], dict):
@@ -846,7 +862,7 @@ def _nullspace(rows: list[dict], done: tuple, piv: tuple, nc: int, field: FieldS
     p, null = field.p, []
     for f in sorted(set(range(nc)) - set(piv)):
         v = [0] * nc
-        v[f] = raw_value(field.one)
+        v[f] = 1
         for row, c in zip(done, piv):
             v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
         null.append(v)
@@ -901,7 +917,7 @@ def first_outside(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> int
     p = field.p
     rows, piv = rref([_raw_row(v, p) for v in b2], field)
     for k, v in enumerate(b1):
-        acc = [raw_value(s) for s in v]
+        acc = [s.value for s in v]
         for c, row in zip(piv, rows):
             f = acc[c]
             for j, x in row.items():

@@ -31,7 +31,6 @@ from .exactlin import (
     identity,
     kernel_basis,
     mat_mul,
-    raw_value,
     span_eq,
     span_leq,
     transpose,
@@ -116,7 +115,7 @@ def _fixed_space(act: RawTensor, counit: Vec) -> tuple[Vec, ...]:
     (i, r, x) the coefficient of the unknown x in coordinate r of e_i x.
     One raw sparse row per (i, r), as `coinvariants` builds its system."""
     f, n = act.field, act.shape[2]
-    eps_x = RawTensor(f, act.shape, {(i, r, r): raw_value(e) for i, e in enumerate(counit)
+    eps_x = RawTensor(f, act.shape, {(i, r, r): e.value for i, e in enumerate(counit)
                                      if e.value for r in range(n)})
     return kernel_basis(list((act - eps_x).rows(2).values()), f, ncols=n)
 

@@ -65,7 +65,6 @@ from .exactlin import (
     mat,
     mat_mul,
     mat_scale,
-    raw_value,
     raw_view,
     span_leq,
     transpose,
@@ -154,7 +153,7 @@ class RbpInstance(Record):
 
 def _shifted(x: RawTensor, lam: Scalar) -> RawTensor:
     """X + lam id, on raw cells; a lam over another field raises FieldError."""
-    return x + RawTensor(lam.field, x.shape, {(i, i): raw_value(lam) for i in range(min(x.shape))})
+    return x + RawTensor(lam.field, x.shape, {(i, i): lam.value for i in range(min(x.shape))})
 
 
 def _induced(p: RawTensor, c, u: RawTensor) -> RawTensor:

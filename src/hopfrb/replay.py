@@ -19,7 +19,6 @@ from .exactlin import (
     identity,
     mat_mul,
     mat_scale,
-    raw_value,
     raw_view,
     vec,
     vec_scale,
@@ -147,10 +146,10 @@ def _replay_prop_3_1(seed: str, trials: int) -> list:
     f = h.field
     t = module.matrix(normalized_group_integral(h))
     lam = -f.one
-    n, mod, minus = h.dim, f.p, -raw_value(lam)
+    n, mod, minus = h.dim, f.p, -lam.value
     _, tt = tilde_pair((), t, lam)
     t_system, tt_system = pairing_system(module, t, lam), pairing_system(module, tt, lam)
-    t_raw, tt_raw = ([raw_value(x) for row in op for x in row] for op in (t, tt))
+    t_raw, tt_raw = ([x.value for row in op for x in row] for op in (t, tt))
     t_involutes = _same_raw(_raw_tilde(tt_raw, n, minus), t_raw, mod)
     bad = 0
     for trial in range(trials):

@@ -33,7 +33,6 @@ from .exactlin import (
     mat_from_cols,
     nonzero,
     raw_identity,
-    raw_value,
     scalar_vec,
     solve_linear,
     unit_vec,
@@ -97,8 +96,8 @@ class FinAlgebra(Record):
     def mul(self, x: Vec, y: Vec) -> Vec:
         cells = self.raw.grouped((0, 1), (2,))
         acc = [0] * self.dim
-        ys = [(j, raw_value(s)) for j, s in enumerate(y) if s.value]
-        for i, xi in [(i, raw_value(s)) for i, s in enumerate(x) if s.value]:
+        ys = [(j, v) for j, s in enumerate(y) if (v := s.value)]
+        for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
             for j, yj in ys:
                 c = xi * yj
                 for (k,), m in cells.get((i, j), ()):
@@ -145,7 +144,7 @@ class FinCoalgebra(Record):
         """Delta(x) as a dim^2 vector on the lex pair basis."""
         n, cells = self.dim, self.raw.grouped((0,), (1, 2))
         acc = [0] * (n * n)
-        for i, xi in [(i, raw_value(s)) for i, s in enumerate(x) if s.value]:
+        for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
             for (j, k), d in cells.get(i, ()):
                 acc[j * n + k] += xi * d
         return scalar_vec(self.field, acc)
@@ -370,7 +369,7 @@ def check_bialgebra(b: BialgebraLike) -> Report:
     f = alg.field
     ck.compare((), ("comult-unit", _unit_comult(alg, co), contract("a,b->ab", alg.unit, alg.unit)),
                ("counit-unit", contract("i,i->", alg.unit, co.counit),
-                RawTensor(f, (), {(): raw_value(f.one)})))
+                RawTensor(f, (), {(): 1})))
     return ck.report()
 
 
@@ -472,7 +471,7 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
         pil, pir = _target_source(alg, co)
         # pi_R(x_(1)) S(x_(2)) - S(x), with the unknown S[c][i] of S(e_i) at e_c
         cubic = contract("ijk,rj,rtc->ictk", co, pir, alg) - RawTensor(
-            f, (n,) * 4, {(i, c, c, i): raw_value(f.one) for i, c in product(range(n), repeat=2)})
+            f, (n,) * 4, {(i, c, c, i): 1 for i, c in product(range(n), repeat=2)})
         system = ((id_s, pil.permuted(1, 0)), (s_id, pir.permuted(1, 0)), (cubic, None))
     else:
         unit = contract("i,c->ic", co.counit, alg.unit)

@@ -1,5 +1,6 @@
 """Exact linear algebra: field arithmetic, elimination, spans."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hopfrb.exactlin import (
     FieldError,
     RATIONAL,
     RawTensor,
+    Scalar,
     apply_mat,
     column_space_basis,
     contract,
@@ -22,6 +24,7 @@ from hopfrb.exactlin import (
     prime_field,
     rank,
     rref,
+    scalar_vec,
     solve_linear,
     span_eq,
     tensor_vec,
@@ -293,7 +296,7 @@ def _dense_rref(rows, nc, p):
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        inv = pow(rows[r][c], -1, p) if p else Fraction(1) / rows[r][c]
         rows[r] = [x * inv % p if p else x * inv for x in rows[r]]
         for i in range(len(rows)):
             f = rows[i][c]
@@ -349,6 +352,66 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
         assert sol is not None and apply_mat(a, sol.particular) == b
         assert len(sol.nullspace) == nc - len(dpiv)
         assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in sol.nullspace)
+
+
+LARGER_FIELDS = (RATIONAL, F2, F5, prime_field(101))
+
+
+@st.composite
+def larger_systems(draw):
+    """(field, ncols, a): up to 14 rows over up to 12 columns.  Each row is
+    dense, sparse (one to three nonzeros), or an earlier row plus a multiple
+    of another, so that eliminations both fill rows in and cancel entries."""
+    field = draw(st.sampled_from(LARGER_FIELDS))
+    nc = draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(min_value=-5, max_value=5)
+    if field is RATIONAL:
+        entry = entry | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    rows: list = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(("dense", "sparse", "combination")))
+        if kind == "combination" and rows:
+            x, y = (draw(st.sampled_from(rows)) for _ in range(2))
+            c = draw(entry)
+            rows.append([u + c * v for u, v in zip(x, y)])
+        elif kind == "sparse":
+            row = [0] * nc
+            for j in draw(st.lists(st.integers(min_value=0, max_value=nc - 1),
+                                   min_size=1, max_size=3)):
+                row[j] = draw(entry)
+            rows.append(row)
+        else:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    return field, nc, mat(field, rows)
+
+
+@given(larger_systems())
+def test_sparse_rref_matches_dense_gauss_jordan_on_larger_systems(system):
+    field, nc, a = system
+    dense, dpiv = _dense_rref([[s.value for s in r] for r in a], nc, field.p)
+    r, piv = rref(a, field)
+    assert piv == dpiv
+    assert r == mat(field, dense)
+    raw, raw_piv = rref([{j: s.value for j, s in enumerate(row) if s.value} for row in a], field)
+    assert raw_piv == dpiv
+    assert list(raw) == [{j: x for j, x in enumerate(row) if x} for row in dense[:len(dpiv)]]
+    ker = kernel_basis(a, field, ncols=nc)
+    assert len(ker) == nc - len(dpiv)
+    assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in ker)
+
+
+def test_elimination_leaves_the_callers_raw_rows_unchanged():
+    for field in (RATIONAL, F5):
+        # row 0 pivots column 0 and cancels row 1 there and at column 2
+        half = Fraction(1, 2) if field is RATIONAL else 3
+        rows = [{0: 2, 2: 1}, {0: 4, 1: 3, 2: 2}, {1: 1, 3: half}, {}]
+        before = copy.deepcopy(rows)
+        done, _ = rref(rows, field)
+        assert rows == before and not any(r is row for r in done for row in rows)
+        kernel_basis(rows, field, ncols=4)
+        assert rows == before
+        solve_linear(rows, [1, 2, 0, 0], field, ncols=4)
+        assert rows == before
 
 
 def _dense_product(a, b, field):
@@ -415,8 +478,8 @@ def _lean(values) -> bool:
 
 
 def _fractions(scalars) -> bool:
-    """Whether every Q Scalar holds a Fraction, as its public value does."""
-    return all(type(s.value) is Fraction for s in scalars)
+    """Whether every Q Scalar holds a lean value, as the raw cells do."""
+    return _lean(s.value for s in scalars)
 
 
 @st.composite
@@ -447,3 +510,81 @@ def test_raw_values_over_q_stay_lean(case):
     sol = solve_linear(d, tuple(row[0] for row in d), RATIONAL)
     assert sol is not None and _fractions(sol.particular)
     assert all(_fractions(v) for v in sol.nullspace)
+
+
+# -- one lean value over Q ------------------------------------------------------
+
+
+q_values = (st.integers(min_value=-6, max_value=6)
+            | st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+def _same_as_fraction_valued(s) -> bool:
+    """Whether s compares, hashes and prints as the Scalar holding its value
+    as a Fraction."""
+    twin = Scalar(RATIONAL, Fraction(s.value))
+    return s == twin and hash(s) == hash(twin) and str(s) == str(twin)
+
+
+def test_q_inverse_and_division_are_exact_fractions():
+    for s in (RATIONAL.of(3).inverse(), RATIONAL.of(1) / RATIONAL.of(3)):
+        assert type(s.value) is Fraction and s.value == Fraction(1, 3)
+    assert type(RATIONAL.of(Fraction(1, 3)).inverse().value) is int
+
+
+@given(q_values, q_values)
+def test_q_scalar_arithmetic_holds_lean_values(x, y):
+    a, b = RATIONAL.of(x), RATIONAL.parse(str(Fraction(y)))
+    fa, fb = Fraction(a.value), Fraction(b.value)
+    results = [(a, Fraction(x)), (b, Fraction(y)), (a + b, fa + fb), (a - b, fa - fb),
+               (a * b, fa * fb), (-a, -fa)]
+    if fb:
+        results += [(a / b, fa / fb), (b.inverse(), 1 / fb)]
+    for s, want in results:
+        assert _lean([s.value]) and s.value == want
+        assert _same_as_fraction_valued(s)
+    # raw values as accumulators leave them: 2 * (1/2) is Fraction(1)
+    raw = [fa * fb, 2 * Fraction(1, 2), fa, Fraction(y) * 0, fb + 1]
+    got = scalar_vec(RATIONAL, raw)
+    assert _fractions(got) and [s.value for s in got] == raw
+    cells = {(i,): v for i, v in enumerate(raw) if v}
+    dense = RawTensor(RATIONAL, (len(raw),), cells).dense()
+    assert _fractions(dense) and dense == got
+    assert all(_same_as_fraction_valued(s) for s in got)
+
+
+@st.composite
+def q_pairs(draw):
+    """Q matrices a (r x k) and b (k x c) of mixed ints and fractions."""
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    return tuple(q(draw(st.lists(st.lists(q_values, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows)))
+                 for rows, cols in ((r, k), (k, c)))
+
+
+def _fraction_rows(m) -> list:
+    return [[Fraction(s.value) for s in row] for row in m]
+
+
+def _fraction_apply(rows, x) -> list:
+    return [sum((u * Fraction(v.value) for u, v in zip(row, x)), Fraction(0)) for row in rows]
+
+
+@given(q_pairs())
+def test_q_linear_algebra_holds_lean_values(case):
+    a, b = case
+    fa, fb = _fraction_rows(a), _fraction_rows(b)
+    product = mat_mul(a, b)
+    assert all(_fractions(row) for row in product)
+    assert _fraction_rows(product) == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                                        for col in zip(*fb)] for row in fa]
+    reduced, piv = rref(a, RATIONAL)
+    assert all(_fractions(row) for row in reduced)
+    assert (_fraction_rows(reduced), piv) == _dense_rref(fa, len(fa[0]), 0)
+    ker = kernel_basis(a, RATIONAL)
+    assert all(_fractions(v) and not any(_fraction_apply(fa, v)) for v in ker)
+    rhs = tuple(row[0] for row in a)
+    sol = solve_linear(a, rhs, RATIONAL)
+    assert sol is not None and _fractions(sol.particular)
+    assert _fraction_apply(fa, sol.particular) == [Fraction(s.value) for s in rhs]
+    assert all(_fractions(v) and not any(_fraction_apply(fa, v)) for v in sol.nullspace)
