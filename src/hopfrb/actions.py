@@ -1,32 +1,30 @@
 """Module and comodule structures over the algebras in `structures`.
 
-Actions are stored algebra-index-first regardless of side: ``act[i][j][k]``
-is the coefficient of ``f_k`` in ``e_i . f_j`` (left) or ``f_j . e_i``
-(right).  With that layout the operator ``matrix(r)`` of an algebra element
-is one formula for both sides, so everything downstream that consumes
-action operators is side-free; only the associativity axiom sees the
-difference (composition order flips).
+Actions are stored algebra-index-first regardless of side: the cell
+``act[i, j, k]`` is the coefficient of ``f_k`` in ``e_i . f_j`` (left) or
+``f_j . e_i`` (right).  With that layout the operator ``matrix(r)`` of an
+algebra element is one formula for both sides, so everything downstream
+that consumes action operators is side-free; only the associativity axiom
+sees the difference (composition order flips).
 
-Coactions are right coactions, ``co[i][j][k]`` the coefficient of
+Coactions are right coactions, the cell ``co[i, j, k]`` the coefficient of
 ``f_j (x) e_k`` in ``rho(f_i)``, with module-major lex layout on tensor
-coordinates.
+coordinates.  Both are stored as raw sparse tensors (`RawTensor`), as the
+structures' constants are.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .exactlin import (
-    DimensionError,
     Mat,
     RawTensor,
     Record,
-    Tensor3,
     Vec,
     contract,
     kernel_basis,
     raw_identity,
     scalar_vec,
+    stored,
     tensor_vec,
     unit_vec,
 )
@@ -54,19 +52,20 @@ class ActionStructure(Record):
 
     ``_reports`` keeps this object's `check_action` report (`_kept_on_host`)."""
 
+    _stored = "act"
+
     algebra: FinAlgebra
     dim: int
     side: str  # "left" | "right"
-    act: Tensor3
+    act: RawTensor
     name: str = ""
 
     def __post_init__(self) -> None:
         if self.side not in ("left", "right"):
             raise StructureError(f"{self.name}: side must be left or right")
-        if len(self.act) != self.algebra.dim or any(
-            len(p) != self.dim or any(len(r) != self.dim for r in p) for p in self.act
-        ):
-            raise DimensionError(f"{self.name}: action tensor is not adim x mdim x mdim")
+        object.__setattr__(self, "act", stored(self.field, self.act,
+                                               (self.algebra.dim, self.dim, self.dim),
+                                               f"{self.name}: action", "adim x mdim x mdim"))
         object.__setattr__(self, "_reports", {})
 
     @property
@@ -76,14 +75,9 @@ class ActionStructure(Record):
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
 
-    @cached_property
-    def raw(self) -> RawTensor:
-        """Raw sparse view of act, built on first use."""
-        return RawTensor.of(self.field, self.act, (self.algebra.dim, self.dim, self.dim))
-
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""
-        cells = self.raw.grouped((0,), (1, 2))
+        cells = self.act.grouped((0,), (1, 2))
         acc = [[0] * self.dim for _ in range(self.dim)]
         for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
             for (j, k), a in cells.get(i, ()):
@@ -91,7 +85,7 @@ class ActionStructure(Record):
         return tuple(scalar_vec(self.field, row) for row in acc)
 
     def apply(self, r: Vec, m: Vec) -> Vec:
-        cells = self.raw.grouped((0, 1), (2,))
+        cells = self.act.grouped((0, 1), (2,))
         acc = [0] * self.dim
         ms = [(j, v) for j, s in enumerate(m) if (v := s.value)]
         for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
@@ -107,17 +101,17 @@ class CoactionStructure(Record):
 
     ``_reports`` keeps this object's `check_coaction` report (`_kept_on_host`)."""
 
+    _stored = "co"
+
     coalgebra: FinCoalgebra
     dim: int
-    co: Tensor3
+    co: RawTensor
     name: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.co) != self.dim or any(
-            len(p) != self.dim or any(len(r) != self.coalgebra.dim for r in p)
-            for p in self.co
-        ):
-            raise DimensionError(f"{self.name}: coaction tensor is not mdim x mdim x cdim")
+        object.__setattr__(self, "co", stored(self.field, self.co,
+                                              (self.dim, self.dim, self.coalgebra.dim),
+                                              f"{self.name}: coaction", "mdim x mdim x cdim"))
         object.__setattr__(self, "_reports", {})
 
     @property
@@ -127,14 +121,9 @@ class CoactionStructure(Record):
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
 
-    @cached_property
-    def raw(self) -> RawTensor:
-        """Raw sparse view of co, built on first use."""
-        return RawTensor.of(self.field, self.co, (self.dim, self.dim, self.coalgebra.dim))
-
     def coact_vec(self, m: Vec) -> Vec:
         """rho(m) on the (module, coalgebra) lex pair basis."""
-        h, cells = self.coalgebra.dim, self.raw.grouped((0,), (1, 2))
+        h, cells = self.coalgebra.dim, self.co.grouped((0,), (1, 2))
         acc = [0] * (self.dim * h)
         for i, mi in [(i, v) for i, s in enumerate(m) if (v := s.value)]:
             for (j, k), c in cells.get(i, ()):
@@ -235,14 +224,8 @@ class DoiHopfModule(Record):
 
 def regular_action(a: FinAlgebra, side: str) -> ActionStructure:
     """A acting on itself by multiplication on the given side."""
-    if side == "left":
-        act = a.mult
-    else:
-        n = a.dim
-        act = tuple(
-            tuple(tuple(a.mult[j][i][k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    # f_j . e_i = e_j e_i
+    act = a.mult if side == "left" else a.mult.permuted(1, 0, 2)
     return ActionStructure(a, a.dim, side, act, name=f"{a.name}-regular-{side}")
 
 
@@ -254,14 +237,9 @@ def regular_coaction(b: CoalgebraLike) -> CoactionStructure:
 def trivial_action(b: BialgebraLike, mdim: int, side: str = "left") -> ActionStructure:
     """Action through the counit: every h acts as eps(h) id."""
     alg, co = algebra_of(b), coalgebra_of(b)
-    f = alg.field
-    act = tuple(
-        tuple(
-            tuple(co.counit[i] if j == k else f.zero for k in range(mdim))
-            for j in range(mdim)
-        )
-        for i in range(alg.dim)
-    )
+    act = RawTensor(alg.field, (alg.dim, mdim, mdim),
+                    {(i, j, j): e.value for i, e in enumerate(co.counit) if e.value
+                     for j in range(mdim)})
     return ActionStructure(alg, mdim, side, act, name=f"{name_of(b)}-trivial")
 
 
@@ -271,14 +249,11 @@ def coaction_to_dual_action(
     """Left action of the dual convolution algebra: f . m = m_(0) f(m_(1))."""
     if dual is None:
         dual = dual_algebra(com.coalgebra)
-    h = com.coalgebra.dim
-    if dual.dim != h:
+    if dual.dim != com.coalgebra.dim:
         raise StructureError("dual algebra dimension does not match the coalgebra")
-    act = tuple(
-        tuple(tuple(com.co[i][j][u] for j in range(com.dim)) for i in range(com.dim))
-        for u in range(h)
-    )
-    return ActionStructure(dual, com.dim, "left", act, name=f"{com.name}-dual-action")
+    # e_u^ . f_i = sum_j co[i, j, u] f_j
+    return ActionStructure(dual, com.dim, "left", com.co.permuted(2, 0, 1),
+                           name=f"{com.name}-dual-action")
 
 
 # ---------------------------------------------------------------------------
@@ -450,4 +425,4 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
         pil, _ = _target_source(halg, coalgebra_of(host))
         corr = contract("ijl,kl->jki", c, pil)
     # one row per f_j (x) e_k, over the coefficient of f_i
-    return kernel_basis(list((c.raw.permuted(1, 2, 0) - corr).rows(2).values()), f, ncols=n)
+    return kernel_basis(list((c.co.permuted(1, 2, 0) - corr).rows(2).values()), f, ncols=n)

@@ -25,6 +25,7 @@ from .exactlin import (
     FieldSpec,
     RATIONAL,
     Mat,
+    RawTensor,
     Record,
     Vec,
     identity,
@@ -34,7 +35,6 @@ from .exactlin import (
     scalar_vec,
     unit_vec,
     vec,
-    zeros_vec,
 )
 from .structures import (
     Bialgebra,
@@ -132,20 +132,15 @@ def groupoid_algebra(name: str, arrows, labels, compose, inverse,
     labels = tuple(labels)
     n = len(arrows)
     idx = {a: i for i, a in enumerate(arrows)}
-    zero = zeros_vec(field, n)
-    e = tuple(unit_vec(field, n, i) for i in range(n))
-
-    def product(a, b):
-        ab = compose(a, b)
-        return zero if ab is None else e[idx[ab]]
-
-    mult = tuple(tuple(product(a, b) for b in arrows) for a in arrows)
+    composites = ((i, j, compose(a, b)) for i, a in enumerate(arrows)
+                  for j, b in enumerate(arrows))
+    mult = {(i, j, idx[ab]): 1 for i, j, ab in composites if ab is not None}
     identities = [int(compose(a, a) == a) for a in arrows]
     unit = vec(field, identities)
-    alg = FinAlgebra(field, n, labels, mult, unit=unit, name=name)
-    comult = tuple(tuple(e[i] if j == i else zero for j in range(n)) for i in range(n))
+    alg = FinAlgebra(field, n, labels, RawTensor(field, (n,) * 3, mult), unit=unit, name=name)
+    comult = RawTensor(field, (n,) * 3, {(i, i, i): 1 for i in range(n)})
     coalg = FinCoalgebra(field, n, labels, comult, counit=vec(field, [1] * n))
-    s = mat_from_cols([e[idx[inverse(a)]] for a in arrows])
+    s = mat_from_cols([unit_vec(field, n, idx[inverse(a)]) for a in arrows])
     if sum(identities) == 1:
         return HopfAlgebra(name, Bialgebra(name, alg, coalg), s)
     return WeakHopfAlgebra(name, WeakBialgebra(name, alg, coalg), s)
@@ -190,13 +185,9 @@ def symmetric_group_algebra_s3(field: FieldSpec = RATIONAL) -> HopfAlgebra:
 def dual_c2_hopf(field: FieldSpec = RATIONAL) -> HopfAlgebra:
     """Functions on Z/2: orthogonal idempotents de, dg; comultiplication
     dual to the group product."""
-    z = zeros_vec(field, 2)
-    mult = ((vec(field, [1, 0]), z), (z, vec(field, [0, 1])))
+    mult = RawTensor(field, (2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
     alg = FinAlgebra(field, 2, ("de", "dg"), mult, unit=vec(field, [1, 1]), name="dual-c2")
-    com = (
-        (vec(field, [1, 0]), vec(field, [0, 1])),
-        (vec(field, [0, 1]), vec(field, [1, 0])),
-    )
+    com = RawTensor(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
     coalg = FinCoalgebra(field, 2, ("de", "dg"), com, counit=vec(field, [1, 0]))
     return HopfAlgebra("dual-c2", Bialgebra("dual-c2", alg, coalg), identity(field, 2))
 
@@ -207,42 +198,22 @@ def sweedler_h4(field: FieldSpec = RATIONAL) -> HopfAlgebra:
     if field.kind == "prime" and field.p == 2:
         raise FieldError("this structure degenerates in characteristic 2")
     one, g, x, gx = range(4)
-    z = [0] * 4
-
-    def e(i, c=1):
-        out = list(z)
-        out[i] = c
-        return vec(field, out)
-
-    zero = vec(field, z)
-    mult = [[zero] * 4 for _ in range(4)]
-    for i in range(4):
-        mult[one][i] = e(i)
-        mult[i][one] = e(i)
-    mult[g][g] = e(one)
-    mult[g][x] = e(gx)
-    mult[g][gx] = e(x)
-    mult[x][g] = e(gx, -1)
-    mult[x][x] = zero
-    mult[x][gx] = zero
-    mult[gx][g] = e(x, -1)
-    mult[gx][x] = zero
-    mult[gx][gx] = zero
-    alg = FinAlgebra(
-        field, 4, ("1", "g", "x", "gx"),
-        tuple(tuple(r) for r in mult), unit=e(one), name="h4",
-    )
-    com = [[zero] * 4 for _ in range(4)]
-    com[one][one] = e(one)
-    com[g][g] = e(g)
-    com[x][x] = e(one)          # x (x) 1
-    com[x][g] = e(x)            # g (x) x
-    com[gx][gx] = e(g)          # gx (x) g
-    com[gx][one] = e(gx)        # 1 (x) gx
-    coalg = FinCoalgebra(
-        field, 4, ("1", "g", "x", "gx"),
-        tuple(tuple(r) for r in com), counit=vec(field, [1, 1, 0, 0]),
-    )
+    # e_i e_j = c e_k as the cell (i, j, k): c; every other product is 0
+    mult = {(i, one, i): 1 for i in range(4)}
+    mult.update({(one, i, i): 1 for i in range(4)})
+    mult.update({(g, g, one): 1, (g, x, gx): 1, (g, gx, x): 1, (x, g, gx): -1, (gx, g, x): -1})
+    alg = FinAlgebra(field, 4, ("1", "g", "x", "gx"), RawTensor.read(field, (4,) * 3, mult),
+                     unit=vec(field, [1, 0, 0, 0]), name="h4")
+    com = {
+        (one, one, one): 1,
+        (g, g, g): 1,
+        (x, x, one): 1,         # x (x) 1
+        (x, g, x): 1,           # g (x) x
+        (gx, gx, g): 1,         # gx (x) g
+        (gx, one, gx): 1,       # 1 (x) gx
+    }
+    coalg = FinCoalgebra(field, 4, ("1", "g", "x", "gx"), RawTensor.read(field, (4,) * 3, com),
+                         counit=vec(field, [1, 1, 0, 0]))
     s = [[0] * 4 for _ in range(4)]
     s[one][one] = 1
     s[g][g] = 1
@@ -269,8 +240,7 @@ def pair_groupoid_weak_hopf(field: FieldSpec = RATIONAL) -> WeakHopfAlgebra:
 
 def dual_numbers_algebra(field: FieldSpec = RATIONAL) -> FinAlgebra:
     """k[x]/(x^2) on the basis 1, x."""
-    z = zeros_vec(field, 2)
-    mult = ((vec(field, [1, 0]), vec(field, [0, 1])), (vec(field, [0, 1]), z))
+    mult = RawTensor(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     return FinAlgebra(field, 2, ("1", "x"), mult, unit=vec(field, [1, 0]), name="kx-mod-x2")
 
 
@@ -278,11 +248,8 @@ def sign_action_on_dual_numbers(h: HopfAlgebra) -> ActionStructure:
     """g acts on k[x]/(x^2) by x |-> -x; a module-algebra action."""
     from .actions import ActionStructure
 
-    f = h.field
-    act = (
-        (vec(f, [1, 0]), vec(f, [0, 1])),
-        (vec(f, [1, 0]), vec(f, [0, -1])),
-    )
+    act = RawTensor.read(h.field, (2, 2, 2),
+                         {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 0): 1, (1, 1, 1): -1})
     return ActionStructure(algebra_of(h), 2, "left", act, name="kx-mod-x2-with-c2-action")
 
 
@@ -596,8 +563,9 @@ def list_instances() -> tuple[str, ...]:
 # One JSON object per structure.  Structure constants are sparse triple
 # lists {i, j, k, c}; omitted entries are zero; scalars are strings or
 # integers.  Composite kinds reference previously declared entries by name.
-# A "dim" above MAX_DIM is refused before anything is allocated: the dense
-# tensors built from a file grow with the cube of its dims.
+# A "dim" above MAX_DIM is refused before any triple is read: the checks of
+# a loaded structure walk products of its structure constants, whose count
+# grows with the cube of its dims and more.
 
 MAX_DIM = 64
 
@@ -671,11 +639,11 @@ def _parse_field(obj) -> FieldSpec:
     raise CatalogError(f"unknown field kind {obj['kind']!r}")
 
 
-def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int):
+def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int) -> RawTensor:
     """The a x b x c tensor of the sparse triple list under `key`; an
-    absent key is the zero tensor."""
+    absent key is the zero tensor, and repeated triples add up."""
     triples = _listed(obj, key, default=[])
-    cells = [[[field.zero] * c for _ in range(b)] for _ in range(a)]
+    cells: dict = {}
     for item in triples:
         if not (isinstance(item, dict) and all(x in item for x in "ijk")
                 and type(item.get("c")) in (str, int)):
@@ -684,14 +652,14 @@ def _parse_tensor3(field: FieldSpec, obj: dict, key: str, a: int, b: int, c: int
         i, j, k = (_int(item[x], f"{key} index") for x in "ijk")
         if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
             raise CatalogError(f"{key} index out of range in {item!r}")
-        cells[i][j][k] += field.of(item["c"])
-    return tuple(tuple(tuple(r) for r in plane) for plane in cells)
+        cells[i, j, k] = cells.get((i, j, k), field.zero) + field.of(item["c"])
+    return RawTensor.read(field, (a, b, c), cells)
 
 
-def _dump_tensor3(raw) -> list:
-    """Triple list of a structure's raw sparse view."""
-    return [{"i": i, "j": j, "k": k, "c": str(scalar_vec(raw.field, [c])[0])}
-            for (i, j, k), c in sorted(raw.cells.items())]
+def _dump_tensor3(t: RawTensor) -> list:
+    """Triple list of a structure's stored tensor."""
+    return [{"i": i, "j": j, "k": k, "c": str(scalar_vec(t.field, [c])[0])}
+            for (i, j, k), c in sorted(t.cells.items())]
 
 
 _STRUCTURE_KINDS = ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf")
@@ -840,12 +808,12 @@ def dump(entry: CatalogEntry) -> dict:
         out["field"] = alg.field.to_json()
         out["dim"] = alg.dim
         out["basis"] = list(alg.labels)
-        out["mult"] = _dump_tensor3(alg.raw)
+        out["mult"] = _dump_tensor3(alg.mult)
         if alg.unit is not None:
             out["unit"] = [str(c) for c in alg.unit]
         if entry.kind != "algebra":
             co = coalgebra_of(p)
-            out["comult"] = _dump_tensor3(co.raw)
+            out["comult"] = _dump_tensor3(co.comult)
             out["counit"] = [str(c) for c in co.counit]
             s = getattr(p, "antipode", None)
             if s is not None:
@@ -854,11 +822,11 @@ def dump(entry: CatalogEntry) -> dict:
         out.update(entry.refs)
         out["side"] = p.side
         out["dim"] = p.dim
-        out["action"] = _dump_tensor3(p.raw)
+        out["action"] = _dump_tensor3(p.act)
     elif entry.kind == "comodule":
         out.update(entry.refs)
         out["dim"] = p.dim
-        out["coaction"] = _dump_tensor3(p.raw)
+        out["coaction"] = _dump_tensor3(p.co)
     elif entry.kind in ("dimodule", "hopf-module", "doi-hopf"):
         out.update(entry.refs)
     elif entry.kind == "pairing":

@@ -1,14 +1,15 @@
 """Exact scalars and linear algebra over Q and F_p.
 
 Every higher layer manipulates structure constants through this module.
-Vectors, matrices and 3-index tensors are immutable nested tuples of
-Scalar values, all operations are pure, and every comparison is exact;
-there are no floats and no tolerances anywhere.  Under them sit raw values
-in sparse form: ints mod p, or over Q ints when integral and Fractions
-otherwise, so integer structure constants multiply at machine-int speed.
-Every sum of products of structure constants is one `contract` call, in
-einsum notation; it reads raw sparse tensors (`RawTensor`: the view each
-carrier keeps of its tensor, or an earlier result) and returns one, so
+Vectors and matrices are immutable nested tuples of Scalar values, all
+operations are pure, and every comparison is exact; there are no floats
+and no tolerances anywhere.  Under them sit raw values in sparse form:
+ints mod p, or over Q ints when integral and Fractions otherwise, so
+integer structure constants multiply at machine-int speed.  Structure
+constants are stored only in that form, as the nonzero cells of a
+`RawTensor`.  Every sum of products of structure constants is one
+`contract` call, in einsum notation; it reads raw sparse tensors (a
+carrier's stored tensor, or an earlier result) and returns one, so
 checkers compare and chain results without building Scalars.  Row
 reduction is one sparse Gauss-Jordan on raw rows, which visits only
 nonzero entries; the system builders hand it raw rows, and Scalars appear
@@ -352,7 +353,6 @@ RATIONAL = FieldSpec("rational")
 
 Vec = tuple  # tuple[Scalar, ...]
 Mat = tuple  # tuple[Vec, ...], row major
-Tensor3 = tuple  # tuple[Mat, ...]
 
 
 def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
@@ -389,14 +389,15 @@ class RawTensor:
     ``cells`` maps each index tuple of a nonzero cell to its raw value: an
     int reduced mod p, or over Q an int when integral and a Fraction
     otherwise, the value a Scalar holds; ``shape`` is the extent of each
-    index.  One type serves as the view a carrier keeps of its dense Scalar
-    tensor (`RawTensor.of`, built once per carrier, which takes each
-    Scalar's value as it is) and as what `contract` returns, and `contract`
-    reads either.  `grouped` files the cells by one layout once, for every
-    `contract` that reads the tensor that way; `+` and `-` add cellwise and
-    refuse mixed fields; `permuted` reorders the indices; `rows` files the
-    cells as sparse rows; `flat` and `dense` give the values back on a lex
-    basis, the latter as Scalars, at the boundary.
+    index.  One type is the form in which every carrier stores its
+    structure constants (`stored`) and what `contract` returns, and
+    `contract` reads either.  `grouped` files the cells by one layout once,
+    for every `contract` that reads the tensor that way; `+` and `-` add
+    cellwise and refuse mixed fields; `permuted` reorders the indices;
+    `rows` files the cells as sparse rows; `flat` and `dense` give the
+    values back on a lex basis, the latter as Scalars, at the boundary.
+    ``==`` and ``hash`` read the shape and the cells, and ``repr`` lists
+    the cells in index order.
     """
 
     __slots__ = ("field", "shape", "cells", "_groups")
@@ -405,12 +406,23 @@ class RawTensor:
         self.field, self.shape, self.cells, self._groups = field, shape, cells, {}
 
     @classmethod
-    def of(cls, field: FieldSpec, t, shape: tuple) -> "RawTensor":
-        """The raw view of the dense Scalar tensor t (nested tuples) of `shape`."""
+    def of(cls, field: FieldSpec, t, shape: tuple, ragged: str | None = None) -> "RawTensor":
+        """The raw form of the dense Scalar tensor t (nested tuples) of
+        `shape`; with `ragged` given, a t of another shape raises
+        DimensionError(ragged)."""
         level = [((), t)]
-        for _ in shape:
+        for d in shape:
+            if ragged is not None and any(len(xs) != d for _, xs in level):
+                raise DimensionError(ragged)
             level = [((*idx, i), x) for idx, xs in level for i, x in enumerate(xs)]
         return cls(field, shape, {idx: v for idx, s in level if (v := s.value)})
+
+    @classmethod
+    def read(cls, field: FieldSpec, shape: tuple, entries: dict) -> "RawTensor":
+        """The tensor whose cell at each index tuple of `entries` holds the
+        value `field.of` reads from it; zeros are dropped."""
+        return cls(field, shape,
+                   {idx: v for idx, x in entries.items() if (v := field.of(x).value)})
 
     def grouped(self, key: tuple, rest: tuple) -> dict:
         if (key, rest) not in self._groups:
@@ -420,6 +432,13 @@ class RawTensor:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RawTensor) and self.shape == other.shape
                 and self.cells == other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, frozenset(self.cells.items())))
+
+    def __repr__(self) -> str:
+        return (f"RawTensor(field={self.field!r}, shape={self.shape!r}, "
+                f"cells={dict(sorted(self.cells.items()))!r})")
 
     def _merged(self, other: "RawTensor", sign: int) -> "RawTensor":
         if self.shape != other.shape:
@@ -489,10 +508,30 @@ class RawTensor:
         return blocks(values, *shape[:-1]) if len(shape) > 1 else values
 
 
+def stored(field: FieldSpec, t, shape: tuple, what: str, extent: str) -> RawTensor:
+    """The structure constants t of a carrier over `field`, in the form the
+    carrier stores them: t itself when it is a RawTensor of `shape` over
+    `field` (one over no field, a `contract` of empty operands, takes
+    `field`), or else the dense Scalar tensor t read once.  Another shape
+    raises DimensionError and another field FieldError, naming `what`; a
+    ragged dense t reads "<what> tensor is not <extent>"."""
+    if not isinstance(t, RawTensor):
+        return RawTensor.of(field, t, shape, f"{what} tensor is not {extent}")
+    if t.shape != shape:
+        raise DimensionError(f"{what} tensor is not {extent}: raw shape {t.shape}")
+    if t.field is None:
+        return RawTensor(field, shape, t.cells)
+    if t.field != field:
+        raise FieldError(f"{what} tensor is over {t.field}, not {field}")
+    return t
+
+
 def differing(got: RawTensor, want: RawTensor | None, depth: int) -> list:
     """The sorted index prefixes of length `depth` under which the cells of
     got and want differ; a missing want is zero."""
     a, b = got.cells, {} if want is None else want.cells
+    if a == b:  # cells hold no zeros, so equal cells differ nowhere
+        return []
     return sorted({idx[:depth] for idx in a.keys() | b.keys() if a.get(idx, 0) != b.get(idx, 0)})
 
 
@@ -550,14 +589,15 @@ def _plan(spec: str) -> tuple:
 
 
 def raw_view(op, rank: int = 2) -> RawTensor:
-    """`op` as a raw tensor: itself, a carrier's ``.raw``, or a Scalar tensor
-    of `rank` (a matrix by default) read off, once per call: pass the view on
-    to read one Scalar operand in several `contract` calls."""
+    """`op` as a raw tensor: itself, a carrier's stored tensor (the field
+    its class names in ``_stored``), or a Scalar tensor of `rank` (a matrix
+    by default) read off, once per call: pass the view on to read one
+    Scalar operand in several `contract` calls."""
     if isinstance(op, RawTensor):
         return op
-    raw = getattr(op, "raw", None)
-    if raw is not None:
-        return raw
+    name = getattr(op, "_stored", None)
+    if name is not None:
+        return getattr(op, name)
     shape, first = [], op
     for _ in range(rank):
         shape.append(len(first))
@@ -572,8 +612,8 @@ def contract(spec: str, *operands) -> RawTensor:
     algebra a.
 
     An operand is a raw tensor (what `contract` returns), a carrier
-    (FinAlgebra, FinCoalgebra, ActionStructure, CoactionStructure) read
-    through its raw view ``.raw``, or a Scalar matrix or vector.  No
+    (FinAlgebra, FinCoalgebra, ActionStructure, CoactionStructure), read
+    as the raw tensor it stores, or a Scalar matrix or vector.  No
     letter repeats within an operand.  The plan is built once per spec.
     The arithmetic runs on raw values, a letter is summed out as soon as
     no later operand carries it, and the result stays raw: a RawTensor
@@ -816,7 +856,7 @@ def rref(a, field: FieldSpec) -> tuple:
         return tuple(done), tuple(piv_cols)
     nc = len(a[0])
     out = [scalar_vec(field, [row.get(j, 0) for j in range(nc)]) for row in done]
-    out += [(field.zero,) * nc] * (len(a) - len(done))
+    out += [zeros_vec(field, nc)] * (len(a) - len(done))
     return tuple(out), tuple(piv_cols)
 
 

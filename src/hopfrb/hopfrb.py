@@ -22,7 +22,6 @@ from .exactlin import (
     Record,
     Scalar,
     Vec,
-    apply_mat,
     blocks,
     column_space_basis,
     contract,
@@ -98,7 +97,7 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
     left = side == "left"
-    basis = _fixed_space(alg.raw.permuted(0, 2, 1) if left else alg.raw.permuted(1, 2, 0),
+    basis = _fixed_space(alg.mult.permuted(0, 2, 1) if left else alg.mult.permuted(1, 2, 0),
                          co.counit)
     _postcondition(
         "every integral solves h x = eps(h) x" if left else "every integral solves x h = eps(h) x",
@@ -153,7 +152,7 @@ def integral_T(
     t = m.matrix(e)
     _postcondition("integral operator is idempotent", m.name, mat_mul(t, t), t)
     _postcondition("integral operator is linear over the host", m.name, check_a_linear(m, t))
-    fixed = _fixed_space(m.raw.permuted(0, 2, 1), co.counit)
+    fixed = _fixed_space(m.act.permuted(0, 2, 1), co.counit)
     cols = transpose(t)
     _postcondition("image of the integral operator is the fixed subspace", m.name,
                    span_eq(column_space_basis(t, alg.field), fixed, alg.field), True,
@@ -178,9 +177,8 @@ def adjoint_action(h) -> ActionStructure:
     s = antipode_of(h)
     if s is None:
         raise PreconditionError("adjoint action needs an antipode")
-    n = alg.dim
-    act = contract("iab,ajt,sb,tsr->ijr", co, alg, s, alg).dense()
-    return ActionStructure(alg, n, "left", act, name=f"{name_of(h)}-adjoint")
+    act = contract("iab,ajt,sb,tsr->ijr", co, alg, s, alg)
+    return ActionStructure(alg, alg.dim, "left", act, name=f"{name_of(h)}-adjoint")
 
 
 def smash_integral_T(
@@ -259,15 +257,9 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     pil, _ = target_source(w)
     _postcondition("target map is idempotent", name_of(w), mat_mul(pil, pil), pil)
     sub = subalgebra_image(pil, alg)
-    r = sub.algebra.dim
-    n = alg.dim
-    act = []
-    for s in range(r):
-        z = apply_mat(sub.inclusion, sub.algebra.basis(s))
-        act.append(tuple(alg.mul(z, alg.basis(j)) for j in range(n)))
-    module = ActionStructure(
-        sub.algebra, n, "left", tuple(act), name=f"{name_of(w)}-over-target"
-    )
+    # b_s . e_j = (sum_x inclusion[x][s] e_x) e_j
+    act = contract("xs,xjk->sjk", sub.inclusion, alg)
+    module = ActionStructure(sub.algebra, alg.dim, "left", act, name=f"{name_of(w)}-over-target")
     _postcondition("multiplication by the target subalgebra is a module action", module.name,
                    check_action(module))
     _postcondition("target map is linear over the target subalgebra", module.name,
@@ -275,7 +267,7 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     # an idempotent fixes its image, so the restricted target map is the identity
     _postcondition("target map fixes its own image", name_of(w),
                    mat_mul(pil, sub.inclusion), sub.inclusion)
-    p_sub = identity(f, r)
+    p_sub = identity(f, sub.algebra.dim)
     lam = -f.one
     rb_report = check_rb_operator(sub.algebra, p_sub, lam, instance=f"{name_of(w)}-target")
     _postcondition("restricted target map is a Rota-Baxter operator", rb_report.instance,
@@ -308,13 +300,8 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
     inst = RbpInstance(alg, module, pil, pil, lam, name=f"{name_of(w)}-adjoint-instance")
     _postcondition("adjoint instance satisfies the paired identity", inst.name,
                    check_rbp_module(inst))
-    n = alg.dim
-    _postcondition(
-        "target of the adjoint action is the target of the product", module.name,
-        tuple(tuple(apply_mat(pil, module.apply(alg.basis(i), alg.basis(j))) for j in range(n))
-              for i in range(n)),
-        tuple(tuple(apply_mat(pil, alg.mult[i][j]) for j in range(n)) for i in range(n)),
-    )
+    _postcondition("target of the adjoint action is the target of the product", module.name,
+                   contract("ijx,rx->ijr", module, pil), contract("ijx,rx->ijr", alg, pil))
     return inst
 
 
@@ -419,8 +406,7 @@ def _pairing_dimodule(h: BialgebraLike, sigma: Mat, flavor: str) -> Dimodule:
     n = alg.dim
     # long: x . h = sigma(h_(2), x) h_(1); braided: x . h = sigma(x, h_(1)) h_(2)
     act = contract("hab,bx->xha" if flavor == "long" else "hab,xa->xhb", co, sigma)
-    action = ActionStructure(alg, n, "left", act.dense(),
-                             name=f"{name_of(h)}-{flavor}-action")
+    action = ActionStructure(alg, n, "left", act, name=f"{name_of(h)}-{flavor}-action")
     return Dimodule(h, action, regular_coaction(h), name=f"{name_of(h)}-{flavor}-dimodule")
 
 
@@ -516,7 +502,7 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
     coaction = CoactionStructure(
         coalgebra_of(h),
         n,
-        contract("aiu,ij->auj", alg, r).dense(),
+        contract("aiu,ij->auj", alg, r),
         name=f"{name_of(h)}-rmatrix-coaction",
     )
     dim = Dimodule(

@@ -450,14 +450,11 @@ def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
     for d in dims:
         offs.append(run)
         run += d
-    act = [[[f.zero] * total for _ in range(total)] for _ in range(a.dim)]
+    act = {}
     t = [[f.zero] * total for _ in range(total)]
     for inst, off in zip(instances, offs):
         d = inst.module.dim
-        for i in range(a.dim):
-            for j in range(d):
-                for k in range(d):
-                    act[i][off + j][off + k] = inst.module.act[i][j][k]
+        act.update({(i, off + j, off + k): v for (i, j, k), v in inst.module.act.cells.items()})
         for r in range(d):
             for c in range(d):
                 t[off + r][off + c] = inst.t[r][c]
@@ -465,7 +462,7 @@ def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
         a,
         total,
         first.module.side,
-        tuple(tuple(tuple(r) for r in plane) for plane in act),
+        RawTensor(f, (a.dim, total, total), act),
         name="(+)".join(inst.module.name or "?" for inst in instances),
     )
     out = RbpInstance(
@@ -523,10 +520,10 @@ def double_construction(
         raise PreconditionError("double_construction needs a verified paired module")
     n, d = a.dim, m.dim
     rp, rt = raw_view(p), raw_view(t)
-    star = FinAlgebra(a.field, n, a.labels, _induced(rp, a, _shifted(rp, lam)).dense(), None,
+    star = FinAlgebra(a.field, n, a.labels, _induced(rp, a, _shifted(rp, lam)), None,
                       name=f"{a.name}-star")
     _postcondition("star product is an algebra", star.name, check_algebra(star))
-    tri = ActionStructure(star, d, m.side, _induced(rp, m, _shifted(rt, lam)).dense(),
+    tri = ActionStructure(star, d, m.side, _induced(rp, m, _shifted(rt, lam)),
                           name=f"{m.name}-tri")
     _postcondition("induced action is a module action", tri.name, check_action(tri))
     _postcondition("intertwining T(a |> m) = P(a) . T(m)", tri.name,

@@ -1,11 +1,13 @@
 """Finite-dimensional algebraic structures given by structure constants.
 
-An algebra stores ``mult[i][j][k]`` with ``e_i e_j = sum_k mult[i][j][k] e_k``,
-a coalgebra stores ``comult[i][j][k]`` with ``Delta(e_i) = sum comult[i][j][k]
-e_j (x) e_k``; bialgebras, Hopf algebras and their weak variants are layered
-on top of those two tensors.  Axiom checkers return a Report with the first
-violating basis tuple per axiom; nothing is ever assumed to hold because a
-constructor was called.
+An algebra stores the cells (i, j, k) of ``mult`` with ``e_i e_j = sum_k
+mult[i, j, k] e_k``, a coalgebra those of ``comult`` with ``Delta(e_i) = sum
+comult[i, j, k] e_j (x) e_k``, each as a raw sparse tensor (`RawTensor`)
+that every kernel and `contract` read as it is; a dense Scalar tensor
+passed to a constructor is read into that form once.  Bialgebras, Hopf
+algebras and their weak variants are layered on top of those two tensors.
+Axiom checkers return a Report with the first violating basis tuple per
+axiom; nothing is ever assumed to hold because a constructor was called.
 
 The weak counital maps are written ``pi_L`` (target) and ``pi_R`` (source):
 ``pi_L(h) = eps(1_(1) h) 1_(2)`` and ``pi_R(h) = eps(h 1_(2)) 1_(1)``.
@@ -13,7 +15,7 @@ The weak counital maps are written ``pi_L`` (target) and ``pi_R`` (source):
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import product
 from typing import Union
 
@@ -24,7 +26,6 @@ from .exactlin import (
     RawTensor,
     Record,
     Scalar,
-    Tensor3,
     Vec,
     apply_mat,
     blocks,
@@ -35,6 +36,7 @@ from .exactlin import (
     raw_identity,
     scalar_vec,
     solve_linear,
+    stored,
     unit_vec,
 )
 from .report import Checker, Report, Violation, _postcondition
@@ -57,10 +59,12 @@ class FinAlgebra(Record):
 
     ``_reports`` keeps this object's `check_algebra` report (`_kept_on_host`)."""
 
+    _stored = "mult"
+
     field: FieldSpec
     dim: int
     labels: tuple
-    mult: Tensor3
+    mult: RawTensor
     unit: Vec | None = None
     name: str = ""
 
@@ -68,10 +72,8 @@ class FinAlgebra(Record):
         object.__setattr__(self, "_reports", {})
         if len(self.labels) != self.dim:
             raise DimensionError(f"{self.name}: {len(self.labels)} labels for dim {self.dim}")
-        if len(self.mult) != self.dim or any(
-            len(p) != self.dim or any(len(r) != self.dim for r in p) for p in self.mult
-        ):
-            raise DimensionError(f"{self.name}: mult tensor is not dim^3")
+        object.__setattr__(self, "mult", stored(self.field, self.mult, (self.dim,) * 3,
+                                                f"{self.name}: mult", "dim^3"))
         if self.unit is not None and len(self.unit) != self.dim:
             raise DimensionError(f"{self.name}: unit length != dim")
 
@@ -88,13 +90,8 @@ class FinAlgebra(Record):
         except ValueError:
             raise StructureError(f"{self.name}: no basis label {label!r}") from None
 
-    @cached_property
-    def raw(self) -> RawTensor:
-        """Raw sparse view of mult, built on first use."""
-        return RawTensor.of(self.field, self.mult, (self.dim,) * 3)
-
     def mul(self, x: Vec, y: Vec) -> Vec:
-        cells = self.raw.grouped((0, 1), (2,))
+        cells = self.mult.grouped((0, 1), (2,))
         acc = [0] * self.dim
         ys = [(j, v) for j, s in enumerate(y) if (v := s.value)]
         for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
@@ -116,33 +113,28 @@ class FinAlgebra(Record):
 
 
 class FinCoalgebra(Record):
+    _stored = "comult"
+
     field: FieldSpec
     dim: int
     labels: tuple
-    comult: Tensor3
+    comult: RawTensor
     counit: Vec
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.dim:
             raise DimensionError("coalgebra: label count != dim")
-        if len(self.comult) != self.dim or any(
-            len(p) != self.dim or any(len(r) != self.dim for r in p) for p in self.comult
-        ):
-            raise DimensionError("coalgebra: comult tensor is not dim^3")
+        object.__setattr__(self, "comult", stored(self.field, self.comult, (self.dim,) * 3,
+                                                  "coalgebra: comult", "dim^3"))
         if len(self.counit) != self.dim:
             raise DimensionError("coalgebra: counit length != dim")
 
     def basis(self, i: int) -> Vec:
         return unit_vec(self.field, self.dim, i)
 
-    @cached_property
-    def raw(self) -> RawTensor:
-        """Raw sparse view of comult, built on first use."""
-        return RawTensor.of(self.field, self.comult, (self.dim,) * 3)
-
     def comult_vec(self, x: Vec) -> Vec:
         """Delta(x) as a dim^2 vector on the lex pair basis."""
-        n, cells = self.dim, self.raw.grouped((0,), (1, 2))
+        n, cells = self.dim, self.comult.grouped((0,), (1, 2))
         acc = [0] * (n * n)
         for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
             for (j, k), d in cells.get(i, ()):
@@ -608,7 +600,7 @@ def quantum_commutative_witness(w: WeakLike) -> Violation | None:
     _, pir = _target_source(alg, co)
     ck = Checker("quantum-commutative")
     ck.compare(("h", "g"), ("quantum-commutative",
-                            contract("hab,agt,sb,tsr->hgr", co, alg, pir, alg), alg.raw))
+                            contract("hab,agt,sb,tsr->hgr", co, alg, pir, alg), alg.mult))
     return next(iter(ck.report().violations), None)
 
 
@@ -662,10 +654,7 @@ def check_algebra_morphism(f: Mat, src: FinAlgebra, dst: FinAlgebra) -> Report:
 def dual_algebra(b: CoalgebraLike) -> FinAlgebra:
     """Convolution algebra on the dual basis of a coalgebra-bearing host."""
     co = coalgebra_of(b)
-    n = co.dim
-    mult = tuple(
-        tuple(tuple(co.comult[k][i][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    # e_i^ e_j^ = sum_k comult[k, i, j] e_k^
     labels = tuple(f"{l}^" for l in co.labels)
-    return FinAlgebra(co.field, n, labels, mult, co.counit, name=f"{name_of(b)}-dual")
+    return FinAlgebra(co.field, co.dim, labels, co.comult.permuted(1, 2, 0), co.counit,
+                      name=f"{name_of(b)}-dual")

@@ -1,12 +1,13 @@
 """Mutation survey of the contraction specs; pytest does not collect it.
 
-Every formula in the package is one einsum spec literal, so a swapped
-index is the likeliest silent bug.  For each spec literal in
-``src/hopfrb/*.py`` (in file and line order, docstring examples
-included), the survey swaps the first two letters of the first operand
-that has two or more, copies the tree to a scratch directory, runs the
-tier-1 suite on that one mutant with ``pytest -x``, and reports the
-mutants that no test kills.
+Every formula in the package is one einsum spec literal or one literal
+index order of `RawTensor.permuted`, so a swapped index is the likeliest
+silent bug.  For each such literal in ``src/hopfrb/*.py`` (in file and
+line order, docstring examples included), the survey swaps the first two
+letters of the first operand of a spec that has two or more, or the first
+two entries of a ``permuted(...)`` order; it copies the tree to a scratch
+directory, runs the tier-1 suite on that one mutant with ``pytest -x``,
+and reports the mutants that no test kills.
 
     python3 tests/mutation_survey.py [--root DIR] [--work DIR]
 
@@ -17,7 +18,7 @@ costs one full tier-1 run, so the whole survey takes tens of minutes.
 
 A surviving mutant is either a gap in the tests or equivalent to the
 original; the known equivalent ones are listed in EQUIVALENT with their
-reasons, keyed by file and original spec.
+reasons, keyed by file and original literal.
 """
 
 from __future__ import annotations
@@ -32,11 +33,17 @@ import tempfile
 from pathlib import Path
 
 SPEC = re.compile(r'"([a-z]+(?:,[a-z]+)*->[a-z]*)"')
+PERMUTED = re.compile(r"\.permuted\((\d+(?:, \d+)+)\)")
 
 EQUIVALENT = {
     ("exactlin.py", "ij,kl,ikx,jly->xy"): "the example in contract's docstring is never run",
     ("replay.py", "ki,k->i"): "prop-4.1 reads functional_operator on C_2 only, where every "
                               "Delta(g) = g (x) g makes T diagonal, so T read transposed is T",
+    ("hopfrb.py", "ijx,rx->ijr"): "adjoint_rbp's target postcondition pi_L(h_(1) x S(h_(2))) = "
+                                  "pi_L(hx) reads (h, x) as (x, h) on either side; the quantum "
+                                  "commutative hosts it runs on (group algebras, where pi_L = "
+                                  "eps( ) 1, and groupoid algebras, where pi_L(g) is the identity "
+                                  "at g's target) have pi_L(hx) = pi_L(xh)",
 }
 
 
@@ -52,18 +59,28 @@ def mutate(spec: str) -> str | None:
     return None
 
 
+def swap_order(order: str) -> str:
+    """A ``permuted`` order such as "1, 2, 0" with its first two entries swapped."""
+    first, second, *rest = order.split(", ")
+    return ", ".join([second, first, *rest])
+
+
 def mutants(src: Path) -> list:
-    """(file name, line, original spec, mutated source text) per literal."""
+    """(file name, line, original literal, mutant literal, mutated source
+    text) per literal, in file and position order."""
     out = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        for match in SPEC.finditer(text):
-            new = mutate(match.group(1))
+        found = [(m, mutate(m.group(1))) for m in SPEC.finditer(text)]
+        found += [(m, swap_order(m.group(1))) for m in PERMUTED.finditer(text)]
+        for match, new in sorted(found, key=lambda x: x[0].start()):
             if new is None:
                 continue
             line = text.count("\n", 0, match.start()) + 1
             mutated = text[:match.start(1)] + new + text[match.end(1):]
-            out.append((path.name, line, match.group(1), mutated))
+            original = match.group(0)[1:] if match.re is PERMUTED else match.group(1)
+            mutant = f"permuted({new})" if match.re is PERMUTED else new
+            out.append((path.name, line, original, mutant, mutated))
     return out
 
 
@@ -89,7 +106,7 @@ def main(argv=None) -> int:
         ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
     found = mutants(tree / "src" / "hopfrb")
     survivors = []
-    for n, (name, line, spec, mutated) in enumerate(found):
+    for n, (name, line, spec, mutant, mutated) in enumerate(found):
         path = tree / "src" / "hopfrb" / name
         original = path.read_text()
         path.write_text(mutated)
@@ -100,7 +117,7 @@ def main(argv=None) -> int:
         note = EQUIVALENT.get((name, spec), "")
         if alive:
             survivors.append(n)
-        print(f"{n:3d} {name}:{line} {spec} -> {mutate(spec)}: "
+        print(f"{n:3d} {name}:{line} {spec} -> {mutant}: "
               f"{'SURVIVED' if alive else 'killed'}{f' (equivalent: {note})' if note and alive else ''}",
               flush=True)
     print(f"survivors: {len(survivors)} of {len(found)} mutants", flush=True)

@@ -322,7 +322,7 @@ def test_criterion_12_comodule_algebra_projection():
             rhs = zeros_vec(Q, 4)
             ea_of_a = apply_mat(e_a, carrier.basis(i))
             for j in range(4):
-                for k, d in enumerate(doi.coaction.co[mi][j]):
+                for k, d in enumerate(doi.coaction.co.dense()[mi][j]):
                     if d.is_zero:
                         continue
                     inner = carrier.mul(ea_of_a, column(phis, k))

@@ -14,7 +14,6 @@ import ast
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +57,7 @@ def _operand(field, letters: str, cells: dict, shape: tuple):
         a, b, c = shape
         t = tuple(tuple(tuple(cells[i, j, k] for k in range(c)) for j in range(b))
                   for i in range(a))
-        return SimpleNamespace(raw=RawTensor.of(field, t, shape))
+        return RawTensor.of(field, t, shape)
     if len(letters) == 2:
         return tuple(tuple(cells[i, j] for j in range(shape[1])) for i in range(shape[0]))
     return tuple(cells[i,] for i in range(shape[0]))
@@ -110,12 +109,12 @@ def test_contract_matches_dense_loops(spec, data):
 
 def test_a_carrier_files_its_cells_once_per_layout():
     c3 = get("group-algebra-c3").payload.algebra
-    alg = FinAlgebra(c3.field, c3.dim, c3.labels, c3.mult, c3.unit, c3.name)  # a fresh raw view
+    alg = FinAlgebra(c3.field, c3.dim, c3.labels, c3.mult.dense(), c3.unit, c3.name)  # fresh cells
     first = contract("ijm,mkx->ijkx", alg, alg)
-    groups = dict(alg.raw._groups)
+    groups = dict(alg.mult._groups)
     assert contract("ijm,mkx->ijkx", alg, alg) == first
     assert len(groups) == 1  # the first operand is read unfiled
-    assert all(alg.raw._groups[layout] is g for layout, g in groups.items())
+    assert all(alg.mult._groups[layout] is g for layout, g in groups.items())
 
 
 @pytest.mark.parametrize("spec", ["ij->ij", "ij->ji", "ij->i"])

@@ -25,7 +25,7 @@ from hopfrb.actions import (
     check_hopf_module, check_module_algebra, check_weak_comodule_algebra, coinvariants,
     regular_action, regular_coaction, smash_product,
 )
-from hopfrb.exactlin import RATIONAL, prime_field
+from hopfrb.exactlin import RATIONAL, RawTensor, prime_field
 from hopfrb.hopfrb import (
     PairingForm, RMatrix, adjoint_rbp, check_braided, check_long_pairing,
     check_quasitriangular, dimodule_T, doi_hopf_projection, dual_action_T, find_integrals,
@@ -71,9 +71,9 @@ def _render(x):
     if isinstance(x, RbpInstance):
         return {"name": x.name, "p": _render(x.p), "t": _render(x.t), "verified": x.verified}
     if isinstance(x, FinAlgebra):
-        return {"name": x.name, "mult": _render(x.mult), "unit": _render(x.unit)}
+        return {"name": x.name, "mult": _render(x.mult.dense()), "unit": _render(x.unit)}
     if isinstance(x, ActionStructure):
-        return {"name": x.name, "act": _render(x.act)}
+        return {"name": x.name, "act": _render(x.act.dense())}
     if hasattr(x, "basis") and hasattr(x, "side"):  # an IntegralSpace
         return _render(x.basis)
     return type(x).__name__
@@ -129,6 +129,8 @@ class _Cases:
 
     def perturb(self, t, f):
         """t with one random cell moved by a nonzero amount."""
+        if isinstance(t, RawTensor):  # a carrier's stored tensor
+            t = t.dense()
         shape = []
         x = t
         while isinstance(x, tuple) and x:

@@ -4,8 +4,8 @@ projections onto coinvariants."""
 import pytest
 
 from hopfrb.exactlin import (
-    RATIONAL, InternalError, RawTensor, contract, identity, mat, mat_mul, mat_scale, prime_field,
-    vec,
+    RATIONAL, InternalError, RawTensor, column_space_basis, contract, identity, mat, mat_mul,
+    mat_scale, prime_field, span_eq, vec,
 )
 from hopfrb.structures import (
     Functional,
@@ -23,6 +23,7 @@ from hopfrb.actions import (
     coaction_to_dual_action,
     regular_action,
     regular_coaction,
+    trivial_action,
 )
 from hopfrb.rbcore import (
     check_a_linear, check_rb_operator, classify_generic, random_operator,
@@ -169,6 +170,21 @@ def test_integral_operator_oracle():
     assert t == ((half, half), (half, half))
     assert mat_mul(t, t) == t
     assert classify_generic(module, t, MINUS_ONE, trials=20).generic is True
+
+
+@pytest.mark.parametrize("host, module, invariant", [
+    # g acts on k[x]/(x^2) by x |-> -x: a module dimension equal to the host's
+    ("group-algebra-c2", lambda h: get("kx-mod-x2-with-c2-action").payload, [[1, 0]]),
+    # the module dimension differs from the host's
+    ("group-algebra-c3", lambda h: trivial_action(h, 2), [[1, 0], [0, 1]]),
+    # a noncommutative host acting on itself
+    ("group-algebra-s3", lambda h: regular_action(h.algebra, "left"), [[1] * 6]),
+], ids=["c2-sign", "c3-trivial", "s3-regular"])
+def test_integral_operator_projects_onto_the_invariants(host, module, invariant):
+    h = get(host).payload
+    t = integral_T(h, module(h), normalized_group_integral(h))
+    assert mat_mul(t, t) == t
+    assert span_eq(column_space_basis(t, Q), tuple(vec(Q, v) for v in invariant), Q)
 
 
 def test_integral_T_rejects_non_integral():

@@ -260,8 +260,9 @@ def _over(module, field):
     )
     a = module.algebra
     unit = None if a.unit is None else tuple(field.of(x.value) for x in a.unit)
-    alg = FinAlgebra(field, a.dim, a.labels, conv(a.mult), unit, name=a.name)
-    return ActionStructure(alg, module.dim, module.side, conv(module.act), name=module.name)
+    alg = FinAlgebra(field, a.dim, a.labels, conv(a.mult.dense()), unit, name=a.name)
+    return ActionStructure(alg, module.dim, module.side, conv(module.act.dense()),
+                           name=module.name)
 
 
 def _a_linear_basis(module):
