@@ -25,7 +25,6 @@ from .exactlin import (
     raw_identity,
     scalar_vec,
     stored,
-    tensor_vec,
     unit_vec,
 )
 from .report import Checker, Report
@@ -65,7 +64,8 @@ class ActionStructure(Record):
             raise StructureError(f"{self.name}: side must be left or right")
         object.__setattr__(self, "act", stored(self.field, self.act,
                                                (self.algebra.dim, self.dim, self.dim),
-                                               f"{self.name}: action", "adim x mdim x mdim"))
+                                               f"{self.name}: action tensor",
+                                               "is not adim x mdim x mdim"))
         object.__setattr__(self, "_reports", {})
 
     @property
@@ -111,7 +111,8 @@ class CoactionStructure(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "co", stored(self.field, self.co,
                                               (self.dim, self.dim, self.coalgebra.dim),
-                                              f"{self.name}: coaction", "mdim x mdim x cdim"))
+                                              f"{self.name}: coaction tensor",
+                                              "is not mdim x mdim x cdim"))
         object.__setattr__(self, "_reports", {})
 
     @property
@@ -134,7 +135,8 @@ class CoactionStructure(Record):
 class Dimodule(Record):
     """Left action and right coaction over one host; the compatibility
     rho(h . m) = h . m_(0) (x) m_(1) is checked by check_dimodule, not
-    assumed at construction."""
+    assumed at construction.  ``_reports`` keeps this object's
+    `check_dimodule` report (`_kept_on_host`)."""
 
     host: BialgebraLike
     action: ActionStructure
@@ -150,6 +152,7 @@ class Dimodule(Record):
             raise StructureError(f"{self.name}: coaction is not over the host coalgebra")
         if self.action.dim != self.coaction.dim:
             raise StructureError(f"{self.name}: carrier dims differ")
+        object.__setattr__(self, "_reports", {})
 
     @property
     def dim(self) -> int:
@@ -238,8 +241,7 @@ def trivial_action(b: BialgebraLike, mdim: int, side: str = "left") -> ActionStr
     """Action through the counit: every h acts as eps(h) id."""
     alg, co = algebra_of(b), coalgebra_of(b)
     act = RawTensor(alg.field, (alg.dim, mdim, mdim),
-                    {(i, j, j): e.value for i, e in enumerate(co.counit) if e.value
-                     for j in range(mdim)})
+                    {(i, j, j): e for (i,), e in co.counit.cells.items() for j in range(mdim)})
     return ActionStructure(alg, mdim, side, act, name=f"{name_of(b)}-trivial")
 
 
@@ -291,6 +293,7 @@ def check_coaction(com: CoactionStructure) -> Report:
     return ck.report()
 
 
+@_kept_on_host
 def check_dimodule(d: Dimodule) -> Report:
     """Underlying axioms plus rho(h . m) = h . m_(0) (x) m_(1)."""
     ck = Checker("dimodule", d.name)
@@ -391,16 +394,11 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
         raise PreconditionError(f"smash product needs a module algebra: {rep.to_json()}")
     halg, co = algebra_of(b), coalgebra_of(b)
     n = a.dim * halg.dim
-    mult = contract("pab,ajk,ikm,bqy->ipjqmy", co, action, a, halg)
+    # a#h on the lex pair basis (a, h): merge each index pair
+    mult = contract("pab,ajk,ikm,bqy->ipjqmy", co, action, a, halg).joined(2, 2, 2)
     labels = tuple(f"{la}#{lh}" for la in a.labels for lh in halg.labels)
-    return FinAlgebra(
-        a.field,
-        n,
-        labels,
-        mult.dense(n, n, n),
-        tensor_vec(a.unit, halg.unit),
-        name=f"{a.name}#{name_of(b)}",
-    )
+    return FinAlgebra(a.field, n, labels, mult, contract("a,h->ah", a.unit, halg.unit).joined(2),
+                      name=f"{a.name}#{name_of(b)}")
 
 
 def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
@@ -417,8 +415,8 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     n, hd, f = c.dim, halg.dim, c.field
     if mode == "strict":
         # m (x) 1: f_j (x) e_k at f_i = f_j
-        corr = RawTensor(f, (n, hd, n), {(j, k, j): u.value for j in range(n)
-                                         for k, u in enumerate(halg.unit) if u.value})
+        corr = RawTensor(f, (n, hd, n), {(j, k, j): u for j in range(n)
+                                         for (k,), u in halg.unit.cells.items()})
     else:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):
             raise StructureError("weak coinvariants need a weak bialgebra host")

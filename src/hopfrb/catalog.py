@@ -764,8 +764,7 @@ def _load_structure(obj: dict, kind: str):
     if "comult" not in obj or "counit" not in obj:
         raise CatalogError(f"kind {kind!r} needs comult and counit")
     comult = _parse_tensor3(field, obj, "comult", dim, dim, dim)
-    counit = _vector(field, obj, "counit")
-    coalg = FinCoalgebra(field, dim, labels, comult, counit=counit)
+    coalg = FinCoalgebra(field, dim, labels, comult, counit=_vector(field, obj, "counit"))
     antipode = _matrix(field, obj, "antipode") if "antipode" in obj else None
     if kind == "bialgebra":
         return Bialgebra(name, alg, coalg)
@@ -810,11 +809,11 @@ def dump(entry: CatalogEntry) -> dict:
         out["basis"] = list(alg.labels)
         out["mult"] = _dump_tensor3(alg.mult)
         if alg.unit is not None:
-            out["unit"] = [str(c) for c in alg.unit]
+            out["unit"] = [str(c) for c in alg.unit.dense()]
         if entry.kind != "algebra":
             co = coalgebra_of(p)
             out["comult"] = _dump_tensor3(co.comult)
-            out["counit"] = [str(c) for c in co.counit]
+            out["counit"] = [str(c) for c in co.counit.dense()]
             s = getattr(p, "antipode", None)
             if s is not None:
                 out["antipode"] = [[str(c) for c in row] for row in s]
@@ -838,5 +837,5 @@ def dump(entry: CatalogEntry) -> dict:
         out["rinv"] = [str(c) for c in p.rinv]
     else:  # functional
         out.update(entry.refs)
-        out["coords"] = [str(c) for c in p.coords]
+        out["coords"] = [str(c) for c in p.coords.dense()]
     return out

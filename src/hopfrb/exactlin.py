@@ -355,11 +355,6 @@ Vec = tuple  # tuple[Scalar, ...]
 Mat = tuple  # tuple[Vec, ...], row major
 
 
-def nonzero(v: Vec) -> tuple[tuple[int, Scalar], ...]:
-    """The (index, value) pairs of the nonzero entries of v, in index order."""
-    return tuple((i, c) for i, c in enumerate(v) if not c.is_zero)
-
-
 def scalar_vec(field: FieldSpec, raw: Sequence) -> Vec:
     """Scalars of raw values: ints (reduced mod p here) or, over Q, ints and
     Fractions, leaned here, since a raw sum such as 2 * (1/2) can end on an
@@ -393,9 +388,10 @@ class RawTensor:
     structure constants (`stored`) and what `contract` returns, and
     `contract` reads either.  `grouped` files the cells by one layout once,
     for every `contract` that reads the tensor that way; `+` and `-` add
-    cellwise and refuse mixed fields; `permuted` reorders the indices;
-    `rows` files the cells as sparse rows; `flat` and `dense` give the
-    values back on a lex basis, the latter as Scalars, at the boundary.
+    cellwise and refuse mixed fields; `permuted` reorders the indices and
+    `joined` merges adjacent ones on their lex basis; `rows` files the
+    cells as sparse rows; `flat` and `dense` give the values back on a lex
+    basis, the latter as Scalars, at the boundary.
     ``==`` and ``hash`` read the shape and the cells, and ``repr`` lists
     the cells in index order.
     """
@@ -409,12 +405,14 @@ class RawTensor:
     def of(cls, field: FieldSpec, t, shape: tuple, ragged: str | None = None) -> "RawTensor":
         """The raw form of the dense Scalar tensor t (nested tuples) of
         `shape`; with `ragged` given, a t of another shape raises
-        DimensionError(ragged)."""
+        DimensionError(ragged), and an entry over another field FieldError."""
         level = [((), t)]
         for d in shape:
             if ragged is not None and any(len(xs) != d for _, xs in level):
                 raise DimensionError(ragged)
             level = [((*idx, i), x) for idx, xs in level for i, x in enumerate(xs)]
+        if ragged is not None and any(s.field != field for _, s in level):
+            raise FieldError(f"a dense entry is not in {field}")
         return cls(field, shape, {idx: v for idx, s in level if (v := s.value)})
 
     @classmethod
@@ -470,20 +468,22 @@ class RawTensor:
         return RawTensor(self.field, pick(self.shape),
                          {pick(idx): v for idx, v in self.cells.items()})
 
-    def _slot(self, k: int):
-        """Where an index tuple's entries from position k on sit on the lex
-        basis of those indices."""
-        strides, step = [], 1
-        for d in reversed(self.shape[k:]):
-            strides.append(step)
-            step *= d
-        strides.reverse()
-        return lambda idx: sum(i * s for i, s in zip(idx[k:], strides))
+    def joined(self, *counts: int) -> "RawTensor":
+        """The tensor whose k-th index merges the next counts[k] indices of
+        this one on their lex basis: ``joined(2)`` of an a x h tensor is its
+        vector on the lex pair basis, ``joined(1, 2)`` merges the last two."""
+        cuts = [sum(counts[:k]) for k in range(len(counts) + 1)]
+        if cuts[-1] != len(self.shape):
+            raise DimensionError(f"index counts {counts} do not cover shape {self.shape}")
+        spans = list(zip(cuts, cuts[1:]))
+        slots = [_lex(self.shape[a:b], a) for a, b in spans]
+        return RawTensor(self.field, tuple(prod(self.shape[a:b]) for a, b in spans),
+                         {tuple(s(idx) for s in slots): v for idx, v in self.cells.items()})
 
     def rows(self, k: int) -> dict:
         """The cells as raw sparse rows: the first k indices name the row,
         the rest its column on their lex basis."""
-        slot, out = self._slot(k), {}
+        slot, out = _lex(self.shape[k:], k), {}
         for idx, v in self.cells.items():
             out.setdefault(idx[:k], {})[slot(idx)] = v
         return out
@@ -492,7 +492,7 @@ class RawTensor:
         """The raw values of the cells under the index `prefix`, zeros
         included, on the lex basis of the remaining indices."""
         d = len(prefix)
-        slot, out = self._slot(d), [0] * prod(self.shape[d:])
+        slot, out = _lex(self.shape[d:], d), [0] * prod(self.shape[d:])
         for idx, v in self.cells.items():
             if idx[:d] == prefix:
                 out[slot(idx)] = v
@@ -509,20 +509,20 @@ class RawTensor:
 
 
 def stored(field: FieldSpec, t, shape: tuple, what: str, extent: str) -> RawTensor:
-    """The structure constants t of a carrier over `field`, in the form the
-    carrier stores them: t itself when it is a RawTensor of `shape` over
-    `field` (one over no field, a `contract` of empty operands, takes
-    `field`), or else the dense Scalar tensor t read once.  Another shape
-    raises DimensionError and another field FieldError, naming `what`; a
-    ragged dense t reads "<what> tensor is not <extent>"."""
+    """Structure constants, a unit, a counit or a functional's coordinates
+    t over `field`, in the form records store them: t itself when it is a
+    RawTensor of `shape` over `field` (one over no field, a `contract` of
+    empty operands, takes `field`), or else the dense Scalar tensor t read
+    once.  Another shape raises DimensionError, a ragged dense t with the
+    text "<what> <extent>", and another field (a dense entry's) FieldError."""
     if not isinstance(t, RawTensor):
-        return RawTensor.of(field, t, shape, f"{what} tensor is not {extent}")
+        return RawTensor.of(field, t, shape, f"{what} {extent}")
     if t.shape != shape:
-        raise DimensionError(f"{what} tensor is not {extent}: raw shape {t.shape}")
+        raise DimensionError(f"{what} {extent}: raw shape {t.shape}")
     if t.field is None:
         return RawTensor(field, shape, t.cells)
     if t.field != field:
-        raise FieldError(f"{what} tensor is over {t.field}, not {field}")
+        raise FieldError(f"{what} is over {t.field}, not {field}")
     return t
 
 
@@ -533,6 +533,16 @@ def differing(got: RawTensor, want: RawTensor | None, depth: int) -> list:
     if a == b:  # cells hold no zeros, so equal cells differ nowhere
         return []
     return sorted({idx[:depth] for idx in a.keys() | b.keys() if a.get(idx, 0) != b.get(idx, 0)})
+
+
+def _lex(shape: tuple, k: int = 0):
+    """The lex slot of the len(shape) entries of an index tuple from position k on."""
+    strides, step = [], 1
+    for d in reversed(shape):
+        strides.append(step)
+        step *= d
+    strides.reverse()
+    return lambda idx: sum(i * s for i, s in zip(idx[k:], strides))
 
 
 def raw_identity(field: FieldSpec, n: int) -> RawTensor:
@@ -775,11 +785,6 @@ def mat_from_cols(cols: Sequence[Vec]) -> Mat:
 
 def column(a: Mat, j: int) -> Vec:
     return tuple(row[j] for row in a)
-
-
-def tensor_vec(u: Vec, v: Vec) -> Vec:
-    """Kronecker product of coordinate vectors, left factor major."""
-    return tuple(a * b for a in u for b in v)
 
 
 # ---------------------------------------------------------------------------

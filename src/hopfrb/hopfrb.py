@@ -30,6 +30,7 @@ from .exactlin import (
     identity,
     kernel_basis,
     mat_mul,
+    raw_view,
     span_eq,
     span_leq,
     transpose,
@@ -95,42 +96,39 @@ def find_integrals(h: BialgebraLike, side: str = "left") -> IntegralSpace:
     if side not in ("left", "right"):
         raise StructureError("integral side must be left or right")
     alg, co = algebra_of(h), coalgebra_of(h)
-    n = alg.dim
     left = side == "left"
     basis = _fixed_space(alg.mult.permuted(0, 2, 1) if left else alg.mult.permuted(1, 2, 0),
                          co.counit)
+    vs = RawTensor.of(alg.field, basis, (len(basis), alg.dim))
     _postcondition(
         "every integral solves h x = eps(h) x" if left else "every integral solves x h = eps(h) x",
-        name_of(h),
-        tuple(tuple(alg.mul(alg.basis(i), v) if left else alg.mul(v, alg.basis(i))
-                    for i in range(n)) for v in basis),
-        tuple(tuple(tuple(co.counit[i] * x for x in v) for i in range(n)) for v in basis),
-    )
+        name_of(h), contract("ijk,vj->vik" if left else "jik,vj->vik", alg, vs),
+        contract("i,vk->vik", co.counit, vs))
     return IntegralSpace(h, side, basis)
 
 
-def _fixed_space(act: RawTensor, counit: Vec) -> tuple[Vec, ...]:
+def _fixed_space(act: RawTensor, counit: RawTensor) -> tuple[Vec, ...]:
     """Basis of the x with h x = eps(h) x at every h = e_i: `act` holds at
     (i, r, x) the coefficient of the unknown x in coordinate r of e_i x.
     One raw sparse row per (i, r), as `coinvariants` builds its system."""
     f, n = act.field, act.shape[2]
-    eps_x = RawTensor(f, act.shape, {(i, r, r): e.value for i, e in enumerate(counit)
-                                     if e.value for r in range(n)})
+    eps_x = RawTensor(f, act.shape, {(i, r, r): e for (i,), e in counit.cells.items()
+                                     for r in range(n)})
     return kernel_basis(list((act - eps_x).rows(2).values()), f, ncols=n)
 
 
 def _require_normalized_two_sided_integral(h: BialgebraLike, e: Vec) -> None:
-    alg, co = algebra_of(h), coalgebra_of(h)
-    for i in range(alg.dim):
-        want = tuple(co.counit[i] * x for x in e)
-        if alg.mul(alg.basis(i), e) != want:
-            raise PreconditionError(f"not a left integral: fails at basis {i}")
-    if not co.counit_of(e).is_one:
-        raise PreconditionError(f"integral is not normalized: eps(e) = {co.counit_of(e)}")
-    for i in range(alg.dim):
-        want = tuple(co.counit[i] * x for x in e)
-        if alg.mul(e, alg.basis(i)) != want:
-            raise PreconditionError(f"integral is not two-sided: fails at basis {i}")
+    """e h = h e = eps(h) e at every basis element h, and eps(e) = 1; each
+    refusal names the first failing basis index or eps(e)."""
+    alg, co, e = algebra_of(h), coalgebra_of(h), raw_view(e, 1)
+    want = contract("i,k->ik", co.counit, e)
+    if bad := differing(contract("ijk,j->ik", alg, e), want, 1):
+        raise PreconditionError(f"not a left integral: fails at basis {bad[0][0]}")
+    eps = contract("k,k->", e, co.counit)
+    if eps.cells != {(): 1}:
+        raise PreconditionError(f"integral is not normalized: eps(e) = {eps.dense()[0]}")
+    if bad := differing(contract("jik,j->ik", alg, e), want, 1):
+        raise PreconditionError(f"integral is not two-sided: fails at basis {bad[0][0]}")
 
 
 def integral_T(
@@ -197,10 +195,11 @@ def smash_integral_T(
     smash = smash_product(a, h, act)  # precondition-checks the module algebra
     alg, co = algebra_of(h), coalgebra_of(h)
     n = a.dim * alg.dim
-    # column (j, q) of T is (e_(1) . a_j) # (e_(2) e_q)
-    t = contract("ab,ajx,bqy->xyjq", blocks(co.comult_vec(e), alg.dim), act, alg).dense(n, n)
+    # column (j, q) of T is (e_(1) . a_j) # (e_(2) e_q), on the lex pair basis
+    delta_e = blocks(co.comult_vec(e), alg.dim)
+    t = contract("ab,ajx,bqy->xyjq", delta_e, act, alg).joined(2, 2).dense()
     # (1#e_i)(a_j#e_q) = (e_i1 . a_j)#(e_i2 e_q), the same shape as T
-    hact = contract("iab,ajx,bqy->ijqxy", co, act, alg).dense(alg.dim, n, n)
+    hact = contract("iab,ajx,bqy->ijqxy", co, act, alg).joined(1, 2, 2)
     module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
     _postcondition("1#h multiplication is a module action", module.name, check_action(module))
     _postcondition("smash integral operator is idempotent", module.name, mat_mul(t, t), t)
@@ -213,9 +212,10 @@ def smash_integral_T(
 # functionals acting through comultiplication
 
 
-def functional_operator(h: BialgebraLike, chi: Functional) -> Mat:
-    """The matrix of T(x) = chi(x_(1)) x_(2) on the host."""
-    return contract("iak,a->ki", coalgebra_of(h), chi.coords).dense()
+def functional_operator(h: BialgebraLike, chi: Functional) -> RawTensor:
+    """The matrix of T(x) = chi(x_(1)) x_(2) on the host, as a raw tensor:
+    T[k, i] is the coefficient of e_k in T(e_i)."""
+    return contract("iak,a->ki", coalgebra_of(h), chi.coords)
 
 
 def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructure]:
@@ -226,7 +226,7 @@ def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructu
     counit recovers chi from T); both facts are asserted.  So at weight -1
     T is generic exactly when chi is a convolution idempotent.
     """
-    t = functional_operator(h, chi)
+    t = functional_operator(h, chi).dense()
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
     _postcondition("functional-induced operator is dual-linear", module.name,
                    check_a_linear(module, t))
@@ -336,9 +336,7 @@ def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInsta
                    span_leq(column_space_basis(e_m, alg.field), strict, alg.field), True,
                    witness=lambda: _outside("column", transpose(e_m), "the coinvariants",
                                             strict, alg.field))
-    p = tuple(
-        tuple(alg.unit[r] * co.counit[c] for c in range(alg.dim)) for r in range(alg.dim)
-    )
+    p = contract("r,c->rc", alg.unit, co.counit).dense()
     lam = -alg.field.one
     inst = RbpInstance(alg, m.action, p, e_m, lam, name=f"{m.name}-projection-instance")
     _postcondition("projection instance satisfies the paired identity", inst.name,
@@ -418,15 +416,13 @@ def check_long_pairing(h: BialgebraLike, form: PairingForm) -> tuple[Report, Dim
         raise StructureError("pairing form is not over the given host")
     alg, co = algebra_of(h), coalgebra_of(h)
     sigma = form.sigma
-    n = alg.dim
     ck = Checker("long-pairing", name_of(h))
-    counit = RawTensor.of(alg.field, co.counit, (n,))
     ck.compare(("x", "y"),
                # sigma(x_(1), y) x_(2) = sigma(x_(2), y) x_(1)
                ("pair-symmetry", contract("xab,ay->xyb", co, sigma),
                 contract("xab,by->xya", co, sigma)),
-               ("pair-right-unit", contract("xj,j->x", sigma, alg.unit), counit, 1),
-               ("pair-left-unit", contract("jx,j->x", sigma, alg.unit), counit, 1))
+               ("pair-right-unit", contract("xj,j->x", sigma, alg.unit), co.counit, 1),
+               ("pair-left-unit", contract("jx,j->x", sigma, alg.unit), co.counit, 1))
     ck.compare(("x", "y", "z"),
                # sigma(x, yz) = sigma(x_(2), y) sigma(x_(1), z)
                ("pair-mult-right", contract("yzk,xk->xyz", alg, sigma),

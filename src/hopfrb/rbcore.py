@@ -107,10 +107,6 @@ def operator_of(field: FieldSpec, n: int, entries: Sequence) -> Mat:
     return mat(field, blocks(entries, n))
 
 
-def random_operator(field: FieldSpec, n: int, seed: str, trial: int) -> Mat:
-    return operator_of(field, n, _random_entries(n, seed, trial))
-
-
 class RbpInstance(Record):
     """A paired-module candidate; `verified` is filled by check_rbp_module."""
 
@@ -345,7 +341,7 @@ def classify_generic(
     For A-linear T the identity collapses to a . (T^2 + lam T) m = 0, which
     no longer mentions P; that exact condition is the verdict.
 
-    A trial draws P as `random_operator` does and decides it from the
+    A trial draws P as `_random_entries` gives it and decides it from the
     `pairing_system` of (M, T, lam), built once per call, stopping at the
     first e_i that fails.  Trial 0 is also checked by `check_rbp_module`,
     and a disagreement raises InternalError (`PairingSystem.decide`).  For

@@ -12,6 +12,7 @@ from __future__ import annotations
 from . import __version__
 from .exactlin import (
     InternalError,
+    RawTensor,
     apply_mat,
     blocks,
     contract,
@@ -19,7 +20,6 @@ from .exactlin import (
     identity,
     mat_mul,
     mat_scale,
-    raw_view,
     vec,
     vec_scale,
     zeros_mat,
@@ -49,7 +49,6 @@ from .rbcore import (
     is_quasi_idempotent,
     operator_of,
     pairing_system,
-    random_operator,
     tilde_pair,
 )
 from .hopfrb import (
@@ -278,12 +277,14 @@ def _replay_prop_4_1(seed: str, trials: int) -> list:
                   "chi_idempotent": idem, "verdict": verdict.to_json()}
         _check(checks, f"verdict-matches-idempotency:{fname}",
                verdict.generic == idem, record=record)
-    # the counit recovers the functional, so chi -> T is injective
-    eps = raw_view(counit_functional(h).coords, 1)
+    # the counit recovers the functional, so chi -> T is injective; chi
+    # holds the first row of the trial's random operator
+    eps, n = counit_functional(h).coords, h.dim
     bad = 0
     for trial in range(trials):
-        chi = Functional(h, random_operator(f, h.dim, f"{seed}:functional", trial)[0])
-        if contract("ki,k->i", functional_operator(h, chi), eps) != raw_view(chi.coords, 1):
+        draws = _random_entries(n, f"{seed}:functional", trial)[:n]
+        chi = Functional(h, RawTensor.read(f, (n,), {(i,): x for i, x in enumerate(draws)}))
+        if contract("ki,k->i", functional_operator(h, chi), eps) != chi.coords:
             bad += 1
     _check(checks, "counit-recovers-functional", bad == 0, trials=trials, failures=bad)
     return checks
@@ -325,10 +326,7 @@ def _replay_prop_4_5(seed: str, trials: int) -> list:
         m = get(mname).payload
         e_m, inst = hopf_module_projection(h, m)
         alg, co = h.algebra, h.coalgebra
-        counit_times_unit = tuple(
-            tuple(alg.unit[r] * co.counit[c] for c in range(alg.dim))
-            for r in range(alg.dim)
-        )
+        counit_times_unit = contract("r,c->rc", alg.unit, co.counit).dense()
         _check(checks, f"projection-is-counit-times-unit:{hname}",
                e_m == counit_times_unit)
         _check(checks, f"projection-idempotent:{hname}", mat_mul(e_m, e_m) == e_m)

@@ -3,8 +3,9 @@
 An algebra stores the cells (i, j, k) of ``mult`` with ``e_i e_j = sum_k
 mult[i, j, k] e_k``, a coalgebra those of ``comult`` with ``Delta(e_i) = sum
 comult[i, j, k] e_j (x) e_k``, each as a raw sparse tensor (`RawTensor`)
-that every kernel and `contract` read as it is; a dense Scalar tensor
-passed to a constructor is read into that form once.  Bialgebras, Hopf
+that every kernel and `contract` read as it is, and so are units, counits
+and functionals' coordinates; a dense Scalar tensor or vector passed to a
+constructor is read into that form once.  Bialgebras, Hopf
 algebras and their weak variants are layered on top of those two tensors.
 Axiom checkers return a Report with the first violating basis tuple per
 axiom; nothing is ever assumed to hold because a constructor was called.
@@ -32,7 +33,6 @@ from .exactlin import (
     column_space_basis,
     contract,
     mat_from_cols,
-    nonzero,
     raw_identity,
     scalar_vec,
     solve_linear,
@@ -65,7 +65,7 @@ class FinAlgebra(Record):
     dim: int
     labels: tuple
     mult: RawTensor
-    unit: Vec | None = None
+    unit: RawTensor | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -73,9 +73,10 @@ class FinAlgebra(Record):
         if len(self.labels) != self.dim:
             raise DimensionError(f"{self.name}: {len(self.labels)} labels for dim {self.dim}")
         object.__setattr__(self, "mult", stored(self.field, self.mult, (self.dim,) * 3,
-                                                f"{self.name}: mult", "dim^3"))
-        if self.unit is not None and len(self.unit) != self.dim:
-            raise DimensionError(f"{self.name}: unit length != dim")
+                                                f"{self.name}: mult tensor", "is not dim^3"))
+        if self.unit is not None:
+            object.__setattr__(self, "unit", stored(self.field, self.unit, (self.dim,),
+                                                    f"{self.name}: unit", "length != dim"))
 
     @property
     def unital(self) -> bool:
@@ -119,15 +120,15 @@ class FinCoalgebra(Record):
     dim: int
     labels: tuple
     comult: RawTensor
-    counit: Vec
+    counit: RawTensor
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.dim:
             raise DimensionError("coalgebra: label count != dim")
         object.__setattr__(self, "comult", stored(self.field, self.comult, (self.dim,) * 3,
-                                                  "coalgebra: comult", "dim^3"))
-        if len(self.counit) != self.dim:
-            raise DimensionError("coalgebra: counit length != dim")
+                                                  "coalgebra: comult tensor", "is not dim^3"))
+        object.__setattr__(self, "counit", stored(self.field, self.counit, (self.dim,),
+                                                  "coalgebra: counit", "length != dim"))
 
     def basis(self, i: int) -> Vec:
         return unit_vec(self.field, self.dim, i)
@@ -142,10 +143,7 @@ class FinCoalgebra(Record):
         return scalar_vec(self.field, acc)
 
     def counit_of(self, x: Vec) -> Scalar:
-        acc = self.field.zero
-        for i, xi in nonzero(x):
-            acc += xi * self.counit[i]
-        return acc
+        return contract("i,i->", x, self.counit).dense()[0]
 
 
 class _Host(Record):
@@ -268,20 +266,19 @@ def as_weak(x: BialgebraLike) -> WeakLike:
 
 
 class Functional(Record):
-    """Linear functional on a coalgebra-bearing host, in dual coordinates."""
+    """Linear functional on a coalgebra-bearing host; its dual coordinates
+    are stored raw (`exactlin.stored`)."""
 
     host: CoalgebraLike
-    coords: Vec
+    coords: RawTensor
 
     def __post_init__(self) -> None:
-        if len(self.coords) != coalgebra_of(self.host).dim:
-            raise DimensionError("functional coordinate length != host dim")
+        co = coalgebra_of(self.host)
+        object.__setattr__(self, "coords", stored(co.field, self.coords, (co.dim,),
+                                                  "functional coordinate", "length != host dim"))
 
     def __call__(self, x: Vec) -> Scalar:
-        acc = coalgebra_of(self.host).field.zero
-        for i, xi in nonzero(x):
-            acc += xi * self.coords[i]
-        return acc
+        return contract("i,i->", x, self.coords).dense()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +429,7 @@ def convolution(f: Functional, g: Functional) -> Functional:
     cf, cg = coalgebra_of(f.host), coalgebra_of(g.host)
     if cf != cg:
         raise StructureError("convolution of functionals on different hosts")
-    return Functional(f.host, contract("ijk,j,k->i", cf, f.coords, g.coords).dense())
+    return Functional(f.host, contract("ijk,j,k->i", cf, f.coords, g.coords))
 
 
 def counit_functional(host: CoalgebraLike) -> Functional:
@@ -640,8 +637,7 @@ def check_algebra_morphism(f: Mat, src: FinAlgebra, dst: FinAlgebra) -> Report:
     ck.compare(("i", "j"), ("morphism-mult", contract("ijk,xk->ijx", src, f),
                             contract("ai,bj,abx->ijx", f, f, dst)))
     if src.unital and dst.unital:
-        ck.compare((), ("morphism-unit", contract("xk,k->x", f, src.unit),
-                        RawTensor.of(dst.field, dst.unit, (dst.dim,))))
+        ck.compare((), ("morphism-unit", contract("xk,k->x", f, src.unit), dst.unit))
     else:
         ck.skip("morphism-unit")
     return ck.report()

@@ -53,8 +53,9 @@ from hopfrb.rbcore import (
     classify_generic,
     double_construction,
     is_quasi_idempotent,
-    random_operator,
+    operator_of,
     tilde_pair,
+    _random_entries,
 )
 from hopfrb.hopfrb import (
     check_quasitriangular,
@@ -98,13 +99,13 @@ def test_criterion_02_integral_operator_is_generic():
     v = classify_generic(module, t, MINUS_ONE, trials=100, seed="criterion-2")
     ok = v.generic is True
     for trial in range(100):
-        p = random_operator(Q, 2, "criterion-2-p", trial)
+        p = operator_of(Q, 2, _random_entries(2, "criterion-2-p", trial))
         ok &= check_rbp_module(RbpInstance(c2.algebra, module, p, t, MINUS_ONE)).ok
     t2 = mat_scale(Q.of(2), identity(Q, 2))
     ok &= not is_quasi_idempotent(t2, MINUS_ONE)
     found = False
     for trial in range(100):
-        p = random_operator(Q, 2, "criterion-2-p", trial)
+        p = operator_of(Q, 2, _random_entries(2, "criterion-2-p", trial))
         if not check_rbp_module(RbpInstance(c2.algebra, module, p, t2, MINUS_ONE)).ok:
             found = True
             break
@@ -124,7 +125,7 @@ def test_criterion_03_mirrored_pair_preserves_verification():
     module = get("c2-regular-module").payload
     t = module.matrix(normalized_group_integral(c2))
     for trial in range(50):
-        p = random_operator(Q, 2, "criterion-3", trial)
+        p = operator_of(Q, 2, _random_entries(2, "criterion-3", trial))
         inst = RbpInstance(c2.algebra, module, p, t, MINUS_ONE)
         ok &= check_rbp_module(inst).ok
         pt, tt = tilde_pair(p, t, MINUS_ONE)
@@ -275,7 +276,8 @@ def test_criterion_10_hopf_module_projection():
         m = get(mname).payload
         e_m, inst = hopf_module_projection(h, m)
         alg, co = h.algebra, h.coalgebra
-        eps_one = tuple(tuple(alg.unit[r] * co.counit[c] for c in range(alg.dim))
+        unit, counit = alg.unit.dense(), co.counit.dense()
+        eps_one = tuple(tuple(unit[r] * counit[c] for c in range(alg.dim))
                         for r in range(alg.dim))
         ok &= e_m == eps_one
         ok &= mat_mul(e_m, e_m) == e_m

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hopfrb import actions
 from hopfrb.exactlin import RATIONAL, vec
 from hopfrb.structures import StructureError, dual_algebra
 from hopfrb.actions import (
@@ -135,6 +136,29 @@ def test_catalog_dimodules_verify():
         assert check_dimodule(get(name).payload).ok
 
 
+def test_dimodule_report_is_kept_on_the_dimodule(monkeypatch):
+    walks = []
+
+    class Counting(actions.Checker):
+        def __init__(self, check, instance=""):
+            if check == "dimodule":
+                walks.append(instance)
+            super().__init__(check, instance)
+
+    monkeypatch.setattr(actions, "Checker", Counting)
+    c2 = get("group-algebra-c2").payload
+    d = Dimodule(c2, regular_action(c2.algebra, "left"), regular_coaction(c2), name="d")
+    rep = check_dimodule(d)
+    assert check_dimodule(d) is rep
+    assert walks == ["d"]
+    # equal but not the same object: walked again, never looked up by value
+    twin = Dimodule(c2, d.action, d.coaction, name="d")
+    assert twin == d and twin is not d
+    again = check_dimodule(twin)
+    assert again == rep and again is not rep
+    assert walks == ["d", "d"]
+
+
 def test_dimodule_compatibility_violation():
     c2 = get("group-algebra-c2").payload
     # regular action with regular coaction: rho(g . 1) = g (x) g but the
@@ -152,7 +176,7 @@ def test_dimodule_counts_every_violation_of_its_action():
     scale = (Q.one, Q.of(2), Q.of(2))
     bad = ActionStructure(c3.algebra, 1, "left", tuple(((c,),) for c in scale))
     assert check_action(bad).violation_count == 4
-    trivial = CoactionStructure(c3.coalgebra, 1, ((c3.algebra.unit,),))  # rho(m) = m (x) 1
+    trivial = CoactionStructure(c3.coalgebra, 1, ((c3.algebra.unit.dense(),),))  # rho(m) = m (x) 1
     rep = check_dimodule(Dimodule(c3, bad, trivial))
     assert rep.violations[0].axiom == "action-assoc"
     assert rep.violation_count == 4
@@ -170,7 +194,7 @@ def test_doi_hopf_verifies_and_rejects():
     w = get("weak-pair-groupoid").payload
     # a coaction on a carrier of another dimension is refused
     trivial = CoactionStructure(w.coalgebra, 3, tuple(
-        tuple(w.algebra.unit if i == j else (Q.zero,) * w.dim for j in range(3))
+        tuple(w.algebra.unit.dense() if i == j else (Q.zero,) * w.dim for j in range(3))
         for i in range(3)))
     with pytest.raises(StructureError):
         WeakComoduleAlgebra(w, w.algebra, trivial)

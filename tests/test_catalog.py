@@ -296,7 +296,7 @@ def test_load_entry_resolves_references():
     obj = {"kind": "functional", "name": "delta-g-again",
            "host": "group-algebra-c2", "coords": ["0", "1"]}
     entry = load_entry(obj)
-    assert entry.payload.coords == vec(Q, [0, 1])
+    assert entry.payload.coords.dense() == vec(Q, [0, 1])
     with pytest.raises(CatalogError):
         load_entry({**obj, "host": "no-such-host"})
 

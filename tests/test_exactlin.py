@@ -27,7 +27,6 @@ from hopfrb.exactlin import (
     scalar_vec,
     solve_linear,
     span_eq,
-    tensor_vec,
     vec,
     zeros_vec,
 )
@@ -461,12 +460,19 @@ def test_product_shape_and_field_errors():
 # -- tensor products --------------------------------------------------------
 
 
-def test_tensor_vec_basis_pairs():
+def test_joined_indices_follow_the_lex_pair_basis():
     u = qv([1, 0])
     v = qv([0, 1])
     # lex pair order: e0 (x) e0, e0 (x) e1, e1 (x) e0, e1 (x) e1
-    assert tensor_vec(u, v) == qv([0, 1, 0, 0])
-    assert tensor_vec(v, u) == qv([0, 0, 1, 0])
+    assert contract("a,b->ab", u, v).joined(2).dense() == qv([0, 1, 0, 0])
+    assert contract("a,b->ab", v, u).joined(2).dense() == qv([0, 0, 1, 0])
+    t = RawTensor(RATIONAL, (2, 3, 2), {(1, 2, 0): 5, (0, 1, 1): 7})
+    assert t.joined(1, 2) == RawTensor(RATIONAL, (2, 6), {(1, 4): 5, (0, 3): 7})
+    assert t.joined(1, 2).dense() == t.dense(2, 6)
+    assert t.joined(3).cells == {(10,): 5, (3,): 7}
+    assert t.joined(2, 1).shape == (6, 2) and t.joined(1, 1, 1) == t
+    with pytest.raises(DimensionError):
+        t.joined(2)
 
 
 # -- lean raw values over Q -----------------------------------------------------

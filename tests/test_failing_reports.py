@@ -71,7 +71,8 @@ def _render(x):
     if isinstance(x, RbpInstance):
         return {"name": x.name, "p": _render(x.p), "t": _render(x.t), "verified": x.verified}
     if isinstance(x, FinAlgebra):
-        return {"name": x.name, "mult": _render(x.mult.dense()), "unit": _render(x.unit)}
+        unit = None if x.unit is None else x.unit.dense()
+        return {"name": x.name, "mult": _render(x.mult.dense()), "unit": _render(unit)}
     if isinstance(x, ActionStructure):
         return {"name": x.name, "act": _render(x.act.dense())}
     if hasattr(x, "basis") and hasattr(x, "side"):  # an IntegralSpace

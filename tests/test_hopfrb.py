@@ -8,6 +8,9 @@ from hopfrb.exactlin import (
     mat_scale, prime_field, span_eq, vec,
 )
 from hopfrb.structures import (
+    Bialgebra,
+    FinAlgebra,
+    FinCoalgebra,
     Functional,
     PreconditionError,
     as_weak,
@@ -26,7 +29,7 @@ from hopfrb.actions import (
     trivial_action,
 )
 from hopfrb.rbcore import (
-    check_a_linear, check_rb_operator, classify_generic, random_operator,
+    _random_entries, check_a_linear, check_rb_operator, classify_generic,
 )
 from hopfrb.hopfrb import (
     PairingForm,
@@ -40,6 +43,7 @@ from hopfrb.hopfrb import (
     doi_hopf_projection,
     dual_action_T,
     find_integrals,
+    functional_operator,
     hopf_module_projection,
     integral_T,
     smash_integral_T,
@@ -194,6 +198,57 @@ def test_integral_T_rejects_non_integral():
         integral_T(c2, module, vec(Q, [1, 0]))
 
 
+def _upper_triangular_host():
+    """The upper triangular 2 x 2 matrices (basis e11, e12, e22) with the
+    counit e11^ and a zero comultiplication: e11 is a normalized left
+    integral for that counit but not a right one.  No Hopf algebra has
+    such an integral (a normalized left integral is two-sided), so the
+    host is hand-built and its axioms are never checked."""
+    mult = RawTensor(Q, (3, 3, 3), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1})
+    labels = ("e11", "e12", "e22")
+    alg = FinAlgebra(Q, 3, labels, mult, vec(Q, [1, 0, 1]), name="upper")
+    co = FinCoalgebra(Q, 3, labels, RawTensor(Q, (3, 3, 3), {}), vec(Q, [1, 0, 0]))
+    return Bialgebra("upper", alg, co)
+
+
+def test_normalization_refusals_name_their_text_and_basis():
+    h4 = get("sweedler-h4").payload
+    module = regular_action(h4.algebra, "left")
+    left, right = (find_integrals(h4, side).basis[0] for side in ("left", "right"))
+    assert left == vec(Q, [0, 0, 1, 1]) and right == vec(Q, [0, 0, -1, 1])
+    # a right integral that is not a left one: g (gx - x) = x - gx != eps(g) (gx - x)
+    with pytest.raises(PreconditionError, match=r"^not a left integral: fails at basis 1$"):
+        integral_T(h4, module, right)
+    with pytest.raises(PreconditionError,
+                       match=r"^integral is not normalized: eps\(e\) = 0$"):
+        integral_T(h4, module, left)
+    upper = _upper_triangular_host()
+    # e11 e12 = e12, but eps(e12) e11 = 0
+    with pytest.raises(PreconditionError,
+                       match=r"^integral is not two-sided: fails at basis 1$"):
+        integral_T(upper, regular_action(upper.algebra, "left"), vec(Q, [1, 0, 0]))
+
+
+def test_counit_recovers_the_functional_on_a_noncocommutative_host():
+    h4 = get("sweedler-h4").payload
+    co, n = h4.coalgebra, h4.dim
+    asymmetric = 0
+    for trial in range(20):
+        chi = Functional(h4, vec(Q, _random_entries(n, "h4-functional", trial)[:n]))
+        t = functional_operator(h4, chi)
+        assert isinstance(t, RawTensor)
+        # column i of T is chi(e_i(1)) e_i(2), read off Delta(e_i)
+        coords = chi.coords.dense()
+        for i in range(n):
+            delta = co.comult_vec(h4.algebra.basis(i))
+            column = tuple(sum((coords[a] * delta[a * n + k] for a in range(n)), Q.zero)
+                           for k in range(n))
+            assert tuple(row[i] for row in t.dense()) == column
+        assert contract("ki,k->i", t, co.counit) == chi.coords
+        asymmetric += t != t.permuted(1, 0)
+    assert asymmetric  # the counit reads T's orientation here, unlike on C_2
+
+
 def test_adjoint_action_of_commutative_host_is_trivial_on_itself():
     c2 = _c2()
     act = adjoint_action(c2)
@@ -236,8 +291,8 @@ def test_dual_action_non_idempotent_functional():
 def test_dual_action_composition_is_reversed_convolution():
     c2 = _c2()
     for trial in range(30):
-        f = Functional(c2, random_operator(Q, 2, "conv-f", trial)[0])
-        g = Functional(c2, random_operator(Q, 2, "conv-g", trial)[0])
+        f = Functional(c2, vec(Q, _random_entries(2, "conv-f", trial)[:2]))
+        g = Functional(c2, vec(Q, _random_entries(2, "conv-g", trial)[:2]))
         tf, _ = dual_action_T(c2, f)
         tg, _ = dual_action_T(c2, g)
         tfg, _ = dual_action_T(c2, convolution(g, f))

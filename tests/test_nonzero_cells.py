@@ -94,7 +94,7 @@ def test_tensor_cube_product_matches_dense_sums(data):
     field = data.draw(st.sampled_from(FIELDS))
     n = data.draw(st.integers(1, 2))
     alg = _unital_algebra(data, field, n)
-    mult, one, r = alg.mult.dense(), alg.unit, range(n)
+    mult, one, r = alg.mult.dense(), alg.unit.dense(), range(n)
     rm, sm = (tuple(_vec(data, field, n) for _ in r) for _ in range(2))
 
     def cube(u, v):

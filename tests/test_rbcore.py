@@ -44,7 +44,6 @@ from hopfrb.rbcore import (
     is_quasi_idempotent,
     operator_of,
     pairing_system,
-    random_operator,
     scale_weight,
     tilde_pair,
 )
@@ -259,7 +258,7 @@ def _over(module, field):
         tuple(tuple(field.of(x.value) for x in row) for row in plane) for plane in t3
     )
     a = module.algebra
-    unit = None if a.unit is None else tuple(field.of(x.value) for x in a.unit)
+    unit = None if a.unit is None else tuple(field.of(x.value) for x in a.unit.dense())
     alg = FinAlgebra(field, a.dim, a.labels, conv(a.mult.dense()), unit, name=a.name)
     return ActionStructure(alg, module.dim, module.side, conv(module.act.dense()),
                            name=module.name)
@@ -284,9 +283,9 @@ def _a_linear_basis(module):
 def _brute_force_failures(module, t, lam, trials, seed):
     a = module.algebra
     return sum(
-        not check_rbp_module(
-            RbpInstance(a, module, random_operator(a.field, a.dim, seed, k), t, lam)
-        ).ok
+        not check_rbp_module(RbpInstance(
+            a, module, operator_of(a.field, a.dim, rbcore._random_entries(a.dim, seed, k)), t, lam
+        )).ok
         for k in range(trials)
     )
 
@@ -494,7 +493,7 @@ def test_tilde_preserves_verification(trial):
     c2 = get("group-algebra-c2").payload
     module = get("c2-regular-module").payload
     t = module.matrix(normalized_group_integral(c2))
-    p = random_operator(Q, 2, "tilde-fuzz", trial)
+    p = operator_of(Q, 2, rbcore._random_entries(2, "tilde-fuzz", trial))
     inst = RbpInstance(c2.algebra, module, p, t, MINUS_ONE)
     assert check_rbp_module(inst).ok
     pt, tt = tilde_pair(p, t, MINUS_ONE)
@@ -633,7 +632,7 @@ def _seeded_instance(field, scale, seed):
     which pairs with every P."""
     c2 = cyclic_group_algebra(2, field)
     module = regular_action(c2.algebra, "left")
-    p = mat_scale(field.of(scale), random_operator(field, 2, seed, 0))
+    p = mat_scale(field.of(scale), operator_of(field, 2, rbcore._random_entries(2, seed, 0)))
     inst = RbpInstance(c2.algebra, module, p, module.matrix(normalized_group_integral(c2)),
                        -field.one, name=f"seeded-{field}")
     assert check_rbp_module(inst).ok
@@ -862,8 +861,8 @@ def test_random_entries_are_prefixes_of_one_stream():
 
 
 def test_random_operator_is_seed_deterministic():
-    a = random_operator(Q, 3, "s", 7)
-    b = random_operator(Q, 3, "s", 7)
-    c = random_operator(Q, 3, "s", 8)
+    a = operator_of(Q, 3, rbcore._random_entries(3, "s", 7))
+    b = operator_of(Q, 3, rbcore._random_entries(3, "s", 7))
+    c = operator_of(Q, 3, rbcore._random_entries(3, "s", 8))
     assert a == b
     assert a != c

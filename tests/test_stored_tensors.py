@@ -1,9 +1,11 @@
-"""The carriers' stored form: structure constants as raw sparse cells.
+"""The records' stored form: structure constants and vectors as raw sparse cells.
 
 `FinAlgebra.mult`, `FinCoalgebra.comult`, `ActionStructure.act` and
-`CoactionStructure.co` hold a `RawTensor`.  A constructor takes either that
-tensor, checked for its shape and field, or a dense Scalar tensor, read
-once; both give equal carriers, with equal hashes and reprs.
+`CoactionStructure.co` hold a `RawTensor`, and so do `FinAlgebra.unit`,
+`FinCoalgebra.counit` and `Functional.coords`, of shape (dim,).  A
+constructor takes either that tensor, checked for its shape and field, or
+a dense Scalar tensor or vector, read once; both give equal records, with
+equal hashes and reprs.
 """
 
 import pytest
@@ -13,10 +15,13 @@ from hopfrb.actions import (
     regular_coaction, trivial_action,
 )
 from hopfrb.catalog import get
+from hopfrb.catalog import sweedler_h4
 from hopfrb.exactlin import (
-    RATIONAL, DimensionError, FieldError, RawTensor, contract, prime_field,
+    RATIONAL, DimensionError, FieldError, RawTensor, contract, prime_field, vec,
 )
-from hopfrb.structures import FinAlgebra, FinCoalgebra, convolution, dual_algebra, Functional
+from hopfrb.structures import (
+    FinAlgebra, FinCoalgebra, Functional, check_algebra, convolution, dual_algebra,
+)
 
 Q, F5 = RATIONAL, prime_field(5)
 
@@ -101,6 +106,14 @@ def test_a_raw_tensor_over_another_field_is_refused(carrier):
         _rebuilt(x, RawTensor(other, t.shape, dict(t.cells)))
 
 
+def test_a_dense_tensor_over_another_field_is_refused(carrier):
+    x, _ = carrier
+    other = F5 if x.field == Q else Q
+    dense = RawTensor(other, _stored(x).shape, dict(_stored(x).cells)).dense()
+    with pytest.raises(FieldError, match=f"a dense entry is not in {x.field}"):
+        _rebuilt(x, dense)
+
+
 def test_dense_and_raw_input_give_one_carrier(carrier):
     x, _ = carrier
     t = _stored(x)
@@ -155,7 +168,7 @@ def test_the_transposed_carriers_read_the_right_cells():
     assert all(act[u][i][j] == comult[i][j][u]
                for u in range(n) for i in range(n) for j in range(n))
     trivial = trivial_action(h4, 3).act.dense()
-    assert all(trivial[i][j][k] == (co.counit[i] if j == k else Q.zero)
+    assert all(trivial[i][j][k] == (co.counit.dense()[i] if j == k else Q.zero)
                for i in range(n) for j in range(3) for k in range(3))
 
 
@@ -165,4 +178,79 @@ def test_the_dual_product_is_convolution_on_a_noncocommutative_host():
     for i in range(h4.dim):
         for j in range(h4.dim):
             f, g = dual.basis(i), dual.basis(j)
-            assert dual.mul(f, g) == convolution(Functional(h4, f), Functional(h4, g)).coords
+            assert dual.mul(f, g) == convolution(Functional(h4, f), Functional(h4, g)).coords.dense()
+
+
+# -- units, counits and functionals' coordinates --------------------------------
+
+
+def _vector_records(h):
+    """name -> (the stored vector, the record built again from a vector, the
+    text a vector of another length raises)."""
+    alg, co = h.algebra, h.coalgebra
+    chi = Functional(h, vec(h.field, [1, 2, 0, -1]))
+    return {
+        "unit": (alg.unit, lambda v: FinAlgebra(alg.field, alg.dim, alg.labels, alg.mult, v,
+                                                name=alg.name), "h4: unit length != dim"),
+        "counit": (co.counit, lambda v: FinCoalgebra(co.field, co.dim, co.labels, co.comult, v),
+                   "coalgebra: counit length != dim"),
+        "coords": (chi.coords, lambda v: Functional(h, v),
+                   "functional coordinate length != host dim"),
+    }
+
+
+@pytest.fixture(params=["unit", "counit", "coords"])
+def vector(request):
+    return _vector_records(_h4())[request.param]
+
+
+def test_dense_and_raw_vectors_give_one_record(vector):
+    raw, rebuild, _ = vector
+    assert isinstance(raw, RawTensor) and raw.shape == (4,) and raw.field == Q
+    from_dense, from_raw = rebuild(raw.dense()), rebuild(raw)
+    assert from_dense == from_raw
+    assert hash(from_dense) == hash(from_raw)
+    assert repr(from_dense) == repr(from_raw)
+    assert " at 0x" not in repr(from_raw)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_vector_of_another_length_raises_the_old_text(vector, length):
+    raw, rebuild, text = vector
+    dense = (raw.dense() + (Q.one,) * 4)[:length]
+    with pytest.raises(DimensionError) as info:
+        rebuild(dense)
+    assert str(info.value) == text
+    with pytest.raises(DimensionError) as info:
+        rebuild(RawTensor(Q, (length,), {}))
+    assert str(info.value) == f"{text}: raw shape ({length},)"
+
+
+def test_a_vector_over_another_field_is_refused(vector):
+    raw, rebuild, _ = vector
+    over_f5 = RawTensor(F5, raw.shape, dict(raw.cells))
+    with pytest.raises(FieldError, match="is over F_5, not Q"):
+        rebuild(over_f5)
+    with pytest.raises(FieldError, match="a dense entry is not in Q"):
+        rebuild(over_f5.dense())
+
+
+def test_no_unit_stays_nonunital():
+    alg = _h4().algebra
+    bare = FinAlgebra(alg.field, alg.dim, alg.labels, alg.mult, None, name="bare")
+    assert bare.unit is None and not bare.unital
+    assert check_algebra(bare).skipped == ("unit-left", "unit-right")
+
+
+@pytest.mark.parametrize("field", [Q, F5])
+def test_functionals_and_the_counit_give_the_scalar_sums(field):
+    h = sweedler_h4(field)
+    chi = Functional(h, vec(field, [3, -1, 2, 0]))
+    coords, counit = chi.coords.dense(), h.coalgebra.counit.dense()
+    for x in ([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 2, 0], [2, 3, -1, 4], [0, 0, 5, 7]):
+        x = vec(field, x)
+        want_chi, want_eps = field.zero, field.zero
+        for xi, c, e in zip(x, coords, counit):
+            want_chi, want_eps = want_chi + xi * c, want_eps + xi * e
+        assert chi(x) == want_chi and type(chi(x)) is type(want_chi)
+        assert h.coalgebra.counit_of(x) == want_eps

@@ -269,7 +269,7 @@ def test_radford_s4_formula(name):
     alpha, alpha_inv = _modular_character(h, "left"), _modular_character(h, "right")
     dual = _dual(h)
     g, g_inv = _modular_character(dual, "right"), _modular_character(dual, "left")
-    assert a.mul(g, g_inv) == a.unit
+    assert a.mul(g, g_inv) == a.unit.dense()
     assert convolution(Functional(h, alpha), Functional(h, alpha_inv)).coords == h.coalgebra.counit
 
     def hit(i):
@@ -435,7 +435,7 @@ def test_target_subalgebra_matches_per_pair_solves(name, monkeypatch):
     calls = _counting_rref(monkeypatch)
     sub = subalgebra_image(pil, w.algebra)
     assert len(calls) == 2  # the basis and the unit, not r^2 + 2 = 6
-    assert (sub.inclusion, sub.algebra.mult.dense(), sub.algebra.unit) == _image_by_solves(
+    assert (sub.inclusion, sub.algebra.mult.dense(), sub.algebra.unit.dense()) == _image_by_solves(
         pil, w.algebra)
 
 
@@ -446,7 +446,7 @@ def test_image_costs_two_eliminations_at_every_rank(n, monkeypatch):
     calls = _counting_rref(monkeypatch)
     sub = subalgebra_image(identity(Q, n), a)
     assert len(calls) == 2
-    assert (sub.inclusion, sub.algebra.mult.dense(), sub.algebra.unit) == _image_by_solves(
+    assert (sub.inclusion, sub.algebra.mult.dense(), sub.algebra.unit.dense()) == _image_by_solves(
         identity(Q, n), a)
 
 
