@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -387,7 +387,9 @@ class RawTensor:
     index.  One type is the form in which every carrier stores its
     structure constants (`stored`) and what `contract` returns, and
     `contract` reads either.  `grouped` files the cells by one layout once,
-    for every `contract` that reads the tensor that way; `+` and `-` add
+    for every `contract` that reads the tensor that way, and `integral`
+    files once the integer form over Q, (d, numerators) with d the lcm of
+    the cells' denominators, that `contract` multiplies; `+` and `-` add
     cellwise and refuse mixed fields; `permuted` reorders the indices and
     `joined` merges adjacent ones on their lex basis; `rows` files the
     cells as sparse rows; `flat` and `dense` give the values back on a lex
@@ -396,10 +398,10 @@ class RawTensor:
     the cells in index order.
     """
 
-    __slots__ = ("field", "shape", "cells", "_groups")
+    __slots__ = ("field", "shape", "cells", "_groups", "_ints")
 
     def __init__(self, field: FieldSpec | None, shape: tuple, cells: dict) -> None:
-        self.field, self.shape, self.cells, self._groups = field, shape, cells, {}
+        self.field, self.shape, self.cells, self._groups, self._ints = field, shape, cells, {}, None
 
     @classmethod
     def of(cls, field: FieldSpec, t, shape: tuple, ragged: str | None = None) -> "RawTensor":
@@ -418,14 +420,30 @@ class RawTensor:
     @classmethod
     def read(cls, field: FieldSpec, shape: tuple, entries: dict) -> "RawTensor":
         """The tensor whose cell at each index tuple of `entries` holds the
-        value `field.of` reads from it; zeros are dropped."""
-        return cls(field, shape,
-                   {idx: v for idx, x in entries.items() if (v := field.of(x).value)})
+        value `field.of` reads from it (an int is reduced without a Scalar);
+        zeros are dropped."""
+        p = field.p
+        return cls(field, shape, {idx: v for idx, x in entries.items() if (
+            v := (x % p if p else x) if type(x) is int else field.of(x).value)})
 
-    def grouped(self, key: tuple, rest: tuple) -> dict:
-        if (key, rest) not in self._groups:
-            self._groups[key, rest] = _group(self.cells.items(), key, rest)
-        return self._groups[key, rest]
+    def integral(self) -> tuple:
+        """The integer form (d, numerators) of rational cells: d is the lcm
+        of their denominators, and each numerator the cell times d."""
+        if self._ints is None:
+            d = lcm(*(v.denominator for v in self.cells.values() if type(v) is Fraction))
+            self._ints = d, (self.cells if d == 1 else {
+                idx: v.numerator * (d // v.denominator) if type(v) is Fraction else v * d
+                for idx, v in self.cells.items()})
+        return self._ints
+
+    def grouped(self, key: tuple, rest: tuple, scaled: bool = False) -> dict:
+        """The cells filed by `_group`, once per layout; `scaled` files the
+        numerators of `integral` under a layout of their own."""
+        layout = (key, rest, "scaled") if scaled else (key, rest)
+        if layout not in self._groups:
+            cells = self.integral()[1] if scaled else self.cells
+            self._groups[layout] = _group(cells.items(), key, rest)
+        return self._groups[layout]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RawTensor) and self.shape == other.shape
@@ -634,6 +652,11 @@ def contract(spec: str, *operands) -> RawTensor:
     reduced (mod p, and integral Fractions to ints) only on a step that sums
     a letter out and on the last step: a step that sums nothing puts each
     product of two nonzero values in a cell of its own, so no cell cancels.
+    Over Q, when some operand has a non-integral cell, the arithmetic runs
+    on ints: each operand's numerators over its own d (`integral`), with
+    only zeros dropped between steps, and one division of each output cell
+    by D, the product of the d's.  With every d 1 (integer tables) the cells
+    are their own numerators, and the result files them as its integer form.
     """
     ins, out, steps = _PLANS.get(spec) or _plan(spec)
     if len(ins) != len(operands):
@@ -646,6 +669,8 @@ def contract(spec: str, *operands) -> RawTensor:
                 raise FieldError(f"mixed fields {sorted({str(field), str(view.field)})}")
             field = view.field
     p = field.p if field else 0
+    forms = [] if p else [view.integral() for view in views]
+    scale = prod(d for d, _ in forms)
     dims: dict = {}
     for letters, view in zip(ins, views):
         if len(view.shape) != len(letters):
@@ -653,11 +678,11 @@ def contract(spec: str, *operands) -> RawTensor:
         for c, d in zip(letters, view.shape):
             if dims.setdefault(c, d) != d:
                 raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
-    partial, last = views[0].cells, len(steps) - 1
+    partial, last = forms[0][1] if scale > 1 else views[0].cells, len(steps) - 1
     for n, (key, rest, probe, keep) in enumerate(steps):
         if n:
             new: dict = {}
-            groups = views[n].grouped(key, rest)
+            groups = views[n].grouped(key, rest, scale > 1 and forms[n][0] > 1)
             if keep is None:
                 for idx, v in partial.items():
                     for ext, w in groups.get(probe(idx), ()):
@@ -675,10 +700,20 @@ def contract(spec: str, *operands) -> RawTensor:
                 at = keep(idx)
                 new[at] = new.get(at, 0) + v
             partial = new
-        if keep is not None or n == last:
-            partial = ({at: r for at, x in partial.items() if (r := x % p)} if p
-                       else {at: _lean(x) for at, x in partial.items() if x})
-    return RawTensor(field, tuple(dims[c] for c in out), partial)
+        if keep is None and n < last:
+            continue
+        if p:
+            partial = {at: r for at, x in partial.items() if (r := x % p)}
+        elif scale == 1:
+            partial = {at: _lean(x) for at, x in partial.items() if x}
+        elif n < last:  # integer numerators: only zeros go
+            partial = {at: x for at, x in partial.items() if x}
+        else:  # one division per output cell
+            partial = {at: _lean(Fraction(x, scale)) for at, x in partial.items() if x}
+    result = RawTensor(field, tuple(dims[c] for c in out), partial)
+    if scale == 1 and not p:  # integral cells: its own integer form
+        result._ints = 1, partial
+    return result
 
 
 # ---------------------------------------------------------------------------

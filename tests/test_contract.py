@@ -28,11 +28,14 @@ from hopfrb.structures import FinAlgebra
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfrb"
 F101 = prime_field(101)
 FIELDS = (RATIONAL, prime_field(2), prime_field(5), F101)
-# zero six times as likely as each other value; Q adds non-integral values
-# and F_101 values near p - 1, whose products `contract` leaves unreduced
-# until a step sums or the last step
+# zero six times as likely as each other value; Q adds non-integral values,
+# whose denominators need an lcm and whose products can cancel to ints, and
+# F_101 values near p - 1, whose products `contract` leaves unreduced until a
+# step sums or the last step
 VALUES = [0, 0, 0, 0, 0, 0, 1, -1, 2, 3]
-EXTRA_VALUES = {RATIONAL: [Fraction(1, 2), Fraction(-2, 3)], F101: [100, 99, 98]}
+EXTRA_VALUES = {RATIONAL: [Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3), Fraction(3, 4),
+                           Fraction(-5, 6), Fraction(1, 7)],
+                F101: [100, 99, 98]}
 
 
 def _specs() -> list:
@@ -105,6 +108,63 @@ def test_contract_matches_dense_loops(spec, data):
             assert type(v) is int and 0 < v < field.p
         else:
             assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("spec", SPECS + EXTRA_SPECS)
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_rational_contractions_reduce_mod_101_to_their_f101_answers(spec, data):
+    """A second field as the oracle: the denominators of these values are
+    units mod 101, so reducing is a ring map, and it commutes with every sum
+    of products."""
+    ins = spec.split("->")[0].split(",")
+    letters = sorted(set("".join(ins)))
+    top = 3 if len(letters) <= 6 else 2
+    dims = {c: data.draw(st.integers(1, top)) for c in letters}
+    value = st.sampled_from([0, 0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                             Fraction(-5, 6), Fraction(1, 7), Fraction(7, 12), Fraction(11, 10)])
+    q_ops, p_ops = [], []
+    for x in ins:
+        shape = tuple(dims[c] for c in x)
+        entries = {idx: data.draw(value) for idx in product(*map(range, shape))}
+        q_ops.append(RawTensor.read(RATIONAL, shape, entries))
+        p_ops.append(RawTensor.read(F101, shape, entries))
+    got = contract(spec, *q_ops)
+    assert {idx: r for idx, v in got.cells.items() if (r := F101.of(v).value)} == \
+        contract(spec, *p_ops).cells
+
+
+def test_a_rational_tensor_files_its_integer_form_once():
+    t = RawTensor.read(RATIONAL, (2, 2), {(0, 0): Fraction(1, 3), (0, 1): Fraction(3, 4),
+                                          (1, 1): 2})
+    first = contract("ij,jk->ik", t, t)
+    assert first.cells == {(0, 0): Fraction(1, 9), (0, 1): Fraction(7, 4), (1, 1): 4}
+    assert type(first.cells[1, 1]) is int
+    form, groups = t._ints, dict(t._groups)
+    assert form == (12, {(0, 0): 4, (0, 1): 9, (1, 1): 24})
+    assert contract("ij,jk->ik", t, t) == first
+    assert t._ints is form and t._groups.keys() == groups.keys()
+    assert all(t._groups[layout] is g for layout, g in groups.items())
+    # a result with integral cells files them as its own integer form, so a
+    # chained contraction reads them without a scan
+    whole = contract("ij,jk->ik", identity(RATIONAL, 2), identity(RATIONAL, 2))
+    assert whole._ints[0] == 1 and whole._ints[1] is whole.cells
+    assert contract("ij,jk->ik", whole, t) == t and whole._ints[1] is whole.cells
+
+
+def test_a_kernel_and_contract_read_one_rational_tensor_by_one_layout():
+    """`ActionStructure.matrix` files a module's cells by (0,), (1, 2), the
+    layout `contract` reads it by in "i,ijk->jk"; `contract` multiplies
+    the numerators, so each must find its own filing, in either order."""
+    cells = {(0, 0, 1): Fraction(1, 2), (1, 1, 0): Fraction(2, 3), (1, 0, 0): 1}
+    e = RawTensor.read(RATIONAL, (2,), {(0,): 1, (1,): 1})
+    want = {(0, 1): Fraction(1, 2), (1, 0): Fraction(2, 3), (0, 0): 1}
+    filed = {0: [((0, 1), Fraction(1, 2))], 1: [((1, 0), Fraction(2, 3)), ((0, 0), 1)]}
+    kernel_first, contract_first = (RawTensor.read(RATIONAL, (2, 2, 2), cells) for _ in "ab")
+    assert kernel_first.grouped((0,), (1, 2)) == filed
+    assert contract("i,ijk->jk", e, kernel_first).cells == want
+    assert contract("i,ijk->jk", e, contract_first).cells == want
+    assert contract_first.grouped((0,), (1, 2)) == filed
 
 
 def test_a_carrier_files_its_cells_once_per_layout():

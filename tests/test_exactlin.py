@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hopfrb import exactlin
 from hopfrb.exactlin import (
     MAX_MODULUS,
     DimensionError,
@@ -156,6 +157,27 @@ def test_nonzero_denominator_mod_p():
     # 1/5 has no meaning in F_5
     with pytest.raises(FieldError):
         F5.of(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F5])
+def test_read_gives_the_cells_field_of_gives(field):
+    entries = {(0,): 3, (1,): -7, (2,): 10, (3,): 0, (4,): Fraction(3, 4), (5,): Fraction(4, 2),
+               (6,): "5/2", (7,): "-1", (8,): "0", (9,): 2**70}
+    got = RawTensor.read(field, (10,), entries)
+    want = {idx: v for idx, x in entries.items() if (v := field.of(x).value)}
+    assert got.cells == want
+    assert all(type(got.cells[idx]) is type(v) for idx, v in want.items())
+
+
+@pytest.mark.parametrize("field,x", [(RATIONAL, True), (F5, False), (RATIONAL, 0.5),
+                                     (F5, 1.0), (RATIONAL, "1/x"), (F5, "2 mod 7"),
+                                     (F5, Fraction(1, 5)), (F5, "3/10")])
+def test_read_refuses_what_field_of_refuses_with_its_text(field, x):
+    with pytest.raises(FieldError) as want:
+        field.of(x)
+    with pytest.raises(FieldError) as got:
+        RawTensor.read(field, (1,), {(0,): x})
+    assert str(got.value) == str(want.value)
 
 
 def test_floats_are_refused():
@@ -397,6 +419,24 @@ def test_sparse_rref_matches_dense_gauss_jordan_on_larger_systems(system):
     ker = kernel_basis(a, field, ncols=nc)
     assert len(ker) == nc - len(dpiv)
     assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in ker)
+
+
+def test_rref_pivots_on_the_shortest_row(monkeypatch):
+    """An arrowhead system: a dense first row, then x_i + 2 x_n for each
+    i < n.  Pivoting on the short row x_i + 2 x_n clears column i from the
+    dense row with one update, so no row fills in; a pivot on the dense row
+    would fill every short row.  The reduced form is the same either way,
+    so only the count of `_lean` calls (one per entry read, scaled or
+    updated over Q) shows the rule."""
+    n = 8
+    rows = [{j: 1 for j in range(n + 1)}] + [{i: 1, n: 2} for i in range(n)]
+    calls = []
+    lean = exactlin._lean
+    monkeypatch.setattr(exactlin, "_lean", lambda x: calls.append(x) or lean(x))
+    done, piv = rref(rows, RATIONAL)
+    assert piv == tuple(range(n + 1)) and done == tuple({j: 1} for j in range(n + 1))
+    # 3n + 1 entries read, 2n + 1 scaled, and one update per column below n
+    assert len(calls) == 6 * n + 2
 
 
 def test_elimination_leaves_the_callers_raw_rows_unchanged():
