@@ -23,7 +23,6 @@ from .exactlin import (
     contract,
     kernel_basis,
     raw_identity,
-    scalar_vec,
     stored,
     unit_vec,
 )
@@ -77,23 +76,10 @@ class ActionStructure(Record):
 
     def matrix(self, r: Vec) -> Mat:
         """Operator of the element r on the module, whichever the side."""
-        cells = self.act.grouped((0,), (1, 2))
-        acc = [[0] * self.dim for _ in range(self.dim)]
-        for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
-            for (j, k), a in cells.get(i, ()):
-                acc[k][j] += ri * a
-        return tuple(scalar_vec(self.field, row) for row in acc)
+        return contract("i,ijk->kj", r, self).dense()
 
     def apply(self, r: Vec, m: Vec) -> Vec:
-        cells = self.act.grouped((0, 1), (2,))
-        acc = [0] * self.dim
-        ms = [(j, v) for j, s in enumerate(m) if (v := s.value)]
-        for i, ri in [(i, v) for i, s in enumerate(r) if (v := s.value)]:
-            for j, mj in ms:
-                c = ri * mj
-                for (k,), a in cells.get((i, j), ()):
-                    acc[k] += c * a
-        return scalar_vec(self.field, acc)
+        return contract("i,j,ijk->k", r, m, self).dense()
 
 
 class CoactionStructure(Record):
@@ -121,15 +107,6 @@ class CoactionStructure(Record):
 
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
-
-    def coact_vec(self, m: Vec) -> Vec:
-        """rho(m) on the (module, coalgebra) lex pair basis."""
-        h, cells = self.coalgebra.dim, self.co.grouped((0,), (1, 2))
-        acc = [0] * (self.dim * h)
-        for i, mi in [(i, v) for i, s in enumerate(m) if (v := s.value)]:
-            for (j, k), c in cells.get(i, ()):
-                acc[j * h + k] += mi * c
-        return scalar_vec(self.field, acc)
 
 
 class Dimodule(Record):

@@ -7,10 +7,11 @@ and no tolerances anywhere.  Under them sit raw values in sparse form:
 ints mod p, or over Q ints when integral and Fractions otherwise, so
 integer structure constants multiply at machine-int speed.  Structure
 constants are stored only in that form, as the nonzero cells of a
-`RawTensor`.  Every sum of products of structure constants is one
-`contract` call, in einsum notation; it reads raw sparse tensors (a
-carrier's stored tensor, or an earlier result) and returns one, so
-checkers compare and chain results without building Scalars.  Row
+`RawTensor`.  Every sum of products is one `contract` call, in einsum
+notation, down to a carrier's product of two vectors and `mat_mul`; it
+reads raw sparse tensors (a carrier's stored tensor, an earlier result,
+or a Scalar matrix or vector read once) and returns one, so checkers
+compare and chain results without building Scalars.  Row
 reduction is one sparse Gauss-Jordan on raw rows, which visits only
 nonzero entries; the system builders hand it raw rows, and Scalars appear
 only at the boundary: Scalar matrices in, solutions and kernels out.
@@ -336,10 +337,6 @@ class Scalar(Record):
     def is_zero(self) -> bool:
         return self.value == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __str__(self) -> str:
         if self.field.kind == "rational":
             return str(self.value)
@@ -386,10 +383,11 @@ class RawTensor:
     otherwise, the value a Scalar holds; ``shape`` is the extent of each
     index.  One type is the form in which every carrier stores its
     structure constants (`stored`) and what `contract` returns, and
-    `contract` reads either.  `grouped` files the cells by one layout once,
-    for every `contract` that reads the tensor that way, and `integral`
-    files once the integer form over Q, (d, numerators) with d the lcm of
-    the cells' denominators, that `contract` multiplies; `+` and `-` add
+    `contract` reads either.  `integral` files once the integer form over
+    Q, (d, numerators) with d the lcm of the cells' denominators, that
+    `contract` multiplies, and `grouped` files those numerators by one
+    layout once, for every `contract` that reads the tensor that way; over
+    F_p and on integer tables they are the cells themselves; `+` and `-` add
     cellwise and refuse mixed fields; `permuted` reorders the indices and
     `joined` merges adjacent ones on their lex basis; `rows` files the
     cells as sparse rows; `flat` and `dense` give the values back on a lex
@@ -436,13 +434,12 @@ class RawTensor:
                 for idx, v in self.cells.items()})
         return self._ints
 
-    def grouped(self, key: tuple, rest: tuple, scaled: bool = False) -> dict:
-        """The cells filed by `_group`, once per layout; `scaled` files the
-        numerators of `integral` under a layout of their own."""
-        layout = (key, rest, "scaled") if scaled else (key, rest)
+    def grouped(self, key: tuple, rest: tuple) -> dict:
+        """The numerators of `integral` (over F_p and on integer tables, the
+        cells themselves) filed by `_group`, once per layout."""
+        layout = key, rest
         if layout not in self._groups:
-            cells = self.integral()[1] if scaled else self.cells
-            self._groups[layout] = _group(cells.items(), key, rest)
+            self._groups[layout] = _group(self.integral()[1].items(), key, rest)
         return self._groups[layout]
 
     def __eq__(self, other) -> bool:
@@ -682,7 +679,7 @@ def contract(spec: str, *operands) -> RawTensor:
     for n, (key, rest, probe, keep) in enumerate(steps):
         if n:
             new: dict = {}
-            groups = views[n].grouped(key, rest, scale > 1 and forms[n][0] > 1)
+            groups = views[n].grouped(key, rest)
             if keep is None:
                 for idx, v in partial.items():
                     for ext, w in groups.get(probe(idx), ()):
@@ -760,48 +757,14 @@ def vec_scale(c: Scalar, u: Vec) -> Vec:
 
 
 def apply_mat(a: Mat, x: Vec) -> Vec:
-    if a and len(a[0]) != len(x):
-        raise DimensionError("matrix/vector shape mismatch")
-    return tuple(
-        _sum_products(row, x) for row in a
-    )
-
-
-def _sum_products(row: Vec, x: Vec):
-    acc = None
-    for r, v in zip(row, x):
-        if r.is_zero or v.is_zero:
-            continue
-        term = r * v
-        acc = term if acc is None else acc + term
-    if acc is None:
-        # need a zero of the right field; rows are never empty in practice
-        return row[0].field.zero if row else x[0].field.zero
-    return acc
+    """The vector a x: one `contract`, Scalars only on return."""
+    return contract("rc,c->r", a, x).dense() if a else ()
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """The product a b on raw values: each nonzero a[r][k] adds its
-    multiples of the nonzero entries of row k of b, and the sums become
-    Scalars only on return."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionError("matrix product shape mismatch")
-    nc = len(b[0]) if b else 0
-    if not a or not nc:
-        return ((),) * len(a)
-    field = a[0][0].field
-    if b[0][0].field != field:
-        raise FieldError(f"mixed fields {field} and {b[0][0].field}")
-    b_rows = [[(j, v) for j, s in enumerate(row) if (v := s.value)] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * nc
-        for s, b_row in zip(row, b_rows):
-            if x := s.value:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(scalar_vec(field, acc))
-    return tuple(out)
+    """The product a b: one `contract`, Scalars only on return; an a with
+    no rows gives (), and a b with no columns one empty row per row of a."""
+    return contract("ik,kj->ij", a, b).dense() if a else ()
 
 
 def mat_scale(c: Scalar, a: Mat) -> Mat:

@@ -13,7 +13,6 @@ from . import __version__
 from .exactlin import (
     InternalError,
     RawTensor,
-    apply_mat,
     blocks,
     contract,
     differing,
@@ -199,28 +198,18 @@ def _replay_prop_3_6(seed: str, trials: int) -> list:
     p = mat2.left_mult(mat2.basis(0))
     lam = -f.one
     star, tri, doubled = double_construction(mat2, p, module, p, lam)
-    bad = 0
-    for i in range(star.dim):
-        for j in range(star.dim):
-            for k in range(star.dim):
-                lhs = star.mul(star.mul(star.basis(i), star.basis(j)), star.basis(k))
-                rhs = star.mul(star.basis(i), star.mul(star.basis(j), star.basis(k)))
-                if lhs != rhs:
-                    bad += 1
+    # (e_i e_j) e_k against e_i (e_j e_k), one count per basis triple
+    bad = len(differing(contract("ijm,mkx->ijkx", star, star),
+                        contract("jkm,imx->ijkx", star, star), 3))
     _check(checks, "star-associative", bad == 0, triples=star.dim ** 3, failures=bad)
 
     from .actions import check_action
 
     _check(checks, "induced-action-module-law", check_action(tri).ok)
-    # T intertwines the induced action with the original one
-    bad = 0
-    for i in range(mat2.dim):
-        for j in range(module.dim):
-            lhs = apply_mat(doubled.t, tri.apply(mat2.basis(i), module.basis(j)))
-            rhs = tri.apply(apply_mat(p, mat2.basis(i)),
-                            apply_mat(doubled.t, module.basis(j)))
-            if lhs != rhs:
-                bad += 1
+    # T intertwines the induced action: T(e_i |> m_j) = P(e_i) |> T(m_j),
+    # one count per basis pair
+    bad = len(differing(contract("ijk,xk->ijx", tri, doubled.t),
+                        contract("ai,bj,abx->ijx", doubled.p, doubled.t, tri), 2))
     _check(checks, "projection-intertwines", bad == 0,
            pairs=mat2.dim * module.dim, failures=bad)
     _check(checks, "doubled-instance-verifies", check_rbp_module(doubled).ok)

@@ -3,9 +3,10 @@
 An algebra stores the cells (i, j, k) of ``mult`` with ``e_i e_j = sum_k
 mult[i, j, k] e_k``, a coalgebra those of ``comult`` with ``Delta(e_i) = sum
 comult[i, j, k] e_j (x) e_k``, each as a raw sparse tensor (`RawTensor`)
-that every kernel and `contract` read as it is, and so are units, counits
-and functionals' coordinates; a dense Scalar tensor or vector passed to a
-constructor is read into that form once.  Bialgebras, Hopf
+that `contract` reads as it is, and so are units, counits and
+functionals' coordinates; a dense Scalar tensor or vector passed to a
+constructor is read into that form once.  Even a product of two elements
+is one `contract` call.  Bialgebras, Hopf
 algebras and their weak variants are layered on top of those two tensors.
 Axiom checkers return a Report with the first violating basis tuple per
 axiom; nothing is ever assumed to hold because a constructor was called.
@@ -34,7 +35,6 @@ from .exactlin import (
     contract,
     mat_from_cols,
     raw_identity,
-    scalar_vec,
     solve_linear,
     stored,
     unit_vec,
@@ -92,25 +92,15 @@ class FinAlgebra(Record):
             raise StructureError(f"{self.name}: no basis label {label!r}") from None
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        cells = self.mult.grouped((0, 1), (2,))
-        acc = [0] * self.dim
-        ys = [(j, v) for j, s in enumerate(y) if (v := s.value)]
-        for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
-            for j, yj in ys:
-                c = xi * yj
-                for (k,), m in cells.get((i, j), ()):
-                    acc[k] += c * m
-        return scalar_vec(self.field, acc)
+        return contract("i,j,ijk->k", x, y, self).dense()
 
     def left_mult(self, r: Vec) -> Mat:
         """Matrix of x -> r x."""
-        cols = [self.mul(r, self.basis(j)) for j in range(self.dim)]
-        return mat_from_cols(cols)
+        return contract("i,ijk->kj", r, self).dense()
 
     def right_mult(self, r: Vec) -> Mat:
         """Matrix of x -> x r."""
-        cols = [self.mul(self.basis(j), r) for j in range(self.dim)]
-        return mat_from_cols(cols)
+        return contract("i,jik->kj", r, self).dense()
 
 
 class FinCoalgebra(Record):
@@ -135,12 +125,7 @@ class FinCoalgebra(Record):
 
     def comult_vec(self, x: Vec) -> Vec:
         """Delta(x) as a dim^2 vector on the lex pair basis."""
-        n, cells = self.dim, self.comult.grouped((0,), (1, 2))
-        acc = [0] * (n * n)
-        for i, xi in [(i, v) for i, s in enumerate(x) if (v := s.value)]:
-            for (j, k), d in cells.get(i, ()):
-                acc[j * n + k] += xi * d
-        return scalar_vec(self.field, acc)
+        return contract("i,ijk->jk", x, self).joined(2).dense()
 
     def counit_of(self, x: Vec) -> Scalar:
         return contract("i,i->", x, self.counit).dense()[0]

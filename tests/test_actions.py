@@ -3,7 +3,7 @@
 import pytest
 
 from hopfrb import actions
-from hopfrb.exactlin import RATIONAL, vec
+from hopfrb.exactlin import RATIONAL, DimensionError, FieldError, prime_field, vec
 from hopfrb.structures import StructureError, dual_algebra
 from hopfrb.actions import (
     ActionStructure,
@@ -67,6 +67,17 @@ def test_trivial_action_is_counit_scaling():
     g = vec(Q, [0, 1])
     m = vec(Q, [1, 2, 3])
     assert act.apply(g, m) == m  # eps(g) = 1
+
+
+def test_operators_refuse_a_vector_of_another_field_or_length():
+    act = trivial_action(get("group-algebra-c2").payload, 3)
+    g, m = vec(Q, [0, 1]), vec(Q, [1, 2, 3])
+    for operator, good in ((act.matrix, g), (lambda r: act.apply(r, m), g),
+                           (lambda v: act.apply(g, v), m)):
+        with pytest.raises(FieldError, match="mixed fields"):
+            operator(vec(prime_field(5), [x.value for x in good]))
+        with pytest.raises(DimensionError):
+            operator(good[:-1])
 
 
 # -- coactions ----------------------------------------------------------------

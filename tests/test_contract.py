@@ -152,19 +152,21 @@ def test_a_rational_tensor_files_its_integer_form_once():
     assert contract("ij,jk->ik", whole, t) == t and whole._ints[1] is whole.cells
 
 
-def test_a_kernel_and_contract_read_one_rational_tensor_by_one_layout():
-    """`ActionStructure.matrix` files a module's cells by (0,), (1, 2), the
-    layout `contract` reads it by in "i,ijk->jk"; `contract` multiplies
-    the numerators, so each must find its own filing, in either order."""
+def test_a_rational_tensor_has_one_numerator_filing_per_layout():
+    """`grouped` files the numerators of `integral` (here over d = 6), the
+    one filing `contract` multiplies, whether `grouped` or `contract` reads
+    the tensor first."""
     cells = {(0, 0, 1): Fraction(1, 2), (1, 1, 0): Fraction(2, 3), (1, 0, 0): 1}
     e = RawTensor.read(RATIONAL, (2,), {(0,): 1, (1,): 1})
     want = {(0, 1): Fraction(1, 2), (1, 0): Fraction(2, 3), (0, 0): 1}
-    filed = {0: [((0, 1), Fraction(1, 2))], 1: [((1, 0), Fraction(2, 3)), ((0, 0), 1)]}
-    kernel_first, contract_first = (RawTensor.read(RATIONAL, (2, 2, 2), cells) for _ in "ab")
-    assert kernel_first.grouped((0,), (1, 2)) == filed
-    assert contract("i,ijk->jk", e, kernel_first).cells == want
+    filed = {0: [((0, 1), 3)], 1: [((1, 0), 4), ((0, 0), 6)]}
+    grouped_first, contract_first = (RawTensor.read(RATIONAL, (2, 2, 2), cells) for _ in "ab")
+    assert grouped_first.grouped((0,), (1, 2)) == filed
+    assert contract("i,ijk->jk", e, grouped_first).cells == want
     assert contract("i,ijk->jk", e, contract_first).cells == want
     assert contract_first.grouped((0,), (1, 2)) == filed
+    for t in (grouped_first, contract_first):
+        assert list(t._groups) == [((0,), (1, 2))]
 
 
 def test_a_carrier_files_its_cells_once_per_layout():

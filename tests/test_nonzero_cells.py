@@ -1,8 +1,8 @@
 """The raw sparse view of structure constants against dense reference sums.
 
-Each structure reads its tensor through its raw view (``RawTensor``), in its
-own kernels and in `contract`, whose raw results are read back here on the
-lex basis of their indices (``RawTensor.dense``).  The references below are plain loops over
+Each structure's tensor is read through its raw view (``RawTensor``) by
+`contract`, in its own methods and in the checkers' specs; the raw results
+are read back here on the lex basis of their indices (``RawTensor.dense``).  The references below are plain loops over
 every cell, zeros included, so a view that drops, repeats or misplaces a
 cell shows up as a wrong coordinate.  The tensors are random, mostly zero
 and asymmetric, with independent dims per index, so swapped indices do not
@@ -156,6 +156,6 @@ def test_coaction_matches_dense_sums(data):
     rho = _tensor(data, field, m, m, h)
     comodule = CoactionStructure(co, m, rho)
     v = _vec(data, field, m)
-    assert comodule.coact_vec(v) == tuple(
+    assert contract("i,ijk->jk", v, comodule).joined(2).dense() == tuple(
         _sum(field, (v[i] * rho[i][j][k] for i in range(m))) for j in range(m) for k in range(h)
     )

@@ -1,5 +1,5 @@
-"""Every public top-level function or class in src is used by the package
-or by the benchmark.
+"""Every public top-level function or class in src, and every public method
+of a class there, is used by the package or by the benchmark.
 
 A name counts as used when it is read (as a name, an attribute or an exact
 string, as `bench/spans.py` names what it traces) anywhere in `src/hopfrb`
@@ -68,6 +68,25 @@ def test_every_public_name_is_used_outside_its_definition():
               for name, (module, node) in sorted(_definitions(trees).items())
               if name not in KEPT and reads[name] == _reads(node)[name]]
     assert not unused, f"public names nothing in src or bench uses: {unused}"
+
+
+def _methods(trees: dict) -> list:
+    """(module.Class.name, node) per public method of a top-level class in src."""
+    return [(f"{path.stem}.{cls.name}.{node.name}", node)
+            for path, tree in trees.items() if path.parent == SRC
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_every_public_method_is_used_outside_its_definition():
+    """A method counts as used when its name is read anywhere else, on any
+    receiver: reads are not resolved to classes."""
+    trees = _trees()
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unused = [name for name, node in _methods(trees)
+              if reads[node.name] == _reads(node)[node.name]]
+    assert not unused, f"public methods nothing in src or bench uses: {unused}"
 
 
 def test_every_kept_name_is_still_defined():

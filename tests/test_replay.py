@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
-from hopfrb import __version__, rbcore
-from hopfrb.exactlin import InternalError
+from hopfrb import __version__, rbcore, replay
+from hopfrb.actions import ActionStructure
+from hopfrb.catalog import get
+from hopfrb.exactlin import RATIONAL, InternalError, identity
 from hopfrb.replay import ReplayError, replay_ids, run_all, run_replay
+from hopfrb.structures import FinAlgebra
 
 ALL_IDS = ("cor-int", "ex-4.7", "prop-3.1", "prop-3.6", "prop-4.1", "prop-4.3",
            "prop-4.4", "prop-4.5", "prop-4.6", "rmk-4.10", "thm-3.2", "thm-3.5",
@@ -72,6 +75,41 @@ def test_projection_suite_reports_dual_side_honestly():
             "axiom": "pairing-identity", "a": 0,
             "delta": ["0"] + ["-1"] * (n - 1) + ["0"] * (n * n - n)}
     assert rep["result"] == "pass"
+
+
+def test_prop_3_6_counts_the_basis_tuples_where_its_identities_fail(monkeypatch):
+    """prop-3.6 counts the basis triples where (e_i e_j) e_k != e_i (e_j e_k)
+    in the star algebra, and the pairs where T(e_i |> m_j) != P(e_i) |> T(m_j),
+    as loops over the basis do.  The double construction asserts both, so
+    the test hands the suite other inputs: M_2 with one product changed,
+    acting on M_2 by left multiplication, T = id and a P that is not its
+    own transpose, P(E11) = E11 + E12 + E22."""
+    q, r = RATIONAL, range(4)
+    m2 = get("mat2-rational").payload.mult.dense()
+    mult = [[list(row) for row in plane] for plane in m2]
+    mult[1][1][1] = q.one  # E12 E12 = E12
+    star = FinAlgebra(q, 4, ("a", "b", "c", "d"),
+                      tuple(tuple(tuple(row) for row in plane) for plane in mult))
+    tri = ActionStructure(star, 4, "left", m2)
+    p = tuple(tuple(q.one if i == j or (j == 0 and i in (1, 3)) else q.zero for j in r)
+              for i in r)
+    t = identity(q, 4)
+    monkeypatch.setattr(replay, "double_construction", lambda *args: (
+        star, tri, rbcore.RbpInstance(star, tri, p, t, -q.one)))
+
+    def sums(terms):
+        return tuple(sum(terms(x), q.zero) for x in r)
+
+    triples = sum(sums(lambda x: (mult[i][j][m] * mult[m][k][x] for m in r))
+                  != sums(lambda x: (mult[j][k][m] * mult[i][m][x] for m in r))
+                  for i in r for j in r for k in r)
+    pairs = sum(sums(lambda x: (t[x][k] * m2[i][j][k] for k in r))
+                != sums(lambda x: (p[a][i] * t[b][j] * m2[a][b][x] for a in r for b in r))
+                for i in r for j in r)
+    assert triples and pairs
+    by_name = {c["name"]: c for c in run_replay("prop-3.6", seed=1, trials=1)["checks"]}
+    assert by_name["star-associative"]["failures"] == triples
+    assert by_name["projection-intertwines"]["failures"] == pairs
 
 
 def test_oracle_guards_replay_fuzz_loop(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hopfrb import exactlin, structures
 from hopfrb.exactlin import (
     RATIONAL,
+    DimensionError,
+    FieldError,
     InternalError,
     apply_mat,
     column_space_basis,
@@ -95,6 +97,17 @@ def test_left_right_mult_agree_on_center():
     c3 = get("group-algebra-c3").payload.algebra
     x = vec(Q, [1, 2, 3])
     assert c3.left_mult(x) == c3.right_mult(x)  # commutative
+
+
+def test_products_refuse_a_vector_of_another_field_or_length():
+    h = get("group-algebra-c3").payload
+    c3, x = h.algebra, h.algebra.basis(1)
+    for product in (lambda v: c3.mul(v, x), lambda v: c3.mul(x, v), c3.left_mult,
+                    c3.right_mult, h.coalgebra.comult_vec):
+        with pytest.raises(FieldError, match="mixed fields"):
+            product(vec(prime_field(5), [1, 0, 0]))
+        with pytest.raises(DimensionError):
+            product(vec(Q, [1, 0]))
 
 
 # -- coalgebras ---------------------------------------------------------------
