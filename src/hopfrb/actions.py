@@ -16,7 +16,6 @@ structures' constants are.
 from __future__ import annotations
 
 from .exactlin import (
-    Mat,
     RawTensor,
     Record,
     Vec,
@@ -37,11 +36,11 @@ from .structures import (
     WeakBialgebra,
     WeakHopfAlgebra,
     _kept_on_host,
-    _target_source,
     algebra_of,
     coalgebra_of,
     dual_algebra,
     name_of,
+    target_source,
 )
 
 
@@ -74,12 +73,9 @@ class ActionStructure(Record):
     def basis(self, j: int) -> Vec:
         return unit_vec(self.field, self.dim, j)
 
-    def matrix(self, r: Vec) -> Mat:
-        """Operator of the element r on the module, whichever the side."""
-        return contract("i,ijk->kj", r, self).dense()
-
-    def apply(self, r: Vec, m: Vec) -> Vec:
-        return contract("i,j,ijk->k", r, m, self).dense()
+    def matrix(self, r: Vec) -> RawTensor:
+        """Raw matrix of the element r acting on the module, whichever the side."""
+        return contract("i,ijk->kj", r, self)
 
 
 class CoactionStructure(Record):
@@ -318,7 +314,7 @@ def check_weak_comodule_algebra(w: WeakComoduleAlgebra) -> Report:
     if not carrier.unital:
         ck.skip("coaction-unit")
         return ck.report()
-    pil, _ = _target_source(halg, coalgebra_of(w.host))
+    pil, _ = target_source(w.host)
     # rho(1)(e_a (x) 1): the H leg is untouched since H is unital
     rho1 = contract("i,ixy->xy", carrier.unit, com)
     ck.compare(("a",), ("coaction-unit", contract("xy,xaz->azy", rho1, carrier),
@@ -397,7 +393,7 @@ def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
     else:
         if not isinstance(host, (WeakBialgebra, WeakHopfAlgebra)):
             raise StructureError("weak coinvariants need a weak bialgebra host")
-        pil, _ = _target_source(halg, coalgebra_of(host))
+        pil, _ = target_source(host)
         corr = contract("ijl,kl->jki", c, pil)
     # one row per f_j (x) e_k, over the coefficient of f_i
     return kernel_basis(list((c.co.permuted(1, 2, 0) - corr).rows(2).values()), f, ncols=n)

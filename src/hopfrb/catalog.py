@@ -28,12 +28,10 @@ from .exactlin import (
     RawTensor,
     Record,
     Vec,
-    identity,
     mat,
-    mat_from_cols,
     prime_field,
+    raw_identity,
     scalar_vec,
-    unit_vec,
     vec,
 )
 from .structures import (
@@ -140,7 +138,7 @@ def groupoid_algebra(name: str, arrows, labels, compose, inverse,
     alg = FinAlgebra(field, n, labels, RawTensor(field, (n,) * 3, mult), unit=unit, name=name)
     comult = RawTensor(field, (n,) * 3, {(i, i, i): 1 for i in range(n)})
     coalg = FinCoalgebra(field, n, labels, comult, counit=vec(field, [1] * n))
-    s = mat_from_cols([unit_vec(field, n, idx[inverse(a)]) for a in arrows])
+    s = RawTensor(field, (n, n), {(idx[inverse(a)], j): 1 for j, a in enumerate(arrows)})
     if sum(identities) == 1:
         return HopfAlgebra(name, Bialgebra(name, alg, coalg), s)
     return WeakHopfAlgebra(name, WeakBialgebra(name, alg, coalg), s)
@@ -189,7 +187,7 @@ def dual_c2_hopf(field: FieldSpec = RATIONAL) -> HopfAlgebra:
     alg = FinAlgebra(field, 2, ("de", "dg"), mult, unit=vec(field, [1, 1]), name="dual-c2")
     com = RawTensor(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
     coalg = FinCoalgebra(field, 2, ("de", "dg"), com, counit=vec(field, [1, 0]))
-    return HopfAlgebra("dual-c2", Bialgebra("dual-c2", alg, coalg), identity(field, 2))
+    return HopfAlgebra("dual-c2", Bialgebra("dual-c2", alg, coalg), raw_identity(field, 2))
 
 
 def sweedler_h4(field: FieldSpec = RATIONAL) -> HopfAlgebra:
@@ -214,12 +212,9 @@ def sweedler_h4(field: FieldSpec = RATIONAL) -> HopfAlgebra:
     }
     coalg = FinCoalgebra(field, 4, ("1", "g", "x", "gx"), RawTensor.read(field, (4,) * 3, com),
                          counit=vec(field, [1, 1, 0, 0]))
-    s = [[0] * 4 for _ in range(4)]
-    s[one][one] = 1
-    s[g][g] = 1
-    s[gx][x] = -1               # S(x) = -gx
-    s[x][gx] = 1                # S(gx) = x
-    return HopfAlgebra("h4", Bialgebra("h4", alg, coalg), mat(field, s))
+    # S(x) = -gx and S(gx) = x: column j holds S(e_j)
+    s = RawTensor.read(field, (4, 4), {(one, one): 1, (g, g): 1, (gx, x): -1, (x, gx): 1})
+    return HopfAlgebra("h4", Bialgebra("h4", alg, coalg), s)
 
 
 def two_point_weak_hopf(field: FieldSpec = RATIONAL) -> WeakHopfAlgebra:
@@ -261,7 +256,7 @@ def triangular_rmatrix_c2(h: HopfAlgebra) -> RMatrix:
     if f.kind == "prime" and f.p == 2:
         raise FieldError("triangular structure needs 2 invertible")
     half = f.of(1) / f.of(2)
-    r = (half, half, half, -half)
+    r = RawTensor.read(f, (2, 2), {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half})
     return RMatrix(h, r, r)
 
 
@@ -269,7 +264,8 @@ def bicharacter_sigma_c2(h: HopfAlgebra) -> PairingForm:
     """sigma(g^a, g^b) = (-1)^(ab), the nontrivial bicharacter of Z/2."""
     from .hopfrb import PairingForm
 
-    return PairingForm(h, mat(h.field, [[1, 1], [1, -1]]))
+    return PairingForm(h, RawTensor.read(h.field, (2, 2),
+                                         {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}))
 
 
 def normalized_group_integral(h: HopfAlgebra) -> Vec:
@@ -618,7 +614,8 @@ def _vector(field: FieldSpec, obj: dict, key: str) -> Vec:
 
 
 def _matrix(field: FieldSpec, obj: dict, key: str) -> Mat:
-    """The list of rows under `key`, each a list of coefficients, as a matrix."""
+    """The list of rows under `key`, each a list of coefficients, as a
+    matrix, which the record it is passed to reads once."""
     rows = _listed(obj, key)
     for row in rows:
         if not isinstance(row, list):
@@ -809,14 +806,14 @@ def dump(entry: CatalogEntry) -> dict:
         out["basis"] = list(alg.labels)
         out["mult"] = _dump_tensor3(alg.mult)
         if alg.unit is not None:
-            out["unit"] = [str(c) for c in alg.unit.dense()]
+            out["unit"] = alg.unit.to_json()
         if entry.kind != "algebra":
             co = coalgebra_of(p)
             out["comult"] = _dump_tensor3(co.comult)
-            out["counit"] = [str(c) for c in co.counit.dense()]
+            out["counit"] = co.counit.to_json()
             s = getattr(p, "antipode", None)
             if s is not None:
-                out["antipode"] = [[str(c) for c in row] for row in s]
+                out["antipode"] = s.to_json()
     elif entry.kind == "module":
         out.update(entry.refs)
         out["side"] = p.side
@@ -830,12 +827,12 @@ def dump(entry: CatalogEntry) -> dict:
         out.update(entry.refs)
     elif entry.kind == "pairing":
         out.update(entry.refs)
-        out["sigma"] = [[str(c) for c in row] for row in p.sigma]
+        out["sigma"] = p.sigma.to_json()
     elif entry.kind == "rmatrix":
         out.update(entry.refs)
-        out["r"] = [str(c) for c in p.r]
-        out["rinv"] = [str(c) for c in p.rinv]
+        out["r"] = p.r.joined(2).to_json()
+        out["rinv"] = p.rinv.joined(2).to_json()
     else:  # functional
         out.update(entry.refs)
-        out["coords"] = [str(c) for c in p.coords.dense()]
+        out["coords"] = p.coords.to_json()
     return out

@@ -15,9 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .exactlin import (
-    ExactError, FieldError, Mat, Record, Scalar, identity, mat_scale, zeros_mat,
-)
+from .exactlin import ExactError, FieldError, RawTensor, Record, Scalar, raw_identity
 from .report import fuzz_seed
 from .structures import (
     PreconditionError,
@@ -88,8 +86,8 @@ def _resolve(cfg: RunConfig, flag: str, kinds: tuple = ()):
     return entry
 
 
-def parse_operator(literal: str, alg, module=None) -> Mat:
-    """Operator literal -> matrix.
+def parse_operator(literal: str, alg, module=None) -> RawTensor:
+    """Operator literal -> raw matrix.
 
     proj:<label> and leftmul:<label> act by a basis element, on the algebra
     itself or through the module action when one is given; proj additionally
@@ -98,15 +96,15 @@ def parse_operator(literal: str, alg, module=None) -> Mat:
     f = alg.field
     n = module.dim if module is not None else alg.dim
     if literal == "zero":
-        return zeros_mat(f, n, n)
+        return RawTensor(f, (n, n), {})
     if literal == "id":
-        return identity(f, n)
+        return raw_identity(f, n)
     if literal.startswith("scalar:"):
         try:
             c = f.of(literal[len("scalar:"):])
         except (FieldError, ValueError) as ex:
             raise UsageError(f"bad scalar literal: {ex}") from None
-        return mat_scale(c, identity(f, n))
+        return raw_identity(f, n).scaled(c)
     if literal.startswith("matrix:@"):
         path = literal[len("matrix:@"):]
         rows = catalog.read_json(path)
@@ -116,7 +114,7 @@ def parse_operator(literal: str, alg, module=None) -> Mat:
             raise UsageError(f"cannot read matrix from {path}: {ex}") from None
         if len(m) != n or any(len(r) != n for r in m):
             raise UsageError(f"matrix in {path} is not {n}x{n}")
-        return m
+        return RawTensor.of(f, m, (n, n))
     for prefix in ("proj:", "leftmul:"):
         if literal.startswith(prefix):
             label = literal[len(prefix):]

@@ -1,22 +1,21 @@
 """Exact scalars and linear algebra over Q and F_p.
 
 Every higher layer manipulates structure constants through this module.
-Vectors and matrices are immutable nested tuples of Scalar values, all
-operations are pure, and every comparison is exact; there are no floats
-and no tolerances anywhere.  Under them sit raw values in sparse form:
-ints mod p, or over Q ints when integral and Fractions otherwise, so
-integer structure constants multiply at machine-int speed.  Structure
-constants are stored only in that form, as the nonzero cells of a
-`RawTensor`.  Every sum of products is one `contract` call, in einsum
-notation, down to a carrier's product of two vectors and `mat_mul`; it
-reads raw sparse tensors (a carrier's stored tensor, an earlier result,
-or a Scalar matrix or vector read once) and returns one, so checkers
-compare and chain results without building Scalars.  Row
-reduction is one sparse Gauss-Jordan on raw rows, which visits only
-nonzero entries; the system builders hand it raw rows, and Scalars appear
-only at the boundary: Scalar matrices in, solutions and kernels out.
-A Scalar holds its raw value, so ``s.value`` reads it into the raw layer,
-and `scalar_vec` is the one way back.
+At the boundary, vectors and matrices are immutable nested tuples of
+Scalar values; all operations are pure, and every comparison is exact;
+there are no floats and no tolerances anywhere.  Under them sit raw
+values in sparse form: ints mod p, or over Q ints when integral and
+Fractions otherwise, so integer structure constants multiply at
+machine-int speed.  Structure constants and operators are stored only in
+that form, as the nonzero cells of a `RawTensor`.  Every sum of products
+is one `contract` call, in einsum notation, down to a carrier's product
+of two vectors and the matrix product ``@``; it reads raw sparse tensors
+(a stored tensor, an earlier result, or a Scalar matrix or vector read
+once) and returns one, so checkers compare and chain results without
+building Scalars.  Row reduction is one sparse Gauss-Jordan on raw rows,
+which visits only nonzero entries.  A Scalar holds its raw value, so
+``s.value`` reads it into the raw layer, and `scalar_vec` is the one way
+back.
 
 Every value type of the package (fields, scalars, structures, reports,
 catalog entries) is a `Record`: a plain base class that reads a subclass's
@@ -381,17 +380,19 @@ class RawTensor:
     ``cells`` maps each index tuple of a nonzero cell to its raw value: an
     int reduced mod p, or over Q an int when integral and a Fraction
     otherwise, the value a Scalar holds; ``shape`` is the extent of each
-    index.  One type is the form in which every carrier stores its
-    structure constants (`stored`) and what `contract` returns, and
-    `contract` reads either.  `integral` files once the integer form over
-    Q, (d, numerators) with d the lcm of the cells' denominators, that
-    `contract` multiplies, and `grouped` files those numerators by one
+    index.  One type is the form in which every record stores its
+    structure constants and operators (`stored`) and what `contract`
+    returns, and `contract` reads either.  `integral` files once the integer
+    form over Q, (d, numerators) with d the lcm of the cells' denominators,
+    that `contract` multiplies, and `grouped` files those numerators by one
     layout once, for every `contract` that reads the tensor that way; over
     F_p and on integer tables they are the cells themselves; `+` and `-` add
-    cellwise and refuse mixed fields; `permuted` reorders the indices and
-    `joined` merges adjacent ones on their lex basis; `rows` files the
-    cells as sparse rows; `flat` and `dense` give the values back on a lex
-    basis, the latter as Scalars, at the boundary.
+    cellwise (over Q on those numerators, with one division per cell) and
+    refuse mixed fields; `@` is the matrix product and `scaled` multiplies
+    by a Scalar; `permuted` reorders the indices and `joined` merges
+    adjacent ones on their lex basis; `rows` files the cells as sparse
+    rows; `flat`, `dense` and `to_json` give the values back on a lex basis,
+    the latter two as Scalars and as exact strings, at the boundary.
     ``==`` and ``hash`` read the shape and the cells, and ``repr`` lists
     the cells in index order.
     """
@@ -460,21 +461,44 @@ class RawTensor:
         if other.field not in (None, field):
             raise FieldError(f"mixed fields {sorted({str(field), str(other.field)})}")
         p = field.p if field else 0
-        cells = dict(self.cells)
-        for idx, v in other.cells.items():
-            x = cells.get(idx, 0) + sign * v
-            x = x % p if p else _lean(x)
-            if x:
-                cells[idx] = x
-            else:
-                cells.pop(idx, None)
-        return RawTensor(field, self.shape, cells)
+        (d, mine), (e, theirs) = ((1, self.cells), (1, other.cells)) if p else (
+            self.integral(), other.integral())
+        if d == e == 1:  # F_p, or integral cells: add the cells themselves
+            cells = dict(mine)
+            for idx, v in theirs.items():
+                x = cells.get(idx, 0) + sign * v
+                x = x % p if p else x
+                if x:
+                    cells[idx] = x
+                else:
+                    cells.pop(idx, None)
+            return RawTensor(field, self.shape, cells)
+        # rational cells: add the numerators over the lcm, one division per cell
+        den = lcm(d, e)
+        cells = {idx: v * (den // d) for idx, v in mine.items()}
+        f = sign * (den // e)
+        for idx, v in theirs.items():
+            cells[idx] = cells.get(idx, 0) + f * v
+        return RawTensor(field, self.shape,
+                         {idx: _lean(Fraction(x, den)) for idx, x in cells.items() if x})
 
     def __add__(self, other: "RawTensor") -> "RawTensor":
         return self._merged(other, 1)
 
     def __sub__(self, other: "RawTensor") -> "RawTensor":
         return self._merged(other, -1)
+
+    def __matmul__(self, other: "RawTensor") -> "RawTensor":
+        """The matrix product, one `contract`."""
+        return contract("ik,kj->ij", self, other)
+
+    def scaled(self, c: "Scalar") -> "RawTensor":
+        """The tensor times the Scalar c, cellwise; another field raises FieldError."""
+        if self.field not in (None, c.field):
+            raise FieldError(f"mixed fields {sorted({str(self.field), str(c.field)})}")
+        p, x = c.field.p, c.value
+        return RawTensor(c.field, self.shape, {idx: r for idx, v in self.cells.items()
+                                               if (r := v * x % p if p else _lean(v * x))})
 
     def permuted(self, *order: int) -> "RawTensor":
         """The tensor whose k-th index is index order[k] of this one: a
@@ -522,14 +546,23 @@ class RawTensor:
         values = scalar_vec(self.field, flat) if flat else ()
         return blocks(values, *shape[:-1]) if len(shape) > 1 else values
 
+    def to_json(self) -> list:
+        """The dense tensor as nested lists of exact strings, as the CLI and
+        the catalog write operators."""
+        def listed(x):
+            return [listed(y) for y in x] if isinstance(x, tuple) else str(x)
+
+        return listed(self.dense())
+
 
 def stored(field: FieldSpec, t, shape: tuple, what: str, extent: str) -> RawTensor:
-    """Structure constants, a unit, a counit or a functional's coordinates
-    t over `field`, in the form records store them: t itself when it is a
-    RawTensor of `shape` over `field` (one over no field, a `contract` of
-    empty operands, takes `field`), or else the dense Scalar tensor t read
-    once.  Another shape raises DimensionError, a ragged dense t with the
-    text "<what> <extent>", and another field (a dense entry's) FieldError."""
+    """Structure constants, a unit, a counit, a functional's coordinates or
+    an operator t over `field`, in the form records store them: t itself
+    when it is a RawTensor of `shape` over `field` (one over no field, a
+    `contract` of empty operands, takes `field`), or else the dense Scalar
+    tensor t read once.  Another shape raises DimensionError, a ragged
+    dense t with the text "<what> <extent>", and another field (a dense
+    entry's) FieldError."""
     if not isinstance(t, RawTensor):
         return RawTensor.of(field, t, shape, f"{what} {extent}")
     if t.shape != shape:
@@ -616,8 +649,9 @@ def _plan(spec: str) -> tuple:
 def raw_view(op, rank: int = 2) -> RawTensor:
     """`op` as a raw tensor: itself, a carrier's stored tensor (the field
     its class names in ``_stored``), or a Scalar tensor of `rank` (a matrix
-    by default) read off, once per call: pass the view on to read one
-    Scalar operand in several `contract` calls."""
+    by default) read off, once per call, through the checked path of
+    `RawTensor.of`: a ragged one raises DimensionError, and one with an
+    entry over another field than its first FieldError."""
     if isinstance(op, RawTensor):
         return op
     name = getattr(op, "_stored", None)
@@ -627,7 +661,8 @@ def raw_view(op, rank: int = 2) -> RawTensor:
     for _ in range(rank):
         shape.append(len(first))
         first = first[0] if first else ()
-    return RawTensor.of(getattr(first, "field", None), op, tuple(shape))
+    return RawTensor.of(getattr(first, "field", None), op, tuple(shape),
+                        f"a dense operand of shape {tuple(shape)} is ragged")
 
 
 def contract(spec: str, *operands) -> RawTensor:
@@ -728,16 +763,6 @@ def mat(field: FieldSpec, rows: Iterable[Iterable[RawScalar]]) -> Mat:
     return out
 
 
-def zeros_vec(field: FieldSpec, n: int) -> Vec:
-    z = field.zero
-    return (z,) * n
-
-
-def zeros_mat(field: FieldSpec, rows: int, cols: int) -> Mat:
-    z = field.zero
-    return ((z,) * cols,) * rows
-
-
 def identity(field: FieldSpec, n: int) -> Mat:
     z, o = field.zero, field.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
@@ -752,37 +777,14 @@ def unit_vec(field: FieldSpec, n: int, i: int) -> Vec:
 # vector and matrix arithmetic
 
 
-def vec_scale(c: Scalar, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
-def apply_mat(a: Mat, x: Vec) -> Vec:
-    """The vector a x: one `contract`, Scalars only on return."""
-    return contract("rc,c->r", a, x).dense() if a else ()
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """The product a b: one `contract`, Scalars only on return; an a with
-    no rows gives (), and a b with no columns one empty row per row of a."""
-    return contract("ik,kj->ij", a, b).dense() if a else ()
+    """The product a b of Scalar matrices, ``@`` with Scalars on return; an
+    a with no rows gives (), and a b with no columns one empty row per row."""
+    return (raw_view(a) @ raw_view(b)).dense() if a else ()
 
 
 def mat_scale(c: Scalar, a: Mat) -> Mat:
-    return tuple(vec_scale(c, r) for r in a)
-
-
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(tuple(a[r][c] for r in range(len(a))) for c in range(len(a[0])))
-
-
-def mat_from_cols(cols: Sequence[Vec]) -> Mat:
-    return transpose(tuple(cols))
-
-
-def column(a: Mat, j: int) -> Vec:
-    return tuple(row[j] for row in a)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +861,7 @@ def rref(a, field: FieldSpec) -> tuple:
         return tuple(done), tuple(piv_cols)
     nc = len(a[0])
     out = [scalar_vec(field, [row.get(j, 0) for j in range(nc)]) for row in done]
-    out += [zeros_vec(field, nc)] * (len(a) - len(done))
+    out += [(field.zero,) * nc] * (len(a) - len(done))
     return tuple(out), tuple(piv_cols)
 
 
@@ -943,29 +945,39 @@ def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolu
     return LinearSolution(scalar_vec(field, x), tuple(scalar_vec(field, v) for v in null))
 
 
-def column_space_basis(a: Mat, field: FieldSpec) -> tuple[Vec, ...]:
-    """Canonical (RREF of the transpose) basis of the column space."""
-    r, piv = rref(transpose(a), field)
-    return tuple(r[i] for i in range(len(piv)))
+def transposed(a) -> RawTensor:
+    """The transpose of a raw or Scalar matrix, raw: its columns as rows."""
+    return raw_view(a).permuted(1, 0)
 
 
-def first_outside(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> int | None:
+def column_space_basis(a, field: FieldSpec) -> RawTensor:
+    """Canonical (RREF of the transpose) basis of the column space of the
+    raw or Scalar matrix a, as the rows of a raw (rank, rows of a) tensor."""
+    cols = transposed(a)
+    done, _ = rref(list(cols.rows(1).values()), field)
+    return RawTensor(field, (len(done), cols.shape[1]),
+                     {(k, j): v for k, row in enumerate(done) for j, v in row.items()})
+
+
+def first_outside(b1, b2, field: FieldSpec) -> int | None:
     """Index of the first vector of b1 outside the span of b2; None if none.
 
-    Each vector is reduced against one RREF of b2: it lies in the span
-    exactly when it equals the combination of the reduced rows weighted by
-    its own entries at their pivots."""
-    if b2 and any(len(v) != len(b2[0]) for v in b1):
+    Each of b1 and b2 holds its vectors as the rows of a raw tensor or of a
+    Scalar matrix.  Each vector is reduced against one RREF of b2: it lies
+    in the span exactly when it equals the combination of the reduced rows
+    weighted by its own entries at their pivots."""
+    b1, b2 = raw_view(b1), raw_view(b2)
+    if b1.shape[0] and b2.shape[0] and b1.shape[1] != b2.shape[1]:
         raise DimensionError("vector length mismatch")
-    p = field.p
-    rows, piv = rref([_raw_row(v, p) for v in b2], field)
-    for k, v in enumerate(b1):
-        acc = [s.value for s in v]
+    p, vectors = field.p, b1.rows(1)
+    rows, piv = rref(list(b2.rows(1).values()), field)
+    for k in range(b1.shape[0]):
+        acc = vectors.get((k,), {})
         for c, row in zip(piv, rows):
-            f = acc[c]
-            for j, x in row.items():
-                acc[j] -= f * x
-        if any(x % p if p else x for x in acc):
+            if f := acc.get(c):
+                for j, x in row.items():
+                    acc[j] = acc.get(j, 0) - f * x
+        if any(x % p if p else x for x in acc.values()):
             return k
     return None
 

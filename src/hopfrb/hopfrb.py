@@ -17,23 +17,21 @@ everything else keeps the weight as a parameter.
 from __future__ import annotations
 
 from .exactlin import (
-    Mat,
     RawTensor,
     Record,
-    Scalar,
     Vec,
     blocks,
     column_space_basis,
     contract,
     differing,
     first_outside,
-    identity,
     kernel_basis,
-    mat_mul,
+    raw_identity,
     raw_view,
     span_eq,
     span_leq,
-    transpose,
+    stored,
+    transposed,
 )
 from .report import Checker, Report, _postcondition
 from .structures import (
@@ -135,8 +133,9 @@ def integral_T(
     h: BialgebraLike,
     m: ActionStructure,
     e: Vec,
-) -> Mat:
-    """T = action of a normalized two-sided integral; generic at weight -1.
+) -> RawTensor:
+    """T = action of a normalized two-sided integral, as a raw matrix;
+    generic at weight -1.
 
     The integral equations force T to be an idempotent module projection
     onto the subspace fixed up to the counit by every algebra element, so
@@ -148,10 +147,10 @@ def integral_T(
     if m.algebra != alg or m.side != "left":
         raise PreconditionError("integral_T expects a left module over the host algebra")
     t = m.matrix(e)
-    _postcondition("integral operator is idempotent", m.name, mat_mul(t, t), t)
+    _postcondition("integral operator is idempotent", m.name, t @ t, t)
     _postcondition("integral operator is linear over the host", m.name, check_a_linear(m, t))
     fixed = _fixed_space(m.act.permuted(0, 2, 1), co.counit)
-    cols = transpose(t)
+    cols = transposed(t)
     _postcondition("image of the integral operator is the fixed subspace", m.name,
                    span_eq(column_space_basis(t, alg.field), fixed, alg.field), True,
                    witness=lambda: _outside("column", cols, "the fixed subspace", fixed, alg.field)
@@ -161,8 +160,9 @@ def integral_T(
 
 def _outside(what: str, vectors, where: str, basis, field) -> str | None:
     """Names the first of `vectors` outside the span of `basis`, if any."""
-    k = first_outside(vectors, basis, field)
-    return None if k is None else f"{what} {k} {[str(x) for x in vectors[k]]} lies outside {where}"
+    if (k := first_outside(vectors, basis, field)) is not None:
+        return f"{what} {k} {raw_view(vectors).to_json()[k]} lies outside {where}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,12 @@ def smash_integral_T(
     h: BialgebraLike,
     act: ActionStructure,
     e: Vec,
-) -> tuple[FinAlgebra, ActionStructure, Mat]:
+) -> tuple[FinAlgebra, ActionStructure, RawTensor]:
     """The operator a#h |-> e_(1) . a # e_(2) h on the smash product.
 
     Returns the smash algebra, the smash product as a module through 1#h,
-    and the operator, asserted idempotent and linear over 1#h: generic at
-    weight -1.
+    and the operator as a raw matrix, asserted idempotent and linear over
+    1#h: generic at weight -1.
     """
     _require_normalized_two_sided_integral(h, e)
     smash = smash_product(a, h, act)  # precondition-checks the module algebra
@@ -197,12 +197,12 @@ def smash_integral_T(
     n = a.dim * alg.dim
     # column (j, q) of T is (e_(1) . a_j) # (e_(2) e_q), on the lex pair basis
     delta_e = blocks(co.comult_vec(e), alg.dim)
-    t = contract("ab,ajx,bqy->xyjq", delta_e, act, alg).joined(2, 2).dense()
+    t = contract("ab,ajx,bqy->xyjq", delta_e, act, alg).joined(2, 2)
     # (1#e_i)(a_j#e_q) = (e_i1 . a_j)#(e_i2 e_q), the same shape as T
     hact = contract("iab,ajx,bqy->ijqxy", co, act, alg).joined(1, 2, 2)
     module = ActionStructure(alg, n, "left", hact, name=f"{smash.name}-as-{name_of(h)}-module")
     _postcondition("1#h multiplication is a module action", module.name, check_action(module))
-    _postcondition("smash integral operator is idempotent", module.name, mat_mul(t, t), t)
+    _postcondition("smash integral operator is idempotent", module.name, t @ t, t)
     _postcondition("smash integral operator is linear over 1#h", module.name,
                    check_a_linear(module, t))
     return smash, module, t
@@ -218,20 +218,20 @@ def functional_operator(h: BialgebraLike, chi: Functional) -> RawTensor:
     return contract("iak,a->ki", coalgebra_of(h), chi.coords)
 
 
-def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[Mat, ActionStructure]:
+def dual_action_T(h: BialgebraLike, chi: Functional) -> tuple[RawTensor, ActionStructure]:
     """T = functional_operator(h, chi) on the host as a module over its dual.
 
-    Returns T and the dual-action module.  T is always dual-linear, and T
+    Returns T, a raw matrix, and the dual-action module.  T is always dual-linear, and T
     idempotent is equivalent to chi being a convolution idempotent (the
     counit recovers chi from T); both facts are asserted.  So at weight -1
     T is generic exactly when chi is a convolution idempotent.
     """
-    t = functional_operator(h, chi).dense()
+    t = functional_operator(h, chi)
     module = coaction_to_dual_action(regular_coaction(h), dual_algebra(h))
     _postcondition("functional-induced operator is dual-linear", module.name,
                    check_a_linear(module, t))
     _postcondition("T is idempotent iff chi is a convolution idempotent", module.name,
-                   mat_mul(t, t) == t, convolution(chi, chi).coords == chi.coords)
+                   t @ t == t, convolution(chi, chi).coords == chi.coords)
     return t, module
 
 
@@ -255,7 +255,7 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
     alg = algebra_of(w)
     f = alg.field
     pil, _ = target_source(w)
-    _postcondition("target map is idempotent", name_of(w), mat_mul(pil, pil), pil)
+    _postcondition("target map is idempotent", name_of(w), pil @ pil, pil)
     sub = subalgebra_image(pil, alg)
     # b_s . e_j = (sum_x inclusion[x][s] e_x) e_j
     act = contract("xs,xjk->sjk", sub.inclusion, alg)
@@ -266,8 +266,8 @@ def weak_target_rbp(w: WeakLike) -> tuple[RbpInstance, Report]:
                    check_a_linear(module, pil))
     # an idempotent fixes its image, so the restricted target map is the identity
     _postcondition("target map fixes its own image", name_of(w),
-                   mat_mul(pil, sub.inclusion), sub.inclusion)
-    p_sub = identity(f, sub.algebra.dim)
+                   pil @ sub.inclusion, sub.inclusion)
+    p_sub = raw_identity(f, sub.algebra.dim)
     lam = -f.one
     rb_report = check_rb_operator(sub.algebra, p_sub, lam, instance=f"{name_of(w)}-target")
     _postcondition("restricted target map is a Rota-Baxter operator", rb_report.instance,
@@ -309,15 +309,17 @@ def adjoint_rbp(w: WeakHopfAlgebra) -> RbpInstance:
 # Hopf modules and dimodules
 
 
-def _coaction_projection(action: ActionStructure, com: CoactionStructure, phis: Mat) -> Mat:
-    """Matrix of x |-> x_(0) . phis(x_(1)) on a carrier with both an action
-    and a coaction: E with phis = S for a Hopf module, phi S for a Doi-Hopf
-    one, and E_A on a comodule algebra acting on itself from the right."""
-    return contract("ijk,sk,sjp->pi", com, phis, action).dense()
+def _coaction_projection(action: ActionStructure, com: CoactionStructure,
+                         phis: RawTensor) -> RawTensor:
+    """Raw matrix of x |-> x_(0) . phis(x_(1)) on a carrier with both an
+    action and a coaction: E with phis = S for a Hopf module, phi S for a
+    Doi-Hopf one, and E_A on a comodule algebra acting on itself from the
+    right."""
+    return contract("ijk,sk,sjp->pi", com, phis, action)
 
 
-def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInstance]:
-    """E(m) = m_(0) . S(m_(1)) for a Hopf module.
+def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[RawTensor, RbpInstance]:
+    """E(m) = m_(0) . S(m_(1)) for a Hopf module, as a raw matrix.
 
     Asserted: E is idempotent, its image lies in the strict coinvariants,
     and (M over the host, h |-> eps(h) 1, E) verifies at weight -1.  Nothing
@@ -330,13 +332,13 @@ def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInsta
         raise PreconditionError(f"hopf-module axioms fail: {rep.to_json()}")
     alg, co = algebra_of(h), coalgebra_of(h)
     e_m = _coaction_projection(m.action, m.coaction, h.antipode)
-    _postcondition("hopf-module projection is idempotent", m.name, mat_mul(e_m, e_m), e_m)
+    _postcondition("hopf-module projection is idempotent", m.name, e_m @ e_m, e_m)
     strict = coinvariants(m.coaction, "strict", h)
     _postcondition("projection image lies in the coinvariants", m.name,
                    span_leq(column_space_basis(e_m, alg.field), strict, alg.field), True,
-                   witness=lambda: _outside("column", transpose(e_m), "the coinvariants",
+                   witness=lambda: _outside("column", transposed(e_m), "the coinvariants",
                                             strict, alg.field))
-    p = contract("r,c->rc", alg.unit, co.counit).dense()
+    p = contract("r,c->rc", alg.unit, co.counit)
     lam = -alg.field.one
     inst = RbpInstance(alg, m.action, p, e_m, lam, name=f"{m.name}-projection-instance")
     _postcondition("projection instance satisfies the paired identity", inst.name,
@@ -344,8 +346,8 @@ def hopf_module_projection(h: HopfAlgebra, m: HopfModule) -> tuple[Mat, RbpInsta
     return e_m, inst
 
 
-def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
-    """T(m) = m_(0) f(m_(1)) on a dimodule.
+def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> RawTensor:
+    """T(m) = m_(0) f(m_(1)) on a dimodule, as a raw matrix.
 
     T is linear over the host (the compatibility law moves the action past
     the coaction leg), and a convolution-idempotent f always yields an
@@ -355,12 +357,12 @@ def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
     rep = check_dimodule(d)
     if not rep.ok:
         raise PreconditionError(f"dimodule axioms fail: {rep.to_json()}")
-    t = contract("ijk,k->ji", d.coaction, f.coords).dense()
+    t = contract("ijk,k->ji", d.coaction, f.coords)
     _postcondition("dimodule operator is linear over the host", d.name,
                    check_a_linear(d.action, t))
     if convolution(f, f).coords == f.coords:
         _postcondition("a convolution idempotent induces an idempotent operator", d.name,
-                       mat_mul(t, t), t)
+                       t @ t, t)
     return t
 
 
@@ -369,37 +371,49 @@ def dimodule_T(h: BialgebraLike, d: Dimodule, f: Functional) -> Mat:
 
 
 class PairingForm(Record):
+    """A bilinear form on the host: ``sigma[i, j]`` is sigma(e_i, e_j).  It
+    is stored raw (`exactlin.stored`): a dim x dim `RawTensor`, or a dense
+    Scalar matrix read once."""
+
     host: BialgebraLike
-    sigma: Mat
-
-    def __post_init__(self) -> None:
-        n = algebra_of(self.host).dim
-        if len(self.sigma) != n or any(len(r) != n for r in self.sigma):
-            raise StructureError("pairing form is not dim x dim")
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.sigma[i][j]
-
-
-class RMatrix(Record):
-    host: BialgebraLike
-    r: Vec
-    rinv: Vec
+    sigma: RawTensor
 
     def __post_init__(self) -> None:
         alg = algebra_of(self.host)
-        n2 = alg.dim * alg.dim
-        if len(self.r) != n2 or len(self.rinv) != n2:
-            raise StructureError("tensor-square element has wrong length")
+        object.__setattr__(self, "sigma", stored(alg.field, self.sigma, (alg.dim,) * 2,
+                                                 "pairing form", "is not dim x dim"))
+
+
+class RMatrix(Record):
+    """R and its inverse in the tensor square, each stored raw
+    (`exactlin.stored`) as a dim x dim `RawTensor`: the cell (a, b) is the
+    coefficient of e_a (x) e_b.  A dense Scalar vector on the lex pair basis
+    is read once."""
+
+    host: BialgebraLike
+    r: RawTensor
+    rinv: RawTensor
+
+    def __post_init__(self) -> None:
+        alg = algebra_of(self.host)
+        n = alg.dim
+        for key in ("r", "rinv"):
+            x = getattr(self, key)
+            if not isinstance(x, RawTensor):
+                if len(x) != n * n:
+                    raise StructureError("tensor-square element has wrong length")
+                x = blocks(x, n)
+            object.__setattr__(self, key, stored(alg.field, x, (n, n), "tensor-square element",
+                                                 "has wrong length"))
         one = contract("a,b->ab", alg.unit, alg.unit)
-        r, rinv = blocks(self.r, alg.dim), blocks(self.rinv, alg.dim)
+        r, rinv = self.r, self.rinv
         # R R^-1 = 1 (x) 1 = R^-1 R in A (x) A
         if (contract("ab,cd,acx,bdy->xy", r, rinv, alg, alg) != one
                 or contract("ab,cd,acx,bdy->xy", rinv, r, alg, alg) != one):
             raise StructureError("rinv is not a two-sided inverse in the tensor square")
 
 
-def _pairing_dimodule(h: BialgebraLike, sigma: Mat, flavor: str) -> Dimodule:
+def _pairing_dimodule(h: BialgebraLike, sigma: RawTensor, flavor: str) -> Dimodule:
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
     # long: x . h = sigma(h_(2), x) h_(1); braided: x . h = sigma(x, h_(1)) h_(2)
@@ -479,7 +493,7 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
         raise PreconditionError(f"bialgebra axioms fail: {rep_b.to_json()}")
     alg, co = algebra_of(h), coalgebra_of(h)
     n = alg.dim
-    r, rinv = blocks(rm.r, n), blocks(rm.rinv, n)
+    r, rinv = rm.r, rm.rinv
     ck = Checker("quasitriangular", name_of(h))
     # R Delta(h) R^-1 = Delta^op(h)
     ck.compare(("h",), ("intertwine-comult",
@@ -514,11 +528,13 @@ def check_quasitriangular(h: BialgebraLike, rm: RMatrix) -> tuple[Report, Dimodu
 
 
 def doi_hopf_projection(
-    w: WeakHopfAlgebra, a: WeakComoduleAlgebra, phi: Mat, m: DoiHopfModule
-) -> tuple[Mat, Mat, RbpInstance]:
-    """E_A(x) = x_(0) phi(S(x_(1))) and E(m) = m_(0) . phi(S(m_(1))).
+    w: WeakHopfAlgebra, a: WeakComoduleAlgebra, phi, m: DoiHopfModule
+) -> tuple[RawTensor, RawTensor, RbpInstance]:
+    """E_A(x) = x_(0) phi(S(x_(1))) and E(m) = m_(0) . phi(S(m_(1))), as raw
+    matrices.
 
-    phi must be an algebra map intertwining the coactions.  Asserted: E_A
+    phi, a raw or Scalar matrix, must be an algebra map intertwining the
+    coactions.  Asserted: E_A
     is idempotent, the image of E lies in the weak coinvariants, the right
     instance (M over the comodule algebra, E_A, E, weight -1) verifies, and
     two recovery laws: the carrier slice reproduces E_A, and phi = id on
@@ -532,7 +548,7 @@ def doi_hopf_projection(
     rep_a = check_weak_comodule_algebra(a)
     if not rep_a.ok:
         raise PreconditionError(f"comodule-algebra axioms fail: {rep_a.to_json()}")
-    halg = algebra_of(w)
+    halg, phi = algebra_of(w), raw_view(phi)
     carrier = a.carrier
     rep_m = check_algebra_morphism(phi, halg, carrier)
     if not rep_m.ok:
@@ -545,16 +561,15 @@ def doi_hopf_projection(
     rep_d = check_doi_hopf(m)
     if not rep_d.ok:
         raise PreconditionError(f"doi-hopf axioms fail: {rep_d.to_json()}")
-    phis = mat_mul(phi, w.antipode)
+    phis = phi @ w.antipode
     right_regular = regular_action(carrier, "right")
     e_a = _coaction_projection(right_regular, a.coaction, phis)
-    _postcondition("comodule-algebra projection is idempotent", carrier.name,
-                   mat_mul(e_a, e_a), e_a)
+    _postcondition("comodule-algebra projection is idempotent", carrier.name, e_a @ e_a, e_a)
     e_m = _coaction_projection(m.action, m.coaction, phis)
     weak_co = coinvariants(m.coaction, "weak", w)
     _postcondition("projection image lies in the weak coinvariants", m.name,
                    span_leq(column_space_basis(e_m, carrier.field), weak_co, carrier.field), True,
-                   witness=lambda: _outside("column", transpose(e_m), "the weak coinvariants",
+                   witness=lambda: _outside("column", transposed(e_m), "the weak coinvariants",
                                             weak_co, carrier.field))
     lam = -carrier.field.one
     inst = RbpInstance(carrier, m.action, e_a, e_m, lam, name=f"{m.name}-doi-instance")
@@ -564,7 +579,8 @@ def doi_hopf_projection(
         _postcondition("carrier slice reproduces the algebra projection", m.name, e_m, e_a)
         _postcondition("carrier projection is a Rota-Baxter operator", carrier.name,
                        check_rb_operator(carrier, e_a, lam))
-    if carrier.mult == halg.mult and carrier.unit == halg.unit and phi == identity(halg.field, hd):
+    if (carrier.mult == halg.mult and carrier.unit == halg.unit
+            and phi == raw_identity(halg.field, hd)):
         pil, _ = target_source(w)
         if a.coaction.co == co.comult:
             _postcondition("self-coaction projection is the target map", carrier.name, e_a, pil)

@@ -38,27 +38,17 @@ class Violation(Record):
         return out
 
 
-def _first_cell(got, want, at: tuple = ()) -> tuple:
-    """(index path, got value, want value) at the first cell where two
-    nestings of tuples differ."""
-    if isinstance(got, tuple) and isinstance(want, tuple):
-        for i, (x, y) in enumerate(zip(got, want)):
-            if x != y:
-                return _first_cell(x, y, (*at, i))
-    return at, got, want
-
-
 def _postcondition(clause: str, structure: str, got, want=None, witness=None) -> None:
     """Assert that `clause` holds of `structure`; a failure is a package bug.
 
     `got` is a Report, which must have no violation (an axiom it skipped is
     no failure), or one side of an equality whose other side is `want`:
-    raw tensors, vectors, matrices, tuples of them, or plain values.  The passing path
-    makes only that check.  On failure the InternalError names the
-    structure, the clause and the first witness: the Report's first
-    Violation; the text `witness()` returns, when the caller names one
-    (a boolean clause searches for its witness only then); or else the
-    first differing cell and both of its values."""
+    raw tensors or plain values.  The passing path makes only that check.
+    On failure the InternalError names the structure, the clause and the
+    first witness: the Report's first Violation; the text `witness()`
+    returns, when the caller names one (a boolean clause searches for its
+    witness only then); or else the first differing cell of two raw
+    tensors and both of its values, or the two plain values."""
     if isinstance(got, Report):
         if not got.violation_count:
             return
@@ -68,9 +58,10 @@ def _postcondition(clause: str, structure: str, got, want=None, witness=None) ->
     elif witness is not None:
         text = witness()
     else:
-        if isinstance(got, RawTensor):
-            got, want = got.dense(), want.dense()
-        at, x, y = _first_cell(got, want)
+        at, x, y = (), got, want
+        if isinstance(got, RawTensor) and (cells := differing(got, want, len(got.shape))):
+            at = cells[0]
+            x, y = scalar_vec(got.field or want.field, [t.cells.get(at, 0) for t in (got, want)])
         text = f"cell {at}: got {x}, want {y}"
     raise InternalError(f"{structure}: {clause} fails; first witness {text}")
 

@@ -3,8 +3,8 @@
 An algebra stores the cells (i, j, k) of ``mult`` with ``e_i e_j = sum_k
 mult[i, j, k] e_k``, a coalgebra those of ``comult`` with ``Delta(e_i) = sum
 comult[i, j, k] e_j (x) e_k``, each as a raw sparse tensor (`RawTensor`)
-that `contract` reads as it is, and so are units, counits and
-functionals' coordinates; a dense Scalar tensor or vector passed to a
+that `contract` reads as it is, and so are units, counits, functionals'
+coordinates and antipodes; a dense Scalar tensor or vector passed to a
 constructor is read into that form once.  Even a product of two elements
 is one `contract` call.  Bialgebras, Hopf
 algebras and their weak variants are layered on top of those two tensors.
@@ -29,14 +29,14 @@ from .exactlin import (
     Record,
     Scalar,
     Vec,
-    apply_mat,
     blocks,
     column_space_basis,
     contract,
-    mat_from_cols,
+    differing,
     raw_identity,
     solve_linear,
     stored,
+    transposed,
     unit_vec,
 )
 from .report import Checker, Report, Violation, _postcondition
@@ -94,13 +94,13 @@ class FinAlgebra(Record):
     def mul(self, x: Vec, y: Vec) -> Vec:
         return contract("i,j,ijk->k", x, y, self).dense()
 
-    def left_mult(self, r: Vec) -> Mat:
-        """Matrix of x -> r x."""
-        return contract("i,ijk->kj", r, self).dense()
+    def left_mult(self, r: Vec) -> RawTensor:
+        """Raw matrix of x -> r x."""
+        return contract("i,ijk->kj", r, self)
 
-    def right_mult(self, r: Vec) -> Mat:
-        """Matrix of x -> x r."""
-        return contract("i,jik->kj", r, self).dense()
+    def right_mult(self, r: Vec) -> RawTensor:
+        """Raw matrix of x -> x r."""
+        return contract("i,jik->kj", r, self)
 
 
 class FinCoalgebra(Record):
@@ -134,7 +134,10 @@ class FinCoalgebra(Record):
 class _Host(Record):
     """The four host carriers' ``field``, ``dim``, ``labels`` and checks
     made on construction; ``_role`` names the carrier in the unit check.
-    ``_reports`` keeps the axiom reports of this object (`_kept_on_host`)."""
+    An antipode, where the class has one, is stored raw (`exactlin.stored`):
+    a dim x dim `RawTensor` over the host's field, or a dense Scalar matrix
+    read once.  ``_reports`` keeps the axiom reports of this object
+    (`_kept_on_host`)."""
 
     _role = "bialgebra"
 
@@ -147,9 +150,11 @@ class _Host(Record):
             raise StructureError(f"{self.name}: algebra/coalgebra dims differ")
         if not alg.unital:
             raise StructureError(f"{self.name}: {self._role} carrier must be unital")
-        s, n = getattr(self, "antipode", None), alg.dim
-        if s is not None and (len(s) != n or any(len(r) != n for r in s)):
-            raise DimensionError(f"{self.name}: antipode is not dim x dim")
+        s = getattr(self, "antipode", None)
+        if s is not None:
+            object.__setattr__(self, "antipode", stored(alg.field, s, (alg.dim,) * 2,
+                                                        f"{self.name}: antipode",
+                                                        "is not dim x dim"))
 
     @property
     def field(self) -> FieldSpec:
@@ -173,7 +178,7 @@ class Bialgebra(_Host):
 class HopfAlgebra(_Host):
     name: str
     bialgebra: Bialgebra
-    antipode: Mat
+    antipode: RawTensor
 
     @property
     def algebra(self) -> FinAlgebra:
@@ -198,7 +203,7 @@ class WeakBialgebra(_Host):
 class WeakHopfAlgebra(_Host):
     name: str
     weak: WeakBialgebra
-    antipode: Mat
+    antipode: RawTensor
 
     @property
     def algebra(self) -> FinAlgebra:
@@ -230,7 +235,7 @@ def coalgebra_of(x) -> FinCoalgebra:
     raise StructureError(f"{x!r} has no coalgebra part")
 
 
-def antipode_of(x) -> Mat | None:
+def antipode_of(x) -> RawTensor | None:
     if isinstance(x, (HopfAlgebra, WeakHopfAlgebra)):
         return x.antipode
     return None
@@ -347,7 +352,7 @@ def check_bialgebra(b: BialgebraLike) -> Report:
     return ck.report()
 
 
-def _antipode_sums(alg: FinAlgebra, co: FinCoalgebra, s: Mat) -> tuple:
+def _antipode_sums(alg: FinAlgebra, co: FinCoalgebra, s: RawTensor) -> tuple:
     """S(x_(1)) x_(2) and x_(1) S(x_(2)) at x = e_i, indexed (i, c)."""
     return contract("ijk,sj,skc->ic", co, s, alg), contract("ijk,sk,jsc->ic", co, s, alg)
 
@@ -395,13 +400,13 @@ def check_weak_hopf(w: WeakHopfAlgebra) -> Report:
     ck = Checker("weak-hopf", w.name)
     ck.merge(check_weak_bialgebra.__wrapped__(w.weak))
     alg, co, s = w.algebra, w.coalgebra, w.antipode
-    pil, pir = _target_source(alg, co)
+    pil, pir = target_source(w)
     s_id, id_s = _antipode_sums(alg, co, s)
     # S(x_(1)) x_(2) S(x_(3)) = S(x), on (Delta (x) id) Delta(x)
     triple = contract("imc,mab,sa,sbt,uc,tur->ir", co, co, s, alg, s, alg)
     ck.compare(("i",), ("antipode-target", id_s, pil.permuted(1, 0)),
                ("antipode-source", s_id, pir.permuted(1, 0)),
-               ("antipode-triple", triple, RawTensor.of(alg.field, s, (alg.dim,) * 2).permuted(1, 0)))
+               ("antipode-triple", triple, s.permuted(1, 0)))
     return ck.report()
 
 
@@ -442,7 +447,7 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
     # S(x_(1)) x_(2) and x_(1) S(x_(2)) at x = e_i, indexed (i, c, s, j)
     s_id, id_s = contract("ijk,skc->icsj", co, alg), contract("ijk,jsc->icsk", co, alg)
     if isinstance(b, (WeakBialgebra, WeakHopfAlgebra)):
-        pil, pir = _target_source(alg, co)
+        pil, pir = target_source(b)
         # pi_R(x_(1)) S(x_(2)) - S(x), with the unknown S[c][i] of S(e_i) at e_c
         cubic = contract("ijk,rj,rtc->ictk", co, pir, alg) - RawTensor(
             f, (n,) * 4, {(i, c, c, i): 1 for i, c in product(range(n), repeat=2)})
@@ -464,16 +469,11 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
 # weak counital maps
 
 
-def _target_source(alg: FinAlgebra, co: FinCoalgebra) -> tuple[RawTensor, RawTensor]:
-    """pi_L and pi_R as raw matrices, from Delta(1) and eps(xy)."""
+def target_source(w) -> tuple[RawTensor, RawTensor]:
+    """pi_L and pi_R of a host as raw matrices, from Delta(1) and eps(xy)."""
+    alg, co = algebra_of(w), coalgebra_of(w)
     d1, eps = _unit_comult(alg, co), _counit_of_products(alg, co)
     return contract("jk,jh->kh", d1, eps), contract("jk,hk->jh", d1, eps)
-
-
-def target_source(w: WeakLike) -> tuple[Mat, Mat]:
-    """Matrices of pi_L and pi_R."""
-    pil, pir = _target_source(algebra_of(w), coalgebra_of(w))
-    return pil.dense(), pir.dense()
 
 
 def check_counital_maps(w: WeakLike) -> Report:
@@ -481,7 +481,7 @@ def check_counital_maps(w: WeakLike) -> Report:
     is present.  These are consequences of the weak axioms; the checker
     flags structures where they fail instead of assuming them."""
     alg, co = algebra_of(w), coalgebra_of(w)
-    pil, pir = _target_source(alg, co)
+    pil, pir = target_source(w)
     s = antipode_of(w)
     ck = Checker("counital-maps", name_of(w))
 
@@ -529,47 +529,53 @@ class SubAlgebra(Record):
 
     ``inclusion`` holds the chosen basis of the image as columns, so
     coordinates on ``algebra`` map into the ambient space by one matrix
-    application.
+    application.  It is stored raw (`exactlin.stored`): an ambient dim x
+    image dim `RawTensor`, or a dense Scalar matrix read once.
     """
 
     algebra: FinAlgebra
-    inclusion: Mat
+    inclusion: RawTensor
+
+    def __post_init__(self) -> None:
+        a, incl = self.algebra, self.inclusion
+        rows = incl.shape[0] if isinstance(incl, RawTensor) else len(incl)
+        object.__setattr__(self, "inclusion", stored(a.field, incl, (rows, a.dim),
+                                                     f"{a.name}: inclusion",
+                                                     "is not ambient dim x dim"))
 
 
-def subalgebra_image(op: Mat, a: FinAlgebra) -> SubAlgebra:
-    """Restrict a to the image of op; raises StructureError when the image
-    is not multiplicatively closed (witness pair in the message).
+def subalgebra_image(op, a: FinAlgebra) -> SubAlgebra:
+    """Restrict a to the image of op, a raw or Scalar matrix; raises
+    StructureError when the image is not multiplicatively closed (witness
+    pair in the message).
 
     The basis is in reduced echelon form, so a vector's coordinates in it
     are its entries at the pivots, and the vector lies in the span exactly
     when those coordinates give it back."""
     basis = column_space_basis(op, a.field)
-    r = len(basis)
-    incl = mat_from_cols(basis)
-    piv = [next(c for c, x in enumerate(row) if not x.is_zero) for row in basis]
-
-    def coords(i: int, j: int) -> Vec:
-        prod = a.mul(basis[i], basis[j])
-        out = tuple(prod[c] for c in piv)
-        if apply_mat(incl, out) != prod:
-            raise StructureError(
-                f"image of operator on {a.name} is not closed: basis pair ({i}, {j})"
-            )
-        return out
-
-    mult = tuple(tuple(coords(i, j) for j in range(r)) for i in range(r))
+    r = basis.shape[0]
+    incl = transposed(basis)
+    rows = basis.rows(1)
+    pos = {min(rows[(s,)]): s for s in range(r)}
+    # b_i b_j in the ambient algebra, and its coordinates at the pivots
+    prods = contract("xi,yj,xyk->ijk", incl, incl, a)
+    mult = RawTensor(a.field, (r,) * 3, {(i, j, pos[k]): v for (i, j, k), v in prods.cells.items()
+                                         if k in pos})
+    if bad := differing(contract("ijs,xs->ijx", mult, incl), prods, 2):
+        i, j = bad[0]
+        raise StructureError(f"image of operator on {a.name} is not closed: basis pair ({i}, {j})")
     labels = tuple(f"b{i}" for i in range(r))
     sub_unit = None
     if r:
         # a two-sided unit, when one exists, satisfies linear equations
-        rows, rhs = [], []
-        for t in range(r):
-            for c in range(r):
-                rows.append(tuple(mult[s][t][c] for s in range(r)))
-                rhs.append(a.field.one if t == c else a.field.zero)
-                rows.append(tuple(mult[t][s][c] for s in range(r)))
-                rhs.append(a.field.one if t == c else a.field.zero)
-        sol = solve_linear(tuple(rows), tuple(rhs), a.field)
+        # u b_t = b_t and b_t u = b_t, one row per (t, coefficient c, side)
+        eqs: dict = {}
+        for (i, j, k), v in mult.cells.items():
+            eqs.setdefault((j, k, 0), {})[i] = v
+            eqs.setdefault((i, k, 1), {})[j] = v
+        keys = list(product(range(r), range(r), (0, 1)))
+        sol = solve_linear([eqs.get(key, {}) for key in keys],
+                           [int(t == c) for t, c, _ in keys], a.field, r)
         if sol is not None:
             sub_unit = sol.particular
     sub = FinAlgebra(a.field, r, labels, mult, sub_unit, name=f"{a.name}-image")
@@ -579,7 +585,7 @@ def subalgebra_image(op: Mat, a: FinAlgebra) -> SubAlgebra:
 def quantum_commutative_witness(w: WeakLike) -> Violation | None:
     """First basis pair violating h_(1) g pi_R(h_(2)) = h g, if any."""
     alg, co = algebra_of(w), coalgebra_of(w)
-    _, pir = _target_source(alg, co)
+    _, pir = target_source(w)
     ck = Checker("quantum-commutative")
     ck.compare(("h", "g"), ("quantum-commutative",
                             contract("hab,agt,sb,tsr->hgr", co, alg, pir, alg), alg.mult))
@@ -597,25 +603,23 @@ def check_quantum_commutative(w: WeakLike) -> bool:
     _, pir = target_source(w)
     violation = quantum_commutative_witness(w)
     source = column_space_basis(pir, alg.field)
-    pairs = [(k, i) for k in range(len(source)) for i in range(alg.dim)]
-
-    def commutes(k: int, i: int) -> bool:
-        return alg.mul(source[k], alg.basis(i)) == alg.mul(alg.basis(i), source[k])
+    # the pairs (k, i) where source basis vector k and e_i do not commute
+    bad = differing(contract("kx,xiy->kiy", source, alg), contract("kx,ixy->kiy", source, alg), 2)
 
     def witness() -> str:
         if violation is not None:
             return f"{violation.to_json()}, yet the source subalgebra is central"
-        k, i = next(pair for pair in pairs if not commutes(*pair))
-        return (f"source basis vector {k} {[str(x) for x in source[k]]} does not commute "
+        k, i = bad[0]
+        return (f"source basis vector {k} {source.to_json()[k]} does not commute "
                 f"with e_{i}, yet the identity holds")
 
     _postcondition("identity and centre criteria of quantum commutativity agree", name_of(w),
-                   violation is None, all(commutes(*pair) for pair in pairs), witness=witness)
+                   violation is None, not bad, witness=witness)
     return violation is None
 
 
-def check_algebra_morphism(f: Mat, src: FinAlgebra, dst: FinAlgebra) -> Report:
-    """f as a matrix taking src coordinates to dst coordinates."""
+def check_algebra_morphism(f, src: FinAlgebra, dst: FinAlgebra) -> Report:
+    """f as a raw or Scalar matrix taking src coordinates to dst coordinates."""
     if src.field != dst.field:
         raise StructureError("algebra morphism across different fields")
     ck = Checker("algebra-morphism", f"{src.name}->{dst.name}")

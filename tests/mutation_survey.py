@@ -7,7 +7,10 @@ line order, docstring examples included), the survey swaps the first two
 letters of the first operand of a spec that has two or more, or the first
 two entries of a ``permuted(...)`` order; it copies the tree to a scratch
 directory, runs the tier-1 suite on that one mutant with ``pytest -x``,
-and reports the mutants that no test kills.
+and reports the mutants that no test kills.  The mutated module's own test
+file (``tests/test_<module>.py``), where there is one, runs first with the
+same flags, and the whole suite only when that file passes: a mutant it
+kills fails the whole suite as well, so every verdict is the whole suite's.
 
     python3 tests/mutation_survey.py [--root DIR] [--work DIR]
 
@@ -84,13 +87,22 @@ def mutants(src: Path) -> list:
     return out
 
 
-def survives(work: Path) -> bool:
+def _passes(work: Path, target: str) -> bool:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", "tests"],
+         "--hypothesis-seed=0", target],
         cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode == 0
+
+
+def survives(work: Path, module: str) -> bool:
+    """Whether the mutant of `module` (a file name in src/hopfrb) passes
+    the whole suite; its own test file, where there is one, runs first."""
+    own = Path("tests") / f"test_{Path(module).stem}.py"
+    if (work / own).is_file() and not _passes(work, str(own)):
+        return False
+    return _passes(work, "tests")
 
 
 def main(argv=None) -> int:
@@ -111,7 +123,7 @@ def main(argv=None) -> int:
         original = path.read_text()
         path.write_text(mutated)
         try:
-            alive = survives(tree)
+            alive = survives(tree, name)
         finally:
             path.write_text(original)
         note = EQUIVALENT.get((name, spec), "")

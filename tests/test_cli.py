@@ -222,6 +222,20 @@ def test_malformed_vector_or_matrix_names_its_key_and_item(tmp_path, capsys, cas
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, key, text", [
+    ("group-algebra-c2", "antipode", "group-algebra-c2: antipode is not dim x dim"),
+    ("c2-bicharacter-sigma", "sigma", "pairing form is not dim x dim"),
+], ids=["antipode", "sigma"])
+def test_a_non_square_operator_in_a_structure_file_is_named_as_before(tmp_path, capsys, entry,
+                                                                      key, text):
+    obj = dump(get(entry))
+    obj[key] = [["1", "0"]] * 3
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", obj["kind"], "--entry", f"@{path}"]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 # one bad sparse triple per case: (entry, key, the replacement of its first triple)
 BAD_TRIPLES = {
     "mult-entry-is-a-list": ("group-algebra-c2", "mult", [0, 0, 0, "1"]),
@@ -398,7 +412,7 @@ def test_matrix_literal(tmp_path):
     mfile.write_text(json.dumps([["1/2", "1/2"], ["1/2", "1/2"]]))
     c2 = get("group-algebra-c2").payload.algebra
     m = parse_operator(f"matrix:@{mfile}", c2)
-    assert m[0][0] == RATIONAL.parse("1/2")
+    assert m.dense()[0][0] == RATIONAL.parse("1/2")
     rc = main(["check", "generic", "--module", "c2-regular-module",
                "--op", f"matrix:@{mfile}", "--trials", "10", "--seed", "1"])
     assert rc == 0

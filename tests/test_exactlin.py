@@ -15,7 +15,6 @@ from hopfrb.exactlin import (
     RATIONAL,
     RawTensor,
     Scalar,
-    apply_mat,
     column_space_basis,
     contract,
     in_span,
@@ -29,7 +28,6 @@ from hopfrb.exactlin import (
     solve_linear,
     span_eq,
     vec,
-    zeros_vec,
 )
 
 F5 = prime_field(5)
@@ -42,6 +40,11 @@ def q(entries):
 
 def qv(entries):
     return vec(RATIONAL, entries)
+
+
+def apply_mat(a, x):
+    """The Scalar vector a x; an a with no rows gives ()."""
+    return contract("rc,c->r", a, x).dense() if a else ()
 
 
 # -- scalars ----------------------------------------------------------------
@@ -144,6 +147,44 @@ def test_raw_tensors_of_two_fields_do_not_add(op):
     # a tensor of empty operands has no field and takes the other's
     empty = RawTensor(None, (1,), {})
     assert (empty + f4).field == F5 and (f4 - empty).cells == {(0,): 4}
+
+
+def test_rational_tensors_add_on_a_common_denominator(monkeypatch):
+    """Over Q, + and - add the operands' integer numerators over the lcm of
+    their denominators and divide each output cell once: no Fraction
+    arithmetic at all."""
+    a = RawTensor(RATIONAL, (2, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (1, 1): 3})
+    b = RawTensor(RATIONAL, (2, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3),
+                                     (1, 0): Fraction(3, 4)})
+
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic in a raw tensor sum")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refused)
+    total, difference = a + b, a - b
+    monkeypatch.undo()
+    assert total.cells == {(0, 0): 1, (0, 1): Fraction(-1, 3), (1, 0): Fraction(3, 4), (1, 1): 3}
+    assert difference.cells == {(0, 1): -1, (1, 0): Fraction(-3, 4), (1, 1): 3}
+    assert type(total.cells[(0, 0)]) is int and type(difference.cells[(0, 1)]) is int
+
+
+_SUMMANDS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=6)
+                            | st.integers(-3, 3), max_size=6)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F5, F2], ids=str)
+@given(x=_SUMMANDS, y=_SUMMANDS)
+def test_raw_tensor_sums_match_scalar_sums(field, x, y):
+    # F_p tensors read integer cells only
+    a, b = (RawTensor.read(field, (3, 3), {k: v for k, v in c.items()
+                                           if not field.p or type(v) is int}) for c in (x, y))
+    for got, op in ((a + b, lambda u, v: u + v), (a - b, lambda u, v: u - v)):
+        want = tuple(tuple(op(u, v) for u, v in zip(r, s)) for r, s in zip(a.dense(), b.dense()))
+        assert got.dense() == want
+        assert all(v for v in got.cells.values())
+        assert all(type(v) is int for v in got.cells.values() if field.p or v == int(v))
 
 
 def test_division():
@@ -273,7 +314,7 @@ def test_kernel_of_empty_matrix():
 
 def test_column_space_and_span():
     cs = column_space_basis(q([[1, 2], [2, 4]]), RATIONAL)
-    assert len(cs) == 1
+    assert cs.shape == (1, 2)
     assert in_span(qv([3, 6]), cs, RATIONAL)
     assert not in_span(qv([1, 0]), cs, RATIONAL)
     assert span_eq(cs, (qv([5, 10]),), RATIONAL)
@@ -362,7 +403,7 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
     assert r == mat(field, dense)
     ker = kernel_basis(a, field, ncols=nc)
     assert len(ker) == nc - len(dpiv)
-    assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in ker)
+    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker)
     sol = solve_linear(a, b, field)
     if not a:
         return
@@ -372,7 +413,7 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
     else:
         assert sol is not None and apply_mat(a, sol.particular) == b
         assert len(sol.nullspace) == nc - len(dpiv)
-        assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in sol.nullspace)
+        assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in sol.nullspace)
 
 
 LARGER_FIELDS = (RATIONAL, F2, F5, prime_field(101))
@@ -418,7 +459,7 @@ def test_sparse_rref_matches_dense_gauss_jordan_on_larger_systems(system):
     assert list(raw) == [{j: x for j, x in enumerate(row) if x} for row in dense[:len(dpiv)]]
     ker = kernel_basis(a, field, ncols=nc)
     assert len(ker) == nc - len(dpiv)
-    assert all(apply_mat(a, v) == zeros_vec(field, len(a)) for v in ker)
+    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker)
 
 
 def test_rref_pivots_on_the_shortest_row(monkeypatch):
@@ -486,6 +527,16 @@ def test_sparse_product_matches_dense_scalar_product(case):
     got = mat_mul(a, b)
     assert got == _dense_product(a, b, field)
     assert all(s.field == field for row in got for s in row)
+
+
+def test_a_dense_operand_with_entries_over_two_fields_is_refused():
+    # the field is not read off the first entry alone
+    with pytest.raises(FieldError, match="a dense entry is not in Q"):
+        mat_mul(((RATIONAL.one, F5.of(2)),), ((RATIONAL.one,), (RATIONAL.one,)))
+    with pytest.raises(FieldError, match="a dense entry is not in Q"):
+        contract("i,i->", vec(RATIONAL, [1]) + vec(F5, [0, 3]), qv([1, 1, 1]))
+    with pytest.raises(DimensionError, match="ragged"):
+        mat_mul(((RATIONAL.one, RATIONAL.one), (RATIONAL.one,)), q([[1], [1]]))
 
 
 def test_product_shape_and_field_errors():

@@ -5,7 +5,7 @@ import pytest
 
 from hopfrb.exactlin import (
     RATIONAL, InternalError, RawTensor, column_space_basis, contract, identity, mat, mat_mul,
-    mat_scale, prime_field, span_eq, vec,
+    prime_field, span_eq, vec,
 )
 from hopfrb.structures import (
     Bialgebra,
@@ -50,6 +50,7 @@ from hopfrb.hopfrb import (
     weak_target_rbp,
 )
 from hopfrb import hopfrb, structures
+from hopfrb.report import _postcondition
 from hopfrb.catalog import (
     cyclic_group_algebra,
     get,
@@ -169,7 +170,7 @@ def test_integer_table_hosts_reduce_mod_101_to_their_f101_answers(name):
 def test_integral_operator_oracle():
     c2 = _c2()
     module = get("c2-regular-module").payload
-    t = integral_T(c2, module, normalized_group_integral(c2))
+    t = integral_T(c2, module, normalized_group_integral(c2)).dense()
     half = Q.parse("1/2")
     assert t == ((half, half), (half, half))
     assert mat_mul(t, t) == t
@@ -186,7 +187,7 @@ def test_integral_operator_oracle():
 ], ids=["c2-sign", "c3-trivial", "s3-regular"])
 def test_integral_operator_projects_onto_the_invariants(host, module, invariant):
     h = get(host).payload
-    t = integral_T(h, module(h), normalized_group_integral(h))
+    t = integral_T(h, module(h), normalized_group_integral(h)).dense()
     assert mat_mul(t, t) == t
     assert span_eq(column_space_basis(t, Q), tuple(vec(Q, v) for v in invariant), Q)
 
@@ -253,7 +254,7 @@ def test_adjoint_action_of_commutative_host_is_trivial_on_itself():
     c2 = _c2()
     act = adjoint_action(c2)
     for i in range(2):
-        assert act.matrix(c2.algebra.basis(i)) == identity(Q, 2)
+        assert act.matrix(c2.algebra.basis(i)).dense() == identity(Q, 2)
 
 
 def test_smash_integral_operator():
@@ -261,6 +262,7 @@ def test_smash_integral_operator():
     kx = get("kx-mod-x2").payload
     act = get("kx-mod-x2-with-c2-action").payload
     smash, module, t = smash_integral_T(kx, c2, act, normalized_group_integral(c2))
+    t = t.dense()
     assert smash.dim == 4
     assert mat_mul(t, t) == t
     assert classify_generic(module, t, MINUS_ONE, trials=20).generic is True
@@ -273,6 +275,7 @@ def test_dual_action_operator_oracle():
     c2 = _c2()
     chi = get("c2-delta-e").payload
     t, module = dual_action_T(c2, chi)
+    t = t.dense()
     assert t == mat(Q, [[1, 0], [0, 0]])
     verdict = classify_generic(module, t, MINUS_ONE, trials=10)
     assert verdict.a_linear and mat_mul(t, t) == t
@@ -296,20 +299,20 @@ def test_dual_action_composition_is_reversed_convolution():
         tf, _ = dual_action_T(c2, f)
         tg, _ = dual_action_T(c2, g)
         tfg, _ = dual_action_T(c2, convolution(g, f))
-        assert mat_mul(tf, tg) == tfg
+        assert mat_mul(tf, tg) == tfg.dense()
 
 
 def test_dimodule_operator_records():
     c2 = _c2()
     for name in ("c2-trivial-dimodule", "c2-long-dimodule"):
         d = get(name).payload
-        t = dimodule_T(c2, d, get("c2-delta-e").payload)
+        t = dimodule_T(c2, d, get("c2-delta-e").payload).dense()
         verdict = classify_generic(d.action, t, MINUS_ONE, trials=10)
         assert verdict.a_linear
         assert mat_mul(t, t) == t
         assert verdict.generic is True
         f2 = get("c2-two-delta-e").payload
-        t2 = dimodule_T(c2, d, f2)
+        t2 = dimodule_T(c2, d, f2).dense()
         assert convolution(f2, f2).coords != f2.coords
         verdict2 = classify_generic(d.action, t2, MINUS_ONE, trials=10)
         assert verdict2.generic == (mat_mul(t2, t2) == t2)
@@ -362,7 +365,7 @@ def test_hopf_module_projection_oracle():
     c2 = _c2()
     m = get("c2-regular-hopf-module").payload
     e_m, inst = hopf_module_projection(c2, m)
-    assert e_m == mat(Q, [[1, 1], [0, 0]])
+    assert e_m.dense() == mat(Q, [[1, 1], [0, 0]])
     assert inst.verified == "pass"
 
 
@@ -396,12 +399,19 @@ def test_failed_equality_postcondition_names_clause_structure_and_cell(monkeypat
     real = hopfrb._coaction_projection
     # twice the projection E = [[1, 1], [0, 0]] squares to 4 E, not 2 E
     monkeypatch.setattr(hopfrb, "_coaction_projection",
-                        lambda *args: mat_scale(Q.of(2), real(*args)))
+                        lambda *args: real(*args).scaled(Q.of(2)))
     with pytest.raises(InternalError) as err:
         hopf_module_projection(_c2(), m)
     assert str(err.value) == (
         f"{m.name}: hopf-module projection is idempotent fails; "
         "first witness cell (0, 0): got 4, want 2")
+
+
+def test_failed_equality_postcondition_on_equal_cells_of_two_shapes_names_both_tensors():
+    got, want = RawTensor(Q, (1, 1), {(0, 0): 1}), RawTensor(Q, (1, 2), {(0, 0): 1})
+    with pytest.raises(InternalError) as err:
+        _postcondition("the shapes agree", "x", got, want)
+    assert str(err.value) == f"x: the shapes agree fails; first witness cell (): got {got}, want {want}"
 
 
 def test_failed_image_postcondition_names_a_column_outside_the_fixed_subspace(monkeypatch):
@@ -512,7 +522,7 @@ def test_doi_projection_on_ordinary_host():
     doi = DoiHopfModule(wca, regular_action(w.algebra, "right"), com)
     e_a, e_m, inst = doi_hopf_projection(w, wca, identity(Q, 2), doi)
     # for an ordinary Hopf algebra the projection is eps(.) 1
-    assert e_a == mat(Q, [[1, 1], [0, 0]])
+    assert e_a.dense() == mat(Q, [[1, 1], [0, 0]])
     assert inst.verified == "pass"
 
 

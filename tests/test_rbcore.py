@@ -14,7 +14,7 @@ from hopfrb.exactlin import (
     InternalError,
     RATIONAL,
     RawTensor,
-    apply_mat,
+    contract,
     identity,
     kernel_basis,
     mat,
@@ -23,8 +23,6 @@ from hopfrb.exactlin import (
     raw_view,
     solve_linear,
     vec,
-    vec_scale,
-    zeros_mat,
 )
 from hopfrb.structures import FinAlgebra, PreconditionError, check_algebra
 from hopfrb.actions import ActionStructure, check_action, regular_action
@@ -58,6 +56,24 @@ from hopfrb.catalog import (
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
+
+
+def _apply(module, r, v):
+    """The Scalar vector r . v for the action `module`."""
+    return contract("i,j,ijk->k", r, v, module).dense()
+
+
+def vec_scale(c, u):
+    return tuple(c * x for x in u)
+
+
+def apply_mat(a, x):
+    """The Scalar vector a x, for a raw or Scalar matrix a."""
+    return contract("rc,c->r", a, x).dense()
+
+
+def zeros_mat(field, rows: int, cols: int):
+    return ((field.zero,) * cols,) * rows
 
 
 def _mat2():
@@ -269,7 +285,7 @@ def _a_linear_basis(module):
     d, f = module.dim, module.field
     rows = []
     for b in range(module.algebra.dim):
-        op = module.matrix(module.algebra.basis(b))
+        op = module.matrix(module.algebra.basis(b)).dense()
         for r in range(d):
             for c in range(d):
                 row = [f.zero] * (d * d)
@@ -484,7 +500,7 @@ small = st.integers(min_value=-4, max_value=4)
 def test_tilde_is_an_involution(prows, trows):
     p, t = mat(Q, prows), mat(Q, trows)
     pt, tt = tilde_pair(p, t, MINUS_ONE)
-    assert tilde_pair(pt, tt, MINUS_ONE) == (p, t)
+    assert _dense(tilde_pair(pt, tt, MINUS_ONE)) == (p, t)
 
 
 @settings(deadline=None)
@@ -521,6 +537,10 @@ def _scalar_tilde(x, lam):
     return mat_scale(-lam.field.one, _scalar_shifted(x, lam))
 
 
+def _dense(pair):
+    return tuple(x.dense() for x in pair)
+
+
 F5 = prime_field(5)
 SHIFTS = {
     "q-fractions": (Q, [[Fraction(1, 2), -3, 0], [Fraction(2, 3), 0, 1], [0, 5, Fraction(-7, 4)]],
@@ -540,16 +560,16 @@ def test_raw_shift_and_tilde_pair_match_the_scalar_formulas(case):
     x, lam = mat(field, rows), field.of(lam)
     y = tuple(tuple(v * field.of(2) + field.one for v in row) for row in x)
     assert rbcore._shifted(raw_view(x), lam).dense() == _scalar_shifted(x, lam)
-    assert tilde_pair(x, y, lam) == (_scalar_tilde(x, lam), _scalar_tilde(y, lam))
-    assert tilde_pair(*tilde_pair(x, y, lam), lam) == (x, y)
+    assert _dense(tilde_pair(x, y, lam)) == (_scalar_tilde(x, lam), _scalar_tilde(y, lam))
+    assert _dense(tilde_pair(*tilde_pair(x, y, lam), lam)) == (x, y)
 
 
 def test_tilde_of_the_empty_p_is_empty():
     # prop-3.1 mirrors T alone by passing P = ()
     module = get("c2-regular-module").payload
     t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
-    assert tilde_pair((), t, MINUS_ONE) == ((), _scalar_tilde(t, MINUS_ONE))
-    assert tilde_pair((), (), MINUS_ONE) == ((), ())
+    assert _dense(tilde_pair((), t, MINUS_ONE)) == ((), _scalar_tilde(t.dense(), MINUS_ONE))
+    assert _dense(tilde_pair((), (), MINUS_ONE)) == ((), ())
 
 
 @pytest.mark.parametrize("lam", [F5.of(4), F5.zero])
@@ -566,15 +586,17 @@ def test_a_weight_from_another_field_is_refused(lam):
 
 
 def test_each_operator_is_read_into_the_raw_layer_once(monkeypatch):
-    """One check_rbp_module call reads its P and T once each.  One
-    classify_generic call reads T once for the pairing system, the
-    quasi-idempotency test and the generic test; its trial-0 oracle is a
-    check_rbp_module call of its own, which reads P and T once more."""
+    """An instance reads a dense P and T once each, on construction, and
+    check_rbp_module reads nothing more.  One classify_generic call reads a
+    dense T once, for the pairing system, the quasi-idempotency test and
+    the generic test; its trial-0 oracle, a check_rbp_module call of its
+    own, reads nothing: the drawn P is built raw and T is stored raw.  A
+    raw T is never read."""
     read, phase, of = [], ["outer"], RawTensor.of.__func__
 
-    def counted(cls, field, t, shape):
+    def counted(cls, field, t, shape, ragged=None):
         read.append((phase[0], t))  # kept alive, so no two reads share an id by reuse
-        return of(cls, field, t, shape)
+        return of(cls, field, t, shape, ragged)
 
     def oracle(inst):
         phase[0] = "oracle"
@@ -590,20 +612,25 @@ def test_each_operator_is_read_into_the_raw_layer_once(monkeypatch):
 
     monkeypatch.setattr(RawTensor, "of", classmethod(counted))
     mat2, module, e = _left_mult_by_e11_plus_e12()
-    p, t = (mat(Q, [[x.value for x in row] for row in e]) for _ in range(2))
+    p, t = (mat(Q, [[x.value for x in row] for row in e.dense()]) for _ in range(2))
     check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE))  # builds the carrier views
     read.clear()
-    check_rbp_module(RbpInstance(mat2, module, p, t, MINUS_ONE))
+    inst = RbpInstance(mat2, module, p, t, MINUS_ONE)
     assert reads()[("outer", id(p))] == reads()[("outer", id(t))] == 1
+    read.clear()
+    check_rbp_module(inst)
+    assert not read
     monkeypatch.setattr(rbcore, "check_rbp_module", oracle)
     c2_module = get("c2-regular-module").payload
+    raw_t = c2_module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
     for t in (mat(Q, [[1, 0], [0, 0]]),  # not A-linear: every trial is drawn
-              c2_module.matrix(normalized_group_integral(get("group-algebra-c2").payload))):
+              raw_t.dense()):
         read.clear()
         classify_generic(c2_module, t, MINUS_ONE, trials=5, seed="once")
-        counts = reads()
-        assert counts[("outer", id(t))] == counts[("oracle", id(t))] == 1
-        assert sum(where == "oracle" for where, _ in read) == 2  # the drawn P and T
+        assert reads() == {("outer", id(t)): 1}
+    read.clear()
+    classify_generic(c2_module, raw_t, MINUS_ONE, trials=5, seed="once")
+    assert not read
 
 
 def test_atkinson_witness_identities():
@@ -614,17 +641,17 @@ def test_atkinson_witness_identities():
         for j in range(m.dim):
             av, mv = a.basis(i), m.basis(j)
             n = atkinson_witness(inst, av, mv)
-            lhs = m.apply(apply_mat(inst.p, av), apply_mat(inst.t, mv))
+            lhs = _apply(m, apply_mat(inst.p, av), apply_mat(inst.t, mv))
             assert lhs == apply_mat(inst.t, n)
-            lhs2 = m.apply(apply_mat(pt, av), apply_mat(tt, mv))
+            lhs2 = _apply(m, apply_mat(pt, av), apply_mat(tt, mv))
             assert lhs2 == vec_scale(MINUS_ONE, apply_mat(tt, n))
 
 
 def _scalar_witness(inst, av, mv):
     """n = P(a) . m + a . (T + lam)(m), on Scalars."""
-    m, tl = inst.module, _scalar_shifted(inst.t, inst.weight)
-    return tuple(x + y for x, y in zip(m.apply(apply_mat(inst.p, av), mv),
-                                       m.apply(av, apply_mat(tl, mv))))
+    m, tl = inst.module, _scalar_shifted(inst.t.dense(), inst.weight)
+    return tuple(x + y for x, y in zip(_apply(m, apply_mat(inst.p, av), mv),
+                                       _apply(m, av, apply_mat(tl, mv))))
 
 
 def _seeded_instance(field, scale, seed):
@@ -632,7 +659,8 @@ def _seeded_instance(field, scale, seed):
     which pairs with every P."""
     c2 = cyclic_group_algebra(2, field)
     module = regular_action(c2.algebra, "left")
-    p = mat_scale(field.of(scale), operator_of(field, 2, rbcore._random_entries(2, seed, 0)))
+    p = mat_scale(field.of(scale),
+                  operator_of(field, 2, rbcore._random_entries(2, seed, 0)).dense())
     inst = RbpInstance(c2.algebra, module, p, module.matrix(normalized_group_integral(c2)),
                        -field.one, name=f"seeded-{field}")
     assert check_rbp_module(inst).ok
@@ -656,7 +684,7 @@ def test_atkinson_witness_matches_the_scalar_formula():
         for av, mv in pairs:
             n = atkinson_witness(inst, av, mv)
             assert n == _scalar_witness(inst, av, mv), inst.name
-            assert m.apply(apply_mat(inst.p, av), apply_mat(inst.t, mv)) == apply_mat(inst.t, n)
+            assert _apply(m, apply_mat(inst.p, av), apply_mat(inst.t, mv)) == apply_mat(inst.t, n)
 
 
 def test_atkinson_needs_nonzero_weight():
@@ -802,12 +830,20 @@ def _left_mult_by_e11_plus_e12():
 
 def test_atkinson_solvability_with_non_diagonal_operators():
     mat2, module, e = _left_mult_by_e11_plus_e12()
-    assert e != tuple(zip(*e))  # neither diagonal nor symmetric
+    assert e.dense() != tuple(zip(*e.dense()))  # neither diagonal nor symmetric
     assert check_rbp_module(RbpInstance(mat2, module, e, e, MINUS_ONE)).ok
     assert atkinson_solvable(mat2, module, e, e, MINUS_ONE)
     f = mat2.left_mult(mat2.basis(1))
     assert not check_rbp_module(RbpInstance(mat2, module, e, f, MINUS_ONE)).ok
     assert not atkinson_solvable(mat2, module, e, f, MINUS_ONE)
+
+
+def test_image_closure_with_non_diagonal_operators():
+    # P(e_i) is column i of P; P's row i, read instead, moves T(M) off itself here
+    mat2, module, e = _left_mult_by_e11_plus_e12()
+    inst = RbpInstance(mat2, module, e, e, MINUS_ONE)
+    assert check_rbp_module(inst).ok
+    assert image_closed_under_p_action(inst)
 
 
 def test_double_construction_with_non_diagonal_operators():
@@ -827,7 +863,7 @@ def test_double_construction_with_non_diagonal_operators():
 def test_idempotent_identities_skip_without_idempotency():
     c2 = get("group-algebra-c2").payload
     module = get("c2-regular-module").payload
-    t = mat_scale(Q.of(2), module.matrix(normalized_group_integral(c2)))
+    t = mat_scale(Q.of(2), module.matrix(normalized_group_integral(c2)).dense())
     p = mat_scale(Q.of(2), identity(Q, 2))
     inst = RbpInstance(c2.algebra, module, p, t, Q.of(-2))
     assert check_rbp_module(inst).ok
