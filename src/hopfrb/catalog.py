@@ -1,12 +1,16 @@
 """Built-in example structures and the JSON ingestion pipeline.
 
-The catalog is a table of declarations: name, kind, note, the entries it
-references and a builder.  An entry is built and validated by its kind's
-full axiom checker on first use, after the entries it references, and is
-then kept and read only; nothing is validated until something asks for it,
-so listing names validates nothing.  An entry that fails is a package bug
-and is not kept.  The named paired-module instances are built and verified
-the same way, one at a time.
+One table, `_KINDS`, says what each kind of entry is: the roles of the
+entries it references, its axiom checker, its loader from a structure-file
+object and its writer back to one.  The catalog is a table of
+declarations: name, kind, note, the entries it references and a builder,
+or, for a composite, the file keys beyond its references, which its kind's
+loader reads as it reads a file.  An entry is built and validated by its
+kind's full axiom checker on first use, after the entries it references,
+and is then kept and read only; nothing is validated until something asks
+for it, so listing names validates nothing.  An entry that fails is a
+package bug and is not kept.  The named paired-module instances are built
+and verified the same way, one at a time.
 
 Characteristic-sensitive data (anything needing 1/|G| or 1/2) is offered
 through builder functions that refuse prime fields dividing the relevant
@@ -43,6 +47,7 @@ from .structures import (
     WeakBialgebra,
     WeakHopfAlgebra,
     algebra_of,
+    antipode_of,
     check_algebra,
     check_bialgebra,
     check_hopf,
@@ -55,25 +60,9 @@ from .report import _postcondition
 # actions, rbcore and hopfrb are imported on the code paths that read them
 # (see _deferred), so listing names or checking a host loads none of them
 if TYPE_CHECKING:
-    from .actions import ActionStructure, DoiHopfModule
+    from .actions import ActionStructure, CoactionStructure, DoiHopfModule
     from .hopfrb import PairingForm, RMatrix
     from .rbcore import RbpInstance
-
-KINDS = (
-    "algebra",
-    "bialgebra",
-    "hopf",
-    "weak-bialgebra",
-    "weak-hopf",
-    "module",
-    "comodule",
-    "dimodule",
-    "hopf-module",
-    "doi-hopf",
-    "pairing",
-    "rmatrix",
-    "functional",
-)
 
 
 class CatalogError(Exception):
@@ -284,51 +273,29 @@ def normalized_group_integral(h: HopfAlgebra) -> Vec:
 # the built-in catalog
 
 
-_VALIDATORS = {
-    "algebra": check_algebra,
-    "bialgebra": check_bialgebra,
-    "hopf": check_hopf,
-    "weak-bialgebra": check_weak_bialgebra,
-    "weak-hopf": check_weak_hopf,
-    "module": _deferred("actions", "check_action"),
-    "comodule": _deferred("actions", "check_coaction"),
-    "dimodule": _deferred("actions", "check_dimodule"),
-    "hopf-module": _deferred("actions", "check_hopf_module"),
-    "doi-hopf": _deferred("actions", "check_doi_hopf"),
-    "pairing": _on_host(_deferred("hopfrb", "check_long_pairing")),
-    "rmatrix": _on_host(_deferred("hopfrb", "check_quasitriangular")),
-}
-
-
 def _validate(entry: CatalogEntry) -> None:
-    checker = _VALIDATORS.get(entry.kind)
-    if checker is not None:
-        rep = checker(entry.payload)
-        if not rep.ok:
-            raise CatalogError(
-                f"catalog entry {entry.name!r} fails {entry.kind} axioms: {rep.to_json()}"
-            )
-    elif entry.kind == "functional":
-        coalgebra_of(entry.payload.host)  # host must carry a coalgebra
-    else:
-        raise CatalogError(f"no validator for kind {entry.kind!r}")
+    checker = _KINDS[entry.kind][1]
+    if checker is not None and not (rep := checker(entry.payload)).ok:
+        raise CatalogError(f"catalog entry {entry.name!r} fails {entry.kind} axioms: "
+                           f"{rep.to_json()}")
 
 
 class _Declared(NamedTuple):
-    """A built-in entry before it is built: `build` takes the payloads of
-    `refs`, in their order."""
+    """A built-in entry before it is built: `build` is a function of the
+    payloads of `refs`, in their order, or the entry's file keys beyond its
+    references, which its kind's loader reads as it reads a structure file."""
 
     kind: str
     note: str
     refs: dict
-    build: Callable
+    build: Callable | dict
 
 
 _DECLARED: dict[str, _Declared] = {}
 _BUILT: dict[str, CatalogEntry] = {}
 
 
-def _declare(name: str, kind: str, note: str, build: Callable, **refs) -> None:
+def _declare(name: str, kind: str, note: str, build: Callable | dict, **refs) -> None:
     if name in _DECLARED:
         raise CatalogError(f"duplicate catalog entry {name!r}")
     _DECLARED[name] = _Declared(kind, note, refs, build)
@@ -344,7 +311,9 @@ def get(name: str) -> CatalogEntry:
         decl = _DECLARED[name]
     except KeyError:
         raise CatalogError(f"unknown catalog entry {name!r}") from None
-    payload = decl.build(*(get(ref).payload for ref in decl.refs.values()))
+    payloads = {role: get(ref).payload for role, ref in decl.refs.items()}
+    payload = (_KINDS[decl.kind][2](decl.build, name, payloads) if isinstance(decl.build, dict)
+               else decl.build(*payloads.values()))
     entry = CatalogEntry(name, decl.kind, payload, decl.note, dict(decl.refs))
     _validate(entry)
     _BUILT[name] = entry
@@ -421,14 +390,7 @@ _declare("c2-triangular-R", "rmatrix", "the triangular structure on Z/2",
          triangular_rmatrix_c2, host="group-algebra-c2")
 
 
-def _composite(cls: str, name: str):
-    """Builder of the actions class `cls` from (host, module, comodule)."""
-    make = _deferred("actions", cls)
-    return lambda host, module, comodule: make(host, module, comodule, name=name)
-
-
-_declare("c2-trivial-dimodule", "dimodule", "trivial action with the regular coaction",
-         _composite("Dimodule", "c2-trivial-dimodule"),
+_declare("c2-trivial-dimodule", "dimodule", "trivial action with the regular coaction", {},
          host="group-algebra-c2", module="c2-trivial-module", comodule="c2-regular-comodule")
 
 
@@ -441,43 +403,26 @@ def _long_module(host):
 _declare("c2-long-module", "module", "action induced by the sign bicharacter",
          _long_module, algebra="group-algebra-c2")
 _declare("c2-long-dimodule", "dimodule", "bicharacter-induced action with the regular coaction",
-         _composite("Dimodule", "c2-long-dimodule"),
-         host="group-algebra-c2", module="c2-long-module", comodule="c2-regular-comodule")
-_declare("c2-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/2",
-         _composite("HopfModule", "c2-regular-hopf-module"),
+         {}, host="group-algebra-c2", module="c2-long-module", comodule="c2-regular-comodule")
+_declare("c2-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/2", {},
          host="group-algebra-c2", module="c2-regular-right-module",
          comodule="c2-regular-comodule")
-_declare("c3-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/3",
-         _composite("HopfModule", "c3-regular-hopf-module"),
+_declare("c3-regular-hopf-module", "hopf-module", "the regular Hopf module over Z/3", {},
          host="group-algebra-c3", module="c3-regular-right-module",
          comodule="c3-regular-comodule")
-
-
-def _pair_groupoid_doi_hopf(host, carrier, comodule, module) -> DoiHopfModule:
-    from .actions import DoiHopfModule, WeakComoduleAlgebra
-
-    wca = WeakComoduleAlgebra(host, algebra_of(carrier), comodule, name="pair-groupoid-self")
-    return DoiHopfModule(wca, module, comodule, name="pair-groupoid-doi-hopf")
-
-
 _declare("pair-groupoid-doi-hopf", "doi-hopf",
-         "the pair groupoid algebra over itself with its own coaction", _pair_groupoid_doi_hopf,
+         "the pair groupoid algebra over itself with its own coaction", {},
          host="weak-pair-groupoid", carrier="weak-pair-groupoid",
          comodule="pair-groupoid-self-comodule", module="pair-groupoid-regular-right-module")
 
-
-def _functional(*coords):
-    return lambda host: Functional(host, vec(host.field, coords))
-
-
 _declare("c2-delta-e", "functional", "indicator of the identity on Z/2",
-         _functional(1, 0), host="group-algebra-c2")
+         {"coords": [1, 0]}, host="group-algebra-c2")
 _declare("c2-delta-g", "functional", "indicator of the generator on Z/2",
-         _functional(0, 1), host="group-algebra-c2")
+         {"coords": [0, 1]}, host="group-algebra-c2")
 _declare("c2-epsilon", "functional", "the counit of the Z/2 group algebra",
-         _functional(1, 1), host="group-algebra-c2")
+         {"coords": [1, 1]}, host="group-algebra-c2")
 _declare("c2-two-delta-e", "functional", "a scaled, non-idempotent functional",
-         _functional(2, 0), host="group-algebra-c2")
+         {"coords": [2, 0]}, host="group-algebra-c2")
 
 
 # ---------------------------------------------------------------------------
@@ -659,19 +604,137 @@ def _dump_tensor3(t: RawTensor) -> list:
             for (i, j, k), c in sorted(t.cells.items())]
 
 
-_STRUCTURE_KINDS = ("algebra", "bialgebra", "hopf", "weak-bialgebra", "weak-hopf")
-# the entries each kind references by name, keyed by role
-_ROLES = {
-    **dict.fromkeys(_STRUCTURE_KINDS, ()),
-    "module": ("algebra",),
-    "comodule": ("host",),
-    "dimodule": ("host", "module", "comodule"),
-    "hopf-module": ("host", "module", "comodule"),
-    "doi-hopf": ("host", "carrier", "module", "comodule"),
-    "pairing": ("host",),
-    "rmatrix": ("host",),
-    "functional": ("host",),
+# ---------------------------------------------------------------------------
+# the kinds
+#
+# _KINDS maps each kind to (roles of the entries it references, axiom
+# checker or None, loader, writer).  The loader builds the payload from a
+# structure-file object, the entry's name and the referenced payloads keyed
+# by role; the writer gives the object's keys beyond the kind, name, note
+# and references.  Rows are plain tuples, so a tracer that rebinds a checker
+# in a row keeps the row a tuple.
+
+
+def _load_algebra(obj: dict, name: str, _payloads: dict) -> FinAlgebra:
+    field = _parse_field(obj.get("field", {"kind": "rational"}))
+    dim = _dim(obj)
+    labels = tuple(str(x) for x in _listed(obj, "basis"))
+    if len(labels) != dim:
+        raise CatalogError("basis label count differs from dim")
+    mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
+    unit = _vector(field, obj, "unit") if "unit" in obj else None
+    return FinAlgebra(field, dim, labels, mult, unit=unit, name=name)
+
+
+def _host_loader(kind: str, carrier: type, hopf: type | None = None) -> Callable:
+    """Loader of the host kind `kind`: a `carrier` on the file's algebra and
+    coalgebra, or, given `hopf`, that class on the carrier and the file's
+    antipode.  A malformed antipode is refused for every host kind."""
+
+    def load(obj: dict, name: str, payloads: dict):
+        alg = _load_algebra(obj, name, payloads)
+        if "comult" not in obj or "counit" not in obj:
+            raise CatalogError(f"kind {kind!r} needs comult and counit")
+        f, n = alg.field, alg.dim
+        comult = _parse_tensor3(f, obj, "comult", n, n, n)
+        coalg = FinCoalgebra(f, n, alg.labels, comult, counit=_vector(f, obj, "counit"))
+        antipode = _matrix(f, obj, "antipode") if "antipode" in obj else None
+        if hopf is None:
+            return carrier(name, alg, coalg)
+        if antipode is None:
+            raise CatalogError(f"{kind} kind needs an antipode")
+        return hopf(name, carrier(name, alg, coalg), antipode)
+
+    return load
+
+
+def _write_structure(p) -> dict:
+    """The keys of an algebra, or of a host: its algebra's, its coalgebra's
+    and its antipode, when it has one."""
+    alg = algebra_of(p)
+    out = {"field": alg.field.to_json(), "dim": alg.dim, "basis": list(alg.labels),
+           "mult": _dump_tensor3(alg.mult)}
+    if alg.unit is not None:
+        out["unit"] = alg.unit.to_json()
+    if p is not alg:
+        co = coalgebra_of(p)
+        out.update(comult=_dump_tensor3(co.comult), counit=co.counit.to_json())
+        if (s := antipode_of(p)) is not None:
+            out["antipode"] = s.to_json()
+    return out
+
+
+def _load_module(obj: dict, name: str, p: dict) -> ActionStructure:
+    dim = _dim(obj)
+    alg = algebra_of(p["algebra"])
+    act = _parse_tensor3(alg.field, obj, "action", alg.dim, dim, dim)
+    return _deferred("actions", "ActionStructure")(alg, dim, obj.get("side", "left"), act,
+                                                   name=name)
+
+
+def _load_comodule(obj: dict, name: str, p: dict) -> CoactionStructure:
+    dim = _dim(obj)
+    coalg = coalgebra_of(p["host"])
+    co = _parse_tensor3(coalg.field, obj, "coaction", dim, dim, coalg.dim)
+    return _deferred("actions", "CoactionStructure")(coalg, dim, co, name=name)
+
+
+def _dimodule_loader(cls: str) -> Callable:
+    """Loader of the actions class `cls` on the host, module and comodule."""
+    make = _deferred("actions", cls)
+    return lambda obj, name, p: make(p["host"], p["module"], p["comodule"], name=name)
+
+
+def _load_doi_hopf(obj: dict, name: str, p: dict) -> DoiHopfModule:
+    carrier = algebra_of(p["carrier"])
+    wca = _deferred("actions", "WeakComoduleAlgebra")(p["host"], carrier, p["comodule"],
+                                                      name=f"{name}-carrier")
+    return _deferred("actions", "DoiHopfModule")(wca, p["module"], p["comodule"], name=name)
+
+
+def _load_pairing(obj: dict, name: str, p: dict) -> PairingForm:
+    sigma = _matrix(algebra_of(p["host"]).field, obj, "sigma")
+    return _deferred("hopfrb", "PairingForm")(p["host"], sigma)
+
+
+def _load_rmatrix(obj: dict, name: str, p: dict) -> RMatrix:
+    f = algebra_of(p["host"]).field
+    r, rinv = (_vector(f, obj, key) for key in ("r", "rinv"))
+    return _deferred("hopfrb", "RMatrix")(p["host"], r, rinv)
+
+
+def _load_functional(obj: dict, name: str, p: dict) -> Functional:
+    return Functional(p["host"], _vector(coalgebra_of(p["host"]).field, obj, "coords"))
+
+
+_KINDS = {
+    "algebra": ((), check_algebra, _load_algebra, _write_structure),
+    "bialgebra": ((), check_bialgebra, _host_loader("bialgebra", Bialgebra), _write_structure),
+    "hopf": ((), check_hopf, _host_loader("hopf", Bialgebra, HopfAlgebra), _write_structure),
+    "weak-bialgebra": ((), check_weak_bialgebra, _host_loader("weak-bialgebra", WeakBialgebra),
+                       _write_structure),
+    "weak-hopf": ((), check_weak_hopf,
+                  _host_loader("weak-hopf", WeakBialgebra, WeakHopfAlgebra), _write_structure),
+    "module": (("algebra",), _deferred("actions", "check_action"), _load_module,
+               lambda p: {"side": p.side, "dim": p.dim, "action": _dump_tensor3(p.act)}),
+    "comodule": (("host",), _deferred("actions", "check_coaction"), _load_comodule,
+                 lambda p: {"dim": p.dim, "coaction": _dump_tensor3(p.co)}),
+    "dimodule": (("host", "module", "comodule"), _deferred("actions", "check_dimodule"),
+                 _dimodule_loader("Dimodule"), lambda p: {}),
+    "hopf-module": (("host", "module", "comodule"), _deferred("actions", "check_hopf_module"),
+                    _dimodule_loader("HopfModule"), lambda p: {}),
+    "doi-hopf": (("host", "carrier", "module", "comodule"), _deferred("actions", "check_doi_hopf"),
+                 _load_doi_hopf, lambda p: {}),
+    "pairing": (("host",), _on_host(_deferred("hopfrb", "check_long_pairing")), _load_pairing,
+                lambda p: {"sigma": p.sigma.to_json()}),
+    "rmatrix": (("host",), _on_host(_deferred("hopfrb", "check_quasitriangular")), _load_rmatrix,
+                lambda p: {"r": p.r.joined(2).to_json(), "rinv": p.rinv.joined(2).to_json()}),
+    # Functional refuses a host without a coalgebra when it is built
+    "functional": (("host",), None, _load_functional, lambda p: {"coords": p.coords.to_json()}),
 }
+# membership is a tuple test: a JSON list or object as a kind is refused
+# by `in`, where a dict lookup would raise TypeError
+KINDS = tuple(_KINDS)
 
 
 def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
@@ -690,91 +753,18 @@ def load_entry(obj: dict, validate: bool = True) -> CatalogEntry:
     if not isinstance(name, str) or not name:
         raise CatalogError("missing entry name")
     note = obj.get("note", "loaded from file")
-
-    refs = {role: _ref(obj, role) for role in _ROLES[kind]}
+    roles, _check, load, _write = _KINDS[kind]
+    refs = {role: _ref(obj, role) for role in roles}
     got = {role: get(ref) for role, ref in refs.items()}
     # the composite constructors read a referenced module or comodule's fields
     for role in ("module", "comodule"):
         if role in got and got[role].kind != role:
             raise CatalogError(f"{role} {refs[role]!r} has kind {got[role].kind!r}")
-    p = {role: e.payload for role, e in got.items()}
-    if kind in _STRUCTURE_KINDS:
-        payload = _load_structure(obj, kind)
-    elif kind == "module":
-        dim = _dim(obj)
-        alg = algebra_of(p["algebra"])
-        act = _parse_tensor3(alg.field, obj, "action", alg.dim, dim, dim)
-        from .actions import ActionStructure
-
-        payload = ActionStructure(alg, dim, obj.get("side", "left"), act, name=name)
-    elif kind == "comodule":
-        dim = _dim(obj)
-        coalg = coalgebra_of(p["host"])
-        co = _parse_tensor3(coalg.field, obj, "coaction", dim, dim, coalg.dim)
-        from .actions import CoactionStructure
-
-        payload = CoactionStructure(coalg, dim, co, name=name)
-    elif kind in ("dimodule", "hopf-module"):
-        from .actions import Dimodule, HopfModule
-
-        cls = Dimodule if kind == "dimodule" else HopfModule
-        payload = cls(p["host"], p["module"], p["comodule"], name=name)
-    elif kind == "doi-hopf":
-        from .actions import DoiHopfModule, WeakComoduleAlgebra
-
-        carrier = algebra_of(p["carrier"])
-        wca = WeakComoduleAlgebra(p["host"], carrier, p["comodule"], name=f"{name}-carrier")
-        payload = DoiHopfModule(wca, p["module"], p["comodule"], name=name)
-    elif kind == "pairing":
-        f = algebra_of(p["host"]).field
-        sigma = _matrix(f, obj, "sigma")
-        from .hopfrb import PairingForm
-
-        payload = PairingForm(p["host"], sigma)
-    elif kind == "rmatrix":
-        f = algebra_of(p["host"]).field
-        r, rinv = (_vector(f, obj, key) for key in ("r", "rinv"))
-        from .hopfrb import RMatrix
-
-        payload = RMatrix(p["host"], r, rinv)
-    else:  # functional
-        f = coalgebra_of(p["host"]).field
-        payload = Functional(p["host"], _vector(f, obj, "coords"))
+    payload = load(obj, name, {role: e.payload for role, e in got.items()})
     entry = CatalogEntry(name, kind, payload, note, refs)
     if validate:
         _validate(entry)
     return entry
-
-
-def _load_structure(obj: dict, kind: str):
-    field = _parse_field(obj.get("field", {"kind": "rational"}))
-    dim = _dim(obj)
-    labels = tuple(str(x) for x in _listed(obj, "basis"))
-    if len(labels) != dim:
-        raise CatalogError("basis label count differs from dim")
-    mult = _parse_tensor3(field, obj, "mult", dim, dim, dim)
-    unit = _vector(field, obj, "unit") if "unit" in obj else None
-    name = obj["name"]
-    alg = FinAlgebra(field, dim, labels, mult, unit=unit, name=name)
-    if kind == "algebra":
-        return alg
-    if "comult" not in obj or "counit" not in obj:
-        raise CatalogError(f"kind {kind!r} needs comult and counit")
-    comult = _parse_tensor3(field, obj, "comult", dim, dim, dim)
-    coalg = FinCoalgebra(field, dim, labels, comult, counit=_vector(field, obj, "counit"))
-    antipode = _matrix(field, obj, "antipode") if "antipode" in obj else None
-    if kind == "bialgebra":
-        return Bialgebra(name, alg, coalg)
-    if kind == "hopf":
-        if antipode is None:
-            raise CatalogError("hopf kind needs an antipode")
-        return HopfAlgebra(name, Bialgebra(name, alg, coalg), antipode)
-    weak = WeakBialgebra(name, alg, coalg)
-    if kind == "weak-bialgebra":
-        return weak
-    if antipode is None:
-        raise CatalogError("weak-hopf kind needs an antipode")
-    return WeakHopfAlgebra(name, weak, antipode)
 
 
 def read_json(path: str):
@@ -798,41 +788,6 @@ def dump(entry: CatalogEntry) -> dict:
     out: dict = {"kind": entry.kind, "name": entry.name}
     if entry.note:
         out["note"] = entry.note
-    p = entry.payload
-    if entry.kind in _STRUCTURE_KINDS:
-        alg = algebra_of(p)
-        out["field"] = alg.field.to_json()
-        out["dim"] = alg.dim
-        out["basis"] = list(alg.labels)
-        out["mult"] = _dump_tensor3(alg.mult)
-        if alg.unit is not None:
-            out["unit"] = alg.unit.to_json()
-        if entry.kind != "algebra":
-            co = coalgebra_of(p)
-            out["comult"] = _dump_tensor3(co.comult)
-            out["counit"] = co.counit.to_json()
-            s = getattr(p, "antipode", None)
-            if s is not None:
-                out["antipode"] = s.to_json()
-    elif entry.kind == "module":
-        out.update(entry.refs)
-        out["side"] = p.side
-        out["dim"] = p.dim
-        out["action"] = _dump_tensor3(p.act)
-    elif entry.kind == "comodule":
-        out.update(entry.refs)
-        out["dim"] = p.dim
-        out["coaction"] = _dump_tensor3(p.co)
-    elif entry.kind in ("dimodule", "hopf-module", "doi-hopf"):
-        out.update(entry.refs)
-    elif entry.kind == "pairing":
-        out.update(entry.refs)
-        out["sigma"] = p.sigma.to_json()
-    elif entry.kind == "rmatrix":
-        out.update(entry.refs)
-        out["r"] = p.r.joined(2).to_json()
-        out["rinv"] = p.rinv.joined(2).to_json()
-    else:  # functional
-        out.update(entry.refs)
-        out["coords"] = p.coords.to_json()
+    out.update(entry.refs)
+    out.update(_KINDS[entry.kind][3](entry.payload))
     return out

@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .exactlin import ExactError, FieldError, RawTensor, Record, Scalar, raw_identity
-from .report import fuzz_seed
+from .report import DEFAULT_TRIALS, fuzz_seed
 from .structures import (
     PreconditionError,
     StructureError,
@@ -25,14 +25,12 @@ from .structures import (
     check_bialgebra,
     check_coalgebra,
     check_counital_maps,
-    check_hopf,
     check_weak_bialgebra,
-    check_weak_hopf,
     coalgebra_of,
     quantum_commutative_witness,
 )
 from . import catalog
-from .catalog import KINDS, CatalogError, _deferred, _matrix, _on_host
+from .catalog import _KINDS, KINDS, CatalogError, _deferred, _matrix, _on_host
 
 # actions, rbcore and hopfrb are imported where a check reads them, so a
 # cold command loads only the layers it uses
@@ -40,6 +38,7 @@ from .catalog import KINDS, CatalogError, _deferred, _matrix, _on_host
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+DEFAULT_WEIGHT = "-1"
 
 
 class UsageError(Exception):
@@ -53,9 +52,9 @@ class RunConfig(Record):
     target: str = ""
     names: dict | None = None  # a fresh dict per config when left out
     op: str | None = None
-    weight: str = "-1"
+    weight: str = DEFAULT_WEIGHT
     seed: int | None = None
-    trials: int = 100
+    trials: int = DEFAULT_TRIALS
     report: str | None = None
     kind: str | None = None
 
@@ -64,10 +63,6 @@ class RunConfig(Record):
             object.__setattr__(self, "names", {})
         if self.trials < 0:
             raise UsageError("trials must be nonnegative")
-
-    @property
-    def seed_str(self) -> str:
-        return fuzz_seed() if self.seed is None else str(self.seed)
 
 
 def _resolve(cfg: RunConfig, flag: str, kinds: tuple = ()):
@@ -146,18 +141,14 @@ _ENTRY_CHECKS = {
     "algebra": (_ALGEBRA_KINDS, lambda p: check_algebra(algebra_of(p))),
     "coalgebra": (_HOST_KINDS, lambda p: check_coalgebra(coalgebra_of(p))),
     "bialgebra": (("bialgebra", "hopf"), check_bialgebra),
-    "hopf": (("hopf",), check_hopf),
     "weak-bialgebra": (_WEAK_KINDS, check_weak_bialgebra),
-    "weak-hopf": (("weak-hopf",), check_weak_hopf),
     "counital-maps": (_WEAK_KINDS, check_counital_maps),
-    "module": (("module",), _deferred("actions", "check_action")),
-    "comodule": (("comodule",), _deferred("actions", "check_coaction")),
-    "dimodule": (("dimodule",), _deferred("actions", "check_dimodule")),
-    "hopf-module": (("hopf-module",), _deferred("actions", "check_hopf_module")),
-    "doi-hopf": (("doi-hopf",), _deferred("actions", "check_doi_hopf")),
-    "pairing": (("pairing",), _on_host(_deferred("hopfrb", "check_long_pairing"))),
     "braided": (("pairing",), _on_host(_deferred("hopfrb", "check_braided"))),
-    "rmatrix": (("rmatrix",), _on_host(_deferred("hopfrb", "check_quasitriangular"))),
+    # the check named after a kind reads that kind alone, with the checker
+    # that validates its entries
+    **{kind: ((kind,), _KINDS[kind][1])
+       for kind in ("hopf", "weak-hopf", "module", "comodule", "dimodule", "hopf-module",
+                    "doi-hopf", "pairing", "rmatrix")},
 }
 
 CHECK_NAMES = tuple(sorted(_ENTRY_CHECKS)) + (
@@ -235,7 +226,7 @@ def _run_check(cfg: RunConfig) -> dict:
         t = parse_operator(cfg.op, alg, module=module)
         from .rbcore import classify_generic
 
-        verdict = classify_generic(module, t, lam, trials=cfg.trials, seed=cfg.seed_str)
+        verdict = classify_generic(module, t, lam, trials=cfg.trials, seed=fuzz_seed(cfg.seed))
         return {"inputs": {"module": entry.name, "op": cfg.op},
                 "result": "pass" if verdict.generic is True else "fail",
                 "report": verdict.to_json()}
@@ -272,7 +263,7 @@ def cmd_check(cfg: RunConfig) -> int:
         "command": "check",
         "check": cfg.target,
         "version": __version__,
-        "seed": cfg.seed_str,
+        "seed": fuzz_seed(cfg.seed),
         "weight": cfg.weight,
         "trials": cfg.trials,
     }
@@ -341,28 +332,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", default="-1", help="weight scalar (default -1)")
+    p.add_argument("--weight", default=DEFAULT_WEIGHT,
+                   help=f"weight scalar (default {DEFAULT_WEIGHT})")
     p.add_argument("--seed", type=int, default=None,
                    help="integer seed (default: HOPFRB_SEED or built-in)")
-    p.add_argument("--trials", type=int, default=100, help="fuzz trials (default 100)")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help=f"fuzz trials (default {DEFAULT_TRIALS})")
     p.add_argument("--report", metavar="OUT.JSON", help="write the JSON report here")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    names = {k: getattr(args, k, None)
-             for k in ("entry", "algebra", "module", "instance")
-             if getattr(args, k, None) is not None}
-    return RunConfig(
-        command=args.command,
-        target=getattr(args, "check", None) or getattr(args, "id", "") or "",
-        names=names,
-        op=getattr(args, "op", None),
-        weight=getattr(args, "weight", "-1"),
-        seed=getattr(args, "seed", None),
-        trials=getattr(args, "trials", 100),
-        report=getattr(args, "report", None),
-        kind=getattr(args, "kind", None),
-    )
+    """The parsed flags as a RunConfig; a flag the subcommand lacks keeps
+    RunConfig's default."""
+    given = vars(args)
+    names = {k: given[k] for k in ("entry", "algebra", "module", "instance")
+             if given.get(k) is not None}
+    return RunConfig(target=given.get("check") or given.get("id") or "", names=names,
+                     **{k: v for k, v in given.items() if k in RunConfig._fields})
 
 
 def main(argv=None) -> int:

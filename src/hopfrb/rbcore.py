@@ -64,7 +64,7 @@ from .exactlin import (
     stored,
     transposed,
 )
-from .report import Checker, Report, Violation, _postcondition
+from .report import DEFAULT_TRIALS, Checker, Report, Violation, _postcondition
 from .report import DEFAULT_SEED as DEFAULT_SEED, fuzz_seed as fuzz_seed  # re-exported
 from .structures import FinAlgebra, PreconditionError, StructureError, check_algebra
 from .actions import ActionStructure, check_action
@@ -335,7 +335,7 @@ def classify_generic(
     m: ActionStructure,
     t,
     lam: Scalar,
-    trials: int = 100,
+    trials: int = DEFAULT_TRIALS,
     seed: str | None = None,
 ) -> GenericVerdict:
     """Decide whether (M, T) pairs with every P, and fuzz the answer.
@@ -352,7 +352,7 @@ def classify_generic(
     agree with the verdict (all pass, or all fail), else InternalError.
     """
     n = m.algebra.dim
-    seed = fuzz_seed() if seed is None else seed
+    seed = fuzz_seed(seed)
     system = pairing_system(m, t, lam)
     raw, tl = system.t, system.shifted
     a_linear = not any(system.comms)

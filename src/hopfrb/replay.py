@@ -60,6 +60,7 @@ from .hopfrb import (
     weak_target_rbp,
     adjoint_rbp,
 )
+from .report import DEFAULT_TRIALS
 from . import catalog
 from .catalog import get, get_instance, normalized_group_integral
 
@@ -452,12 +453,12 @@ def replay_ids() -> tuple[str, ...]:
     return tuple(sorted(REPLAYS))
 
 
-def run_replay(rid: str, seed=None, trials: int = 100) -> dict:
+def run_replay(rid: str, seed=None, trials: int = DEFAULT_TRIALS) -> dict:
     if rid not in REPLAYS:
         raise ReplayError(f"unknown replay id {rid!r}")
     if trials < 0:
         raise ReplayError("trials must be nonnegative")
-    seed_str = fuzz_seed() if seed is None else str(seed)
+    seed_str = fuzz_seed(seed)
     checks = REPLAYS[rid](seed_str, trials)
     failed = sum(1 for c in checks if c["result"] != "pass")
     return {
@@ -471,13 +472,12 @@ def run_replay(rid: str, seed=None, trials: int = 100) -> dict:
     }
 
 
-def run_all(seed=None, trials: int = 100) -> dict:
+def run_all(seed=None, trials: int = DEFAULT_TRIALS) -> dict:
     reports = [run_replay(rid, seed=seed, trials=trials) for rid in replay_ids()]
     failed = sum(1 for r in reports if r["result"] != "pass")
-    seed_str = fuzz_seed() if seed is None else str(seed)
     return {
         "version": __version__,
-        "seed": seed_str,
+        "seed": fuzz_seed(seed),
         "trials": trials,
         "result": "pass" if failed == 0 else "fail",
         "replays": reports,

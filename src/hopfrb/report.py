@@ -16,11 +16,13 @@ from math import prod
 from .exactlin import InternalError, RawTensor, Record, Vec, differing, scalar_vec
 
 DEFAULT_SEED = "hopfrb"
+DEFAULT_TRIALS = 100
 
 
-def fuzz_seed() -> str:
-    """Seed for randomized searches; override with HOPFRB_SEED."""
-    return os.environ.get("HOPFRB_SEED", DEFAULT_SEED)
+def fuzz_seed(seed=None) -> str:
+    """Seed for randomized searches: `seed` as a string when one is given,
+    else HOPFRB_SEED, else DEFAULT_SEED."""
+    return os.environ.get("HOPFRB_SEED", DEFAULT_SEED) if seed is None else str(seed)
 
 
 class Violation(Record):

@@ -224,7 +224,7 @@ def algebra_of(x) -> FinAlgebra:
         return x
     if isinstance(x, _Host):
         return x.algebra
-    raise StructureError(f"{x!r} has no algebra part")
+    raise StructureError(f"{type(x).__name__} {name_of(x)!r} has no algebra part")
 
 
 def coalgebra_of(x) -> FinCoalgebra:
@@ -232,7 +232,7 @@ def coalgebra_of(x) -> FinCoalgebra:
         return x
     if isinstance(x, _Host):
         return x.coalgebra
-    raise StructureError(f"{x!r} has no coalgebra part")
+    raise StructureError(f"{type(x).__name__} {name_of(x)!r} has no coalgebra part")
 
 
 def antipode_of(x) -> RawTensor | None:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -280,6 +281,36 @@ def test_load_entry_schema_errors():
     with pytest.raises(CatalogError):
         load_entry({"kind": "algebra", "name": "x", "dim": 1, "basis": ["e"],
                     "mult": [{"i": 0, "j": 0}]})
+    host = dump(get("group-algebra-c2"))
+    weak = dump(get("weak-pair-groupoid"))
+    refused = [
+        ({k: v for k, v in host.items() if k != "comult"}, "kind 'hopf' needs comult and counit"),
+        ({k: v for k, v in host.items() if k != "counit"}, "kind 'hopf' needs comult and counit"),
+        ({k: v for k, v in host.items() if k != "antipode"}, "hopf kind needs an antipode"),
+        ({k: v for k, v in weak.items() if k != "antipode"}, "weak-hopf kind needs an antipode"),
+        ({**host, "basis": ["e"]}, "basis label count differs from dim"),
+        ({"kind": "dimodule", "name": "x", "host": "group-algebra-c2",
+          "module": "group-algebra-c2", "comodule": "c2-regular-comodule"},
+         "module 'group-algebra-c2' has kind 'hopf'"),
+        ({"kind": "functional", "name": "x", "host": 2, "coords": [1, 0]},
+         "missing or non-string reference 'host'"),
+        ({"kind": ["hopf"], "name": "x"}, "unknown or missing kind"),
+        ({"kind": {"hopf": 1}, "name": "x"}, "unknown or missing kind"),
+    ]
+    for obj, text in refused:
+        with pytest.raises(CatalogError, match=re.escape(text)):
+            load_entry(obj)
+
+
+@pytest.mark.parametrize("name, kind", [("group-algebra-c2", "bialgebra"),
+                                        ("weak-pair-groupoid", "weak-bialgebra")])
+def test_a_bialgebra_file_loads_validates_and_dumps_back(name, kind):
+    # no built-in entry has either kind: a Hopf dump without its antipode is one
+    obj = {k: v for k, v in dump(get(name)).items() if k != "antipode"}
+    obj.update(kind=kind, name=f"{name}-as-{kind}")
+    entry = load_entry(obj)
+    assert entry.kind == kind and not hasattr(entry.payload, "antipode")
+    assert dump(entry) == obj
 
 
 def test_load_entry_rejects_axiom_failure_unless_told_not_to():

@@ -236,6 +236,22 @@ def test_a_non_square_operator_in_a_structure_file_is_named_as_before(tmp_path, 
     assert capsys.readouterr().err == f"error: {text}\n"
 
 
+@pytest.mark.parametrize("obj, text", [
+    ({"kind": "functional", "name": "on-mat3", "host": "mat3-rational", "coords": [1] * 9},
+     "FinAlgebra 'mat3' has no coalgebra part"),
+    ({"kind": "module", "name": "over-a-module", "algebra": "c2-regular-module", "dim": 1},
+     "ActionStructure 'c2-regular-left' has no algebra part"),
+], ids=["coalgebra", "algebra"])
+def test_a_reference_without_the_part_a_kind_reads_is_named_by_class_and_name(tmp_path, capsys,
+                                                                              obj, text):
+    # the refusal names the structure; it does not print its structure constants
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    # a file is loaded before its kind is matched to the check; no check reads a functional
+    assert main(["check", "algebra", "--entry", f"@{path}"]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 # one bad sparse triple per case: (entry, key, the replacement of its first triple)
 BAD_TRIPLES = {
     "mult-entry-is-a-list": ("group-algebra-c2", "mult", [0, 0, 0, "1"]),
