@@ -1,16 +1,13 @@
 """Built-in example structures and the JSON ingestion pipeline.
 
-One table, `_KINDS`, says what each kind of entry is: the roles of the
-entries it references, its axiom checker, its loader from a structure-file
-object and its writer back to one.  The catalog is a table of
-declarations: name, kind, note, the entries it references and a builder,
-or, for a composite, the file keys beyond its references, which its kind's
-loader reads as it reads a file.  An entry is built and validated by its
-kind's full axiom checker on first use, after the entries it references,
-and is then kept and read only; nothing is validated until something asks
-for it, so listing names validates nothing.  An entry that fails is a
-package bug and is not kept.  The named paired-module instances are built
-and verified the same way, one at a time.
+`_KINDS` says what each kind of entry is: the roles it references, its
+axiom checker, its loader from a structure file and its writer to one.  A
+built-in entry is declared with a builder or, as a composite, with the file
+keys its kind's loader reads.  It is built and validated by its kind's full
+axiom checker on first use, after the entries it references, and is then
+kept and read only, so listing names validates nothing.  An entry that
+fails is a package bug and is not kept.  The named paired-module instances
+are built and verified the same way, one at a time.
 
 Characteristic-sensitive data (anything needing 1/|G| or 1/2) is offered
 through builder functions that refuse prime fields dividing the relevant

@@ -342,8 +342,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    """The parsed flags as a RunConfig; a flag the subcommand lacks keeps
-    RunConfig's default."""
+    """The parsed flags; a flag the subcommand lacks keeps RunConfig's default."""
     given = vars(args)
     names = {k: given[k] for k in ("entry", "algebra", "module", "instance")
              if given.get(k) is not None}

@@ -20,8 +20,7 @@ DEFAULT_TRIALS = 100
 
 
 def fuzz_seed(seed=None) -> str:
-    """Seed for randomized searches: `seed` as a string when one is given,
-    else HOPFRB_SEED, else DEFAULT_SEED."""
+    """The seed of randomized searches: `seed`, else HOPFRB_SEED or DEFAULT_SEED."""
     return os.environ.get("HOPFRB_SEED", DEFAULT_SEED) if seed is None else str(seed)
 
 
