@@ -47,7 +47,7 @@ from .structures import (
 class ActionStructure(Record):
     """Action of an algebra on a module by structure constants.
 
-    ``_reports`` keeps this object's `check_action` report (`_kept_on_host`)."""
+    ``_kept`` keeps this object's `check_action` report (`_kept_on_host`)."""
 
     _stored = "act"
 
@@ -64,7 +64,7 @@ class ActionStructure(Record):
                                                (self.algebra.dim, self.dim, self.dim),
                                                f"{self.name}: action tensor",
                                                "is not adim x mdim x mdim"))
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_kept", {})
 
     @property
     def field(self):
@@ -81,7 +81,7 @@ class ActionStructure(Record):
 class CoactionStructure(Record):
     """Right coaction of a coalgebra on a comodule by structure constants.
 
-    ``_reports`` keeps this object's `check_coaction` report (`_kept_on_host`)."""
+    ``_kept`` keeps this object's `check_coaction` report (`_kept_on_host`)."""
 
     _stored = "co"
 
@@ -95,7 +95,7 @@ class CoactionStructure(Record):
                                               (self.dim, self.dim, self.coalgebra.dim),
                                               f"{self.name}: coaction tensor",
                                               "is not mdim x mdim x cdim"))
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_kept", {})
 
     @property
     def field(self):
@@ -108,7 +108,7 @@ class CoactionStructure(Record):
 class Dimodule(Record):
     """Left action and right coaction over one host; the compatibility
     rho(h . m) = h . m_(0) (x) m_(1) is checked by check_dimodule, not
-    assumed at construction.  ``_reports`` keeps this object's
+    assumed at construction.  ``_kept`` keeps this object's
     `check_dimodule` report (`_kept_on_host`)."""
 
     host: BialgebraLike
@@ -125,7 +125,7 @@ class Dimodule(Record):
             raise StructureError(f"{self.name}: coaction is not over the host coalgebra")
         if self.action.dim != self.coaction.dim:
             raise StructureError(f"{self.name}: carrier dims differ")
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_kept", {})
 
     @property
     def dim(self) -> int:

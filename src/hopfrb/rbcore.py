@@ -190,7 +190,12 @@ def _require_verified(inst: RbpInstance, op: str) -> None:
 def is_quasi_idempotent(t, lam: Scalar) -> bool:
     """T (T + lam) = 0, exactly."""
     t = raw_view(t)
-    return not contract("rk,kc->rc", t, _shifted(t, lam)).cells
+    return _annihilates(t, _shifted(t, lam))
+
+
+def _annihilates(t: RawTensor, tl: RawTensor) -> bool:
+    """T (T + lam) = 0, given T + lam as `tl`."""
+    return not contract("rk,kc->rc", t, tl).cells
 
 
 def _commutators(m: ActionStructure, t) -> RawTensor:
@@ -350,13 +355,16 @@ def classify_generic(
     A-linear T every C_b is zero, so a trial reads 0 = K_i whatever P it
     draws: trial 0's outcome counts for all `trials`, and that count must
     agree with the verdict (all pass, or all fail), else InternalError.
+    A negative `trials` is refused with PreconditionError.
     """
+    if trials < 0:
+        raise PreconditionError("trials must be nonnegative")
     n = m.algebra.dim
     seed = fuzz_seed(seed)
     system = pairing_system(m, t, lam)
     raw, tl = system.t, system.shifted
     a_linear = not any(system.comms)
-    qi = is_quasi_idempotent(raw, lam)
+    qi = _annihilates(raw, tl)
     generic: bool | None = None
     if a_linear:
         generic = not contract("bkr,kl,lc->brc", m, raw, tl).cells

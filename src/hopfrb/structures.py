@@ -57,7 +57,9 @@ class PreconditionError(Exception):
 class FinAlgebra(Record):
     """Associative algebra by structure constants; ``unit=None`` means nonunital.
 
-    ``_reports`` keeps this object's `check_algebra` report (`_kept_on_host`)."""
+    ``_kept`` keeps this object's `check_algebra` report and, per
+    coalgebra, the counital tensors Delta(1), eps(xy), pi_L and pi_R of the
+    pair (`_kept_on_host`)."""
 
     _stored = "mult"
 
@@ -69,7 +71,7 @@ class FinAlgebra(Record):
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_kept", {})
         if len(self.labels) != self.dim:
             raise DimensionError(f"{self.name}: {len(self.labels)} labels for dim {self.dim}")
         object.__setattr__(self, "mult", stored(self.field, self.mult, (self.dim,) * 3,
@@ -136,13 +138,13 @@ class _Host(Record):
     made on construction; ``_role`` names the carrier in the unit check.
     An antipode, where the class has one, is stored raw (`exactlin.stored`):
     a dim x dim `RawTensor` over the host's field, or a dense Scalar matrix
-    read once.  ``_reports`` keeps the axiom reports of this object
+    read once.  ``_kept`` keeps the axiom reports of this object
     (`_kept_on_host`)."""
 
     _role = "bialgebra"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_kept", {})
         alg, co = self.algebra, self.coalgebra
         if alg.field != co.field:
             raise StructureError(f"{self.name}: algebra/coalgebra fields differ")
@@ -275,25 +277,29 @@ class Functional(Record):
 # axiom checkers
 
 
-def _kept_on_host(check):
-    """`check` with its report kept on the object it was asked about: a
+def _kept_on_host(make):
+    """`make` with its result kept on the object it was asked about: a
     host, an algebra for `check_algebra`, and an action or a coaction for
-    `actions.check_action` and `actions.check_coaction`.
+    `actions.check_action` and `actions.check_coaction`; or, for a `make`
+    of an algebra and a coalgebra, on the algebra under the coalgebra's
+    identity, so that hosts sharing both carriers (``w`` and ``w.weak``,
+    ``h`` and ``as_weak(h)``) share the counital tensors.
 
-    A second call on the same object returns the first (frozen) report; an
-    equal but distinct host is checked again, since the key is the object
-    itself, never its value.  A checker that merges another one calls its
-    undecorated walk (``__wrapped__``), so a fresh host is always walked in
-    full."""
-    key = check.__name__
+    A second call on the same objects returns the first (frozen) result;
+    an equal but distinct object is asked again, since the key is the
+    object itself, never its value.  The entry holds the further objects,
+    so no other object takes their identities while it lives.  A checker
+    that merges another one calls its undecorated walk (``__wrapped__``),
+    so a fresh host is always walked in full."""
+    name = make.__name__
 
-    @wraps(check)
-    def kept(host) -> Report:
-        reports = host._reports
-        rep = reports.get(key)
-        if rep is None:
-            rep = reports[key] = check(host)
-        return rep
+    @wraps(make)
+    def kept(host, *more):
+        store, key = host._kept, (name, *map(id, more))
+        hit = store.get(key)
+        if hit is None:
+            hit = store[key] = make(host, *more), more
+        return hit[0]
 
     return kept
 
@@ -330,6 +336,7 @@ def _comult_mult(alg: FinAlgebra, co: FinCoalgebra) -> tuple:
             contract("ipq,jrs,prx,qsy->ijxy", co, co, alg, alg))
 
 
+@_kept_on_host
 def _unit_comult(alg: FinAlgebra, co: FinCoalgebra) -> RawTensor:
     """Delta(1) in A (x) A."""
     return contract("i,iab->ab", alg.unit, co)
@@ -368,6 +375,7 @@ def check_hopf(h: HopfAlgebra) -> Report:
     return ck.report()
 
 
+@_kept_on_host
 def _counit_of_products(alg: FinAlgebra, co: FinCoalgebra) -> RawTensor:
     """eps(e_x e_y), indexed (x, y)."""
     return contract("xyp,p->xy", alg, co.counit)
@@ -470,8 +478,17 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
 
 
 def target_source(w) -> tuple[RawTensor, RawTensor]:
-    """pi_L and pi_R of a host as raw matrices, from Delta(1) and eps(xy)."""
-    alg, co = algebra_of(w), coalgebra_of(w)
+    """pi_L and pi_R of a host as raw matrices, from Delta(1) and eps(xy).
+
+    They depend on the host's algebra and coalgebra alone (Boehm, Nill and
+    Szlachanyi, J. Algebra 1999), so the pair is computed once per pair of
+    carrier objects and kept on the algebra (`_kept_on_host`): every host
+    built on the same two carriers reads the same two tensors."""
+    return _counital_maps(algebra_of(w), coalgebra_of(w))
+
+
+@_kept_on_host
+def _counital_maps(alg: FinAlgebra, co: FinCoalgebra) -> tuple[RawTensor, RawTensor]:
     d1, eps = _unit_comult(alg, co), _counit_of_products(alg, co)
     return contract("jk,jh->kh", d1, eps), contract("jk,hk->jh", d1, eps)
 

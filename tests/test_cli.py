@@ -512,18 +512,23 @@ GOLDEN_REPLAY_DIGESTS = {
     ("7", 10): "8a2705e4e5fda5e0e79b2872c63fea31d0daec617067b7a88463bebcbb47defd",
     (None, 10): "9b7d898485c335d111d68c377c10ce6584c2a9a0e74ad3c5bb96e09d831c3de9",
     ("7", 100): "01eae1c47c93ba5b702651a90b99dcee427cafc3c3b9b121ba1d5523272542bf",
+    # with no trial thm-3.2 cannot falsify the doubled identity, so the
+    # trials-0 report fails that one check and the command exits 1
+    ("31", 0): "225df3fcb335fcd02e5c7253b4987bf5770ef910c579c434e4297bebd42e8f6e",
+    ("31", 1): "465d82efd14add3f55d8c7bfd23770cbddbb0bc65c7e20460bc8ded2cb6bd96e",
 }
 
 
 @pytest.mark.parametrize("seed,trials", list(GOLDEN_REPLAY_DIGESTS),
-                         ids=["seed-7", "default-seed", "seed-7-trials-100"])
+                         ids=["seed-7", "default-seed", "seed-7-trials-100",
+                              "seed-31-trials-0", "seed-31-trials-1"])
 def test_replay_all_report_digest_is_pinned(tmp_path, monkeypatch, capsys, seed, trials):
     monkeypatch.delenv("HOPFRB_SEED", raising=False)
     out = tmp_path / "r.json"
     argv = ["replay", "all", "--trials", str(trials), "--report", str(out)]
     if seed is not None:
         argv += ["--seed", seed]
-    assert main(argv) == 0
+    assert main(argv) == (0 if trials else 1)
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLAY_DIGESTS[seed, trials]
 

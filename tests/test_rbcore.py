@@ -253,6 +253,18 @@ def test_doubled_identity_is_not_generic():
     assert v.failures == 30
 
 
+@pytest.mark.parametrize("scale", [1, 2, None])
+def test_negative_trials_are_refused_before_any_draw(scale, monkeypatch):
+    # T = id and T = 2 id are A-linear (the first generic, the second not),
+    # and the third is not A-linear; each is refused with the CLI's text
+    module = get("c2-regular-module").payload
+    t = (mat(Q, [[1, 0], [0, 0]]) if scale is None
+         else mat_scale(Q.of(scale), identity(Q, 2)))
+    monkeypatch.setattr(rbcore, "_random_entries", None)
+    with pytest.raises(PreconditionError, match="^trials must be nonnegative$"):
+        classify_generic(module, t, MINUS_ONE, trials=-3, seed="t")
+
+
 def test_non_linear_operator_is_unclassified():
     module = get("c2-regular-module").payload
     t = mat(Q, [[1, 0], [0, 0]])  # not kC2-linear

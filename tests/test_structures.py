@@ -24,6 +24,7 @@ from hopfrb.structures import (
     Functional,
     HopfAlgebra,
     StructureError,
+    WeakHopfAlgebra,
     as_weak,
     check_algebra,
     check_algebra_morphism,
@@ -41,7 +42,7 @@ from hopfrb.structures import (
     subalgebra_image,
     target_source,
 )
-from hopfrb.catalog import cyclic_group_algebra, get, sweedler_h4
+from hopfrb.catalog import cyclic_group_algebra, get, list_entries, sweedler_h4
 from hopfrb.hopfrb import find_integrals
 from hopfrb.report import Violation
 
@@ -539,3 +540,49 @@ def test_mismatched_fields_rejected():
                    unit=vec(f5, [1]))
     with pytest.raises(StructureError):
         check_algebra_morphism(identity(Q, 1), a, b)
+
+
+# -- counital tensors kept on the carriers -------------------------------------
+
+
+def _counital(w):
+    alg, co = w.algebra, w.coalgebra
+    return (structures._unit_comult(alg, co), structures._counit_of_products(alg, co),
+            *target_source(w))
+
+
+def test_counital_tensors_are_kept_and_shared_by_hosts_on_the_same_carriers():
+    w = get("weak-pair-groupoid").payload
+    first = _counital(w)
+    assert all(x is y for x, y in zip(first, _counital(w)))
+    # w and w.weak share both carriers, and so do h and its weak view
+    assert all(x is y for x, y in zip(first, _counital(w.weak)))
+    h = get("group-algebra-c3").payload
+    assert all(x is y for x, y in zip(_counital(h), _counital(as_weak(h))))
+
+
+def test_equal_but_distinct_carriers_compute_the_counital_tensors_again():
+    w = get("weak-two-point").payload
+    alg, co = w.algebra, w.coalgebra
+    twin_alg = FinAlgebra(alg.field, alg.dim, alg.labels, alg.mult, alg.unit, name=alg.name)
+    twin_co = FinCoalgebra(co.field, co.dim, co.labels, co.comult, co.counit)
+    assert (twin_alg, twin_co) == (alg, co)
+    first = _counital(w)
+    for a, c in ((twin_alg, co), (alg, twin_co), (twin_alg, twin_co)):
+        twin = Bialgebra(w.name, a, c)
+        again = _counital(twin)
+        assert all(x is not y for x, y in zip(first, again))
+        assert again == first
+
+
+@pytest.mark.parametrize("name", [n for n, kind in list_entries()
+                                  if kind in ("hopf", "weak-hopf")])
+def test_kept_counital_tensors_equal_a_fresh_contraction_on_every_catalog_host(name):
+    w = get(name).payload
+    alg, co = w.algebra, w.coalgebra
+    # Delta(1), eps(xy), pi_L(h) = eps(1_(1) h) 1_(2), pi_R(h) = eps(h 1_(2)) 1_(1)
+    d1 = contract("i,iab->ab", alg.unit, co)
+    eps = contract("xyp,p->xy", alg, co.counit)
+    fresh = d1, eps, contract("jk,jh->kh", d1, eps), contract("jk,hk->jh", d1, eps)
+    for host in (w, w.weak if isinstance(w, WeakHopfAlgebra) else as_weak(w)):
+        assert _counital(host) == fresh
