@@ -8,10 +8,10 @@ import pytest
 from hopfrb import __version__, rbcore, replay
 from hopfrb.actions import ActionStructure
 from hopfrb.catalog import get
-from hopfrb.exactlin import RATIONAL, InternalError, RawTensor, identity
+from hopfrb.exactlin import RATIONAL, InternalError, identity
 from hopfrb.hopfrb import functional_operator
 from hopfrb.replay import ReplayError, replay_ids, run_all, run_replay
-from hopfrb.structures import FinAlgebra, Functional
+from hopfrb.structures import FinAlgebra
 
 ALL_IDS = ("cor-int", "ex-4.7", "prop-3.1", "prop-3.6", "prop-4.1", "prop-4.3",
            "prop-4.4", "prop-4.5", "prop-4.6", "rmk-4.10", "thm-3.2", "thm-3.5",
@@ -144,53 +144,19 @@ def test_full_checks_do_not_grow_with_trials(monkeypatch):
             == _count_full_checks(monkeypatch, "prop-3.1", 100))
 
 
-def _wrong_functional_operator(h, chi):
-    """functional_operator with chi's first coordinate also written at
-    (0, n - 1): the counit then recovers chi exactly when that coordinate is 0."""
-    t = functional_operator(h, chi)
-    first = chi.coords.cells.get((0,), 0)
-    return t + RawTensor(t.field, t.shape, {(0, h.dim - 1): first} if first else {})
-
-
 @pytest.mark.parametrize("trials", [0, 1, 10])
-def test_prop_4_1_counts_failing_draws_only_when_the_basis_check_fails(trials, monkeypatch):
-    h = get("group-algebra-c2").payload
-    f, n = h.field, h.dim
-    eps = h.coalgebra.counit.dense()
+def test_prop_4_1_decides_the_counit_identity_on_the_basis_functionals(trials, monkeypatch):
+    def check():
+        rep = run_replay("prop-4.1", seed=7, trials=trials)
+        return {c["name"]: c for c in rep["checks"]}["counit-recovers-functional"]
 
-    def plain_failures(seed):
-        bad = 0
-        for trial in range(trials):
-            chi = [f.of(x) for x in rbcore._random_entries(n, f"{seed}:functional", trial)[:n]]
-            t = _wrong_functional_operator(h, Functional(h, tuple(chi))).dense()
-            recovered = [sum((t[k][i] * eps[k] for k in range(n)), f.zero) for i in range(n)]
-            bad += recovered != chi
-        return bad
-
-    monkeypatch.setattr(replay, "functional_operator", _wrong_functional_operator)
-    for seed in ("1", "7", "31"):
-        by_name = {c["name"]: c for c in run_replay("prop-4.1", seed=seed, trials=trials)["checks"]}
-        check = by_name["counit-recovers-functional"]
-        assert check["failures"] == plain_failures(seed) and check["trials"] == trials
-        assert check["result"] == ("pass" if check["failures"] == 0 else "fail")
-    if trials == 10:
-        assert 0 < plain_failures("7") < trials
-
-
-def test_prop_4_1_draws_no_functional_when_the_basis_check_passes(monkeypatch):
-    drawn = []
-    real = replay._random_entries
-
-    def counted(n, seed, trial):
-        drawn.append(seed)
-        return real(n, seed, trial)
-
-    monkeypatch.setattr(replay, "_random_entries", counted)
-    rep = run_replay("prop-4.1", seed=7, trials=10)
-    by_name = {c["name"]: c for c in rep["checks"]}
-    assert by_name["counit-recovers-functional"] == {
-        "name": "counit-recovers-functional", "result": "pass", "trials": 10, "failures": 0}
-    assert not [s for s in drawn if s.endswith(":functional")]
+    assert check() == {"name": "counit-recovers-functional", "result": "pass",
+                       "trials": trials, "failures": 0}
+    # eps(2 T_chi) = 2 chi: every basis functional fails, whatever trials reads
+    monkeypatch.setattr(replay, "functional_operator",
+                        lambda h, chi: functional_operator(h, chi).scaled(h.field.of(2)))
+    assert check() == {"name": "counit-recovers-functional", "result": "fail",
+                       "trials": trials, "failures": get("group-algebra-c2").payload.dim}
 
 
 @pytest.mark.parametrize("rid,target,check", [
