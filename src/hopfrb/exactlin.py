@@ -393,8 +393,9 @@ class RawTensor:
     adjacent ones on their lex basis; `rows` files the cells as sparse
     rows; `flat`, `dense` and `to_json` give the values back on a lex basis,
     the latter two as Scalars and as exact strings, at the boundary.
-    ``==`` and ``hash`` read the shape and the cells, and ``repr`` lists
-    the cells in index order.
+    ``==`` reads the field, the shape and the cells (a tensor over no
+    field, a `contract` of empty operands, matches any field), ``hash`` the
+    shape and the cells, and ``repr`` lists the cells in index order.
     """
 
     __slots__ = ("field", "shape", "cells", "_groups", "_ints")
@@ -445,6 +446,7 @@ class RawTensor:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RawTensor) and self.shape == other.shape
+                and (self.field == other.field or None in (self.field, other.field))
                 and self.cells == other.cells)
 
     def __hash__(self) -> int:
@@ -620,13 +622,17 @@ _PLANS: dict = {}
 
 
 def _plan(spec: str) -> tuple:
-    """Operand letters, output letters and one step per operand: its
-    positions that meet the partial sum's letters, its new positions, the
-    picker of the meeting letters from a partial index, and the picker of
-    the letters still needed afterwards (None: all of them).  A letter is
-    summed out after the last operand that carries it, and the last step
-    puts the output letters in order."""
-    ins, _, out = spec.partition("->")
+    """Operand letters, output letters, one step per operand and the output
+    shape of each tuple of operand shapes validated so far (empty here).  A
+    step holds its operand's positions that meet the partial sum's letters,
+    its new positions, the picker of the meeting letters from a partial
+    index, and the picker of the letters still needed afterwards (None: all
+    of them).  A letter is summed out after the last operand that carries
+    it, and the last step puts the output letters in order.  A spec without
+    ``->`` is refused: in einsum notation it would name an implicit output."""
+    ins, arrow, out = spec.partition("->")
+    if not arrow:
+        raise DimensionError(f"contraction spec {spec!r} has no '->' before its output letters")
     ins = ins.split(",")
     if any(len(set(x)) != len(x) for x in (*ins, out)) or not set(out) <= set("".join(ins)):
         raise DimensionError(f"contraction spec {spec!r} repeats a letter in one operand "
@@ -642,7 +648,7 @@ def _plan(spec: str) -> tuple:
                       _picker(tuple(live.index(c) for c in letters if c in live), bare=True),
                       None if keep == tuple(range(len(merged))) else _picker(keep)))
         live = "".join(merged[i] for i in keep)
-    _PLANS[spec] = ins, out, steps
+    _PLANS[spec] = ins, out, steps, {}
     return _PLANS[spec]
 
 
@@ -673,9 +679,13 @@ def contract(spec: str, *operands) -> RawTensor:
 
     An operand is a raw tensor (what `contract` returns), a carrier
     (FinAlgebra, FinCoalgebra, ActionStructure, CoactionStructure), read
-    as the raw tensor it stores, or a Scalar matrix or vector.  No
-    letter repeats within an operand.  The plan is built once per spec.
-    The arithmetic runs on raw values, a letter is summed out as soon as
+    as the raw tensor it stores, or a Scalar matrix or vector; a raw tensor
+    is taken as it is.  No letter repeats within an operand, and the spec
+    names its output after ``->``.  The plan is built once per spec, and it
+    also keeps the output shape of each tuple of operand shapes whose ranks
+    and shared extents it has validated, so a call on shapes seen before
+    checks only the field; nothing that depends on the operands' values is
+    kept.  The arithmetic runs on raw values, a letter is summed out as soon as
     no later operand carries it, and the result stays raw: a RawTensor
     whose indices are the output letters, holding only its nonzero cells.
     No Scalar is built.
@@ -688,29 +698,35 @@ def contract(spec: str, *operands) -> RawTensor:
     on ints: each operand's numerators over its own d (`integral`), with
     only zeros dropped between steps, and one division of each output cell
     by D, the product of the d's.  With every d 1 (integer tables) the cells
-    are their own numerators, and the result files them as its integer form.
+    are their own numerators, ints since raw cells are lean, and the result
+    files them as its integer form.
     """
-    ins, out, steps = _PLANS.get(spec) or _plan(spec)
+    ins, out, steps, shapes = _PLANS.get(spec) or _plan(spec)
     if len(ins) != len(operands):
         raise DimensionError(f"{spec!r} names {len(ins)} operands, not {len(operands)}")
-    views = [raw_view(op, len(letters)) for op, letters in zip(operands, ins)]
+    views = [op if type(op) is RawTensor else raw_view(op, len(letters))
+             for op, letters in zip(operands, ins)]
     field = None
     for view in views:
         if view.field is not field and view.field is not None:
             if field is not None and view.field != field:
                 raise FieldError(f"mixed fields {sorted({str(field), str(view.field)})}")
             field = view.field
-    p = field.p if field else 0
-    forms = [] if p else [view.integral() for view in views]
-    scale = prod(d for d, _ in forms)
-    dims: dict = {}
-    for letters, view in zip(ins, views):
-        if len(view.shape) != len(letters):
-            raise DimensionError(f"operand for {letters!r} has shape {view.shape}")
-        for c, d in zip(letters, view.shape):
-            if dims.setdefault(c, d) != d:
-                raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
-    partial, last = forms[0][1] if scale > 1 else views[0].cells, len(steps) - 1
+    operand_shapes = tuple(view.shape for view in views)
+    if (shape := shapes.get(operand_shapes)) is None:  # shapes not seen with this spec yet
+        dims: dict = {}
+        for letters, view in zip(ins, views):
+            if len(view.shape) != len(letters):
+                raise DimensionError(f"operand for {letters!r} has shape {view.shape}")
+            for c, d in zip(letters, view.shape):
+                if dims.setdefault(c, d) != d:
+                    raise DimensionError(f"index {c!r} has extents {dims[c]} and {d}")
+        shape = shapes[operand_shapes] = tuple(dims[c] for c in out)
+    p, scale = (field.p if field else 0), 1
+    if not p:
+        for view in views:
+            scale *= view.integral()[0]
+    partial, last = views[0].integral()[1] if scale > 1 else views[0].cells, len(steps) - 1
     for n, (key, rest, probe, keep) in enumerate(steps):
         if n:
             new: dict = {}
@@ -736,13 +752,11 @@ def contract(spec: str, *operands) -> RawTensor:
             continue
         if p:
             partial = {at: r for at, x in partial.items() if (r := x % p)}
-        elif scale == 1:
-            partial = {at: _lean(x) for at, x in partial.items() if x}
-        elif n < last:  # integer numerators: only zeros go
+        elif scale == 1 or n < last:  # ints (every cell lean and d 1, or numerators): only zeros go
             partial = {at: x for at, x in partial.items() if x}
         else:  # one division per output cell
             partial = {at: _lean(Fraction(x, scale)) for at, x in partial.items() if x}
-    result = RawTensor(field, tuple(dims[c] for c in out), partial)
+    result = RawTensor(field, shape, partial)
     if scale == 1 and not p:  # integral cells: its own integer form
         result._ints = 1, partial
     return result

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrb.exactlin import (
-    RATIONAL, DimensionError, FieldError, RawTensor, contract, identity, prime_field,
+    _PLANS, RATIONAL, DimensionError, FieldError, RawTensor, contract, identity, prime_field,
 )
 from hopfrb.catalog import get
 from hopfrb.structures import FinAlgebra
@@ -199,3 +199,34 @@ def test_disagreeing_extents_mixed_fields_and_bad_specs_are_refused():
         contract("ij->x", identity(RATIONAL, 2))
     with pytest.raises(DimensionError):
         contract("ij,jk->ik", identity(RATIONAL, 2))
+
+
+def test_a_spec_without_an_arrow_is_refused():
+    """In einsum notation ``ij,jk`` is the matrix product (an implicit
+    output), not the total of every product, so no reading is guessed."""
+    a = ((RATIONAL.one, RATIONAL.zero), (RATIONAL.zero, RATIONAL.of(2)))
+    for spec in ("ij,jk", "i,i", "ij"):
+        with pytest.raises(DimensionError, match="has no '->'"):
+            contract(spec, *[a] * len(spec.split(",")))
+
+
+def test_shapes_a_spec_has_validated_do_not_excuse_new_ones():
+    """The plan keeps the output shape of each tuple of operand shapes it
+    has validated, and nothing else: shapes it has not seen are walked
+    again, a refused tuple is not kept, and the field is read on every call."""
+    spec = "qr,rs->qs"
+    a = RawTensor.read(RATIONAL, (2, 3), {(0, 1): 1, (1, 2): Fraction(1, 2)})
+    b = RawTensor.read(RATIONAL, (3, 2), {(1, 0): 3, (2, 1): 2})
+    want = RawTensor(RATIONAL, (2, 2), {(0, 0): 3, (1, 1): 1})
+    assert contract(spec, a, b) == want
+    for _ in range(2):  # a refusal is not remembered as a pass
+        with pytest.raises(DimensionError, match="index 'r' has extents 3 and 2"):
+            contract(spec, a, a)
+        with pytest.raises(DimensionError, match="operand for 'rs' has shape \\(3,\\)"):
+            contract(spec, a, RawTensor.read(RATIONAL, (3,), {(0,): 1}))
+        with pytest.raises(DimensionError, match="operand for 'qr' has shape \\(2, 3, 1\\)"):
+            contract(spec, RawTensor.read(RATIONAL, (2, 3, 1), {}), b)
+        with pytest.raises(FieldError, match=r"mixed fields \['F_5', 'Q'\]"):
+            contract(spec, a, RawTensor.read(prime_field(5), (3, 2), {(1, 0): 3}))
+    assert contract(spec, a, b) == want
+    assert _PLANS[spec][3] == {((2, 3), (3, 2)): (2, 2)}  # shapes only, no cells or fields

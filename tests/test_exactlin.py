@@ -149,6 +149,17 @@ def test_raw_tensors_of_two_fields_do_not_add(op):
     assert (empty + f4).field == F5 and (f4 - empty).cells == {(0,): 4}
 
 
+def test_raw_tensors_of_two_fields_are_not_equal():
+    q1, f1 = RawTensor(RATIONAL, (1,), {(0,): 1}), RawTensor(F5, (1,), {(0,): 1})
+    assert q1 != f1 and f1 != q1 and not q1 == f1
+    assert q1 == RawTensor(RATIONAL, (1,), {(0,): 1}) and hash(q1) == hash(f1)
+    # a tensor of empty operands has no field and compares by shape and cells
+    none = contract("i,i->", (), ())
+    assert none.field is None
+    assert none == RawTensor(RATIONAL, (), {}) == none and none == RawTensor(F5, (), {})
+    assert none != RawTensor(RATIONAL, (1,), {})
+
+
 def test_rational_tensors_add_on_a_common_denominator(monkeypatch):
     """Over Q, + and - add the operands' integer numerators over the lcm of
     their denominators and divide each output cell once: no Fraction
