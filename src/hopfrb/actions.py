@@ -374,8 +374,8 @@ def smash_product(a: FinAlgebra, b: BialgebraLike, action: ActionStructure) -> F
                       name=f"{a.name}#{name_of(b)}")
 
 
-def coinvariants(c: CoactionStructure, mode: str, host) -> tuple[Vec, ...]:
-    """Basis of the coinvariant subspace.
+def coinvariants(c: CoactionStructure, mode: str, host) -> RawTensor:
+    """Basis of the coinvariant subspace, as the rows of a raw tensor.
 
     strict: { m : rho(m) = m (x) 1 }.  weak: { m : rho(m) = m_(0) (x)
     pi_L(m_(1)) }, which needs a weak host.

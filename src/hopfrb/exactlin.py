@@ -13,7 +13,8 @@ of two vectors and the matrix product ``@``; it reads raw sparse tensors
 (a stored tensor, an earlier result, or a Scalar matrix or vector read
 once) and returns one, so checkers compare and chain results without
 building Scalars.  Row reduction is one sparse Gauss-Jordan on raw rows,
-which visits only nonzero entries.  A Scalar holds its raw value, so
+which visits only nonzero entries; kernels and solutions come back as raw
+tensors.  A Scalar holds its raw value, so
 ``s.value`` reads it into the raw layer, and `scalar_vec` is the one way
 back.
 
@@ -805,15 +806,24 @@ def mat_scale(c: Scalar, a: Mat) -> Mat:
 # row reduction, kernels, solving
 
 
-def _raw_row(row, p: int) -> dict:
-    """A fresh raw sparse row: a {column: raw value} dict, reduced mod p or
-    lean and without zeros, or the nonzero entries of a Scalar row."""
-    if isinstance(row, dict):
-        return {j: r for j, v in row.items() if (r := v % p if p else _lean(v))}
-    return {j: v for j, s in enumerate(row) if (v := s.value)}
+# the types a raw value has over F_p and over Q
+_PRIME_RAW, _RATIONAL_RAW = frozenset({int}), frozenset({int, Fraction})
 
 
-def rref(a, field: FieldSpec) -> tuple:
+def _raw_row(row: dict, field: FieldSpec) -> dict:
+    """A fresh raw sparse row: the {column: raw value} dict `row`, reduced
+    mod p or lean and without zeros.  A row that is not a dict raises
+    TypeError, and a value that is not raw (an int, or over Q a Fraction)
+    FieldError: a Scalar's field would go unread."""
+    if not isinstance(row, dict):
+        raise TypeError(f"a row is a {{column: raw value}} dict, not {type(row).__name__}")
+    p = field.p
+    if not {*map(type, row.values())} <= (_PRIME_RAW if p else _RATIONAL_RAW):
+        raise FieldError(f"a row entry is not a raw value of {field}")
+    return {j: r for j, v in row.items() if (r := v % p if p else _lean(v))}
+
+
+def rref(a: Sequence[dict], field: FieldSpec) -> tuple:
     """Reduced row echelon form and pivot columns.
 
     The one elimination every solve, kernel and span test goes through:
@@ -829,16 +839,15 @@ def rref(a, field: FieldSpec) -> tuple:
     column's pivot search and its clearing read only the rows that have
     that column, not every row.
 
-    The rows of `a` are Scalar rows, or raw sparse dict rows as the
-    system builders make them; the elimination works on copies, so a
-    caller's dict rows are never changed.  The reduced form comes back in
-    the same form: a Scalar matrix with its zero rows last, or the nonzero
-    raw rows alone, in pivot order.  A raw row's length is its nonzero
-    count, so a per-layer trace that counts an elimination's cells as rows
-    times the length of the first row undercounts a raw system.
+    The rows of `a` are raw sparse dict rows, as the system builders make
+    them; the elimination works on copies, so a caller's rows are never
+    changed.  The reduced form is the nonzero raw rows alone, in pivot
+    order.  A raw row's length is its nonzero count, so a per-layer trace
+    that counts an elimination's cells as rows times the length of the
+    first row undercounts a raw system.
     """
     p = field.p
-    rows = [_raw_row(row, p) for row in a]
+    rows = [_raw_row(row, field) for row in a]
     where: dict = {}
     for k, row in enumerate(rows):
         for j in row:
@@ -871,41 +880,10 @@ def rref(a, field: FieldSpec) -> tuple:
                     where[j].discard(k)
         done.append(prow)
         piv_cols.append(c)
-    if not a or isinstance(a[0], dict):
-        return tuple(done), tuple(piv_cols)
-    nc = len(a[0])
-    out = [scalar_vec(field, [row.get(j, 0) for j in range(nc)]) for row in done]
-    out += [(field.zero,) * nc] * (len(a) - len(done))
-    return tuple(out), tuple(piv_cols)
+    return tuple(done), tuple(piv_cols)
 
 
-def rank(a: Mat, field: FieldSpec) -> int:
-    return len(rref(a, field)[1])
-
-
-def kernel_basis(a, field: FieldSpec, ncols: int | None = None) -> tuple[Vec, ...]:
-    """Basis of the right kernel; one vector per free column, in order.
-
-    The basis vector for free column ``f`` has a 1 in slot ``f``, so the
-    count always equals ``ncols - rank``.  The rows are Scalar rows, or raw
-    sparse dict rows with `ncols` given; the basis is Scalar vectors.
-    """
-    if ncols is None:
-        if not a:
-            raise DimensionError("kernel of empty matrix needs explicit ncols")
-        ncols = len(a[0])
-    rows = [_raw_row(row, field.p) for row in a]
-    return tuple(scalar_vec(field, v) for v in _nullspace(rows, *rref(rows, field), ncols, field))
-
-
-class LinearSolution(Record):
-    """One particular solution together with a kernel basis."""
-
-    particular: Vec
-    nullspace: tuple
-
-
-def _maps_to(rows: list[dict], x: list, b: list, p: int) -> bool:
+def _maps_to(rows: Sequence[dict], x: list, b: Sequence, p: int) -> bool:
     """Whether the raw sparse rows send the raw x to the raw b, exactly."""
     for row, bi in zip(rows, b):
         acc = sum(v * x[j] for j, v in row.items()) - bi
@@ -914,49 +892,48 @@ def _maps_to(rows: list[dict], x: list, b: list, p: int) -> bool:
     return True
 
 
-def _nullspace(rows: list[dict], done: tuple, piv: tuple, nc: int, field: FieldSpec) -> list:
-    """The raw kernel basis read off the reduced rows `done` of the raw
-    `rows`: per free column f, 1 at f and -row[f] at each pivot; every
-    vector is checked against `rows` by substitution."""
-    p, null = field.p, []
-    for f in sorted(set(range(nc)) - set(piv)):
-        v = [0] * nc
+def kernel_basis(rows: Sequence[dict], field: FieldSpec, ncols: int) -> RawTensor:
+    """Basis of the right kernel of the raw sparse `rows` over `ncols`
+    unknowns, as the rows of a raw (ncols - rank, ncols) tensor.
+
+    Row k belongs to the k-th free column f: 1 at f and -row[f] at each
+    pivot of the reduced rows.  Every vector is checked against `rows` by
+    substitution."""
+    p, (done, piv) = field.p, rref(rows, field)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(piv)):
+        v = [0] * ncols
         v[f] = 1
         for row, c in zip(done, piv):
             v[c] = -row.get(f, 0) % p if p else -row.get(f, 0)
-        null.append(v)
-    if not all(_maps_to(rows, v, [0] * len(rows), p) for v in null):
+        basis.append(v)
+    if not all(_maps_to(rows, v, [0] * len(rows), p) for v in basis):
         raise InternalError("solver produced a bad kernel vector")
-    return null
+    return RawTensor(field, (len(basis), ncols),
+                     {(k, j): x for k, v in enumerate(basis) for j, x in enumerate(v) if x})
 
 
-def solve_linear(a, b, field: FieldSpec, ncols: int | None = None) -> LinearSolution | None:
-    """Solve ``a x = b``; None when inconsistent.
+def solve_linear(rows: Sequence[dict], rhs: Sequence, field: FieldSpec,
+                 ncols: int) -> RawTensor | None:
+    """A particular solution x of ``rows x = rhs`` as a raw (ncols,) tensor;
+    None when there is none.
 
-    The rows of `a` are Scalar rows, or raw sparse dict rows with the
-    unknown count `ncols` given; b holds Scalars or raw values.  One
-    elimination of the augmented rows gives both answers: when the last
-    column is not a pivot, the reduced rows give the particular solution,
-    with every free variable zero, and one kernel vector per free column.
-    Both are verified by substitution, on raw values, before they become
-    Scalars on return.
-    """
-    if len(a) != len(b):
-        raise DimensionError("rows of a must match length of b")
-    nc = ncols if ncols is not None else len(a[0]) if a else 0
-    p = field.p
-    rows = [_raw_row(row, p) for row in a]
-    rhs = [x % p if p else _lean(x) for x in (getattr(x, "value", x) for x in b)]
-    done, piv = rref([{**row, nc: bi} if bi else row for row, bi in zip(rows, rhs)], field)
-    if nc in piv:
+    `rows` are raw sparse dict rows over `ncols` unknowns, and `rhs` holds
+    one raw value per row.  One elimination of the augmented rows decides
+    consistency: when the last column is not a pivot, the reduced rows give
+    the solution with every free variable zero, verified by substitution.
+    The directions of the solution space are `kernel_basis`'s answer."""
+    if len(rows) != len(rhs):
+        raise DimensionError("rows and rhs differ in length")
+    done, piv = rref([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)], field)
+    if ncols in piv:
         return None
-    x = [0] * nc
+    x = [0] * ncols
     for row, c in zip(done, piv):
-        x[c] = row.get(nc, 0)
-    if not _maps_to(rows, x, rhs, p):
+        x[c] = row.get(ncols, 0)
+    if not _maps_to(rows, x, rhs, field.p):
         raise InternalError("solver produced a non-solution")
-    null = _nullspace(rows, done, piv, nc, field)
-    return LinearSolution(scalar_vec(field, x), tuple(scalar_vec(field, v) for v in null))
+    return RawTensor(field, (ncols,), {(c,): v for c, v in enumerate(x) if v})
 
 
 def transposed(a) -> RawTensor:
@@ -976,10 +953,12 @@ def column_space_basis(a, field: FieldSpec) -> RawTensor:
 def first_outside(b1, b2, field: FieldSpec) -> int | None:
     """Index of the first vector of b1 outside the span of b2; None if none.
 
-    Each of b1 and b2 holds its vectors as the rows of a raw tensor or of a
-    Scalar matrix.  Each vector is reduced against one RREF of b2: it lies
-    in the span exactly when it equals the combination of the reduced rows
-    weighted by its own entries at their pivots."""
+    The one span test: it decides a containment (None) and names its first
+    witness in the same pass.  Each of b1 and b2 holds its vectors as the
+    rows of a raw tensor or of a Scalar matrix.  Each vector is reduced
+    against one RREF of b2: it lies in the span exactly when it equals the
+    combination of the reduced rows weighted by its own entries at their
+    pivots."""
     b1, b2 = raw_view(b1), raw_view(b2)
     if b1.shape[0] and b2.shape[0] and b1.shape[1] != b2.shape[1]:
         raise DimensionError("vector length mismatch")
@@ -994,16 +973,3 @@ def first_outside(b1, b2, field: FieldSpec) -> int | None:
         if any(x % p if p else x for x in acc.values()):
             return k
     return None
-
-
-def span_leq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
-    """Whether every vector of b1 lies in the span of b2."""
-    return first_outside(b1, b2, field) is None
-
-
-def in_span(v: Vec, basis: Sequence[Vec], field: FieldSpec) -> bool:
-    return span_leq((v,), basis, field)
-
-
-def span_eq(b1: Sequence[Vec], b2: Sequence[Vec], field: FieldSpec) -> bool:
-    return span_leq(b1, b2, field) and span_leq(b2, b1, field)

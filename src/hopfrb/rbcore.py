@@ -59,8 +59,8 @@ from .exactlin import (
     Vec,
     column_space_basis,
     contract,
+    first_outside,
     raw_view,
-    span_leq,
     stored,
     transposed,
 )
@@ -437,7 +437,7 @@ def atkinson_solvable(a: FinAlgebra, m: ActionStructure, p, t, lam: Scalar) -> b
     # must lie in the column space of [T; T + lam]
     rhs = _beside(contract("bi,lj,blk->ijk", rp, rt, m).joined(2, 1),
                   contract("bi,lj,blk->ijk", pl, tl, m).joined(2, 1))
-    return span_leq(rhs, _beside(transposed(rt), transposed(tl)), a.field)
+    return first_outside(rhs, _beside(transposed(rt), transposed(tl)), a.field) is None
 
 
 def direct_sum(instances: list[RbpInstance]) -> RbpInstance:
@@ -553,4 +553,4 @@ def image_closed_under_p_action(inst: RbpInstance) -> bool:
     img = column_space_basis(inst.t, inst.field)
     # P(e_i) . v for every basis element e_i and image basis vector v
     moved = contract("bi,bjk,sj->isk", inst.p, inst.module, img).joined(2, 1)
-    return span_leq(moved, img, inst.field)
+    return first_outside(moved, img, inst.field) is None

@@ -47,8 +47,8 @@ def _postcondition(clause: str, structure: str, got, want=None, witness=None) ->
     raw tensors or plain values.  The passing path makes only that check.
     On failure the InternalError names the structure, the clause and the
     first witness: the Report's first Violation; the text `witness()`
-    returns, when the caller names one (a boolean clause searches for its
-    witness only then); or else the first differing cell of two raw
+    returns, when the caller names one (a boolean clause builds its
+    witness text only then); or else the first differing cell of two raw
     tensors and both of its values, or the two plain values."""
     if isinstance(got, Report):
         if not got.violation_count:

@@ -29,7 +29,6 @@ from .exactlin import (
     Record,
     Scalar,
     Vec,
-    blocks,
     column_space_basis,
     contract,
     differing,
@@ -470,7 +469,7 @@ def compute_antipode(b: Union[BialgebraLike, WeakLike]) -> Mat | None:
             rows.append(got.get(key, {}))
             rhs.append(want.get(key, 0))
     sol = solve_linear(rows, rhs, f, n * n)
-    return None if sol is None else blocks(sol.particular, n)
+    return None if sol is None else sol.dense(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +590,8 @@ def subalgebra_image(op, a: FinAlgebra) -> SubAlgebra:
             eqs.setdefault((j, k, 0), {})[i] = v
             eqs.setdefault((i, k, 1), {})[j] = v
         keys = list(product(range(r), range(r), (0, 1)))
-        sol = solve_linear([eqs.get(key, {}) for key in keys],
-                           [int(t == c) for t, c, _ in keys], a.field, r)
-        if sol is not None:
-            sub_unit = sol.particular
+        sub_unit = solve_linear([eqs.get(key, {}) for key in keys],
+                                [int(t == c) for t, c, _ in keys], a.field, r)
     sub = FinAlgebra(a.field, r, labels, mult, sub_unit, name=f"{a.name}-image")
     return SubAlgebra(sub, incl)
 

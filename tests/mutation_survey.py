@@ -11,6 +11,9 @@ and reports the mutants that no test kills.  The mutated module's own test
 file (``tests/test_<module>.py``), where there is one, runs first with the
 same flags, and the whole suite only when that file passes: a mutant it
 kills fails the whole suite as well, so every verdict is the whole suite's.
+A killed mutant is printed with the node id of the test that killed it,
+read off pytest's short failure summary, so a kill by a test that fails
+for another reason (timing, load) can be told from a real one.
 
     python3 tests/mutation_survey.py [--root DIR] [--work DIR]
 
@@ -87,22 +90,31 @@ def mutants(src: Path) -> list:
     return out
 
 
-def _passes(work: Path, target: str) -> bool:
+def _first_failure(work: Path, target: str) -> str | None:
+    """The node id of the test of `target` that failed or errored first, as
+    pytest's short summary names it; None when every test passes.  A run
+    that fails without naming a test gives its exit status."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
          "--hypothesis-seed=0", target],
-        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return run.returncode == 0
+        cwd=work, env=env, capture_output=True, text=True)
+    if run.returncode == 0:
+        return None
+    for line in run.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return f"pytest exit status {run.returncode}"
 
 
-def survives(work: Path, module: str) -> bool:
-    """Whether the mutant of `module` (a file name in src/hopfrb) passes
-    the whole suite; its own test file, where there is one, runs first."""
+def killer(work: Path, module: str) -> str | None:
+    """The node id of the test that kills the mutant of `module` (a file
+    name in src/hopfrb); None when the mutant passes the whole suite.  Its
+    own test file, where there is one, runs first."""
     own = Path("tests") / f"test_{Path(module).stem}.py"
-    if (work / own).is_file() and not _passes(work, str(own)):
-        return False
-    return _passes(work, "tests")
+    if (work / own).is_file() and (nodeid := _first_failure(work, str(own))) is not None:
+        return nodeid
+    return _first_failure(work, "tests")
 
 
 def main(argv=None) -> int:
@@ -123,15 +135,16 @@ def main(argv=None) -> int:
         original = path.read_text()
         path.write_text(mutated)
         try:
-            alive = survives(tree, name)
+            by = killer(tree, name)
         finally:
             path.write_text(original)
         note = EQUIVALENT.get((name, spec), "")
-        if alive:
+        if by is None:
             survivors.append(n)
-        print(f"{n:3d} {name}:{line} {spec} -> {mutant}: "
-              f"{'SURVIVED' if alive else 'killed'}{f' (equivalent: {note})' if note and alive else ''}",
-              flush=True)
+            verdict = f"SURVIVED{f' (equivalent: {note})' if note else ''}"
+        else:
+            verdict = f"killed by {by}"
+        print(f"{n:3d} {name}:{line} {spec} -> {mutant}: {verdict}", flush=True)
     print(f"survivors: {len(survivors)} of {len(found)} mutants", flush=True)
     return 0
 

@@ -122,7 +122,7 @@ def test_dual_action_from_coaction():
 
 def test_strict_coinvariants_of_regular():
     c2 = get("group-algebra-c2").payload
-    basis = coinvariants(regular_coaction(c2), "strict", c2)
+    basis = coinvariants(regular_coaction(c2), "strict", c2).dense()
     assert len(basis) == 1
     # only multiples of 1 satisfy Delta(m) = m (x) 1 for a grouplike basis
     assert basis[0][1].is_zero and not basis[0][0].is_zero
@@ -139,7 +139,7 @@ def test_weak_coinvariants_of_pair_groupoid():
     weak = coinvariants(regular_coaction(w), "weak", w)
     strict = coinvariants(regular_coaction(w), "strict", w)
     # weak coinvariants contain the strict ones and here are strictly larger
-    assert len(weak) > len(strict)
+    assert weak.shape[0] > strict.shape[0]
 
 
 # -- composite structures -----------------------------------------------------

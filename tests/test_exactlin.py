@@ -17,16 +17,15 @@ from hopfrb.exactlin import (
     Scalar,
     column_space_basis,
     contract,
-    in_span,
+    first_outside,
     kernel_basis,
     mat,
     mat_mul,
     prime_field,
-    rank,
+    raw_identity,
     rref,
     scalar_vec,
     solve_linear,
-    span_eq,
     vec,
 )
 
@@ -45,6 +44,16 @@ def qv(entries):
 def apply_mat(a, x):
     """The Scalar vector a x; an a with no rows gives ()."""
     return contract("rc,c->r", a, x).dense() if a else ()
+
+
+def sparse_rows(rows):
+    """The raw sparse dict rows of dense rows of raw values."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def raw_rows(m):
+    """The raw sparse dict rows of the Scalar matrix m."""
+    return sparse_rows([s.value for s in row] for row in m)
 
 
 # -- scalars ----------------------------------------------------------------
@@ -275,60 +284,79 @@ def test_field_axioms(field, strat):
 
 
 def test_rref_identity_block():
-    m = q([[2, 0], [0, 3]])
-    r, pivots = rref(m, RATIONAL)
-    assert r == q([[1, 0], [0, 1]])
+    r, pivots = rref(raw_rows(q([[2, 0], [0, 3]])), RATIONAL)
+    assert r == ({0: 1}, {1: 1})
     assert pivots == (0, 1)
 
 
 def test_rank_of_singular():
-    assert rank(q([[1, 2], [2, 4]]), RATIONAL) == 1
-    assert rank(q([[1, 2], [3, 4]]), RATIONAL) == 2
+    assert len(rref(raw_rows(q([[1, 2], [2, 4]])), RATIONAL)[1]) == 1
+    assert len(rref(raw_rows(q([[1, 2], [3, 4]])), RATIONAL)[1]) == 2
 
 
 def test_solve_consistent_with_nullspace():
     a = q([[1, 1], [2, 2]])
-    sol = solve_linear(a, qv([3, 6]), RATIONAL)
-    assert sol is not None
-    assert apply_mat(a, sol.particular) == qv([3, 6])
-    assert len(sol.nullspace) == 1
-    (n0,) = sol.nullspace
+    x = solve_linear(raw_rows(a), [3, 6], RATIONAL, 2)
+    assert x is not None and x.shape == (2,)
+    assert apply_mat(a, x) == qv([3, 6])
+    ker = kernel_basis(raw_rows(a), RATIONAL, 2)
+    assert ker.shape == (1, 2)
+    (n0,) = ker.dense()
     # nullspace is spanned by (1, -1)
     assert n0[0] == -n0[1] and not n0[0].is_zero
 
 
 def test_solve_inconsistent():
     a = q([[1, 1], [2, 2]])
-    assert solve_linear(a, qv([3, 7]), RATIONAL) is None
+    assert solve_linear(raw_rows(a), [3, 7], RATIONAL, 2) is None
 
 
 def test_solve_over_f2():
     a = mat(F2, [[1, 1], [1, 0]])
-    sol = solve_linear(a, vec(F2, [0, 1]), F2)
-    assert sol is not None
-    assert sol.particular == vec(F2, [1, 1])
-    assert sol.nullspace == ()
+    x = solve_linear(raw_rows(a), [0, 1], F2, 2)
+    assert x is not None and x.dense() == vec(F2, [1, 1])
+    assert kernel_basis(raw_rows(a), F2, 2).shape == (0, 2)
 
 
 def test_kernel_of_rank_one():
-    ker = kernel_basis(q([[1, 2], [2, 4]]), RATIONAL)
-    assert len(ker) == 1
-    (k0,) = ker
+    ker = kernel_basis(raw_rows(q([[1, 2], [2, 4]])), RATIONAL, 2)
+    assert ker.shape == (1, 2)
+    (k0,) = ker.dense()
     # kernel is spanned by (2, -1)
     assert k0[0] == RATIONAL.of(-2) * k0[1] and not k0[1].is_zero
     assert apply_mat(q([[1, 2], [2, 4]]), k0) == qv([0, 0])
 
 
 def test_kernel_of_empty_matrix():
-    assert len(kernel_basis((), RATIONAL, ncols=3)) == 3
+    assert kernel_basis((), RATIONAL, ncols=3) == raw_identity(RATIONAL, 3)
 
 
 def test_column_space_and_span():
     cs = column_space_basis(q([[1, 2], [2, 4]]), RATIONAL)
     assert cs.shape == (1, 2)
-    assert in_span(qv([3, 6]), cs, RATIONAL)
-    assert not in_span(qv([1, 0]), cs, RATIONAL)
-    assert span_eq(cs, (qv([5, 10]),), RATIONAL)
+    assert first_outside((qv([3, 6]),), cs, RATIONAL) is None
+    assert first_outside((qv([3, 6]), qv([1, 0])), cs, RATIONAL) == 1
+    assert first_outside(cs, (qv([5, 10]),), RATIONAL) is None
+    assert first_outside((qv([5, 10]),), cs, RATIONAL) is None
+
+
+def test_elimination_refuses_scalars_of_any_field():
+    """An F_5 system holding the Q Scalar 1/2 raises instead of reading the
+    Scalar's value as an F_5 one: Scalar rows are not read at all, and a
+    Scalar inside a raw row is refused over either field."""
+    half = RATIONAL.of(Fraction(1, 2))
+    with pytest.raises(TypeError, match="a row is a {column: raw value} dict, not tuple"):
+        rref(((F5.of(2), half),), F5)
+    with pytest.raises(TypeError):
+        solve_linear(((F5.of(1),),), (half,), F5, 1)
+    with pytest.raises(FieldError, match="not a raw value of F_5"):
+        rref(({0: F5.of(2), 1: half},), F5)
+    with pytest.raises(FieldError, match="not a raw value of F_5"):
+        solve_linear(({0: 1},), (half,), F5, 1)
+    with pytest.raises(FieldError, match="not a raw value of F_5"):
+        kernel_basis(({0: Fraction(1, 2)},), F5, 1)
+    with pytest.raises(FieldError, match="not a raw value of Q"):
+        rref(({0: F5.of(2)},), RATIONAL)
 
 
 @given(
@@ -342,9 +370,9 @@ def test_column_space_and_span():
 def test_solve_substitution_roundtrip(rows, x):
     a = q(rows)
     b = apply_mat(a, qv(x))
-    sol = solve_linear(a, b, RATIONAL)
+    sol = solve_linear(raw_rows(a), [s.value for s in b], RATIONAL, 3)
     assert sol is not None  # b is in the image by construction
-    assert apply_mat(a, sol.particular) == b
+    assert apply_mat(a, sol) == b
 
 
 @given(
@@ -355,8 +383,8 @@ def test_solve_substitution_roundtrip(rows, x):
     )
 )
 def test_rank_kernel_dimension(rows):
-    a = q(rows)
-    assert rank(a, RATIONAL) + len(kernel_basis(a, RATIONAL)) == 2
+    a = raw_rows(q(rows))
+    assert len(rref(a, RATIONAL)[1]) + kernel_basis(a, RATIONAL, 2).shape[0] == 2
 
 
 def _dense_rref(rows, nc, p):
@@ -409,22 +437,20 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
     field, nc, a, b = system
     p = field.p
     dense, dpiv = _dense_rref([[s.value for s in r] for r in a], nc, p)
-    r, piv = rref(a, field)
+    r, piv = rref(raw_rows(a), field)
     assert piv == dpiv
-    assert r == mat(field, dense)
-    ker = kernel_basis(a, field, ncols=nc)
-    assert len(ker) == nc - len(dpiv)
-    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker)
-    sol = solve_linear(a, b, field)
+    assert list(r) == sparse_rows(dense[:len(dpiv)])
+    ker = kernel_basis(raw_rows(a), field, ncols=nc)
+    assert ker.shape == (nc - len(dpiv), nc)
+    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker.dense())
+    sol = solve_linear(raw_rows(a), [s.value for s in b], field, nc)
     if not a:
         return
     aug = [[s.value for s in row] + [bi.value] for row, bi in zip(a, b)]
     if nc in _dense_rref(aug, nc + 1, p)[1]:
         assert sol is None
     else:
-        assert sol is not None and apply_mat(a, sol.particular) == b
-        assert len(sol.nullspace) == nc - len(dpiv)
-        assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in sol.nullspace)
+        assert sol is not None and apply_mat(a, sol) == b
 
 
 LARGER_FIELDS = (RATIONAL, F2, F5, prime_field(101))
@@ -462,15 +488,48 @@ def larger_systems(draw):
 def test_sparse_rref_matches_dense_gauss_jordan_on_larger_systems(system):
     field, nc, a = system
     dense, dpiv = _dense_rref([[s.value for s in r] for r in a], nc, field.p)
-    r, piv = rref(a, field)
-    assert piv == dpiv
-    assert r == mat(field, dense)
-    raw, raw_piv = rref([{j: s.value for j, s in enumerate(row) if s.value} for row in a], field)
+    raw, raw_piv = rref(raw_rows(a), field)
     assert raw_piv == dpiv
-    assert list(raw) == [{j: x for j, x in enumerate(row) if x} for row in dense[:len(dpiv)]]
-    ker = kernel_basis(a, field, ncols=nc)
-    assert len(ker) == nc - len(dpiv)
-    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker)
+    assert list(raw) == sparse_rows(dense[:len(dpiv)])
+    ker = kernel_basis(raw_rows(a), field, ncols=nc)
+    assert ker.shape == (nc - len(dpiv), nc)
+    assert all(apply_mat(a, v) == (field.zero,) * len(a) for v in ker.dense())
+
+
+@st.composite
+def span_cases(draw):
+    """(field, b1, b2): raw tensors of at most 4 vectors each, all of one
+    length up to 4, over F_2, F_3 or Q.  A vector of b1 is drawn fresh or
+    as a combination a u + b v of vectors of b2, so it lies in the span as
+    often as not."""
+    field = draw(st.sampled_from((F2, prime_field(3), RATIONAL)))
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = st.integers(min_value=-2, max_value=2)
+    if field is RATIONAL:
+        entry = entry | st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    row = st.lists(entry, min_size=n, max_size=n)
+    b2 = draw(st.lists(row, max_size=4))
+    if b2:
+        pick = st.sampled_from(b2)
+        row = row | st.tuples(entry, pick, entry, pick).map(
+            lambda c: [c[0] * x + c[2] * y for x, y in zip(c[1], c[3])])
+    b1 = draw(st.lists(row, max_size=4))
+    return field, *(RawTensor.read(field, (len(b), n), {
+        (k, j): x for k, r in enumerate(b) for j, x in enumerate(r)}) for b in (b1, b2))
+
+
+@given(span_cases())
+def test_first_outside_names_the_first_vector_that_raises_the_rank(case):
+    field, b1, b2 = case
+    n = b2.shape[1]
+
+    def rank(rows):
+        return len(_dense_rref(rows, n, field.p)[1])
+
+    span = [b2.flat((k,)) for k in range(b2.shape[0])]
+    want = next((k for k in range(b1.shape[0]) if rank([*span, b1.flat((k,))]) > rank(span)),
+                None)
+    assert first_outside(b1, b2, field) == want
 
 
 def test_rref_pivots_on_the_shortest_row(monkeypatch):
@@ -612,12 +671,13 @@ def test_raw_values_over_q_stay_lean(case):
     reduced, _ = rref([row for t in results for row in t.rows(1).values()], RATIONAL)
     assert all(_lean(row.values()) for row in reduced)
     assert all(_fractions(s for row in t.dense() for s in row) for t in results if t.cells)
-    assert all(_fractions(row) for row in rref(a, RATIONAL)[0])
+    assert all(_lean(row.values()) for row in rref(raw_rows(a), RATIONAL)[0])
     assert all(_fractions(row) for row in mat_mul(a, b))
-    assert all(_fractions(v) for v in kernel_basis(a, RATIONAL))
-    sol = solve_linear(d, tuple(row[0] for row in d), RATIONAL)
-    assert sol is not None and _fractions(sol.particular)
-    assert all(_fractions(v) for v in sol.nullspace)
+    for m in (a, d):
+        ker = kernel_basis(raw_rows(m), RATIONAL, len(m[0]))
+        assert _lean(ker.cells.values()) and all(_fractions(v) for v in ker.dense())
+    sol = solve_linear(raw_rows(d), [row[0].value for row in d], RATIONAL, len(d[0]))
+    assert sol is not None and _lean(sol.cells.values()) and _fractions(sol.dense())
 
 
 # -- one lean value over Q ------------------------------------------------------
@@ -686,13 +746,13 @@ def test_q_linear_algebra_holds_lean_values(case):
     assert all(_fractions(row) for row in product)
     assert _fraction_rows(product) == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
                                         for col in zip(*fb)] for row in fa]
-    reduced, piv = rref(a, RATIONAL)
-    assert all(_fractions(row) for row in reduced)
-    assert (_fraction_rows(reduced), piv) == _dense_rref(fa, len(fa[0]), 0)
-    ker = kernel_basis(a, RATIONAL)
+    reduced, piv = rref(raw_rows(a), RATIONAL)
+    assert all(_lean(row.values()) for row in reduced)
+    dense, dpiv = _dense_rref(fa, len(fa[0]), 0)
+    assert (list(reduced), piv) == (sparse_rows(dense[:len(dpiv)]), dpiv)
+    ker = kernel_basis(raw_rows(a), RATIONAL, len(fa[0])).dense()
     assert all(_fractions(v) and not any(_fraction_apply(fa, v)) for v in ker)
     rhs = tuple(row[0] for row in a)
-    sol = solve_linear(a, rhs, RATIONAL)
-    assert sol is not None and _fractions(sol.particular)
-    assert _fraction_apply(fa, sol.particular) == [Fraction(s.value) for s in rhs]
-    assert all(_fractions(v) and not any(_fraction_apply(fa, v)) for v in sol.nullspace)
+    sol = solve_linear(raw_rows(a), [s.value for s in rhs], RATIONAL, len(fa[0]))
+    assert sol is not None and _fractions(sol.dense())
+    assert _fraction_apply(fa, sol.dense()) == [Fraction(s.value) for s in rhs]

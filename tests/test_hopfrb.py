@@ -4,8 +4,8 @@ projections onto coinvariants."""
 import pytest
 
 from hopfrb.exactlin import (
-    RATIONAL, InternalError, RawTensor, column_space_basis, contract, identity, mat, mat_mul,
-    prime_field, span_eq, vec,
+    RATIONAL, InternalError, RawTensor, column_space_basis, contract, first_outside, identity, mat,
+    mat_mul, prime_field, raw_identity, vec,
 )
 from hopfrb.structures import (
     Bialgebra,
@@ -60,6 +60,8 @@ from hopfrb.catalog import (
     symmetric_group_algebra_s3,
     two_point_weak_hopf,
 )
+
+from test_structures import _counting_rref
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
@@ -189,7 +191,9 @@ def test_integral_operator_projects_onto_the_invariants(host, module, invariant)
     h = get(host).payload
     t = integral_T(h, module(h), normalized_group_integral(h)).dense()
     assert mat_mul(t, t) == t
-    assert span_eq(column_space_basis(t, Q), tuple(vec(Q, v) for v in invariant), Q)
+    image, invariant = column_space_basis(t, Q), tuple(vec(Q, v) for v in invariant)
+    assert first_outside(image, invariant, Q) is None
+    assert first_outside(invariant, image, Q) is None
 
 
 def test_integral_T_rejects_non_integral():
@@ -416,7 +420,7 @@ def test_failed_equality_postcondition_on_equal_cells_of_two_shapes_names_both_t
 
 def test_failed_image_postcondition_names_a_column_outside_the_fixed_subspace(monkeypatch):
     # an empty fixed subspace: the first column of T lies outside it
-    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: ())
+    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: RawTensor(Q, (0, 2), {}))
     with pytest.raises(InternalError) as err:
         integral_T(_c2(), get("c2-regular-module").payload, normalized_group_integral(_c2()))
     assert str(err.value) == (
@@ -426,7 +430,7 @@ def test_failed_image_postcondition_names_a_column_outside_the_fixed_subspace(mo
 
 def test_failed_image_postcondition_names_a_fixed_vector_outside_the_image(monkeypatch):
     # the whole space as the fixed subspace: e_0 lies outside the image of T
-    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: identity(Q, 2))
+    monkeypatch.setattr(hopfrb, "kernel_basis", lambda *args, **kwargs: raw_identity(Q, 2))
     with pytest.raises(InternalError) as err:
         integral_T(_c2(), get("c2-regular-module").payload, normalized_group_integral(_c2()))
     assert str(err.value) == (
@@ -435,7 +439,7 @@ def test_failed_image_postcondition_names_a_fixed_vector_outside_the_image(monke
 
 
 def test_failed_coinvariant_postcondition_names_a_column_of_the_projection(monkeypatch):
-    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: ())
+    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: RawTensor(Q, (0, 2), {}))
     m = get("c2-regular-hopf-module").payload
     with pytest.raises(InternalError) as err:
         hopf_module_projection(_c2(), m)
@@ -445,7 +449,7 @@ def test_failed_coinvariant_postcondition_names_a_column_of_the_projection(monke
 
 
 def test_failed_weak_coinvariant_postcondition_names_a_column_of_the_projection(monkeypatch):
-    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: ())
+    monkeypatch.setattr(hopfrb, "coinvariants", lambda *args: RawTensor(Q, (0, 4), {}))
     doi = get("pair-groupoid-doi-hopf").payload
     with pytest.raises(InternalError) as err:
         doi_hopf_projection(get("weak-pair-groupoid").payload, doi.comodule_algebra,
@@ -453,6 +457,24 @@ def test_failed_weak_coinvariant_postcondition_names_a_column_of_the_projection(
     assert str(err.value) == (
         f"{doi.name}: projection image lies in the weak coinvariants fails; "
         "first witness column 0 ['1', '0', '0', '0'] lies outside the weak coinvariants")
+
+
+@pytest.mark.parametrize("construct, eliminations", [
+    # the fixed space's kernel, then one reduction of each side of the image equality
+    (lambda: integral_T(_c2(), get("c2-regular-module").payload,
+                        normalized_group_integral(_c2())), 3),
+    # the coinvariants' kernel, then one reduction of the coinvariants
+    (lambda: hopf_module_projection(_c2(), get("c2-regular-hopf-module").payload), 2),
+    (lambda: doi_hopf_projection(get("weak-pair-groupoid").payload,
+                                 get("pair-groupoid-doi-hopf").payload.comodule_algebra,
+                                 identity(Q, 4), get("pair-groupoid-doi-hopf").payload), 2),
+], ids=["integral-T-c2", "hopf-module-projection-c2", "doi-hopf-projection-pair-groupoid"])
+def test_span_clauses_decide_and_name_witnesses_in_one_elimination(construct, eliminations,
+                                                                    monkeypatch):
+    construct()  # a cold call fills what the carriers keep
+    calls = _counting_rref(monkeypatch)
+    construct()
+    assert len(calls) == eliminations
 
 
 # -- pairings and R-matrices --------------------------------------------------

@@ -26,8 +26,6 @@ KEPT = {
     "scale_weight": "paper statement: (M, mu P, mu T) is a paired module of weight mu lam",
     "idempotent_identities": "paper statement: the identities forced by idempotent P and T",
     "image_closed_under_p_action": "paper statement: T(M) is closed under the P(A)-action",
-    "in_span": "oracle: the acceptance and exactlin tests decide span membership with it",
-    "rank": "oracle: the exactlin tests check rank-nullity with it",
 }
 
 

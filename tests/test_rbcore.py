@@ -300,12 +300,12 @@ def _a_linear_basis(module):
         op = module.matrix(module.algebra.basis(b)).dense()
         for r in range(d):
             for c in range(d):
-                row = [f.zero] * (d * d)
+                row = {}
                 for k in range(d):
-                    row[k * d + c] = row[k * d + c] + op[r][k]  # (act T)[r][c]
-                    row[r * d + k] = row[r * d + k] - op[k][c]  # (T act)[r][c]
-                rows.append(tuple(row))
-    return kernel_basis(tuple(rows), f, ncols=d * d)
+                    row[k * d + c] = row.get(k * d + c, 0) + op[r][k].value  # (act T)[r][c]
+                    row[r * d + k] = row.get(r * d + k, 0) - op[k][c].value  # (T act)[r][c]
+                rows.append(row)
+    return kernel_basis(rows, f, ncols=d * d).dense()
 
 
 def _brute_force_failures(module, t, lam, trials, seed):
@@ -372,14 +372,18 @@ def _solution_p(module, t, lam, p, moved):
     n, f = module.algebra.dim, module.field
     system = pairing_system(module, t, lam)
     p = list(p)
+    # one raw row per cell of M's operators, over the unknowns P[b][i]
+    rows = [{} for _ in range(module.dim ** 2)]
+    for b, comm in enumerate(system.comms):
+        for cell, v in comm:
+            rows[cell][b] = v
+    nullspace = kernel_basis(rows, f, n).dense()
     for i in moved:
-        a = tuple(tuple(f.of(dict(c).get(cell, 0)) for c in system.comms)
-                  for cell in range(module.dim ** 2))
-        sol = solve_linear(a, tuple(f.of(x) for x in system.rhs[i]), f)
+        sol = solve_linear(rows, system.rhs[i], f, n)
         if sol is None:
             continue
-        col = sol.particular
-        for k, v in enumerate(sol.nullspace):
+        col = sol.dense()
+        for k, v in enumerate(nullspace):
             col = tuple(x + f.of(p[k % len(p)]) * y for x, y in zip(col, v))
         for b in range(n):
             p[b * n + i] = col[b].value

@@ -438,20 +438,22 @@ def _image_by_solves(op, a):
     """Reference: one solve per basis pair and one for the unit."""
     basis = column_space_basis(op, a.field).dense()
     r, incl = len(basis), mat_from_cols(basis)
+    incl_rows = [{s: x.value for s, x in enumerate(row) if x.value} for row in incl]
     mult = tuple(
-        tuple(solve_linear(incl, a.mul(basis[i], basis[j]), a.field).particular
+        tuple(solve_linear(incl_rows, [x.value for x in a.mul(basis[i], basis[j])], a.field,
+                           r).dense()
               for j in range(r))
         for i in range(r)
     )
     rows, rhs = [], []
     for t in range(r):
         for c in range(r):
-            rows.append(tuple(mult[s][t][c] for s in range(r)))
-            rhs.append(a.field.one if t == c else a.field.zero)
-            rows.append(tuple(mult[t][s][c] for s in range(r)))
-            rhs.append(a.field.one if t == c else a.field.zero)
-    sol = solve_linear(tuple(rows), tuple(rhs), a.field) if r else None
-    return incl, mult, None if sol is None else sol.particular
+            rows.append({s: mult[s][t][c].value for s in range(r)})
+            rhs.append(int(t == c))
+            rows.append({s: mult[t][s][c].value for s in range(r)})
+            rhs.append(int(t == c))
+    sol = solve_linear(rows, rhs, a.field, r) if r else None
+    return incl, mult, None if sol is None else sol.dense()
 
 
 def _counting_rref(monkeypatch):
