@@ -23,25 +23,27 @@ K_i = T act(e_i) T + lam T act(e_i), it reads on the basis element e_i
 
     sum_b P[b][i] C_b = K_i
 
-so `pairing_system` computes every C_b and K_i once per (M, T, lam), and
-`PairingSystem.fails` decides a random P with one linear combination per
-e_i, in raw field values (ints mod p, reduced at the comparison, or over
-Q ints when integral and Fractions otherwise).  Every fuzzed P is decided
-this way: the trials of `classify_generic` and replay's own fuzz loops
-alike.  Trial 0 of each is also run through `check_rbp_module` as an
-oracle (`PairingSystem.decide`), and a disagreement raises InternalError.
+so `pairing_system` computes every C_b and K_i once per (M, T, lam).
+Taking P = 0 and then each matrix unit shows that T pairs with every P
+exactly when every C_b and every K_i vanish.  For A-linear T every C_b is
+zero, so `classify_generic` decides that claim from the K_i alone and
+draws nothing.  Every other fuzzed P (the trials of a T that is not
+A-linear, and replay's own fuzz loops) is decided by `PairingSystem.fails`
+with one linear combination per e_i, in raw field values (ints mod p,
+reduced at the comparison, or over Q ints when integral and Fractions
+otherwise).
 
 Every identity here is written once, as `exactlin.contract` calls on raw
 operands.  P and T are stored raw: an `RbpInstance` and a `PairingSystem`
 read a dense Scalar one once (`exactlin.stored`), the constructions return
 `RawTensor`s, and an entry point reads a dense one once (`raw_view`).
-The oracle states the identity itself, not its affine form: it builds no
-commutator and no pairing system and forms T + lam itself, so the two
-share only the stored T and the contraction kernel.  The kernel's
-independence rests on the tests: every spec in src is checked against
+`check_rbp_module` states the identity itself, not its affine form: it
+builds no commutator and no pairing system and forms T + lam itself, so
+the two share only the stored T and the contraction kernel.  The tests
+check that they agree (tests/test_rbcore.py), and the kernel's
+independence rests on the tests too: every spec in src is checked against
 dense loops (tests/test_contract.py), and `check_rbp_module` and
-`check_rb_operator` against plain loops over the paper's formulas
-(tests/test_rbcore.py).
+`check_rb_operator` against plain loops over the paper's formulas.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from operator import attrgetter
 
 from .exactlin import (
     FieldSpec,
-    InternalError,
     RawTensor,
     Record,
     Scalar,
@@ -95,11 +96,6 @@ def _random_entries(n: int, seed: str, trial: int) -> tuple[int, ...]:
         rng = random.Random(f"{seed}:{trial}")
         draws = _STREAMS[key] = tuple(rng.choice((-2, -1, 0, 1, 2)) for _ in range(cells))
     return draws[:cells]
-
-
-def operator_of(field: FieldSpec, n: int, entries: Sequence) -> RawTensor:
-    """The n x n raw operator with the row-major raw `entries`."""
-    return RawTensor.read(field, (n, n), {divmod(k, n): x for k, x in enumerate(entries)})
 
 
 class RbpInstance(Record):
@@ -222,7 +218,9 @@ class GenericVerdict(Record):
     the quasi-idempotency test (sharpened to a . (T^2 + lam T) m = 0 so
     nonunital carriers are decided exactly); without A-linearity the
     classification does not apply and `generic` is None.  `failures` counts
-    randomized P trials falsifying the identity.
+    the P trials falsifying the identity: with an A-linear T every trial
+    reads alike, so it is 0 or `trials` as `generic` says, and nothing is
+    drawn.
     """
 
     a_linear: bool
@@ -294,32 +292,6 @@ class PairingSystem(Record):
         return _fails_affine(p, self.module.algebra.dim, self.comms, self.rhs,
                              self.weight.field.p)
 
-    def decide(self, p: Sequence, seed: str, trial: int) -> bool:
-        """`fails`, with trial 0 re-checked by `check_rbp_module`; a
-        disagreement raises InternalError naming the module, the seed, the
-        trial and the first basis element e_i where the two differ."""
-        fails = self.fails(p)
-        if trial == 0:
-            a = self.module.algebra
-            n = a.dim
-            inst = RbpInstance(a, self.module, operator_of(a.field, n, p), self.t,
-                               self.weight, name="fuzz:0")
-            rep = check_rbp_module(inst)
-            if rep.ok == fails:
-                oracle = {dict(v.witness)["a"] for v in rep.violations}
-                first = next(
-                    (i for i in range(n)
-                     if _fails_affine(p, n, self.comms, self.rhs, a.field.p, (i,))
-                     != (i in oracle)),
-                    None,
-                )
-                raise InternalError(
-                    f"affine trial and check_rbp_module disagree on {self.module.name}, "
-                    f"seed {seed!r}, trial {trial}, first at e_{first}: "
-                    f"affine {'fails' if fails else 'passes'}"
-                )
-        return fails
-
 
 def pairing_system(m: ActionStructure, t, lam: Scalar) -> PairingSystem:
     """The commutators C_b and right-hand sides K_i of (M, T, lam), once;
@@ -343,43 +315,30 @@ def classify_generic(
     trials: int = DEFAULT_TRIALS,
     seed: str | None = None,
 ) -> GenericVerdict:
-    """Decide whether (M, T) pairs with every P, and fuzz the answer.
+    """Decide whether (M, T) pairs with every P.
 
-    For A-linear T the identity collapses to a . (T^2 + lam T) m = 0, which
-    no longer mentions P; that exact condition is the verdict.
-
-    A trial draws P as `_random_entries` gives it and decides it from the
-    `pairing_system` of (M, T, lam), built once per call, stopping at the
-    first e_i that fails.  Trial 0 is also checked by `check_rbp_module`,
-    and a disagreement raises InternalError (`PairingSystem.decide`).  For
-    A-linear T every C_b is zero, so a trial reads 0 = K_i whatever P it
-    draws: trial 0's outcome counts for all `trials`, and that count must
-    agree with the verdict (all pass, or all fail), else InternalError.
-    A negative `trials` is refused with PreconditionError.
+    For A-linear T every C_b of the `pairing_system` is zero, so every P
+    reads 0 = K_i: the identity collapses to a . (T^2 + lam T) m = 0, which
+    no longer mentions P.  That exact condition is the verdict, and
+    `failures` is 0 when it holds and `trials` when it does not; nothing is
+    drawn.  A T that is not A-linear is not classified (`generic` is None):
+    each of `trials` P is drawn as `_random_entries` gives it and decided by
+    `PairingSystem.fails`, stopping at the first e_i that fails.  A negative
+    `trials` is refused with PreconditionError.
     """
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
     n = m.algebra.dim
     seed = fuzz_seed(seed)
     system = pairing_system(m, t, lam)
-    raw, tl = system.t, system.shifted
     a_linear = not any(system.comms)
-    qi = _annihilates(raw, tl)
+    qi = _annihilates(system.t, system.shifted)
     generic: bool | None = None
     if a_linear:
-        generic = not contract("bkr,kl,lc->brc", m, raw, tl).cells
-        failures = trials * system.decide(_random_entries(n, seed, 0), seed, 0) if trials > 0 else 0
+        generic = not any(any(k) for k in system.rhs)
+        failures = 0 if generic else trials
     else:
-        failures = sum(
-            system.decide(_random_entries(n, seed, trial), seed, trial) for trial in range(trials)
-        )
-    if a_linear and trials:
-        expected = 0 if generic else trials
-        if failures != expected:
-            raise InternalError(
-                f"classification and fuzzing disagree: generic={generic}, "
-                f"failures={failures}/{trials}"
-            )
+        failures = sum(system.fails(_random_entries(n, seed, trial)) for trial in range(trials))
     return GenericVerdict(a_linear, qi, generic, trials, failures, seed)
 
 

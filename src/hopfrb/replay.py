@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from . import __version__
 from .exactlin import (
-    InternalError,
     RawTensor,
     contract,
     differing,
@@ -41,7 +40,6 @@ from .rbcore import (
     fuzz_seed,
     _random_entries,
     is_quasi_idempotent,
-    operator_of,
     pairing_system,
     tilde_pair,
 )
@@ -100,7 +98,7 @@ def _replay_thm_3_2(seed: str, trials: int) -> list:
     system = pairing_system(module, t2, lam)
     found = None
     for trial in range(trials):
-        if system.decide(_random_entries(h.dim, seed, trial), seed, trial):
+        if system.fails(_random_entries(h.dim, seed, trial)):
             found = trial
             break
     _check(checks, "doubled-identity-falsified", found is not None,
@@ -149,18 +147,9 @@ def _replay_prop_3_1(seed: str, trials: int) -> list:
     for trial in range(trials):
         p = _random_entries(n, seed, trial)
         pt = _raw_tilde(p, n, minus)
-        fails = t_system.decide(p, seed, trial)
-        fails_tilde = tt_system.decide(pt, seed, trial)
+        fails = t_system.fails(p)
+        fails_tilde = tt_system.fails(pt)
         involutes = t_involutes and _same_raw(_raw_tilde(pt, n, minus), p, mod)
-        if trial == 0:
-            p_mat = operator_of(f, n, p)
-            pair = tilde_pair(p_mat, t, lam)
-            if involutes != (pair == (operator_of(f, n, pt), tt)
-                             and tilde_pair(*pair, lam) == (p_mat, t)):
-                raise InternalError(
-                    f"entry-list and tensor tilde involutions disagree on {module.name}, "
-                    f"seed {seed!r}, trial 0"
-                )
         bad += fails or fails_tilde or not involutes
     _check(checks, "tilde-on-fuzzed-instances", bad == 0, trials=trials, failures=bad)
     return checks

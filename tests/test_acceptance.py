@@ -49,7 +49,6 @@ from hopfrb.rbcore import (
     classify_generic,
     double_construction,
     is_quasi_idempotent,
-    operator_of,
     tilde_pair,
     _random_entries,
 )
@@ -102,6 +101,12 @@ def test_criterion_01_left_multiplication_verdicts():
     _verdict(1, "rb-operator verdicts on matrix units", ok)
 
 
+def _drawn(seed: str, trial: int) -> RawTensor:
+    """Trial `trial`'s random 2 x 2 operator over Q."""
+    return RawTensor.read(Q, (2, 2), {divmod(k, 2): x
+                                      for k, x in enumerate(_random_entries(2, seed, trial))})
+
+
 def test_criterion_02_integral_operator_is_generic():
     c2 = get("group-algebra-c2").payload
     module = get("c2-regular-module").payload
@@ -109,13 +114,13 @@ def test_criterion_02_integral_operator_is_generic():
     v = classify_generic(module, t, MINUS_ONE, trials=100, seed="criterion-2")
     ok = v.generic is True
     for trial in range(100):
-        p = operator_of(Q, 2, _random_entries(2, "criterion-2-p", trial))
+        p = _drawn("criterion-2-p", trial)
         ok &= check_rbp_module(RbpInstance(c2.algebra, module, p, t, MINUS_ONE)).ok
     t2 = mat_scale(Q.of(2), identity(Q, 2))
     ok &= not is_quasi_idempotent(t2, MINUS_ONE)
     found = False
     for trial in range(100):
-        p = operator_of(Q, 2, _random_entries(2, "criterion-2-p", trial))
+        p = _drawn("criterion-2-p", trial)
         if not check_rbp_module(RbpInstance(c2.algebra, module, p, t2, MINUS_ONE)).ok:
             found = True
             break
@@ -135,7 +140,7 @@ def test_criterion_03_mirrored_pair_preserves_verification():
     module = get("c2-regular-module").payload
     t = module.matrix(normalized_group_integral(c2))
     for trial in range(50):
-        p = operator_of(Q, 2, _random_entries(2, "criterion-3", trial))
+        p = _drawn("criterion-3", trial)
         inst = RbpInstance(c2.algebra, module, p, t, MINUS_ONE)
         ok &= check_rbp_module(inst).ok
         pt, tt = tilde_pair(p, t, MINUS_ONE)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from hopfrb.exactlin import (
     FieldError,
-    InternalError,
     RATIONAL,
     RawTensor,
     contract,
@@ -20,13 +19,14 @@ from hopfrb.exactlin import (
     mat,
     mat_scale,
     prime_field,
+    raw_identity,
     raw_view,
     solve_linear,
     vec,
 )
 from hopfrb.structures import FinAlgebra, PreconditionError, check_algebra
 from hopfrb.actions import ActionStructure, check_action, regular_action
-from hopfrb import rbcore
+from hopfrb import rbcore, replay
 from hopfrb.rbcore import (
     RbpInstance,
     atkinson_solvable,
@@ -40,7 +40,6 @@ from hopfrb.rbcore import (
     idempotent_identities,
     image_closed_under_p_action,
     is_quasi_idempotent,
-    operator_of,
     pairing_system,
     scale_weight,
     tilde_pair,
@@ -56,6 +55,11 @@ from hopfrb.catalog import (
 
 Q = RATIONAL
 MINUS_ONE = -Q.one
+
+
+def operator_of(field, n: int, entries):
+    """The n x n raw operator with the row-major raw `entries`."""
+    return RawTensor.read(field, (n, n), {divmod(k, n): x for k, x in enumerate(entries)})
 
 
 def _apply(module, r, v):
@@ -345,16 +349,6 @@ def test_affine_trials_count_what_check_rbp_module_counts(field, linear, data):
     assert v.failures == _brute_force_failures(module, t, lam, trials, seed)
 
 
-def test_affine_and_oracle_disagreement_is_a_package_bug(monkeypatch):
-    module = get("c2-regular-module").payload
-    t = mat(Q, [[1, 0], [0, 0]])  # not kC2-linear, so only the oracle can object
-    classify_generic(module, t, MINUS_ONE, trials=3, seed="t")
-    real = rbcore._fails_affine
-    monkeypatch.setattr(rbcore, "_fails_affine", lambda *args: not real(*args))
-    with pytest.raises(InternalError, match="check_rbp_module disagree"):
-        classify_generic(module, t, MINUS_ONE, trials=3, seed="t")
-
-
 @st.composite
 def raw_entries(draw, field, count):
     """`count` raw values of arbitrary elements of `field`: any int over
@@ -443,6 +437,8 @@ def _c2_operators() -> dict:
 
 @pytest.mark.parametrize("case", list(_c2_operators()))
 def test_an_a_linear_t_decides_trial_0_for_every_trial(monkeypatch, case):
+    # an A-linear T is decided exactly, with no draw; every other T draws
+    # and decides each of its trials
     module = get("c2-regular-module").payload
     t, failures = _c2_operators()[case]
     calls = {"_random_entries": 0, "_fails_affine": 0}
@@ -455,34 +451,57 @@ def test_an_a_linear_t_decides_trial_0_for_every_trial(monkeypatch, case):
     assert v.trials == 7 and v.a_linear == (failures is not None)
     if v.a_linear:
         assert v.failures == failures
-        assert calls == {"_random_entries": 1, "_fails_affine": 1}
+        assert calls == {"_random_entries": 0, "_fails_affine": 0}
     else:
         assert calls == {"_random_entries": 7, "_fails_affine": 7}
     assert classify_generic(module, t, MINUS_ONE, trials=0, seed="t").failures == 0
 
 
-def test_a_linear_count_against_the_verdict_is_a_package_bug(monkeypatch):
-    module = get("c2-regular-module").payload
-    t, _ = _c2_operators()["a-linear-generic"]
-    monkeypatch.setattr(rbcore.PairingSystem, "decide", lambda self, p, seed, trial: True)
-    with pytest.raises(InternalError, match="generic=True, failures=5/5"):
-        classify_generic(module, t, MINUS_ONE, trials=5, seed="t")
+GOLDEN_SEEDS = ["7", rbcore.DEFAULT_SEED, "31"]
 
 
-def test_disagreement_names_module_seed_trial_and_basis_element(monkeypatch):
-    module = get("c2-regular-module").payload
-    t = module.matrix(normalized_group_integral(get("group-algebra-c2").payload))
-    real = rbcore._fails_affine
+def _agrees_with_check_rbp_module(module, t, lam, p) -> None:
+    """The pairing system decides the raw row-major P with T, and its tilde
+    pair P~ with T~, as `check_rbp_module` does."""
+    a, f = module.algebra, module.field
+    p = operator_of(f, a.dim, p)
+    for x, y in ((p, t), tilde_pair(p, t, lam)):
+        rep = check_rbp_module(RbpInstance(a, module, x, y, lam))
+        assert pairing_system(module, y, lam).fails(x.flat()) == (not rep.ok), module.name
 
-    def flip_e1(p, n, comms, k, modulus, rows=None):
-        # the real answer on every e_i but e_1, which is made to fail
-        rows = range(len(k)) if rows is None else rows
-        return any(real(p, n, comms, k, modulus, (i,)) != (i == 1) for i in rows)
 
-    monkeypatch.setattr(rbcore, "_fails_affine", flip_e1)
-    with pytest.raises(InternalError,
-                       match="c2-regular-left, seed 's', trial 0, first at e_1"):
-        classify_generic(module, t, MINUS_ONE, trials=3, seed="s")
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+@pytest.mark.parametrize("name", CATALOG_MODULES)
+def test_trial_0_decides_as_check_rbp_module_on_every_catalog_module(name, seed):
+    # P is the seed's trial-0 draw; T is the identity or its double (A-linear,
+    # generic and not at unital carriers) or trial 1's draw (in general not
+    # A-linear)
+    module = get(name).payload
+    f, n, d = module.field, module.algebra.dim, module.dim
+    p = rbcore._random_entries(n, seed, 0)
+    for t in (raw_identity(f, d), raw_identity(f, d).scaled(f.of(2)),
+              operator_of(f, d, rbcore._random_entries(d, seed, 1))):
+        _agrees_with_check_rbp_module(module, t, -f.one, p)
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_trial_0_decides_as_check_rbp_module_on_every_replay_system(seed, monkeypatch):
+    # every (M, T, lam) that `replay all` builds a pairing system for, at
+    # the seed's trial-0 draw of P
+    systems, real = [], rbcore.pairing_system
+
+    def recorded(m, t, lam):
+        systems.append(real(m, t, lam))
+        return systems[-1]
+
+    for mod in (rbcore, replay):
+        monkeypatch.setattr(mod, "pairing_system", recorded)
+    replay.run_all(seed=seed, trials=1)
+    assert len(systems) > 20
+    for system in systems:
+        m = system.module
+        _agrees_with_check_rbp_module(m, system.t, system.weight,
+                                      rbcore._random_entries(m.algebra.dim, seed, 0))
 
 
 def test_a_linearity_names_first_commutator_witness():

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from hopfrb import __version__, rbcore, replay
+from hopfrb import __version__, catalog, rbcore, replay
 from hopfrb.actions import ActionStructure
 from hopfrb.catalog import get
-from hopfrb.exactlin import RATIONAL, InternalError, identity
+from hopfrb.exactlin import RATIONAL, identity
 from hopfrb.hopfrb import functional_operator
 from hopfrb.replay import ReplayError, replay_ids, run_all, run_replay
 from hopfrb.structures import FinAlgebra
@@ -113,16 +113,10 @@ def test_prop_3_6_counts_the_basis_tuples_where_its_identities_fail(monkeypatch)
     assert by_name["projection-intertwines"]["failures"] == pairs
 
 
-def test_oracle_guards_replay_fuzz_loop(monkeypatch):
-    # prop-3.1 calls no classify_generic, so its own loop has to raise
-    real = rbcore._fails_affine
-    monkeypatch.setattr(rbcore, "_fails_affine", lambda *args: not real(*args))
-    with pytest.raises(InternalError, match="seed '5', trial 0, first at e_0"):
-        run_replay("prop-3.1", seed=5, trials=10)
-
-
-def _count_full_checks(monkeypatch, rid, trials):
-    """check_rbp_module calls in one run, wherever a hopfrb module names it."""
+def _count_full_checks(monkeypatch, trials):
+    """check_rbp_module calls in one `replay all`, wherever a hopfrb module
+    names it, with every catalog instance already built and verified."""
+    catalog.instances()
     real, calls = rbcore.check_rbp_module, []
 
     def counted(inst):
@@ -132,16 +126,15 @@ def _count_full_checks(monkeypatch, rid, trials):
     for name, mod in list(sys.modules.items()):
         if name.startswith("hopfrb") and getattr(mod, "check_rbp_module", None) is real:
             monkeypatch.setattr(mod, "check_rbp_module", counted)
-    run_replay(rid, seed=3, trials=trials)
+    run_all(seed=3, trials=trials)
     monkeypatch.undo()
     return len(calls)
 
 
-def test_full_checks_do_not_grow_with_trials(monkeypatch):
-    # only trial 0 goes through check_rbp_module; every other draw is
-    # decided by the pairing systems
-    assert (_count_full_checks(monkeypatch, "prop-3.1", 10)
-            == _count_full_checks(monkeypatch, "prop-3.1", 100))
+def test_replay_all_walks_check_rbp_module_19_times_at_any_trials(monkeypatch):
+    # no fuzzed P goes through check_rbp_module: an A-linear T is decided
+    # exactly and every other draw by a pairing system
+    assert [_count_full_checks(monkeypatch, trials) for trials in (0, 10, 100)] == [19, 19, 19]
 
 
 @pytest.mark.parametrize("trials", [0, 1, 10])
