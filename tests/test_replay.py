@@ -8,7 +8,7 @@ import pytest
 from hopfrb import __version__, catalog, rbcore, replay
 from hopfrb.actions import ActionStructure
 from hopfrb.catalog import get
-from hopfrb.exactlin import RATIONAL, identity
+from hopfrb.exactlin import RATIONAL, RawTensor, identity
 from hopfrb.hopfrb import functional_operator
 from hopfrb.replay import ReplayError, replay_ids, run_all, run_replay
 from hopfrb.structures import FinAlgebra
@@ -177,3 +177,60 @@ def test_a_construction_that_returns_an_unverified_instance_fails_its_check(
     rep = run_replay(rid, seed=1, trials=1)
     failed = [c["name"] for c in rep["checks"] if c["result"] == "fail"]
     assert check in failed and rep["result"] == "fail"
+
+
+@pytest.mark.parametrize("trials", [0, 10, 100])
+def test_replay_all_draws_only_for_the_two_t_that_are_not_a_linear(trials, monkeypatch):
+    # every A-linear T is decided exactly, with no draw; the only T that is
+    # not A-linear are prop-4.5's two dual-side projections, which draw and
+    # decide `trials` operators each
+    calls = {"draws": 0, "fails": 0}
+
+    def counting(key, real):
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+        return counted
+
+    real_draws = rbcore._random_entries
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hopfrb") and getattr(mod, "_random_entries", None) is real_draws:
+            monkeypatch.setattr(mod, "_random_entries", counting("draws", real_draws))
+    monkeypatch.setattr(rbcore.PairingSystem, "fails",
+                        counting("fails", rbcore.PairingSystem.fails))
+    run_all(seed=3, trials=trials)
+    assert calls == {"draws": 2 * trials, "fails": 2 * trials}
+
+
+def _check_named(rid: str, name: str, trials: int) -> dict:
+    rep = run_replay(rid, seed=7, trials=trials)
+    return {c["name"]: c for c in rep["checks"]}[name]
+
+
+@pytest.mark.parametrize("trials", [0, 1, 10])
+def test_tilde_on_fuzzed_instances_fails_every_trial_when_t_is_not_generic(
+        trials, monkeypatch):
+    assert _check_named("prop-3.1", "tilde-on-fuzzed-instances", trials) == {
+        "name": "tilde-on-fuzzed-instances", "result": "pass",
+        "trials": trials, "failures": 0}
+    # twice the integral operator is A-linear but not quasi-idempotent: no P
+    # pairs with it, so every trial fails, and with no trial none does
+    monkeypatch.setattr(replay, "normalized_group_integral",
+                        lambda h: tuple(x + x for x in catalog.normalized_group_integral(h)))
+    assert _check_named("prop-3.1", "tilde-on-fuzzed-instances", trials) == {
+        "name": "tilde-on-fuzzed-instances", "result": "pass" if trials == 0 else "fail",
+        "trials": trials, "failures": trials}
+
+
+@pytest.mark.parametrize("trials", [0, 1, 10])
+def test_doubled_identity_is_falsified_at_trial_0_or_not_at_all(trials, monkeypatch):
+    # 2 id is A-linear and not quasi-idempotent, so every trial falsifies it
+    # and the first is trial 0; with no trial nothing does
+    assert _check_named("thm-3.2", "doubled-identity-falsified", trials) == {
+        "name": "doubled-identity-falsified", "result": "pass" if trials else "fail",
+        "falsifying_trial": 0 if trials else None}
+    # with the zero matrix for the identity, T2 = 0 pairs with every P
+    monkeypatch.setattr(replay, "raw_identity",
+                        lambda f, n: RawTensor(f, (n, n), {}))
+    assert _check_named("thm-3.2", "doubled-identity-falsified", trials) == {
+        "name": "doubled-identity-falsified", "result": "fail", "falsifying_trial": None}
